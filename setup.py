@@ -26,7 +26,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["networkx"],
+    install_requires=["networkx", "numpy", "scipy"],
     entry_points={
         "console_scripts": [
             "repro=repro.cli:main",

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
-from scipy import stats
 
 from repro.graphs.power import distance_neighborhood
 
@@ -218,6 +217,9 @@ class SparsificationStageEvents:
         remaining = math.floor(self.threshold - fixed_sampled)
         if remaining >= unfixed:
             return 0.0
+        # Imported here: scipy.stats costs every process ~0.7 s and ~50 MB at
+        # start-up, and only nodes with > 72 log n unfixed neighbors get here.
+        from scipy import stats
         return float(stats.binom.sf(remaining, unfixed, self.probability))
 
     def total_expectation(self, fixed: Mapping[Node, bool],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -136,6 +137,68 @@ class TestStageEvents:
 
         assert events.evaluate_with_hash(AlwaysLow(), node_ids) == events.active
         assert events.evaluate_with_hash(AlwaysHigh(), node_ids) == set()
+
+
+def exact_binomial_tail(trials: int, probability: float, above: int) -> float:
+    """``P(Bin(trials, probability) > above)`` as an exact rational sum."""
+    q = Fraction(probability)
+    return float(sum(math.comb(trials, j) * q ** j * (1 - q) ** (trials - j)
+                     for j in range(above + 1, trials + 1)))
+
+
+class TestPsiBinomialTail:
+    """``psi_expectation`` on a node with more than ``72 log n`` unfixed
+    active neighbors, where the value comes from the binomial tail."""
+
+    @pytest.fixture(scope="class")
+    def events(self) -> SparsificationStageEvents:
+        # K_{1,599} at power 2: every node has 599 active neighbors against a
+        # threshold of 72 ln 600 ~ 460.6.  Delta_A = 400 puts the mean
+        # u * q ~ 459.8 next to the threshold, so the tail is near 1/2.
+        graph = nx.star_graph(599)
+        return SparsificationStageEvents(graph=graph, active=set(graph.nodes()),
+                                         stage=1, delta_a=400, power=2)
+
+    def test_setting_reaches_the_tail(self, events):
+        assert len(events.active_neighbors[0]) == 599
+        assert math.floor(events.threshold) == 460
+        assert 0.0 < events.probability < 1.0
+
+    def test_unconditioned_tail_matches_exact_sum(self, events):
+        value = events.psi_expectation(0, {})
+        expected = exact_binomial_tail(599, events.probability, 460)
+        assert 0.1 < expected < 0.9
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_partially_fixed_tail_matches_exact_sum(self, events):
+        # 10 neighbors fixed sampled, 50 fixed unsampled: c = 10, u = 539.
+        fixed = {leaf: True for leaf in range(1, 11)}
+        fixed.update({leaf: False for leaf in range(11, 61)})
+        value = events.psi_expectation(0, fixed)
+        remaining = math.floor(events.threshold - 10)
+        expected = exact_binomial_tail(539, events.probability, remaining)
+        assert 0.0 < expected < 0.01
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_tail_is_a_martingale_in_one_decision(self, events):
+        q = events.probability
+        sampled = events.psi_expectation(0, {1: True})
+        unsampled = events.psi_expectation(0, {1: False})
+        assert q * sampled + (1 - q) * unsampled == pytest.approx(
+            events.psi_expectation(0, {}), rel=1e-9)
+
+    def test_too_few_unfixed_neighbors_cannot_cross(self, events):
+        # u = 399 <= remaining = 460.
+        fixed = {leaf: False for leaf in range(1, 201)}
+        assert events.psi_expectation(0, fixed) == 0.0
+
+    def test_fixed_sampled_above_threshold_is_certain(self, events):
+        fixed = {leaf: True for leaf in range(1, 462)}
+        assert events.psi_expectation(0, fixed) == 1.0
+
+    def test_no_unfixed_neighbors_is_impossible(self, events):
+        fixed = {leaf: leaf <= 100 for leaf in range(1, 600)}
+        assert events.psi_expectation(0, fixed) == 0.0
 
 
 class TestRandomizedSparsification:
