@@ -8,7 +8,8 @@ the fleet's guarantees:
 1. boot a coordinator and enroll two workers (ephemeral ports, inline
    schedulers, memory-only caches);
 2. solve a spread of graphs through the coordinator -- consistent hashing
-   on the graph fingerprint routes each graph to a stable worker;
+   on the graph identity (``workload@graph_seed``) routes each graph to a
+   stable worker;
 3. repeat the whole sweep -- every request lands on the worker that
    computed it the first time, so the second pass is all cache hits
    (watch ``affinity_hit_rate`` in ``GET /stats``);
@@ -55,10 +56,11 @@ def main() -> None:
 
     try:
         # -------------------------------------------------------------- 2.
-        # Cold sweep: eight different graphs.  The coordinator plans each
-        # request to its content address and routes by the *graph
-        # fingerprint*, so distinct graphs spread across the fleet while
-        # every solve of the same graph goes to the same worker.
+        # Cold sweep: eight different graphs.  The coordinator never builds
+        # a graph: it routes on the request's *graph identity*,
+        # ``workload@graph_seed``, so distinct graphs spread across the
+        # fleet while every solve of the same graph goes to the same
+        # worker, which builds the graph and derives the content address.
         placement: dict[int, str] = {}
         for graph_seed in GRAPH_SEEDS:
             row = client.solve(WORKLOAD, ALGORITHM, config=CONFIG,

@@ -53,67 +53,77 @@ deprecation shims with bit-identical outputs; new code should call
 import functools as _functools
 import warnings as _warnings
 
-from repro import api
-from repro.api import (
-    Certificate,
-    Problem,
-    Provenance,
-    RunReport,
-    replay,
-    solve,
-    solve_batch,
-)
-from repro.api.registry import Algorithm, SolverRegistry
-from repro.congest import (
-    ActiveSetEngine,
-    CongestNetwork,
-    NodeAlgorithm,
-    RoundLedger,
-    RoundObserver,
-    Simulator,
-    SyncEngine,
-)
-from repro.core.detsparsify import det_sparsification as _det_sparsification
-from repro.core.invariants import (
-    check_power_sparsification,
-    check_sparsification,
-    verify_invariants,
-)
-from repro.core.power_sparsify import (
-    power_graph_sparsification as _power_graph_sparsification,
-    power_graph_sparsification_low_diameter as _power_graph_sparsification_low_diameter,
-)
-from repro.core.sampling import randomized_sparsification as _randomized_sparsification
-from repro.decomposition.ball_graph import (
-    form_distance_k_ball_graph as _form_distance_k_ball_graph,
-)
-from repro.decomposition.network_decomposition import (
-    network_decomposition as _network_decomposition,
-)
-from repro.graphs import power_graph
-from repro.mis.beeping import (
-    beeping_mis as _beeping_mis,
-    beeping_mis_power as _beeping_mis_power,
-)
-from repro.mis.luby import luby_mis as _luby_mis, luby_mis_power as _luby_mis_power
-from repro.mis.power_mis import power_graph_mis as _power_graph_mis
-from repro.mis.power_ruling import power_graph_ruling_set as _power_graph_ruling_set
-from repro.mis.shattering import shattering_mis as _shattering_mis
-from repro.ruling.aglp import (
-    aglp_ruling_set as _aglp_ruling_set,
-    id_based_ruling_set as _id_based_ruling_set,
-)
-from repro.ruling.det_ruling_set import (
-    deterministic_power_ruling_set as _deterministic_power_ruling_set,
-)
-from repro.ruling.greedy import greedy_mis as _greedy_mis
-from repro.ruling.verify import (
-    is_mis_of_power_graph,
-    is_ruling_set,
-    verify_ruling_set,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
 __version__ = "1.2.0"
+
+#: Public name -> the module that defines it, imported on first access
+#: (``repro.api`` is the subpackage itself).
+_EXPORTS = {
+    "ActiveSetEngine": "repro.congest",
+    "Algorithm": "repro.api.registry",
+    "Certificate": "repro.api",
+    "CongestNetwork": "repro.congest",
+    "NodeAlgorithm": "repro.congest",
+    "Problem": "repro.api",
+    "Provenance": "repro.api",
+    "RoundLedger": "repro.congest",
+    "RoundObserver": "repro.congest",
+    "RunReport": "repro.api",
+    "Simulator": "repro.congest",
+    "SolverRegistry": "repro.api.registry",
+    "SyncEngine": "repro.congest",
+    "aglp_ruling_set": "repro.ruling.aglp",
+    "api": "repro.api",
+    "beeping_mis": "repro.mis.beeping",
+    "beeping_mis_power": "repro.mis.beeping",
+    "check_power_sparsification": "repro.core.invariants",
+    "check_sparsification": "repro.core.invariants",
+    "det_sparsification": "repro.core.detsparsify",
+    "deterministic_power_ruling_set": "repro.ruling.det_ruling_set",
+    "form_distance_k_ball_graph": "repro.decomposition.ball_graph",
+    "greedy_mis": "repro.ruling.greedy",
+    "id_based_ruling_set": "repro.ruling.aglp",
+    "is_mis_of_power_graph": "repro.ruling.verify",
+    "is_ruling_set": "repro.ruling.verify",
+    "luby_mis": "repro.mis.luby",
+    "luby_mis_power": "repro.mis.luby",
+    "network_decomposition": "repro.decomposition.network_decomposition",
+    "power_graph": "repro.graphs",
+    "power_graph_mis": "repro.mis.power_mis",
+    "power_graph_ruling_set": "repro.mis.power_ruling",
+    "power_graph_sparsification": "repro.core.power_sparsify",
+    "power_graph_sparsification_low_diameter": "repro.core.power_sparsify",
+    "randomized_sparsification": "repro.core.sampling",
+    "replay": "repro.api",
+    "shattering_mis": "repro.mis.shattering",
+    "solve": "repro.api",
+    "solve_batch": "repro.api",
+    "verify_invariants": "repro.core.invariants",
+    "verify_ruling_set": "repro.ruling.verify",
+}
+
+#: Legacy solver entry points, served as deprecation shims over their
+#: implementation modules, each with its ``repro.solve`` algorithm name.
+_DEPRECATED = {
+    "aglp_ruling_set": "aglp",
+    "beeping_mis": "beeping",
+    "beeping_mis_power": "beeping-power",
+    "det_sparsification": "det-sparsify",
+    "deterministic_power_ruling_set": "det-power-ruling",
+    "form_distance_k_ball_graph": "ball-graph",
+    "greedy_mis": "greedy-mis",
+    "id_based_ruling_set": "id-ruling",
+    "luby_mis": "luby",
+    "luby_mis_power": "luby-power",
+    "network_decomposition": "network-decomposition",
+    "power_graph_mis": "power-mis",
+    "power_graph_ruling_set": "power-ruling",
+    "power_graph_sparsification": "sparsify",
+    "power_graph_sparsification_low_diameter": "sparsify-low-diameter",
+    "randomized_sparsification": "randomized-sparsify",
+    "shattering_mis": "shattering-mis",
+}
 
 
 def _deprecated_shim(func, api_name=None):
@@ -141,74 +151,13 @@ def _deprecated_shim(func, api_name=None):
     return shim
 
 
-# Legacy solver entry points -> deprecation shims over the implementation
-# modules, each annotated with its ``repro.solve`` algorithm name.
-aglp_ruling_set = _deprecated_shim(_aglp_ruling_set, "aglp")
-beeping_mis = _deprecated_shim(_beeping_mis, "beeping")
-beeping_mis_power = _deprecated_shim(_beeping_mis_power, "beeping-power")
-det_sparsification = _deprecated_shim(_det_sparsification, "det-sparsify")
-deterministic_power_ruling_set = _deprecated_shim(
-    _deterministic_power_ruling_set, "det-power-ruling")
-form_distance_k_ball_graph = _deprecated_shim(
-    _form_distance_k_ball_graph, "ball-graph")
-greedy_mis = _deprecated_shim(_greedy_mis, "greedy-mis")
-id_based_ruling_set = _deprecated_shim(_id_based_ruling_set, "id-ruling")
-luby_mis = _deprecated_shim(_luby_mis, "luby")
-luby_mis_power = _deprecated_shim(_luby_mis_power, "luby-power")
-network_decomposition = _deprecated_shim(
-    _network_decomposition, "network-decomposition")
-power_graph_mis = _deprecated_shim(_power_graph_mis, "power-mis")
-power_graph_ruling_set = _deprecated_shim(
-    _power_graph_ruling_set, "power-ruling")
-power_graph_sparsification = _deprecated_shim(
-    _power_graph_sparsification, "sparsify")
-power_graph_sparsification_low_diameter = _deprecated_shim(
-    _power_graph_sparsification_low_diameter, "sparsify-low-diameter")
-randomized_sparsification = _deprecated_shim(
-    _randomized_sparsification, "randomized-sparsify")
-shattering_mis = _deprecated_shim(_shattering_mis, "shattering-mis")
+def _wrap_deprecated(name, value):
+    if name in _DEPRECATED:
+        return _deprecated_shim(value, _DEPRECATED[name])
+    return value
 
-__all__ = [
-    "ActiveSetEngine",
-    "Algorithm",
-    "Certificate",
-    "CongestNetwork",
-    "NodeAlgorithm",
-    "Problem",
-    "Provenance",
-    "RoundLedger",
-    "RoundObserver",
-    "RunReport",
-    "Simulator",
-    "SolverRegistry",
-    "SyncEngine",
-    "aglp_ruling_set",
-    "api",
-    "beeping_mis",
-    "beeping_mis_power",
-    "check_power_sparsification",
-    "check_sparsification",
-    "det_sparsification",
-    "deterministic_power_ruling_set",
-    "form_distance_k_ball_graph",
-    "greedy_mis",
-    "id_based_ruling_set",
-    "is_mis_of_power_graph",
-    "is_ruling_set",
-    "luby_mis",
-    "luby_mis_power",
-    "network_decomposition",
-    "power_graph",
-    "power_graph_mis",
-    "power_graph_ruling_set",
-    "power_graph_sparsification",
-    "power_graph_sparsification_low_diameter",
-    "randomized_sparsification",
-    "replay",
-    "shattering_mis",
-    "solve",
-    "solve_batch",
-    "verify_invariants",
-    "verify_ruling_set",
-    "__version__",
-]
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS,
+                                     wrap=_wrap_deprecated)
+
+__all__ = [*sorted(_EXPORTS), "__version__"]

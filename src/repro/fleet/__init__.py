@@ -31,38 +31,27 @@ Entry points: ``repro fleet coordinator``, ``repro fleet worker
 --coordinator URL``, ``repro fleet status`` (:mod:`repro.fleet.cli`).
 """
 
-from repro.fleet.coordinator import FleetCoordinator, HashRing
-from repro.fleet.registry import WorkerInfo, WorkerRegistry
-from repro.fleet.tracing import (
-    assemble_trace,
-    federate_prometheus,
-    render_span_tree,
-)
-from repro.fleet.transport import (
-    CircuitBreaker,
-    CircuitOpenError,
-    FleetError,
-    NoLiveWorkersError,
-    TransportError,
-    WorkerLink,
-    get_best_discovered_result,
-)
-from repro.fleet.worker import FleetWorker
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "FleetCoordinator",
-    "FleetError",
-    "FleetWorker",
-    "HashRing",
-    "NoLiveWorkersError",
-    "TransportError",
-    "WorkerInfo",
-    "WorkerLink",
-    "WorkerRegistry",
-    "assemble_trace",
-    "federate_prometheus",
-    "get_best_discovered_result",
-    "render_span_tree",
-]
+#: Public name -> the submodule that defines it, imported on first access.
+_EXPORTS = {
+    "CircuitBreaker": "repro.fleet.transport",
+    "CircuitOpenError": "repro.fleet.transport",
+    "FleetCoordinator": "repro.fleet.coordinator",
+    "FleetError": "repro.fleet.transport",
+    "FleetWorker": "repro.fleet.worker",
+    "HashRing": "repro.fleet.coordinator",
+    "NoLiveWorkersError": "repro.fleet.transport",
+    "TransportError": "repro.fleet.transport",
+    "WorkerInfo": "repro.fleet.registry",
+    "WorkerLink": "repro.fleet.transport",
+    "WorkerRegistry": "repro.fleet.registry",
+    "assemble_trace": "repro.fleet.tracing",
+    "federate_prometheus": "repro.fleet.tracing",
+    "get_best_discovered_result": "repro.fleet.transport",
+    "render_span_tree": "repro.fleet.tracing",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from typing import Sequence
 
 __all__ = ["main"]
@@ -72,22 +73,32 @@ def _status(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Parse and run one role.
+
+    Only the named role's module is imported: the worker's pulls in the
+    whole solver, which the coordinator and ``status`` never need.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    role = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="repro fleet",
         description="Distributed solve fleet: coordinator, workers, "
                     "status.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    from repro.fleet.coordinator import add_coordinator_arguments
-    from repro.fleet.worker import add_worker_arguments
-
     coordinator = commands.add_parser(
         "coordinator", help="run the fleet front door")
-    add_coordinator_arguments(coordinator)
+    if role == "coordinator":
+        from repro.fleet.coordinator import add_coordinator_arguments
+
+        add_coordinator_arguments(coordinator)
 
     worker = commands.add_parser(
         "worker", help="run one solve worker and enroll it")
-    add_worker_arguments(worker)
+    if role == "worker":
+        from repro.fleet.worker import add_worker_arguments
+
+        add_worker_arguments(worker)
 
     status = commands.add_parser(
         "status", help="print a snapshot of the fleet")

@@ -1,19 +1,25 @@
-"""The fleet front door: plan, route by affinity, fan out, contain failures.
+"""The fleet front door: route by affinity, fan out, contain failures.
 
 ``repro fleet coordinator`` is an asyncio service in front of N enrolled
-solve workers (each one a full ``repro serve`` node).  Its pipeline per
+solve workers (each one a full ``repro serve`` node).  It is a router: it
+never builds a graph or derives a content address, and its process never
+imports numpy, networkx or :mod:`repro.api`.  Its pipeline per
 ``POST /solve``:
 
-1. **Plan** -- resolve the request to its content address with the same
-   machinery the single-box scheduler uses (``SolverRegistry.plan`` ->
-   ``solve_key``), memoized per request shape so the warm path never
-   rebuilds or re-fingerprints a graph.
-2. **Route by affinity** -- consistent hashing over the *graph
-   fingerprint* (not the full key): every solve on the same graph lands on
-   the same worker, so that worker's warm ``SolveCache`` entries, memoized
-   fingerprints and built topology snapshots get reused.  Worker
-   enroll/expiry only remaps the fingerprints that hashed to the changed
-   worker -- the rest of the fleet keeps its warm state.
+1. **Validate** -- parse the body as a :class:`SolveRequest` (unknown
+   fields, missing workload/algorithm and a malformed config are 400s
+   here).  Whether the workload and algorithm exist is the worker's call:
+   it resolves family aliases, rejects unknown names with a 400, and the
+   coordinator relays that 400 without retrying elsewhere.
+2. **Route by affinity** -- consistent hashing over the request's *graph
+   identity*, ``f"{workload}@{graph_seed}"`` with the workload as sent:
+   every solve on the same graph lands on the same worker, so that
+   worker's warm ``SolveCache`` entries, memoized graphs and fingerprints
+   and built topology snapshots get reused.  A family alias and the cell
+   it resolves to may land on different workers; the fleet-shared warm
+   tier (``GET /cache/<key>``) still serves the second from the first's
+   cache.  Worker enroll/expiry only remaps the graphs that hashed to the
+   changed worker -- the rest of the fleet keeps its warm state.
 3. **Contain failures** -- a transport failure (connection refused/reset,
    timeout, HTTP 5xx counted by the breaker) retries the request on the
    next live worker along the ring; repeated failures open the worker's
@@ -42,7 +48,7 @@ Endpoints: ``POST /solve`` (plus coordinator-only ``"scatter"`` flag),
 ``GET /report/<key>`` (scatter lookup across the fleet),
 ``GET /cache/<key>[?exclude=<worker_id>]`` (fleet-shared warm read: fan the
 key out to every live worker's cache tier except the asker, so a worker
-inheriting remapped fingerprints after membership churn starts warm instead
+inheriting remapped graphs after membership churn starts warm instead
 of recomputing), ``GET /healthz``,
 ``GET /stats`` (dispatch counters, failure classes, affinity hit rate,
 worker table), ``GET /metrics`` (``repro_fleet_*`` families: relay latency
@@ -67,7 +73,6 @@ import json
 import threading
 import time
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping, Sequence
@@ -76,7 +81,7 @@ from urllib.parse import unquote
 from repro.hashing.seeds import derive_seed
 from repro.service.client import ServiceError
 from repro.service.metrics import ServiceMetrics
-from repro.service.scheduler import SolveRequest, resolve_workload
+from repro.service.request import SolveRequest
 from repro.service.tracectx import TRACE_HEADER, Span, SpanRecorder, TraceContext
 from repro.fleet.registry import DEFAULT_TTL_S, WorkerInfo, WorkerRegistry
 from repro.fleet.tracing import assemble_trace, federate_prometheus
@@ -120,7 +125,7 @@ def _annotate_payload(payload: bytes, worker_id: str,
 
 
 class HashRing:
-    """Consistent hashing of fingerprints onto worker ids.
+    """Consistent hashing of route keys onto worker ids.
 
     Each worker owns ``replicas`` virtual nodes positioned by a stable
     hash (:func:`derive_seed`, so placement agrees across processes and
@@ -208,10 +213,10 @@ class _Group:
     """One open batch-grouping window (same shape, different seeds)."""
 
     shape: tuple
-    fingerprint: str
+    route_key: str
     template: dict[str, Any]
-    #: ``(seed, solve_key, future, trace_ctx)`` per joined request.
-    members: "list[tuple[int, str, asyncio.Future, TraceContext | None]]" \
+    #: ``(seed, future, trace_ctx)`` per joined request.
+    members: "list[tuple[int, asyncio.Future, TraceContext | None]]" \
         = field(default_factory=list)
     closed: bool = False
 
@@ -230,7 +235,6 @@ class FleetCoordinator:
                  request_timeout_s: float = _REQUEST_TIMEOUT_S,
                  circuit_failure_threshold: int = 3,
                  circuit_reset_after_s: float = 5.0,
-                 plan_memo_entries: int = 4096,
                  metrics: ServiceMetrics | None | object = _AUTO_METRICS,
                  tracing: bool = True,
                  quiet: bool = True) -> None:
@@ -268,12 +272,6 @@ class FleetCoordinator:
         self._links: dict[str, WorkerLink] = {}
         self._links_lock = threading.Lock()
         self._groups: dict[tuple, _Group] = {}
-        #: ``request shape -> (cell, key, fingerprint)``; planning builds
-        #: and fingerprints graphs, far too slow to repeat per warm hit.
-        self._plan_memo: dict[tuple, tuple[str, str, str]] = {}
-        self._plan_memo_order: deque[tuple] = deque()
-        self._plan_memo_entries = max(16, int(plan_memo_entries))
-        self._plan_lock = threading.Lock()
         if metrics is _AUTO_METRICS:
             metrics = ServiceMetrics()
         self.metrics: ServiceMetrics | None = metrics  # type: ignore[assignment]
@@ -386,43 +384,13 @@ class FleetCoordinator:
             links = list(self._links.values())
         return {link.worker_id: link.breaker.state for link in links}
 
-    # ------------------------------------------------------------- planning
-    def _plan(self, request: SolveRequest) -> tuple[str, str, str]:
-        """``(cell, solve_key, graph_fingerprint)`` for one request.
-
-        Memoized on the full request identity -- ``seed=None`` derives
-        deterministically from the shape, so it memoizes soundly too.
-        """
-        from repro.api import REGISTRY
-        from repro.service.cache import key_for_plan
-        from repro.service.scheduler import build_workload
-
-        memo_key = (request.workload, request.algorithm, request.config,
-                    request.graph_seed, request.seed)
-        with self._plan_lock:
-            cached = self._plan_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        cell = resolve_workload(request.workload)
-        graph = build_workload(cell, graph_seed=request.graph_seed)
-        plan = REGISTRY.plan(graph, request.algorithm, seed=request.seed,
-                             **request.config_dict)
-        value = (cell, key_for_plan(plan), plan.graph_fingerprint)
-        with self._plan_lock:
-            self._plan_memo[memo_key] = value
-            self._plan_memo_order.append(memo_key)
-            while len(self._plan_memo_order) > self._plan_memo_entries:
-                evicted = self._plan_memo_order.popleft()
-                self._plan_memo.pop(evicted, None)
-        return value
-
     # ------------------------------------------------------------- dispatch
     def solve(self, obj: dict[str, Any],
               trace_parent: str | None = None):
         """Serve one ``POST /solve`` body (called on HTTP handler threads).
 
-        The solo relay path -- plan (memoized), pick, forward, splice --
-        runs right here on the calling thread: no loop hand-off and no
+        The solo relay path -- route, pick, forward, splice -- runs right
+        here on the calling thread: no loop hand-off and no
         executor hop, so a warm fleet hit costs one extra HTTP leg and
         little else.  The fan-out paths (scatter, batch grouping) bridge
         onto the asyncio loop, which owns their timers and gathers.
@@ -447,6 +415,7 @@ class FleetCoordinator:
                       or TraceContext.from_header(obj.get("trace")))
             ctx = parent.child() if parent is not None else TraceContext.new()
         request = SolveRequest.from_obj(obj)
+        route_key = f"{request.workload}@{request.graph_seed}"
         body = dict(obj)
         body["wait"] = wait
         if ctx is not None:
@@ -457,18 +426,16 @@ class FleetCoordinator:
         start_s = time.time()
         started = time.perf_counter()
         try:
-            cell, key, fingerprint = self._plan(request)
             if scatter:
                 path_taken = "scatter"
-                return self._run_on_loop(self._scatter_solve(body, key, ctx))
+                return self._run_on_loop(self._scatter_solve(body, ctx))
             if (self.batch_window_s > 0.0 and wait
                     and request.seed is not None):
                 path_taken = "grouped"
                 return self._run_on_loop(
-                    self._submit_grouped(request, body, cell, key,
-                                         fingerprint, ctx))
+                    self._submit_grouped(request, body, route_key, ctx))
             self._bump("solo")
-            return self._solo_dispatch(body, key, fingerprint, ctx)
+            return self._solo_dispatch(body, route_key, ctx)
         except Exception as error:
             status = "error"
             error_text = f"{type(error).__name__}: {error}"
@@ -523,12 +490,12 @@ class FleetCoordinator:
         with self._state_lock:
             self.counters[name] += amount
 
-    def _pick_worker(self, fingerprint: str,
+    def _pick_worker(self, route_key: str,
                      exclude: "set[str]") -> tuple[WorkerInfo | None, bool]:
         """``(worker, is_primary)`` for one attempt; ``(None, False)`` when
         every live worker is excluded.
 
-        Ring order from the fingerprint gives the deterministic failover
+        Ring order from the route key gives the deterministic failover
         sequence; open circuits are skipped while an alternative exists;
         and when the chosen worker is carrying ``spill_threshold`` more
         in-flight requests than the least-loaded candidate, the request is
@@ -542,7 +509,7 @@ class FleetCoordinator:
         by_id = {info.worker_id: info for info in live}
         if self.ring.worker_ids != frozenset(by_id):
             self.ring.rebuild(sorted(by_id))
-        order = self.ring.preference(fingerprint)
+        order = self.ring.preference(route_key)
         primary_id = order[0]
         candidates = [wid for wid in order if wid not in exclude]
         if not candidates:
@@ -625,15 +592,13 @@ class FleetCoordinator:
             None, lambda: self._call_worker_sync(info, method, path, body,
                                                  raw=raw, headers=headers))
 
-    def _solo_dispatch(self, body: dict[str, Any], key: str,
-                       fingerprint: str,
+    def _solo_dispatch(self, body: dict[str, Any], route_key: str,
                        ctx: TraceContext | None = None) -> bytes:
         """Affinity-routed relay with retry-on-another-worker (blocking)."""
         failures: dict[str, Exception] = {}
         attempt = 0
         for _ in range(self.max_worker_attempts):
-            info, is_primary = self._pick_worker(fingerprint,
-                                                 set(failures))
+            info, is_primary = self._pick_worker(route_key, set(failures))
             if info is None:
                 break
             attempt += 1
@@ -681,15 +646,14 @@ class FleetCoordinator:
         self._bump("failed")
         return get_best_discovered_result({}, failures)  # raises
 
-    async def _dispatch_solo(self, body: dict[str, Any], key: str,
-                             fingerprint: str,
+    async def _dispatch_solo(self, body: dict[str, Any], route_key: str,
                              ctx: TraceContext | None = None) -> bytes:
         """:meth:`_solo_dispatch` on the executor (batch-fallback path)."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            None, self._solo_dispatch, body, key, fingerprint, ctx)
+            None, self._solo_dispatch, body, route_key, ctx)
 
-    async def _scatter_solve(self, body: dict[str, Any], key: str,
+    async def _scatter_solve(self, body: dict[str, Any],
                              ctx: TraceContext | None = None,
                              ) -> dict[str, Any]:
         """Speculative fan-out to every live worker; best result wins."""
@@ -743,22 +707,21 @@ class FleetCoordinator:
 
     # ------------------------------------------------------- batch grouping
     async def _submit_grouped(self, request: SolveRequest,
-                              body: dict[str, Any], cell: str, key: str,
-                              fingerprint: str,
+                              body: dict[str, Any], route_key: str,
                               ctx: TraceContext | None = None,
                               ) -> dict[str, Any]:
         """Join (or open) the grouping window for this request's shape."""
-        shape = (cell, request.algorithm, request.config,
+        shape = (request.workload, request.algorithm, request.config,
                  request.graph_seed, request.verify)
         loop = asyncio.get_running_loop()
         group = self._groups.get(shape)
         if group is None or group.closed:
-            group = _Group(shape=shape, fingerprint=fingerprint,
+            group = _Group(shape=shape, route_key=route_key,
                            template=dict(body))
             self._groups[shape] = group
             loop.create_task(self._flush_group(group))
         future: asyncio.Future = loop.create_future()
-        group.members.append((int(request.seed), key, future, ctx))  # type: ignore[arg-type]
+        group.members.append((int(request.seed), future, ctx))  # type: ignore[arg-type]
         return await future
 
     async def _flush_group(self, group: _Group) -> None:
@@ -776,21 +739,20 @@ class FleetCoordinator:
                 return
             await self._settle_batch(group, members)
         except Exception as error:  # noqa: BLE001 - fan the failure out
-            for _, _, future, _ in members:
+            for _, future, _ in members:
                 if not future.done():
                     future.set_exception(error)
 
     async def _settle_solo(
             self, group: _Group,
-            member: "tuple[int, str, asyncio.Future, TraceContext | None]",
+            member: "tuple[int, asyncio.Future, TraceContext | None]",
     ) -> None:
-        seed, key, future, ctx = member
+        seed, future, ctx = member
         self._bump("solo")
         body = dict(group.template)
         body["seed"] = seed
         try:
-            row = await self._dispatch_solo(body, key, group.fingerprint,
-                                            ctx)
+            row = await self._dispatch_solo(body, group.route_key, ctx)
         except Exception as error:  # noqa: BLE001 - settle, don't crash
             if not future.done():
                 future.set_exception(error)
@@ -800,12 +762,11 @@ class FleetCoordinator:
 
     async def _settle_batch(
             self, group: _Group,
-            members: "list[tuple[int, str, asyncio.Future,"
-                     " TraceContext | None]]",
+            members: "list[tuple[int, asyncio.Future, TraceContext | None]]",
     ) -> None:
         """One ``POST /solve_batch`` for the whole group, with failover."""
         seeds: list[int] = []
-        for seed, _, _, _ in members:
+        for seed, _, _ in members:
             if seed not in seeds:
                 seeds.append(seed)
         template = group.template
@@ -817,12 +778,12 @@ class FleetCoordinator:
             "verify": template.get("verify", True),
             "seeds": seeds,
         }
-        traced = [ctx for _, _, _, ctx in members if ctx is not None]
+        traced = [ctx for _, _, ctx in members if ctx is not None]
         failures: dict[str, Exception] = {}
         response: dict[str, Any] | None = None
         chosen: WorkerInfo | None = None
         for _ in range(self.max_worker_attempts):
-            info, is_primary = self._pick_worker(group.fingerprint,
+            info, is_primary = self._pick_worker(group.route_key,
                                                  set(failures))
             if info is None:
                 break
@@ -885,7 +846,7 @@ class FleetCoordinator:
         self._bump("batched", len(members))
         self._bump("batch_calls")
         self._bump("routed", len(members))
-        for seed, _, future, ctx in members:
+        for seed, future, ctx in members:
             row = dict(by_seed[seed])
             row["worker"] = chosen.worker_id
             row["grouped"] = len(members)

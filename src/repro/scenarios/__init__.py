@@ -61,47 +61,33 @@ Command line
 reports the previously executed cells as cached.
 """
 
-from repro.scenarios.algorithms import AlgorithmSpec, ScenarioOutcome
-from repro.scenarios.oracles import (
-    OracleCheck,
-    OracleReport,
-    greedy_reference_oracle,
-    mis_power_oracle,
-    ruling_set_oracle,
-    sparsification_oracle,
-    verify_outcome,
-)
-from repro.scenarios.registry import (
-    DEFAULT_REGISTRY,
-    GraphCell,
-    GraphFamily,
-    Scenario,
-    ScenarioRegistry,
-    default_registry,
-)
-from repro.scenarios.runner import BatchSummary, plan_tasks, run_batch, run_task
-from repro.scenarios.store import ResultStore, default_store_path
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "AlgorithmSpec",
-    "BatchSummary",
-    "DEFAULT_REGISTRY",
-    "GraphCell",
-    "GraphFamily",
-    "OracleCheck",
-    "OracleReport",
-    "ResultStore",
-    "Scenario",
-    "ScenarioOutcome",
-    "ScenarioRegistry",
-    "default_registry",
-    "default_store_path",
-    "greedy_reference_oracle",
-    "mis_power_oracle",
-    "plan_tasks",
-    "ruling_set_oracle",
-    "run_batch",
-    "run_task",
-    "sparsification_oracle",
-    "verify_outcome",
-]
+#: Public name -> the submodule that defines it, imported on first access.
+_EXPORTS = {
+    "AlgorithmSpec": "repro.scenarios.algorithms",
+    "BatchSummary": "repro.scenarios.runner",
+    "DEFAULT_REGISTRY": "repro.scenarios.registry",
+    "GraphCell": "repro.scenarios.registry",
+    "GraphFamily": "repro.scenarios.registry",
+    "OracleCheck": "repro.scenarios.oracles",
+    "OracleReport": "repro.scenarios.oracles",
+    "ResultStore": "repro.scenarios.store",
+    "Scenario": "repro.scenarios.registry",
+    "ScenarioOutcome": "repro.scenarios.algorithms",
+    "ScenarioRegistry": "repro.scenarios.registry",
+    "default_registry": "repro.scenarios.registry",
+    "default_store_path": "repro.scenarios.store",
+    "greedy_reference_oracle": "repro.scenarios.oracles",
+    "mis_power_oracle": "repro.scenarios.oracles",
+    "plan_tasks": "repro.scenarios.runner",
+    "ruling_set_oracle": "repro.scenarios.oracles",
+    "run_batch": "repro.scenarios.runner",
+    "run_task": "repro.scenarios.runner",
+    "sparsification_oracle": "repro.scenarios.oracles",
+    "verify_outcome": "repro.scenarios.oracles",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

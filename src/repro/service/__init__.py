@@ -44,57 +44,38 @@ Full stack (HTTP)::
         row = client.solve("regular-n24-d3", "power-mis", config={"k": 2})
 """
 
-from repro.service.cache import (
-    CachedSolve,
-    CacheStats,
-    SolveCache,
-    default_cache_path,
-    solve_key,
-)
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.events import EventChannel, SolveEventBus, StreamingObserver
-from repro.service.jsonlog import configure_json_logging, log_event
-from repro.service.metrics import MetricsRegistry, ServiceMetrics
-from repro.service.scheduler import (
-    AdmissionError,
-    SolveRequest,
-    SolveResponse,
-    SolveScheduler,
-)
-from repro.service.server import ServiceServer, SolveTimeout
-from repro.service.shardstore import ShardStore, shard_of
-from repro.service.tracectx import (
-    TRACE_HEADER,
-    Span,
-    SpanRecorder,
-    TraceContext,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "AdmissionError",
-    "CachedSolve",
-    "CacheStats",
-    "EventChannel",
-    "MetricsRegistry",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceMetrics",
-    "ServiceServer",
-    "ShardStore",
-    "SolveCache",
-    "SolveEventBus",
-    "SolveRequest",
-    "SolveResponse",
-    "SolveScheduler",
-    "SolveTimeout",
-    "Span",
-    "SpanRecorder",
-    "StreamingObserver",
-    "TRACE_HEADER",
-    "TraceContext",
-    "configure_json_logging",
-    "log_event",
-    "shard_of",
-    "solve_key",
-    "default_cache_path",
-]
+#: Public name -> the submodule that defines it, imported on first access.
+_EXPORTS = {
+    "AdmissionError": "repro.service.scheduler",
+    "CacheStats": "repro.service.cache",
+    "CachedSolve": "repro.service.cache",
+    "EventChannel": "repro.service.events",
+    "MetricsRegistry": "repro.service.metrics",
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "ServiceMetrics": "repro.service.metrics",
+    "ServiceServer": "repro.service.server",
+    "ShardStore": "repro.service.shardstore",
+    "SolveCache": "repro.service.cache",
+    "SolveEventBus": "repro.service.events",
+    "SolveRequest": "repro.service.request",
+    "SolveResponse": "repro.service.scheduler",
+    "SolveScheduler": "repro.service.scheduler",
+    "SolveTimeout": "repro.service.server",
+    "Span": "repro.service.tracectx",
+    "SpanRecorder": "repro.service.tracectx",
+    "StreamingObserver": "repro.service.events",
+    "TRACE_HEADER": "repro.service.tracectx",
+    "TraceContext": "repro.service.tracectx",
+    "configure_json_logging": "repro.service.jsonlog",
+    "default_cache_path": "repro.service.cache",
+    "log_event": "repro.service.jsonlog",
+    "shard_of": "repro.service.shardstore",
+    "solve_key": "repro.service.cache",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

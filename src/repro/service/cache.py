@@ -57,17 +57,18 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro._paths import results_path
-from repro.api import REGISTRY, RunReport, SolvePlan
-from repro.api.serialize import report_from_json, report_to_json
 from repro.hashing.seeds import derive_seed
 from repro.scenarios.store import ResultStore
 from repro.service.shardstore import DEFAULT_SEGMENT_BYTES, DEFAULT_SHARDS, \
     ShardStore
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+    from repro.api import RunReport, SolvePlan
 
 __all__ = ["CacheStats", "CachedSolve", "SolveCache", "default_cache_path",
            "key_for_plan", "solve_key"]
@@ -151,7 +152,7 @@ class SolveCache:
 
     def __init__(self, path: str | None = None, *,
                  max_memory_entries: int = 1024,
-                 registry=REGISTRY,
+                 registry=None,
                  shards: int = DEFAULT_SHARDS,
                  size_budget_bytes: int | None = None,
                  ttl_s: float | None = None,
@@ -166,9 +167,12 @@ class SolveCache:
         ``max_segment_bytes`` apply only there).  ``peer_fetch``, when
         given, is called with a cache key on a local miss and may return
         a stored row (or report-JSON) fetched from a fleet peer.
+        ``registry=None`` means the default :data:`repro.api.REGISTRY`.
         """
         if path is None:
             path = default_cache_path()
+        if registry is None:
+            from repro.api import REGISTRY as registry
         self.registry = registry
         self.max_memory_entries = max(1, int(max_memory_entries))
         self.peer_fetch = peer_fetch
@@ -230,6 +234,8 @@ class SolveCache:
             row = self._shardstore.get(key)
             if row is None:
                 return None
+            from repro.api.serialize import report_from_json
+
             try:
                 return report_from_json(row["report"])
             except (KeyError, TypeError, ValueError):
@@ -250,6 +256,8 @@ class SolveCache:
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             row = None
         if isinstance(row, dict) and row.get("cache_key") == key:
+            from repro.api.serialize import report_from_json
+
             try:
                 return report_from_json(row["report"])
             except (KeyError, TypeError, ValueError):
@@ -342,6 +350,8 @@ class SolveCache:
             return None
         if not isinstance(row, Mapping):
             return None
+        from repro.api.serialize import report_from_json
+
         try:
             report = report_from_json(row["report"] if "report" in row
                                       else row)
@@ -375,6 +385,8 @@ class SolveCache:
         """Write one report row to the persistent tier (lock held)."""
         if self._store is None and self._shardstore is None:
             return
+        from repro.api.serialize import report_to_json
+
         row = {
             "cache_key": key,
             "report": json.loads(report_to_json(report)),

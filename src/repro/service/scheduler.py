@@ -69,12 +69,14 @@ import time
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 import networkx as nx
 
 from repro.api import REGISTRY, RunReport
 from repro.api.serialize import report_from_json, report_to_json
+from repro.congest.observers import RoundObserver, ambient_observation
+from repro.scenarios.registry import DEFAULT_REGISTRY
 from repro.service.cache import SolveCache, key_for_plan
 from repro.service.events import (
     EventChannel,
@@ -84,15 +86,11 @@ from repro.service.events import (
 )
 from repro.service.jsonlog import log_event
 from repro.service.metrics import ServiceMetrics
-from repro.service.tracectx import (
-    Span,
-    SpanRecorder,
-    TraceContext,
-    TraceRunObserver,
-)
+from repro.service.request import SolveRequest
+from repro.service.tracectx import Span, SpanRecorder, TraceContext
 
 __all__ = ["AdmissionError", "SolveRequest", "SolveResponse", "SolveScheduler",
-           "resolve_workload"]
+           "TraceRunObserver", "resolve_workload"]
 
 
 class AdmissionError(RuntimeError):
@@ -106,8 +104,6 @@ _AUTO_METRICS = object()
 
 def resolve_workload(workload: str) -> str:
     """Map a cell or family name to the concrete registry cell name."""
-    from repro.scenarios.registry import DEFAULT_REGISTRY
-
     try:
         return DEFAULT_REGISTRY.cell(workload).name
     except KeyError:
@@ -121,64 +117,7 @@ def resolve_workload(workload: str) -> str:
 
 
 def build_workload(cell: str, *, graph_seed: int) -> nx.Graph:
-    from repro.scenarios.registry import DEFAULT_REGISTRY
-
     return DEFAULT_REGISTRY.build_cell(cell, seed=graph_seed)
-
-
-@dataclass(frozen=True)
-class SolveRequest:
-    """One serveable solve: pure data, rebuildable in any worker process."""
-
-    workload: str
-    algorithm: str
-    graph_seed: int = 0
-    seed: int | None = None
-    config: tuple[tuple[str, Any], ...] = ()
-    verify: bool = True
-    #: Lower runs first within a shard; ties are FIFO.
-    priority: int = 10
-    #: Publish round-by-round progress on ``/events/<key>`` while solving.
-    #: Not part of the content address: a streamed and an unstreamed
-    #: request for the same solve coalesce onto one computation (whose
-    #: streaming follows the *first* enqueued request).
-    stream: bool = False
-    #: Propagated ``X-Repro-Trace`` header value (W3C-traceparent shape).
-    #: Like ``stream``, not part of the content address: tracing never
-    #: changes what is computed, only what is recorded about it.
-    trace: str | None = None
-
-    @classmethod
-    def from_obj(cls, obj: Mapping[str, Any]) -> "SolveRequest":
-        """Parse + validate a JSON request body (unknown keys rejected)."""
-        allowed = {"workload", "algorithm", "graph_seed", "seed", "config",
-                   "verify", "priority", "stream", "trace"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown request fields {sorted(unknown)}; "
-                             f"accepted: {sorted(allowed)}")
-        for required in ("workload", "algorithm"):
-            if not obj.get(required):
-                raise ValueError(f"request field {required!r} is required")
-        config = obj.get("config") or {}
-        if not isinstance(config, Mapping):
-            raise ValueError("request field 'config' must be an object")
-        seed = obj.get("seed")
-        return cls(
-            workload=str(obj["workload"]),
-            algorithm=str(obj["algorithm"]),
-            graph_seed=int(obj.get("graph_seed", 0)),
-            seed=None if seed is None else int(seed),
-            config=tuple(sorted(config.items())),
-            verify=bool(obj.get("verify", True)),
-            priority=int(obj.get("priority", 10)),
-            stream=bool(obj.get("stream", False)),
-            trace=str(obj["trace"]) if obj.get("trace") else None,
-        )
-
-    @property
-    def config_dict(self) -> dict[str, Any]:
-        return dict(self.config)
 
 
 @dataclass
@@ -218,6 +157,51 @@ class SolveResponse:
         return row
 
 
+class TraceRunObserver(RoundObserver):
+    """Record the engine phase of a solve as an ``engine.run`` child span.
+
+    Passive by design: it only uses the run-level hooks, never the round
+    or message hooks, so it is ``vector_compatible`` -- attaching it does
+    not push a vector-registered algorithm onto the scalar fallback (the
+    property the fleet's tracing-overhead gate depends on).
+    """
+
+    vector_compatible = True
+
+    def __init__(self, parent: TraceContext, sink: list[dict[str, Any]],
+                 *, service: str = "worker") -> None:
+        self.parent = parent
+        self.sink = sink
+        self.service = service
+        self._ctx: TraceContext | None = None
+        self._start_s = 0.0
+        self._t0 = 0.0
+        self._engine = "?"
+
+    def on_run_start(self, run) -> None:  # RunContext
+        self._ctx = self.parent.child()
+        self._start_s = time.time()
+        self._t0 = time.perf_counter()
+        self._engine = getattr(run, "engine", "?")
+
+    def on_run_end(self, result) -> None:  # SimulationResult
+        ctx = self._ctx
+        if ctx is None:  # run never started
+            return
+        attrs: dict[str, Any] = {"engine": self._engine}
+        for key in ("engine_used", "rounds", "total_messages", "halted"):
+            value = getattr(result, key, None)
+            if value is not None:
+                attrs[key] = value
+        self.sink.append(Span(
+            trace_id=ctx.trace_id, span_id=ctx.span_id,
+            parent_id=ctx.parent_id, name="engine.run",
+            service=self.service, start_s=self._start_s,
+            duration_s=time.perf_counter() - self._t0,
+            attrs=attrs).to_row())
+        self._ctx = None
+
+
 def _worker_solve(workload: str, graph_seed: int, algorithm: str,
                   config: dict[str, Any], seed: int | None,
                   verify: bool, events_sink: Any = None) -> str:
@@ -237,8 +221,6 @@ def _worker_solve(workload: str, graph_seed: int, algorithm: str,
         report = REGISTRY.solve(graph, algorithm, seed=seed, verify=verify,
                                 **config)
     else:
-        from repro.congest.observers import ambient_observation
-
         observer = StreamingObserver(events_sink)
         with ambient_observation(observer):
             report = REGISTRY.solve(graph, algorithm, seed=seed,
@@ -282,8 +264,6 @@ def _worker_solve_traced(workload: str, graph_seed: int, algorithm: str,
             duration_s=time.perf_counter() - build_t0,
             attrs={"workload": workload, "graph_seed": graph_seed,
                    "nodes": graph.number_of_nodes()}).to_row())
-
-        from repro.congest.observers import ambient_observation
 
         observers: list[Any] = [TraceRunObserver(root, spans)]
         if events_sink is not None:
@@ -717,104 +697,129 @@ class SolveScheduler:
         The batch occupies one admission slot and one shard executor job;
         it does not coalesce with in-flight solo requests (explicit-seed
         groups share content only with themselves in practice).
+
+        Each seed is one request with exactly one recorded outcome.  A
+        repeated seed shares its first occurrence's answer (``hit``, or
+        ``coalesced`` onto the computation).  When the batch is refused,
+        invalid, fails or is cancelled, every seed not yet answered records
+        that outcome before the exception propagates.
         """
         start = time.perf_counter()
         seed_list = [int(seed) for seed in seeds]
         if not seed_list:
             return []
         self.counters["requests"] += len(seed_list)
+        outcomes: list[SolveResponse | None] = [None] * len(seed_list)
+        keys: list[str | None] = [None] * len(seed_list)
+        where: dict[str, Any] = {}  # cell and shard, once known
+
+        def finish_unanswered(status: str) -> int:
+            """Record ``status`` for each seed still unanswered; the count."""
+            unanswered = [index for index, outcome in enumerate(outcomes)
+                          if outcome is None]
+            for index in unanswered:
+                outcomes[index] = self._finish_request(
+                    request, status, start, key=keys[index], **where)
+            return len(unanswered)
+
         if self._closed:
-            self.counters["rejected"] += len(seed_list)
-            self._finish_request(request, "rejected", start)
+            self.counters["rejected"] += finish_unanswered("rejected")
             raise AdmissionError("scheduler is closed")
         loop = asyncio.get_running_loop()
 
         def plan_all() -> tuple[str, list[str]]:
             cell = resolve_workload(request.workload)
             graph = self._workload_graph(cell, request.graph_seed)
-            keys = [key_for_plan(self.registry.plan(
+            return cell, [key_for_plan(self.registry.plan(
                 graph, request.algorithm, seed=seed, **request.config_dict))
                 for seed in seed_list]
-            return cell, keys
 
         try:
-            cell, keys = await loop.run_in_executor(None, plan_all)
-        except (KeyError, TypeError, ValueError):
-            self.counters["invalid"] += len(seed_list)
-            self._finish_request(request, "invalid", start)
+            try:
+                cell, keys[:] = await loop.run_in_executor(None, plan_all)
+            except (KeyError, TypeError, ValueError):
+                self.counters["invalid"] += finish_unanswered("invalid")
+                raise
+            where["cell"] = cell
+            #: Position of each distinct seed's first occurrence.
+            first: dict[int, int] = {}
+            for index, seed in enumerate(seed_list):
+                first.setdefault(seed, index)
+            unique = list(first.values())
+            if self.cache.peer_fetch is not None:
+                # Peer-consulting lookups do network I/O: off the loop.
+                lookups = await loop.run_in_executor(None, lambda: [
+                    self.cache.lookup(keys[index],
+                                      require_certificate=request.verify)
+                    for index in unique])
+            else:
+                lookups = [self.cache.lookup(
+                    keys[index], require_certificate=request.verify)
+                    for index in unique]
+
+            misses: list[int] = []
+            for index, (report, tier) in zip(unique, lookups):
+                if report is None:
+                    misses.append(index)
+                    continue
+                self.counters["hits"] += 1
+                outcomes[index] = self._finish_request(
+                    request, "hit", start, key=keys[index], cell=cell,
+                    tier=tier, report=report)
+
+            if misses:
+                if not self._started:
+                    await self.start()
+                shard = int(keys[misses[0]], 16) % self.shards
+                where["shard"] = shard
+                refusal = self._check_admission(shard)
+                if refusal is not None:
+                    self.counters["rejected"] += finish_unanswered(
+                        "rejected")
+                    raise AdmissionError(refusal)
+                self._pending += 1
+                job_started = time.perf_counter()
+                try:
+                    serialized = await loop.run_in_executor(
+                        self._executors[shard], functools.partial(
+                            _worker_solve_batch, cell, request.graph_seed,
+                            request.algorithm, request.config_dict,
+                            [seed_list[index] for index in misses],
+                            request.verify))
+                except Exception as error:  # noqa: BLE001 - per-batch
+                    log_event("job_error", cell=cell,
+                              algorithm=request.algorithm,
+                              batch=len(misses),
+                              error=f"{type(error).__name__}: {error}")
+                    self.counters["errors"] += finish_unanswered("error")
+                    raise
+                finally:
+                    self._pending -= 1
+                    self._note_shard_latency(
+                        shard, (time.perf_counter() - job_started)
+                        / len(misses))
+                self.counters["batch_jobs"] += 1
+                for index, row in zip(misses, serialized):
+                    report = report_from_json(row)
+                    self.cache.put(keys[index], report)
+                    self.counters["computed"] += 1
+                    self._record_engine_metrics(request.algorithm, report)
+                    outcomes[index] = self._finish_request(
+                        request, "computed", start, key=keys[index],
+                        cell=cell, shard=shard, report=report)
+        except asyncio.CancelledError:
+            finish_unanswered("cancelled")
             raise
 
-        unique: list[tuple[int, str]] = []
-        seen_seeds: set[int] = set()
-        for seed, key in zip(seed_list, keys):
-            if seed in seen_seeds:
-                continue  # duplicate seed in the group: one computation
-            seen_seeds.add(seed)
-            unique.append((seed, key))
-        if self.cache.peer_fetch is not None:
-            # Peer-consulting lookups do network I/O: off the event loop.
-            lookups = await loop.run_in_executor(None, lambda: [
-                self.cache.lookup(key, require_certificate=request.verify)
-                for _, key in unique])
-        else:
-            lookups = [self.cache.lookup(key,
-                                         require_certificate=request.verify)
-                       for _, key in unique]
-
-        responses: dict[int, SolveResponse] = {}
-        miss_seeds: list[int] = []
-        miss_keys: list[str] = []
-        for (seed, key), (report, tier) in zip(unique, lookups):
-            if report is not None:
-                self.counters["hits"] += 1
-                responses[seed] = self._finish_request(
-                    request, "hit", start, key=key, cell=cell, tier=tier,
-                    report=report)
-            else:
-                miss_seeds.append(seed)
-                miss_keys.append(key)
-
-        if miss_seeds:
-            if not self._started:
-                await self.start()
-            shard = int(miss_keys[0], 16) % self.shards
-            refusal = self._check_admission(shard)
-            if refusal is not None:
-                self.counters["rejected"] += len(miss_seeds)
-                self._finish_request(request, "rejected", start, cell=cell,
-                                     shard=shard)
-                raise AdmissionError(refusal)
-            self._pending += 1
-            job_started = time.perf_counter()
-            try:
-                serialized = await loop.run_in_executor(
-                    self._executors[shard], functools.partial(
-                        _worker_solve_batch, cell, request.graph_seed,
-                        request.algorithm, request.config_dict, miss_seeds,
-                        request.verify))
-            except Exception as error:  # noqa: BLE001 - surfaced per-batch
-                self.counters["errors"] += len(miss_seeds)
-                log_event("job_error", cell=cell,
-                          algorithm=request.algorithm, batch=len(miss_seeds),
-                          error=f"{type(error).__name__}: {error}")
-                self._finish_request(request, "error", start, cell=cell,
-                                     shard=shard)
-                raise
-            finally:
-                self._pending -= 1
-                self._note_shard_latency(
-                    shard, (time.perf_counter() - job_started)
-                    / max(1, len(miss_seeds)))
-            self.counters["batch_jobs"] += 1
-            for seed, key, row in zip(miss_seeds, miss_keys, serialized):
-                report = report_from_json(row)
-                self.cache.put(key, report)
-                self.counters["computed"] += 1
-                self._record_engine_metrics(request.algorithm, report)
-                responses[seed] = self._finish_request(
-                    request, "computed", start, key=key, cell=cell,
-                    shard=shard, report=report)
-        return [responses[seed] for seed in seed_list]
+        for index, seed in enumerate(seed_list):
+            if outcomes[index] is None:  # a repeat of an answered seed
+                served = outcomes[first[seed]]
+                status = "hit" if served.status == "hit" else "coalesced"
+                self.counters["hits" if status == "hit" else "coalesced"] += 1
+                outcomes[index] = self._finish_request(
+                    request, status, start, key=served.key, cell=cell,
+                    tier=served.tier, report=served.report)
+        return outcomes  # type: ignore[return-value]
 
     def queue_depths(self) -> "list[int]":
         """Jobs sitting in each shard's priority queue (the steal hook).

@@ -26,10 +26,12 @@ The fleet's distributed tracing is stdlib-only and deliberately small:
   ``dropped_total`` instead of growing; :meth:`SpanRecorder.export_jsonl`
   dumps everything as JSON lines for offline tooling.
 
-* :class:`TraceRunObserver` bridges engine execution into the trace: a
-  passive, ``vector_compatible`` run observer that records the
-  ``engine.run`` phase (engine used, rounds, message totals) as a child
-  span without forcing the vector engine onto its scalar fallback.
+The module imports only the standard library, so the fleet coordinator
+can trace without loading the solver.  The run observer that records a
+solve's ``engine.run`` phase subclasses the engine's ``RoundObserver`` and
+therefore lives beside its one user, as
+:class:`repro.service.scheduler.TraceRunObserver`; the name still resolves
+here, importing the scheduler on first access.
 """
 
 from __future__ import annotations
@@ -37,18 +39,14 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
-
-from repro.congest.observers import RoundObserver
 
 __all__ = [
     "Span",
     "SpanRecorder",
     "TraceContext",
-    "TraceRunObserver",
     "TRACE_HEADER",
 ]
 
@@ -221,46 +219,9 @@ class SpanRecorder:
             }
 
 
-class TraceRunObserver(RoundObserver):
-    """Record the engine phase of a solve as an ``engine.run`` child span.
+def __getattr__(name: str) -> Any:
+    if name == "TraceRunObserver":
+        from repro.service.scheduler import TraceRunObserver
 
-    Passive by design: it only uses the run-level hooks, never the round
-    or message hooks, so it is ``vector_compatible`` -- attaching it does
-    not push a vector-registered algorithm onto the scalar fallback (the
-    property the fleet's tracing-overhead gate depends on).
-    """
-
-    vector_compatible = True
-
-    def __init__(self, parent: TraceContext, sink: list[dict[str, Any]],
-                 *, service: str = "worker") -> None:
-        self.parent = parent
-        self.sink = sink
-        self.service = service
-        self._ctx: TraceContext | None = None
-        self._start_s = 0.0
-        self._t0 = 0.0
-        self._engine = "?"
-
-    def on_run_start(self, run) -> None:  # RunContext
-        self._ctx = self.parent.child()
-        self._start_s = time.time()
-        self._t0 = time.perf_counter()
-        self._engine = getattr(run, "engine", "?")
-
-    def on_run_end(self, result) -> None:  # SimulationResult
-        ctx = self._ctx
-        if ctx is None:  # run never started
-            return
-        attrs: dict[str, Any] = {"engine": self._engine}
-        for key in ("engine_used", "rounds", "total_messages", "halted"):
-            value = getattr(result, key, None)
-            if value is not None:
-                attrs[key] = value
-        self.sink.append(Span(
-            trace_id=ctx.trace_id, span_id=ctx.span_id,
-            parent_id=ctx.parent_id, name="engine.run",
-            service=self.service, start_s=self._start_s,
-            duration_s=time.perf_counter() - self._t0,
-            attrs=attrs).to_row())
-        self._ctx = None
+        return TraceRunObserver
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -444,12 +444,16 @@ class TestFleetIntegration:
             fleet_client.request("GET", "/report/no-such-key")
         assert excinfo.value.status == 404
 
-    def test_bad_request_propagates_as_400_without_retries(self, fleet,
-                                                           fleet_client):
+    @pytest.mark.parametrize("workload, algorithm", [
+        (WORKLOAD, "no-such-algorithm"),
+        ("no-such-workload", ALGORITHM),
+    ], ids=["unknown-algorithm", "unknown-workload"])
+    def test_bad_request_propagates_as_400_without_retries(
+            self, fleet, fleet_client, workload, algorithm):
         coordinator, _ = fleet
         retried_before = coordinator.counters["retried"]
         with pytest.raises(ServiceError) as excinfo:
-            fleet_client.solve(WORKLOAD, "no-such-algorithm")
+            fleet_client.solve(workload, algorithm)
         assert excinfo.value.status == 400
         assert coordinator.counters["retried"] == retried_before
 

@@ -1,12 +1,17 @@
-"""Start-up weight: no entry point, and no benchmarked solve, loads scipy.
+"""Start-up weight: what each process role loads.
 
 ``scipy.stats`` alone costs a process ~0.7 s and ~50 MB at start-up, and
 only the binomial tail of ``SparsificationStageEvents.psi_expectation``
 needs it.  Every process (the CLI, ``repro serve`` and its pool children,
 the fleet coordinator and workers) imports ``repro``, so these tests pin
 the rule that a heavy optional dependency is imported at the call site
-that needs it.  Each check runs in a fresh interpreter and asserts module
-presence, not timing.
+that needs it.
+
+The same rule decides the start-up of each role.  The fleet coordinator
+never solves, so it must never load numpy, networkx or ``repro.api``.
+``repro serve`` solves in forked pool children, so it must load what they
+run before the pool forks; otherwise each child imports it again.  Each
+check runs in a fresh interpreter and asserts module presence, not timing.
 """
 
 from __future__ import annotations
@@ -69,3 +74,50 @@ def test_solve_power_algorithms_leave_scipy_out():
     result = run_fresh(code)
     assert result.returncode == 0, (
         f"a solve loaded scipy or failed: {result.stdout}{result.stderr}")
+
+
+#: The modules a fleet coordinator process imports on its way to serving.
+COORDINATOR_PATH = ["repro.service.cache", "repro.cli", "repro.fleet.cli",
+                    "repro.fleet.coordinator"]
+
+_SOLVER_LOADED = """
+solver = sorted(name for name in sys.modules
+                if name.split(".")[0] in ("numpy", "networkx")
+                or name == "repro.api" or name.startswith("repro.api."))
+print(len(solver), solver[:5])
+if solver:
+    sys.exit(1)
+"""
+
+
+def test_coordinator_never_loads_the_solver():
+    code = (
+        "import sys\n"
+        + "".join(f"import {module}\n" for module in COORDINATOR_PATH)
+        + "from repro.fleet.coordinator import FleetCoordinator\n"
+        "coordinator = FleetCoordinator(port=0)\n"
+        "coordinator.start()\n"
+        "coordinator.stop()\n"
+        + _SOLVER_LOADED
+    )
+    result = run_fresh(code)
+    assert result.returncode == 0, (
+        f"the coordinator loaded solver modules: "
+        f"{result.stdout}{result.stderr}")
+
+
+def test_scheduler_loads_what_its_pool_children_run():
+    code = (
+        "import sys\n"
+        "import repro.service.scheduler\n"
+        "missing = [name for name in ('repro.scenarios.registry',\n"
+        "                             'repro.api.adapters')\n"
+        "           if name not in sys.modules]\n"
+        "print('missing before fork:', missing)\n"
+        "if missing:\n"
+        "    sys.exit(1)\n"
+    )
+    result = run_fresh(code)
+    assert result.returncode == 0, (
+        f"serve would import these in every forked child: "
+        f"{result.stdout}{result.stderr}")

@@ -377,6 +377,77 @@ class TestAllOutcomesRecordLatency:
         assert rejected_count == 1
         assert total == 2  # the rejected sample and the computed sample
 
+    def test_closed_batch_records_one_outcome_per_seed(self):
+        async def scenario():
+            scheduler = make_scheduler()
+            await scheduler.close()
+            with pytest.raises(AdmissionError, match="closed"):
+                await scheduler.submit_batch(REQUEST, [1, 2, 3])
+            return (scheduler.counters, len(scheduler.latencies_s),
+                    scheduler.metrics.solve_latency.count("power-mis",
+                                                          "rejected"))
+
+        counters, samples, rejected = run_async(scenario())
+        assert counters["requests"] == 3
+        assert counters["rejected"] == 3
+        assert samples == 3
+        assert rejected == 3
+
+    def test_cancelled_batch_records_one_outcome_per_seed(self,
+                                                          monkeypatch):
+        started = threading.Event()
+        release = threading.Event()
+        original = scheduler_module._worker_solve_batch
+
+        def gated_batch(*args):
+            started.set()
+            release.wait(timeout=10)
+            return original(*args)
+
+        monkeypatch.setattr(scheduler_module, "_worker_solve_batch",
+                            gated_batch)
+
+        async def scenario():
+            scheduler = make_scheduler(shards=1)
+            try:
+                batch = asyncio.create_task(
+                    scheduler.submit_batch(REQUEST, [1, 2, 3]))
+                while not started.is_set():
+                    await asyncio.sleep(0.01)
+                batch.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await batch
+                return (len(scheduler.latencies_s),
+                        scheduler.metrics.solve_latency.count("power-mis",
+                                                              "cancelled"),
+                        scheduler._pending)
+            finally:
+                release.set()
+                await scheduler.stop()
+
+        samples, cancelled, pending = run_async(scenario())
+        assert samples == 3
+        assert cancelled == 3
+        assert pending == 0
+
+    def test_repeated_batch_seed_is_its_own_outcome(self):
+        async def scenario():
+            scheduler = make_scheduler()
+            try:
+                responses = await scheduler.submit_batch(REQUEST, [1, 2, 1])
+                return (responses, len(scheduler.latencies_s),
+                        dict(scheduler.counters))
+            finally:
+                await scheduler.stop()
+
+        responses, samples, counters = run_async(scenario())
+        assert [row.status for row in responses] == ["computed", "computed",
+                                                     "coalesced"]
+        assert responses[0].key == responses[2].key
+        assert responses[0].report is responses[2].report
+        assert samples == counters["requests"] == 3
+        assert counters["computed"] == 2 and counters["coalesced"] == 1
+
     def test_hit_and_computed_statuses_labeled(self):
         async def scenario():
             scheduler = make_scheduler()
