@@ -25,6 +25,7 @@ from typing import Any, Hashable, Mapping
 import networkx as nx
 
 from repro.api.certify import Certificate
+from repro.congest.topology import forget_graph
 
 Node = Hashable
 
@@ -46,8 +47,10 @@ _STREAMING_FINGERPRINT_THRESHOLD = 100_000
 
 
 def invalidate_fingerprint(graph: nx.Graph) -> None:
-    """Drop the memoized fingerprint of ``graph`` (call after mutating it)."""
+    """Drop every per-graph memo of ``graph`` (call after mutating it): the
+    fingerprint and the shared topology structure with its ``G^k`` views."""
     _FINGERPRINT_MEMO.pop(graph, None)
+    forget_graph(graph)
 
 
 def graph_fingerprint(graph: nx.Graph) -> str:

@@ -1,23 +1,18 @@
-"""Virtual ``G^k`` adjacency: CSR-style queries without materializing ``G^k``.
+"""``G^k`` adjacency over the base graph's CSR arrays.
 
 The paper's algorithms operate on the power graph ``G^k`` while communicating
-over ``G``; materializing ``G^k`` costs ``Theta(n * Delta^k)`` memory and is
-exactly what the distributed algorithms avoid.  :class:`PowerView` is the
-centralized analogue of that discipline: it answers neighbor queries for
-``G^k`` *lazily*, by ``k``-bounded frontier expansion over the base CSR
-arrays of a :class:`~repro.congest.topology.TopologySnapshot` -- a vectorized
-multi-source BFS in numpy, tiled over source nodes so peak memory stays
-bounded by a configurable budget (default 8 MiB of boolean frontier state)
-regardless of how dense ``G^k`` is.
+over ``G``.  :class:`ReachKernel` computes ``G^k`` rows by ``k``-bounded
+frontier expansion over raw CSR arrays -- a vectorized multi-source BFS,
+tiled over source nodes so peak memory stays within a budget (default 8 MiB
+of boolean frontier state) however dense ``G^k`` is.
 
-Views are cached per ``(snapshot, k)`` via
-:meth:`TopologySnapshot.power_view`, alongside the snapshot's cached numpy
-arrays; a view itself holds only O(n + m) references to the *base* graph.
-
-The same tiled kernel backs :func:`repro.graphs.power.power_adjacency`, the
-batch form of ``distance_neighborhood`` used by the graph-level power
-pipelines (power-MIS, power ruling sets, KP12), via :class:`ReachKernel`,
-which operates on raw CSR arrays and has no snapshot dependency.
+:class:`PowerView` wraps the kernel for one graph and ``k``; views are cached
+per ``(graph, k)`` on the graph's shared topology structure.  Its tile
+queries keep O(n + m) state.  :meth:`PowerView.adjacency_sets`, the batch
+form of ``distance_neighborhood`` behind
+:func:`repro.graphs.power.power_adjacency`, stores ``G^k`` once as a CSR on
+the view -- the label sets it returns are several times larger anyway --
+and every later call slices it.
 """
 
 from __future__ import annotations
@@ -26,8 +21,6 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
-
-    from repro.congest.topology import TopologySnapshot
 
 Node = Hashable
 
@@ -115,15 +108,17 @@ class ReachKernel:
 
 
 class PowerView:
-    """Lazy CSR-style view of ``G^k`` over a topology snapshot.
+    """``G^k`` queries over a graph's base CSR arrays.
 
-    Obtained through :meth:`TopologySnapshot.power_view` (cached per ``k``).
-    Never materializes the power graph: every query runs the tiled BFS
-    kernel over the base CSR arrays, so the view's own footprint stays
-    ``O(n)`` (:attr:`nbytes`) no matter how dense ``G^k`` is.
+    Obtained through :meth:`TopologySnapshot.power_view` or
+    :func:`repro.congest.topology.graph_power_view`.  ``snapshot`` is what
+    the view was built over: a snapshot or the per-graph structure, both
+    exposing ``n``, ``labels``, ``index_of`` and ``numpy_arrays()``.
+    :meth:`neighbors`, :meth:`tiles` and :meth:`degrees` never store
+    ``G^k``; :meth:`adjacency_sets` stores it once (:meth:`csr`).
     """
 
-    def __init__(self, snapshot: "TopologySnapshot", k: int, *,
+    def __init__(self, snapshot, k: int, *,
                  tile_bytes: int = DEFAULT_TILE_BYTES) -> None:
         arrays = snapshot.numpy_arrays()
         self.snapshot = snapshot
@@ -132,6 +127,7 @@ class PowerView:
         self.kernel = ReachKernel(arrays.indptr, arrays.neighbor_indices, k,
                                   tile_bytes=tile_bytes)
         self._degrees = None
+        self._csr = None
 
     # ------------------------------------------------------------- queries
     def neighbors(self, index: int) -> "np.ndarray":
@@ -167,6 +163,27 @@ class PowerView:
 
         return int(np.max(self.degrees(), initial=0))
 
+    def csr(self) -> tuple["np.ndarray", "np.ndarray"]:
+        """``G^k`` as read-only ``(indptr, indices)`` arrays (int64 row
+        pointers, node indices in the base CSR's dtype, ascending within
+        each row); one tiled BFS pass on the first call, cached."""
+        import numpy as np
+
+        if self._csr is None:
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            dtype = self.kernel.neighbor_indices.dtype
+            chunks = [np.zeros(0, dtype=dtype)]
+            for chunk, reach in self.tiles():
+                indptr[chunk + 1] = reach.sum(axis=1)
+                # Row-major nonzero: each row's columns come out ascending.
+                chunks.append(np.nonzero(reach)[1].astype(dtype))
+            np.cumsum(indptr, out=indptr)
+            indices = np.concatenate(chunks)
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            self._csr = (indptr, indices)
+        return self._csr
+
     def adjacency_sets(self, nodes: Iterable[Node] | None = None,
                        ) -> dict[Node, set[Node]]:
         """``{v: N^k(v) ∩ nodes for v in nodes}`` as label sets.
@@ -174,39 +191,51 @@ class PowerView:
         Key iteration order follows ``nodes`` (all nodes in snapshot order
         when omitted); distances are measured in the full base graph even
         when ``nodes`` restricts the vertex set (the paper's ``G^k[X]``).
+        Each set is filled in ascending node-index order: downstream RNG
+        draws follow set iteration order.
         """
         import numpy as np
 
+        indptr, indices = self.csr()
         labels = self.snapshot.labels
-        index_of = self.snapshot.index_of
         if nodes is None:
-            ordered = list(labels)
+            ordered: Sequence[Node] = labels
+            bounds = indptr.tolist()
+            flat = indices.tolist()
         else:
             ordered = list(nodes)
-        indices = np.asarray([index_of[label] for label in ordered],
-                             dtype=np.int64)
-        restrict = None
-        if nodes is not None:
+            index_of = self.snapshot.index_of
+            sources = np.fromiter((index_of[label] for label in ordered),
+                                  dtype=np.int64, count=len(ordered))
+            starts = indptr[sources]
+            counts = indptr[sources + 1] - starts
+            # Gather the source rows into one flat array, then keep the
+            # columns inside the restricted set (row order is preserved).
+            owner = np.repeat(np.arange(len(sources)), counts)
+            offsets = np.cumsum(counts) - counts
+            columns = indices[np.arange(int(counts.sum())) - offsets[owner]
+                              + starts[owner]]
             restrict = np.zeros(self.n, dtype=bool)
-            restrict[indices] = True
-        out: dict[Node, set[Node]] = {}
-        position = 0
-        for chunk, reach in self.tiles(indices):
-            if restrict is not None:
-                reach &= restrict
-            for row in reach:
-                label = ordered[position]
-                out[label] = {labels[j] for j in np.flatnonzero(row)}
-                position += 1
-        return out
+            restrict[sources] = True
+            keep = restrict[columns]
+            bounds = [0]
+            bounds.extend(np.cumsum(np.bincount(
+                owner[keep], minlength=len(sources))).tolist())
+            flat = columns[keep].tolist()
+        label_of = labels.__getitem__
+        return {label: set(map(label_of, flat[bounds[row]:bounds[row + 1]]))
+                for row, label in enumerate(ordered)}
 
     # -------------------------------------------------------------- memory
     @property
     def nbytes(self) -> int:
-        """Persistent memory held by the view (excludes shared base CSR)."""
+        """Persistent memory held by the view (excludes shared base CSR;
+        includes the ``G^k`` CSR once :meth:`csr` has built it)."""
         total = self.kernel._starts.nbytes + self.kernel._empty.nbytes
         if self._degrees is not None:
             total += self._degrees.nbytes
+        if self._csr is not None:
+            total += sum(array.nbytes for array in self._csr)
         return total
 
     def estimated_power_csr_bytes(self, sample: int = 256) -> int:

@@ -26,6 +26,7 @@ graph queries either.
 from __future__ import annotations
 
 import weakref
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Hashable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -33,24 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 Node = Hashable
 
-__all__ = ["TopologySnapshot"]
+__all__ = ["TopologySnapshot", "forget_graph", "graph_power_view"]
 
 #: Per-graph structural cache: every snapshot of the same graph object shares
 #: one :class:`_GraphStructure` (CSR, routes, numpy arrays, power views).
 #: Replica sweeps build B networks over one graph; only the identifier table
 #: differs per replica, so the O(n + m) construction happens once per graph.
 _STRUCTURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-class _TopologyArrays:
-    """Namespace of the snapshot's cached numpy CSR arrays (see
-    :meth:`TopologySnapshot.numpy_arrays`)."""
-
-    def __init__(self, **arrays) -> None:
-        self.__dict__.update(arrays)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"_TopologyArrays({', '.join(sorted(self.__dict__))})"
 
 
 class _GraphStructure:
@@ -132,13 +122,59 @@ class _GraphStructure:
         self.numpy_cache = None
         self.power_views = {}
 
+    def numpy_arrays(self) -> SimpleNamespace:
+        """The graph's CSR as cached read-only numpy arrays (everything of
+        :meth:`TopologySnapshot.numpy_arrays` except ``congest_ids``)."""
+        if self.numpy_cache is None:
+            import numpy as np
+
+            # Index arrays (node indices and CSR positions) are downcast
+            # to int32 when every stored value provably fits: positions
+            # go up to 2m (indptr), indices up to n - 1.  This halves
+            # the CSR memory of the million-node workloads; value arrays
+            # (congest_ids, degrees) stay int64 -- they feed arithmetic,
+            # not indexing.
+            index_dtype = (np.int32 if max(self.n, 2 * self.edge_count)
+                           < 2 ** 31 else np.int64)
+            indptr = np.asarray(self.indptr, dtype=index_dtype)
+            degrees = np.asarray(self.degrees, dtype=np.int64)
+            shared = {
+                "indptr": indptr,
+                "neighbor_indices": np.asarray(self.neighbor_indices,
+                                               dtype=index_dtype),
+                "rows": np.repeat(np.arange(self.n, dtype=index_dtype),
+                                  degrees),
+                "degrees": degrees,
+                "edge_u": np.asarray([u for u, _ in self.edge_endpoints],
+                                     dtype=index_dtype),
+                "edge_v": np.asarray([v for _, v in self.edge_endpoints],
+                                     dtype=index_dtype),
+            }
+            # No-overflow guard for the downcast: the last CSR pointer
+            # is the largest stored position and must round-trip exactly.
+            assert int(indptr[-1]) == 2 * self.edge_count
+            for array in shared.values():
+                array.setflags(write=False)
+            self.numpy_cache = SimpleNamespace(index_dtype=index_dtype,
+                                               **shared)
+        return self.numpy_cache
+
+    def power_view(self, k: int):
+        """The ``G^k`` view for power ``k``, built on first request."""
+        view = self.power_views.get(k)
+        if view is None:
+            from repro.congest.power_view import PowerView
+
+            view = self.power_views[k] = PowerView(self, k)
+        return view
+
 
 def _structure_of(graph) -> _GraphStructure:
     """The shared structure of ``graph``, rebuilt if the graph changed size.
 
     The (n, m) guard catches the common mutation (nodes or edges added or
     removed between networks); graphs are otherwise treated as immutable
-    inputs, like the fingerprint memo does.
+    inputs, like the fingerprint memo does (see :func:`forget_graph`).
     """
     structure = _STRUCTURES.get(graph)
     if (structure is None
@@ -150,6 +186,18 @@ def _structure_of(graph) -> _GraphStructure:
         except TypeError:  # non-weakrefable graph type: skip the cache
             pass
     return structure
+
+
+def forget_graph(graph) -> None:
+    """Drop the cached structure of ``graph`` (CSR, routes, ``G^k`` views);
+    :func:`repro.api.invalidate_fingerprint` calls it."""
+    _STRUCTURES.pop(graph, None)
+
+
+def graph_power_view(graph, k: int):
+    """The view :meth:`TopologySnapshot.power_view` returns, without
+    needing a network (the entry point of ``power_adjacency``)."""
+    return _structure_of(graph).power_view(k)
 
 
 class TopologySnapshot:
@@ -236,63 +284,23 @@ class TopologySnapshot:
         if self._numpy_cache is None:
             import numpy as np
 
-            structure = self._structure
-            if structure.numpy_cache is None:
-                # Index arrays (node indices and CSR positions) are downcast
-                # to int32 when every stored value provably fits: positions
-                # go up to 2m (indptr), indices up to n - 1.  This halves
-                # the CSR memory of the million-node workloads; value arrays
-                # (congest_ids, degrees) stay int64 -- they feed arithmetic,
-                # not indexing.  Structural arrays live on the shared
-                # per-graph structure, so replica sweeps build them once.
-                index_dtype = (np.int32 if max(self.n, 2 * self.edge_count)
-                               < 2 ** 31 else np.int64)
-                indptr = np.asarray(self.indptr, dtype=index_dtype)
-                degrees = np.asarray(self.degrees, dtype=np.int64)
-                shared = {
-                    "indptr": indptr,
-                    "neighbor_indices": np.asarray(self.neighbor_indices,
-                                                   dtype=index_dtype),
-                    "rows": np.repeat(np.arange(self.n, dtype=index_dtype),
-                                      degrees),
-                    "degrees": degrees,
-                    "edge_u": np.asarray([u for u, _ in self.edge_endpoints],
-                                         dtype=index_dtype),
-                    "edge_v": np.asarray([v for _, v in self.edge_endpoints],
-                                         dtype=index_dtype),
-                }
-                # No-overflow guard for the downcast: the last CSR pointer
-                # is the largest stored position and must round-trip exactly.
-                assert int(indptr[-1]) == 2 * self.edge_count
-                for array in shared.values():
-                    array.setflags(write=False)
-                shared["index_dtype"] = index_dtype
-                structure.numpy_cache = shared
             congest_ids = np.asarray(self.congest_ids, dtype=np.int64)
             congest_ids.setflags(write=False)
-            self._numpy_cache = _TopologyArrays(congest_ids=congest_ids,
-                                                **structure.numpy_cache)
+            self._numpy_cache = SimpleNamespace(
+                congest_ids=congest_ids,
+                **vars(self._structure.numpy_arrays()))
         return self._numpy_cache
 
-    def power_view(self, k: int, *, tile_bytes: int | None = None):
-        """The cached lazy ``G^k`` adjacency view for power ``k``.
+    def power_view(self, k: int):
+        """The cached ``G^k`` adjacency view for power ``k``.
 
         Built on first request (like :meth:`numpy_arrays`) and cached per
         ``k`` on the shared per-graph structure, so every network over the
         same graph -- in particular the B replicas of a batched sweep --
-        reuses one view; see :class:`repro.congest.power_view.PowerView`.
-        The view never materialises ``G^k`` -- queries run a tiled
-        multi-source BFS over the base CSR arrays.
+        and :func:`repro.graphs.power.power_adjacency` reuse one view; see
+        :class:`repro.congest.power_view.PowerView`.
         """
-        views = self._structure.power_views
-        view = views.get(k)
-        if view is None:
-            from repro.congest.power_view import DEFAULT_TILE_BYTES, PowerView
-
-            view = PowerView(self, k,
-                             tile_bytes=tile_bytes or DEFAULT_TILE_BYTES)
-            views[k] = view
-        return view
+        return self._structure.power_view(k)
 
     # ------------------------------------------------------------- queries
     def neighbors(self, index: int) -> list[int]:

@@ -6,15 +6,15 @@ distance in ``G`` is at most ``k``.  The communication network remains ``G``.
 This module provides the centralized view of those objects which the
 simulator and the verification code rely on:
 
-* :func:`power_graph` materialises ``G^k`` (only used for small inputs and
-  for verification -- the algorithms themselves never materialise it).
+* :func:`power_graph` materialises ``G^k`` as a networkx graph (only used
+  for small inputs and for verification).
 * :func:`distance_neighborhood` computes ``N^s(v)``, the non-inclusive
   distance-``s`` neighborhood used throughout the paper.
 * :func:`power_adjacency` is its batch form ``{v: N^k(v) ∩ X for v in X}``,
-  backed by the tiled multi-source BFS kernel of
-  :mod:`repro.congest.power_view` when numpy is available -- the power
-  pipelines (power-MIS, power ruling sets) build their virtual ``G^k``
-  adjacency through it without materialising the power graph.
+  backed on all but tiny graphs by the per-graph ``G^k`` CSR of
+  :mod:`repro.congest.power_view` -- the power pipelines (power-MIS, power
+  ruling sets) build their ``G^k`` adjacency through it, and every call
+  after the first on a graph slices that cached CSR.
 * :func:`induced_power_subgraph` computes ``G^s[X]`` -- note that this is
   *not* ``(G[X])^s``; paths may leave ``X`` (Section 2).
 * :func:`k_connected_components` computes maximal ``k``-connected subsets
@@ -105,49 +105,9 @@ def distance_s_degree(graph: nx.Graph, source: Node, s: int,
     return len(distance_neighborhood(graph, source, s, restrict_to))
 
 
-def _scalar_power_adjacency(graph: nx.Graph, k: int, ordered: list[Node],
-                            restrict: set[Node] | None) -> dict[Node, set[Node]]:
-    return {node: distance_neighborhood(graph, node, k, restrict_to=restrict)
-            for node in ordered}
-
-
-def _numpy_power_adjacency(graph: nx.Graph, k: int, ordered: list[Node],
-                           restricted: bool,
-                           tile_bytes: int | None) -> dict[Node, set[Node]]:
-    import numpy as np
-
-    from repro.congest.power_view import DEFAULT_TILE_BYTES, ReachKernel
-
-    labels = list(graph.nodes())
-    index_of = {label: i for i, label in enumerate(labels)}
-    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-    neighbor_indices: list[int] = []
-    for i, label in enumerate(labels):
-        neighbor_indices.extend(index_of[nbr] for nbr in graph.neighbors(label))
-        indptr[i + 1] = len(neighbor_indices)
-    kernel = ReachKernel(indptr, np.asarray(neighbor_indices, dtype=np.int64),
-                         k, tile_bytes=tile_bytes or DEFAULT_TILE_BYTES)
-    sources = np.asarray([index_of[label] for label in ordered],
-                         dtype=np.int64)
-    restrict = None
-    if restricted:
-        restrict = np.zeros(len(labels), dtype=bool)
-        restrict[sources] = True
-    out: dict[Node, set[Node]] = {}
-    position = 0
-    for _, reach in kernel.tiles(sources):
-        if restrict is not None:
-            reach &= restrict
-        for row in reach:
-            out[ordered[position]] = {labels[j] for j in np.flatnonzero(row)}
-            position += 1
-    return out
-
-
 def power_adjacency(graph: nx.Graph, k: int,
                     nodes: Iterable[Node] | None = None, *,
-                    backend: str = "auto",
-                    tile_bytes: int | None = None) -> dict[Node, set[Node]]:
+                    backend: str = "auto") -> dict[Node, set[Node]]:
     """``{v: N^k(v) ∩ X for v in X}`` -- the virtual ``G^k`` adjacency on ``X``.
 
     ``X`` is ``nodes`` (all of ``graph`` when omitted); distances are
@@ -159,28 +119,25 @@ def power_adjacency(graph: nx.Graph, k: int,
     unaffected by the backend.
 
     ``backend`` selects the implementation: ``"scalar"`` runs one bounded
-    BFS per source, ``"numpy"`` runs the tiled multi-source BFS kernel of
-    :mod:`repro.congest.power_view` over an ad-hoc CSR (never materialising
-    ``G^k``; peak memory bounded by ``tile_bytes``), and ``"auto"`` picks
-    the kernel on graphs with at least ``_NUMPY_ADJACENCY_THRESHOLD`` nodes
-    when numpy is importable.
+    BFS per source; ``"numpy"`` slices the ``G^k`` CSR cached on the
+    graph's shared :class:`~repro.congest.power_view.PowerView`, which the
+    tiled multi-source BFS kernel builds on the first call; ``"auto"``
+    picks the numpy path on graphs with at least
+    ``_NUMPY_ADJACENCY_THRESHOLD`` nodes.  The cache is keyed by graph
+    identity: after an edit that keeps the node and edge counts, call
+    :func:`repro.api.invalidate_fingerprint`.
     """
     if backend not in ("auto", "numpy", "scalar"):
         raise ValueError(f"unknown backend: {backend!r}")
-    ordered = list(graph.nodes()) if nodes is None else list(nodes)
-    use_numpy = backend == "numpy"
-    if backend == "auto" and graph.number_of_nodes() >= _NUMPY_ADJACENCY_THRESHOLD:
-        try:
-            import numpy  # noqa: F401 -- availability probe
-        except ImportError:
-            pass
-        else:
-            use_numpy = True
-    if use_numpy:
-        return _numpy_power_adjacency(graph, k, ordered, nodes is not None,
-                                      tile_bytes)
-    restrict = None if nodes is None else set(ordered)
-    return _scalar_power_adjacency(graph, k, ordered, restrict)
+    ordered = None if nodes is None else list(nodes)
+    if backend == "numpy" or (backend == "auto" and graph.number_of_nodes()
+                              >= _NUMPY_ADJACENCY_THRESHOLD):
+        from repro.congest.topology import graph_power_view
+
+        return graph_power_view(graph, k).adjacency_sets(ordered)
+    restrict = None if ordered is None else set(ordered)
+    return {node: distance_neighborhood(graph, node, k, restrict_to=restrict)
+            for node in (graph.nodes() if ordered is None else ordered)}
 
 
 def power_graph(graph: nx.Graph, k: int) -> nx.Graph:
@@ -188,8 +145,9 @@ def power_graph(graph: nx.Graph, k: int) -> nx.Graph:
 
     ``G^0`` has no edges; ``G^1 = G``.  Node attributes are copied.  This is
     intended for verification and for small workloads only -- the distributed
-    algorithms never construct ``G^k`` explicitly (a node of ``G`` does not
-    even know its degree in ``G^k``).
+    algorithms never construct ``G^k`` (a node of ``G`` does not even know
+    its degree in ``G^k``), and the centralized pipelines read ``G^k`` rows
+    through :func:`power_adjacency`.
     """
     if k < 0:
         raise ValueError("k must be non-negative")

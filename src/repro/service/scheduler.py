@@ -12,8 +12,9 @@ rebuild the identical graph, and the request's content address (the
 
 Pipeline (``submit``)
 ---------------------
-1. **Plan** -- build (memoized) the workload graph in-process, resolve the
-   algorithm/config/seed to a :class:`SolvePlan` and its cache key.
+1. **Plan** -- fetch the workload graph from the process-wide memo
+   :func:`workload_graph`, which the worker entry points share, and resolve
+   the algorithm/config/seed to a :class:`SolvePlan` and its cache key.
 2. **Cache** -- a key already in the two-tier cache is answered
    immediately (``status="hit"``).
 3. **Coalesce** -- a key already *in flight* attaches to the existing
@@ -64,7 +65,6 @@ import asyncio
 import functools
 import itertools
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -118,6 +118,19 @@ def resolve_workload(workload: str) -> str:
 
 def build_workload(cell: str, *, graph_seed: int) -> nx.Graph:
     return DEFAULT_REGISTRY.build_cell(cell, seed=graph_seed)
+
+
+GRAPH_MEMO_ENTRIES = 64
+
+
+@functools.lru_cache(maxsize=GRAPH_MEMO_ENTRIES)
+def workload_graph(cell: str, graph_seed: int) -> nx.Graph:
+    """The process-wide graph memo: planning and every worker entry point
+    share one graph per workload, so each cache keyed by graph identity
+    (fingerprint, topology, ``G^k`` CSR) fills once per process.  Sound
+    because no algorithm mutates its input graph.  A miss calls the module
+    global :func:`build_workload` (uncached)."""
+    return build_workload(cell, graph_seed=graph_seed)
 
 
 @dataclass
@@ -205,7 +218,7 @@ class TraceRunObserver(RoundObserver):
 def _worker_solve(workload: str, graph_seed: int, algorithm: str,
                   config: dict[str, Any], seed: int | None,
                   verify: bool, events_sink: Any = None) -> str:
-    """Worker-process entry point: rebuild the graph, solve, serialise.
+    """Worker-process entry point: fetch the graph, solve, serialise.
 
     ``seed`` is forwarded verbatim so the worker re-derives exactly the
     seed/policy the scheduler's plan predicted -- cached provenance is
@@ -216,7 +229,7 @@ def _worker_solve(workload: str, graph_seed: int, algorithm: str,
     live streaming: a :class:`StreamingObserver` is ambiently installed
     so simulator-native rounds publish progress while the solve runs.
     """
-    graph = build_workload(workload, graph_seed=graph_seed)
+    graph = workload_graph(workload, graph_seed)
     if events_sink is None:
         report = REGISTRY.solve(graph, algorithm, seed=seed, verify=verify,
                                 **config)
@@ -256,7 +269,7 @@ def _worker_solve_traced(workload: str, graph_seed: int, algorithm: str,
         build_ctx = root.child()
         build_start_s = time.time()
         build_t0 = time.perf_counter()
-        graph = build_workload(workload, graph_seed=graph_seed)
+        graph = workload_graph(workload, graph_seed)
         spans.append(Span(
             trace_id=build_ctx.trace_id, span_id=build_ctx.span_id,
             parent_id=build_ctx.parent_id, name="build_graph",
@@ -300,7 +313,7 @@ def _worker_solve_batch(workload: str, graph_seed: int, algorithm: str,
     shared topology -- and each seed's report is serialised independently,
     so every row is cacheable and replayable on its own.
     """
-    graph = build_workload(workload, graph_seed=graph_seed)
+    graph = workload_graph(workload, graph_seed)
     reports = REGISTRY.solve_batch(graph, algorithm, seeds=seeds,
                                    verify=verify, **config)
     return [report_to_json(report) for report in reports]
@@ -326,7 +339,6 @@ class SolveScheduler:
                  shards: int | None = None, max_pending: int = 256,
                  admission_target_s: float | None = None,
                  inline: bool = False,
-                 graph_memo_entries: int = 64,
                  metrics: ServiceMetrics | None | object = _AUTO_METRICS,
                  tracing: bool = True,
                  ) -> None:
@@ -372,10 +384,6 @@ class SolveScheduler:
         #: shard has completed its first job.
         self.shard_latency_ewma_s: list[float] = [0.0] * self.shards
         self.inline = inline
-        self._graph_memo: "dict[tuple[str, int], nx.Graph]" = {}
-        self._graph_memo_order: deque[tuple[str, int]] = deque()
-        self._graph_memo_entries = max(1, graph_memo_entries)
-        self._memo_lock = threading.Lock()
         self._inflight: dict[str, asyncio.Future] = {}
         self._queues: list[asyncio.PriorityQueue] = []
         self._consumers: list[asyncio.Task] = []
@@ -478,20 +486,6 @@ class SolveScheduler:
     close = stop
 
     # ------------------------------------------------------------- serving
-    def _workload_graph(self, cell: str, graph_seed: int) -> nx.Graph:
-        memo_key = (cell, graph_seed)
-        with self._memo_lock:
-            graph = self._graph_memo.get(memo_key)
-        if graph is None:
-            graph = build_workload(cell, graph_seed=graph_seed)
-            with self._memo_lock:
-                self._graph_memo[memo_key] = graph
-                self._graph_memo_order.append(memo_key)
-                while len(self._graph_memo_order) > self._graph_memo_entries:
-                    evicted = self._graph_memo_order.popleft()
-                    self._graph_memo.pop(evicted, None)
-        return graph
-
     def _plan_request(self, request: SolveRequest) -> tuple[str, str]:
         """Resolve workload -> graph -> content address (thread-side).
 
@@ -501,7 +495,7 @@ class SolveScheduler:
         large cell.  ``submit`` runs this in an executor thread.
         """
         cell = resolve_workload(request.workload)
-        graph = self._workload_graph(cell, request.graph_seed)
+        graph = workload_graph(cell, request.graph_seed)
         plan = self.registry.plan(graph, request.algorithm, seed=request.seed,
                                   **request.config_dict)
         return cell, key_for_plan(plan)
@@ -729,7 +723,7 @@ class SolveScheduler:
 
         def plan_all() -> tuple[str, list[str]]:
             cell = resolve_workload(request.workload)
-            graph = self._workload_graph(cell, request.graph_seed)
+            graph = workload_graph(cell, request.graph_seed)
             return cell, [key_for_plan(self.registry.plan(
                 graph, request.algorithm, seed=seed, **request.config_dict))
                 for seed in seed_list]

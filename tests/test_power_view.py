@@ -155,6 +155,83 @@ class TestPowerAdjacencyBackends:
         graph = DEFAULT_REGISTRY.build_cell("crown-m5", seed=0)
         assert power_adjacency(graph, 2) == _expected_adjacency(graph, 2)
 
+    @pytest.mark.parametrize("cell_name", SAMPLE_CELLS)
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_cached_csr_answers_like_a_cold_call(self, cell_name, restricted):
+        # The first numpy call builds the graph's G^k CSR; the second only
+        # slices it.  Both must agree with the scalar BFS, and each row must
+        # iterate in ascending node-index order (the RNG coupling surface).
+        graph = DEFAULT_REGISTRY.build_cell(cell_name, seed=5)
+        nodes = None
+        if restricted:
+            nodes = [node for index, node in enumerate(graph.nodes())
+                     if index % 3 != 1]
+        cold = power_adjacency(graph, 2, nodes, backend="numpy")
+        warm = power_adjacency(graph, 2, nodes, backend="numpy")
+        scalar = power_adjacency(graph, 2, nodes, backend="scalar")
+        assert cold == warm == scalar
+        assert list(cold) == list(warm) == list(scalar)
+        order = list(graph.nodes())
+        for node, row in cold.items():
+            assert list(warm[node]) == list(row)
+            assert list(row) == list({other for other in order
+                                      if other in row})
+
+    def test_cached_csr_sees_an_added_edge(self):
+        graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)
+        before = power_adjacency(graph, 2, backend="numpy")
+        far = next(node for node in graph.nodes()
+                   if node != 0 and node not in before[0])
+        graph.add_edge(0, far)
+        after = power_adjacency(graph, 2, backend="numpy")
+        assert far in after[0]
+        assert after == power_adjacency(graph, 2, backend="scalar")
+
+    def test_concurrent_cold_calls_agree(self):
+        # Inline serving runs solves on one shared graph from several
+        # threads; racing first calls may each build the caches, but every
+        # caller must get the right rows.
+        import sys
+        import threading
+
+        graph = DEFAULT_REGISTRY.build_cell("dense-core-6x3x5", seed=1)
+        expected = power_adjacency(graph, 2, backend="scalar")
+        results = []
+
+        def call():
+            results.append(power_adjacency(graph, 2, backend="numpy"))
+
+        threads = [threading.Thread(target=call) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(threads)
+        assert all(result == expected for result in results)
+
+    def test_invalidate_fingerprint_drops_the_cached_csr(self):
+        # An edge swap keeps n and m, so only the invalidation call can
+        # tell the per-graph caches that the topology changed.
+        from repro.api import invalidate_fingerprint
+
+        graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)
+        power_adjacency(graph, 2, backend="numpy")
+        (a, b), (c, d) = next(
+            ((a, b), (c, d)) for a, b in graph.edges() for c, d in graph.edges()
+            if len({a, b, c, d}) == 4 and not graph.has_edge(a, c)
+            and not graph.has_edge(b, d))
+        graph.remove_edges_from([(a, b), (c, d)])
+        graph.add_edges_from([(a, c), (b, d)])
+        invalidate_fingerprint(graph)
+        assert power_adjacency(graph, 2, backend="numpy") == \
+            power_adjacency(graph, 2, backend="scalar")
+
     def test_auto_backend_threshold(self, monkeypatch):
         graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)
         monkeypatch.setattr(power_module, "_NUMPY_ADJACENCY_THRESHOLD", 1)

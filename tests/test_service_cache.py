@@ -229,6 +229,18 @@ class TestFingerprintMemo:
         gc.collect()
         assert ref() is None
 
+    def test_invalidate_drops_the_cached_topology(self):
+        # An edge swap keeps (n, m), so the topology cache's size guard
+        # cannot see it; the invalidation call must drop that cache too.
+        graph = nx.cycle_graph(12)
+        solve(graph, "luby-sim", seed=1, engine="vector")
+        graph.remove_edges_from([(0, 1), (6, 7)])
+        graph.add_edges_from([(0, 6), (1, 7)])
+        invalidate_fingerprint(graph)
+        uncertified = [seed for seed in range(1, 40) if not solve(
+            graph, "luby-sim", seed=seed, engine="vector").verified]
+        assert uncertified == []
+
 
 class TestWrongReportRegression:
     """A stale persistent span must never serve another key's report.

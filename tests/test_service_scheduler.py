@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 import time
 
@@ -128,6 +129,54 @@ class TestSubmit:
                 await scheduler.stop()
 
         assert run_async(scenario()).cell.startswith("er-")
+
+
+class TestGraphMemo:
+    """Planning and execution share one process-wide graph per workload."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls: list[tuple[str, int]] = []
+        build = scheduler_module.build_workload
+
+        def counting_build(cell, *, graph_seed):
+            calls.append((cell, graph_seed))
+            return build(cell, graph_seed=graph_seed)
+
+        monkeypatch.setattr(scheduler_module, "build_workload",
+                            counting_build)
+        scheduler_module.workload_graph.cache_clear()
+        yield calls
+        scheduler_module.workload_graph.cache_clear()
+
+    def test_misses_on_one_cell_build_the_graph_once(self, builds):
+        async def scenario():
+            scheduler = make_scheduler()
+            try:
+                return [await scheduler.submit(
+                    dataclasses.replace(REQUEST, seed=seed))
+                    for seed in range(4)]
+            finally:
+                await scheduler.stop()
+
+        responses = run_async(scenario())
+        assert [response.status for response in responses] == \
+            ["computed"] * 4
+        assert builds == [("regular-n24-d3", 0)]
+
+    def test_batch_plans_and_runs_on_one_build(self, builds):
+        async def scenario():
+            scheduler = make_scheduler()
+            try:
+                return await scheduler.submit_batch(
+                    dataclasses.replace(REQUEST, graph_seed=3), [1, 2, 3])
+            finally:
+                await scheduler.stop()
+
+        responses = run_async(scenario())
+        assert [response.status for response in responses] == \
+            ["computed"] * 3
+        assert builds == [("regular-n24-d3", 3)]
 
 
 class TestCoalescing:
