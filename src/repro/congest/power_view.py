@@ -8,11 +8,29 @@ of boolean frontier state) however dense ``G^k`` is.
 
 :class:`PowerView` wraps the kernel for one graph and ``k``; views are cached
 per ``(graph, k)`` on the graph's shared topology structure.  Its tile
-queries keep O(n + m) state.  :meth:`PowerView.adjacency_sets`, the batch
-form of ``distance_neighborhood`` behind
-:func:`repro.graphs.power.power_adjacency`, stores ``G^k`` once as a CSR on
-the view -- the label sets it returns are several times larger anyway --
-and every later call slices it.
+queries keep O(n + m) state.  :meth:`PowerView.csr` stores ``G^k`` once as
+a CSR on the view, and :meth:`PowerView.adjacency_sets` (the batch form of
+``distance_neighborhood`` behind :func:`repro.graphs.power.power_adjacency`,
+optionally column-restricted to a set ``X``) slices it.
+:meth:`PowerView.restricted_degrees` (``|N^k(v) ∩ X|`` for every node,
+behind :func:`repro.graphs.power.max_power_degree`) counts on that CSR when
+it exists and otherwise streams the rows without storing them.
+
+The rows have two builds with identical output:
+
+* **sparse-frontier expansion** -- ``k`` rounds over sorted arrays of
+  ``(source, node)`` pairs, deduplicated by sort; its cost follows the
+  ``G^k`` rows themselves, ~``2 d_k`` pairs per source;
+* **dense tiles** -- the kernel's boolean ``(S, n)`` tiles; each source
+  costs ``k * (n + m)`` lanes however short its row is, which only pays
+  off when the rows cover a good part of the graph.
+
+The view picks the sparse build while ``SPARSE_CSR_FACTOR`` times the mean
+of per-node bounds on the ``G^k`` degree stays below ``n``; no option
+overrides it.  The bounds (:meth:`PowerView.row_bounds`) count
+non-backtracking walks of length ``<= k`` in O(k (n + m)), so one hub
+raises only the bounds of the nodes near it, and on a ``Delta``-regular
+graph the rule reads ``2 sum_{i=1..k} Delta (Delta - 1)^(i-1) < n``.
 """
 
 from __future__ import annotations
@@ -28,6 +46,10 @@ __all__ = ["PowerView", "ReachKernel"]
 
 #: Default peak-memory budget for one BFS tile (boolean frontier state).
 DEFAULT_TILE_BYTES = 8 << 20
+
+#: :class:`PowerView` expands sparse frontiers when this many times the mean
+#: ``G^k`` degree bound is still below ``n``, and runs dense tiles otherwise.
+SPARSE_CSR_FACTOR = 2
 
 
 class ReachKernel:
@@ -114,8 +136,9 @@ class PowerView:
     :func:`repro.congest.topology.graph_power_view`.  ``snapshot`` is what
     the view was built over: a snapshot or the per-graph structure, both
     exposing ``n``, ``labels``, ``index_of`` and ``numpy_arrays()``.
-    :meth:`neighbors`, :meth:`tiles` and :meth:`degrees` never store
-    ``G^k``; :meth:`adjacency_sets` stores it once (:meth:`csr`).
+    :meth:`neighbors`, :meth:`tiles`, :meth:`degrees` and (before
+    :meth:`csr` has run) :meth:`restricted_degrees` never store ``G^k``;
+    :meth:`adjacency_sets` stores it once (:meth:`csr`).
     """
 
     def __init__(self, snapshot, k: int, *,
@@ -126,8 +149,11 @@ class PowerView:
         self.n = snapshot.n
         self.kernel = ReachKernel(arrays.indptr, arrays.neighbor_indices, k,
                                   tile_bytes=tile_bytes)
+        self.base_degrees = arrays.degrees
+        self.base_rows = arrays.rows
         self._degrees = None
         self._csr = None
+        self._row_bounds = None
 
     # ------------------------------------------------------------- queries
     def neighbors(self, index: int) -> "np.ndarray":
@@ -166,33 +192,161 @@ class PowerView:
     def csr(self) -> tuple["np.ndarray", "np.ndarray"]:
         """``G^k`` as read-only ``(indptr, indices)`` arrays (int64 row
         pointers, node indices in the base CSR's dtype, ascending within
-        each row); one tiled BFS pass on the first call, cached."""
+        each row); built on the first call and cached.
+
+        The rows come from :meth:`_row_blocks`, sparse-frontier expansion
+        or dense tiles as :meth:`_sparse_csr_preferred` picks; both yield
+        identical rows."""
         import numpy as np
 
         if self._csr is None:
             indptr = np.zeros(self.n + 1, dtype=np.int64)
-            dtype = self.kernel.neighbor_indices.dtype
-            chunks = [np.zeros(0, dtype=dtype)]
-            for chunk, reach in self.tiles():
-                indptr[chunk + 1] = reach.sum(axis=1)
-                # Row-major nonzero: each row's columns come out ascending.
-                chunks.append(np.nonzero(reach)[1].astype(dtype))
+            pieces = [np.zeros(0, dtype=self.kernel.neighbor_indices.dtype)]
+            for sources, counts, columns in self._row_blocks():
+                indptr[sources + 1] = counts
+                pieces.append(columns)
             np.cumsum(indptr, out=indptr)
-            indices = np.concatenate(chunks)
+            indices = np.concatenate(pieces)
             indptr.setflags(write=False)
             indices.setflags(write=False)
             self._csr = (indptr, indices)
         return self._csr
 
-    def adjacency_sets(self, nodes: Iterable[Node] | None = None,
-                       ) -> dict[Node, set[Node]]:
-        """``{v: N^k(v) ∩ nodes for v in nodes}`` as label sets.
+    def row_bounds(self) -> "np.ndarray":
+        """Upper bounds on every node's ``G^k`` degree (int64, cached).
 
-        Key iteration order follows ``nodes`` (all nodes in snapshot order
-        when omitted); distances are measured in the full base graph even
-        when ``nodes`` restricts the vertex set (the paper's ``G^k[X]``).
-        Each set is filled in ascending node-index order: downstream RNG
-        draws follow set iteration order.
+        A node at distance exactly ``i`` from ``v`` ends a shortest path,
+        hence a non-backtracking walk of length ``i`` from ``v``; so
+        ``d_k(v) <= min(n - 1, sum_{i=1..k} p_i(v))`` where ``p_i`` counts
+        those walks: ``p_1 = deg``, ``p_2 = A deg - deg`` and ``p_{i+1} =
+        A p_i - (deg - 1) p_{i-1}``.  ``k`` sparse products over the base
+        CSR, in float64 so deep powers cannot overflow; on a
+        ``Delta``-regular graph every bound is ``sum_i Delta (Delta -
+        1)^(i-1)``, and a hub raises only the bounds of nodes near it."""
+        import numpy as np
+
+        if self._row_bounds is None:
+            degrees = self.base_degrees.astype(np.float64)
+            neighbors = self.kernel.neighbor_indices
+
+            def spread(values):  # (A values)_v = sum of values over N(v)
+                return np.bincount(self.base_rows, weights=values[neighbors],
+                                   minlength=self.n)
+
+            total = np.zeros(self.n, dtype=np.float64)
+            before, walks = np.ones(self.n, dtype=np.float64), degrees
+            for i in range(1, self.k + 1):
+                total += walks
+                if i == 1:
+                    following = spread(walks) - degrees
+                else:
+                    following = spread(walks) - (degrees - 1) * before
+                before, walks = walks, following
+            bounds = np.clip(total, 0, max(0, self.n - 1)).astype(np.int64)
+            bounds.setflags(write=False)
+            self._row_bounds = bounds
+        return self._row_bounds
+
+    def _sparse_csr_preferred(self) -> bool:
+        """Sparse expansion costs ~``2 d_k(v)`` sorted pairs per source, a
+        dense tile ``k * (n + m)`` boolean lanes at a fraction of the
+        per-element cost; sparse wins while the mean ``G^k`` degree bound
+        stays well below ``n``."""
+        return SPARSE_CSR_FACTOR * int(self.row_bounds().sum()) < self.n ** 2
+
+    def _row_blocks(self) -> Iterator[tuple["np.ndarray", "np.ndarray",
+                                            "np.ndarray"]]:
+        """Yield ``(sources, counts, columns)`` blocks covering every node:
+        ``counts[i]`` is ``d_k(sources[i])`` and ``columns`` the
+        concatenated rows (each ascending, in the base CSR's dtype).
+        Each block keeps at most one tile budget of working state."""
+        import numpy as np
+
+        dtype = self.kernel.neighbor_indices.dtype
+        if not self._sparse_csr_preferred():
+            for chunk, reach in self.tiles():
+                # Row-major nonzero: each row's columns come out ascending.
+                yield chunk, reach.sum(axis=1), np.nonzero(reach)[1].astype(dtype)
+            return
+        n = self.n
+        # A source's last hop gathers <= p_k + p_{k-1} <= ~2 d_k pairs,
+        # each held in ~8 int64 temporaries: cut the sources into runs of
+        # about one tile budget by the running sum of that cost.
+        cost = 2 * self.row_bounds() + 1
+        offsets = np.cumsum(cost) - cost
+        cuts = np.flatnonzero(np.diff(offsets // max(1, self.kernel.tile_bytes // 64))) + 1
+        edges = [0, *cuts.tolist(), n]
+        base_indptr = self.kernel.indptr.astype(np.int64)
+        for start, stop in zip(edges[:-1], edges[1:]):
+            if start == stop:
+                continue
+            sources = np.arange(start, stop, dtype=np.int64)
+            lanes, nodes = self._expand(sources, base_indptr)
+            yield (sources,
+                   np.bincount(lanes - start, minlength=len(sources)),
+                   nodes.astype(dtype))
+
+    def _expand(self, sources: "np.ndarray", base_indptr: "np.ndarray",
+                ) -> tuple["np.ndarray", "np.ndarray"]:
+        """``k`` rounds of frontier expansion over ``(source, node)`` pairs
+        encoded as ``source * n + node`` and kept sorted (``base_indptr``
+        is the base CSR's row pointers as int64); returns the ``(lanes,
+        nodes)`` pairs of the non-inclusive rows, sorted by lane, then
+        node."""
+        import numpy as np
+
+        n = self.n
+        neighbors = self.kernel.neighbor_indices
+        reached = frontier = sources * (n + 1)  # (lane, node) = (s, s)
+        for _ in range(self.k):
+            lanes, nodes = np.divmod(frontier, n)
+            starts = base_indptr[nodes]
+            counts = base_indptr[nodes + 1] - starts
+            total = int(counts.sum())
+            if total == 0:
+                break
+            # Gather every frontier node's neighbor run in one pass.
+            offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            candidates = (np.repeat(lanes * n, counts)
+                          + neighbors[offsets + np.arange(total)])
+            candidates.sort()
+            fresh = np.empty(total, dtype=bool)
+            fresh[0] = True
+            np.not_equal(candidates[1:], candidates[:-1], out=fresh[1:])
+            candidates = candidates[fresh]
+            slot = np.searchsorted(reached, candidates)
+            slot[slot == len(reached)] = 0
+            frontier = candidates[reached[slot] != candidates]
+            if len(frontier) == 0:
+                break
+            reached = np.concatenate((reached, frontier))
+            reached.sort(kind="stable")  # merges two sorted runs
+        lanes, nodes = np.divmod(reached, n)
+        keep = nodes != lanes
+        return lanes[keep], nodes[keep]
+
+    def _index_mask(self, labels: Iterable[Node]) -> "np.ndarray":
+        """Boolean mask over node indices of the graph labels in ``labels``
+        (labels outside the graph are ignored, as set intersection would)."""
+        import numpy as np
+
+        index_of = self.snapshot.index_of
+        mask = np.zeros(self.n, dtype=bool)
+        mask[np.fromiter((index_of[label] for label in labels
+                          if label in index_of), dtype=np.int64)] = True
+        return mask
+
+    def adjacency_sets(self, nodes: Iterable[Node] | None = None, *,
+                       restrict_to: Iterable[Node] | None = None,
+                       ) -> dict[Node, set[Node]]:
+        """``{v: N^k(v) ∩ X for v in nodes}`` as label sets.
+
+        ``X`` is ``restrict_to`` when given, else ``nodes``; omitting both
+        returns every full row.  Key iteration order follows ``nodes`` (all
+        nodes in snapshot order when omitted); distances are measured in
+        the full base graph even when ``X`` restricts the vertex set (the
+        paper's ``G^k[X]``).  Each set is filled in ascending node-index
+        order: downstream RNG draws follow set iteration order.
         """
         import numpy as np
 
@@ -200,31 +354,61 @@ class PowerView:
         labels = self.snapshot.labels
         if nodes is None:
             ordered: Sequence[Node] = labels
-            bounds = indptr.tolist()
-            flat = indices.tolist()
+            columns = restrict_to
+            starts, counts, flat = indptr[:-1], np.diff(indptr), indices
         else:
             ordered = list(nodes)
+            columns = restrict_to if restrict_to is not None else ordered
             index_of = self.snapshot.index_of
             sources = np.fromiter((index_of[label] for label in ordered),
                                   dtype=np.int64, count=len(ordered))
             starts = indptr[sources]
             counts = indptr[sources + 1] - starts
-            # Gather the source rows into one flat array, then keep the
-            # columns inside the restricted set (row order is preserved).
-            owner = np.repeat(np.arange(len(sources)), counts)
-            offsets = np.cumsum(counts) - counts
-            columns = indices[np.arange(int(counts.sum())) - offsets[owner]
-                              + starts[owner]]
-            restrict = np.zeros(self.n, dtype=bool)
-            restrict[sources] = True
-            keep = restrict[columns]
+            # Gather the source rows into one flat array (row order kept).
+            flat = indices[np.repeat(starts - (np.cumsum(counts) - counts),
+                                     counts) + np.arange(int(counts.sum()))]
+        if columns is None:
+            bounds = [0]
+            bounds.extend(np.cumsum(counts).tolist())
+        else:
+            keep = self._index_mask(columns)[flat]
+            owner = np.repeat(np.arange(len(ordered)), counts)
             bounds = [0]
             bounds.extend(np.cumsum(np.bincount(
-                owner[keep], minlength=len(sources))).tolist())
-            flat = columns[keep].tolist()
+                owner[keep], minlength=len(ordered))).tolist())
+            flat = flat[keep]
+        flat = flat.tolist()
         label_of = labels.__getitem__
         return {label: set(map(label_of, flat[bounds[row]:bounds[row + 1]]))
                 for row, label in enumerate(ordered)}
+
+    def restricted_degrees(self, restrict_to: Iterable[Node] | None = None,
+                           ) -> "np.ndarray":
+        """``|N^k(v) ∩ X|`` for every node index ``v`` (``X`` =
+        ``restrict_to``, all nodes when omitted).
+
+        Counted on the cached CSR once :meth:`csr` has built it; otherwise
+        streamed block by block through :meth:`_row_blocks`, storing no
+        ``G^k`` row beyond the current block."""
+        import numpy as np
+
+        mask = None if restrict_to is None else self._index_mask(restrict_to)
+        if self._csr is not None:
+            indptr, indices = self._csr
+            if mask is None:
+                return np.diff(indptr)
+            hits = np.zeros(len(indices) + 1, dtype=np.int64)
+            np.cumsum(mask[indices], out=hits[1:])
+            return hits[indptr[1:]] - hits[indptr[:-1]]
+        degrees = np.zeros(self.n, dtype=np.int64)
+        for sources, counts, columns in self._row_blocks():
+            if mask is None:
+                degrees[sources] = counts
+            else:
+                owner = np.repeat(np.arange(len(sources)), counts)
+                degrees[sources] = np.bincount(owner[mask[columns]],
+                                               minlength=len(sources))
+        return degrees
 
     # -------------------------------------------------------------- memory
     @property
@@ -234,6 +418,8 @@ class PowerView:
         total = self.kernel._starts.nbytes + self.kernel._empty.nbytes
         if self._degrees is not None:
             total += self._degrees.nbytes
+        if self._row_bounds is not None:
+            total += self._row_bounds.nbytes
         if self._csr is not None:
             total += sum(array.nbytes for array in self._csr)
         return total
@@ -256,8 +442,10 @@ class PowerView:
         for _, reach in self.tiles(sources):
             total += int(reach.sum())
         mean_degree = total / len(sources)
-        itemsize = 8
-        return int(self.n * mean_degree * itemsize + (self.n + 1) * itemsize)
+        # The itemsizes csr() stores: int64 row pointers, indices in the
+        # base CSR's dtype.
+        index_bytes = self.kernel.neighbor_indices.dtype.itemsize
+        return int(self.n * mean_degree * index_bytes + (self.n + 1) * 8)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PowerView(n={self.n}, k={self.k})"

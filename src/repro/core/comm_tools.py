@@ -29,14 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Mapping
+from functools import cached_property
+from typing import Any, Hashable, Iterator, Mapping
 
 import networkx as nx
 
 from repro.congest.bfs import BFSTree, build_bfs_tree
 from repro.congest.cost import RoundLedger
 from repro.congest.message import DEFAULT_BANDWIDTH_BITS, id_bits as id_bit_length
-from repro.graphs.power import distance_neighborhood, induced_power_subgraph
+from repro.graphs.power import induced_power_subgraph, max_power_degree, power_adjacency
 
 Node = Hashable
 
@@ -53,6 +54,32 @@ def _canonical_edge(u: Node, v: Node) -> tuple[Node, Node]:
     return (u, v) if str(u) <= str(v) else (v, u)
 
 
+class BFSTrees(Mapping[Node, BFSTree]):
+    """The depth-``s`` BFS trees rooted at every node of ``Q``, each built
+    on first access (most callers route through a few roots, or none)."""
+
+    def __init__(self, graph: nx.Graph, roots: set[Node], depth: int) -> None:
+        self._graph = graph
+        self._roots = roots
+        self._depth = depth
+        self._built: dict[Node, BFSTree] = {}
+
+    def __getitem__(self, root: Node) -> BFSTree:
+        tree = self._built.get(root)
+        if tree is None:
+            if root not in self._roots:
+                raise KeyError(root)
+            tree = self._built[root] = build_bfs_tree(self._graph, root,
+                                                      depth=self._depth)
+        return tree
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self._roots)
+
+    def __len__(self) -> int:
+        return len(self._roots)
+
+
 @dataclass
 class CommunicationTools:
     """The distributed knowledge built by Lemma 4.1 for a sparse set ``Q``.
@@ -66,7 +93,7 @@ class CommunicationTools:
     trees:
         A depth-``s`` BFS tree rooted at every node of ``Q`` (each node of
         the tree knows its ancestor / descendants -- the :class:`BFSTree`
-        structure carries exactly that).
+        structure carries exactly that), built on first access.
     q_neighborhoods:
         ``v -> N^s(v, Q)`` for every node ``v`` of ``G``.
     hat_delta:
@@ -81,7 +108,7 @@ class CommunicationTools:
     q: set[Node]
     s: int
     node_ids: dict[Node, int]
-    trees: dict[Node, BFSTree]
+    trees: Mapping[Node, BFSTree]
     q_neighborhoods: dict[Node, set[Node]]
     hat_delta: int
     hat_delta_s: int
@@ -100,6 +127,11 @@ class CommunicationTools:
     def virtual_graph(self) -> nx.Graph:
         """The virtual graph ``G^s[Q]`` (Definition 4.4)."""
         return induced_power_subgraph(self.graph, self.s, self.q)
+
+    def virtual_adjacency(self) -> dict[Node, set[Node]]:
+        """``G^s[Q]`` as ``{v: N^s(v) ∩ Q for v in Q}``, read off
+        :attr:`q_neighborhoods` without building a graph."""
+        return {node: self.q_neighborhoods[node] for node in self.q}
 
 
 def learn_distance_ids(graph: nx.Graph, q: set[Node], s: int, *,
@@ -121,28 +153,22 @@ def learn_distance_ids(graph: nx.Graph, q: set[Node], s: int, *,
         node_ids = {node: index + 1 for index, node in enumerate(sorted(graph.nodes(), key=str))}
     a_bits = max(1, math.ceil(math.log2(max(2, max(node_ids.values(), default=2) + 1))))
 
-    # Centralized construction of what the iterations of Lemma 4.1 deliver.
-    q_neighborhoods = {node: distance_neighborhood(graph, node, s, restrict_to=q)
-                       for node in graph.nodes()}
-    trees = {root: build_bfs_tree(graph, root, depth=s) for root in q}
+    # Centralized construction of what the iterations of Lemma 4.1 deliver,
+    # read off the cached G^level CSRs (set order is free here).
+    q_neighborhoods = power_adjacency(graph, s, restrict_to=q, backend="numpy")
+    # hat_delta_j = max_v d_j(v, Q) for j = 0..s (d_0 = 0: N^0 is empty).
+    hat_deltas = [max_power_degree(graph, level, q) for level in range(s + 1)]
 
     # Charge the s pipelining iterations.
     for level in range(1, s + 1):
-        hat_delta_level = 0
-        for node in graph.nodes():
-            degree = len(distance_neighborhood(graph, node, level, restrict_to=q)) if level < s \
-                else len(q_neighborhoods[node])
-            hat_delta_level = max(hat_delta_level, degree)
-        ledger.charge_learn_ids(max(1, hat_delta_level), a_bits,
+        ledger.charge_learn_ids(max(1, hat_deltas[level]), a_bits,
                                 label=f"learn-ids-level-{level}")
 
-    hat_delta_prev = max((len(distance_neighborhood(graph, node, max(0, s - 1), restrict_to=q))
-                          for node in graph.nodes()), default=0)
-    hat_delta_s = max((len(neighbors) for neighbors in q_neighborhoods.values()), default=0)
-
-    return CommunicationTools(graph=graph, q=q, s=s, node_ids=dict(node_ids), trees=trees,
+    return CommunicationTools(graph=graph, q=q, s=s, node_ids=dict(node_ids),
+                              trees=BFSTrees(graph, q, s),
                               q_neighborhoods=q_neighborhoods,
-                              hat_delta=max(1, hat_delta_prev), hat_delta_s=max(1, hat_delta_s),
+                              hat_delta=max(1, hat_deltas[max(0, s - 1)]),
+                              hat_delta_s=max(1, hat_deltas[s]),
                               bandwidth_bits=bandwidth_bits, ledger=ledger)
 
 
@@ -212,7 +238,11 @@ class PowerSubgraphSimulation:
     """Handle returned by :func:`simulate_on_power_subgraph` (Lemma 4.6)."""
 
     tools: CommunicationTools
-    virtual_graph: nx.Graph
+
+    @cached_property
+    def virtual_graph(self) -> nx.Graph:
+        """``G^s[Q]`` as a networkx graph, built on first access."""
+        return self.tools.virtual_graph()
 
     def charge_rounds(self, algorithm_rounds: int, *, message_bits: int | None = None,
                       label: str = "simulate-Gs[Q]") -> int:
@@ -228,8 +258,10 @@ class PowerSubgraphSimulation:
 def simulate_on_power_subgraph(tools: CommunicationTools) -> PowerSubgraphSimulation:
     """Lemma 4.6: prepare the simulation of an arbitrary algorithm on ``G^s[Q]``.
 
-    The returned handle exposes the virtual graph (so the algorithm can be
-    run on it directly) and a ``charge_rounds`` method implementing the
+    The returned handle exposes the virtual graph (a networkx graph built
+    on first access; ``tools.virtual_adjacency()`` gives it without the
+    graph) so the algorithm can be run on it directly, and a
+    ``charge_rounds`` method implementing the
     ``O((s + hat_delta^2) * T_A)`` slowdown of the lemma.
     """
-    return PowerSubgraphSimulation(tools=tools, virtual_graph=tools.virtual_graph())
+    return PowerSubgraphSimulation(tools=tools)

@@ -28,18 +28,27 @@ This module implements two derandomizers for one stage:
     expectations directly to the per-node sampling decisions ``X_v`` (in ID
     order), using closed-form conditional expectations (a binomial tail for
     ``Psi`` and a product for ``Phi``).  It is deterministic, runs in
-    ``O(sum_v d_s(v, H_i))`` time, and provably ends with zero bad events
-    whenever the initial expectation is below 1 -- which Lemma 5.4's bounds
-    guarantee.  It is the default used inside DetSparsification; the
-    experiments charge rounds according to the paper's seed-bit procedure
-    either way (see DESIGN.md, substitution 4).
+    ``O(sum_v d_s(v, H_i))`` time per stage (per-node counters updated as
+    each ``X_w`` is fixed, see :func:`conditional_expectations`), and
+    provably ends with zero bad events whenever the initial expectation is
+    below 1 -- which Lemma 5.4's bounds guarantee.  It is the default used
+    inside DetSparsification; the experiments charge rounds according to
+    the paper's seed-bit procedure either way (see DESIGN.md,
+    substitution 4).
+
+Set-order contract: each decision compares two float sums over the
+affected events, and a float sum depends on the order of its terms.  The
+sums run in the iteration order of ``events.dependent_nodes(w)`` -- a set
+built with the same insertions as a scan of every node -- and skip only
+terms that are exactly 0.0, so decisions and ties are bit-identical to the
+direct ``total_expectation`` evaluation.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from repro.core.events import SparsificationStageEvents
 from repro.hashing.kwise import KWiseHashFamily, KWiseHashFunction
@@ -49,6 +58,7 @@ Node = Hashable
 
 __all__ = [
     "DerandomizationOutcome",
+    "conditional_expectations",
     "derandomize_stage_per_variable",
     "derandomize_stage_seed_bits",
 ]
@@ -87,29 +97,107 @@ def derandomize_stage_per_variable(events: SparsificationStageEvents,
     is kept.
     """
     active_order = order if order is not None else sorted(events.active, key=str)
-    fixed: dict[Node, bool] = {}
+    sampled = {variable for variable, _, _, decision
+               in conditional_expectations(events, active_order) if decision}
+    phi, psi = events.bad_events(sampled)
+    return DerandomizationOutcome(sampled=sampled, method="per-variable",
+                                  residual_phi=phi, residual_psi=psi)
 
-    for variable in active_order:
-        if variable in fixed:
+
+def conditional_expectations(events: SparsificationStageEvents,
+                             order: Iterable[Node],
+                             ) -> Iterator[tuple[Node, float, float, bool]]:
+    """Run the per-variable method, yielding one row per decided variable.
+
+    Each row is ``(w, E[bad | X_w = 0], E[bad | X_w = 1], X_w)`` where the
+    expectations cover the events of ``events.dependent_nodes(w)`` under
+    the decisions fixed so far; repeated variables in ``order`` are skipped.
+
+    Four counters per node, updated as each ``X_w`` is fixed, make every
+    term O(1): sampled and undecided variables of ``Psi_v`` (the active
+    neighbors), whether some variable of ``Phi_v`` is sampled, and the
+    undecided variables of ``Phi_v``.  Only *live* nodes carry counters:
+    ``Phi_v`` is 0.0 unless ``v`` is high-degree, and ``Psi_v`` is 0.0
+    unless ``v`` has more than ``72 log n`` active neighbors.  One stage
+    thus costs ``O(sum_v d_s(v, H_i))``.
+
+    The set-order contract: the terms are summed in the iteration order of
+    ``events.dependent_nodes(w)``, the set the direct evaluation
+    ``events.total_expectation(fixed, affected)`` sums over.  Skipped terms
+    are exactly 0.0, and adding 0.0 leaves a float sum unchanged, so every
+    comparison and tie is bit-identical to it.
+    """
+    neighbors = events.active_neighbors
+    phi_live = events.high_degree_nodes
+    psi_live = {node for node, row in neighbors.items()
+                if len(row) > events.threshold}
+    live = phi_live | psi_live
+    active = events.active
+    psi_tail = events.psi_tail
+    unsampled = 1.0 - events.probability
+    psi_sampled = dict.fromkeys(psi_live, 0)
+    psi_unfixed = {node: len(neighbors[node]) for node in psi_live}
+    phi_unfixed = {node: len(neighbors[node])
+                   + (node in active and node not in neighbors[node])
+                   for node in phi_live}
+    phi_sampled: set[Node] = set()
+    watchers: dict[Node, list[Node]] = {}
+    for node in live:
+        for neighbor in neighbors[node]:
+            watchers.setdefault(neighbor, []).append(node)
+
+    decided: set[Node] = set()
+    for variable in order:
+        if variable in decided:
             continue
-        affected = events.dependent_nodes(variable)
-
-        fixed[variable] = False
-        expectation_if_zero = events.total_expectation(fixed, nodes=affected)
-        fixed[variable] = True
-        expectation_if_one = events.total_expectation(fixed, nodes=affected)
+        decided.add(variable)
+        watching = watchers.get(variable, ())
+        if not watching and variable not in live:  # every term is 0.0
+            yield variable, 0.0, 0.0, False
+            continue
+        in_own_row = variable in neighbors.get(variable, ())
+        if_zero = if_one = 0.0
+        for node in events.dependent_nodes(variable):
+            if node not in live:
+                continue
+            # Is X_variable one of Psi_node's (and hence Phi_node's) variables?
+            member = node != variable or in_own_row
+            if node in phi_live and node not in phi_sampled:
+                phi_member = member or variable in active
+                term = unsampled ** (phi_unfixed[node] - phi_member)
+                if_zero += term
+                if not phi_member:
+                    if_one += term
+            if node in psi_live:
+                sampled, unfixed = psi_sampled[node], psi_unfixed[node]
+                if member:
+                    if_zero += psi_tail(sampled, unfixed - 1)
+                    if_one += psi_tail(sampled + 1, unfixed - 1)
+                else:
+                    term = psi_tail(sampled, unfixed)
+                    if_zero += term
+                    if_one += term
 
         # Strictly smaller wins; ties (in particular the common case where
         # both conditional expectations underflow to 0.0 because many
         # variables are still free) keep the node unsampled, which keeps the
         # output sparse -- the expectation argument re-engages as soon as the
         # remaining slack becomes representable.
-        fixed[variable] = expectation_if_one < expectation_if_zero
+        decision = if_one < if_zero
+        yield variable, if_zero, if_one, decision
 
-    sampled = {node for node, decision in fixed.items() if decision}
-    phi, psi = events.bad_events(sampled)
-    return DerandomizationOutcome(sampled=sampled, method="per-variable",
-                                  residual_phi=phi, residual_psi=psi)
+        for node in watching:
+            if node in psi_live:
+                psi_unfixed[node] -= 1
+                psi_sampled[node] += decision
+            if node in phi_live:
+                phi_unfixed[node] -= 1
+                if decision:
+                    phi_sampled.add(node)
+        if variable in phi_live and variable in active and not in_own_row:
+            phi_unfixed[variable] -= 1
+            if decision:
+                phi_sampled.add(variable)
 
 
 # --------------------------------------------------------------------------

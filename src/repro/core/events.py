@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
@@ -136,17 +137,31 @@ class SparsificationStageEvents:
                                                  restrict_to=self.active)
         return result
 
+    @cached_property
+    def dependents(self) -> dict[Node, list[Node]]:
+        """Reverse index ``w -> [v : w in N^s(v) ∩ H_i]``, built once.
+
+        Each list follows ``active_neighbors`` key order, so a set built
+        from it receives the same insertions, in the same order, as the
+        full scan it replaces.
+        """
+        index: dict[Node, list[Node]] = {}
+        for node, neighbors in self.active_neighbors.items():
+            for neighbor in neighbors:
+                index.setdefault(neighbor, []).append(node)
+        return index
+
     def dependent_nodes(self, variable: Node) -> set[Node]:
         """Nodes whose events depend on the sampling decision of ``variable``.
 
         ``Psi_v`` depends on ``X_w`` for ``w in N^s(v) ∩ H_i``; ``Phi_v``
         additionally depends on ``X_v`` itself.  Hence the events affected by
         ``X_w`` are those of ``w`` itself and of every node that counts ``w``
-        among its active distance-``s`` neighbors.
+        among its active distance-``s`` neighbors (read from
+        :attr:`dependents`).
         """
         affected = {variable}
-        affected.update(node for node, neighbors in self.active_neighbors.items()
-                        if variable in neighbors)
+        affected.update(self.dependents.get(variable, ()))
         return affected
 
     def phi_variables(self, node: Node) -> set[Node]:
@@ -176,7 +191,10 @@ class SparsificationStageEvents:
     def bad_events(self, sampled: set[Node]) -> tuple[set[Node], set[Node]]:
         """Return ``(phi_violations, psi_violations)`` for a sampled set."""
         phi = {node for node in self.high_degree_nodes if self.phi_occurs(node, sampled)}
-        psi = {node for node in self.graph.nodes() if self.psi_occurs(node, sampled)}
+        # Psi_v needs more than 72 log n active neighbors to occur at all.
+        psi = {node for node, neighbors in self.active_neighbors.items()
+               if len(neighbors) > self.threshold
+               and self.psi_occurs(node, sampled)}
         return phi, psi
 
     # --------------------------------------- exact conditional expectations
@@ -209,6 +227,15 @@ class SparsificationStageEvents:
                 fixed_sampled += 1
             elif decision is None:
                 unfixed += 1
+        return self.psi_tail(fixed_sampled, unfixed)
+
+    def psi_tail(self, fixed_sampled: int, unfixed: int) -> float:
+        """``P(c + Bin(u, q) > 72 log n)`` for ``c`` = ``fixed_sampled``
+        already-sampled and ``u`` = ``unfixed`` undecided neighbors.
+
+        Exactly 0.0 whenever ``c + u <= 72 log n``, in particular for every
+        node with at most ``72 log n`` active neighbors.
+        """
         if fixed_sampled > self.threshold:
             return 1.0
         if unfixed == 0:

@@ -14,7 +14,7 @@ from typing import Hashable, Iterable, Sequence
 import networkx as nx
 
 from repro.core.events import degree_bound
-from repro.graphs.power import distance_neighborhood, distance_s_degree
+from repro.graphs.power import max_power_degree
 from repro.graphs.properties import max_degree
 
 Node = Hashable
@@ -81,8 +81,7 @@ def check_sparsification(graph: nx.Graph, active: set[Node], q: set[Node], *,
       ``G``).
     """
     n = graph.number_of_nodes()
-    max_q_degree = max((distance_s_degree(graph, node, power, restrict_to=q)
-                        for node in graph.nodes()), default=0)
+    max_q_degree = max_power_degree(graph, power, q)
     dist_to_q = _distance_to_set(graph, q)
     dist_to_a = _distance_to_set(graph, active)
     max_excess = max((dist_to_q[node] - dist_to_a[node] for node in graph.nodes()), default=0)
@@ -103,8 +102,7 @@ def check_power_sparsification(graph: nx.Graph, q0: set[Node], q: set[Node],
     * domination: ``dist_G(v, Q) <= k^2 + k + dist_G(v, Q_0)``.
     """
     n = graph.number_of_nodes()
-    max_q_degree = max((distance_s_degree(graph, node, k, restrict_to=q)
-                        for node in graph.nodes()), default=0)
+    max_q_degree = max_power_degree(graph, k, q)
     dist_to_q = _distance_to_set(graph, q)
     dist_to_q0 = _distance_to_set(graph, q0)
     max_excess = max((dist_to_q[node] - dist_to_q0[node] for node in graph.nodes()), default=0)
@@ -153,10 +151,8 @@ def verify_invariants(graph: nx.Graph, sequence: Sequence[set[Node]]) -> list[In
 
     for s in range(1, len(sequence)):
         q_s = set(sequence[s])
-        i11 = max((distance_s_degree(graph, node, s, restrict_to=q_s)
-                   for node in graph.nodes()), default=0)
-        i12 = max((distance_s_degree(graph, node, s + 1, restrict_to=q_s)
-                   for node in graph.nodes()), default=0)
+        i11 = max_power_degree(graph, s, q_s)
+        i12 = max_power_degree(graph, s + 1, q_s)
         dist_to_qs = _distance_to_set(graph, q_s)
         i2 = max((dist_to_qs[node] - dist_to_q0[node] for node in graph.nodes()), default=0)
         reports.append(InvariantReport(

@@ -31,7 +31,7 @@ import networkx as nx
 from repro.congest.cost import RoundLedger
 from repro.core.detsparsify import det_sparsification
 from repro.core.events import degree_bound, log_n
-from repro.graphs.power import distance_neighborhood
+from repro.graphs.power import distance_neighborhood, power_adjacency
 from repro.graphs.properties import ecc_lower_bound, max_degree
 
 Node = Hashable
@@ -119,8 +119,10 @@ def power_graph_sparsification(graph: nx.Graph, k: int, *,
         # (Section 5.3, "Algorithm description").
         delta_a = float(delta) if s == 1 else 72.0 * delta * log_n(n)
 
-        neighborhoods = {node: distance_neighborhood(graph, node, s, restrict_to=q_prev)
-                         for node in graph.nodes()}
+        # N^s(v) ∩ Q_{s-1} for every v, sliced from the cached G^s CSR
+        # (only memberships and sizes are read, so set order is free).
+        neighborhoods = power_adjacency(graph, s, restrict_to=q_prev,
+                                        backend="numpy")
         max_active_degree = max((len(nb) for nb in neighborhoods.values()), default=0)
 
         iteration_ledger = RoundLedger(bandwidth_bits=ledger.bandwidth_bits)

@@ -38,6 +38,7 @@ __all__ = [
     "distance_s_degree",
     "induced_power_subgraph",
     "k_connected_components",
+    "max_power_degree",
     "power_adjacency",
     "power_graph",
     "sphere",
@@ -107,37 +108,56 @@ def distance_s_degree(graph: nx.Graph, source: Node, s: int,
 
 def power_adjacency(graph: nx.Graph, k: int,
                     nodes: Iterable[Node] | None = None, *,
+                    restrict_to: Iterable[Node] | None = None,
                     backend: str = "auto") -> dict[Node, set[Node]]:
-    """``{v: N^k(v) ∩ X for v in X}`` -- the virtual ``G^k`` adjacency on ``X``.
+    """``{v: N^k(v) ∩ X for v in nodes}`` -- the virtual ``G^k`` adjacency.
 
-    ``X`` is ``nodes`` (all of ``graph`` when omitted); distances are
-    measured in the full base graph even when ``X`` restricts the vertex set
-    (the paper's ``G^k[X]``, Section 2).  Key iteration order follows
-    ``nodes``, and each value is a plain non-inclusive neighbor set --
-    exactly what the per-source ``distance_neighborhood`` comprehension this
-    replaces produced, so downstream consumers (and their RNG draws) are
-    unaffected by the backend.
+    ``X`` is ``restrict_to`` when given, else ``nodes``; with both omitted
+    every row is the full ``N^k(v)`` of every node.  Distances are measured
+    in the full base graph even when ``X`` restricts the vertex set (the
+    paper's ``G^k[X]``, Section 2).  Key iteration order follows ``nodes``
+    (graph order when omitted), and each value is a plain non-inclusive
+    neighbor set -- exactly what the per-source ``distance_neighborhood``
+    comprehension this replaces produced, so downstream consumers (and
+    their RNG draws) are unaffected by the backend.
 
     ``backend`` selects the implementation: ``"scalar"`` runs one bounded
     BFS per source; ``"numpy"`` slices the ``G^k`` CSR cached on the
-    graph's shared :class:`~repro.congest.power_view.PowerView`, which the
-    tiled multi-source BFS kernel builds on the first call; ``"auto"``
-    picks the numpy path on graphs with at least
-    ``_NUMPY_ADJACENCY_THRESHOLD`` nodes.  The cache is keyed by graph
-    identity: after an edit that keeps the node and edge counts, call
-    :func:`repro.api.invalidate_fingerprint`.
+    graph's shared :class:`~repro.congest.power_view.PowerView`, which is
+    built on the first call; ``"auto"`` picks the numpy path on graphs with
+    at least ``_NUMPY_ADJACENCY_THRESHOLD`` nodes.  Callers whose result
+    does not depend on set iteration order pass ``"numpy"``.  The cache is
+    keyed by graph identity: after an edit that keeps the node and edge
+    counts, call :func:`repro.api.invalidate_fingerprint`.
     """
     if backend not in ("auto", "numpy", "scalar"):
         raise ValueError(f"unknown backend: {backend!r}")
     ordered = None if nodes is None else list(nodes)
+    columns = restrict_to if restrict_to is not None else ordered
     if backend == "numpy" or (backend == "auto" and graph.number_of_nodes()
                               >= _NUMPY_ADJACENCY_THRESHOLD):
         from repro.congest.topology import graph_power_view
 
-        return graph_power_view(graph, k).adjacency_sets(ordered)
-    restrict = None if ordered is None else set(ordered)
+        return graph_power_view(graph, k).adjacency_sets(
+            ordered, restrict_to=restrict_to)
+    restrict = None if columns is None else set(columns)
     return {node: distance_neighborhood(graph, node, k, restrict_to=restrict)
             for node in (graph.nodes() if ordered is None else ordered)}
+
+
+def max_power_degree(graph: nx.Graph, k: int,
+                     restrict_to: Iterable[Node] | None = None) -> int:
+    """``max_v d_k(v, X) = max_v |N^k(v) ∩ X|`` over every node ``v`` of
+    ``G`` (``X`` = all nodes when ``restrict_to`` is None).  Counted on the
+    graph's cached ``G^k`` CSR when one was built (a solve reading ``G^k``
+    builds it), else streamed without storing ``G^k``
+    (:meth:`~repro.congest.power_view.PowerView.restricted_degrees`)."""
+    if k < 1 or graph.number_of_nodes() == 0:
+        return 0
+    from repro.congest.topology import graph_power_view
+
+    degrees = graph_power_view(graph, k).restricted_degrees(restrict_to)
+    return int(degrees.max(initial=0))
 
 
 def power_graph(graph: nx.Graph, k: int) -> nx.Graph:
@@ -170,16 +190,15 @@ def induced_power_subgraph(graph: nx.Graph, k: int, subset: Iterable[Node]) -> n
 
     Edges correspond to pairs of nodes of ``X`` within distance ``k`` *in G*
     (paths may use nodes outside ``X``), which is the object the paper's MIS
-    simulation (Lemma 4.6) operates on.
+    simulation (Lemma 4.6) operates on.  Built from :func:`power_adjacency`
+    rows.
     """
     subset = set(subset)
     induced = nx.Graph()
     induced.add_nodes_from(subset)
-    for node in subset:
-        distances = bounded_bfs(graph, node, k)
-        for other, dist in distances.items():
-            if other != node and other in subset and dist >= 1:
-                induced.add_edge(node, other)
+    induced.add_edges_from((node, other) for node, row
+                           in power_adjacency(graph, k, subset).items()
+                           for other in row)
     return induced
 
 

@@ -37,7 +37,6 @@ from repro.core.power_sparsify import (
     power_graph_sparsification,
     power_graph_sparsification_low_diameter,
 )
-from repro.graphs.properties import max_degree
 from repro.ruling.greedy import lexicographic_mis
 
 Node = Hashable
@@ -75,22 +74,25 @@ def fgg_mis_round_bound(n: int, delta: int) -> int:
     return max(1, math.ceil(log_d * log_d * max(1.0, math.log2(log_d + 1)) * log_n))
 
 
-def deterministic_mis_of_virtual_graph(virtual_graph: nx.Graph, *,
-                                       node_ids: Mapping[Node, int] | None = None,
-                                       ) -> tuple[set[Node], int]:
+def deterministic_mis_of_virtual_graph(
+        virtual_graph: nx.Graph | Mapping[Node, set[Node]], *,
+        node_ids: Mapping[Node, int] | None = None,
+        ) -> tuple[set[Node], int]:
     """A deterministic MIS of a (virtual) graph plus its charged round count.
 
-    The MIS itself is computed with a Linial-flavoured deterministic rule
-    (scan nodes by ID); the returned round count is the [FGG+22] bound for a
-    graph with the virtual graph's size and maximum degree, which is what the
-    simulation charges per Lemma 6.3.
+    ``virtual_graph`` is a networkx graph or an adjacency mapping
+    ``{v: neighbors}`` (what :meth:`CommunicationTools.virtual_adjacency`
+    returns).  The MIS itself is computed with a Linial-flavoured
+    deterministic rule (scan nodes by ID); the returned round count is the
+    [FGG+22] bound for a graph with the virtual graph's size and maximum
+    degree, which is what the simulation charges per Lemma 6.3.
     """
     if node_ids is None:
         node_ids = {node: index + 1 for index, node in
-                    enumerate(sorted(virtual_graph.nodes(), key=str))}
+                    enumerate(sorted(virtual_graph, key=str))}
     mis = lexicographic_mis(virtual_graph, key=lambda node: node_ids[node])
-    rounds = fgg_mis_round_bound(virtual_graph.number_of_nodes(),
-                                 max_degree(virtual_graph))
+    delta = max((len(virtual_graph[node]) for node in virtual_graph), default=0)
+    rounds = fgg_mis_round_bound(len(virtual_graph), delta)
     return mis, rounds
 
 
@@ -133,7 +135,7 @@ def ruling_set_via_sparsification(graph: nx.Graph, k: int, *,
 
     before = ledger.total_rounds
     mis, algorithm_rounds = deterministic_mis_of_virtual_graph(
-        simulation.virtual_graph, node_ids=node_ids)
+        tools.virtual_adjacency(), node_ids=node_ids)
     simulation.charge_rounds(algorithm_rounds, label="mis-of-GkQ")
     phase_rounds["mis"] = ledger.total_rounds - before
 

@@ -10,7 +10,7 @@ post-shattering phase).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Mapping
 
 import networkx as nx
 
@@ -21,15 +21,18 @@ Node = Hashable
 __all__ = ["greedy_mis", "greedy_ruling_set", "lexicographic_mis"]
 
 
-def lexicographic_mis(graph: nx.Graph, *, key: Callable[[Node], object] | None = None,
+def lexicographic_mis(graph: nx.Graph | Mapping[Node, Iterable[Node]], *,
+                      key: Callable[[Node], object] | None = None,
                       candidates: Iterable[Node] | None = None) -> set[Node]:
     """The greedy MIS obtained by scanning nodes in ``key`` order.
 
+    ``graph`` is a networkx graph or an adjacency mapping ``{v: neighbors}``
+    (both iterate their nodes and index their neighbor rows alike).
     ``candidates`` restricts the nodes allowed to join (all nodes are still
     used for adjacency); this matches "MIS of ``G[Q]``" semantics when
     ``graph`` is already the virtual graph on ``Q``.
     """
-    order = sorted(graph.nodes() if candidates is None else candidates,
+    order = sorted(graph if candidates is None else candidates,
                    key=key if key is not None else str)
     chosen: set[Node] = set()
     blocked: set[Node] = set()
@@ -38,7 +41,7 @@ def lexicographic_mis(graph: nx.Graph, *, key: Callable[[Node], object] | None =
             continue
         chosen.add(node)
         blocked.add(node)
-        blocked.update(graph.neighbors(node))
+        blocked.update(graph[node])
     return chosen
 
 

@@ -1,0 +1,85 @@
+"""Pinned outputs of the paper pipelines at sizes the ``G^k`` CSR serves.
+
+The golden seeds run on a 24-node graph, below the node count at which
+:func:`repro.graphs.power.power_adjacency` switches to the cached ``G^k``
+CSR, and there every sparsification expectation is 0.0.  This suite pins
+the exact output set and round count of ``sparsify``, ``det-power-ruling``
+and ``power-mis`` on three larger registry cells (graph seed = solve seed
+in 1..3, ``k`` in 2..3), so a change to how the pipelines read ``G^s`` --
+CSR rows instead of per-node BFS, an incremental derandomizer -- must
+reproduce them bit for bit.
+
+The snapshot lives in ``tests/pipeline_outputs.json``; regenerate it with::
+
+    PYTHONPATH=src python tests/test_pipeline_outputs.py --update
+
+and review the diff: a changed row is a changed algorithm.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+
+import pytest
+
+FIXTURE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "pipeline_outputs.json")
+
+CELLS = ("regular-n128-d6", "er-n48", "grid-8x8")
+ALGORITHMS = ("sparsify", "det-power-ruling", "power-mis")
+SEEDS = (1, 2, 3)
+POWERS = (2, 3)
+
+
+def _key(cell: str, algorithm: str, seed: int, k: int) -> str:
+    return f"{cell}/{algorithm}/seed={seed}/k={k}"
+
+
+def _cases() -> list[tuple[str, str, int, int]]:
+    return [(cell, algorithm, seed, k) for cell in CELLS
+            for algorithm in ALGORITHMS for seed in SEEDS for k in POWERS]
+
+
+def _solve_row(cell: str, algorithm: str, seed: int, k: int) -> dict:
+    from repro.api import solve
+    from repro.scenarios.registry import DEFAULT_REGISTRY
+
+    graph = DEFAULT_REGISTRY.build_cell(cell, seed=seed)
+    report = solve(graph, algorithm, seed=seed, verify=False, k=k)
+    return {"output": sorted(report.output), "rounds": report.rounds}
+
+
+def regenerate() -> dict:
+    return {
+        "_meta": {"regenerate": "PYTHONPATH=src python "
+                                "tests/test_pipeline_outputs.py --update"},
+        "rows": {_key(*case): _solve_row(*case) for case in _cases()},
+    }
+
+
+def _load() -> dict:
+    with open(FIXTURE_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_fixture_covers_every_case():
+    assert set(_load()["rows"]) == {_key(*case) for case in _cases()}
+
+
+@pytest.mark.parametrize("cell,algorithm,seed,k", _cases())
+def test_output_and_rounds_match_fixture(cell, algorithm, seed, k):
+    expected = _load()["rows"][_key(cell, algorithm, seed, k)]
+    actual = _solve_row(cell, algorithm, seed, k)
+    assert actual["output"] == expected["output"], "output set drifted"
+    assert actual["rounds"] == expected["rounds"], "round count drifted"
+
+
+if __name__ == "__main__":
+    if "--update" not in sys.argv[1:]:
+        sys.exit("usage: python tests/test_pipeline_outputs.py --update")
+    with open(FIXTURE_PATH, "w", encoding="utf-8") as handle:
+        json.dump(regenerate(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {FIXTURE_PATH}")

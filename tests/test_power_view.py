@@ -272,3 +272,177 @@ class TestInt32CsrDowncast:
             DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)).numpy_arrays()
         assert arrays.congest_ids.dtype == np.int64
         assert arrays.degrees.dtype == np.int64
+
+
+def _odd_graphs():
+    """Degenerate inputs both CSR builds must agree on."""
+    import networkx as nx
+
+    disconnected = nx.Graph()
+    disconnected.add_nodes_from(range(9))
+    disconnected.add_edges_from([(0, 1), (1, 2), (4, 5)])  # 3, 6, 7, 8 isolated
+    return {"path_graph(1)": nx.path_graph(1),
+            "empty_graph(5)": nx.empty_graph(5),
+            "null_graph": nx.Graph(),
+            "disconnected-with-isolated": disconnected}
+
+
+class TestCsrBuilds:
+    """The sparse-frontier and dense-tile builds of ``PowerView.csr`` are
+    interchangeable: same ``indptr``, ``indices`` and dtypes."""
+
+    @staticmethod
+    def _build(graph, k, monkeypatch, sparse):
+        monkeypatch.setattr(PowerView, "_sparse_csr_preferred",
+                            lambda self: sparse)
+        return PowerView(_snapshot(graph), k).csr()
+
+    def _assert_builds_agree(self, graph, k, monkeypatch):
+        sparse = self._build(graph, k, monkeypatch, True)
+        dense = self._build(graph, k, monkeypatch, False)
+        for left, right in zip(sparse, dense):
+            assert left.dtype == right.dtype
+            assert np.array_equal(left, right)
+        assert sparse[0].dtype == np.int64
+        assert len(sparse[0]) == graph.number_of_nodes() + 1
+
+    @pytest.mark.parametrize("cell_name", SAMPLE_CELLS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_builds_agree_on_sample_cells(self, cell_name, k, monkeypatch):
+        graph = DEFAULT_REGISTRY.build_cell(cell_name, seed=3)
+        self._assert_builds_agree(graph, k, monkeypatch)
+
+    @pytest.mark.parametrize("name", sorted(_odd_graphs()))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_builds_agree_on_degenerate_graphs(self, name, k, monkeypatch):
+        self._assert_builds_agree(_odd_graphs()[name], k, monkeypatch)
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_each_build_matches_power_graph(self, sparse, monkeypatch):
+        graph = DEFAULT_REGISTRY.build_cell("dense-core-6x3x5", seed=0)
+        monkeypatch.setattr(PowerView, "_sparse_csr_preferred",
+                            lambda self: sparse)
+        view = PowerView(_snapshot(graph), 3)
+        assert view.adjacency_sets() == _expected_adjacency(graph, 3)
+
+    def test_row_bounds_on_regular_graphs(self):
+        from repro.graphs import random_regular_graph
+
+        sparse_view = _snapshot(random_regular_graph(400, 3, seed=1)).power_view(2)
+        assert sparse_view.row_bounds().tolist() == [3 + 3 * 2] * 400
+        assert sparse_view._sparse_csr_preferred()
+        dense_view = _snapshot(
+            DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)).power_view(3)
+        assert dense_view.row_bounds().tolist() == [3 + 6 + 12] * 24
+        assert not dense_view._sparse_csr_preferred()
+
+    @pytest.mark.parametrize("cell_name", SAMPLE_CELLS)
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_row_bounds_bound_every_degree(self, cell_name, k):
+        view = _snapshot(DEFAULT_REGISTRY.build_cell(cell_name, seed=3)).power_view(k)
+        assert np.all(view.row_bounds() >= np.diff(view.csr()[0]))
+        assert np.all(view.row_bounds() <= max(0, view.n - 1))
+
+    def test_one_hub_keeps_the_sparse_build(self):
+        # A 3-regular graph plus a hub wired to 40 of its 600 nodes: the
+        # hub pushes its own bound (and its neighbours') to ~n, but the
+        # mean G^2 degree stays small, so the rows are expanded sparsely.
+        from repro.graphs import random_regular_graph
+
+        graph = random_regular_graph(600, 3, seed=1)
+        graph.add_edges_from(("hub", node) for node in range(0, 600, 15))
+        view = _snapshot(graph).power_view(2)
+        bounds = view.row_bounds()
+        assert bounds.max() >= 40
+        assert view._sparse_csr_preferred()
+        indptr, _ = view.csr()
+        assert np.all(bounds >= np.diff(indptr))
+
+
+class TestRestrictedQueries:
+    def test_column_restriction_keeps_every_row(self):
+        graph = DEFAULT_REGISTRY.build_cell("dense-core-6x3x5", seed=0)
+        columns = [node for index, node in enumerate(graph.nodes())
+                   if index % 3 == 0]
+        view = _snapshot(graph).power_view(2)
+        actual = view.adjacency_sets(restrict_to=columns)
+        assert list(actual) == list(graph.nodes())
+        assert actual == {node: distance_neighborhood(graph, node, 2,
+                                                      restrict_to=columns)
+                          for node in graph.nodes()}
+        degrees = view.restricted_degrees(columns)
+        assert degrees.tolist() == [len(actual[label])
+                                    for label in view.snapshot.labels]
+
+    def test_one_shot_iterable_restricts_rows_and_columns(self):
+        graph = DEFAULT_REGISTRY.build_cell("crown-m5", seed=0)
+        nodes = list(graph.nodes())[:7]
+        view = _snapshot(graph).power_view(2)
+        assert view.adjacency_sets(iter(nodes)) == view.adjacency_sets(nodes)
+
+    def test_power_adjacency_backends_agree_with_restrict_to(self):
+        graph = DEFAULT_REGISTRY.build_cell("crown-m5", seed=0)
+        rows = list(graph.nodes())[:6]
+        columns = list(graph.nodes())[3:]
+        scalar = power_adjacency(graph, 2, rows, restrict_to=columns,
+                                 backend="scalar")
+        vectorized = power_adjacency(graph, 2, rows, restrict_to=columns,
+                                     backend="numpy")
+        assert scalar == vectorized
+        assert list(scalar) == rows == list(vectorized)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_max_power_degree(self, k):
+        from repro.graphs.power import max_power_degree
+
+        graph = DEFAULT_REGISTRY.build_cell("disconnected-n18", seed=2)
+        subset = set(list(graph.nodes())[::2])
+        assert max_power_degree(graph, k) == max(
+            len(distance_neighborhood(graph, node, k)) for node in graph)
+        assert max_power_degree(graph, k, subset) == max(
+            len(distance_neighborhood(graph, node, k, restrict_to=subset))
+            for node in graph)
+
+
+class TestStreamedDegrees:
+    """Before ``csr()`` has run, ``restricted_degrees`` streams the rows and
+    stores no ``G^k``; afterwards it counts on the CSR.  Same numbers."""
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_streamed_equals_cached(self, sparse, k, monkeypatch):
+        monkeypatch.setattr(PowerView, "_sparse_csr_preferred",
+                            lambda self: sparse)
+        graph = DEFAULT_REGISTRY.build_cell("disconnected-n18", seed=2)
+        columns = list(graph.nodes())[::3]
+        view = PowerView(_snapshot(graph), k, tile_bytes=256)
+        streamed = (view.restricted_degrees(), view.restricted_degrees(columns))
+        assert view._csr is None
+        view.csr()
+        cached = (view.restricted_degrees(), view.restricted_degrees(columns))
+        for left, right in zip(streamed, cached):
+            assert left.tolist() == right.tolist()
+
+    def test_invariant_check_stores_no_extra_power(self):
+        from repro.congest.topology import graph_power_view
+        from repro.core.invariants import verify_invariants
+        from repro.core.power_sparsify import power_graph_sparsification
+
+        graph = DEFAULT_REGISTRY.build_cell("regular-n128-d6", seed=1)
+        result = power_graph_sparsification(graph, 2)
+        assert all(report.ok for report in
+                   verify_invariants(graph, result.sequence))
+        # I1.2 at s = k reads N^{k+1}, which no solver needs: counted by
+        # streaming, never cached on the graph.
+        assert graph_power_view(graph, 3)._csr is None
+
+
+class TestCsrByteEstimate:
+    @pytest.mark.parametrize("cell_name", ["regular-n24-d3", "regular-n64-d4",
+                                           "regular-n128-d6", "regular-n384-d8"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_estimate_matches_the_built_csr(self, cell_name, k):
+        view = _snapshot(DEFAULT_REGISTRY.build_cell(cell_name, seed=0)).power_view(k)
+        estimate = view.estimated_power_csr_bytes()
+        actual = sum(array.nbytes for array in view.csr())
+        assert abs(estimate - actual) <= 0.25 * actual, (estimate, actual)
