@@ -10,7 +10,8 @@ are exactly the closed forms proven in the paper.
 
 The :class:`RoundLedger` therefore lets an algorithm perform its computation
 at the graph level while *charging* rounds for every communication step it
-performs, with one labelled entry per primitive invocation.  Benchmarks sum
+performs, with one labelled entry per primitive invocation (a run of
+seed bits fixed back to back is one entry).  Benchmarks sum
 the ledger to obtain the algorithm's round complexity and can break it down
 by phase (pre-shattering, sparsification stages, network decomposition, ...).
 
@@ -48,10 +49,18 @@ class LedgerEntry:
 
 @dataclass
 class RoundLedger:
-    """Accumulates labelled round charges for one algorithm execution."""
+    """Accumulates labelled round charges for one algorithm execution.
+
+    A running total is kept next to ``entries``, so :attr:`total_rounds`
+    costs O(1); append charges through :meth:`charge` and :meth:`merge`.
+    """
 
     bandwidth_bits: int = 64
     entries: list[LedgerEntry] = field(default_factory=list)
+    _total: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._total = sum(entry.rounds for entry in self.entries)
 
     # ------------------------------------------------------------- charging
     def charge(self, rounds: float, label: str) -> int:
@@ -61,6 +70,7 @@ class RoundLedger:
             rounded = max(1, rounded)
         if rounded > 0:
             self.entries.append(LedgerEntry(label=label, rounds=rounded))
+            self._total += rounded
         return rounded
 
     def charge_flooding(self, hops: int, label: str = "flooding") -> int:
@@ -95,14 +105,16 @@ class RoundLedger:
         """Lemma 4.6: one round of a CONGEST algorithm on ``G^s[Q]``."""
         return self.charge_q_message(s, message_bits, id_bits, hat_delta, label=label)
 
-    def charge_seed_bit(self, diameter: int, label: str = "fix-seed-bit") -> int:
-        """Claim 5.6: one bit = convergecast of the two sums + broadcast of the choice."""
-        return self.charge(2 * max(1, diameter) + 1, label)
+    def charge_seed_bit(self, diameter: int, label: str = "fix-seed-bit",
+                        bits: int = 1) -> int:
+        """Claim 5.6: one bit = convergecast of the two sums + broadcast of the
+        choice; ``bits`` bits fixed one after another go in one entry."""
+        return self.charge(bits * (2 * max(1, diameter) + 1), label)
 
     # -------------------------------------------------------------- queries
     @property
     def total_rounds(self) -> int:
-        return sum(entry.rounds for entry in self.entries)
+        return self._total
 
     def rounds_by_label(self) -> dict[str, int]:
         """Total rounds grouped by label (phase breakdown for the benchmarks)."""
@@ -113,9 +125,10 @@ class RoundLedger:
 
     def merge(self, other: "RoundLedger", prefix: str = "") -> None:
         """Fold another ledger's entries into this one (optionally prefixed)."""
-        for entry in other.entries:
-            label = f"{prefix}{entry.label}" if prefix else entry.label
-            self.entries.append(LedgerEntry(label=label, rounds=entry.rounds))
+        self.entries.extend(
+            LedgerEntry(label=f"{prefix}{entry.label}", rounds=entry.rounds)
+            for entry in other.entries)
+        self._total += other.total_rounds
 
     def subtotal(self, labels: Iterable[str]) -> int:
         wanted = set(labels)

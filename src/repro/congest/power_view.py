@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Node = Hashable
 
-__all__ = ["PowerView", "ReachKernel"]
+__all__ = ["PowerView", "ReachKernel", "row_hits"]
 
 #: Default peak-memory budget for one BFS tile (boolean frontier state).
 DEFAULT_TILE_BYTES = 8 << 20
@@ -50,6 +50,17 @@ DEFAULT_TILE_BYTES = 8 << 20
 #: :class:`PowerView` expands sparse frontiers when this many times the mean
 #: ``G^k`` degree bound is still below ``n``, and runs dense tiles otherwise.
 SPARSE_CSR_FACTOR = 2
+
+
+def row_hits(indptr: "np.ndarray", indices: "np.ndarray",
+             mask: "np.ndarray") -> "np.ndarray":
+    """``|row_v ∩ X|`` for every row ``v`` of a CSR, ``X`` given as a
+    boolean mask over the column indices."""
+    import numpy as np
+
+    hits = np.zeros(len(indices) + 1, dtype=np.int64)
+    np.cumsum(mask[indices], out=hits[1:])
+    return hits[indptr[1:]] - hits[indptr[:-1]]
 
 
 class ReachKernel:
@@ -74,10 +85,13 @@ class ReachKernel:
         self.indptr = indptr
         self.neighbor_indices = neighbor_indices
         positions = len(neighbor_indices)
-        # reduceat needs in-range segment starts; empty trailing segments
-        # (isolated nodes) borrow the last position and are cleared below.
-        self._starts = np.minimum(indptr[:-1], max(0, positions - 1))
         self._empty = (indptr[1:] - indptr[:-1]) == 0
+        # reduceat needs in-range segment starts, so it runs over the rows
+        # up to the last non-empty one; trailing empty rows (isolated
+        # nodes) stay False.  Clamping their starts instead would cut the
+        # last position off the last non-empty row.
+        self._live = int(np.flatnonzero(~self._empty)[-1]) + 1 if positions else 0
+        self._starts = indptr[:self._live]
         self.tile_bytes = max(1, int(tile_bytes))
         self._bytes_per_source = 3 * self.n + positions + 1
 
@@ -88,11 +102,12 @@ class ReachKernel:
 
     def _hop(self, flags: "np.ndarray") -> "np.ndarray":
         """One BFS hop: ``out[s, j] = OR over i in N(j) of flags[s, i]``."""
-        np = self.np
-        if len(self.neighbor_indices) == 0:
-            return np.zeros_like(flags)
+        out = self.np.zeros_like(flags)
+        if self._live == 0:
+            return out
         gathered = flags[:, self.neighbor_indices]
-        out = np.logical_or.reduceat(gathered, self._starts, axis=1)
+        self.np.logical_or.reduceat(gathered, self._starts, axis=1,
+                                    out=out[:, :self._live])
         # reduceat yields the next segment's head for empty segments.
         out[:, self._empty] = False
         return out
@@ -397,9 +412,7 @@ class PowerView:
             indptr, indices = self._csr
             if mask is None:
                 return np.diff(indptr)
-            hits = np.zeros(len(indices) + 1, dtype=np.int64)
-            np.cumsum(mask[indices], out=hits[1:])
-            return hits[indptr[1:]] - hits[indptr[:-1]]
+            return row_hits(indptr, indices, mask)
         degrees = np.zeros(self.n, dtype=np.int64)
         for sources, counts, columns in self._row_blocks():
             if mask is None:

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 Node = Hashable
 
-__all__ = ["TopologySnapshot", "forget_graph", "graph_power_view"]
+__all__ = ["TopologySnapshot", "forget_graph", "graph_csr", "graph_power_view"]
 
 #: Per-graph structural cache: every snapshot of the same graph object shares
 #: one :class:`_GraphStructure` (CSR, routes, numpy arrays, power views).
@@ -43,13 +43,22 @@ __all__ = ["TopologySnapshot", "forget_graph", "graph_power_view"]
 _STRUCTURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+#: The per-node tables only the simulator reads, built on first access: a
+#: CSR-only caller (``PowerView``, the certificates) never pays for them.
+_SIMULATOR_TABLES = frozenset((
+    "neighbor_labels", "routes", "broadcast_routes", "broadcast_rows",
+    "degrees", "edge_endpoints", "edge_labels", "max_degree"))
+
+
 class _GraphStructure:
     """The graph-determined part of a snapshot, shared across networks.
 
     Everything here depends only on the graph's iteration order and edges --
     not on the network's CONGEST identifier assignment -- so B replica
     networks over one graph share a single instance, including the lazily
-    built numpy CSR arrays and ``PowerView`` caches.
+    built numpy CSR arrays and ``PowerView`` caches.  Construction builds
+    only ``labels``, ``index_of`` and the CSR; the names in
+    ``_SIMULATOR_TABLES`` are derived from the CSR on first access.
     """
 
     __slots__ = (
@@ -59,14 +68,7 @@ class _GraphStructure:
         "index_of",
         "indptr",
         "neighbor_indices",
-        "neighbor_labels",
-        "routes",
-        "broadcast_routes",
-        "broadcast_rows",
-        "degrees",
-        "edge_endpoints",
-        "edge_labels",
-        "max_degree",
+        *sorted(_SIMULATOR_TABLES),
         "numpy_cache",
         "power_views",
         "__weakref__",
@@ -75,37 +77,50 @@ class _GraphStructure:
     def __init__(self, graph) -> None:
         labels: tuple[Node, ...] = tuple(graph.nodes())
         index_of: dict[Node, int] = {label: i for i, label in enumerate(labels)}
-
         indptr: list[int] = [0]
         neighbor_indices: list[int] = []
+        for label in labels:
+            neighbor_indices.extend(map(index_of.__getitem__, graph.neighbors(label)))
+            indptr.append(len(neighbor_indices))
+
+        self.n = len(labels)
+        self.edge_count = graph.number_of_edges()
+        self.labels = labels
+        self.index_of = index_of
+        self.indptr = indptr
+        self.neighbor_indices = neighbor_indices
+        self.numpy_cache = None
+        self.power_views = {}
+
+    def __getattr__(self, name: str):
+        # Reached only for unset slots: build the simulator tables once.
+        if name not in _SIMULATOR_TABLES:
+            raise AttributeError(name)
+        self._build_simulator_tables()
+        return object.__getattribute__(self, name)
+
+    def _build_simulator_tables(self) -> None:
+        labels, indptr = self.labels, self.indptr
         neighbor_labels: list[tuple[Node, ...]] = []
         routes: list[dict[Node, tuple[int, int, int]]] = []
         edge_of_pair: dict[tuple[int, int], int] = {}
         edge_endpoints: list[tuple[int, int]] = []
 
-        for u, label in enumerate(labels):
-            nbr_labels = tuple(graph.neighbors(label))
+        for u in range(self.n):
+            row = self.neighbor_indices[indptr[u]:indptr[u + 1]]
+            nbr_labels = tuple(map(labels.__getitem__, row))
             route: dict[Node, tuple[int, int, int]] = {}
-            for nbr_label in nbr_labels:
-                v = index_of[nbr_label]
+            for v, nbr_label in zip(row, nbr_labels):
                 pair = (u, v) if u < v else (v, u)
                 edge = edge_of_pair.get(pair)
                 if edge is None:
                     edge = len(edge_endpoints)
                     edge_of_pair[pair] = edge
                     edge_endpoints.append(pair)
-                neighbor_indices.append(v)
                 route[nbr_label] = (v, edge, 2 * edge + (0 if u < v else 1))
-            indptr.append(len(neighbor_indices))
             neighbor_labels.append(nbr_labels)
             routes.append(route)
 
-        self.n = len(labels)
-        self.edge_count = len(edge_endpoints)
-        self.labels = labels
-        self.index_of = index_of
-        self.indptr = indptr
-        self.neighbor_indices = neighbor_indices
         self.neighbor_labels = tuple(neighbor_labels)
         self.routes = tuple(routes)
         # Route triples in neighbor order (dicts preserve insertion order),
@@ -115,12 +130,10 @@ class _GraphStructure:
         self.broadcast_rows = tuple(
             (tuple(t[0] for t in triples), tuple(t[1] for t in triples))
             for triples in self.broadcast_routes)
-        self.degrees = tuple(indptr[i + 1] - indptr[i] for i in range(len(labels)))
+        self.degrees = tuple(indptr[i + 1] - indptr[i] for i in range(self.n))
         self.edge_endpoints = edge_endpoints
         self.edge_labels = tuple((labels[u], labels[v]) for u, v in edge_endpoints)
         self.max_degree = max(self.degrees, default=0)
-        self.numpy_cache = None
-        self.power_views = {}
 
     def numpy_arrays(self) -> SimpleNamespace:
         """The graph's CSR as cached read-only numpy arrays (everything of
@@ -137,18 +150,21 @@ class _GraphStructure:
             index_dtype = (np.int32 if max(self.n, 2 * self.edge_count)
                            < 2 ** 31 else np.int64)
             indptr = np.asarray(self.indptr, dtype=index_dtype)
-            degrees = np.asarray(self.degrees, dtype=np.int64)
+            neighbor_indices = np.asarray(self.neighbor_indices,
+                                          dtype=index_dtype)
+            degrees = np.diff(indptr).astype(np.int64)
+            rows = np.repeat(np.arange(self.n, dtype=index_dtype), degrees)
+            # Each undirected edge is first met from its lower-index end
+            # (the rows are symmetric), so the CSR positions with
+            # row <= neighbor list the edges in edge-index order.
+            canonical = rows <= neighbor_indices
             shared = {
                 "indptr": indptr,
-                "neighbor_indices": np.asarray(self.neighbor_indices,
-                                               dtype=index_dtype),
-                "rows": np.repeat(np.arange(self.n, dtype=index_dtype),
-                                  degrees),
+                "neighbor_indices": neighbor_indices,
+                "rows": rows,
                 "degrees": degrees,
-                "edge_u": np.asarray([u for u, _ in self.edge_endpoints],
-                                     dtype=index_dtype),
-                "edge_v": np.asarray([v for _, v in self.edge_endpoints],
-                                     dtype=index_dtype),
+                "edge_u": rows[canonical],
+                "edge_v": neighbor_indices[canonical],
             }
             # No-overflow guard for the downcast: the last CSR pointer
             # is the largest stored position and must round-trip exactly.
@@ -172,14 +188,19 @@ class _GraphStructure:
 def _structure_of(graph) -> _GraphStructure:
     """The shared structure of ``graph``, rebuilt if the graph changed size.
 
-    The (n, m) guard catches the common mutation (nodes or edges added or
-    removed between networks); graphs are otherwise treated as immutable
-    inputs, like the fingerprint memo does (see :func:`forget_graph`).
+    The size guard catches the common mutation (nodes or edges added or
+    removed between networks): it compares ``n`` and the summed length of
+    the adjacency rows (``2m`` plus one per self-loop, which the CSR stores
+    as ``len(neighbor_indices)``), counted at C speed over networkx's
+    adjacency dict where ``number_of_edges()`` walks a Python generator.
+    Graphs are otherwise treated as immutable inputs, like the fingerprint
+    memo does (see :func:`forget_graph`).
     """
     structure = _STRUCTURES.get(graph)
     if (structure is None
             or structure.n != graph.number_of_nodes()
-            or structure.edge_count != graph.number_of_edges()):
+            or len(structure.neighbor_indices)
+            != sum(map(len, graph._adj.values()))):
         structure = _GraphStructure(graph)
         try:
             _STRUCTURES[graph] = structure
@@ -198,6 +219,17 @@ def graph_power_view(graph, k: int):
     """The view :meth:`TopologySnapshot.power_view` returns, without
     needing a network (the entry point of ``power_adjacency``)."""
     return _structure_of(graph).power_view(k)
+
+
+def graph_csr(graph, k: int = 1):
+    """``(structure, indptr, indices)``: the cached CSR rows of ``G`` for
+    ``k = 1`` and of ``G^k`` (:meth:`PowerView.csr`) otherwise, over the
+    node indices of ``structure.labels``."""
+    structure = _structure_of(graph)
+    if k == 1:
+        arrays = structure.numpy_arrays()
+        return structure, arrays.indptr, arrays.neighbor_indices
+    return (structure, *structure.power_view(k).csr())
 
 
 class TopologySnapshot:

@@ -15,7 +15,7 @@ to the ledger per the paper:
 
 * each stage derandomizes ``gamma = 8 * ceil(log2 n)^2`` seed bits, each
   costing one global convergecast + broadcast, i.e. ``O(diam(G))`` rounds
-  (Claim 5.6);
+  (Claim 5.6), charged as one ledger entry per stage;
 * deactivation flags travel ``2 * power`` hops (2 hops in ``G^power``);
 * for ``power >= 2`` the deactivation broadcast of Lemma 4.2 costs an extra
   ``O(power + log n)`` rounds per stage (Lemma 5.7).
@@ -166,8 +166,8 @@ def det_sparsification(graph: nx.Graph, active: set[Node] | None = None, *,
                                              residual_phi=phi, residual_psi=psi)
 
         # Round cost of the stage (Lemma 5.5 / Lemma 5.7 / Claim 5.6).
-        for _ in range(gamma):
-            ledger.charge_seed_bit(diameter_hint, label=f"stage-{stage}-seed-bit")
+        ledger.charge_seed_bit(diameter_hint, label=f"stage-{stage}-seed-bit",
+                               bits=gamma)
         ledger.charge_flooding(2 * power, label=f"stage-{stage}-deactivation")
         if power >= 2:
             # Deactivated nodes broadcast (deactivated, ID) to N^power (Lemma 5.7).

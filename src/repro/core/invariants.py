@@ -14,7 +14,7 @@ from typing import Hashable, Iterable, Sequence
 import networkx as nx
 
 from repro.core.events import degree_bound
-from repro.graphs.power import max_power_degree
+from repro.graphs.power import max_power_degree, multi_source_bfs
 from repro.graphs.properties import max_degree
 
 Node = Hashable
@@ -50,25 +50,17 @@ class SparsificationCheck:
         return self.degree_ok and self.domination_ok
 
 
-def _distance_to_set(graph: nx.Graph, targets: Iterable[Node]) -> dict[Node, int]:
-    """Multi-source BFS distances to a set (missing nodes -> n + 1)."""
-    targets = set(targets)
-    unreachable = graph.number_of_nodes() + 1
-    distances = {node: unreachable for node in graph.nodes()}
-    from collections import deque
+def _distance_to_set(graph: nx.Graph, targets: Iterable[Node]):
+    """Multi-source BFS distances to a set, as an int64 array over the
+    graph's node indices (unreachable -> n + 1)."""
+    distance, _ = multi_source_bfs(graph, targets)
+    distance[distance < 0] = graph.number_of_nodes() + 1
+    return distance
 
-    frontier = deque()
-    for node in targets:
-        if node in distances:
-            distances[node] = 0
-            frontier.append(node)
-    while frontier:
-        node = frontier.popleft()
-        for neighbor in graph.neighbors(node):
-            if distances[neighbor] > distances[node] + 1:
-                distances[neighbor] = distances[node] + 1
-                frontier.append(neighbor)
-    return distances
+
+def _max_excess(far, near) -> int:
+    """``max_v far[v] - near[v]`` over every node (0 on an empty graph)."""
+    return int((far - near).max()) if len(far) else 0
 
 
 def check_sparsification(graph: nx.Graph, active: set[Node], q: set[Node], *,
@@ -84,7 +76,7 @@ def check_sparsification(graph: nx.Graph, active: set[Node], q: set[Node], *,
     max_q_degree = max_power_degree(graph, power, q)
     dist_to_q = _distance_to_set(graph, q)
     dist_to_a = _distance_to_set(graph, active)
-    max_excess = max((dist_to_q[node] - dist_to_a[node] for node in graph.nodes()), default=0)
+    max_excess = _max_excess(dist_to_q, dist_to_a)
     return SparsificationCheck(
         max_q_degree=max_q_degree,
         q_degree_bound=degree_bound(n),
@@ -105,7 +97,7 @@ def check_power_sparsification(graph: nx.Graph, q0: set[Node], q: set[Node],
     max_q_degree = max_power_degree(graph, k, q)
     dist_to_q = _distance_to_set(graph, q)
     dist_to_q0 = _distance_to_set(graph, q0)
-    max_excess = max((dist_to_q[node] - dist_to_q0[node] for node in graph.nodes()), default=0)
+    max_excess = _max_excess(dist_to_q, dist_to_q0)
     return SparsificationCheck(
         max_q_degree=max_q_degree,
         q_degree_bound=degree_bound(n),
@@ -154,7 +146,7 @@ def verify_invariants(graph: nx.Graph, sequence: Sequence[set[Node]]) -> list[In
         i11 = max_power_degree(graph, s, q_s)
         i12 = max_power_degree(graph, s + 1, q_s)
         dist_to_qs = _distance_to_set(graph, q_s)
-        i2 = max((dist_to_qs[node] - dist_to_q0[node] for node in graph.nodes()), default=0)
+        i2 = _max_excess(dist_to_qs, dist_to_q0)
         reports.append(InvariantReport(
             s=s,
             i11_max_degree=i11, i11_bound=bound,

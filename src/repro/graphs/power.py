@@ -20,12 +20,15 @@ simulator and the verification code rely on:
 * :func:`k_connected_components` computes maximal ``k``-connected subsets
   (sets ``S`` such that ``G^k[S]`` is connected), used by the shattering
   analysis (Lemma 7.3 / Lemma 8.1).
+* :func:`multi_source_bfs` gives every node its distance to, and nearest
+  member of, a set -- one array BFS over ``G``'s own CSR, which every
+  distance certificate (ruling sets, domination, sparsification) reads.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 import networkx as nx
 
@@ -36,9 +39,11 @@ __all__ = [
     "bounded_bfs",
     "distance_neighborhood",
     "distance_s_degree",
+    "farthest_target",
     "induced_power_subgraph",
     "k_connected_components",
     "max_power_degree",
+    "multi_source_bfs",
     "power_adjacency",
     "power_graph",
     "sphere",
@@ -244,6 +249,54 @@ def k_connected_components(graph: nx.Graph, subset: Iterable[Node],
     return components
 
 
+def multi_source_bfs(graph: nx.Graph, sources: Iterable[Node]):
+    """Distance to, and nearest member of, ``sources`` for every node of ``G``.
+
+    Returns ``(distance, nearest)``, int64 arrays over the node indices of
+    the graph's cached base CSR (``_structure_of(graph)``, graph iteration
+    order): ``distance[i]`` is ``dist_G(i, sources)`` and ``nearest[i]``
+    the index of a member at that distance, both ``-1`` where no member is
+    reachable.  Members outside the graph are ignored.  One level-synchronous
+    BFS over ``G``'s own edges -- never a ``G^k`` CSR -- in ``O(n + m)``
+    array work.  The CSR is cached by graph identity, so an edit that keeps
+    ``n`` and ``m`` must be followed by :func:`repro.api.invalidate_fingerprint`.
+    """
+    import numpy as np
+
+    from repro.congest.topology import _structure_of
+
+    structure = _structure_of(graph)
+    arrays = structure.numpy_arrays()
+    indptr, neighbors = arrays.indptr, arrays.neighbor_indices
+    index_of = structure.index_of
+    distance = np.full(structure.n, -1, dtype=np.int64)
+    nearest = np.full(structure.n, -1, dtype=np.int64)
+    frontier = np.fromiter({index_of[node] for node in sources if node in index_of},
+                           dtype=np.int64)
+    distance[frontier] = 0
+    nearest[frontier] = frontier
+    last = np.empty(structure.n, dtype=np.int64)  # scratch: dedupes a frontier
+    level = 0
+    while len(frontier):
+        level += 1
+        starts = indptr[frontier].astype(np.int64)
+        counts = indptr[frontier + 1] - starts
+        total = int(counts.sum())
+        # Gather every frontier node's neighbor run in one pass.
+        reached = neighbors[np.repeat(starts - (np.cumsum(counts) - counts), counts)
+                            + np.arange(total)]
+        owners = np.repeat(nearest[frontier], counts)
+        fresh = distance[reached] < 0
+        reached, owners = reached[fresh], owners[fresh]
+        distance[reached] = level
+        nearest[reached] = owners  # any owner of a fresh node is a nearest one
+        # Keep one position per reached node (np.unique would load numpy.ma).
+        positions = np.arange(len(reached))
+        last[reached] = positions
+        frontier = reached[last[reached] == positions].astype(np.int64)
+    return distance, nearest
+
+
 def domination_distance(graph: nx.Graph, dominators: Iterable[Node],
                         targets: Iterable[Node] | None = None) -> int:
     """``max_{v in targets} dist_G(v, dominators)``.
@@ -253,23 +306,27 @@ def domination_distance(graph: nx.Graph, dominators: Iterable[Node],
     set) are reported as a value larger than the number of nodes so callers
     can compare against finite bounds.
     """
-    dominators = set(dominators)
-    if targets is None:
-        targets = list(graph.nodes())
-    else:
-        targets = list(targets)
-    if not targets:
-        return 0
+    distance, _ = multi_source_bfs(graph, dominators)
+    return farthest_target(graph, distance, targets)
+
+
+def farthest_target(graph: nx.Graph, distance,
+                    targets: Iterable[Node] | None = None) -> int:
+    """The largest :func:`multi_source_bfs` ``distance`` over ``targets``
+    (every node when None): 0 without targets, ``n + 1`` when a target is
+    unreached or outside the graph."""
+    import numpy as np
+
+    from repro.congest.topology import _structure_of
+
     unreachable = graph.number_of_nodes() + 1
-    if not dominators:
-        return unreachable
-    # Multi-source BFS from the dominating set.
-    distances: dict[Node, int] = {node: 0 for node in dominators if node in graph}
-    frontier = deque(distances)
-    while frontier:
-        node = frontier.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in distances:
-                distances[neighbor] = distances[node] + 1
-                frontier.append(neighbor)
-    return max(distances.get(node, unreachable) for node in targets)
+    if targets is not None:
+        index_of = _structure_of(graph).index_of
+        targets = list(targets)
+        if any(node not in index_of for node in targets):
+            return unreachable
+        distance = distance[np.fromiter(map(index_of.__getitem__, targets),
+                                        dtype=np.int64, count=len(targets))]
+    if not len(distance):
+        return 0
+    return unreachable if (distance < 0).any() else int(distance.max())

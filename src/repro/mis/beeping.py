@@ -23,13 +23,33 @@ rounds.
 
 Three entry points are provided:
 
-* :class:`BeepingMISProcess` -- the reusable process over an explicit
-  adjacency structure (used by the shattering pipelines, which need to run
-  it on residual components and on ``G^k``);
+* :class:`BeepingMISProcess` -- the reusable process over CSR rows: a
+  graph's own cached CSR or its cached ``G^k`` CSR
+  (:meth:`BeepingMISProcess.on_graph`, used by the shattering pipelines on
+  ``G``, its residual components and ``G^k``), or an adjacency mapping
+  converted once;
 * :func:`beeping_mis` / :func:`beeping_mis_power` -- convenience wrappers
   with round accounting;
 * :class:`BeepingMISNode` -- the per-node state machine for the real
   message-passing simulator on ``G``.
+
+One step of the process is an array program: the marked nodes scatter
+their CSR rows into a "heard a marked beep" mask (the rows are symmetric,
+so that is every node's gather), a marked node joins iff it heard nothing,
+and the joined nodes scatter their rows into the decided mask; the
+probabilities are one array update.  Only the coin flips stay per node,
+under a *draw-order contract* that keeps every run bit-identical to the
+set-of-sets process it replaced (``tests/test_beeping_oracle.py`` keeps that
+process as the oracle):
+
+* each step draws one ``rng.random()`` per undecided node, in the iteration
+  order of the ``undecided`` set, which is built as before (a set of the
+  keys, intersected with the candidates, then copied) and only shrinks by
+  ``-=``;
+* ``mis`` and ``undecided`` stay Python sets with the same insertion
+  history -- ``marked`` in undecided order, ``joined`` by iterating
+  ``marked``, ``mis |= joined``, ``undecided -= decided`` -- because the
+  post-shattering phase draws in their iteration order.
 """
 
 from __future__ import annotations
@@ -37,6 +57,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
@@ -45,8 +66,6 @@ from repro.congest.cost import RoundLedger
 from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeAlgorithm
 from repro.congest.simulator import SimulationResult, Simulator
-from repro.graphs.power import power_adjacency
-from repro.graphs.properties import max_degree
 
 Node = Hashable
 
@@ -86,7 +105,9 @@ class BeepingMISProcess:
     ----------
     adjacency:
         ``node -> set of neighbors`` in the problem graph (``G`` itself, an
-        induced component, or the distance-``k`` adjacency of ``G^k``).
+        induced component, or the distance-``k`` adjacency of ``G^k``);
+        converted once to CSR rows (:meth:`on_graph` reads a graph's cached
+        CSR rows instead).
     candidates:
         Nodes allowed to join the MIS (default: all).  Non-candidates start
         decided but their adjacency still blocks candidates -- this realises
@@ -97,45 +118,126 @@ class BeepingMISProcess:
         The starting value of ``p_v`` (1/2 in the paper).
     """
 
-    def __init__(self, adjacency: Mapping[Node, set[Node]], *,
+    def __init__(self, adjacency: Mapping[Node, Iterable[Node]], *,
                  candidates: Iterable[Node] | None = None,
                  rng: random.Random | None = None,
                  initial_probability: float = 0.5) -> None:
-        self.adjacency = {node: set(neighbors) for node, neighbors in adjacency.items()}
+        import numpy as np
+
+        keys = list(adjacency)
+        labels = list(keys)
+        index_of = {node: i for i, node in enumerate(labels)}
+        rows = [list(adjacency[node]) for node in keys]
+        for row in rows:
+            for neighbor in row:
+                if neighbor not in index_of:
+                    index_of[neighbor] = len(labels)
+                    labels.append(neighbor)
+        indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+        indptr[1:len(rows) + 1] = [len(row) for row in rows]
+        np.cumsum(indptr, out=indptr)
+        indices = np.fromiter((index_of[neighbor] for row in rows for neighbor in row),
+                              dtype=np.int64, count=int(indptr[-1]))
+        self._setup(indptr, indices, labels, index_of, keys, candidates, rng,
+                    initial_probability)
+
+    @classmethod
+    def on_graph(cls, graph: nx.Graph, nodes: Iterable[Node] | None = None, *,
+                 k: int = 1, candidates: Iterable[Node] | None = None,
+                 rng: random.Random | None = None) -> "BeepingMISProcess":
+        """The process on ``G^k[nodes]`` over cached CSR rows: ``G``'s own
+        CSR for ``k = 1``, the graph's ``G^k`` CSR
+        (:meth:`~repro.congest.power_view.PowerView.csr`) otherwise.
+
+        The same run as over the mapping ``{v: N^k(v) ∩ nodes for v in
+        nodes}`` keyed in ``nodes`` order (every node, in graph order, by
+        default), without building it: the rows reach past ``nodes``, but
+        only candidates are ever marked, so such a neighbor changes
+        nothing."""
+        from repro.congest.topology import graph_csr
+
+        structure, indptr, indices = graph_csr(graph, k)
+        process = cls.__new__(cls)
+        process._setup(indptr, indices, structure.labels, structure.index_of,
+                       structure.labels if nodes is None else nodes, candidates,
+                       rng, 0.5)
+        return process
+
+    def _setup(self, indptr, indices, labels, index_of, keys, candidates,
+               rng, initial_probability) -> None:
+        import numpy as np
+
+        self._np = np
+        self._indptr = indptr
+        self._indices = indices
+        self._labels = labels
+        self._index_of = index_of
         self.rng = rng or random.Random(0)
-        all_nodes = set(self.adjacency)
+        # Built exactly as the set-of-sets process built them (a set from a
+        # dict of the keys, intersected, then copied): post-shattering draws
+        # follow the iteration order of these sets.
+        all_nodes = set(dict.fromkeys(keys))
         self.candidates = all_nodes if candidates is None else set(candidates) & all_nodes
         self.undecided: set[Node] = set(self.candidates)
         self.mis: set[Node] = set()
-        self.probability = {node: initial_probability for node in self.candidates}
+        self._probability = np.full(len(labels), float(initial_probability))
         self.initial_probability = initial_probability
         self.steps_run = 0
 
+    @property
+    def probability(self) -> dict[Node, float]:
+        """``p_v`` of every candidate (a snapshot, keyed in candidate order)."""
+        index_of, probability = self._index_of, self._probability
+        return {node: float(probability[index_of[node]]) for node in self.candidates}
+
+    def _row_entries(self, rows):
+        """The concatenated CSR rows of the node indices ``rows``."""
+        np = self._np
+        starts = self._indptr[rows]
+        counts = self._indptr[rows + 1] - starts
+        return self._indices[np.repeat(starts - (np.cumsum(counts) - counts), counts)
+                             + np.arange(int(counts.sum()))]
+
     def step(self) -> set[Node]:
         """Run one step; returns the nodes that joined the MIS in this step."""
+        np = self._np
         self.steps_run += 1
-        marked = {node for node in self.undecided
-                  if self.rng.random() < self.probability[node]}
+        # One draw per undecided node, in the set's iteration order.
+        order = list(self.undecided)
+        count = len(order)
+        index = np.fromiter(map(self._index_of.__getitem__, order), dtype=np.int64,
+                            count=count)
+        random_draw = self.rng.random
+        draws = np.fromiter((random_draw() for _ in range(count)), dtype=np.float64,
+                            count=count)
+        probability = self._probability[index]
+        marking = draws < probability
+        marked_order = list(compress(order, marking.tolist()))
+        marked = set(marked_order)
+        marked_index = index[marking]
 
-        joined: set[Node] = set()
-        for node in marked:
-            if not (self.adjacency[node] & marked):
-                joined.add(node)
+        # Marked nodes beep: scatter their rows (the adjacency is symmetric).
+        # A marked node that heard no marked neighbor joins.
+        heard = np.zeros(len(self._labels), dtype=bool)
+        heard[self._row_entries(marked_index)] = True
+        joins = ~heard[marked_index]
+        joiners = set(compress(marked_order, joins.tolist()))
+        joined = {node for node in marked if node in joiners}
 
         # Probability update from the beeps of the marking round.
-        for node in self.undecided:
-            heard_marked_neighbor = bool(self.adjacency[node] & marked)
-            if heard_marked_neighbor:
-                self.probability[node] = self.probability[node] / 2.0
-            else:
-                self.probability[node] = min(self.initial_probability,
-                                             2.0 * self.probability[node])
+        self._probability[index] = np.where(
+            heard[index], probability / 2.0,
+            np.minimum(self.initial_probability, 2.0 * probability))
 
+        # The joined nodes and their rows become decided.
         self.mis |= joined
-        decided = set(joined)
-        for node in joined:
-            decided |= self.adjacency[node]
-        self.undecided -= decided
+        if joined:
+            joined_index = marked_index[joins]
+            decided = np.zeros(len(self._labels), dtype=bool)
+            decided[joined_index] = True
+            decided[self._row_entries(joined_index)] = True
+            self.undecided -= set(map(self._labels.__getitem__,
+                                      index[decided[index]].tolist()))
         return joined
 
     def run(self, steps: int) -> None:
@@ -163,8 +265,7 @@ def beeping_mis(graph: nx.Graph, *, steps: int | None = None,
     n = max(2, graph.number_of_nodes())
     if steps is None:
         steps = default_step_budget(n, scale=16)
-    adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
-    process = BeepingMISProcess(adjacency, candidates=candidates, rng=rng)
+    process = BeepingMISProcess.on_graph(graph, candidates=candidates, rng=rng)
     process.run(steps)
     for _ in range(process.steps_run):
         ledger.charge(2, label="beeping-step")
@@ -195,12 +296,11 @@ def beeping_mis_power(graph: nx.Graph, k: int, *, steps: int | None = None,
         id_bits = max(1, math.ceil(math.log2(n)))
 
     nodes = set(graph.nodes()) if candidates is None else set(candidates)
-    adjacency = power_adjacency(graph, k, nodes)
     if steps is None:
-        delta_k = max((len(neighbors) for neighbors in adjacency.values()), default=1)
-        steps = default_step_budget(max(delta_k, n), scale=16)
+        # Delta_k < n, so the Theta(log max(Delta_k, n)) budget reads n alone.
+        steps = default_step_budget(n, scale=16)
 
-    process = BeepingMISProcess(adjacency, candidates=nodes, rng=rng)
+    process = BeepingMISProcess.on_graph(graph, nodes, k=k, candidates=nodes, rng=rng)
     process.run(steps)
     per_step = 2 * k * max(1, math.ceil(id_bits / max(1, bandwidth_bits)))
     for _ in range(process.steps_run):

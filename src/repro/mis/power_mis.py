@@ -27,15 +27,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
+from repro.congest.power_view import row_hits
+from repro.congest.topology import graph_csr
 from repro.decomposition.ball_graph import form_distance_k_ball_graph
 from repro.decomposition.network_decomposition import network_decomposition
-from repro.graphs.power import bounded_bfs, distance_neighborhood, power_adjacency
-from repro.graphs.properties import max_degree
+from repro.graphs.power import bounded_bfs
 from repro.mis.beeping import BeepingMISProcess, default_step_budget
 from repro.ruling.greedy import greedy_mis, greedy_ruling_set
 
@@ -62,11 +63,6 @@ class PowerMISResult:
         return self.ledger.total_rounds
 
 
-def _power_adjacency(graph: nx.Graph, k: int,
-                     nodes: Iterable[Node]) -> dict[Node, set[Node]]:
-    return power_adjacency(graph, k, set(nodes))
-
-
 def power_graph_mis(graph: nx.Graph, k: int, *,
                     candidates: set[Node] | None = None,
                     rng: random.Random | None = None,
@@ -90,6 +86,8 @@ def power_graph_mis(graph: nx.Graph, k: int, *,
         Number of parallel BeepingMIS instances per cluster in the
         post-shattering phase (default ``ceil(log_N n)``).
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = rng or random.Random(0)
@@ -99,14 +97,31 @@ def power_graph_mis(graph: nx.Graph, k: int, *,
     id_bits = max(1, math.ceil(math.log2(n)))
     phase_rounds: dict[str, int] = {}
 
+    # Every G^k row below is read from the graph's cached CSR (G's own at
+    # k = 1): ball(v) is N^k(v), without a BFS.
+    structure, indptr, indices = graph_csr(graph, k)
+    labels, index_of = structure.labels, structure.index_of
+
+    def ball(node: Node) -> Iterable[Node]:
+        i = index_of[node]
+        return map(labels.__getitem__, indices[indptr[i]:indptr[i + 1]].tolist())
+
     # ------------------------------------------------------- pre-shattering
-    adjacency = _power_adjacency(graph, k, nodes)
-    delta_k = max((len(neighbors) for neighbors in adjacency.values()), default=1)
+    if candidates is None:
+        degrees = np.diff(indptr)
+    else:
+        in_nodes = np.zeros(structure.n, dtype=bool)
+        in_nodes[np.fromiter(map(index_of.__getitem__, nodes), dtype=np.int64,
+                             count=len(nodes))] = True
+        degrees = row_hits(indptr, indices, in_nodes)[in_nodes]
+    delta_k = int(degrees.max()) if len(degrees) else 1
     if pre_steps is None:
         pre_steps = default_step_budget(delta_k, scale=8)
 
     before = ledger.total_rounds
-    process = BeepingMISProcess(adjacency, candidates=nodes, rng=rng)
+    # Keyed by a copy of ``nodes``, as the G^k mapping this replaces was.
+    process = BeepingMISProcess.on_graph(graph, set(nodes), k=k, candidates=nodes,
+                                         rng=rng)
     process.run(pre_steps)
     per_step = 2 * k * max(1, math.ceil(id_bits / max(1, ledger.bandwidth_bits)))
     ledger.charge(per_step * process.steps_run, label="pre-shattering")
@@ -165,7 +180,7 @@ def power_graph_mis(graph: nx.Graph, k: int, *,
     blocked: set[Node] = set()
     for node in mis:
         blocked.add(node)
-        blocked |= distance_neighborhood(graph, node, k)
+        blocked.update(ball(node))
 
     for component in components:
         component_ledger = RoundLedger(bandwidth_bits=ledger.bandwidth_bits)
@@ -183,13 +198,13 @@ def power_graph_mis(graph: nx.Graph, k: int, *,
                 if not cluster_undecided:
                     continue
                 added, instance_rounds = _finish_cluster(
-                    graph, k, cluster_undecided, blocked, rng,
+                    graph, k, ball, cluster_undecided, blocked, rng,
                     instances=post_instances, big_n=big_n,
                     bandwidth_bits=ledger.bandwidth_bits)
                 for node in added:
                     mis.add(node)
                     blocked.add(node)
-                    blocked |= distance_neighborhood(graph, node, k)
+                    blocked.update(ball(node))
                 color_rounds = max(color_rounds, instance_rounds)
             if color_rounds:
                 component_ledger.charge(color_rounds, label=f"post-color-{color}")
@@ -206,13 +221,12 @@ def power_graph_mis(graph: nx.Graph, k: int, *,
             continue
         if node in mis:
             continue
-        neighborhood = distance_neighborhood(graph, node, k, restrict_to=mis)
-        if neighborhood:
+        if not mis.isdisjoint(ball(node)):
             blocked.add(node)
             continue
         mis.add(node)
         blocked.add(node)
-        blocked |= distance_neighborhood(graph, node, k)
+        blocked.update(ball(node))
 
     return PowerMISResult(mis=mis, k=k, undecided_after_pre=undecided_after_pre,
                           component_sizes=component_sizes,
@@ -225,7 +239,8 @@ def component_size_bound_power(n: int, delta_k: int) -> float:
     return max(2.0, (max(2, delta_k) ** 4) * math.log(max(2, n)))
 
 
-def _finish_cluster(graph: nx.Graph, k: int, cluster_undecided: set[Node],
+def _finish_cluster(graph: nx.Graph, k: int, ball: Callable[[Node], Iterable[Node]],
+                    cluster_undecided: set[Node],
                     blocked: set[Node], rng: random.Random, *,
                     instances: int, big_n: float,
                     bandwidth_bits: int) -> tuple[set[Node], int]:
@@ -239,16 +254,17 @@ def _finish_cluster(graph: nx.Graph, k: int, cluster_undecided: set[Node],
     leader has collected the whole cluster topology by then, and unbounded
     local computation is free in CONGEST.
 
-    Returns the added MIS nodes and the charged number of rounds.
+    ``ball(v)`` is ``N^k(v)``.  Returns the added MIS nodes and the charged
+    number of rounds.
     """
-    adjacency = _power_adjacency(graph, k, cluster_undecided)
     steps = max(1, math.ceil(math.log2(big_n)))
     log_big_n = max(1, math.ceil(math.log2(big_n)))
     per_step = 2 * k * max(1, math.ceil(log_big_n / max(1, bandwidth_bits)))
 
     chosen: set[Node] | None = None
     for instance in range(max(1, instances)):
-        process = BeepingMISProcess(adjacency, rng=rng)
+        process = BeepingMISProcess.on_graph(graph, set(cluster_undecided), k=k,
+                                             rng=rng)
         if process.run_until_complete(steps):
             chosen = process.mis
             break
@@ -260,7 +276,7 @@ def _finish_cluster(graph: nx.Graph, k: int, cluster_undecided: set[Node],
     for node in sorted(chosen, key=str):
         if node in blocked:
             continue
-        if distance_neighborhood(graph, node, k, restrict_to=added):
+        if not added.isdisjoint(ball(node)):
             continue
         added.add(node)
     rounds = per_step * steps + 2 * k  # parallel instances + success aggregation

@@ -41,7 +41,7 @@ import networkx as nx
 from repro.congest.cost import RoundLedger
 from repro.decomposition.ball_graph import form_distance_k_ball_graph
 from repro.decomposition.network_decomposition import network_decomposition
-from repro.graphs.power import bounded_bfs, distance_neighborhood, k_connected_components
+from repro.graphs.power import bounded_bfs, k_connected_components
 from repro.graphs.properties import max_degree
 from repro.mis.beeping import BeepingMISProcess, default_step_budget
 from repro.ruling.greedy import greedy_mis, greedy_ruling_set
@@ -113,8 +113,7 @@ def pre_shattering(graph: nx.Graph, *, steps: int | None = None,
     delta = max_degree(graph)
     if steps is None:
         steps = default_step_budget(delta, scale=scale)
-    adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
-    process = BeepingMISProcess(adjacency, rng=rng)
+    process = BeepingMISProcess.on_graph(graph, rng=rng)
     process.run(steps)
     for _ in range(process.steps_run):
         ledger.charge(2, label="pre-shattering-step")
@@ -242,9 +241,9 @@ def shattering_mis(graph: nx.Graph, *, approach: str = "two-phase",
         delta = max_degree(graph)
         second_steps = default_step_budget(delta, scale=8)
         for component in components:
-            subgraph = graph.subgraph(component)
-            adjacency = {node: set(subgraph.neighbors(node)) for node in component}
-            process = BeepingMISProcess(adjacency, rng=rng)
+            # G's rows reach past the component, but only its nodes are
+            # ever marked (see BeepingMISProcess.on_graph).
+            process = BeepingMISProcess.on_graph(graph, component, rng=rng)
             process.run(second_steps)
             # The second phase's independent set is only valid w.r.t. the
             # component; it is also independent in G because residual

@@ -5,17 +5,25 @@ paper does): an ``(alpha, beta)``-ruling set is ``alpha``-independent and
 ``beta``-dominating in ``G``; an MIS of ``G^k`` is a ``(k+1, k)``-ruling set
 of ``G``.  The checkers are used by every test and by the benchmark harness
 to certify algorithm outputs before timing them.
+
+Both radii come from one multi-source BFS from the set over ``G``'s own CSR
+(:func:`repro.graphs.power.multi_source_bfs`), never from the ``G^k`` rows
+a solver read, so an MIS of ``G^k`` is still checked against ``G``'s edges.
+The domination radius is the largest BFS distance over the targets.  The
+independence radius is exact: the closest pair ``s, t`` of the set has a
+shortest path that leaves ``s``'s BFS region over some edge ``(u, v)``, so
+the minimum of ``d(u) + d(v) + 1`` over edges whose endpoints have different
+nearest members is the minimum pairwise distance.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 import networkx as nx
 
-from repro.graphs.power import bounded_bfs
+from repro.graphs.power import farthest_target, multi_source_bfs
 
 Node = Hashable
 
@@ -37,6 +45,24 @@ __all__ = [
 UNREACHABLE = 1 << 30
 
 
+def _radii(graph: nx.Graph, subset: Iterable[Node],
+           targets: Iterable[Node] | None = None) -> tuple[int, int]:
+    """``(independence radius, domination radius)`` of ``subset`` from one
+    multi-source BFS (see the module docstring)."""
+    from repro.congest.topology import _structure_of
+
+    distance, nearest = multi_source_bfs(graph, subset)
+    arrays = _structure_of(graph).numpy_arrays()
+    u, v = arrays.edge_u, arrays.edge_v
+    crossing = nearest[u] != nearest[v]
+    independence = (int((distance[u[crossing]] + distance[v[crossing]]).min()) + 1
+                    if crossing.any() else UNREACHABLE)
+    domination = farthest_target(graph, distance, targets)
+    if domination > graph.number_of_nodes():
+        domination = UNREACHABLE
+    return independence, domination
+
+
 def independence_radius(graph: nx.Graph, subset: Iterable[Node]) -> int:
     """The minimum pairwise distance within ``subset``.
 
@@ -45,16 +71,7 @@ def independence_radius(graph: nx.Graph, subset: Iterable[Node]) -> int:
     infinitely far apart; if no finite pair exists the sentinel
     :data:`UNREACHABLE` is returned.
     """
-    subset = set(subset)
-    if len(subset) < 2:
-        return UNREACHABLE
-    best = UNREACHABLE
-    for node in subset:
-        distances = bounded_bfs(graph, node, min(best, graph.number_of_nodes()))
-        for other, dist in distances.items():
-            if other != node and other in subset and 0 < dist < best:
-                best = dist
-    return best
+    return _radii(graph, subset)[0]
 
 
 def domination_radius(graph: nx.Graph, subset: Iterable[Node],
@@ -63,22 +80,7 @@ def domination_radius(graph: nx.Graph, subset: Iterable[Node],
 
     Unreachable targets (or an empty subset) yield :data:`UNREACHABLE`.
     """
-    subset = set(subset)
-    targets = list(graph.nodes()) if targets is None else list(targets)
-    if not targets:
-        return 0
-    unreachable = UNREACHABLE
-    if not subset:
-        return unreachable
-    distances: dict[Node, int] = {node: 0 for node in subset if node in graph}
-    frontier = deque(distances)
-    while frontier:
-        node = frontier.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in distances:
-                distances[neighbor] = distances[node] + 1
-                frontier.append(neighbor)
-    return max(distances.get(node, unreachable) for node in targets)
+    return _radii(graph, subset, targets)[1]
 
 
 def is_alpha_independent(graph: nx.Graph, subset: Iterable[Node], alpha: int) -> bool:
@@ -139,10 +141,6 @@ def verify_ruling_set(graph: nx.Graph, subset: Iterable[Node], alpha: int, beta:
                       targets: Iterable[Node] | None = None) -> RulingSetReport:
     """Measure independence and domination of ``subset`` against ``(alpha, beta)``."""
     subset = set(subset)
-    return RulingSetReport(
-        size=len(subset),
-        independence=independence_radius(graph, subset),
-        domination=domination_radius(graph, subset, targets),
-        alpha=alpha,
-        beta=beta,
-    )
+    independence, domination = _radii(graph, subset, targets)
+    return RulingSetReport(size=len(subset), independence=independence,
+                           domination=domination, alpha=alpha, beta=beta)

@@ -3,11 +3,13 @@
 The golden seeds run on a 24-node graph, below the node count at which
 :func:`repro.graphs.power.power_adjacency` switches to the cached ``G^k``
 CSR, and there every sparsification expectation is 0.0.  This suite pins
-the exact output set and round count of ``sparsify``, ``det-power-ruling``
-and ``power-mis`` on three larger registry cells (graph seed = solve seed
-in 1..3, ``k`` in 2..3), so a change to how the pipelines read ``G^s`` --
-CSR rows instead of per-node BFS, an incremental derandomizer -- must
-reproduce them bit for bit.
+the exact output set, round count and per-label round ledger of
+``sparsify``, ``det-power-ruling``, ``power-mis``, ``power-ruling`` and
+``beeping-power`` on three larger registry cells (graph seed = solve seed
+in 1..3, ``k`` in 2..3), of ``shattering-mis`` on the same cells, and of
+``power-mis`` at ``k = 3`` on ``regular-n384-d8``, so a change to how the
+pipelines read ``G^s`` -- CSR rows instead of per-node BFS, an incremental
+derandomizer, an array BeepingMIS step -- must reproduce them bit for bit.
 
 The snapshot lives in ``tests/pipeline_outputs.json``; regenerate it with::
 
@@ -18,6 +20,7 @@ and review the diff: a changed row is a changed algorithm.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -28,9 +31,14 @@ FIXTURE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "pipeline_outputs.json")
 
 CELLS = ("regular-n128-d6", "er-n48", "grid-8x8")
-ALGORITHMS = ("sparsify", "det-power-ruling", "power-mis")
+ALGORITHMS = ("sparsify", "det-power-ruling", "power-mis", "power-ruling",
+              "beeping-power")
+#: Algorithms that take no power ``k`` (keyed ``k=None``).
+PLAIN_ALGORITHMS = ("shattering-mis",)
 SEEDS = (1, 2, 3)
 POWERS = (2, 3)
+#: Extra ``(cell, algorithm, k)`` inputs beyond the grid above.
+EXTRA = (("regular-n384-d8", "power-mis", 3),)
 
 
 def _key(cell: str, algorithm: str, seed: int, k: int) -> str:
@@ -38,17 +46,25 @@ def _key(cell: str, algorithm: str, seed: int, k: int) -> str:
 
 
 def _cases() -> list[tuple[str, str, int, int]]:
-    return [(cell, algorithm, seed, k) for cell in CELLS
-            for algorithm in ALGORITHMS for seed in SEEDS for k in POWERS]
+    cases = [(cell, algorithm, seed, k) for cell in CELLS
+             for algorithm in ALGORITHMS for seed in SEEDS for k in POWERS]
+    cases += [(cell, algorithm, seed, None) for cell in CELLS
+              for algorithm in PLAIN_ALGORITHMS for seed in SEEDS]
+    cases += [(cell, algorithm, seed, k) for cell, algorithm, k in EXTRA
+              for seed in SEEDS]
+    return cases
 
 
-def _solve_row(cell: str, algorithm: str, seed: int, k: int) -> dict:
+@functools.lru_cache(maxsize=None)
+def _solve_row(cell: str, algorithm: str, seed: int, k: int | None) -> dict:
     from repro.api import solve
     from repro.scenarios.registry import DEFAULT_REGISTRY
 
     graph = DEFAULT_REGISTRY.build_cell(cell, seed=seed)
-    report = solve(graph, algorithm, seed=seed, verify=False, k=k)
-    return {"output": sorted(report.output), "rounds": report.rounds}
+    config = {} if k is None else {"k": k}
+    report = solve(graph, algorithm, seed=seed, verify=False, **config)
+    return {"output": sorted(report.output), "rounds": report.rounds,
+            "by_label": report.result.ledger.rounds_by_label()}
 
 
 def regenerate() -> dict:
@@ -74,6 +90,13 @@ def test_output_and_rounds_match_fixture(cell, algorithm, seed, k):
     actual = _solve_row(cell, algorithm, seed, k)
     assert actual["output"] == expected["output"], "output set drifted"
     assert actual["rounds"] == expected["rounds"], "round count drifted"
+
+
+@pytest.mark.parametrize("cell,algorithm,seed,k", _cases())
+def test_round_ledger_by_label_matches_fixture(cell, algorithm, seed, k):
+    expected = _load()["rows"][_key(cell, algorithm, seed, k)]
+    actual = _solve_row(cell, algorithm, seed, k)
+    assert actual["by_label"] == expected["by_label"], "ledger labels drifted"
 
 
 if __name__ == "__main__":

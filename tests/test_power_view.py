@@ -446,3 +446,17 @@ class TestCsrByteEstimate:
         estimate = view.estimated_power_csr_bytes()
         actual = sum(array.nbytes for array in view.csr())
         assert abs(estimate - actual) <= 0.25 * actual, (estimate, actual)
+
+
+class TestTrailingIsolatedNodes:
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_dense_tiles_keep_the_last_non_empty_row_whole(self, k):
+        # Isolated nodes last in graph order give reduceat empty trailing
+        # segments; the row before them must still see its last neighbor.
+        import networkx as nx
+
+        graph = nx.gnp_random_graph(90, 0.06, seed=4)
+        graph.add_nodes_from([200, 201])
+        view = _snapshot(graph).power_view(k)
+        assert not view._sparse_csr_preferred()
+        assert view.adjacency_sets() == _expected_adjacency(graph, k)
