@@ -3,14 +3,16 @@
 A seed sweep runs the same algorithm on the same graph under ``B`` different
 seeds.  Run one replica at a time (or one process per replica, as
 ``scenarios.runner``'s pool does), every replica pays the full per-round
-numpy dispatch overhead and its own copy of the graph.  The replica batch
-runner instead executes all ``B`` replicas in *lockstep*: per-node state
-becomes arrays of shape ``(B, n)`` with a leading replica dimension, every
-round is one set of segment reductions along axis 1 over the **shared** base
-CSR arrays, and only the CONGEST identifiers (and hence the RNG streams)
-differ per replica -- exactly what differs between the corresponding solo
-runs, because ``CongestNetwork(graph, id_seed=seed)`` re-randomises the
-identifier assignment per seed while the adjacency structure is fixed.
+numpy dispatch overhead and its own copy of the graph.  The replica runner
+instead executes all ``B`` replicas in *lockstep* on the vector engine's
+array kernels (:class:`~repro.congest.vector_engine.ArrayKernel`, the same
+kernels that run a solo ``engine="vector"`` run as ``B = 1``): per-node
+state is a ``(B, n)`` array, every round is one set of segment reductions
+over the **shared** base CSR arrays, and only the CONGEST identifiers (and
+hence the RNG streams) differ per replica -- exactly what differs between
+the corresponding solo runs, because ``CongestNetwork(graph, id_seed=seed)``
+re-randomises the identifier assignment per seed while the adjacency
+structure is fixed.
 
 Bit-identity contract
 ---------------------
@@ -27,16 +29,21 @@ enforcement and congestion accounting stay per-replica), and its own round
 counter (replicas that converge early simply stop contributing).  The
 hypothesis suite in ``tests/test_replica_batch.py`` locks this down.
 
-When a workload has no batch kernel (or the replicas are structurally
-incompatible), the runner falls back to sequential solo runs -- still
-correct, observable via :class:`BatchFallbackWarning`.
+A batch takes the array path under the vector engine's one eligibility
+rule (:func:`~repro.congest.vector_engine.eligible_kernel`), ambient
+observers included.  Run-level (``vector_compatible``) observers see each
+replica's ``on_run_start`` and ``on_run_end``: all B starts before the
+kernel runs, then the B ends in replica order.  Any other observer, a
+workload without a kernel, or structurally incompatible replicas make the
+runner fall back to sequential solo runs -- still correct, observable via
+:class:`BatchFallbackWarning`.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 try:  # numpy is an optional accelerator, not a hard dependency
     import numpy as np
@@ -45,16 +52,10 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
 
 from repro.congest.engine import resolve_engine
 from repro.congest.network import CongestNetwork
+from repro.congest.observers import RunContext, ambient_observers
 from repro.congest.simulator import LazyEdgeCounts, SimulationResult, Simulator
 from repro.congest.transport import Transport
-from repro.congest.vector_engine import (
-    _SENTINEL,
-    VectorEngine,
-    _class_key,
-    _int_message_bits,
-)
-
-Node = Hashable
+from repro.congest.vector_engine import ArrayKernel, VectorEngine, eligible_kernel
 
 __all__ = ["BatchFallbackWarning", "select_batch_kernel", "simulate_replicas"]
 
@@ -68,477 +69,64 @@ class BatchFallbackWarning(RuntimeWarning):
     """
 
 
-# ------------------------------------------------------------- batched ops
-class _BatchSegmentOps:
-    """Axis-1 variants of the vector engine's masked segment reductions.
-
-    Operands carry a leading replica dimension: ``(B, n)`` node state and
-    ``(B, 2m)`` per-position gathers, reduced per CSR segment with
-    ``reduceat(..., axis=1)`` over the shared row pointers.
-    """
-
-    def __init__(self, arrays) -> None:
-        self.starts = arrays.indptr[:-1]
-        self.nbr = arrays.neighbor_indices
-        self.rows = arrays.rows
-        self.empty = np.asarray(arrays.degrees) == 0
-
-    def _reduce_min(self, per_position: "np.ndarray") -> "np.ndarray":
-        # Pad one sentinel column so trailing empty segments (isolated
-        # nodes) have an in-range start; clamping the starts instead would
-        # silently truncate the last non-empty segment.
-        pad = np.full((per_position.shape[0], 1), _SENTINEL,
-                      dtype=per_position.dtype)
-        padded = np.concatenate([per_position, pad], axis=1)
-        mins = np.minimum.reduceat(padded, self.starts, axis=1)
-        # reduceat yields the next segment's head for empty segments.
-        mins[:, self.empty] = _SENTINEL
-        return mins
-
-    def min_over_active(self, values: "np.ndarray", active: "np.ndarray",
-                        ) -> "np.ndarray":
-        per_position = np.where(active[:, self.nbr], values[:, self.nbr],
-                                _SENTINEL)
-        return self._reduce_min(per_position)
-
-    def min_pair_over_active(self, values: "np.ndarray", ids: "np.ndarray",
-                             active: "np.ndarray",
-                             ) -> tuple["np.ndarray", "np.ndarray"]:
-        nbr_active = active[:, self.nbr]
-        nbr_values = values[:, self.nbr]
-        min_values = self._reduce_min(
-            np.where(nbr_active, nbr_values, _SENTINEL))
-        ties = nbr_active & (nbr_values == min_values[:, self.rows])
-        min_ids = self._reduce_min(
-            np.where(ties, ids[:, self.nbr], _SENTINEL))
-        return min_values, min_ids
-
-    def any_neighbor(self, flags: "np.ndarray") -> "np.ndarray":
-        pad = np.zeros((flags.shape[0], 1), dtype=np.int8)
-        padded = np.concatenate([flags[:, self.nbr].astype(np.int8), pad],
-                                axis=1)
-        counts = np.add.reduceat(padded, self.starts, axis=1)
-        counts[:, self.empty] = 0
-        return counts > 0
-
-
-class _BatchAccountant:
-    """Per-replica traffic accumulation over one shared broadcast round.
-
-    Mirrors the vector engine's ``_Accountant`` with a replica dimension:
-    messages, bits and per-edge counts are ``(B,)`` / ``(B, m)`` and flush
-    into each replica's own transport, so ``SimulationResult`` accounting is
-    per-replica exact.
-    """
-
-    def __init__(self, transports: Sequence[Transport], arrays) -> None:
-        self.transports = transports
-        self.degrees = np.asarray(arrays.degrees)
-        self.edge_u = arrays.edge_u
-        self.edge_v = arrays.edge_v
-        self.nbr = arrays.neighbor_indices
-        self.starts = arrays.indptr[:-1]
-        count = len(transports)
-        self.edge_counts = np.zeros((count, len(arrays.edge_u)),
-                                    dtype=np.int64)
-        self.messages = np.zeros(count, dtype=np.int64)
-        self.bits = np.zeros(count, dtype=np.int64)
-        self.bandwidth = np.array([t.bandwidth_bits for t in transports],
-                                  dtype=np.int64)
-        self.enforce = np.array([t.enforce for t in transports], dtype=bool)
-
-    def broadcast_round(self, senders: "np.ndarray",
-                        payload_bits: "int | np.ndarray") -> None:
-        if not senders.any():
-            return
-        degrees = self.degrees
-        scalar = isinstance(payload_bits, int)
-        if self.enforce.any():
-            # Full duplex + one broadcast per sender per round: every
-            # directed slot carries at most one message, so the budget check
-            # is the per-payload check, per replica.
-            if scalar:
-                too_big = (payload_bits > self.bandwidth)[:, None]
-            else:
-                too_big = payload_bits > self.bandwidth[:, None]
-            offenders = (senders & (degrees[None, :] > 0) & too_big
-                         & self.enforce[:, None])
-            if offenders.any():
-                replica = int(np.argmax(offenders.any(axis=1)))
-                first = int(np.argmax(offenders[replica]))
-                transport = self.transports[replica]
-                bits = int(payload_bits if scalar
-                           else payload_bits[replica, first])
-                raise transport._bandwidth_error(
-                    transport.topology.labels[first],
-                    int(self.nbr[self.starts[first]]), bits, bits)
-        counts = (senders * degrees[None, :]).sum(axis=1)
-        self.messages += counts
-        if scalar:
-            self.bits += counts * payload_bits
-        else:
-            self.bits += (senders * degrees[None, :]
-                          * payload_bits).sum(axis=1)
-        self.edge_counts += (senders[:, self.edge_u].astype(np.int64)
-                             + senders[:, self.edge_v].astype(np.int64))
-
-    def flush(self) -> None:
-        for replica, transport in enumerate(self.transports):
-            transport.absorb_aggregates(int(self.messages[replica]),
-                                        int(self.bits[replica]),
-                                        self.edge_counts[replica].tolist())
-
-
-# ------------------------------------------------------------------ kernels
-class _ReplicaContext:
-    """The per-replica inputs of a batch kernel, decoupled from where they
-    come from: bound :class:`Simulator` instances (the exact path) or
-    directly-constructed arrays and RNG streams (the uniform-factory path,
-    which never builds per-node instances)."""
-
-    __slots__ = ("arrays", "n", "replicas", "ids", "live0", "rngs", "spaces",
-                 "k")
-
-    def __init__(self, arrays, n, replicas, ids, live0, rngs=None,
-                 spaces=None, k=None) -> None:
-        self.arrays = arrays
-        self.n = n
-        self.replicas = replicas
-        self.ids = ids
-        self.live0 = live0
-        self.rngs = rngs
-        self.spaces = spaces
-        self.k = k
-
-
-class _ReplicaKernel:
-    """Lockstep execution of B bound replicas over shared CSR arrays.
-
-    ``run`` executes the rounds and leaves the decision masks in
-    ``self.outcome`` (``(B, n)`` boolean arrays); the caller turns them into
-    per-replica results -- either by writing them back into bound node
-    instances (:meth:`writeback`, the exact path) or by reading the
-    ``in_set`` mask directly (the uniform-factory path).
-    """
-
-    #: Does the protocol draw random payloads (per-node RNG streams)?
-    randomized = True
-
-    def __init__(self, ctx: _ReplicaContext,
-                 transports: Sequence[Transport]) -> None:
-        self.ctx = ctx
-        self.n = ctx.n
-        self.replicas = ctx.replicas
-        self.arrays = ctx.arrays
-        self.segments = _BatchSegmentOps(self.arrays)
-        self.accountant = _BatchAccountant(transports, self.arrays)
-        self.ids = ctx.ids
-        self.live0 = ctx.live0
-        self.outcome: dict[str, "np.ndarray"] = {}
-        if self.randomized:
-            self.rngs = ctx.rngs
-            self.spaces = ctx.spaces
-
-    @classmethod
-    def supports(cls, instance_rows: Sequence[Sequence[object]]) -> bool:
-        """Post-``initialize`` gate (parameter ranges, cross-replica
-        consistency); class match is established by the selector.
-
-        ``instance_rows`` holds one row of initialized node instances per
-        replica: every bound instance on the exact path, a single template
-        instance on the uniform-factory path.
-        """
-        if not cls.randomized:
-            return True
-        for row in instance_rows:
-            space = getattr(row[0], "_priority_space", None)
-            # Drawn payloads must fit the exact-bit-length table (< 2^62),
-            # and the lexicographic pair minimum needs one shared space.
-            if not (isinstance(space, int) and 0 < space <= (1 << 62)):
-                return False
-            if any(getattr(inst, "_priority_space", None) != space
-                   for inst in row):
-                return False
-        return True
-
-    def writeback(self, sims: Sequence[Simulator]) -> None:
-        """Apply ``self.outcome`` to the bound instances (exact path)."""
-        raise NotImplementedError
-
-    def _draw(self, target: "np.ndarray", mask: "np.ndarray") -> None:
-        """Draw into ``target[b, i]`` for ``mask[b, i]``, in index order per
-        replica -- the exact RNG consumption of each solo run."""
-        for replica in range(self.replicas):
-            indices = np.flatnonzero(mask[replica])
-            if len(indices):
-                rngs = self.rngs[replica]
-                space = self.spaces[replica]
-                target[replica, indices] = np.fromiter(
-                    (rngs[i].randrange(space) for i in indices),
-                    dtype=np.int64, count=len(indices))
-
-    def run(self, max_rounds: int) -> "np.ndarray":
-        raise NotImplementedError
-
-
-class _ProposeDecideKernel(_ReplicaKernel):
-    """Period-2 propose/decide structure (Luby MIS, det ruling set).
-
-    Odd rounds broadcast a payload and take the neighborhood minimum; even
-    rounds elect local minima, who alert their neighbors.  The batched loop
-    is the vector engine's ``_LubyProgram`` / ``_DetRulingProgram`` with a
-    replica axis; converged replicas have all-False masks and contribute
-    neither traffic nor RNG draws.
-    """
-
-    def run(self, max_rounds: int) -> "np.ndarray":
-        ids = self.ids
-        id_bits = _int_message_bits(ids)
-        undecided = self.live0.copy()
-        values = np.zeros(undecided.shape, dtype=np.int64)
-        min_v = min_i = None
-        in_set = np.zeros_like(undecided)
-        dominated = np.zeros_like(undecided)
-        rounds = np.zeros(self.replicas, dtype=np.int64)
-
-        for round_number in range(1, max_rounds + 1):
-            replica_active = undecided.any(axis=1)
-            if not replica_active.any():
-                break
-            rounds[replica_active] = round_number
-            if round_number % 2 == 1:
-                if self.randomized:
-                    self._draw(values, undecided)
-                    # (priority, id) tuples: value + id bits + tuple bit.
-                    self.accountant.broadcast_round(
-                        undecided, _int_message_bits(values) + id_bits + 1)
-                    min_v, min_i = self.segments.min_pair_over_active(
-                        values, ids, undecided)
-                else:
-                    self.accountant.broadcast_round(undecided, id_bits)
-                    min_i = self.segments.min_over_active(ids, undecided)
-            else:
-                if self.randomized:
-                    winners = undecided & (
-                        (min_v == _SENTINEL)
-                        | (values < min_v)
-                        | ((values == min_v) & (ids < min_i)))
-                else:
-                    winners = undecided & ((min_i == _SENTINEL)
-                                           | (ids < min_i))
-                self.accountant.broadcast_round(winners, 1)
-                losers = (undecided & ~winners
-                          & self.segments.any_neighbor(winners))
-                in_set |= winners
-                dominated |= losers
-                undecided &= ~(winners | losers)
-        self.accountant.flush()
-        self.outcome = {"in_set": in_set, "dominated": dominated}
-        return rounds
-
-
-class _LubyReplicaKernel(_ProposeDecideKernel):
-    randomized = True
-
-    def writeback(self, sims: Sequence[Simulator]) -> None:
-        in_set = self.outcome["in_set"]
-        dominated = self.outcome["dominated"]
-        for replica, sim in enumerate(sims):
-            instances = sim._instances
-            node_class = type(instances[0])
-            for index in np.flatnonzero(in_set[replica]):
-                instance = instances[index]
-                instance.state = node_class.IN_MIS
-                instance.halt(True)
-            for index in np.flatnonzero(dominated[replica]):
-                instance = instances[index]
-                instance.state = node_class.DOMINATED
-                instance.halt(False)
-
-
-class _DetRulingReplicaKernel(_ProposeDecideKernel):
-    randomized = False
-
-    def writeback(self, sims: Sequence[Simulator]) -> None:
-        in_set = self.outcome["in_set"]
-        dominated = self.outcome["dominated"]
-        for replica, sim in enumerate(sims):
-            instances = sim._instances
-            for index in np.flatnonzero(in_set[replica]):
-                instances[index].halt(True)
-            for index in np.flatnonzero(dominated[replica]):
-                instances[index].halt(False)
-
-
-class _PowerFloodReplicaKernel(_ReplicaKernel):
-    """The ``2k``-sub-round power-graph floods of :mod:`repro.mis.power_sim`
-    with a replica axis: min-flood over ``k`` hops, winner-flag flood over
-    ``k`` hops, relay halting -- per replica, over the shared base CSR."""
-
-    @classmethod
-    def supports(cls, instance_rows: Sequence[Sequence[object]]) -> bool:
-        if not super().supports(instance_rows):
-            return False
-        k = getattr(instance_rows[0][0], "k", None)
-        if not (isinstance(k, int) and k >= 1):
-            return False
-        return all(getattr(inst, "k", None) == k
-                   for row in instance_rows for inst in row)
-
-    def run(self, max_rounds: int) -> "np.ndarray":
-        shape = (self.replicas, self.n)
-        ids = self.ids
-        k = self.ctx.k
-        period = 2 * k
-
-        live = self.live0.copy()
-        undecided = live.copy()
-        in_mis = np.zeros(shape, dtype=bool)
-        dominated = np.zeros(shape, dtype=bool)
-        halted = np.zeros(shape, dtype=bool)
-        pair_v = np.zeros(shape, dtype=np.int64)
-        pair_i = ids.copy()
-        best_v = np.full(shape, _SENTINEL, dtype=np.int64)
-        best_i = np.full(shape, _SENTINEL, dtype=np.int64)
-        heard_any = np.zeros(shape, dtype=bool)
-        heard_flag = np.zeros(shape, dtype=bool)
-        improved = np.zeros(shape, dtype=bool)
-        flag_new = np.zeros(shape, dtype=bool)
-        rounds = np.zeros(self.replicas, dtype=np.int64)
-
-        for round_number in range(1, max_rounds + 1):
-            replica_active = live.any(axis=1)
-            if not replica_active.any():
-                break
-            rounds[replica_active] = round_number
-            sub = (round_number - 1) % period + 1
-            if sub <= k:
-                # ----------------------------------- phase A: min-flood
-                if sub == 1:
-                    heard_any.fill(False)
-                    heard_flag.fill(False)
-                    flag_new.fill(False)
-                    best_v.fill(_SENTINEL)
-                    best_i.fill(_SENTINEL)
-                    senders = undecided
-                    if self.randomized:
-                        self._draw(pair_v, undecided)
-                    best_v[undecided] = pair_v[undecided]
-                    best_i[undecided] = pair_i[undecided]
-                else:
-                    senders = live & improved
-                if self.randomized:
-                    payload_bits = (_int_message_bits(best_v)
-                                    + _int_message_bits(best_i) + 1)
-                else:
-                    payload_bits = _int_message_bits(best_i)
-                self.accountant.broadcast_round(senders, payload_bits)
-                min_v, min_i = self.segments.min_pair_over_active(
-                    best_v, best_i, senders)
-                smaller = live & (
-                    (min_v < best_v)
-                    | ((min_v == best_v) & (min_i < best_i)))
-                best_v = np.where(smaller, min_v, best_v)
-                best_i = np.where(smaller, min_i, best_i)
-                improved = smaller
-                heard_any |= live & self.segments.any_neighbor(senders)
-                if sub == k:
-                    quiet = live & ~undecided & ~heard_any
-                    halted |= quiet
-                    live &= ~quiet
-            else:
-                # ----------------------------- phase B: winner-flag flood
-                if sub == k + 1:
-                    senders = (undecided & (best_v == pair_v)
-                               & (best_i == pair_i))
-                    heard_flag |= senders
-                else:
-                    senders = live & flag_new
-                self.accountant.broadcast_round(senders, 1)
-                incoming = live & self.segments.any_neighbor(senders)
-                flag_new = incoming & ~heard_flag
-                heard_flag |= incoming
-                if sub == period:
-                    winners = (undecided & (best_v == pair_v)
-                               & (best_i == pair_i))
-                    new_dominated = undecided & ~winners & heard_flag
-                    in_mis |= winners
-                    dominated |= new_dominated
-                    undecided &= ~(winners | new_dominated)
-        self.accountant.flush()
-        self.outcome = {"in_set": in_mis, "dominated": dominated,
-                        "halted": halted}
-        return rounds
-
-    def writeback(self, sims: Sequence[Simulator]) -> None:
-        in_mis = self.outcome["in_set"]
-        dominated = self.outcome["dominated"]
-        halted = self.outcome["halted"]
-        for replica, sim in enumerate(sims):
-            instances = sim._instances
-            node_class = type(instances[0])
-            for index in np.flatnonzero(in_mis[replica]):
-                instances[index].state = node_class.IN_MIS
-            for index in np.flatnonzero(dominated[replica]):
-                instances[index].state = node_class.DOMINATED
-            for index in np.flatnonzero(halted[replica]):
-                instances[index].halt(bool(in_mis[replica, index]))
-
-
-class _PowerLubyReplicaKernel(_PowerFloodReplicaKernel):
-    randomized = True
-
-
-class _PowerDetRulingReplicaKernel(_PowerFloodReplicaKernel):
-    randomized = False
-
-
-#: Batch kernels, keyed like the vector programs: exact node class match.
-_KERNELS: dict[str, type[_ReplicaKernel]] = {
-    "repro.mis.luby.LubyMISNode": _LubyReplicaKernel,
-    "repro.ruling.distributed.DetRulingSetNode": _DetRulingReplicaKernel,
-    "repro.mis.power_sim.PowerLubyMISNode": _PowerLubyReplicaKernel,
-    "repro.mis.power_sim.PowerDetRulingNode": _PowerDetRulingReplicaKernel,
-}
-
-
-# ------------------------------------------------------------------- runner
-def select_batch_kernel(sims: Sequence[Simulator],
-                        ) -> type[_ReplicaKernel] | None:
-    """The kernel that would batch ``sims``, or ``None`` (fallback).
-
-    Pre-``initialize`` checks only: numpy present, one exact node class
-    across every replica with a registered kernel, no observers, full
-    duplex, and structurally identical topologies (same graph object, or
-    equal labels + CSR).  Exposed for tests and the benchmark gate.
-    """
-    if np is None or not sims:
-        return None
-    first = sims[0]
-    if not first._instances:
-        return None
-    node_class = type(first._instances[0])
-    kernel_class = _KERNELS.get(_class_key(node_class))
-    if kernel_class is None:
-        return None
-    t0 = first.topology
-    for sim in sims:
-        if sim.observers or sim.half_duplex:
-            return None
-        if any(type(inst) is not node_class for inst in sim._instances):
-            return None
-        topology = sim.topology
-        if topology is t0 or sim.network.graph is first.network.graph:
+def _same_structure(topologies, graphs) -> bool:
+    """Do all replicas share one adjacency structure (same graph object, or
+    equal labels and CSR)?"""
+    t0, first_graph = topologies[0], graphs[0]
+    for topology, graph in zip(topologies, graphs):
+        if topology is t0 or graph is first_graph:
             continue  # same graph -> identical structure by construction
         if (topology.labels != t0.labels
                 or topology.indptr != t0.indptr
                 or topology.neighbor_indices != t0.neighbor_indices):
-            return None
-    return kernel_class
+            return False
+    return True
+
+
+def _start_runs(observer_rows, networks, topologies, transports) -> None:
+    """Each replica's ``on_run_start``, as its solo run would call it."""
+    for observers, network, topology, transport in zip(
+            observer_rows, networks, topologies, transports):
+        if observers:
+            context = RunContext(network=network, topology=topology,
+                                 transport=transport,
+                                 engine=VectorEngine.name)
+            for observer in observers:
+                observer.on_run_start(context)
+
+
+def _end_runs(observer_rows, results: Sequence[SimulationResult]) -> None:
+    for observers, result in zip(observer_rows, results):
+        for observer in observers:
+            observer.on_run_end(result)
+
+
+# ------------------------------------------------------------------- runner
+def select_batch_kernel(sims: Sequence[Simulator],
+                        ) -> type[ArrayKernel] | None:
+    """The kernel that would batch ``sims``, or ``None`` (fallback).
+
+    Pre-``initialize`` checks only: the vector engine's eligibility rule
+    per replica (explicit and ambient observers alike), one kernel across
+    every replica, and structurally identical topologies.  Exposed for
+    tests and the benchmark gate.
+    """
+    if np is None or not sims:
+        return None
+    ambient = ambient_observers()
+    kernels = {eligible_kernel(sim._instances, tuple(sim.observers) + ambient,
+                               half_duplex=sim.half_duplex)
+               for sim in sims}
+    if len(kernels) != 1:
+        return None
+    if not _same_structure([sim.topology for sim in sims],
+                           [sim.network.graph for sim in sims]):
+        return None
+    return kernels.pop()
 
 
 def _run_batched(sims: Sequence[Simulator],
-                 kernel_class: type[_ReplicaKernel],
+                 kernel_class: type[ArrayKernel],
                  max_rounds: int) -> list[SimulationResult] | None:
     """Run the batch kernel; ``None`` if the post-init gate rejects.
 
@@ -550,64 +138,27 @@ def _run_batched(sims: Sequence[Simulator],
     for sim in sims:
         for instance in sim._instances:
             instance.initialize()
-    if not kernel_class.supports([sim._instances for sim in sims]):
+    rows = [sim._instances for sim in sims]
+    if not kernel_class.supports(rows):
         return None
-    topology = sims[0].topology
-    ctx = _ReplicaContext(
-        arrays=topology.numpy_arrays(),
-        n=topology.n,
-        replicas=len(sims),
-        ids=np.array([sim.topology.congest_ids for sim in sims],
-                     dtype=np.int64),
-        live0=np.array([[not inst.halted for inst in sim._instances]
-                        for sim in sims], dtype=bool),
-        k=getattr(sims[0]._instances[0], "k", None),
-    )
-    if kernel_class.randomized:
-        ctx.rngs = [[inst.rng for inst in sim._instances] for sim in sims]
-        ctx.spaces = [sim._instances[0]._priority_space for sim in sims]
+    topologies = [sim.topology for sim in sims]
     transports = [Transport(sim.topology,
                             bandwidth_bits=sim.network.bandwidth_bits,
-                            enforce=sim.enforce_bandwidth,
-                            half_duplex=False, profile_slots=False)
+                            enforce=sim.enforce_bandwidth)
                   for sim in sims]
-    kernel = kernel_class(ctx, transports)
+    ambient = ambient_observers()
+    observer_rows = [tuple(sim.observers) + ambient for sim in sims]
+    _start_runs(observer_rows, [sim.network for sim in sims], topologies,
+                transports)
+    kernel = kernel_class.over_instances(topologies, rows, transports)
     rounds = kernel.run(max_rounds)
-    kernel.writeback(sims)
-
-    results = []
-    for replica, (sim, transport) in enumerate(zip(sims, transports)):
-        for instance in sim._instances:
-            instance.finalize()
-        outputs = {label: instance.output
-                   for label, instance in zip(sim.topology.labels,
-                                              sim._instances)}
-        results.append(SimulationResult(
-            rounds=int(rounds[replica]),
-            total_messages=transport.total_messages,
-            total_bits=transport.total_bits,
-            outputs=outputs,
-            halted=all(instance.halted for instance in sim._instances),
-            edge_message_counts=LazyEdgeCounts(transport),
-            engine=VectorEngine.name,
-            engine_used=VectorEngine.name,
-        ))
+    kernel.writeback()
+    results = [sim._finish(transport, int(rounds[replica]),
+                           VectorEngine.name)
+               for replica, (sim, transport)
+               in enumerate(zip(sims, transports))]
+    _end_runs(observer_rows, results)
     return results
-
-
-def _bind_template(instance, topology, seed: int):
-    """Bind one node instance exactly as ``Simulator._bind`` binds index 0."""
-    congest_id = topology.congest_ids[0]
-    instance.node = topology.labels[0]
-    instance.node_id = congest_id
-    instance.neighbors = topology.neighbor_labels[0]
-    instance._neighbor_ids = None
-    instance._id_binding = (topology, 0)
-    instance.n = topology.n
-    instance._rng = None
-    instance._rng_seed = f"{seed}:{congest_id}"
-    instance._lazy_broadcast = True
-    return instance
 
 
 def _run_batched_uniform(networks: Sequence[CongestNetwork],
@@ -630,76 +181,56 @@ def _run_batched_uniform(networks: Sequence[CongestNetwork],
         return None
     topologies = [network.topology() for network in networks]
     t0 = topologies[0]
-    if t0.n == 0:
+    if t0.n == 0 or not _same_structure(
+            topologies, [network.graph for network in networks]):
         return None
-    first_graph = networks[0].graph
-    for topology, network in zip(topologies, networks):
-        if topology is t0 or network.graph is first_graph:
-            continue  # same graph -> identical structure by construction
-        if (topology.labels != t0.labels
-                or topology.indptr != t0.indptr
-                or topology.neighbor_indices != t0.neighbor_indices):
-            return None
 
     templates = []
     for topology, seed in zip(topologies, seeds):
-        template = _bind_template(
-            Simulator._instantiate(algorithm_factory, topology.labels[0]),
-            topology, seed)
+        template = Simulator._instantiate(algorithm_factory,
+                                          topology.labels[0])
+        Simulator._bind(template, topology, 0, seed)
         template.initialize()
         if template.halted:
             return None  # initialize() halts: outside the uniform contract
         templates.append(template)
-    node_class = type(templates[0])
-    kernel_class = _KERNELS.get(_class_key(node_class))
-    if kernel_class is None:
-        return None
-    if any(type(template) is not node_class for template in templates):
-        return None
-    if not kernel_class.supports([[template] for template in templates]):
+    observers = ambient_observers()
+    kernel_class = eligible_kernel(templates, observers)
+    rows = [[template] for template in templates]
+    if kernel_class is None or not kernel_class.supports(rows):
         return None
 
-    replicas = len(networks)
-    ctx = _ReplicaContext(
-        arrays=t0.numpy_arrays(),
-        n=t0.n,
-        replicas=replicas,
-        ids=np.array([topology.congest_ids for topology in topologies],
-                     dtype=np.int64),
-        live0=np.ones((replicas, t0.n), dtype=bool),
-        k=getattr(templates[0], "k", None),
-    )
-    if kernel_class.randomized:
-        ctx.rngs = [[random.Random(f"{seed}:{congest_id}")
-                     for congest_id in topology.congest_ids]
-                    for seed, topology in zip(seeds, topologies)]
-        ctx.spaces = [template._priority_space for template in templates]
     transports = [Transport(topology,
                             bandwidth_bits=network.bandwidth_bits,
-                            enforce=enforce_bandwidth,
-                            half_duplex=False, profile_slots=False)
+                            enforce=enforce_bandwidth)
                   for topology, network in zip(topologies, networks)]
-    kernel = kernel_class(ctx, transports)
+    observer_rows = [observers] * len(networks)
+    _start_runs(observer_rows, networks, topologies, transports)
+    rngs = ([[random.Random(f"{seed}:{congest_id}")
+              for congest_id in topology.congest_ids]
+             for seed, topology in zip(seeds, topologies)]
+            if kernel_class.randomized else None)
+    kernel = kernel_class(topologies, rows, transports,
+                          np.ones((len(networks), t0.n), dtype=bool), rngs)
     rounds = kernel.run(max_rounds)
 
-    # All registered node classes settle every node in finalize() with
-    # output ``state == IN_MIS``, so the result is fully determined by the
-    # kernel's membership mask (the contract the exact path's writeback +
-    # finalize envelope arrives at instance by instance).
+    # Every kernel's node class settles each node in finalize() with output
+    # ``in the set``, so the result is fully determined by the kernel's
+    # membership mask (the contract the exact path's writeback + finalize
+    # envelope arrives at instance by instance).
     in_set = kernel.outcome["in_set"]
     labels = t0.labels
-    results = []
-    for replica, transport in enumerate(transports):
-        results.append(SimulationResult(
-            rounds=int(rounds[replica]),
-            total_messages=transport.total_messages,
-            total_bits=transport.total_bits,
-            outputs=dict(zip(labels, in_set[replica].tolist())),
-            halted=True,
-            edge_message_counts=LazyEdgeCounts(transport),
-            engine=VectorEngine.name,
-            engine_used=VectorEngine.name,
-        ))
+    results = [SimulationResult(
+                   rounds=int(rounds[replica]),
+                   total_messages=transport.total_messages,
+                   total_bits=transport.total_bits,
+                   outputs=dict(zip(labels, in_set[replica].tolist())),
+                   halted=True,
+                   edge_message_counts=LazyEdgeCounts(transport),
+                   engine=VectorEngine.name,
+                   engine_used=VectorEngine.name)
+               for replica, transport in enumerate(transports)]
+    _end_runs(observer_rows, results)
     return results
 
 
@@ -715,14 +246,14 @@ def simulate_replicas(graph, algorithm_factory, seeds: Sequence[int], *,
     ``network_factory(s)`` (default ``CongestNetwork(graph, id_seed=s)``)
     with ``Simulator(..., seed=s, engine=engine)``: the seed re-randomises
     both the identifier assignment and the per-node RNG streams, as the
-    solve adapters do.  When ``engine="vector"`` and a batch kernel covers
+    solve adapters do.  When ``engine="vector"`` and an array kernel covers
     the algorithm, all replicas execute in lockstep as one ``(B, n)`` array
     program over the shared CSR; otherwise the runner warns
     (:class:`BatchFallbackWarning`) and runs the replicas sequentially.
 
     ``uniform_factory=True`` asserts that ``algorithm_factory`` ignores the
     node label (and that ``initialize`` depends only on the class,
-    parameters and ``n`` -- true for every registered kernel class).  The
+    parameters and ``n`` -- true for every kernel's node class).  The
     batch then skips building the ``B * n`` node instances and verifies the
     factory against one template instance per replica instead; outputs stay
     bit-identical.  By default (``False``) every instance is built and
@@ -762,6 +293,6 @@ def simulate_replicas(graph, algorithm_factory, seeds: Sequence[int], *,
                       if sims[0]._instances else "(no instances)")
         warnings.warn(
             f"replica batch fell back to sequential runs for {node_class} "
-            f"(no batch kernel applies; results are bit-identical, "
+            f"(no array kernel applies; results are bit-identical, "
             f"performance is not)", BatchFallbackWarning, stacklevel=2)
     return [sim.run(max_rounds) for sim in sims]

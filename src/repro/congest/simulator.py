@@ -171,7 +171,7 @@ class Simulator:
         self._instances: list[NodeAlgorithm] = []
         for index, label in enumerate(self.topology.labels):
             instance = self._instantiate(algorithm_factory, label)
-            self._bind(instance, index)
+            self._bind(instance, self.topology, index, seed)
             self._instances.append(instance)
         #: Backward-compatible ``label -> instance`` view (iteration order is
         #: the network's node order, as in the legacy simulator).
@@ -189,8 +189,8 @@ class Simulator:
             raise TypeError("algorithm_factory must produce NodeAlgorithm instances")
         return instance
 
-    def _bind(self, instance: NodeAlgorithm, index: int) -> None:
-        topology = self.topology
+    @staticmethod
+    def _bind(instance: NodeAlgorithm, topology, index: int, seed: int) -> None:
         congest_id = topology.congest_ids[index]
         instance.node = topology.labels[index]
         instance.node_id = congest_id
@@ -203,7 +203,7 @@ class Simulator:
         instance._id_binding = (topology, index)
         instance.n = topology.n
         instance._rng = None
-        instance._rng_seed = f"{self.seed}:{congest_id}"
+        instance._rng_seed = f"{seed}:{congest_id}"
         instance._lazy_broadcast = True
 
     # ----------------------------------------------------------------- run
@@ -237,24 +237,28 @@ class Simulator:
         runtime = Runtime(topology=topology, transport=transport,
                           instances=instances, observers=observers)
         rounds = self.engine.run(runtime, max_rounds)
-
-        for instance in instances:
-            instance.finalize()
-
-        outputs = {label: instance.output
-                   for label, instance in zip(topology.labels, instances)}
-        halted = all(instance.halted for instance in instances)
-        result = SimulationResult(
-            rounds=rounds,
-            total_messages=transport.total_messages,
-            total_bits=transport.total_bits,
-            outputs=outputs,
-            halted=halted,
-            edge_message_counts=LazyEdgeCounts(transport),
-            engine=self.engine.name,
-            engine_used=getattr(self.engine, "last_engine_used",
-                                self.engine.name),
-        )
+        result = self._finish(transport, rounds,
+                              getattr(self.engine, "last_engine_used",
+                                      self.engine.name))
         for observer in observers:
             observer.on_run_end(result)
         return result
+
+    def _finish(self, transport: Transport, rounds: int,
+                engine_used: str) -> SimulationResult:
+        """Finalize the instances and collect the run's result."""
+        instances = self._instances
+        for instance in instances:
+            instance.finalize()
+        return SimulationResult(
+            rounds=rounds,
+            total_messages=transport.total_messages,
+            total_bits=transport.total_bits,
+            outputs={label: instance.output
+                     for label, instance in zip(self.topology.labels,
+                                                instances)},
+            halted=all(instance.halted for instance in instances),
+            edge_message_counts=LazyEdgeCounts(transport),
+            engine=self.engine.name,
+            engine_used=engine_used,
+        )

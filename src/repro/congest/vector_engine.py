@@ -1,4 +1,4 @@
-"""The vectorized array engine: batched numpy rounds over the CSR topology.
+"""The vectorized array engine: lockstep numpy rounds over the CSR topology.
 
 :class:`VectorEngine` is the third round engine of the runtime (after
 :class:`~repro.congest.engine.SyncEngine` and
@@ -10,6 +10,22 @@ per-round neighbor aggregation is a masked segment reduction
 (``np.minimum.reduceat`` over the CSR row pointers) and message accounting
 is a vectorized scatter over the canonical edge indices.
 
+One kernel family
+-----------------
+Every supported node class has exactly one :class:`ArrayKernel`, and every
+kernel runs ``B`` replicas of its protocol in lockstep: per-node state is a
+``(B, n)`` array with a leading replica axis, every round is one set of
+segment reductions along axis 1 over the **shared** base CSR, and each
+replica keeps its own CONGEST identifiers, RNG streams and
+:class:`~repro.congest.transport.Transport`.  A solo run is a batch of one:
+:meth:`VectorEngine.run` executes the kernel with ``B = 1`` over
+``runtime.instances`` and ``runtime.transport``, and
+:func:`repro.congest.batch.simulate_replicas` executes it over ``B`` seeds.
+Shipping kernels, keyed by exact node class (a subclass may override
+``send``/``receive``, so it never inherits a kernel): ``LubyMISNode``,
+``BeepingMISNode``, ``DetRulingSetNode``, ``PowerLubyMISNode`` and
+``PowerDetRulingNode``.
+
 Equivalence contract
 --------------------
 The vector engine is an *optimisation*, never a semantic fork: for every
@@ -17,28 +33,29 @@ supported algorithm it produces bit-for-bit the outputs, round counts,
 total message/bit counts and per-edge congestion of :class:`SyncEngine` for
 the same seed.  Randomness is drawn from the very same per-node
 ``random.Random`` streams the scalar engines use (one draw per undecided
-node per step, in the same rounds), so even the RNG consumption is
-identical -- a report produced under ``engine="vector"`` replays exactly on
-``engine="sync"``.  The differential matrix in
-``tests/test_engine_equivalence.py`` and the hypothesis suite in
-``tests/test_engine_fuzz.py`` lock this down.
+node per step, in the same rounds, in node-index order per replica), so
+even the RNG consumption is identical -- a report produced under
+``engine="vector"`` replays exactly on ``engine="sync"``.  The differential
+matrix in ``tests/test_engine_equivalence.py``, the hypothesis suite in
+``tests/test_engine_fuzz.py`` and the replica suite in
+``tests/test_replica_batch.py`` lock this down.
 
 When vectorization applies
 --------------------------
-A run takes the vector path only when *all* of the following hold; anything
-else silently falls back to the (bit-identical) :class:`SyncEngine`, so
+One eligibility rule (:func:`eligible_kernel`) serves solo runs and replica
+batches alike.  A run takes the array path only when *all* of these hold;
+anything else falls back to the (bit-identical) scalar path, so
 ``engine="vector"`` is always safe to request:
 
 * numpy is importable;
-* every node runs exactly the same :class:`~repro.congest.node.
-  NodeAlgorithm` class, and that class has a registered
-  :class:`VectorProgram` (shipping programs: ``LubyMISNode``,
-  ``BeepingMISNode``, ``DetRulingSetNode``, ``PowerLubyMISNode``,
-  ``PowerDetRulingNode``);
-* no observers are attached and the transport is not instrumented
-  (``profile_slots``): per-message hooks are inherently scalar;
+* every node runs exactly the same node class, and that class has a kernel;
+* every observer, explicit or ambient, is ``vector_compatible`` (run-level
+  hooks only; round and message hooks are inherently scalar) and the
+  transport is not instrumented (``profile_slots``);
 * the transport is full-duplex (the standard CONGEST convention; the
-  half-duplex shared budget needs per-slot accounting).
+  half-duplex shared budget needs per-slot accounting);
+* the kernel's post-``initialize`` gate (:meth:`ArrayKernel.supports`:
+  parameter ranges, cross-node consistency) accepts the instances.
 
 Traffic accounting flows through
 :meth:`~repro.congest.transport.Transport.absorb_aggregates`, so the
@@ -46,19 +63,12 @@ transport layer remains the single source of truth for
 ``total_messages`` / ``total_bits`` / per-edge congestion and everything
 downstream (``SimulationResult``, ``edge_counts_by_label``, ``cost``
 analyses) keeps working unchanged.
-
-Adding a program
-----------------
-Subclass :class:`VectorProgram`, implement ``run``, and register it with
-:func:`register_vector_program` under the *exact* node class (subclasses
-intentionally do not inherit a program: they may override ``send`` /
-``receive``).
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 try:  # numpy is an optional accelerator, not a hard dependency
     import numpy as np
@@ -73,10 +83,11 @@ from repro.congest.engine import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.congest.topology import TopologySnapshot
     from repro.congest.transport import Transport
 
-__all__ = ["VectorEngine", "VectorFallbackWarning", "VectorProgram",
-           "register_vector_program"]
+__all__ = ["ArrayKernel", "VectorEngine", "VectorFallbackWarning",
+           "eligible_kernel"]
 
 
 class VectorFallbackWarning(RuntimeWarning):
@@ -92,22 +103,6 @@ class VectorFallbackWarning(RuntimeWarning):
 
 #: Sentinel for "no active neighbor" in segment minima (int64 max).
 _SENTINEL = (1 << 63) - 1
-
-#: Registered vector programs, keyed by the node class's dotted name (exact
-#: class match -- subclasses must register their own program).
-_PROGRAMS: dict[str, type["VectorProgram"]] = {}
-
-
-def _class_key(node_class: type) -> str:
-    return f"{node_class.__module__}.{node_class.__qualname__}"
-
-
-def register_vector_program(node_class: type,
-                            program_class: type["VectorProgram"],
-                            ) -> type["VectorProgram"]:
-    """Register ``program_class`` as the vector execution of ``node_class``."""
-    _PROGRAMS[_class_key(node_class)] = program_class
-    return program_class
 
 
 # --------------------------------------------------------------- primitives
@@ -130,43 +125,54 @@ def _int_message_bits(values: "np.ndarray") -> "np.ndarray":
 
 
 class _SegmentOps:
-    """Masked neighbor aggregations over the CSR arrays of one topology.
+    """Masked neighbor aggregations of ``(B, n)`` operands over one CSR.
 
     The per-position gather/mask work happens inside two persistent padded
-    buffers (one int64, one bool; last slot holds the segment-pad identity)
-    so a reduction's transient footprint is O(1) buffers rather than a
-    fresh ``2m``-slot array per expression -- at power scale the round
-    loop's peak allocation is gated below a materialized ``G^k`` CSR.
+    buffers of shape ``(B, 2m + 1)`` (one int64, one bool; the last column
+    holds the segment-pad identity), so a reduction allocates no fresh
+    ``2m``-slot gather per call -- at power scale the round loop's peak
+    allocation is gated below a materialized ``G^k`` CSR.  The pad column
+    also gives every row start, including those of trailing isolated nodes,
+    an in-range position, so no start needs clamping (clamping would
+    truncate the last non-empty segment).
     """
 
-    def __init__(self, arrays) -> None:
+    def __init__(self, arrays, replicas: int) -> None:
         self.starts = arrays.indptr[:-1]
         self.nbr = arrays.neighbor_indices
         self.rows = arrays.rows
         self.empty = arrays.degrees == 0
-        self._vals = np.full(len(self.nbr) + 1, _SENTINEL, dtype=np.int64)
-        self._flags = np.zeros(len(self.nbr) + 1, dtype=bool)
+        width = len(self.nbr) + 1
+        self._vals = np.full((replicas, width), _SENTINEL, dtype=np.int64)
+        self._flags = np.zeros((replicas, width), dtype=bool)
+
+    def _gather(self, values: "np.ndarray", buffer: "np.ndarray",
+                ) -> "np.ndarray":
+        """Fill ``buffer[b, p]`` with ``values[b, nbr[p]]``; returns the
+        per-position view (buffer-owned, pad column excluded).
+
+        One contiguous row at a time, with ``mode="clip"``, keeps the take
+        truly in-place: a strided ``out`` or the default ``"raise"`` mode
+        would buffer through a fresh ``2m``-slot temporary, which is
+        exactly the allocation the persistent buffer exists to avoid (CSR
+        indices are in-range by construction).
+        """
+        for row, target in zip(values, buffer):
+            np.take(row, self.nbr, out=target[:-1], mode="clip")
+        return buffer[:, :-1]
 
     def _reduce_min(self) -> "np.ndarray":
         """Min per CSR segment of the padded value buffer."""
-        mins = np.minimum.reduceat(self._vals, self.starts)
+        mins = np.minimum.reduceat(self._vals, self.starts, axis=1)
         # reduceat yields the *next* segment's head for empty segments;
         # degree-0 rows have no neighbors by definition.
-        mins[self.empty] = _SENTINEL
+        mins[:, self.empty] = _SENTINEL
         return mins
 
     def _gather_masked(self, values: "np.ndarray", keep: "np.ndarray",
                        ) -> "np.ndarray":
-        """Fill the value buffer with ``values[nbr]`` where ``keep``, else
-        sentinel; returns the per-position view (buffer-owned).
-
-        ``mode="clip"`` keeps the take truly in-place: the default
-        ``"raise"`` mode buffers through a fresh ``2m``-slot temporary to
-        support rollback, which is exactly the allocation the persistent
-        buffer exists to avoid (CSR indices are in-range by construction).
-        """
-        per_position = self._vals[:-1]
-        np.take(values, self.nbr, out=per_position, mode="clip")
+        """Gather ``values`` where ``keep``, else sentinel."""
+        per_position = self._gather(values, self._vals)
         np.copyto(per_position, _SENTINEL, where=~keep)
         return per_position
 
@@ -174,7 +180,7 @@ class _SegmentOps:
                         ) -> "np.ndarray":
         """Per-node min of ``values[v]`` over active neighbors ``v`` (else
         sentinel)."""
-        self._gather_masked(values, active[self.nbr])
+        self._gather_masked(values, active[:, self.nbr])
         return self._reduce_min()
 
     def min_pair_over_active(self, values: "np.ndarray", ids: "np.ndarray",
@@ -182,7 +188,7 @@ class _SegmentOps:
                              ) -> tuple["np.ndarray", "np.ndarray"]:
         """Lexicographic per-node min of ``(values[v], ids[v])`` over active
         neighbors: the exact semantics of ``min()`` over a tuple inbox."""
-        nbr_active = active[self.nbr]
+        nbr_active = active[:, self.nbr]
         per_position = self._gather_masked(values, nbr_active)
         min_values = self._reduce_min()
         # Masked positions hold the sentinel, which only matches
@@ -190,42 +196,46 @@ class _SegmentOps:
         # nbr_active conjunction excludes exactly those positions, so the
         # tie set equals the unmasked ``values[nbr] == min`` one.
         ties = nbr_active
-        ties &= per_position == min_values[self.rows]
+        ties &= per_position == min_values[:, self.rows]
         self._gather_masked(ids, ties)
         return min_values, self._reduce_min()
 
     def any_neighbor(self, flags: "np.ndarray") -> "np.ndarray":
         """Per-node: does any neighbor have ``flags[v]`` set?"""
-        np.take(flags, self.nbr, out=self._flags[:-1], mode="clip")
-        hits = np.logical_or.reduceat(self._flags, self.starts)
-        hits[self.empty] = False
+        self._gather(flags, self._flags)
+        hits = np.logical_or.reduceat(self._flags, self.starts, axis=1)
+        hits[:, self.empty] = False
         return hits
 
 
 class _Accountant:
-    """Accumulates broadcast-round traffic; flushes into the transport.
+    """Per-replica broadcast-round traffic; flushes into each transport.
 
     Mirrors exactly what the scalar transport would count for a round in
-    which every node in ``senders`` broadcasts one payload to all its
-    neighbors: ``deg(u)`` messages of ``payload_bits(u)`` each, one message
-    per incident edge.  In full-duplex mode every directed slot carries at
-    most that single message, so the aggregate bandwidth check reduces to
-    the per-payload check -- raised through the transport's own error
-    factory so the failure mode is the scalar one.
+    which every node in ``senders[b]`` broadcasts one payload to all its
+    neighbors: ``deg(u)`` messages of ``payload_bits[b, u]`` each, one
+    message per incident edge.  In full-duplex mode every directed slot
+    carries at most that single message, so the aggregate bandwidth check
+    reduces to the per-payload check -- raised through the replica's own
+    transport error factory so the failure mode is the scalar one.
     """
 
-    def __init__(self, transport: "Transport", arrays) -> None:
-        self.transport = transport
-        self.topology = transport.topology
+    def __init__(self, transports: Sequence["Transport"], arrays) -> None:
+        self.transports = transports
         self.degrees = arrays.degrees
         self.edge_u = arrays.edge_u
         self.edge_v = arrays.edge_v
         self.nbr = arrays.neighbor_indices
         self.starts = arrays.indptr[:-1]
+        replicas = len(transports)
         # int32 halves the footprint; counts are bounded by the round limit.
-        self.edge_counts = np.zeros(len(arrays.edge_u), dtype=np.int32)
-        self.messages = 0
-        self.bits = 0
+        self.edge_counts = np.zeros((replicas, len(arrays.edge_u)),
+                                    dtype=np.int32)
+        self.messages = np.zeros(replicas, dtype=np.int64)
+        self.bits = np.zeros(replicas, dtype=np.int64)
+        self.bandwidth = np.array([t.bandwidth_bits for t in transports],
+                                  dtype=np.int64)
+        self.enforce = np.array([t.enforce for t in transports], dtype=bool)
 
     def broadcast_round(self, senders: "np.ndarray",
                         payload_bits: "int | np.ndarray") -> None:
@@ -233,154 +243,251 @@ class _Accountant:
             return
         degrees = self.degrees
         scalar = isinstance(payload_bits, int)
-        if self.transport.enforce:
-            # Full duplex + one broadcast per sender per round means every
-            # directed slot carries exactly one message, so the aggregate
-            # budget check is the per-payload check (only actual deposits
-            # count: a sender without neighbors deposits nothing).
-            too_big = (payload_bits > self.transport.bandwidth_bits)
-            offenders = senders & (degrees > 0) & too_big
+        if self.enforce.any():
+            # One broadcast per sender per round: the budget check is the
+            # per-payload check (only actual deposits count: a sender
+            # without neighbors deposits nothing).
+            if scalar:
+                too_big = (payload_bits > self.bandwidth)[:, None]
+            else:
+                too_big = payload_bits > self.bandwidth[:, None]
+            offenders = (senders & (degrees > 0) & too_big
+                         & self.enforce[:, None])
             if offenders.any():
-                first = int(np.argmax(offenders))
-                bits = int(payload_bits if scalar else payload_bits[first])
-                raise self.transport._bandwidth_error(
-                    self.topology.labels[first],
+                replica = int(np.argmax(offenders.any(axis=1)))
+                first = int(np.argmax(offenders[replica]))
+                transport = self.transports[replica]
+                bits = int(payload_bits if scalar
+                           else payload_bits[replica, first])
+                raise transport._bandwidth_error(
+                    transport.topology.labels[first],
                     int(self.nbr[self.starts[first]]), bits, bits)
-        message_count = int(degrees[senders].sum())
-        self.messages += message_count
+        sent = senders * degrees
+        counts = sent.sum(axis=1)
+        self.messages += counts
         if scalar:
-            self.bits += message_count * payload_bits
+            self.bits += counts * payload_bits
         else:
-            self.bits += int((degrees[senders] * payload_bits[senders]).sum())
-        self.edge_counts += senders[self.edge_u]
-        self.edge_counts += senders[self.edge_v]
+            self.bits += (sent * payload_bits).sum(axis=1)
+        self.edge_counts += senders[:, self.edge_u]
+        self.edge_counts += senders[:, self.edge_v]
 
     def flush(self) -> None:
-        self.transport.absorb_aggregates(self.messages, self.bits,
-                                         self.edge_counts)
+        for replica, transport in enumerate(self.transports):
+            transport.absorb_aggregates(int(self.messages[replica]),
+                                        int(self.bits[replica]),
+                                        self.edge_counts[replica].tolist())
 
 
-# ----------------------------------------------------------------- programs
-class VectorProgram:
-    """Vector execution of one node-algorithm class over one runtime."""
+# ------------------------------------------------------------------ kernels
+class ArrayKernel:
+    """Lockstep execution of one node class over ``B`` replicas of one CSR.
 
-    def __init__(self, runtime: Runtime) -> None:
-        self.runtime = runtime
-        self.topology = runtime.topology
-        self.transport = runtime.transport
-        self.instances = runtime.instances
-        self.arrays = self.topology.numpy_arrays()
-        self.segments = _SegmentOps(self.arrays)
-        self.accountant = _Accountant(runtime.transport, self.arrays)
-        self.live = np.array([not inst.halted for inst in self.instances],
-                             dtype=bool)
+    ``rows[b]`` holds replica ``b``'s initialized node instances: every
+    bound instance (a solo run is ``B = 1``), or one template instance when
+    the replicas' factory is node-uniform (the kernel then reads parameters
+    from the template and never writes back).  ``run`` executes the rounds,
+    flushes each replica's traffic into its transport, leaves the decision
+    masks in :attr:`outcome` and returns the per-replica round counts;
+    :meth:`writeback` applies the outcome to the instances.  A converged
+    replica's masks are all False, so it contributes neither traffic nor
+    RNG draws.
+    """
+
+    #: Does the protocol draw from the per-node RNG streams?
+    randomized = True
+
+    def __init__(self, topologies: Sequence["TopologySnapshot"],
+                 rows: Sequence[Sequence[object]],
+                 transports: Sequence["Transport"], live: "np.ndarray",
+                 rngs=None) -> None:
+        arrays = topologies[0].numpy_arrays()
+        self.rows = rows
+        self.live0 = live
+        self.replicas, self.n = live.shape
+        self.ids = np.stack([t.numpy_arrays().congest_ids
+                             for t in topologies])
+        self.rngs = rngs
+        self.spaces = [getattr(row[0], "_priority_space", None)
+                       for row in rows]
+        self.segments = _SegmentOps(arrays, self.replicas)
+        self.accountant = _Accountant(transports, arrays)
+        self.outcome: dict[str, "np.ndarray"] = {}
 
     @classmethod
-    def supports(cls, runtime: Runtime) -> bool:
-        """Instance-level gate (sizes, parameter ranges); class match is
-        already established by the engine."""
+    def over_instances(cls, topologies: Sequence["TopologySnapshot"],
+                       rows: Sequence[Sequence[object]],
+                       transports: Sequence["Transport"]) -> "ArrayKernel":
+        """The kernel over bound, initialized instances (one row per
+        replica), drawing from their own RNG streams."""
+        live = np.array([[not inst.halted for inst in row] for row in rows],
+                        dtype=bool)
+        rngs = ([[inst.rng for inst in row] for row in rows]
+                if cls.randomized else None)
+        return cls(topologies, rows, transports, live, rngs)
+
+    @classmethod
+    def supports(cls, rows: Sequence[Sequence[object]]) -> bool:
+        """Post-``initialize`` gate (parameter ranges, cross-node and
+        cross-replica consistency); the class match is the eligibility
+        rule's."""
+        if not cls.randomized:
+            return True
+        for row in rows:
+            space = getattr(row[0], "_priority_space", None)
+            # Drawn priorities must fit the exact-bit-length table
+            # (< 2^62), and the lexicographic pair minimum needs one shared
+            # space (it is n^3 everywhere).
+            if not (isinstance(space, int) and 0 < space <= (1 << 62)):
+                return False
+            if any(getattr(inst, "_priority_space", None) != space
+                   for inst in row):
+                return False
         return True
 
-    def run(self, max_rounds: int) -> int:
+    def _draw(self, target: "np.ndarray", mask: "np.ndarray") -> None:
+        """Draw into ``target[b, i]`` for ``mask[b, i]``, in index order per
+        replica -- the exact RNG consumption of each scalar run: a priority
+        ``randrange(space)``, or a ``random()`` coin for a class without a
+        priority space."""
+        for replica, rngs in enumerate(self.rngs):
+            indices = np.flatnonzero(mask[replica])
+            if not len(indices):
+                continue
+            space = self.spaces[replica]
+            if space is None:
+                draws = (rngs[i].random() for i in indices)
+            else:
+                draws = (rngs[i].randrange(space) for i in indices)
+            target[replica, indices] = np.fromiter(
+                draws, dtype=target.dtype, count=len(indices))
+
+    def run(self, max_rounds: int) -> "np.ndarray":
         raise NotImplementedError
 
-    # ----------------------------------------------------------- writeback
-    @staticmethod
-    def _halt(instance, output) -> None:
-        instance.halt(output)
+    def writeback(self) -> None:
+        raise NotImplementedError
 
 
-class _LubyProgram(VectorProgram):
-    """Batched Luby MIS: priorities drawn from the per-node RNG streams."""
+class _ProposeDecideKernel(ArrayKernel):
+    """Period-2 propose/decide structure (Luby MIS, det ruling set).
 
-    @classmethod
-    def supports(cls, runtime: Runtime) -> bool:
-        space = getattr(runtime.instances[0], "_priority_space", None)
-        # Drawn priorities must fit the exact-bit-length table (< 2^62).
-        return isinstance(space, int) and 0 < space <= (1 << 62)
+    Odd rounds broadcast a payload -- a ``(priority, id)`` pair, or the bare
+    ID -- and take the neighborhood minimum; even rounds elect local
+    minima, who alert their neighbors.
+    """
 
-    def run(self, max_rounds: int) -> int:
-        instances = self.instances
-        node_class = type(instances[0])
-        arrays = self.arrays
-        ids = arrays.congest_ids
+    def run(self, max_rounds: int) -> "np.ndarray":
+        ids = self.ids
         id_bits = _int_message_bits(ids)
-        rngs = [inst.rng for inst in instances]
-        space = instances[0]._priority_space
-        undecided = self.live.copy()
-        values = np.zeros(len(instances), dtype=np.int64)
-        min_values = min_ids = None
-        in_mis = np.zeros_like(undecided)
+        undecided = self.live0.copy()
+        values = np.zeros(undecided.shape, dtype=np.int64)
+        min_v = min_i = None
+        in_set = np.zeros_like(undecided)
         dominated = np.zeros_like(undecided)
+        rounds = np.zeros(self.replicas, dtype=np.int64)
 
-        rounds = 0
         for round_number in range(1, max_rounds + 1):
-            if not undecided.any():
+            replica_active = undecided.any(axis=1)
+            if not replica_active.any():
                 break
-            rounds = round_number
+            rounds[replica_active] = round_number
             if round_number % 2 == 1:
-                active_idx = np.flatnonzero(undecided)
-                values[active_idx] = np.fromiter(
-                    (rngs[i].randrange(space) for i in active_idx),
-                    dtype=np.int64, count=len(active_idx))
-                # (priority, id) tuples: value bits + id bits + tuple bit.
-                self.accountant.broadcast_round(
-                    undecided, _int_message_bits(values) + id_bits + 1)
-                min_values, min_ids = self.segments.min_pair_over_active(
-                    values, ids, undecided)
+                if self.randomized:
+                    self._draw(values, undecided)
+                    # (priority, id) tuples: value + id bits + tuple bit.
+                    self.accountant.broadcast_round(
+                        undecided, _int_message_bits(values) + id_bits + 1)
+                    min_v, min_i = self.segments.min_pair_over_active(
+                        values, ids, undecided)
+                else:
+                    self.accountant.broadcast_round(undecided, id_bits)
+                    min_i = self.segments.min_over_active(ids, undecided)
             else:
-                winners = undecided & (
-                    (min_values == _SENTINEL)
-                    | (values < min_values)
-                    | ((values == min_values) & (ids < min_ids)))
+                if self.randomized:
+                    winners = undecided & (
+                        (min_v == _SENTINEL)
+                        | (values < min_v)
+                        | ((values == min_v) & (ids < min_i)))
+                else:
+                    winners = undecided & ((min_i == _SENTINEL)
+                                           | (ids < min_i))
                 self.accountant.broadcast_round(winners, 1)
                 losers = (undecided & ~winners
                           & self.segments.any_neighbor(winners))
-                in_mis |= winners
+                in_set |= winners
                 dominated |= losers
                 undecided &= ~(winners | losers)
         self.accountant.flush()
-
-        for index in np.flatnonzero(in_mis):
-            instance = instances[index]
-            instance.state = node_class.IN_MIS
-            self._halt(instance, True)
-        for index in np.flatnonzero(dominated):
-            instance = instances[index]
-            instance.state = node_class.DOMINATED
-            self._halt(instance, False)
+        self.outcome = {"in_set": in_set, "dominated": dominated}
         return rounds
 
 
-class _BeepingProgram(VectorProgram):
-    """Batched BeepingMIS: 1-bit beeps, exponential probability updates."""
+class _LubyKernel(_ProposeDecideKernel):
+    """Luby MIS: priorities drawn from the per-node RNG streams."""
 
-    def run(self, max_rounds: int) -> int:
-        instances = self.instances
-        n = len(instances)
-        rngs = [inst.rng for inst in instances]
-        active = self.live.copy()
-        probability = np.array([inst.probability for inst in instances],
-                               dtype=np.float64)
-        timeout_round = np.array([2 * inst.max_steps for inst in instances],
-                                 dtype=np.int64)
-        marked = np.zeros(n, dtype=bool)
-        heard_mark = np.zeros(n, dtype=bool)
-        in_mis = np.zeros(n, dtype=bool)
-        dominated = np.zeros(n, dtype=bool)
-        timed_out = np.zeros(n, dtype=bool)
+    randomized = True
 
-        rounds = 0
+    def writeback(self) -> None:
+        for replica, instances in enumerate(self.rows):
+            node_class = type(instances[0])
+            for index in np.flatnonzero(self.outcome["in_set"][replica]):
+                instance = instances[index]
+                instance.state = node_class.IN_MIS
+                instance.halt(True)
+            for index in np.flatnonzero(self.outcome["dominated"][replica]):
+                instance = instances[index]
+                instance.state = node_class.DOMINATED
+                instance.halt(False)
+
+
+class _DetRulingKernel(_ProposeDecideKernel):
+    """Deterministic greedy MIS by iterated ID minima."""
+
+    randomized = False
+
+    def writeback(self) -> None:
+        for replica, instances in enumerate(self.rows):
+            for index in np.flatnonzero(self.outcome["in_set"][replica]):
+                instances[index].halt(True)
+            for index in np.flatnonzero(self.outcome["dominated"][replica]):
+                instances[index].halt(False)
+
+
+class _BeepingKernel(ArrayKernel):
+    """BeepingMIS: 1-bit beeps, exponential probability updates."""
+
+    @classmethod
+    def supports(cls, rows: Sequence[Sequence[object]]) -> bool:
+        return True  # per-node probabilities and budgets are arrays
+
+    def _per_node(self, attribute: str, dtype) -> "np.ndarray":
+        """``(B, n)`` array of an instance attribute (a template row
+        broadcasts across its replica)."""
+        values = np.array([[getattr(inst, attribute) for inst in row]
+                           for row in self.rows], dtype=dtype)
+        return np.broadcast_to(values, self.live0.shape).copy()
+
+    def run(self, max_rounds: int) -> "np.ndarray":
+        active = self.live0.copy()
+        probability = self._per_node("probability", np.float64)
+        timeout_round = 2 * self._per_node("max_steps", np.int64)
+        coins = np.zeros(active.shape, dtype=np.float64)
+        marked = np.zeros_like(active)
+        heard_mark = np.zeros_like(active)
+        in_mis = np.zeros_like(active)
+        dominated = np.zeros_like(active)
+        timed_out = np.zeros_like(active)
+        rounds = np.zeros(self.replicas, dtype=np.int64)
+
         for round_number in range(1, max_rounds + 1):
-            if not active.any():
+            replica_active = active.any(axis=1)
+            if not replica_active.any():
                 break
-            rounds = round_number
+            rounds[replica_active] = round_number
             if round_number % 2 == 1:
-                active_idx = np.flatnonzero(active)
-                draws = np.fromiter((rngs[i].random() for i in active_idx),
-                                    dtype=np.float64, count=len(active_idx))
-                marked.fill(False)
-                marked[active_idx] = draws < probability[active_idx]
+                self._draw(coins, active)
+                marked = active & (coins < probability)
                 self.accountant.broadcast_round(marked, 1)
                 heard_mark = self.segments.any_neighbor(marked)
                 halved = probability / 2.0
@@ -399,117 +506,77 @@ class _BeepingProgram(VectorProgram):
                 timed_out |= expired
                 active &= ~(joiners | losers | expired)
         self.accountant.flush()
-
-        for index in np.flatnonzero(in_mis):
-            instance = instances[index]
-            instance.decided = instance.in_mis = True
-            self._halt(instance, True)
-        for index in np.flatnonzero(dominated):
-            instance = instances[index]
-            instance.decided = True
-            self._halt(instance, False)
-        for index in np.flatnonzero(timed_out):
-            self._halt(instances[index], False)  # decided stays False
-        for index in np.flatnonzero(active):  # out of rounds mid-protocol
-            instance = instances[index]
-            instance.probability = float(probability[index])
-            instance.marked = bool(marked[index])
-            instance.heard_mark = bool(heard_mark[index])
+        self.outcome = {"in_set": in_mis, "dominated": dominated,
+                        "timed_out": timed_out, "active": active,
+                        "probability": probability, "marked": marked,
+                        "heard_mark": heard_mark}
         return rounds
 
-
-class _DetRulingProgram(VectorProgram):
-    """Batched deterministic greedy MIS by iterated ID minima."""
-
-    def run(self, max_rounds: int) -> int:
-        instances = self.instances
-        ids = self.arrays.congest_ids
-        id_bits = _int_message_bits(ids)
-        undecided = self.live.copy()
-        min_ids = None
-        in_set = np.zeros_like(undecided)
-        dominated = np.zeros_like(undecided)
-
-        rounds = 0
-        for round_number in range(1, max_rounds + 1):
-            if not undecided.any():
-                break
-            rounds = round_number
-            if round_number % 2 == 1:
-                self.accountant.broadcast_round(undecided, id_bits)
-                min_ids = self.segments.min_over_active(ids, undecided)
-            else:
-                winners = undecided & ((min_ids == _SENTINEL)
-                                       | (ids < min_ids))
-                self.accountant.broadcast_round(winners, 1)
-                losers = (undecided & ~winners
-                          & self.segments.any_neighbor(winners))
-                in_set |= winners
-                dominated |= losers
-                undecided &= ~(winners | losers)
-        self.accountant.flush()
-
-        for index in np.flatnonzero(in_set):
-            self._halt(instances[index], True)
-        for index in np.flatnonzero(dominated):
-            self._halt(instances[index], False)
-        return rounds
+    def writeback(self) -> None:
+        outcome = self.outcome
+        for replica, instances in enumerate(self.rows):
+            for index in np.flatnonzero(outcome["in_set"][replica]):
+                instance = instances[index]
+                instance.decided = instance.in_mis = True
+                instance.halt(True)
+            for index in np.flatnonzero(outcome["dominated"][replica]):
+                instance = instances[index]
+                instance.decided = True
+                instance.halt(False)
+            for index in np.flatnonzero(outcome["timed_out"][replica]):
+                instances[index].halt(False)  # decided stays False
+            # Out of rounds mid-protocol: hand the state back.
+            for index in np.flatnonzero(outcome["active"][replica]):
+                instance = instances[index]
+                instance.probability = float(
+                    outcome["probability"][replica, index])
+                instance.marked = bool(outcome["marked"][replica, index])
+                instance.heard_mark = bool(
+                    outcome["heard_mark"][replica, index])
 
 
-class _PowerFloodProgram(VectorProgram):
-    """Shared vector execution of the ``2k``-sub-round power-graph floods
-    (:mod:`repro.mis.power_sim`): min-flood over ``k`` hops, winner-flag
-    flood over ``k`` hops, relay halting.  ``G^k`` is never materialised --
-    every sub-round is one segment reduction over the *base* CSR arrays."""
-
-    #: Subclasses: does phase A flood ``(priority, id)`` pairs (True) or
-    #: bare IDs (False)?  Decides payload drawing and message bit widths.
-    randomized = True
+class _PowerFloodKernel(ArrayKernel):
+    """The ``2k``-sub-round power-graph floods of :mod:`repro.mis.power_sim`:
+    min-flood over ``k`` hops, winner-flag flood over ``k`` hops, relay
+    halting.  ``G^k`` is never materialised -- every sub-round is one
+    segment reduction over the *base* CSR arrays."""
 
     @classmethod
-    def supports(cls, runtime: Runtime) -> bool:
-        first = runtime.instances[0]
-        k = getattr(first, "k", None)
+    def supports(cls, rows: Sequence[Sequence[object]]) -> bool:
+        if not super().supports(rows):
+            return False
+        k = getattr(rows[0][0], "k", None)
         if not (isinstance(k, int) and k >= 1):
             return False
-        if any(getattr(inst, "k", None) != k for inst in runtime.instances):
-            return False
-        if not cls.randomized:
-            return True
-        space = getattr(first, "_priority_space", None)
-        return isinstance(space, int) and 0 < space <= (1 << 62)
+        return all(getattr(inst, "k", None) == k
+                   for row in rows for inst in row)
 
-    def run(self, max_rounds: int) -> int:
-        instances = self.instances
-        node_class = type(instances[0])
-        n = len(instances)
-        ids = self.arrays.congest_ids
-        id_bits = _int_message_bits(ids)
-        k = instances[0].k
+    def run(self, max_rounds: int) -> "np.ndarray":
+        shape = self.live0.shape
+        ids = self.ids
+        k = self.rows[0][0].k
         period = 2 * k
-        if self.randomized:
-            rngs = [inst.rng for inst in instances]
-            space = instances[0]._priority_space
 
-        live = self.live.copy()
+        live = self.live0.copy()
         undecided = live.copy()
-        in_mis = np.zeros(n, dtype=bool)
-        dominated = np.zeros(n, dtype=bool)
-        halted = np.zeros(n, dtype=bool)
-        pair_v = np.zeros(n, dtype=np.int64)
+        in_mis = np.zeros(shape, dtype=bool)
+        dominated = np.zeros(shape, dtype=bool)
+        halted = np.zeros(shape, dtype=bool)
+        pair_v = np.zeros(shape, dtype=np.int64)
         pair_i = ids.copy()
-        best_v = np.full(n, _SENTINEL, dtype=np.int64)
-        best_i = np.full(n, _SENTINEL, dtype=np.int64)
-        heard_any = np.zeros(n, dtype=bool)
-        heard_flag = np.zeros(n, dtype=bool)
-        improved = np.zeros(n, dtype=bool)
-        flag_new = np.zeros(n, dtype=bool)
+        best_v = np.full(shape, _SENTINEL, dtype=np.int64)
+        best_i = np.full(shape, _SENTINEL, dtype=np.int64)
+        heard_any = np.zeros(shape, dtype=bool)
+        heard_flag = np.zeros(shape, dtype=bool)
+        improved = np.zeros(shape, dtype=bool)
+        flag_new = np.zeros(shape, dtype=bool)
+        rounds = np.zeros(self.replicas, dtype=np.int64)
 
-        rounds = 0
         for round_number in range(1, max_rounds + 1):
-            if not live.any():
+            replica_active = live.any(axis=1)
+            if not replica_active.any():
                 break
-            rounds = round_number
+            rounds[replica_active] = round_number
             sub = (round_number - 1) % period + 1
             if sub <= k:
                 # ----------------------------------- phase A: min-flood
@@ -521,10 +588,7 @@ class _PowerFloodProgram(VectorProgram):
                     best_i.fill(_SENTINEL)
                     senders = undecided
                     if self.randomized:
-                        active_idx = np.flatnonzero(undecided)
-                        pair_v[active_idx] = np.fromiter(
-                            (rngs[i].randrange(space) for i in active_idx),
-                            dtype=np.int64, count=len(active_idx))
+                        self._draw(pair_v, undecided)
                     best_v[undecided] = pair_v[undecided]
                     best_i[undecided] = pair_i[undecided]
                 else:
@@ -570,43 +634,77 @@ class _PowerFloodProgram(VectorProgram):
                     dominated |= new_dominated
                     undecided &= ~(winners | new_dominated)
         self.accountant.flush()
-
-        for index in np.flatnonzero(in_mis):
-            instances[index].state = node_class.IN_MIS
-        for index in np.flatnonzero(dominated):
-            instances[index].state = node_class.DOMINATED
-        for index in np.flatnonzero(halted):
-            self._halt(instances[index], bool(in_mis[index]))
+        self.outcome = {"in_set": in_mis, "dominated": dominated,
+                        "halted": halted}
         return rounds
 
+    def writeback(self) -> None:
+        in_mis = self.outcome["in_set"]
+        for replica, instances in enumerate(self.rows):
+            node_class = type(instances[0])
+            for index in np.flatnonzero(in_mis[replica]):
+                instances[index].state = node_class.IN_MIS
+            for index in np.flatnonzero(self.outcome["dominated"][replica]):
+                instances[index].state = node_class.DOMINATED
+            for index in np.flatnonzero(self.outcome["halted"][replica]):
+                instances[index].halt(bool(in_mis[replica, index]))
 
-class _PowerLubyProgram(_PowerFloodProgram):
-    """Batched Luby MIS on ``G^k``: priorities from the per-node RNG streams,
-    flooded ``k`` hops over the base CSR."""
+
+class _PowerLubyKernel(_PowerFloodKernel):
+    """Luby MIS on ``G^k``: priorities flooded ``k`` hops."""
 
     randomized = True
 
-    @classmethod
-    def supports(cls, runtime: Runtime) -> bool:
-        if not super().supports(runtime):
-            return False
-        # The lexicographic (priority, id) minimum must match tuple order:
-        # requires the same priority space everywhere (it does: n^3).
-        first = runtime.instances[0]._priority_space
-        return all(inst._priority_space == first for inst in runtime.instances)
 
-
-class _PowerDetRulingProgram(_PowerFloodProgram):
-    """Batched deterministic distance-``k`` ruling set: iterated ID minima
-    flooded ``k`` hops over the base CSR."""
+class _PowerDetRulingKernel(_PowerFloodKernel):
+    """Deterministic distance-``k`` ruling set: ID minima flooded ``k``
+    hops."""
 
     randomized = False
 
 
+#: The kernel of each supported node class, keyed by the exact class's
+#: dotted name (keys, not classes: the node modules import this package).
+_KERNELS: dict[str, type[ArrayKernel]] = {
+    "repro.mis.luby.LubyMISNode": _LubyKernel,
+    "repro.mis.beeping.BeepingMISNode": _BeepingKernel,
+    "repro.ruling.distributed.DetRulingSetNode": _DetRulingKernel,
+    "repro.mis.power_sim.PowerLubyMISNode": _PowerLubyKernel,
+    "repro.mis.power_sim.PowerDetRulingNode": _PowerDetRulingKernel,
+}
+
+
+def eligible_kernel(instances: Sequence[object], observers=(), *,
+                    half_duplex: bool = False,
+                    profile_slots: bool = False) -> type[ArrayKernel] | None:
+    """The kernel that may execute ``instances``, or ``None`` (fallback).
+
+    The one eligibility rule of solo runs and replica batches (see the
+    module docstring); ``observers`` are the explicit and ambient ones
+    together.  The kernel's own :meth:`~ArrayKernel.supports` gate still
+    applies once the instances are initialized.
+    """
+    if np is None or not instances or half_duplex or profile_slots:
+        return None
+    if any(not getattr(observer, "vector_compatible", False)
+           for observer in observers):
+        # Round/message hooks never fire on the array path, so only
+        # observers that declare themselves run-level-only may ride it.
+        return None
+    node_class = type(instances[0])
+    kernel_class = _KERNELS.get(
+        f"{node_class.__module__}.{node_class.__qualname__}")
+    if kernel_class is None:
+        return None
+    if any(type(instance) is not node_class for instance in instances):
+        return None
+    return kernel_class
+
+
 # ------------------------------------------------------------------- engine
 class VectorEngine(RoundEngine):
-    """Vectorized scheduler; falls back to :class:`SyncEngine` when the run
-    is not vectorizable (see the module docstring for the exact rules).
+    """Array scheduler; falls back to :class:`SyncEngine` when the run is
+    not vectorizable (see the module docstring for the exact rules).
 
     After every ``run`` the engine records which backend actually executed in
     :attr:`last_engine_used` (``"vector"`` or the fallback's name); the
@@ -622,59 +720,40 @@ class VectorEngine(RoundEngine):
         self.last_engine_used = self.name
 
     def run(self, runtime: Runtime, max_rounds: int) -> int:
-        program_class = self.select_program(runtime)
-        if program_class is None:
+        kernel_class = self.select_kernel(runtime)
+        if kernel_class is None:
             self.last_engine_used = self.fallback.name
             node_class = (type(runtime.instances[0]).__name__
                           if runtime.instances else "(no instances)")
             warnings.warn(
                 f"engine='vector' fell back to '{self.fallback.name}' for "
-                f"{node_class} (no vector program applies; results are "
+                f"{node_class} (no array kernel applies; results are "
                 f"bit-identical, performance is not)",
                 VectorFallbackWarning, stacklevel=3)
             return self.fallback.run(runtime, max_rounds)
         self.last_engine_used = self.name
-        return program_class(runtime).run(max_rounds)
+        kernel = kernel_class.over_instances(
+            [runtime.topology], [runtime.instances], [runtime.transport])
+        rounds = kernel.run(max_rounds)
+        kernel.writeback()
+        return int(rounds[0])
 
     @staticmethod
-    def select_program(runtime: Runtime) -> type[VectorProgram] | None:
-        """The program that will execute ``runtime``, or ``None`` (fallback).
+    def select_kernel(runtime: Runtime) -> type[ArrayKernel] | None:
+        """The kernel that will execute the initialized ``runtime``, or
+        ``None`` (fallback).
 
         Exposed for tests and diagnostics: asserting a workload really takes
-        the vector path is part of the differential matrix.
+        the array path is part of the differential matrix.
         """
-        if np is None:
+        kernel_class = eligible_kernel(
+            runtime.instances, runtime.observers,
+            half_duplex=runtime.transport.half_duplex,
+            profile_slots=runtime.transport.profile_slots)
+        if kernel_class is None or not kernel_class.supports(
+                [runtime.instances]):
             return None
-        instances = runtime.instances
-        if not instances:
-            return None
-        if runtime.transport.profile_slots:
-            return None
-        if any(not getattr(observer, "vector_compatible", False)
-               for observer in runtime.observers):
-            # Round/message hooks never fire on the vector path, so only
-            # observers that declare themselves run-level-only may ride it.
-            return None
-        if runtime.transport.half_duplex:
-            return None
-        node_class = type(instances[0])
-        program_class = _PROGRAMS.get(_class_key(node_class))
-        if program_class is None:
-            return None
-        if any(type(instance) is not node_class for instance in instances):
-            return None
-        if not program_class.supports(runtime):
-            return None
-        return program_class
+        return kernel_class
 
 
 register_engine(VectorEngine.name, VectorEngine, "numpy")
-
-_BUILTIN_PROGRAMS = {
-    "repro.mis.luby.LubyMISNode": _LubyProgram,
-    "repro.mis.beeping.BeepingMISNode": _BeepingProgram,
-    "repro.ruling.distributed.DetRulingSetNode": _DetRulingProgram,
-    "repro.mis.power_sim.PowerLubyMISNode": _PowerLubyProgram,
-    "repro.mis.power_sim.PowerDetRulingNode": _PowerDetRulingProgram,
-}
-_PROGRAMS.update(_BUILTIN_PROGRAMS)

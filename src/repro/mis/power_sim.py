@@ -34,10 +34,10 @@ distance ``k`` compare their distinct payloads, and only the smaller can win),
 so the output is an independent set of ``G^k``; maximality follows because a
 node only becomes dominated when a winner sits within distance ``k``.
 
-Both classes have registered vector programs
-(:mod:`repro.congest.vector_engine`), so ``engine="vector"`` executes the
-same protocol as batched numpy rounds over the base CSR -- bit-identical
-outputs, rounds and traffic, with ``G^k`` never materialised.
+Both classes have array kernels (:mod:`repro.congest.vector_engine`), so
+``engine="vector"`` executes the same protocol as numpy rounds over the
+base CSR -- bit-identical outputs, rounds and traffic, with ``G^k`` never
+materialised.
 """
 
 from __future__ import annotations

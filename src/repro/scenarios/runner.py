@@ -246,6 +246,12 @@ def _run_spec(spec: _TaskSpec) -> dict[str, Any]:
                     base_seed=spec.base_seed, verify=spec.verify)
 
 
+def _run_positioned(task: tuple[int, _TaskSpec]) -> tuple[int, dict[str, Any]]:
+    """Pool entry point: execute one spec, keeping its task position."""
+    position, spec = task
+    return position, _run_spec(spec)
+
+
 def _default_jobs(task_count: int) -> int:
     cores = os.cpu_count() or 1
     return max(1, min(8, cores, task_count))
@@ -329,30 +335,32 @@ def run_batch(scenarios: Iterable[Scenario] | None = None, *,
     store = ResultStore(store_path) if store_path else None
     known = store.load() if (store is not None and resume) else {}
 
-    rows: list[dict[str, Any]] = []
-    pending: list[tuple[Scenario, int, int]] = []
+    # Rows are returned in task order, whatever order cache hits and
+    # executed tasks complete in.
+    rows: list[dict[str, Any] | None] = [None] * len(tasks)
+    pending: list[tuple[int, Scenario, int, int]] = []
     cached = 0
-    for scenario, repeat, seed in tasks:
+    for position, (scenario, repeat, seed) in enumerate(tasks):
         row = known.get(scenario.cell_key(seed))
         if row is not None and _cache_hit(row, verify=verify):
             row = dict(row)
             row["cached"] = True
-            rows.append(row)
+            rows[position] = row
             cached += 1
         else:
-            pending.append((scenario, repeat, seed))
+            pending.append((position, scenario, repeat, seed))
 
     if progress:
         progress(f"[scenarios] {len(tasks)} tasks planned, {cached} cached, "
                  f"{len(pending)} to execute")
 
-    def absorb(row: dict[str, Any]) -> None:
+    def absorb(position: int, row: dict[str, Any]) -> None:
         # Persist each row as it completes, so a crashed or killed batch
         # loses at most the in-flight tasks, not the finished ones.
         row["cached"] = False
         if store is not None:
             store.append(row)
-        rows.append(row)
+        rows[position] = row
         if progress and not row.get("ok", False):
             progress(f"[scenarios] FAILED {row['cell_key']}")
 
@@ -361,19 +369,22 @@ def run_batch(scenarios: Iterable[Scenario] | None = None, *,
             jobs = _default_jobs(len(pending))
         use_pool = (jobs > 1 and is_default_registry and solve_cache is None
                     and all(_is_registered_verbatim(scenario)
-                            for scenario, _, _ in pending))
+                            for _, scenario, _, _ in pending))
         if use_pool:
             import multiprocessing
 
-            specs = [_TaskSpec(scenario.name, repeat, base_seed, verify)
-                     for scenario, repeat, _ in pending]
+            specs = [(position,
+                      _TaskSpec(scenario.name, repeat, base_seed, verify))
+                     for position, scenario, repeat, _ in pending]
             context = multiprocessing.get_context()
             with context.Pool(processes=min(jobs, len(specs))) as pool:
-                for row in pool.imap_unordered(_run_spec, specs):
-                    absorb(row)
+                for position, row in pool.imap_unordered(_run_positioned,
+                                                         specs):
+                    absorb(position, row)
         else:
-            for scenario, repeat, seed in pending:
-                absorb(run_task(scenario, seed=seed, repeat=repeat,
+            for position, scenario, repeat, seed in pending:
+                absorb(position,
+                       run_task(scenario, seed=seed, repeat=repeat,
                                 base_seed=base_seed, registry=registry,
                                 verify=verify, solve_cache=solve_cache))
 

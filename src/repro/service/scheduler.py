@@ -176,7 +176,9 @@ class TraceRunObserver(RoundObserver):
     Passive by design: it only uses the run-level hooks, never the round
     or message hooks, so it is ``vector_compatible`` -- attaching it does
     not push a vector-registered algorithm onto the scalar fallback (the
-    property the fleet's tracing-overhead gate depends on).
+    property the fleet's tracing-overhead gate depends on).  A replica
+    batch calls all its runs' starts before their ends, in replica order,
+    so each end closes the oldest open run: one span per replica.
     """
 
     vector_compatible = True
@@ -186,22 +188,19 @@ class TraceRunObserver(RoundObserver):
         self.parent = parent
         self.sink = sink
         self.service = service
-        self._ctx: TraceContext | None = None
-        self._start_s = 0.0
-        self._t0 = 0.0
-        self._engine = "?"
+        #: Open runs, oldest first: (context, wall start, clock start,
+        #: engine name).
+        self._open: list[tuple[TraceContext, float, float, str]] = []
 
     def on_run_start(self, run) -> None:  # RunContext
-        self._ctx = self.parent.child()
-        self._start_s = time.time()
-        self._t0 = time.perf_counter()
-        self._engine = getattr(run, "engine", "?")
+        self._open.append((self.parent.child(), time.time(),
+                           time.perf_counter(), getattr(run, "engine", "?")))
 
     def on_run_end(self, result) -> None:  # SimulationResult
-        ctx = self._ctx
-        if ctx is None:  # run never started
+        if not self._open:  # run never started
             return
-        attrs: dict[str, Any] = {"engine": self._engine}
+        ctx, start_s, t0, engine = self._open.pop(0)
+        attrs: dict[str, Any] = {"engine": engine}
         for key in ("engine_used", "rounds", "total_messages", "halted"):
             value = getattr(result, key, None)
             if value is not None:
@@ -209,10 +208,9 @@ class TraceRunObserver(RoundObserver):
         self.sink.append(Span(
             trace_id=ctx.trace_id, span_id=ctx.span_id,
             parent_id=ctx.parent_id, name="engine.run",
-            service=self.service, start_s=self._start_s,
-            duration_s=time.perf_counter() - self._t0,
+            service=self.service, start_s=start_s,
+            duration_s=time.perf_counter() - t0,
             attrs=attrs).to_row())
-        self._ctx = None
 
 
 def _worker_solve(workload: str, graph_seed: int, algorithm: str,

@@ -32,7 +32,7 @@ from repro.congest import (
 )
 from repro.congest.engine import Runtime, resolve_engine
 from repro.congest.primitives import BFSLayering, LeaderElection
-from repro.congest.vector_engine import VectorProgram
+from repro.congest.vector_engine import ArrayKernel
 from repro.graphs import erdos_renyi_graph, random_regular_graph, random_tree, unit_disk_graph
 from repro.mis.beeping import BeepingMISNode, simulate_beeping_mis
 from repro.mis.luby import LubyMISNode, simulate_luby_mis
@@ -204,27 +204,27 @@ class TestVectorPathSelection:
     ], ids=["luby", "det-ruling", "beeping", "power-luby", "power-det-ruling"])
     def test_supported_algorithms_take_the_vector_path(self, factory):
         runtime = self._runtime(factory)
-        assert VectorEngine.select_program(runtime) is not None
+        assert VectorEngine.select_kernel(runtime) is not None
 
     def test_unsupported_algorithm_falls_back(self):
         runtime = self._runtime(lambda node: BFSLayering(is_source=False))
-        assert VectorEngine.select_program(runtime) is None
+        assert VectorEngine.select_kernel(runtime) is None
 
     def test_observed_runs_fall_back(self):
         from repro.congest.observers import StatsObserver
 
         runtime = self._runtime(LubyMISNode, observers=(StatsObserver(),))
-        assert VectorEngine.select_program(runtime) is None
+        assert VectorEngine.select_kernel(runtime) is None
 
     def test_half_duplex_falls_back(self):
         runtime = self._runtime(LubyMISNode)
         runtime.transport.half_duplex = True
-        assert VectorEngine.select_program(runtime) is None
+        assert VectorEngine.select_kernel(runtime) is None
 
     def test_resolve_engine_knows_vector(self):
         assert isinstance(resolve_engine("vector"), VectorEngine)
-        program = VectorEngine.select_program(self._runtime(LubyMISNode))
-        assert issubclass(program, VectorProgram)
+        kernel = VectorEngine.select_kernel(self._runtime(LubyMISNode))
+        assert issubclass(kernel, ArrayKernel)
 
     def test_observed_vector_run_matches_sync(self):
         # engine="vector" with observers attached silently falls back to

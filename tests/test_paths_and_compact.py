@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
 from repro import _paths
 from repro.scenarios.cli import main as scenarios_cli
 from repro.scenarios.registry import DEFAULT_REGISTRY
-from repro.scenarios.runner import run_batch
+from repro.scenarios import runner
+from repro.scenarios.runner import plan_tasks, run_batch
 from repro.scenarios.store import ResultStore, default_store_path
 
 
@@ -90,6 +92,49 @@ class TestCompact:
         assert "kept 1, dropped 1" in out
         assert len(store.load()) == 2
         assert len(cache.load()) == 1
+
+
+class TestRunnerRowOrder:
+    """``run_batch`` returns rows in task order, whatever order the pool
+    completes them in and whichever rows the store already holds."""
+
+    def _pair(self):
+        return DEFAULT_REGISTRY.select(names=[
+            "regular-n24-d3/power-mis-k2",
+            "er-n20/det-power-ruling-k2",
+        ])
+
+    def _task_keys(self, scenarios):
+        return [scenario.cell_key(seed)
+                for scenario, _, seed in plan_tasks(scenarios)]
+
+    def test_pool_finishing_the_second_task_first(self, monkeypatch):
+        scenarios = self._pair()
+        slow = scenarios[0].name
+        original = runner._run_spec
+
+        def slow_first(spec):
+            if spec.scenario == slow:
+                time.sleep(1.0)
+            return original(spec)
+
+        # Pickled by reference: the forked workers resolve the patched name.
+        slow_first.__module__ = runner.__name__
+        slow_first.__qualname__ = "_run_spec"
+        monkeypatch.setattr(runner, "_run_spec", slow_first)
+        summary = run_batch(scenarios, store_path="", resume=False, jobs=2)
+        assert summary.ok
+        assert [row["cell_key"] for row in summary.rows] \
+            == self._task_keys(scenarios)
+
+    def test_cache_hits_keep_their_task_position(self, tmp_path):
+        scenarios = self._pair()
+        store = str(tmp_path / "scenarios.jsonl")
+        run_batch(scenarios[1:], store_path=store, jobs=1)
+        summary = run_batch(scenarios, store_path=store, jobs=1)
+        assert [row["cached"] for row in summary.rows] == [False, True]
+        assert [row["cell_key"] for row in summary.rows] \
+            == self._task_keys(scenarios)
 
 
 class TestRunnerSolveCache:

@@ -25,6 +25,11 @@ from repro.congest.batch import (
     select_batch_kernel,
     simulate_replicas,
 )
+from repro.congest.observers import (
+    RoundObserver,
+    StatsObserver,
+    ambient_observation,
+)
 from repro.mis.beeping import BeepingMISNode
 from repro.mis.luby import LubyMISNode
 from repro.mis.power_sim import PowerDetRulingNode, PowerLubyMISNode
@@ -36,10 +41,11 @@ SETTINGS = settings(max_examples=25, deadline=None,
 
 SEEDS = [3, 11, 29, 42, 64, 91, 106, 215]
 
-#: Every node class with a registered batch kernel.
+#: Every node class with an array kernel.
 FACTORIES = [
     pytest.param(LubyMISNode, id="luby"),
     pytest.param(DetRulingSetNode, id="det-ruling"),
+    pytest.param(lambda node: BeepingMISNode(max_steps=64), id="beeping"),
     pytest.param(lambda node: PowerLubyMISNode(2), id="power-luby-k2"),
     pytest.param(lambda node: PowerDetRulingNode(2), id="power-det-ruling-k2"),
 ]
@@ -58,6 +64,11 @@ GRAPHS = [
     pytest.param(lambda: nx.disjoint_union_all(
         [nx.cycle_graph(8), nx.empty_graph(2)]), id="trailing-isolated"),
 ]
+
+
+class _LubySubclass(LubyMISNode):
+    """Same protocol, different class: kernels match the exact class only,
+    so this one has none."""
 
 
 def _solo_results(graph, factory, seeds, *, engine, max_rounds=10_000):
@@ -134,8 +145,8 @@ class TestSimulateReplicasBitIdentity:
 class TestSequentialFallback:
     def test_unregistered_node_class_warns_and_stays_identical(self):
         graph = nx.random_regular_graph(4, 20, seed=3)
-        factory = lambda node: BeepingMISNode(max_steps=64)
-        with pytest.warns(BatchFallbackWarning, match="BeepingMISNode"):
+        factory = _LubySubclass
+        with pytest.warns(BatchFallbackWarning, match="_LubySubclass"):
             batched = simulate_replicas(graph, factory, SEEDS[:4],
                                         engine="vector")
         solo = _solo_results(graph, factory, SEEDS[:4], engine="vector")
@@ -163,12 +174,13 @@ class TestSelectBatchKernel:
 
     def test_selects_kernel_for_each_registered_class(self):
         for factory in (LubyMISNode, DetRulingSetNode,
+                        lambda node: BeepingMISNode(max_steps=16),
                         lambda node: PowerLubyMISNode(2),
                         lambda node: PowerDetRulingNode(2)):
             assert select_batch_kernel(self._sims(factory)) is not None
 
     def test_rejects_unregistered_class(self):
-        sims = self._sims(lambda node: BeepingMISNode(max_steps=16))
+        sims = self._sims(_LubySubclass)
         assert select_batch_kernel(sims) is None
 
     def test_rejects_observers(self):
@@ -231,6 +243,69 @@ class TestSelectBatchKernel:
                 for seed, k in ((0, 2), (1, 3))]
         for seed, b, s in zip((0, 1), batched, solo):
             _assert_bit_identical(b, s, f"mixed-k seed={seed}")
+
+
+class _RunLevelProbe(RoundObserver):
+    """A run-level-only observer: it may ride the array path."""
+
+    vector_compatible = True
+
+    def __init__(self) -> None:
+        self.contexts = []
+        self.results = []
+
+    def on_run_start(self, context) -> None:
+        self.contexts.append(context)
+
+    def on_run_end(self, result) -> None:
+        self.results.append(result)
+
+
+class TestObservedSweeps:
+    """Explicit and ambient observers follow the solo eligibility rule: an
+    observed sweep either calls each replica's run-level hooks or runs the
+    replicas as sequential solo runs."""
+
+    def test_ambient_round_observer_falls_back_and_sees_every_round(self):
+        graph = nx.random_regular_graph(4, 30, seed=1)
+        observer = StatsObserver()
+        with ambient_observation(observer):
+            with pytest.warns(BatchFallbackWarning):
+                batched = simulate_replicas(graph, LubyMISNode, [3, 4])
+        solo = _solo_results(graph, LubyMISNode, [3, 4], engine="vector")
+        for seed, b, s in zip((3, 4), batched, solo):
+            _assert_bit_identical(b, s, f"observed seed={seed}")
+        assert len(observer.history) == sum(r.rounds for r in batched)
+        assert observer.result is batched[-1]
+
+    @pytest.mark.parametrize("uniform", [False, True],
+                             ids=["exact", "uniform"])
+    def test_ambient_run_level_observer_sees_each_replica(self, uniform):
+        graph = nx.random_regular_graph(4, 30, seed=1)
+        probe = _RunLevelProbe()
+        with ambient_observation(probe), warnings.catch_warnings():
+            warnings.simplefilter("error", BatchFallbackWarning)
+            batched = simulate_replicas(graph, LubyMISNode, [3, 4],
+                                        uniform_factory=uniform)
+        assert [r.engine_used for r in batched] == ["vector", "vector"]
+        assert len(probe.contexts) == 2
+        assert [c.engine for c in probe.contexts] == ["vector", "vector"]
+        assert [c.topology.n for c in probe.contexts] == [30, 30]
+        assert len(probe.results) == 2
+        assert all(seen is result
+                   for seen, result in zip(probe.results, batched))
+        solo = _solo_results(graph, LubyMISNode, [3, 4], engine="vector")
+        for seed, b, s in zip((3, 4), batched, solo):
+            _assert_bit_identical(b, s, f"run-level observed seed={seed}")
+
+    def test_selector_applies_ambient_observers(self):
+        graph = nx.random_regular_graph(3, 12, seed=2)
+        sims = [Simulator(CongestNetwork(graph, id_seed=seed), LubyMISNode,
+                          seed=seed, engine="vector") for seed in (0, 1)]
+        with ambient_observation(StatsObserver()):
+            assert select_batch_kernel(sims) is None
+        with ambient_observation(_RunLevelProbe()):
+            assert select_batch_kernel(sims) is not None
 
 
 class TestSolveBatchAPI:

@@ -406,9 +406,26 @@ class TestVectorCompatibleObservers:
         assert traced.outputs == bare.outputs
         assert traced.total_messages == bare.total_messages
 
+    def test_traced_replica_batch_records_one_span_per_replica(self):
+        import networkx as nx
+
+        from repro.congest.batch import simulate_replicas
+        from repro.congest.observers import ambient_observation
+        from repro.mis.luby import LubyMISNode
+
+        sink: list[dict] = []
+        graph = nx.random_regular_graph(4, 30, seed=1)
+        with ambient_observation(TraceRunObserver(TraceContext.new(), sink)):
+            results = simulate_replicas(graph, LubyMISNode, [3, 4, 5])
+        assert [r.engine_used for r in results] == ["vector"] * 3
+        assert [row["name"] for row in sink] == ["engine.run"] * 3
+        assert [row["attrs"]["rounds"] for row in sink] \
+            == [r.rounds for r in results]
+        assert len({row["span_id"] for row in sink}) == 3
+
     def test_select_program_tolerates_compatible_observers(self):
         compatible = _runtime(
             observers=(TraceRunObserver(TraceContext.new(), []),))
-        assert VectorEngine.select_program(compatible) is not None
+        assert VectorEngine.select_kernel(compatible) is not None
         incompatible = _runtime(observers=(StatsObserver(),))
-        assert VectorEngine.select_program(incompatible) is None
+        assert VectorEngine.select_kernel(incompatible) is None
