@@ -41,7 +41,12 @@ imports numpy, networkx or :mod:`repro.api`.  Its pipeline per
    carrying different explicit seeds that arrive within the window are
    forwarded to one worker as a single ``POST /solve_batch`` (the
    batched-replica runner sweeps them as one array program); counters
-   record grouped-vs-solo dispatch.
+   record grouped-vs-solo dispatch.  Solo and grouped requests share one
+   failover loop parameterised by B, the number of grouped requests:
+   B = 1 relays ``POST /solve`` on the HTTP handler thread and splices the
+   worker's bytes; B > 1 tries batch-capable workers in ring order, treats
+   a 404 like a 429 (next worker) and, when no worker takes the group,
+   falls back to B = 1 per member.
 
 Endpoints: ``POST /solve`` (plus coordinator-only ``"scatter"`` flag),
 ``POST /fleet/enroll|heartbeat|leave``, ``GET /fleet/workers``,
@@ -122,6 +127,15 @@ def _annotate_payload(payload: bytes, worker_id: str,
     if rest.startswith(b"}"):
         return b"{" + extra.encode("utf-8") + rest
     return b"{" + extra.encode("utf-8") + b"," + stripped[1:]
+
+
+def _best_row(discovered: Mapping[str, Any],
+              failures: Mapping[str, Exception]) -> dict[str, Any]:
+    """The best fan-out answer, tagged with the worker that gave it (or
+    the most informative failure, raised)."""
+    row = dict(get_best_discovered_result(discovered, failures))
+    row["worker"] = next(iter(discovered))
+    return row
 
 
 class HashRing:
@@ -389,11 +403,12 @@ class FleetCoordinator:
               trace_parent: str | None = None):
         """Serve one ``POST /solve`` body (called on HTTP handler threads).
 
-        The solo relay path -- route, pick, forward, splice -- runs right
-        here on the calling thread: no loop hand-off and no
-        executor hop, so a warm fleet hit costs one extra HTTP leg and
-        little else.  The fan-out paths (scatter, batch grouping) bridge
-        onto the asyncio loop, which owns their timers and gathers.
+        The solo relay -- :meth:`_dispatch` with B = 1: route, pick,
+        forward, splice -- runs right here on the calling thread: no loop
+        hand-off and no executor hop, so a warm fleet hit costs one extra
+        HTTP leg and little else.  The fan-out paths (scatter, batch
+        grouping) bridge onto the asyncio loop, which owns their timers
+        and gathers.
 
         With tracing on, the request gets a trace context -- adopted from
         ``trace_parent`` (the client's ``X-Repro-Trace`` header) or the
@@ -403,8 +418,8 @@ class FleetCoordinator:
         header to workers, so the body's ``trace`` field is consumed here
         rather than forwarded.
 
-        Returns a response dict (scatter / grouped paths) or raw JSON
-        bytes (the solo relay); the HTTP layer sends both.
+        Returns a response dict (scatter, grouped B > 1) or raw JSON bytes
+        (a B = 1 relay); the HTTP layer sends both.
         """
         scatter = bool(obj.pop("scatter", False))
         wait = bool(obj.pop("wait", True))
@@ -428,14 +443,14 @@ class FleetCoordinator:
         try:
             if scatter:
                 path_taken = "scatter"
-                return self._run_on_loop(self._scatter_solve(body, ctx))
+                return self._scatter_solve(body, ctx)
             if (self.batch_window_s > 0.0 and wait
                     and request.seed is not None):
                 path_taken = "grouped"
                 return self._run_on_loop(
                     self._submit_grouped(request, body, route_key, ctx))
             self._bump("solo")
-            return self._solo_dispatch(body, route_key, ctx)
+            return self._dispatch(body, route_key, [ctx])
         except Exception as error:
             status = "error"
             error_text = f"{type(error).__name__}: {error}"
@@ -476,7 +491,10 @@ class FleetCoordinator:
 
     def report(self, key: str) -> dict[str, Any]:
         """``GET /report/<key>`` resolved across the whole fleet."""
-        return self._run_on_loop(self.scatter_report(key))
+        row = _best_row(*self._fan_out(self._get(f"/report/{key}"),
+                                       required="to query"))
+        self._bump("reports")
+        return row
 
     def _run_on_loop(self, coroutine):
         future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
@@ -537,7 +555,8 @@ class FleetCoordinator:
 
         ``raw=True`` returns the response bytes unparsed (the relay hot
         path); errors behave identically either way.  Blocking: called
-        directly from handler threads, or via executor from coroutines.
+        directly from handler threads, or on the loop's executor from the
+        fan-outs and grouping windows.
         Every call lands in the relay-latency histogram by outcome class;
         non-``ok`` outcomes of dispatch calls (POST) also bump
         ``failures_by_class`` -- GET probes like scatter report lookups
@@ -581,96 +600,168 @@ class FleetCoordinator:
             if metrics is not None and metrics.relay_latency is not None:
                 metrics.relay_latency.observe(elapsed, outcome)
 
-    async def _call_worker(self, info: WorkerInfo, method: str, path: str,
-                           body: Mapping[str, Any] | None, *,
-                           raw: bool = False,
-                           headers: Mapping[str, str] | None = None):
-        """:meth:`_call_worker_sync` bridged onto the executor pool (for
-        the fan-out coroutines, which must not block the loop)."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, lambda: self._call_worker_sync(info, method, path, body,
-                                                 raw=raw, headers=headers))
+    def _dispatch(self, body: dict[str, Any], route_key: str,
+                  ctxs: "list[TraceContext | None]",
+                  seeds: "list[int] | None" = None):
+        """The one affinity-routed failover loop, for B requests (blocking).
 
-    def _solo_dispatch(self, body: dict[str, Any], route_key: str,
-                       ctx: TraceContext | None = None) -> bytes:
-        """Affinity-routed relay with retry-on-another-worker (blocking)."""
+        B = 1 (``seeds=None``) relays ``POST /solve`` with ``body`` and
+        returns the worker's bytes with ``worker``/``attempts``/
+        ``trace_id`` spliced in: no parse, no re-serialisation.  B > 1
+        posts the group's deduplicated ``seeds`` to ``/solve_batch`` on
+        batch-capable workers and returns one row per member (``seeds``
+        and ``ctxs`` in member order), or ``None`` when no worker took
+        the group.  A 429 or a transport failure -- and, for a group, a
+        404 from a worker without the route -- moves on to the next
+        worker along the ring; any other HTTP error is about the request,
+        identical on every worker, and propagates.
+        """
+        if seeds is None:
+            path, payload_body = "/solve", body
+        else:
+            path = "/solve_batch"
+            payload_body = {
+                "workload": body["workload"],
+                "algorithm": body["algorithm"],
+                "config": body.get("config") or {},
+                "graph_seed": body.get("graph_seed", 0),
+                "verify": body.get("verify", True),
+                "seeds": list(dict.fromkeys(seeds)),
+            }
+        members = 1 if seeds is None else len(seeds)
+        traced = [ctx for ctx in ctxs if ctx is not None]
         failures: dict[str, Exception] = {}
         attempt = 0
         for _ in range(self.max_worker_attempts):
             info, is_primary = self._pick_worker(route_key, set(failures))
             if info is None:
                 break
+            if seeds is not None and not info.supports_batch():
+                failures[info.worker_id] = ServiceError(
+                    404, f"worker {info.worker_id!r} does not accept "
+                         f"/solve_batch groups")
+                continue
             attempt += 1
-            attempt_ctx = ctx.child() if ctx is not None else None
-            headers = ({TRACE_HEADER: attempt_ctx.to_header()}
-                       if attempt_ctx is not None else None)
+            # One RPC serves every member's trace: each traced member gets
+            # its own fleet.attempt span; the worker-bound header carries
+            # the first one (a group is one downstream request).
+            attempt_ctxs = [ctx.child() for ctx in traced]
+            headers = ({TRACE_HEADER: attempt_ctxs[0].to_header()}
+                       if attempt_ctxs else None)
             attempt_start = time.time()
             attempt_began = time.perf_counter()
+
+            def note_attempts(error: Exception | None = None,
+                              **attrs: Any) -> None:
+                if seeds is not None:
+                    attrs["batch"] = len(payload_body["seeds"])
+                for attempt_ctx in attempt_ctxs:
+                    self._record_attempt(
+                        attempt_ctx, info, attempt_start, attempt_began,
+                        error=error, attempt=attempt, **attrs)
+
             try:
-                payload = self._call_worker_sync(info, "POST", "/solve",
-                                                 body, raw=True,
-                                                 headers=headers)
+                payload = self._call_worker_sync(
+                    info, "POST", path, payload_body, raw=seeds is None,
+                    headers=headers)
             except ServiceError as error:
-                if error.status == 429:
-                    # That worker is saturated; the request is fine --
-                    # spill it to the next one.
-                    self._record_attempt(attempt_ctx, info, attempt_start,
-                                         attempt_began, error=error,
-                                         attempt=attempt)
+                note_attempts(error)
+                if error.status == 429 or (seeds is not None
+                                           and error.status == 404):
+                    # That worker is saturated (or cannot take a group);
+                    # the request is fine -- spill it to the next one.
                     failures[info.worker_id] = error
                     self._bump("retried")
                     continue
-                # 4xx/5xx are about the request/solve, identical on every
-                # worker: propagate instead of burning the fleet.
-                self._record_attempt(attempt_ctx, info, attempt_start,
-                                     attempt_began, error=error,
-                                     attempt=attempt)
                 raise
             except TransportError as error:
-                self._record_attempt(attempt_ctx, info, attempt_start,
-                                     attempt_began, error=error,
-                                     attempt=attempt)
+                note_attempts(error)
                 failures[info.worker_id] = error
                 self._bump("retried")
                 continue
-            self._record_attempt(attempt_ctx, info, attempt_start,
-                                 attempt_began, attempt=attempt,
-                                 primary=is_primary)
-            self._bump("routed")
+            note_attempts(primary=is_primary)
+            if seeds is not None:
+                rows = payload.get("rows")
+                if (not isinstance(rows, list)
+                        or len(rows) != len(payload_body["seeds"])):
+                    raise TransportError(
+                        info.worker_id,
+                        f"solve_batch returned {type(rows).__name__} "
+                        f"({len(rows) if isinstance(rows, list) else '?'} "
+                        f"rows) for {len(payload_body['seeds'])} seeds")
+                self._bump("batched", members)
+                self._bump("batch_calls")
+            self._bump("routed", members)
             if is_primary:
-                self._bump("affinity_hits")
-            return _annotate_payload(
-                payload, info.worker_id, len(failures) + 1,
-                trace_id=ctx.trace_id if ctx is not None else None)
+                self._bump("affinity_hits", members)
+            if seeds is None:
+                return _annotate_payload(
+                    payload, info.worker_id, len(failures) + 1,
+                    trace_id=traced[0].trace_id if traced else None)
+            by_seed = dict(zip(payload_body["seeds"], rows))
+            answered = []
+            for seed, ctx in zip(seeds, ctxs):
+                row = dict(by_seed[seed])
+                row["worker"] = info.worker_id
+                row["grouped"] = members
+                if ctx is not None:
+                    row["trace_id"] = ctx.trace_id
+                answered.append(row)
+            return answered
+        if seeds is not None:
+            return None
         self._bump("failed")
         return get_best_discovered_result({}, failures)  # raises
 
-    async def _dispatch_solo(self, body: dict[str, Any], route_key: str,
-                             ctx: TraceContext | None = None) -> bytes:
-        """:meth:`_solo_dispatch` on the executor (batch-fallback path)."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, self._solo_dispatch, body, route_key, ctx)
+    def _fan_out(self, call, *, exclude: str | None = None,
+                 required: str | None = None,
+                 ) -> "tuple[dict[str, Any], dict[str, Exception]]":
+        """``call(info)`` on every live worker but ``exclude`` (blocking).
 
-    async def _scatter_solve(self, body: dict[str, Any],
-                             ctx: TraceContext | None = None,
-                             ) -> dict[str, Any]:
+        The calls run concurrently on the loop's executor, under the
+        request timeout, and come back as a ``(discovered, failures)``
+        pair keyed by worker id.  ``required`` names what an empty fleet
+        cannot do: it then raises :class:`NoLiveWorkersError` instead of
+        returning two empty maps.
+        """
+        live = [info for info in self.registry.live()
+                if info.worker_id != exclude]
+        if not live and required is not None:
+            raise NoLiveWorkersError(f"no live workers {required}")
+
+        async def gather() -> list[Any]:
+            loop = asyncio.get_running_loop()
+            return await asyncio.gather(
+                *(loop.run_in_executor(None, call, info) for info in live),
+                return_exceptions=True)
+
+        discovered: dict[str, Any] = {}
+        failures: dict[str, Exception] = {}
+        for info, result in zip(live, self._run_on_loop(gather())):
+            if isinstance(result, BaseException):
+                failures[info.worker_id] = result  # type: ignore[assignment]
+            else:
+                discovered[info.worker_id] = result
+        return discovered, failures
+
+    def _get(self, path: str, *, raw: bool = False):
+        """The per-worker call of a ``GET path`` fan-out."""
+        return lambda info: self._call_worker_sync(info, "GET", path, None,
+                                                   raw=raw)
+
+    def _scatter_solve(self, body: dict[str, Any],
+                       ctx: TraceContext | None = None) -> dict[str, Any]:
         """Speculative fan-out to every live worker; best result wins."""
-        live = self.registry.live()
-        if not live:
-            raise NoLiveWorkersError("no live workers to scatter to")
-        self._bump("scattered")
 
-        async def call_one(info: WorkerInfo):
+        def call_one(info: WorkerInfo):
             attempt_ctx = ctx.child() if ctx is not None else None
             headers = ({TRACE_HEADER: attempt_ctx.to_header()}
                        if attempt_ctx is not None else None)
             attempt_start = time.time()
             attempt_began = time.perf_counter()
             try:
-                result = await self._call_worker(info, "POST", "/solve",
-                                                 dict(body), headers=headers)
+                result = self._call_worker_sync(info, "POST", "/solve",
+                                                dict(body), headers=headers)
             except Exception as error:
                 self._record_attempt(attempt_ctx, info, attempt_start,
                                      attempt_began, error=error,
@@ -680,22 +771,15 @@ class FleetCoordinator:
                                  attempt_began, scatter=True)
             return result
 
-        results = await asyncio.gather(
-            *(call_one(info) for info in live), return_exceptions=True)
-        discovered: dict[str, dict[str, Any]] = {}
-        failures: dict[str, Exception] = {}
-        for info, result in zip(live, results):
-            if isinstance(result, BaseException):
-                failures[info.worker_id] = result  # type: ignore[assignment]
-            else:
-                discovered[info.worker_id] = result
+        discovered, failures = self._fan_out(call_one,
+                                             required="to scatter to")
+        self._bump("scattered")
         try:
-            row = dict(get_best_discovered_result(discovered, failures))
+            row = _best_row(discovered, failures)
         except Exception:
             self._bump("failed")
             raise
         self._bump("routed")
-        row["worker"] = next(iter(discovered))
         if ctx is not None:
             row["trace_id"] = ctx.trace_id
         row["scatter"] = {
@@ -732,128 +816,40 @@ class FleetCoordinator:
             group.closed = True
             if self._groups.get(group.shape) is group:
                 del self._groups[group.shape]
-        members = group.members
+        loop = asyncio.get_running_loop()
         try:
-            if len(members) == 1:
-                await self._settle_solo(group, members[0])
-                return
-            await self._settle_batch(group, members)
+            results = await loop.run_in_executor(None, self._dispatch_group,
+                                                 group)
         except Exception as error:  # noqa: BLE001 - fan the failure out
-            for _, future, _ in members:
-                if not future.done():
-                    future.set_exception(error)
-
-    async def _settle_solo(
-            self, group: _Group,
-            member: "tuple[int, asyncio.Future, TraceContext | None]",
-    ) -> None:
-        seed, future, ctx = member
-        self._bump("solo")
-        body = dict(group.template)
-        body["seed"] = seed
-        try:
-            row = await self._dispatch_solo(body, group.route_key, ctx)
-        except Exception as error:  # noqa: BLE001 - settle, don't crash
-            if not future.done():
-                future.set_exception(error)
-            return
-        if not future.done():
-            future.set_result(row)
-
-    async def _settle_batch(
-            self, group: _Group,
-            members: "list[tuple[int, asyncio.Future, TraceContext | None]]",
-    ) -> None:
-        """One ``POST /solve_batch`` for the whole group, with failover."""
-        seeds: list[int] = []
-        for seed, _, _ in members:
-            if seed not in seeds:
-                seeds.append(seed)
-        template = group.template
-        batch_body = {
-            "workload": template["workload"],
-            "algorithm": template["algorithm"],
-            "config": template.get("config") or {},
-            "graph_seed": template.get("graph_seed", 0),
-            "verify": template.get("verify", True),
-            "seeds": seeds,
-        }
-        traced = [ctx for _, _, ctx in members if ctx is not None]
-        failures: dict[str, Exception] = {}
-        response: dict[str, Any] | None = None
-        chosen: WorkerInfo | None = None
-        for _ in range(self.max_worker_attempts):
-            info, is_primary = self._pick_worker(group.route_key,
-                                                 set(failures))
-            if info is None:
-                break
-            if not info.supports_batch():
-                failures[info.worker_id] = ServiceError(
-                    404, f"worker {info.worker_id!r} does not accept "
-                         f"/solve_batch groups")
+            results = [error] * len(group.members)
+        for (_, future, _), result in zip(group.members, results):
+            if future.done():
                 continue
-            # One RPC serves every member's trace: each traced member
-            # gets its own fleet.attempt span; the worker-bound header
-            # carries the first one (a batch is one downstream request).
-            attempt_ctxs = [ctx.child() for ctx in traced]
-            headers = ({TRACE_HEADER: attempt_ctxs[0].to_header()}
-                       if attempt_ctxs else None)
-            attempt_start = time.time()
-            attempt_began = time.perf_counter()
+            if isinstance(result, Exception):
+                future.set_exception(result)
+            else:
+                future.set_result(result)
 
-            def note_attempts(error: Exception | None = None) -> None:
-                for attempt_ctx in attempt_ctxs:
-                    self._record_attempt(
-                        attempt_ctx, info, attempt_start, attempt_began,
-                        error=error, batch=len(seeds))
-
+    def _dispatch_group(self, group: _Group) -> list[Any]:
+        """One result (or exception) per member: a group of several goes
+        out as one B > 1 dispatch; a lone member, or a group no worker
+        took, as B = 1 dispatches, each with its own failover."""
+        members = group.members
+        if len(members) > 1:
+            rows = self._dispatch(group.template, group.route_key,
+                                  [ctx for _, _, ctx in members],
+                                  seeds=[seed for seed, _, _ in members])
+            if rows is not None:
+                return rows
+        results: list[Any] = []
+        for seed, _, ctx in members:
+            self._bump("solo")
             try:
-                response = await self._call_worker(info, "POST",
-                                                   "/solve_batch",
-                                                   batch_body,
-                                                   headers=headers)
-            except ServiceError as error:
-                note_attempts(error)
-                if error.status in (404, 429):
-                    failures[info.worker_id] = error
-                    self._bump("retried")
-                    continue
-                raise
-            except TransportError as error:
-                note_attempts(error)
-                failures[info.worker_id] = error
-                self._bump("retried")
-                continue
-            note_attempts()
-            chosen = info
-            if is_primary:
-                self._bump("affinity_hits", len(members))
-            break
-        if response is None or chosen is None:
-            # No batch-capable worker reachable: fall back to solo
-            # dispatch per member (each with its own failover).
-            for member in members:
-                await self._settle_solo(group, member)
-            return
-        rows = response.get("rows")
-        if not isinstance(rows, list) or len(rows) != len(seeds):
-            raise TransportError(
-                chosen.worker_id,
-                f"solve_batch returned {type(rows).__name__} "
-                f"({len(rows) if isinstance(rows, list) else '?'} rows) "
-                f"for {len(seeds)} seeds")
-        by_seed = dict(zip(seeds, rows))
-        self._bump("batched", len(members))
-        self._bump("batch_calls")
-        self._bump("routed", len(members))
-        for seed, future, ctx in members:
-            row = dict(by_seed[seed])
-            row["worker"] = chosen.worker_id
-            row["grouped"] = len(members)
-            if ctx is not None:
-                row["trace_id"] = ctx.trace_id
-            if not future.done():
-                future.set_result(row)
+                results.append(self._dispatch(
+                    dict(group.template, seed=seed), group.route_key, [ctx]))
+            except Exception as error:  # noqa: BLE001 - settle, don't crash
+                results.append(error)
+        return results
 
     # -------------------------------------------------------- observability
     def trace(self, trace_id: str) -> dict[str, Any] | None:
@@ -871,7 +867,14 @@ class FleetCoordinator:
         rows = [dict(row) for row in recorder.spans(trace_id)]
         for row in rows:
             row.setdefault("worker", "coordinator")
-        rows.extend(self._run_on_loop(self._gather_trace(trace_id)))
+        discovered, _ = self._fan_out(self._get(f"/trace/{trace_id}"))
+        # A worker that never saw this trace answers 404; a dead one fails.
+        for worker_id, result in discovered.items():
+            for row in result.get("spans") or []:
+                if isinstance(row, dict):
+                    row = dict(row)
+                    row.setdefault("worker", worker_id)
+                    rows.append(row)
         if not rows:
             return {}
         tree = assemble_trace(rows)
@@ -884,25 +887,6 @@ class FleetCoordinator:
             "roots": tree["roots"],
         }
 
-    async def _gather_trace(self, trace_id: str) -> list[dict[str, Any]]:
-        live = self.registry.live()
-        if not live:
-            return []
-        results = await asyncio.gather(
-            *(self._call_worker(info, "GET", f"/trace/{trace_id}", None)
-              for info in live),
-            return_exceptions=True)
-        rows: list[dict[str, Any]] = []
-        for info, result in zip(live, results):
-            if isinstance(result, BaseException):
-                continue  # 404 = worker never saw this trace; dead = gone
-            for row in result.get("spans") or []:
-                if isinstance(row, dict):
-                    row = dict(row)
-                    row.setdefault("worker", info.worker_id)
-                    rows.append(row)
-        return rows
-
     def fleet_metrics(self) -> str | None:
         """``GET /fleet/metrics``: every worker's page, worker-labelled.
 
@@ -914,49 +898,13 @@ class FleetCoordinator:
         metrics = self.metrics
         if metrics is None:
             return None
-        pages, errors = self._run_on_loop(self._gather_fleet_metrics())
+        discovered, failures = self._fan_out(self._get("/metrics", raw=True))
+        pages = {worker_id: bytes(page).decode("utf-8", errors="replace")
+                 for worker_id, page in discovered.items()}
         pages["coordinator"] = metrics.render()
-        return federate_prometheus(pages, errors=errors)
-
-    async def _gather_fleet_metrics(
-            self) -> tuple[dict[str, str], dict[str, str]]:
-        live = self.registry.live()
-        results = await asyncio.gather(
-            *(self._call_worker(info, "GET", "/metrics", None, raw=True)
-              for info in live),
-            return_exceptions=True)
-        pages: dict[str, str] = {}
-        errors: dict[str, str] = {}
-        for info, result in zip(live, results):
-            if isinstance(result, BaseException):
-                errors[info.worker_id] = (
-                    f"{type(result).__name__}: {result}")
-            else:
-                pages[info.worker_id] = bytes(result).decode(
-                    "utf-8", errors="replace")
-        return pages, errors
-
-    # --------------------------------------------------------------- report
-    async def scatter_report(self, key: str) -> dict[str, Any]:
-        """``GET /report/<key>`` resolved across the whole fleet."""
-        live = self.registry.live()
-        if not live:
-            raise NoLiveWorkersError("no live workers to query")
-        results = await asyncio.gather(
-            *(self._call_worker(info, "GET", f"/report/{key}", None)
-              for info in live),
-            return_exceptions=True)
-        discovered: dict[str, dict[str, Any]] = {}
-        failures: dict[str, Exception] = {}
-        for info, result in zip(live, results):
-            if isinstance(result, BaseException):
-                failures[info.worker_id] = result  # type: ignore[assignment]
-            else:
-                discovered[info.worker_id] = result
-        row = dict(get_best_discovered_result(discovered, failures))
-        self._bump("reports")
-        row["worker"] = next(iter(discovered))
-        return row
+        return federate_prometheus(pages, errors={
+            worker_id: f"{type(error).__name__}: {error}"
+            for worker_id, error in failures.items()})
 
     # ----------------------------------------------------------- warm reads
     def cache_fetch(self, key: str,
@@ -969,30 +917,12 @@ class FleetCoordinator:
         miss back to it).  Same circuit breakers, outstanding accounting
         and relay-latency histogram as every other worker RPC.
         """
-        return self._run_on_loop(self.scatter_cache(key, exclude=exclude))
-
-    async def scatter_cache(self, key: str,
-                            exclude: str | None = None) -> dict[str, Any]:
-        live = [info for info in self.registry.live()
-                if info.worker_id != exclude]
-        if not live:
-            raise NoLiveWorkersError(
-                "no live peers to query for cached rows")
+        discovered, failures = self._fan_out(
+            self._get(f"/cache/{key}"), exclude=exclude,
+            required="to query for cached rows")
         self._bump("warm_fetches")
-        results = await asyncio.gather(
-            *(self._call_worker(info, "GET", f"/cache/{key}", None)
-              for info in live),
-            return_exceptions=True)
-        discovered: dict[str, dict[str, Any]] = {}
-        failures: dict[str, Exception] = {}
-        for info, result in zip(live, results):
-            if isinstance(result, BaseException):
-                failures[info.worker_id] = result  # type: ignore[assignment]
-            else:
-                discovered[info.worker_id] = result
-        row = dict(get_best_discovered_result(discovered, failures))
+        row = _best_row(discovered, failures)
         self._bump("warm_hits")
-        row["worker"] = next(iter(discovered))
         return row
 
     # ---------------------------------------------------------------- stats

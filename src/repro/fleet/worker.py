@@ -39,7 +39,6 @@ Two fleet-only routes ride on the service server's extensibility hooks:
 from __future__ import annotations
 
 import argparse
-import asyncio
 import os
 import socket
 import threading
@@ -49,7 +48,7 @@ from urllib.parse import quote
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import SolveRequest, SolveScheduler
-from repro.service.server import ServiceServer, SolveTimeout
+from repro.service.server import ServiceServer
 from repro.fleet.transport import CircuitBreaker
 
 __all__ = ["FleetWorker", "add_worker_arguments", "default_worker_id",
@@ -93,17 +92,8 @@ class _WorkerServer(ServiceServer):
                 or not all(isinstance(seed, int) for seed in seeds_field)):
             raise ValueError(
                 "solve_batch requires 'seeds': a non-empty list of ints")
-        request = SolveRequest.from_obj(obj)
-        future = asyncio.run_coroutine_threadsafe(
-            self.scheduler.submit_batch(request, list(seeds_field)),
-            self._loop)
-        try:
-            responses = future.result(timeout=self.request_timeout_s)
-        except TimeoutError:
-            future.cancel()
-            raise SolveTimeout(
-                f"solve_batch did not complete within "
-                f"{self.request_timeout_s:.1f}s") from None
+        responses = self.submit(SolveRequest.from_obj(obj),
+                                seeds=list(seeds_field))
         return 200, {"rows": [response.to_row() for response in responses],
                      "count": len(responses)}
 

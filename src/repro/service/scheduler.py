@@ -10,16 +10,23 @@ explicit ``graph_seed``, so a request is pure data: any worker process can
 rebuild the identical graph, and the request's content address (the
 :class:`~repro.api.SolvePlan` key) is computable before any work happens.
 
-Pipeline (``submit``)
----------------------
+Pipeline (one path, B seeds)
+----------------------------
+A request asks for B seeds: :meth:`~SolveScheduler.submit` is the case
+B = 1 (the request's own ``seed``) and
+:meth:`~SolveScheduler.submit_batch` a grouped seed sweep.  Both take the
+same path:
+
 1. **Plan** -- fetch the workload graph from the process-wide memo
    :func:`workload_graph`, which the worker entry points share, and resolve
-   the algorithm/config/seed to a :class:`SolvePlan` and its cache key.
+   the algorithm/config and each seed to a :class:`SolvePlan` and its
+   cache key.
 2. **Cache** -- a key already in the two-tier cache is answered
    immediately (``status="hit"``).
-3. **Coalesce** -- a key already *in flight* attaches to the existing
-   future (``status="coalesced"``): identical concurrent requests share
-   one computation, the classic thundering-herd guard.
+3. **Coalesce** -- a key already *in flight*, queued or running, solo or
+   inside a batch, attaches to its future (``status="coalesced"``):
+   identical concurrent requests share one computation, the classic
+   thundering-herd guard.  The keys left form *one* job.
 4. **Admit** -- beyond ``max_pending`` queued jobs the request is refused
    with :class:`AdmissionError` (HTTP 429 at the server), keeping latency
    bounded under overload instead of queueing unboundedly.  With
@@ -32,7 +39,11 @@ Pipeline (``submit``)
    single-worker ``ProcessPoolExecutor``, so a given content address always
    lands on the same worker (deterministic placement, warm per-worker
    state) and distinct shards run genuinely in parallel.  Lower ``priority``
-   values run first within a shard; FIFO breaks ties.
+   values run first within a shard; FIFO breaks ties.  The consumer runs
+   a B = 1 job through ``_worker_solve`` and a larger one through
+   ``_worker_solve_batch`` (one array program over B seeds), caches every
+   row and resolves each key's future, whether or not its submitter is
+   still waiting.
 
 ``submit(..., wait=False)`` returns as soon as the job is admitted
 (``status="accepted"``, no report): the caller polls ``/report/<key>`` or
@@ -319,14 +330,21 @@ def _worker_solve_batch(workload: str, graph_seed: int, algorithm: str,
 
 @dataclass
 class _Job:
-    """One queued computation (shared by every coalesced request)."""
+    """One queued computation: the B keys of one request that neither the
+    cache nor an in-flight job could answer, with their seeds.
+
+    Each key has its own future, registered in ``SolveScheduler._inflight``
+    for as long as the job runs, so any later request -- solo or batch --
+    coalesces per key onto whichever job computes it.
+    """
 
     request: SolveRequest
     cell: str
-    key: str
+    keys: list[str]
+    seeds: list[int | None]
+    futures: "list[asyncio.Future[RunReport]]" = field(repr=False)
     shard: int = 0
-    future: "asyncio.Future[RunReport]" = field(repr=False, default=None)  # type: ignore[assignment]
-    #: Live event channel when the enqueuing request asked to stream.
+    #: Live event channel when a B = 1 job's request asked to stream.
     channel: EventChannel | None = field(repr=False, default=None)
 
 
@@ -464,8 +482,9 @@ class SolveScheduler:
                     _, _, job = queue.get_nowait()
                 except asyncio.QueueEmpty:
                     break
-                if not job.future.done():
-                    job.future.set_exception(shutdown_error)
+                for future in job.futures:
+                    if not future.done():
+                        future.set_exception(shutdown_error)
         for future in list(self._inflight.values()):
             if not future.done():
                 future.set_exception(shutdown_error)
@@ -484,19 +503,21 @@ class SolveScheduler:
     close = stop
 
     # ------------------------------------------------------------- serving
-    def _plan_request(self, request: SolveRequest) -> tuple[str, str]:
-        """Resolve workload -> graph -> content address (thread-side).
+    def _plan(self, request: SolveRequest,
+              seeds: "list[int | None]") -> tuple[str, list[str]]:
+        """Resolve workload -> graph -> one content address per seed
+        (thread-side).
 
         Building an unmemoized graph and fingerprinting it sorts every
         node and edge -- too slow for the event loop, where it would stall
         concurrent requests (including microsecond cache hits) behind one
-        large cell.  ``submit`` runs this in an executor thread.
+        large cell.  ``_serve`` runs this in an executor thread.
         """
         cell = resolve_workload(request.workload)
         graph = workload_graph(cell, request.graph_seed)
-        plan = self.registry.plan(graph, request.algorithm, seed=request.seed,
-                                  **request.config_dict)
-        return cell, key_for_plan(plan)
+        config = request.config_dict
+        return cell, [key_for_plan(self.registry.plan(
+            graph, request.algorithm, seed=seed, **config)) for seed in seeds]
 
     def _finish_request(self, request: SolveRequest, status: str,
                         start: float, *, key: str | None = None,
@@ -553,124 +574,15 @@ class SolveScheduler:
 
     async def submit(self, request: SolveRequest, *,
                      wait: bool = True) -> SolveResponse:
-        """Serve one request (see the module docstring for the pipeline).
+        """Serve one request: the B = 1 case of the one request path (see
+        the module docstring for the pipeline).
 
         ``wait=False`` returns ``status="accepted"`` (no report) right
         after the job is admitted and enqueued; cache hits still answer
         with the report immediately.
         """
-        start = time.perf_counter()
-        self.counters["requests"] += 1
-        if self._closed:
-            self.counters["rejected"] += 1
-            self._finish_request(request, "rejected", start)
-            raise AdmissionError("scheduler is closed")
-        loop = asyncio.get_running_loop()
-        try:
-            cell, key = await loop.run_in_executor(None, self._plan_request,
-                                                   request)
-        except (KeyError, TypeError, ValueError):
-            # Unknown workload/algorithm or a malformed typed config (the
-            # server maps these to 400): still one latency sample.
-            self.counters["invalid"] += 1
-            self._finish_request(request, "invalid", start)
-            raise
-        if self._closed:  # closed while planning off-loop: do not enqueue
-            self.counters["rejected"] += 1
-            self._finish_request(request, "rejected", start, key=key,
-                                 cell=cell)
-            raise AdmissionError("scheduler is closed")
-
-        if self.cache.peer_fetch is not None:
-            # The lookup may fan out to fleet peers (network I/O): keep
-            # it off the event loop so concurrent requests -- including
-            # microsecond memory hits -- are not stalled behind it.
-            report, tier = await loop.run_in_executor(
-                None, functools.partial(
-                    self.cache.lookup, key,
-                    require_certificate=request.verify))
-        else:
-            report, tier = self.cache.lookup(
-                key, require_certificate=request.verify)
-        if report is not None:
-            self.counters["hits"] += 1
-            if request.stream:
-                self._replay_cached_stream(key, cell, request, tier)
-            return self._finish_request(request, "hit", start, key=key,
-                                        cell=cell, tier=tier, report=report)
-
-        existing = self._inflight.get(key)
-        if existing is not None:
-            self.counters["coalesced"] += 1
-            try:
-                report = await asyncio.shield(existing)
-            except asyncio.CancelledError:
-                self._finish_request(request, "cancelled", start, key=key,
-                                     cell=cell)
-                raise
-            except AdmissionError:
-                self._finish_request(request, "rejected", start, key=key,
-                                     cell=cell)
-                raise
-            except Exception:
-                self._finish_request(request, "error", start, key=key,
-                                     cell=cell)
-                raise
-            return self._finish_request(request, "coalesced", start, key=key,
-                                        cell=cell, report=report)
-
-        if not self._started:
-            await self.start()
-        shard = int(key, 16) % self.shards
-        refusal = self._check_admission(shard)
-        if refusal is not None:
-            self.counters["rejected"] += 1
-            self._finish_request(request, "rejected", start, key=key,
-                                 cell=cell, shard=shard)
-            raise AdmissionError(refusal)
-
-        future: asyncio.Future = loop.create_future()
-        channel: EventChannel | None = None
-        if request.stream:
-            channel = self.events.open(key)
-            self._publish(channel, {
-                "event": "queued", "key": key, "cell": cell,
-                "algorithm": request.algorithm, "shard": shard,
-            })
-        job = _Job(request=request, cell=cell, key=key, shard=shard,
-                   future=future, channel=channel)
-        self._inflight[key] = future
-        # The in-flight entry lives exactly as long as the *job*: a
-        # submitter cancelled mid-await (e.g. wait_for timeout) must not
-        # tear it down while the computation still runs, or an identical
-        # retry would enqueue a duplicate instead of coalescing.  The
-        # callback also retrieves an orphaned job's exception so asyncio
-        # never logs "exception was never retrieved".
-        future.add_done_callback(self._retire_inflight(key))
-        self._pending += 1
-        await self._queues[shard].put(
-            (request.priority, next(self._seq), job))
-        if not wait:
-            return self._finish_request(request, "accepted", start, key=key,
-                                        cell=cell, shard=shard)
-        try:
-            report = await asyncio.shield(future)
-        except asyncio.CancelledError:
-            # The *submitter* was cancelled (client timeout / teardown);
-            # the shielded job keeps running and will land in the cache.
-            self._finish_request(request, "cancelled", start, key=key,
-                                 cell=cell, shard=shard)
-            raise
-        except AdmissionError:
-            self._finish_request(request, "rejected", start, key=key,
-                                 cell=cell, shard=shard)
-            raise
-        except Exception:
-            self._finish_request(request, "error", start, key=key, cell=cell,
-                                 shard=shard)
-            raise
-        return self._finish_request(request, "computed", start, key=key,
-                                    cell=cell, shard=shard, report=report)
+        (response,) = await self._serve(request, [request.seed], wait=wait)
+        return response
 
     async def submit_batch(self, request: SolveRequest,
                            seeds: "list[int]") -> "list[SolveResponse]":
@@ -678,68 +590,76 @@ class SolveScheduler:
 
         The fleet coordinator groups requests with an identical
         ``(workload, algorithm, config, graph_seed)`` shape but different
-        explicit seeds and forwards them here as a single call.  Cached
-        seeds are answered from the two-tier cache (``status="hit"``); the
-        misses execute as *one* ``repro.solve_batch`` job on the shard of
-        the first missed key -- algorithms with a batched runner sweep all
+        explicit seeds and forwards them here as a single call.  The sweep
+        takes the same path as :meth:`submit`, with B seeds: cached seeds
+        answer ``hit``, a seed whose key is already in flight -- solo or
+        inside another batch -- coalesces onto that computation, and the
+        rest form *one* job (one admission slot) in the queue of the shard
+        of the first such key.  The shard runs a job of B > 1 seeds as one
+        ``repro.solve_batch`` -- algorithms with a batched runner sweep all
         replicas as a single array program.  Each row is cached, certified
         and bit-identical to a solo ``repro.solve`` with that seed, so the
         batch path never changes what a retry or replay observes.
-
-        The batch occupies one admission slot and one shard executor job;
-        it does not coalesce with in-flight solo requests (explicit-seed
-        groups share content only with themselves in practice).
 
         Each seed is one request with exactly one recorded outcome.  A
         repeated seed shares its first occurrence's answer (``hit``, or
         ``coalesced`` onto the computation).  When the batch is refused,
         invalid, fails or is cancelled, every seed not yet answered records
-        that outcome before the exception propagates.
+        that outcome before the exception propagates; a cancelled batch's
+        job still runs and caches its rows.
         """
-        start = time.perf_counter()
         seed_list = [int(seed) for seed in seeds]
         if not seed_list:
             return []
-        self.counters["requests"] += len(seed_list)
-        outcomes: list[SolveResponse | None] = [None] * len(seed_list)
-        keys: list[str | None] = [None] * len(seed_list)
+        return await self._serve(request, seed_list, wait=True)
+
+    async def _serve(self, request: SolveRequest, seeds: "list[int | None]",
+                     *, wait: bool) -> "list[SolveResponse]":
+        """The one request path, for B = ``len(seeds)`` seeds."""
+        start = time.perf_counter()
+        self.counters["requests"] += len(seeds)
+        outcomes: list[SolveResponse | None] = [None] * len(seeds)
+        keys: list[str | None] = [None] * len(seeds)
         where: dict[str, Any] = {}  # cell and shard, once known
+
+        def finish(index: int, status: str, **fields: Any) -> None:
+            outcomes[index] = self._finish_request(
+                request, status, start, key=keys[index], **where, **fields)
 
         def finish_unanswered(status: str) -> int:
             """Record ``status`` for each seed still unanswered; the count."""
             unanswered = [index for index, outcome in enumerate(outcomes)
                           if outcome is None]
             for index in unanswered:
-                outcomes[index] = self._finish_request(
-                    request, status, start, key=keys[index], **where)
+                finish(index, status)
             return len(unanswered)
 
-        if self._closed:
-            self.counters["rejected"] += finish_unanswered("rejected")
-            raise AdmissionError("scheduler is closed")
         loop = asyncio.get_running_loop()
-
-        def plan_all() -> tuple[str, list[str]]:
-            cell = resolve_workload(request.workload)
-            graph = workload_graph(cell, request.graph_seed)
-            return cell, [key_for_plan(self.registry.plan(
-                graph, request.algorithm, seed=seed, **request.config_dict))
-                for seed in seed_list]
-
         try:
+            if self._closed:
+                self.counters["rejected"] += len(seeds)
+                raise AdmissionError("scheduler is closed")
             try:
-                cell, keys[:] = await loop.run_in_executor(None, plan_all)
+                cell, keys[:] = await loop.run_in_executor(
+                    None, self._plan, request, seeds)
             except (KeyError, TypeError, ValueError):
+                # Unknown workload/algorithm or a malformed typed config
+                # (the server maps these to 400): still one sample a seed.
                 self.counters["invalid"] += finish_unanswered("invalid")
                 raise
             where["cell"] = cell
-            #: Position of each distinct seed's first occurrence.
-            first: dict[int, int] = {}
-            for index, seed in enumerate(seed_list):
-                first.setdefault(seed, index)
+            if self._closed:  # closed while planning off-loop: do not enqueue
+                self.counters["rejected"] += len(seeds)
+                raise AdmissionError("scheduler is closed")
+            #: Position of each distinct key's first occurrence.
+            first: dict[str, int] = {}
+            for index, key in enumerate(keys):
+                first.setdefault(key, index)
             unique = list(first.values())
             if self.cache.peer_fetch is not None:
-                # Peer-consulting lookups do network I/O: off the loop.
+                # The lookup may fan out to fleet peers (network I/O): keep
+                # it off the event loop so concurrent requests -- including
+                # microsecond memory hits -- are not stalled behind it.
                 lookups = await loop.run_in_executor(None, lambda: [
                     self.cache.lookup(keys[index],
                                       require_certificate=request.verify)
@@ -748,70 +668,92 @@ class SolveScheduler:
                 lookups = [self.cache.lookup(
                     keys[index], require_certificate=request.verify)
                     for index in unique]
-
             misses: list[int] = []
             for index, (report, tier) in zip(unique, lookups):
                 if report is None:
                     misses.append(index)
                     continue
                 self.counters["hits"] += 1
-                outcomes[index] = self._finish_request(
-                    request, "hit", start, key=keys[index], cell=cell,
-                    tier=tier, report=report)
+                if request.stream:
+                    self._replay_cached_stream(keys[index], cell, request,
+                                               tier)
+                finish(index, "hit", tier=tier, report=report)
 
-            if misses:
+            # A key already in flight -- queued or running, solo or inside
+            # a batch -- attaches to that computation; the rest form one job.
+            futures = {keys[index]: self._inflight.get(keys[index])
+                       for index in misses}
+            fresh = [index for index in misses if futures[keys[index]] is None]
+            if fresh:
                 if not self._started:
                     await self.start()
-                shard = int(keys[misses[0]], 16) % self.shards
+                shard = int(keys[fresh[0]], 16) % self.shards
                 where["shard"] = shard
                 refusal = self._check_admission(shard)
                 if refusal is not None:
-                    self.counters["rejected"] += finish_unanswered(
-                        "rejected")
+                    self.counters["rejected"] += outcomes.count(None)
                     raise AdmissionError(refusal)
-                self._pending += 1
-                job_started = time.perf_counter()
-                try:
-                    serialized = await loop.run_in_executor(
-                        self._executors[shard], functools.partial(
-                            _worker_solve_batch, cell, request.graph_seed,
-                            request.algorithm, request.config_dict,
-                            [seed_list[index] for index in misses],
-                            request.verify))
-                except Exception as error:  # noqa: BLE001 - per-batch
-                    log_event("job_error", cell=cell,
-                              algorithm=request.algorithm,
-                              batch=len(misses),
-                              error=f"{type(error).__name__}: {error}")
-                    self.counters["errors"] += finish_unanswered("error")
-                    raise
-                finally:
-                    self._pending -= 1
-                    self._note_shard_latency(
-                        shard, (time.perf_counter() - job_started)
-                        / len(misses))
-                self.counters["batch_jobs"] += 1
-                for index, row in zip(misses, serialized):
-                    report = report_from_json(row)
-                    self.cache.put(keys[index], report)
-                    self.counters["computed"] += 1
-                    self._record_engine_metrics(request.algorithm, report)
-                    outcomes[index] = self._finish_request(
-                        request, "computed", start, key=keys[index],
-                        cell=cell, shard=shard, report=report)
+                futures.update(self._enqueue(
+                    request, cell, shard, [keys[index] for index in fresh],
+                    [seeds[index] for index in fresh]))
+            self.counters["coalesced"] += len(misses) - len(fresh)
+            if not wait:
+                for index in fresh:
+                    finish(index, "accepted")
+            for index in misses:
+                if outcomes[index] is None:
+                    report = await asyncio.shield(futures[keys[index]])
+                    finish(index, "computed" if index in fresh
+                           else "coalesced", report=report)
         except asyncio.CancelledError:
+            # The *submitter* was cancelled (client timeout / teardown);
+            # the shielded job keeps running and will land in the cache.
             finish_unanswered("cancelled")
             raise
+        except AdmissionError:
+            finish_unanswered("rejected")
+            raise
+        except Exception:
+            finish_unanswered("error")
+            raise
 
-        for index, seed in enumerate(seed_list):
+        for index, key in enumerate(keys):
             if outcomes[index] is None:  # a repeat of an answered seed
-                served = outcomes[first[seed]]
+                served = outcomes[first[key]]
                 status = "hit" if served.status == "hit" else "coalesced"
                 self.counters["hits" if status == "hit" else "coalesced"] += 1
-                outcomes[index] = self._finish_request(
-                    request, status, start, key=served.key, cell=cell,
-                    tier=served.tier, report=served.report)
+                finish(index, status, tier=served.tier, report=served.report)
         return outcomes  # type: ignore[return-value]
+
+    def _enqueue(self, request: SolveRequest, cell: str, shard: int,
+                 keys: "list[str]", seeds: "list[int | None]",
+                 ) -> "dict[str, asyncio.Future]":
+        """Queue one admitted job on ``shard``; its futures by key."""
+        loop = asyncio.get_running_loop()
+        futures = [loop.create_future() for _ in keys]
+        channel: EventChannel | None = None
+        if request.stream and len(keys) == 1:
+            channel = self.events.open(keys[0])
+            self._publish(channel, {
+                "event": "queued", "key": keys[0], "cell": cell,
+                "algorithm": request.algorithm, "shard": shard,
+            })
+        for key, future in zip(keys, futures):
+            self._inflight[key] = future
+            # The in-flight entry lives exactly as long as the *job*: a
+            # submitter cancelled mid-await (e.g. wait_for timeout) must
+            # not tear it down while the computation still runs, or an
+            # identical retry would enqueue a duplicate instead of
+            # coalescing.  The callback also retrieves an orphaned job's
+            # exception so asyncio never logs "exception was never
+            # retrieved".
+            future.add_done_callback(self._retire_inflight(key))
+        self._pending += 1
+        job = _Job(request=request, cell=cell, keys=keys, seeds=seeds,
+                   futures=futures, shard=shard, channel=channel)
+        self._queues[shard].put_nowait(
+            (request.priority, next(self._seq), job))
+        return dict(zip(keys, futures))
 
     def queue_depths(self) -> "list[int]":
         """Jobs sitting in each shard's priority queue (the steal hook).
@@ -896,14 +838,15 @@ class SolveScheduler:
                         f"ewma {self.shard_latency_ewma_s[shard]:.3f}s)")
         return None
 
-    def record_timeout(self, request: SolveRequest | None = None) -> None:
-        """Account one client-abandoned (504) request; thread-safe.
+    def record_timeout(self, seeds: int = 1) -> None:
+        """Account one client-abandoned (504) request of ``seeds`` seeds.
 
-        Called by the HTTP front end after it cancels the cross-thread
-        future -- the scheduler-side coroutine records the ``cancelled``
-        latency sample, this records the *why*.
+        Called on the loop by the HTTP front end after it cancels the
+        cross-thread future -- the scheduler-side coroutine records a
+        ``cancelled`` latency sample per unanswered seed, this records the
+        *why*, counted in seeds like ``requests``.
         """
-        self.counters["timeouts"] += 1
+        self.counters["timeouts"] += seeds
 
     async def _consume(self, shard: int) -> None:
         queue = self._queues[shard]
@@ -915,52 +858,32 @@ class SolveScheduler:
             job_started = time.perf_counter()
             try:
                 events_sink, pump = self._job_event_plumbing(job, loop)
-                request = job.request
-                traced = (request.trace is not None
-                          and self.trace_recorder is not None)
-                if traced:
-                    serialized, span_rows = await loop.run_in_executor(
-                        executor, functools.partial(
-                            _worker_solve_traced, job.cell,
-                            request.graph_seed, request.algorithm,
-                            request.config_dict, request.seed,
-                            request.verify, request.trace, events_sink))
-                    self.trace_recorder.record_rows(span_rows)
-                elif events_sink is None:
-                    # Exactly the historical six positional arguments:
-                    # tests (and any deployment) that substitute
-                    # ``_worker_solve`` keep working for non-streamed jobs.
-                    serialized = await loop.run_in_executor(
-                        executor, _worker_solve, job.cell,
-                        request.graph_seed, request.algorithm,
-                        request.config_dict, request.seed, request.verify)
-                else:
-                    serialized = await loop.run_in_executor(
-                        executor, functools.partial(
-                            _worker_solve, job.cell, request.graph_seed,
-                            request.algorithm, request.config_dict,
-                            request.seed, request.verify, events_sink))
-                report = report_from_json(serialized)
-                self.cache.put(job.key, report)
-                self.counters["computed"] += 1
-                self._record_engine_metrics(request.algorithm, report)
-                if not job.future.done():
-                    job.future.set_result(report)
+                rows = await self._run_job(job, executor, loop, events_sink)
+                if len(job.keys) > 1:
+                    self.counters["batch_jobs"] += 1
+                for key, future, row in zip(job.keys, job.futures, rows):
+                    report = report_from_json(row)
+                    self.cache.put(key, report)
+                    self.counters["computed"] += 1
+                    self._record_engine_metrics(job.request.algorithm, report)
+                    if not future.done():
+                        future.set_result(report)
                 if job.channel is not None:
                     await self._settle_stream(job, pump, events_sink, {
-                        "event": "end", "key": job.key, "status": "computed",
-                        "rounds": report.rounds,
+                        "event": "end", "key": job.keys[0],
+                        "status": "computed", "rounds": report.rounds,
                         "certified": report.certificate is not None,
                     })
                     pump = None
             except asyncio.CancelledError:
                 # Consumer cancellation means shutdown: fail (not cancel)
-                # the job's future so submitters awaiting it -- including
+                # the job's futures so submitters awaiting them -- including
                 # coalesced waiters -- see a clean AdmissionError rather
                 # than a confusing CancelledError of their own coroutine.
-                if not job.future.done():
-                    job.future.set_exception(AdmissionError(
-                        "scheduler closed while the request was running"))
+                for future in job.futures:
+                    if not future.done():
+                        future.set_exception(AdmissionError(
+                            "scheduler closed while the request was running"))
                 if pump is not None and events_sink is not None:
                     try:  # best effort: unblock the pump thread
                         events_sink.put(None)
@@ -968,23 +891,60 @@ class SolveScheduler:
                         pass
                 raise
             except Exception as error:  # noqa: BLE001 - surfaced per-request
-                self.counters["errors"] += 1
-                log_event("job_error", key=job.key, cell=job.cell,
+                self.counters["errors"] += len(job.keys)
+                log_event("job_error", key=job.keys[0], cell=job.cell,
                           algorithm=job.request.algorithm,
+                          batch=len(job.keys),
                           error=f"{type(error).__name__}: {error}")
-                if not job.future.done():
-                    job.future.set_exception(error)
+                for future in job.futures:
+                    if not future.done():
+                        future.set_exception(error)
                 if job.channel is not None:
                     await self._settle_stream(job, pump, events_sink, {
-                        "event": "end", "key": job.key, "status": "error",
+                        "event": "end", "key": job.keys[0], "status": "error",
                         "error": f"{type(error).__name__}: {error}",
                     })
                     pump = None
             finally:
                 self._note_shard_latency(
-                    shard, time.perf_counter() - job_started)
+                    shard, (time.perf_counter() - job_started) / len(job.keys))
                 self._pending -= 1
                 queue.task_done()
+
+    async def _run_job(self, job: _Job, executor: Executor,
+                       loop: asyncio.AbstractEventLoop,
+                       events_sink: Any) -> "list[str]":
+        """The job's serialised rows, one per key: ``_worker_solve`` (or
+        its traced or streamed form) for B = 1, one ``_worker_solve_batch``
+        sweep for B > 1."""
+        request = job.request
+        if len(job.seeds) > 1:
+            return await loop.run_in_executor(executor, functools.partial(
+                _worker_solve_batch, job.cell, request.graph_seed,
+                request.algorithm, request.config_dict, job.seeds,
+                request.verify))
+        (seed,) = job.seeds
+        if request.trace is not None and self.trace_recorder is not None:
+            serialized, span_rows = await loop.run_in_executor(
+                executor, functools.partial(
+                    _worker_solve_traced, job.cell, request.graph_seed,
+                    request.algorithm, request.config_dict, seed,
+                    request.verify, request.trace, events_sink))
+            self.trace_recorder.record_rows(span_rows)
+        elif events_sink is None:
+            # Exactly the historical six positional arguments: tests (and
+            # any deployment) that substitute ``_worker_solve`` keep
+            # working for non-streamed jobs.
+            serialized = await loop.run_in_executor(
+                executor, _worker_solve, job.cell, request.graph_seed,
+                request.algorithm, request.config_dict, seed, request.verify)
+        else:
+            serialized = await loop.run_in_executor(
+                executor, functools.partial(
+                    _worker_solve, job.cell, request.graph_seed,
+                    request.algorithm, request.config_dict, seed,
+                    request.verify, events_sink))
+        return [serialized]
 
     # ------------------------------------------------------ event plumbing
     def _job_event_plumbing(self, job: _Job, loop: asyncio.AbstractEventLoop,
@@ -1034,7 +994,7 @@ class SolveScheduler:
             except Exception:  # noqa: BLE001 - manager died mid-shutdown
                 pass
         self._publish(job.channel, final_event)
-        self.events.close(job.key)
+        self.events.close(job.keys[0])
 
     def _record_engine_metrics(self, algorithm: str,
                                report: RunReport) -> None:

@@ -87,9 +87,10 @@ class SolveTimeout(RuntimeError):
     """A request outlived the server's request timeout (HTTP 504).
 
     The job itself is *not* lost: the scheduler-side coroutine is
-    cancelled cleanly (recording a ``cancelled`` latency sample and
-    releasing its pending slot), while the shielded computation keeps
-    running and lands in the cache for ``/report/<key>`` pollers.
+    cancelled cleanly (recording a ``cancelled`` latency sample per
+    unanswered seed), while the shielded computation keeps running,
+    holds its admission slot until it ends and lands in the cache for
+    ``/report/<key>`` pollers.
     """
 
 
@@ -159,25 +160,29 @@ class ServiceServer:
         return f"http://{host}:{port}"
 
     def submit(self, request: SolveRequest, timeout: float | None = None,
-               *, wait: bool = True):
+               *, wait: bool = True, seeds: "list[int] | None" = None):
         """Run one request on the scheduler loop (thread-safe).
 
-        A timeout used to simply abandon the cross-thread future, leaking
-        the request coroutine (its pending-slot bookkeeping, its latency
-        sample) on the loop forever.  Now the future is *cancelled*:
-        cancellation propagates to the coroutine, which records the
-        ``cancelled`` outcome and unwinds cleanly -- only the shielded
-        job computation survives, on purpose -- and the caller gets
+        ``seeds`` makes it a grouped sweep (``SolveScheduler.submit_batch``,
+        a list of responses); ``None`` is a plain ``submit``.  A timeout
+        *cancels* the cross-thread future: cancellation propagates to the
+        coroutine, which records the ``cancelled`` outcome of each
+        unanswered seed and unwinds cleanly -- only the shielded job
+        computation survives, on purpose -- and the caller gets
         :class:`SolveTimeout` (HTTP 504).
         """
         timeout = self.request_timeout_s if timeout is None else timeout
-        future = asyncio.run_coroutine_threadsafe(
-            self.scheduler.submit(request, wait=wait), self._loop)
+        coroutine = (self.scheduler.submit(request, wait=wait)
+                     if seeds is None
+                     else self.scheduler.submit_batch(request, seeds))
+        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
         try:
             return future.result(timeout=timeout)
         except TimeoutError:
             future.cancel()
-            self._loop.call_soon_threadsafe(self.scheduler.record_timeout)
+            self._loop.call_soon_threadsafe(
+                self.scheduler.record_timeout,
+                1 if seeds is None else len(seeds))
             raise SolveTimeout(
                 f"request did not complete within {timeout:.1f}s; the solve "
                 f"continues in the background -- poll /report/<key>"

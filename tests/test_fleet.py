@@ -11,19 +11,30 @@ ephemeral ports (inline schedulers, memory-only caches).  Covers affinity
 determinism, fleet-served reports being bit-identical to a direct
 in-process ``repro.solve``, grouped ``/solve_batch`` dispatch, scatter,
 kill-a-worker-mid-fleet failover (non-zero retry/steal counters, zero
-lost requests), lease expiry and 410-triggered re-enrollment.
+lost requests), lease expiry and 410-triggered re-enrollment.  Scripted
+fake workers pin the grouped-dispatch failover rules.
 """
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from repro.api import report_from_json, solve
 from repro.scenarios.registry import DEFAULT_REGISTRY
-from repro.service import ServiceClient, ServiceError, SolveCache, SolveScheduler
+from repro.service import (
+    ServiceClient,
+    ServiceError,
+    ServiceServer,
+    SolveCache,
+    SolveScheduler,
+)
+from repro.service import scheduler as scheduler_module
 from repro.fleet import (
     CircuitBreaker,
     CircuitOpenError,
@@ -864,3 +875,216 @@ class TestFleetWarmReads:
                 assert worker.warm_fetches == 0
             finally:
                 worker.stop()
+
+
+# ---------------------------------------------------------------------------
+# Grouped dispatch failover (scripted workers)
+# ---------------------------------------------------------------------------
+
+class ScriptedWorker:
+    """A fake worker: ``statuses`` maps a POST path to the HTTP status it
+    answers (200 by default); a 200 serves one stub row per seed."""
+
+    def __init__(self, statuses: dict[str, int] | None = None) -> None:
+        self.statuses = dict(statuses or {})
+        self.calls: list[tuple[str, dict]] = []
+        worker = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, *args) -> None:
+                pass
+
+            def do_POST(self) -> None:  # noqa: N802 - http.server contract
+                length = int(self.headers.get("Content-Length") or 0)
+                body = json.loads(self.rfile.read(length) or b"{}")
+                worker.calls.append((self.path, body))
+                status = worker.statuses.get(self.path, 200)
+                if status != 200:
+                    doc = {"error": f"scripted {status}"}
+                elif self.path == "/solve_batch":
+                    doc = {"rows": [worker.row(seed)
+                                    for seed in body["seeds"]],
+                           "count": len(body["seeds"])}
+                else:
+                    doc = worker.row(body["seed"])
+                payload = json.dumps(doc).encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.httpd.daemon_threads = True
+        threading.Thread(target=self.httpd.serve_forever, daemon=True).start()
+
+    @staticmethod
+    def row(seed: int) -> dict:
+        return {"key": f"key-{seed}", "status": "computed", "seed": seed}
+
+    @property
+    def url(self) -> str:
+        host, port = self.httpd.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def close(self) -> None:
+        self.httpd.shutdown()
+        self.httpd.server_close()
+
+
+def _dead_url() -> str:
+    """A URL nobody listens on (connection refused)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+GROUP_SEEDS = (1, 2, 3)
+GROUP_GRAPH_SEED = 5
+
+
+def _issue_group(coordinator: FleetCoordinator) -> dict[int, dict]:
+    """Three same-shape explicit-seed solves at once: one grouping window."""
+    results: dict[int, dict] = {}
+
+    def issue(seed: int) -> None:
+        results[seed] = ServiceClient(coordinator.url, timeout=60).solve(
+            WORKLOAD, ALGORITHM, config=CONFIG, graph_seed=GROUP_GRAPH_SEED,
+            seed=seed)
+
+    threads = [threading.Thread(target=issue, args=(seed,))
+               for seed in GROUP_SEEDS]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results
+
+
+def _dispatch_counters(coordinator: FleetCoordinator) -> dict[str, int]:
+    return {name: coordinator.counters[name]
+            for name in ("routed", "affinity_hits", "batched",
+                         "batch_calls", "retried", "solo", "failed")}
+
+
+class TestGroupFailover:
+    @pytest.mark.parametrize("failure", [429, 404, "connection"])
+    def test_group_fails_over_to_the_next_worker(self, failure):
+        """A group whose primary answers 429, answers ``/solve_batch``
+        with 404 although enrolled as batch-capable, or refuses the
+        connection is served by the next worker on the ring, and each
+        member is answered once."""
+        primary_id, secondary_id = HashRing(["a", "b"]).preference(
+            f"{WORKLOAD}@{GROUP_GRAPH_SEED}")
+        secondary = ScriptedWorker()
+        primary = (None if failure == "connection"
+                   else ScriptedWorker({"/solve_batch": failure}))
+        try:
+            with FleetCoordinator(port=0, ttl_s=30.0,
+                                  batch_window_s=1.0) as coordinator:
+                coordinator.enroll(
+                    primary_id,
+                    _dead_url() if primary is None else primary.url,
+                    {"batch": True})
+                coordinator.enroll(secondary_id, secondary.url,
+                                   {"batch": True})
+                results = _issue_group(coordinator)
+                counters = _dispatch_counters(coordinator)
+        finally:
+            secondary.close()
+            if primary is not None:
+                primary.close()
+        assert sorted(results) == list(GROUP_SEEDS)
+        for seed, row in results.items():
+            assert row["key"] == f"key-{seed}"
+            assert row["worker"] == secondary_id
+            assert row["grouped"] == len(GROUP_SEEDS)
+        (call,) = secondary.calls
+        assert call[0] == "/solve_batch"
+        assert sorted(call[1]["seeds"]) == list(GROUP_SEEDS)
+        if primary is not None:
+            assert [path for path, _ in primary.calls] == ["/solve_batch"]
+        assert counters == {"routed": 3, "affinity_hits": 0, "batched": 3,
+                            "batch_calls": 1, "retried": 1, "solo": 0,
+                            "failed": 0}
+
+    def test_plain_server_serves_a_group_member_by_member(self):
+        """A worker enrolled without batch support never sees
+        ``/solve_batch``: each member goes out as its own B = 1 relay."""
+        scheduler = SolveScheduler(cache=SolveCache(""), inline=True,
+                                   shards=1)
+        with ServiceServer(port=0, scheduler=scheduler) as server, \
+                FleetCoordinator(port=0, ttl_s=30.0,
+                                 batch_window_s=1.0) as coordinator:
+            coordinator.enroll("plain", server.url, {"batch": False})
+            results = _issue_group(coordinator)
+            counters = _dispatch_counters(coordinator)
+        assert sorted(results) == list(GROUP_SEEDS)
+        for seed, row in results.items():
+            assert row["status"] == "computed"
+            assert row["worker"] == "plain"
+            assert row["attempts"] == 1
+            assert "grouped" not in row
+            assert row["report"]["provenance"]["seed"] == seed
+        assert len({row["key"] for row in results.values()}) == 3
+        assert scheduler.counters["requests"] == 3
+        assert scheduler.counters["computed"] == 3
+        assert counters == {"routed": 3, "affinity_hits": 3, "batched": 0,
+                            "batch_calls": 0, "retried": 0, "solo": 3,
+                            "failed": 0}
+
+
+class TestWorkerBatchTimeout:
+    def test_batch_504_cancels_and_counts_each_seed(self, monkeypatch):
+        """``/solve_batch`` rides the same bridge as ``/solve``: a batch
+        that outlives the request timeout answers 504, records one
+        ``cancelled`` outcome and one timeout per seed, and its job still
+        caches every row."""
+        release = threading.Event()
+        for name in ("_worker_solve", "_worker_solve_batch"):
+            def gated(*args, real=getattr(scheduler_module, name)):
+                release.wait(timeout=10)
+                return real(*args)
+
+            monkeypatch.setattr(scheduler_module, name, gated)
+
+        with FleetCoordinator(port=0, ttl_s=5.0) as coordinator:
+            scheduler = SolveScheduler(cache=SolveCache(""), inline=True,
+                                       shards=1)
+            worker = FleetWorker(coordinator.url, worker_id="slow", port=0,
+                                 scheduler=scheduler,
+                                 request_timeout_s=0.3,
+                                 peer_warm_reads=False)
+            worker.start()
+            try:
+                client = ServiceClient(worker.server.url, timeout=30)
+                with pytest.raises(ServiceError) as solo:
+                    client.solve(WORKLOAD, ALGORITHM, config=CONFIG,
+                                 seed=31)
+                with pytest.raises(ServiceError) as batch:
+                    client.request("POST", "/solve_batch", {
+                        "workload": WORKLOAD, "algorithm": ALGORITHM,
+                        "config": CONFIG, "seeds": [1, 2, 3]})
+                release.set()
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:
+                    row = client.stats()
+                    if row["pending"] == 0 and row["cache"]["puts"] == 4:
+                        break
+                    time.sleep(0.05)
+                row = client.stats()
+                cancelled = scheduler.metrics.solve_latency.count(
+                    ALGORITHM, "cancelled")
+            finally:
+                release.set()
+                worker.stop()
+        assert solo.value.status == 504
+        assert batch.value.status == 504
+        assert row["requests"] == 4
+        assert row["timeouts"] == 4
+        assert cancelled == 4
+        assert row["pending"] == 0
+        assert row["cache"]["puts"] == 4

@@ -417,17 +417,27 @@ class TestAllOutcomesRecordLatency:
                 batch.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await batch
-                return (len(scheduler.latencies_s),
-                        scheduler.metrics.solve_latency.count("power-mis",
-                                                              "cancelled"),
-                        scheduler._pending)
+                samples = len(scheduler.latencies_s)
+                cancelled = scheduler.metrics.solve_latency.count(
+                    "power-mis", "cancelled")
+                # The job holds its admission slot until it ends ...
+                gated_pending = scheduler._pending
+                release.set()
+                for _ in range(1000):
+                    if scheduler.cache.stats.puts == 3:
+                        break
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0)
+                # ... and frees it once its rows are cached.
+                return samples, cancelled, gated_pending, scheduler._pending
             finally:
                 release.set()
                 await scheduler.stop()
 
-        samples, cancelled, pending = run_async(scenario())
+        samples, cancelled, gated_pending, pending = run_async(scenario())
         assert samples == 3
         assert cancelled == 3
+        assert gated_pending == 1
         assert pending == 0
 
     def test_repeated_batch_seed_is_its_own_outcome(self):

@@ -32,6 +32,28 @@ REQUEST = SolveRequest(workload="regular-n24-d3", algorithm="power-mis",
                        config=(("k", 2),), seed=5)
 
 
+def gate_workers(monkeypatch, release: threading.Event) -> list[str]:
+    """Hold every ``_worker_solve`` and ``_worker_solve_batch`` call until
+    ``release``; returns the log of entry-point names as they start."""
+    executions: list[str] = []
+    for name in ("_worker_solve", "_worker_solve_batch"):
+        def gated(*args, real=getattr(scheduler_module, name), name=name):
+            executions.append(name)
+            release.wait(timeout=5)
+            return real(*args)
+
+        monkeypatch.setattr(scheduler_module, name, gated)
+    return executions
+
+
+async def wait_for_puts(scheduler: SolveScheduler, puts: int) -> None:
+    """Poll (bounded) until ``puts`` rows have landed in the cache."""
+    for _ in range(500):
+        if scheduler.cache.stats.puts >= puts:
+            return
+        await asyncio.sleep(0.01)
+
+
 class TestRequestParsing:
     def test_from_obj_round_trip(self):
         request = SolveRequest.from_obj({
@@ -212,40 +234,43 @@ class TestCoalescing:
             assert response.report.output == reference.output
             assert response.report.provenance == reference.provenance
 
-    def test_cancelled_submitter_does_not_break_coalescing(self, monkeypatch):
+    @pytest.mark.parametrize("first", ["solo", "batch"])
+    def test_cancelled_submitter_does_not_break_coalescing(self, monkeypatch,
+                                                           first):
         """A submitter cancelled mid-await (wait_for timeout) must leave
         the in-flight entry alive: an identical retry coalesces onto the
-        still-running job instead of spawning a duplicate computation."""
-        executions = []
+        still-running job -- a solo one, or a batch holding the key --
+        instead of spawning a duplicate computation, and the job still
+        caches every row: re-asking for any of its seeds is a hit."""
         release = threading.Event()
-        real_worker = scheduler_module._worker_solve
-
-        def gated_worker(*args):
-            executions.append(args)
-            release.wait(timeout=5)
-            return real_worker(*args)
-
-        monkeypatch.setattr(scheduler_module, "_worker_solve", gated_worker)
+        executions = gate_workers(monkeypatch, release)
+        seeds = [REQUEST.seed] if first == "solo" else [4, REQUEST.seed, 6]
 
         async def scenario():
             scheduler = make_scheduler()
             try:
+                submitter = (scheduler.submit(REQUEST) if first == "solo"
+                             else scheduler.submit_batch(REQUEST, seeds))
                 with pytest.raises(asyncio.TimeoutError):
-                    await asyncio.wait_for(scheduler.submit(REQUEST),
-                                           timeout=0.1)
+                    await asyncio.wait_for(submitter, timeout=0.1)
                 retry = asyncio.create_task(scheduler.submit(REQUEST))
                 await asyncio.sleep(0.05)
                 release.set()
                 response = await retry
-                return response
+                await wait_for_puts(scheduler, len(seeds))
+                again = [await scheduler.submit(
+                    dataclasses.replace(REQUEST, seed=seed))
+                    for seed in seeds]
+                return response, again
             finally:
                 release.set()
                 await scheduler.stop()
 
-        response = run_async(scenario())
+        response, again = run_async(scenario())
         assert len(executions) == 1, \
             "the retry must attach to the orphaned job, not recompute"
         assert response.status in ("coalesced", "hit")
+        assert [row.status for row in again] == ["hit"] * len(seeds)
 
     def test_distinct_requests_do_not_coalesce(self, monkeypatch):
         executions = []
@@ -345,6 +370,37 @@ class TestPriorityAndAdmission:
                 await scheduler.stop()
 
         run_async(scenario())
+
+    def test_queue_depths_count_a_batch_queued_behind_a_running_job(
+            self, monkeypatch):
+        release = threading.Event()
+        executions = gate_workers(monkeypatch, release)
+
+        async def scenario():
+            scheduler = make_scheduler(shards=1)
+            try:
+                running = asyncio.create_task(scheduler.submit(REQUEST))
+                while not executions:
+                    await asyncio.sleep(0.01)
+                batch = asyncio.create_task(
+                    scheduler.submit_batch(REQUEST, [7, 8]))
+                for _ in range(500):  # until queued behind the gated job
+                    if scheduler._pending == 2:
+                        break
+                    await asyncio.sleep(0.01)
+                depths = scheduler.queue_depths()
+                pending = scheduler._pending
+                release.set()
+                await asyncio.gather(running, batch)
+                return depths, pending, scheduler.queue_depths()
+            finally:
+                release.set()
+                await scheduler.stop()
+
+        depths, pending, drained = run_async(scenario())
+        assert depths == [1]
+        assert pending == 2
+        assert drained == [0]
 
 
 class TestShutdown:
