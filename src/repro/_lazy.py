@@ -12,20 +12,18 @@ from __future__ import annotations
 
 import importlib
 import sys
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 __all__ = ["lazy_exports"]
 
 
-def lazy_exports(package: str, exports: Mapping[str, str], *,
-                 wrap: Callable[[str, Any], Any] | None = None):
+def lazy_exports(package: str, exports: Mapping[str, str]):
     """``(__getattr__, __dir__)`` serving ``exports`` for ``package``.
 
     ``exports[name]`` names the module that defines ``name``; a name whose
     module is ``f"{package}.{name}"`` is that submodule itself.  A resolved
     value is stored in the package namespace, so the lookup runs once per
-    name.  ``wrap(name, value)``, when given, replaces a value before it is
-    stored.
+    name.
     """
 
     def __getattr__(name: str) -> Any:
@@ -37,8 +35,6 @@ def lazy_exports(package: str, exports: Mapping[str, str], *,
         module = importlib.import_module(module_name)
         value = (module if module_name == f"{package}.{name}"
                  else getattr(module, name))
-        if wrap is not None:
-            value = wrap(name, value)
         setattr(sys.modules[package], name, value)
         return value
 

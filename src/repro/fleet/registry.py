@@ -82,9 +82,9 @@ class WorkerInfo:
 
         ``None`` until the worker's first status carries a ``cache``
         summary.  ``shards`` is the per-shard entry-count vector from the
-        worker's sharded persistent tier (empty for legacy/memory-only
-        caches), so ``repro fleet status`` and the ``/fleet/workers``
-        document show where the fleet's warm keys actually live.
+        worker's persistent tier (empty for memory-only caches), so
+        ``repro fleet status`` and the ``/fleet/workers`` document show
+        where the fleet's warm keys actually live.
         """
         cache = self.capabilities.get("cache")
         if not isinstance(cache, Mapping):

@@ -32,11 +32,10 @@ Runner (``repro.scenarios.runner``)
 :func:`run_batch` expands scenarios into ``(scenario, repeat)`` tasks, seeds
 each deterministically via :func:`repro.hashing.seeds.derive_seed`, executes
 them on a ``multiprocessing`` pool, verifies every result with the oracles,
-and persists rows to an append-only JSON-lines store
-(``benchmarks/results/scenarios.jsonl`` by default).  Cells already in the
-store are served from cache, so re-running a sweep only executes the missing
-cells -- the substrate every later scale-out (sharding, remote workers) can
-plug into.
+and persists rows to a :class:`~repro.service.shardstore.ShardStore` keyed
+by ``cell_key`` (``benchmarks/results/scenarios/`` by default).  Cells
+already in the store are served from cache, so re-running a sweep only
+executes the missing cells.
 
 Oracles (``repro.scenarios.oracles``)
 -------------------------------------
@@ -72,12 +71,10 @@ _EXPORTS = {
     "GraphFamily": "repro.scenarios.registry",
     "OracleCheck": "repro.scenarios.oracles",
     "OracleReport": "repro.scenarios.oracles",
-    "ResultStore": "repro.scenarios.store",
     "Scenario": "repro.scenarios.registry",
     "ScenarioOutcome": "repro.scenarios.algorithms",
     "ScenarioRegistry": "repro.scenarios.registry",
     "default_registry": "repro.scenarios.registry",
-    "default_store_path": "repro.scenarios.store",
     "greedy_reference_oracle": "repro.scenarios.oracles",
     "mis_power_oracle": "repro.scenarios.oracles",
     "plan_tasks": "repro.scenarios.runner",

@@ -12,8 +12,8 @@ Commands
     ``--cache [PATH]`` additionally routes executed solves through the
     service layer's content-addressed cache tier.
 ``compact``
-    Rewrite the append-only JSON-lines stores (scenario results and,
-    with ``--cache``, the solve cache) keeping last-write-wins rows.
+    Drop superseded and corrupt rows from the on-disk stores (scenario
+    results and, with ``--cache``, the solve cache).
 
 Exit status of ``run`` is non-zero when any cell fails its oracles, so the
 command doubles as a randomized end-to-end test in CI.
@@ -25,10 +25,11 @@ import argparse
 import sys
 from typing import Sequence
 
+from repro._paths import results_path
 from repro.analysis.tables import format_table
 from repro.scenarios.registry import DEFAULT_REGISTRY
 from repro.scenarios.runner import run_batch
-from repro.scenarios.store import ResultStore, default_store_path
+from repro.service.shardstore import ShardStore
 
 __all__ = ["build_parser", "main"]
 
@@ -53,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=0, dest="base_seed",
                             help="base seed for deterministic task-seed derivation")
     run_parser.add_argument("--store", default=None,
-                            help=f"JSON-lines result store "
-                                 f"(default: {default_store_path()})")
+                            help=f"result-store directory "
+                                 f"(default: {results_path('scenarios')})")
     run_parser.add_argument("--no-resume", action="store_true",
                             help="re-execute cells even if present in the store")
     run_parser.add_argument("--no-verify", action="store_true",
@@ -66,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "PATH; default: the shared solve-cache store)")
 
     compact_parser = commands.add_parser(
-        "compact", help="rewrite JSON-lines stores keeping live rows only")
+        "compact", help="drop superseded rows from the on-disk stores")
     compact_parser.add_argument("--store", default=None,
                                 help=f"scenario result store to compact "
-                                     f"(default: {default_store_path()})")
+                                     f"(default: {results_path('scenarios')})")
     compact_parser.add_argument("--cache", nargs="?", const="__default__",
                                 default=None, metavar="PATH",
                                 dest="solve_cache",
@@ -145,34 +146,41 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not scenarios:
         print("[scenarios] selection matched no scenarios", file=sys.stderr)
         return 2
-    summary = run_batch(
-        scenarios,
-        jobs=args.jobs,
-        repeats=args.repeats,
-        base_seed=args.base_seed,
-        store_path=args.store,
-        resume=not args.no_resume,
-        verify=not args.no_verify,
-        solve_cache_path=_solve_cache_path(args.solve_cache),
-        progress=print,
-    )
+    try:
+        summary = run_batch(
+            scenarios,
+            jobs=args.jobs,
+            repeats=args.repeats,
+            base_seed=args.base_seed,
+            store_path=args.store,
+            resume=not args.no_resume,
+            verify=not args.no_verify,
+            solve_cache_path=_solve_cache_path(args.solve_cache),
+            progress=print,
+        )
+    except ValueError as error:  # a store root that is not a directory
+        print(f"[scenarios] {error}", file=sys.stderr)
+        return 2
     print(summary.format())
     return 0 if summary.ok else 1
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store or default_store_path())
-    kept, dropped = store.compact()
-    print(f"[scenarios] compacted {store.path}: kept {kept}, "
-          f"dropped {dropped}")
-    cache_path = _solve_cache_path(args.solve_cache)
-    if cache_path is not None:
-        # The solve cache knows its own layout (sharded directory vs the
-        # legacy single ``.jsonl``); a raw ResultStore would mistake the
-        # default directory path for a file.
-        from repro.service.cache import SolveCache
+    from repro.service.cache import SolveCache
 
-        cache = SolveCache(cache_path, max_memory_entries=1)
+    cache_path = _solve_cache_path(args.solve_cache)
+    try:
+        store = ShardStore(args.store or results_path("scenarios"),
+                           key_field="cell_key")
+        cache = (None if cache_path is None
+                 else SolveCache(cache_path, max_memory_entries=1))
+    except ValueError as error:  # a store root that is not a directory
+        print(f"[scenarios] {error}", file=sys.stderr)
+        return 2
+    kept, dropped = store.compact()
+    print(f"[scenarios] compacted {store.root}: kept {kept}, "
+          f"dropped {dropped}")
+    if cache is not None:
         kept, dropped = cache.compact()
         print(f"[scenarios] compacted {cache.path}: kept {kept}, "
               f"dropped {dropped}")

@@ -6,7 +6,8 @@ A *task* is one ``(scenario, repeat)`` pair.  Its seed is derived
 deterministically from the scenario name, the repeat index and the batch's
 base seed via :func:`repro.hashing.seeds.derive_seed`, so results are
 identical whatever the worker count or scheduling order.  Tasks already
-present in the JSON-lines result store are served from cache; the remainder
+present in the result store (a :class:`~repro.service.shardstore.ShardStore`
+keyed by ``cell_key``) are served from cache; the remainder
 is executed either serially or on a ``multiprocessing`` pool (workers
 rebuild the default registry on import, which is why parallel execution is
 only offered for the default registry -- custom registries run serially,
@@ -25,9 +26,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from repro._paths import results_path
 from repro.scenarios.oracles import verify_outcome
 from repro.scenarios.registry import DEFAULT_REGISTRY, Scenario, ScenarioRegistry
-from repro.scenarios.store import ResultStore, default_store_path
+from repro.service.shardstore import ShardStore
 
 __all__ = ["BatchSummary", "plan_tasks", "run_batch", "run_replica_batch",
            "run_task"]
@@ -305,8 +307,9 @@ def run_batch(scenarios: Iterable[Scenario] | None = None, *,
         Worker process count; ``None`` auto-sizes to the CPU count (capped),
         ``<= 1`` forces serial in-process execution.
     store_path:
-        JSON-lines store (default ``benchmarks/results/scenarios.jsonl``);
-        ``""`` disables persistence.
+        Result-store directory (default ``benchmarks/results/scenarios/``);
+        ``""`` disables persistence.  A regular file there is refused with
+        ``ValueError`` before any task runs.
     resume:
         Serve cells already present in the store from cache.
     verify:
@@ -331,9 +334,9 @@ def run_batch(scenarios: Iterable[Scenario] | None = None, *,
                        registry=registry)
 
     if store_path is None:
-        store_path = default_store_path()
-    store = ResultStore(store_path) if store_path else None
-    known = store.load() if (store is not None and resume) else {}
+        store_path = results_path("scenarios")
+    store = (ShardStore(store_path, key_field="cell_key") if store_path
+             else None)
 
     # Rows are returned in task order, whatever order cache hits and
     # executed tasks complete in.
@@ -341,7 +344,8 @@ def run_batch(scenarios: Iterable[Scenario] | None = None, *,
     pending: list[tuple[int, Scenario, int, int]] = []
     cached = 0
     for position, (scenario, repeat, seed) in enumerate(tasks):
-        row = known.get(scenario.cell_key(seed))
+        row = (store.get(scenario.cell_key(seed))
+               if store is not None and resume else None)
         if row is not None and _cache_hit(row, verify=verify):
             row = dict(row)
             row["cached"] = True
@@ -359,7 +363,7 @@ def run_batch(scenarios: Iterable[Scenario] | None = None, *,
         # loses at most the in-flight tasks, not the finished ones.
         row["cached"] = False
         if store is not None:
-            store.append(row)
+            store.put(row["cell_key"], row)
         rows[position] = row
         if progress and not row.get("ok", False):
             progress(f"[scenarios] FAILED {row['cell_key']}")
@@ -393,6 +397,6 @@ def run_batch(scenarios: Iterable[Scenario] | None = None, *,
         executed=len(pending),
         cached=cached,
         rows=rows,
-        store_path=store.path if store is not None else None,
+        store_path=store.root if store is not None else None,
         elapsed_s=time.perf_counter() - start,
     )

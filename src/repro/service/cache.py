@@ -19,15 +19,10 @@ Tiers
 * **persistent** -- rows hold :func:`repro.api.report_to_json` objects:
   everything but ``payload`` round-trips, and the stored certificate is
   replayed verbatim on a hit (re-verification is a ``replay`` away, and
-  the test suite does exactly that).  Two on-disk layouts exist:
-
-  - a *sharded* store (the default): a directory of N key-shards, each a
-    sequence of rotated segment files with TTL + LRU eviction under a
-    size budget -- see :mod:`repro.service.shardstore`;
-  - the *legacy* single-file layout (any path ending in ``.jsonl``):
-    one append-only JSON-lines file reusing the scenario
-    :class:`~repro.scenarios.store.ResultStore` format with ``cache_key``
-    as the identity column.
+  the test suite does exactly that).  The rows live in a
+  :class:`~repro.service.shardstore.ShardStore` keyed by ``cache_key``: a
+  directory of N key-shards, each a sequence of rotated segment files
+  with TTL + LRU eviction under a size budget.
 
 * **peer** -- optional: a ``peer_fetch`` callable (installed by fleet
   workers; typically a coordinator-mediated ``GET /cache/<key>``) is
@@ -39,8 +34,8 @@ Tiers
 
 Both local tiers are guarded by one lock, so the cache is safe under the
 threaded HTTP server and the asyncio scheduler alike.  Every persistent
-span read verifies the row's key before serving it: a stale span (the
-file was compacted or rewritten by another process) costs one rescan,
+span read verifies the row's key before serving it: a stale span (a
+segment was compacted or rewritten by another process) costs one rescan,
 never a wrong report.
 
 Accounting contract: :meth:`SolveCache.lookup` / :meth:`SolveCache.get`
@@ -54,14 +49,12 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro._paths import results_path
 from repro.hashing.seeds import derive_seed
-from repro.scenarios.store import ResultStore
 from repro.service.shardstore import DEFAULT_SEGMENT_BYTES, DEFAULT_SHARDS, \
     ShardStore
 
@@ -75,13 +68,7 @@ __all__ = ["CacheStats", "CachedSolve", "SolveCache", "default_cache_path",
 
 
 def default_cache_path() -> str:
-    """``benchmarks/results/solve_cache/`` (same anchoring as stores).
-
-    A directory: the default persistent tier is the sharded store.  The
-    pre-sharding single-file layout is still available by passing any
-    path ending in ``.jsonl`` (its historical default was
-    ``benchmarks/results/solve_cache.jsonl``).
-    """
+    """``benchmarks/results/solve_cache/``, anchored by :mod:`repro._paths`."""
     return results_path("solve_cache")
 
 
@@ -148,7 +135,7 @@ class CachedSolve:
 
 
 class SolveCache:
-    """Two-tier (LRU memory + sharded/JSON-lines disk) cache of RunReports."""
+    """Two-tier (LRU memory + sharded disk) cache of RunReports."""
 
     def __init__(self, path: str | None = None, *,
                  max_memory_entries: int = 1024,
@@ -161,12 +148,12 @@ class SolveCache:
                  | None = None) -> None:
         """``path=None`` picks the default store; ``path=""`` disables disk.
 
-        A ``path`` ending in ``.jsonl`` selects the legacy single-file
-        layout; any other non-empty path is a sharded-store directory
-        (``shards``, ``size_budget_bytes``, ``ttl_s`` and
-        ``max_segment_bytes`` apply only there).  ``peer_fetch``, when
-        given, is called with a cache key on a local miss and may return
-        a stored row (or report-JSON) fetched from a fleet peer.
+        Any other ``path`` is the :class:`ShardStore` directory that
+        ``shards``, ``size_budget_bytes``, ``ttl_s`` and
+        ``max_segment_bytes`` configure; a regular file there is refused
+        with ``ValueError``.  ``peer_fetch``, when given, is called with a
+        cache key on a local miss and may return a stored row (or
+        report-JSON) fetched from a fleet peer.
         ``registry=None`` means the default :data:`repro.api.REGISTRY`.
         """
         if path is None:
@@ -177,105 +164,37 @@ class SolveCache:
         self.max_memory_entries = max(1, int(max_memory_entries))
         self.peer_fetch = peer_fetch
         self._memory: "OrderedDict[str, RunReport]" = OrderedDict()
-        self._store: ResultStore | None = None
         self._shardstore: ShardStore | None = None
-        if path and path.endswith(".jsonl"):
-            self._store = ResultStore(path, key_field="cache_key")
-        elif path:
+        if path:
             self._shardstore = ShardStore(
                 path, shards=shards, key_field="cache_key",
                 max_segment_bytes=max_segment_bytes,
                 size_budget_bytes=size_budget_bytes, ttl_s=ttl_s)
-        # The legacy tier is indexed by byte span, not by row: keeping
-        # every serialised report in process memory would make the LRU
-        # bound illusory for long-lived servers.  A persistent hit seeks
-        # and re-parses its one line.  (The sharded store keeps its own
-        # per-shard span indexes.)
-        self._persistent_spans: dict[str, tuple[int, int]] = (
-            self._scan_spans())
         self._lock = threading.Lock()
         self.stats = CacheStats()
-
-    def _scan_spans(self) -> dict[str, tuple[int, int]]:
-        """Index the persistent store: ``cache_key -> (offset, length)``.
-
-        Last write wins, corrupt and key-less lines are skipped -- the
-        same semantics as :meth:`ResultStore.load`, without materialising
-        the rows.
-        """
-        spans: dict[str, tuple[int, int]] = {}
-        if self._store is None or not self._store.exists():
-            return spans
-        offset = 0
-        with open(self._store.path, "rb") as handle:
-            for line in handle:
-                length = len(line)
-                try:
-                    row = json.loads(line)
-                    key = row.get("cache_key")
-                except (json.JSONDecodeError, UnicodeDecodeError,
-                        AttributeError):
-                    key = None
-                if isinstance(key, str):
-                    spans[key] = (offset, length)
-                offset += length
-        return spans
 
     def _read_persistent(self, key: str) -> RunReport | None:
         """The persistent-tier report for ``key`` (``None`` when absent).
 
-        Both layouts verify that the bytes they read actually belong to
-        ``key`` before deserialising: a span can go stale whenever another
-        process compacts or rewrites the store, and a stale span may parse
-        a perfectly *valid* row -- for a different key.  On mismatch the
-        index is rebuilt and the read retried once; failing that, a miss.
+        The store verifies that the bytes it reads belong to ``key`` (see
+        :meth:`ShardStore.get`), so a stale span is a miss, never another
+        solve's report.
         """
-        if self._shardstore is not None:
-            row = self._shardstore.get(key)
-            if row is None:
-                return None
-            from repro.api.serialize import report_from_json
-
-            try:
-                return report_from_json(row["report"])
-            except (KeyError, TypeError, ValueError):
-                return None
-        if self._store is not None:
-            return self._read_legacy(key, rescan=True)
-        return None
-
-    def _read_legacy(self, key: str, *, rescan: bool) -> RunReport | None:
-        span = self._persistent_spans.get(key)
-        if span is None:
+        if self._shardstore is None:
             return None
-        row: Any = None
+        row = self._shardstore.get(key)
+        if row is None:
+            return None
+        from repro.api.serialize import report_from_json
+
         try:
-            with open(self._store.path, "rb") as handle:
-                handle.seek(span[0])
-                row = json.loads(handle.read(span[1]))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            row = None
-        if isinstance(row, dict) and row.get("cache_key") == key:
-            from repro.api.serialize import report_from_json
-
-            try:
-                return report_from_json(row["report"])
-            except (KeyError, TypeError, ValueError):
-                self._persistent_spans.pop(key, None)
-                return None
-        # Stale or torn span (compaction/rewrite behind our back): rescan
-        # once and retry.  Never serve whatever row now occupies the span.
-        if not rescan:
-            self._persistent_spans.pop(key, None)
+            return report_from_json(row["report"])
+        except (KeyError, TypeError, ValueError):
             return None
-        self._persistent_spans = self._scan_spans()
-        return self._read_legacy(key, rescan=False)
 
     @property
     def path(self) -> str | None:
-        if self._shardstore is not None:
-            return self._shardstore.root
-        return self._store.path if self._store is not None else None
+        return self._shardstore.root if self._shardstore is not None else None
 
     # ------------------------------------------------------------- tiers
     def _memory_put(self, key: str, report: RunReport) -> None:
@@ -383,22 +302,15 @@ class SolveCache:
 
     def _persist_locked(self, key: str, report: RunReport) -> None:
         """Write one report row to the persistent tier (lock held)."""
-        if self._store is None and self._shardstore is None:
+        if self._shardstore is None:
             return
         from repro.api.serialize import report_to_json
 
-        row = {
+        # The store stamps ``stored_at`` (the TTL clock) on the row.
+        self._shardstore.put(key, {
             "cache_key": key,
             "report": json.loads(report_to_json(report)),
-            "stored_at": round(time.time(), 3),
-        }
-        if self._shardstore is not None:
-            self._shardstore.put(key, row)
-        else:
-            # The span returned by append is measured under the store's
-            # file lock -- authoritative even with several processes
-            # appending, where getsize-then-append used to drift.
-            self._persistent_spans[key] = self._store.append(row)
+        })
 
     def put(self, key: str, report: RunReport) -> None:
         """Store a report in both tiers (last write wins on disk)."""
@@ -440,13 +352,14 @@ class SolveCache:
         with self._lock:
             summary = {
                 "memory_entries": len(self._memory),
-                "persistent_entries": self._persistent_len_locked(),
+                "persistent_entries": (len(self._shardstore)
+                                       if self._shardstore is not None
+                                       else 0),
                 "hits": self.stats.hits,
                 "puts": self.stats.puts,
                 "peer_hits": self.stats.peer_hits,
                 "hit_rate": round(self.stats.hit_rate, 4),
                 "tier": ("sharded" if self._shardstore is not None
-                         else "legacy" if self._store is not None
                          else "memory"),
             }
             if self._shardstore is not None:
@@ -461,13 +374,8 @@ class SolveCache:
                 }
             return summary
 
-    def _persistent_len_locked(self) -> int:
-        if self._shardstore is not None:
-            return len(self._shardstore)
-        return len(self._persistent_spans)
-
     def shard_occupancy(self) -> list[dict[str, Any]]:
-        """Per-shard occupancy rows (empty for legacy/memory-only caches)."""
+        """Per-shard occupancy rows (empty for memory-only caches)."""
         if self._shardstore is None:
             return []
         return self._shardstore.occupancy()
@@ -480,21 +388,15 @@ class SolveCache:
 
     # ------------------------------------------------------- maintenance
     def compact(self) -> tuple[int, int]:
-        """Compact the persistent tier (see :meth:`ResultStore.compact`)."""
-        if self._shardstore is not None:
-            with self._lock:
-                return self._shardstore.compact()
-        if self._store is None:
+        """Compact the persistent tier (see :meth:`ShardStore.compact`)."""
+        if self._shardstore is None:
             return (0, 0)
         with self._lock:
-            result = self._store.compact()
-            self._persistent_spans = self._scan_spans()  # offsets moved
-            return result
+            return self._shardstore.compact()
 
     def __len__(self) -> int:
         with self._lock:
+            keys = set(self._memory)
             if self._shardstore is not None:
-                keys = set(self._memory) | self._shardstore.keys()
-            else:
-                keys = set(self._memory) | set(self._persistent_spans)
+                keys |= self._shardstore.keys()
             return len(keys)

@@ -22,8 +22,7 @@
 
 ``repro cache compact [--cache-path PATH]``
     Compact the persistent tier: drop dead segment bytes (superseded and
-    evicted rows) in the sharded layout, or rewrite the legacy single
-    ``.jsonl`` keeping live rows.
+    evicted rows).
 """
 
 from __future__ import annotations
@@ -88,7 +87,11 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
 def _build_cache(args: argparse.Namespace):
     from repro.service.server import build_cache_from_args
 
-    return build_cache_from_args(args)
+    try:
+        return build_cache_from_args(args)
+    except ValueError as error:  # a --cache-path that is not a directory
+        print(f"[repro.cache] {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 # ---------------------------------------------------------------------------

@@ -520,7 +520,8 @@ class SolveScheduler:
             graph, request.algorithm, seed=seed, **config)) for seed in seeds]
 
     def _finish_request(self, request: SolveRequest, status: str,
-                        start: float, *, key: str | None = None,
+                        start: float, *, seed: int | None,
+                        key: str | None = None,
                         cell: str | None = None, tier: str | None = None,
                         shard: int | None = None,
                         report: RunReport | None = None,
@@ -531,7 +532,9 @@ class SolveScheduler:
         the structured ``request`` log line -- for *every* status, not
         just successes: error, rejected, invalid and cancelled requests
         are precisely the ones operators page on, and they used to be
-        invisible in ``latencies_s``.
+        invisible in ``latencies_s``.  ``seed`` is the row's own seed (a
+        batch row's, not the request's ``None``), so the logged shape
+        replays to the key that was served.
         """
         latency = time.perf_counter() - start
         self.latencies_s.append(latency)
@@ -566,7 +569,7 @@ class SolveScheduler:
                   algorithm=request.algorithm, status=status,
                   shard=shard, latency_ms=round(latency * 1e3, 3), tier=tier,
                   workload=request.workload, graph_seed=request.graph_seed,
-                  seed=request.seed, config=request.config_dict,
+                  seed=seed, config=request.config_dict,
                   **({"trace_id": trace_id} if trace_id else {}))
         return SolveResponse(report=report, key=key or "", status=status,
                              cell=cell or "", latency_s=latency, tier=tier,
@@ -624,7 +627,8 @@ class SolveScheduler:
 
         def finish(index: int, status: str, **fields: Any) -> None:
             outcomes[index] = self._finish_request(
-                request, status, start, key=keys[index], **where, **fields)
+                request, status, start, seed=seeds[index], key=keys[index],
+                **where, **fields)
 
         def finish_unanswered(status: str) -> int:
             """Record ``status`` for each seed still unanswered; the count."""

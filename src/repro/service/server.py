@@ -57,6 +57,7 @@ import argparse
 import asyncio
 import json
 import queue as queue_module
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -530,9 +531,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                              "predicts a wait beyond SECONDS (default: "
                              "static max_pending only)")
     parser.add_argument("--cache-path", default=None,
-                        help=f"persistent cache store: a directory for the "
-                             f"sharded tier, or a .jsonl file for the "
-                             f"legacy single-file layout "
+                        help=f"persistent cache store directory "
                              f"(default: {default_cache_path()})")
     parser.add_argument("--no-persist", action="store_true",
                         help="disable the persistent cache tier")
@@ -540,8 +539,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         help="in-process LRU capacity (reports)")
     parser.add_argument("--cache-shards", type=int, default=None,
                         metavar="N",
-                        help="key shards of the sharded persistent tier "
-                             "(default: 8; ignored for .jsonl stores)")
+                        help="key shards of the persistent tier "
+                             "(default: 8)")
     parser.add_argument("--cache-budget-mb", type=float, default=None,
                         metavar="MB",
                         help="on-disk size budget of the sharded tier; "
@@ -597,7 +596,11 @@ def build_cache_from_args(args: argparse.Namespace) -> SolveCache:
 
 
 def serve(args: argparse.Namespace) -> int:
-    cache = build_cache_from_args(args)
+    try:
+        cache = build_cache_from_args(args)
+    except ValueError as error:  # a --cache-path that is not a directory
+        print(f"[repro.service] {error}", file=sys.stderr)
+        return 2
     scheduler_kwargs: dict[str, Any] = {}
     if getattr(args, "no_metrics", False):
         scheduler_kwargs["metrics"] = None

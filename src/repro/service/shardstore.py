@@ -1,9 +1,11 @@
-"""Sharded, segmented, evicting on-disk store for the solve cache.
+"""Sharded, segmented, evicting on-disk store of keyed JSON rows.
 
-The historical persistent tier was one append-only JSON-lines file with
-whole-file compaction -- a single hot inode, a single lock, and a rewrite
-cost proportional to everything ever stored.  This module replaces it with
-a layout built for sustained fleet traffic:
+The one on-disk row store of the package: it holds the solve cache's
+persistent tier (rows keyed by ``cache_key``) and the scenario runner's
+result rows (keyed by ``cell_key``).  A single append-only JSON-lines file
+with whole-file compaction would be one hot inode, one lock, and a rewrite
+cost proportional to everything ever stored; this layout is built for
+sustained fleet traffic instead:
 
 * **Key shards.**  ``shard = int(key[:4], 16) % N`` (cache keys are hex
   content addresses, so the prefix is uniform).  Each shard has its own
@@ -19,21 +21,23 @@ a layout built for sustained fleet traffic:
   shards), rows die by TTL first, then by LRU; fully-dead segments are
   deleted, half-dead ones are compacted.  Disk usage is therefore bounded
   even under an ever-growing key population.
-* **Sharing.**  Appends go through the same ``fcntl``-locked authoritative
-  span path as :class:`repro.scenarios.store.ResultStore`, so several
-  processes (fleet workers pointed at one directory) can write one store.
-  Readers detect external growth (segment grew / new segment appeared) and
+* **Sharing.**  Appends go through :func:`append_jsonl_line`, which
+  measures each row's span under an ``fcntl`` lock, so several processes
+  (fleet workers pointed at one directory) can write one store.  Readers
+  detect external growth (segment grew / new segment appeared) and
   rescan incrementally; every span read verifies the row's key and falls
   back to a full rescan on mismatch, so a stale index can cost a re-read
   but never returns the wrong row.
 
 The store holds serialised rows (``dict`` per line) keyed by
 ``key_field``; it knows nothing about reports -- the solve cache layers
-deserialisation and the memory LRU on top.
+deserialisation and the memory LRU on top.  Its root is a directory: a
+regular file there (a leftover single-file store) is refused up front.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -42,9 +46,12 @@ import zlib
 from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
-from repro.scenarios.store import append_jsonl_line
+try:  # POSIX-only; the store degrades to thread-safety-only without it.
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None  # type: ignore[assignment]
 
-__all__ = ["ShardStore", "shard_of"]
+__all__ = ["ShardStore", "append_jsonl_line", "shard_of"]
 
 DEFAULT_SHARDS = 8
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -54,6 +61,54 @@ _COMPACT_DEAD_RATIO = 0.5
 
 _SEGMENT_PREFIX = "seg-"
 _SEGMENT_SUFFIX = ".jsonl"
+
+
+@contextlib.contextmanager
+def _exclusive_lock(handle):
+    """Hold an OS-level exclusive lock on ``handle`` for the block.
+
+    ``fcntl.flock`` serialises appenders *across processes* (two fleet
+    workers sharing one store), which a :class:`threading.Lock` cannot.
+    The lock is advisory: every cooperating writer goes through this
+    helper, so spans computed under it are authoritative.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX platforms
+        yield
+        return
+    fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+    try:
+        yield
+    finally:
+        fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+
+
+def append_jsonl_line(path: str, data: bytes) -> tuple[int, int]:
+    """Append one serialised line to ``path``; return its ``(offset, length)``.
+
+    The span is computed *under an exclusive file lock*, so it is
+    authoritative even when several processes append to the same file --
+    the historical getsize-then-append dance raced and produced drifted
+    spans that misparse on read.  A torn final line (a crashed writer got
+    half a row out) is repaired first by prefixing a newline, so the
+    interrupted row is isolated as one corrupt line (skipped on load)
+    instead of fusing with -- and destroying -- the new row.
+    """
+    if not data.endswith(b"\n"):
+        raise ValueError("appended lines must be newline-terminated")
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "a+b") as handle:
+        with _exclusive_lock(handle):
+            fd = handle.fileno()
+            size = os.fstat(fd).st_size
+            offset = size
+            if size > 0 and os.pread(fd, 1, size - 1) != b"\n":
+                handle.write(b"\n")
+                offset = size + 1
+            handle.write(data)
+            handle.flush()
+    return (offset, len(data))
 
 
 def shard_of(key: str, shards: int) -> int:
@@ -116,6 +171,11 @@ class ShardStore:
                  ttl_s: float | None = None,
                  clock: Callable[[], float] = time.time) -> None:
         self.root = str(root)
+        if os.path.exists(self.root) and not os.path.isdir(self.root):
+            # A leftover single-file store: opening it would look empty
+            # and then fail on the first put, after the work was done.
+            raise ValueError(f"store root {self.root!r} exists and is not "
+                             f"a directory")
         self.shards = max(1, int(shards))
         self.key_field = key_field
         self.max_segment_bytes = max(4096, int(max_segment_bytes))
@@ -504,7 +564,7 @@ class ShardStore:
         """Expire + rewrite every segment with dead bytes; ``(kept, dropped)``.
 
         ``dropped`` counts superseded/evicted/corrupt rows removed from
-        disk, mirroring :meth:`ResultStore.compact`.
+        disk.
         """
         kept = 0
         dropped = 0

@@ -17,7 +17,9 @@ from repro.analysis import (
     ruling_set_quality,
     sparsification_quality,
 )
+from repro.core.power_sparsify import power_graph_sparsification
 from repro.graphs import random_regular_graph
+from repro.ruling.det_ruling_set import deterministic_power_ruling_set
 from repro.ruling.greedy import greedy_mis, greedy_ruling_set
 
 
@@ -39,7 +41,7 @@ class TestMetrics:
 
     def test_sparsification_quality(self):
         graph = random_regular_graph(60, 5, seed=2)
-        result = repro.power_graph_sparsification(graph, 2)
+        result = power_graph_sparsification(graph, 2)
         quality = sparsification_quality(graph, set(graph.nodes()), result.q, 2)
         assert quality["valid"]
         assert quality["max_q_degree"] <= quality["degree_bound"]
@@ -91,7 +93,7 @@ class TestPublicAPI:
 
     def test_quickstart_docstring_flow(self):
         graph = nx.random_regular_graph(4, 60, seed=1)
-        result = repro.deterministic_power_ruling_set(graph, k=2)
+        result = deterministic_power_ruling_set(graph, k=2)
         report = repro.verify_ruling_set(graph, result.ruling_set, alpha=3,
                                          beta=result.beta_bound)
         assert report.ok

@@ -1,17 +1,13 @@
-"""Parity suite: every legacy free function == its ``repro.solve`` counterpart.
+"""Parity suite: every free function == its ``repro.solve`` counterpart.
 
 For the same explicit seed, dispatching through the solver registry must be
-bit-identical to calling the legacy free function with
+bit-identical to calling the implementation module's free function with
 ``rng=random.Random(seed)`` (graph-level algorithms) or
 ``CongestNetwork(graph, id_seed=seed)`` (simulator-native drivers) -- same
 output set, same charged/simulated rounds.
 
-The whole module runs with ``DeprecationWarning`` promoted to an error: the
-legacy side calls the *implementation* modules directly, so any
-deprecation warning here means internal code (the api adapters, the
-scenario views, the oracle layer) still routes through a ``repro.<name>``
-shim -- exactly the regression this suite exists to catch.  The shims
-themselves are exercised separately under ``pytest.warns``.
+The whole module runs with ``DeprecationWarning`` promoted to an error, so
+no code path a registered algorithm takes may lean on a deprecated API.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ import random
 
 import pytest
 
-import repro
 from repro.api import REGISTRY, solve
 from repro.congest.network import CongestNetwork
 from repro.core.detsparsify import det_sparsification
@@ -45,7 +40,7 @@ from repro.ruling.distributed import simulate_det_ruling_set
 from repro.ruling.greedy import greedy_mis, greedy_ruling_set
 from repro.scenarios.registry import DEFAULT_REGISTRY
 
-#: Internal code must never route through the deprecation shims.
+#: No registered algorithm may route through a deprecated API.
 pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 K = 2
@@ -167,25 +162,6 @@ def test_ball_graph_parity():
     mine = report.payload["ball_graph"]
     assert mine.balls == legacy.balls
     assert set(mine.graph.edges()) == set(legacy.graph.edges())
-
-
-@pytest.mark.parametrize("shim_name,api_name,args,kwargs", [
-    ("power_graph_mis", "power-mis", (K,), {}),
-    ("deterministic_power_ruling_set", "det-power-ruling", (K,), {}),
-    ("power_graph_sparsification", "sparsify", (K,), {}),
-    ("luby_mis_power", "luby-power", (K,), {}),
-])
-def test_shims_warn_and_delegate_bit_identically(shim_name, api_name, args, kwargs):
-    """repro.<legacy> warns DeprecationWarning and matches the solve output."""
-    graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=5)
-    with pytest.warns(DeprecationWarning, match=shim_name):
-        legacy = getattr(repro, shim_name)(graph, *args,
-                                           rng=random.Random(3), **kwargs)
-    report = solve(graph, api_name, seed=3, k=K)
-    output = getattr(legacy, "mis", None) or getattr(legacy, "ruling_set", None) \
-        or getattr(legacy, "q", None)
-    assert report.output == output
-    assert report.rounds == legacy.rounds
 
 
 def test_every_registered_algorithm_has_a_parity_case():

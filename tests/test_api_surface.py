@@ -1,11 +1,13 @@
 """Public-API snapshot: locks ``repro.__all__`` and the registered names.
 
-An accidental export, a dropped shim or a renamed algorithm changes the
+An accidental export, a dropped export or a renamed algorithm changes the
 library's public surface; these snapshots make any such change an explicit,
 reviewed test edit instead of a silent drift.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import repro
 from repro.api import REGISTRY
@@ -25,30 +27,13 @@ EXPECTED_ALL = [
     "Simulator",
     "SolverRegistry",
     "SyncEngine",
-    "aglp_ruling_set",
     "api",
-    "beeping_mis",
-    "beeping_mis_power",
     "check_power_sparsification",
     "check_sparsification",
-    "det_sparsification",
-    "deterministic_power_ruling_set",
-    "form_distance_k_ball_graph",
-    "greedy_mis",
-    "id_based_ruling_set",
     "is_mis_of_power_graph",
     "is_ruling_set",
-    "luby_mis",
-    "luby_mis_power",
-    "network_decomposition",
     "power_graph",
-    "power_graph_mis",
-    "power_graph_ruling_set",
-    "power_graph_sparsification",
-    "power_graph_sparsification_low_diameter",
-    "randomized_sparsification",
     "replay",
-    "shattering_mis",
     "solve",
     "solve_batch",
     "verify_invariants",
@@ -104,25 +89,29 @@ EXPECTED_DEFAULTS = {
     "sparsify-stage": "det-sparsify",
 }
 
-#: Every legacy shim and the registered algorithm it points to.
-SHIM_TO_ALGORITHM = {
-    "aglp_ruling_set": "aglp",
-    "beeping_mis": "beeping",
-    "beeping_mis_power": "beeping-power",
-    "det_sparsification": "det-sparsify",
-    "deterministic_power_ruling_set": "det-power-ruling",
-    "form_distance_k_ball_graph": "ball-graph",
-    "greedy_mis": "greedy-mis",
-    "id_based_ruling_set": "id-ruling",
-    "luby_mis": "luby",
-    "luby_mis_power": "luby-power",
-    "network_decomposition": "network-decomposition",
-    "power_graph_mis": "power-mis",
-    "power_graph_ruling_set": "power-ruling",
-    "power_graph_sparsification": "sparsify",
-    "power_graph_sparsification_low_diameter": "sparsify-low-diameter",
-    "randomized_sparsification": "randomized-sparsify",
-    "shattering_mis": "shattering-mis",
+#: Each free function behind a registered algorithm, by its
+#: implementation module, and the algorithm name it is registered under.
+FUNCTION_TO_ALGORITHM = {
+    "repro.core.detsparsify.det_sparsification": "det-sparsify",
+    "repro.core.power_sparsify.power_graph_sparsification": "sparsify",
+    "repro.core.power_sparsify.power_graph_sparsification_low_diameter":
+        "sparsify-low-diameter",
+    "repro.core.sampling.randomized_sparsification": "randomized-sparsify",
+    "repro.decomposition.ball_graph.form_distance_k_ball_graph": "ball-graph",
+    "repro.decomposition.network_decomposition.network_decomposition":
+        "network-decomposition",
+    "repro.mis.beeping.beeping_mis": "beeping",
+    "repro.mis.beeping.beeping_mis_power": "beeping-power",
+    "repro.mis.luby.luby_mis": "luby",
+    "repro.mis.luby.luby_mis_power": "luby-power",
+    "repro.mis.power_mis.power_graph_mis": "power-mis",
+    "repro.mis.power_ruling.power_graph_ruling_set": "power-ruling",
+    "repro.mis.shattering.shattering_mis": "shattering-mis",
+    "repro.ruling.aglp.aglp_ruling_set": "aglp",
+    "repro.ruling.aglp.id_based_ruling_set": "id-ruling",
+    "repro.ruling.det_ruling_set.deterministic_power_ruling_set":
+        "det-power-ruling",
+    "repro.ruling.greedy.greedy_mis": "greedy-mis",
 }
 
 
@@ -148,10 +137,12 @@ def test_default_algorithm_per_problem_snapshot():
         assert REGISTRY.default_algorithm(problem).name == expected
 
 
-def test_every_shim_has_a_registered_counterpart():
-    for shim_name, algorithm in SHIM_TO_ALGORITHM.items():
-        assert hasattr(repro, shim_name), shim_name
-        assert algorithm in EXPECTED_ALGORITHMS, shim_name
+def test_every_free_function_has_a_registered_counterpart():
+    for path, algorithm in FUNCTION_TO_ALGORITHM.items():
+        module_name, _, name = path.rpartition(".")
+        assert callable(getattr(importlib.import_module(module_name), name))
+        assert not hasattr(repro, name), f"repro.{name} is not an export"
+        assert algorithm in EXPECTED_ALGORITHMS, path
         spec = REGISTRY.algorithm(algorithm)
         assert spec.problem in EXPECTED_PROBLEMS
 

@@ -14,8 +14,15 @@ import networkx as nx
 import pytest
 
 import repro
+from repro.core.power_sparsify import power_graph_sparsification
 from repro.graphs.power import distance_neighborhood
+from repro.mis.beeping import beeping_mis
+from repro.mis.luby import luby_mis, luby_mis_power
+from repro.mis.power_mis import power_graph_mis
+from repro.mis.shattering import shattering_mis
 from repro.ruling import greedy_mis, greedy_ruling_set
+from repro.ruling.aglp import aglp_ruling_set
+from repro.ruling.det_ruling_set import deterministic_power_ruling_set
 from repro.ruling.verify import is_alpha_independent
 
 
@@ -36,34 +43,34 @@ def disconnected_graph() -> nx.Graph:
 class TestEmptyGraph:
     def test_mis_algorithms_return_empty(self):
         graph = empty_graph()
-        assert repro.luby_mis(graph).mis == set()
-        assert repro.power_graph_mis(graph, 1).mis == set()
-        assert repro.beeping_mis(graph).mis == set()
+        assert luby_mis(graph).mis == set()
+        assert power_graph_mis(graph, 1).mis == set()
+        assert beeping_mis(graph).mis == set()
         assert greedy_mis(graph, 2) == set()
 
     def test_ruling_set_algorithms_return_empty(self):
         graph = empty_graph()
-        assert repro.deterministic_power_ruling_set(graph, 1).ruling_set == set()
+        assert deterministic_power_ruling_set(graph, 1).ruling_set == set()
         assert greedy_ruling_set(graph, alpha=3) == set()
 
     def test_sparsification_returns_empty(self):
         graph = empty_graph()
-        result = repro.power_graph_sparsification(graph, 2)
+        result = power_graph_sparsification(graph, 2)
         assert result.q == set()
 
 
 class TestSingletonGraph:
     def test_every_algorithm_selects_the_node(self):
         graph = singleton_graph()
-        assert repro.luby_mis(graph).mis == {0}
-        assert repro.power_graph_mis(graph, 2).mis == {0}
-        assert repro.shattering_mis(graph).mis == {0}
-        assert repro.deterministic_power_ruling_set(graph, 2).ruling_set == {0}
+        assert luby_mis(graph).mis == {0}
+        assert power_graph_mis(graph, 2).mis == {0}
+        assert shattering_mis(graph).mis == {0}
+        assert deterministic_power_ruling_set(graph, 2).ruling_set == {0}
         assert greedy_mis(graph, 3) == {0}
 
     def test_sparsification_keeps_the_node(self):
         graph = singleton_graph()
-        result = repro.power_graph_sparsification(graph, 1)
+        result = power_graph_sparsification(graph, 1)
         assert result.q == {0}
 
     def test_ruling_set_verification(self):
@@ -75,21 +82,21 @@ class TestSingletonGraph:
 class TestDisconnectedGraph:
     def test_power_mis_covers_every_component(self):
         graph = disconnected_graph()
-        result = repro.power_graph_mis(graph, 2, rng=random.Random(1))
+        result = power_graph_mis(graph, 2, rng=random.Random(1))
         for component in nx.connected_components(graph):
             assert result.mis & component, "a component was left without a dominator"
         assert is_alpha_independent(graph, result.mis, 3)
 
     def test_luby_power_covers_every_component(self):
         graph = disconnected_graph()
-        result = repro.luby_mis_power(graph, 2, rng=random.Random(2))
+        result = luby_mis_power(graph, 2, rng=random.Random(2))
         for component in nx.connected_components(graph):
             assert result.mis & component
         assert is_alpha_independent(graph, result.mis, 3)
 
     def test_deterministic_ruling_set_covers_every_component(self):
         graph = disconnected_graph()
-        result = repro.deterministic_power_ruling_set(graph, 2)
+        result = deterministic_power_ruling_set(graph, 2)
         for component in nx.connected_components(graph):
             sub = result.mis if hasattr(result, "mis") else result.ruling_set
             assert set(sub) & component
@@ -102,7 +109,7 @@ class TestDisconnectedGraph:
 
     def test_sparsification_bounds_hold(self):
         graph = disconnected_graph()
-        result = repro.power_graph_sparsification(graph, 2)
+        result = power_graph_sparsification(graph, 2)
         check = repro.check_power_sparsification(graph, set(graph.nodes()), result.q, 2)
         assert check.degree_ok
         # Domination excess is measured relative to dist(v, Q_0) = 0, and Q
@@ -111,7 +118,7 @@ class TestDisconnectedGraph:
 
     def test_shattering_mis_is_independent_and_covers_components(self):
         graph = disconnected_graph()
-        result = repro.shattering_mis(graph, rng=random.Random(3))
+        result = shattering_mis(graph, rng=random.Random(3))
         assert is_alpha_independent(graph, result.mis, 2)
         for component in nx.connected_components(graph):
             for node in component:
@@ -123,15 +130,15 @@ class TestDisconnectedGraph:
 class TestDegenerateParameters:
     def test_k_equals_one_matches_plain_problems(self):
         graph = nx.cycle_graph(12)
-        power_mis = repro.power_graph_mis(graph, 1, rng=random.Random(4)).mis
+        power_mis = power_graph_mis(graph, 1, rng=random.Random(4)).mis
         assert repro.is_mis_of_power_graph(graph, power_mis, 1)
-        det = repro.deterministic_power_ruling_set(graph, 1)
+        det = deterministic_power_ruling_set(graph, 1)
         assert repro.is_mis_of_power_graph(graph, det.ruling_set, 1)
 
     def test_large_k_collapses_to_single_ruler_per_component(self):
         graph = disconnected_graph()
         k = graph.number_of_nodes()  # larger than any component diameter
-        result = repro.luby_mis_power(graph, k, rng=random.Random(5))
+        result = luby_mis_power(graph, k, rng=random.Random(5))
         assert len(result.mis) == nx.number_connected_components(graph)
 
     def test_aglp_with_constant_coloring_rejects_nothing_wrongly(self):
@@ -139,5 +146,5 @@ class TestDegenerateParameters:
         # works even on a complete graph (where G^k is complete too).
         graph = nx.complete_graph(9)
         ids = {node: node + 1 for node in graph.nodes()}
-        result = repro.aglp_ruling_set(graph, 2, ids, base=3)
+        result = aglp_ruling_set(graph, 2, ids, base=3)
         assert len(result.ruling_set) == 1

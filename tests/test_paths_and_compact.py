@@ -1,5 +1,5 @@
-"""Result-dir anchoring (``repro._paths``), store compaction and the
-runner's ``--cache`` path through the service tier."""
+"""Result-dir anchoring (``repro._paths``), store compaction, file-root
+refusal and the runner's ``--cache`` path through the service tier."""
 
 from __future__ import annotations
 
@@ -10,19 +10,21 @@ import time
 import pytest
 
 from repro import _paths
+from repro.cli import main as repro_cli
 from repro.scenarios.cli import main as scenarios_cli
 from repro.scenarios.registry import DEFAULT_REGISTRY
 from repro.scenarios import runner
 from repro.scenarios.runner import plan_tasks, run_batch
-from repro.scenarios.store import ResultStore, default_store_path
+from repro.service import server
+from repro.service.shardstore import ShardStore, shard_of
 
 
 class TestResultsDir:
     def test_env_var_wins(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "elsewhere"))
         assert _paths.results_dir() == str(tmp_path / "elsewhere")
-        assert default_store_path() == str(
-            tmp_path / "elsewhere" / "scenarios.jsonl")
+        assert _paths.results_path("scenarios") == str(
+            tmp_path / "elsewhere" / "scenarios")
 
     def test_source_tree_anchoring(self, monkeypatch):
         monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
@@ -32,7 +34,7 @@ class TestResultsDir:
         assert _paths.results_dir() == os.path.join(root, "benchmarks",
                                                     "results")
         # Anchored, therefore independent of the working directory.
-        assert os.path.isabs(default_store_path())
+        assert os.path.isabs(_paths.results_path("scenarios"))
 
     def test_results_path_creates_parent_on_demand(self, monkeypatch,
                                                    tmp_path):
@@ -42,25 +44,39 @@ class TestResultsDir:
         assert not os.path.exists(path)  # only the parent is created
 
 
+def _segment_of(store: ShardStore, key: str) -> str:
+    """The active segment file of ``key``'s shard."""
+    return os.path.join(store.root, f"shard-{shard_of(key, store.shards):02d}",
+                        "seg-000001.jsonl")
+
+
 class TestCompact:
-    def _store_with_history(self, tmp_path) -> ResultStore:
-        store = ResultStore(str(tmp_path / "rows.jsonl"))
-        store.append({"cell_key": "a", "value": 1})
-        store.append({"cell_key": "b", "value": 1})
-        store.append({"cell_key": "a", "value": 2})  # supersedes
-        with open(store.path, "a", encoding="utf-8") as handle:
+    def _store_with_history(self, tmp_path) -> ShardStore:
+        store = ShardStore(str(tmp_path / "rows"), key_field="cell_key")
+        store.put("a", {"cell_key": "a", "value": 1})
+        store.put("b", {"cell_key": "b", "value": 1})
+        store.put("a", {"cell_key": "a", "value": 2})  # supersedes
+        with open(_segment_of(store, "a"), "a", encoding="utf-8") as handle:
             handle.write("{corrupt\n")          # killed-worker debris
             handle.write('{"no_key": true}\n')  # key-less row
         return store
+
+    @staticmethod
+    def _disk_rows(store: ShardStore) -> int:
+        rows = 0
+        for directory, _, names in os.walk(store.root):
+            for name in names:
+                with open(os.path.join(directory, name),
+                          encoding="utf-8") as handle:
+                    rows += sum(1 for line in handle if line.strip())
+        return rows
 
     def test_compact_keeps_last_write_wins(self, tmp_path):
         store = self._store_with_history(tmp_path)
         kept, dropped = store.compact()
         assert (kept, dropped) == (2, 3)
-        rows = store.load()
-        assert rows["a"]["value"] == 2
-        with open(store.path, encoding="utf-8") as handle:
-            assert sum(1 for line in handle if line.strip()) == 2
+        assert store.get("a")["value"] == 2
+        assert self._disk_rows(store) == 2
 
     def test_compact_is_idempotent(self, tmp_path):
         store = self._store_with_history(tmp_path)
@@ -68,30 +84,85 @@ class TestCompact:
         assert store.compact() == (2, 0)
 
     def test_compact_missing_store(self, tmp_path):
-        assert ResultStore(str(tmp_path / "absent.jsonl")).compact() == (0, 0)
+        store = ShardStore(str(tmp_path / "absent"), key_field="cell_key")
+        assert store.compact() == (0, 0)
 
     def test_custom_key_field(self, tmp_path):
-        store = ResultStore(str(tmp_path / "cache.jsonl"),
-                            key_field="cache_key")
-        store.append({"cache_key": "x", "value": 1})
-        store.append({"cache_key": "x", "value": 2})
+        store = ShardStore(str(tmp_path / "cache"), key_field="cache_key")
+        store.put("x", {"cache_key": "x", "value": 1})
+        store.put("x", {"cache_key": "x", "value": 2})
         assert store.compact() == (1, 1)
-        assert store.load()["x"]["value"] == 2
+        assert store.get("x")["value"] == 2
 
     def test_cli_compact(self, tmp_path, capsys):
         store = self._store_with_history(tmp_path)
-        cache = ResultStore(str(tmp_path / "cache.jsonl"),
-                            key_field="cache_key")
-        cache.append({"cache_key": "x", "value": 1})
-        cache.append({"cache_key": "x", "value": 2})
-        exit_code = scenarios_cli(["compact", "--store", store.path,
-                                   "--cache", cache.path])
+        cache = ShardStore(str(tmp_path / "cache"), key_field="cache_key")
+        cache.put("x", {"cache_key": "x", "value": 1})
+        cache.put("x", {"cache_key": "x", "value": 2})
+        exit_code = scenarios_cli(["compact", "--store", store.root,
+                                   "--cache", cache.root])
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "kept 2, dropped 3" in out
         assert "kept 1, dropped 1" in out
-        assert len(store.load()) == 2
-        assert len(cache.load()) == 1
+        assert len(ShardStore(store.root, key_field="cell_key")) == 2
+        assert len(ShardStore(cache.root, key_field="cache_key")) == 1
+
+
+class TestFileRootRefused:
+    """A leftover single-file store is refused before any work runs."""
+
+    def _leftover(self, tmp_path, name: str) -> str:
+        path = tmp_path / name
+        path.write_text('{"cell_key": "a", "value": 1}\n', encoding="utf-8")
+        return str(path)
+
+    def test_shardstore_raises_naming_the_path(self, tmp_path):
+        path = self._leftover(tmp_path, "rows")
+        with pytest.raises(ValueError, match="rows"):
+            ShardStore(path)
+
+    def test_serve_exits_nonzero_before_serving(self, tmp_path,
+                                                monkeypatch, capsys):
+        path = self._leftover(tmp_path, "solve_cache.jsonl")
+
+        def refuse_to_serve(*args, **kwargs):
+            raise AssertionError("served over a file cache path")
+
+        monkeypatch.setattr(server, "ServiceServer", refuse_to_serve)
+        exit_code = server.main(["--port", "0", "--inline-workers",
+                                 "--cache-path", path])
+        assert exit_code != 0
+        assert path in capsys.readouterr().err
+
+    def test_scenarios_run_exits_nonzero_before_running(self, tmp_path,
+                                                        capsys):
+        path = self._leftover(tmp_path, "scenarios.jsonl")
+        before = open(path, encoding="utf-8").read()
+        exit_code = scenarios_cli(["run", "--smoke", "--limit", "1",
+                                   "--jobs", "1", "--store", path])
+        assert exit_code != 0
+        captured = capsys.readouterr()
+        assert path in captured.err
+        assert "executed" not in captured.out
+        assert open(path, encoding="utf-8").read() == before
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "stats", "--cache-path"],
+        ["cache", "compact", "--cache-path"],
+        ["scenarios", "compact", "--store"],
+    ], ids=["cache-stats", "cache-compact", "scenarios-compact"])
+    def test_store_clis_exit_nonzero_naming_the_path(self, tmp_path, capsys,
+                                                     argv):
+        path = self._leftover(tmp_path, "rows.jsonl")
+        before = open(path, encoding="utf-8").read()
+        try:
+            exit_code = repro_cli([*argv, path])
+        except SystemExit as stop:
+            exit_code = stop.code
+        assert exit_code == 2
+        assert path in capsys.readouterr().err
+        assert open(path, encoding="utf-8").read() == before
 
 
 class TestRunnerRowOrder:
@@ -129,7 +200,7 @@ class TestRunnerRowOrder:
 
     def test_cache_hits_keep_their_task_position(self, tmp_path):
         scenarios = self._pair()
-        store = str(tmp_path / "scenarios.jsonl")
+        store = str(tmp_path / "scenarios")
         run_batch(scenarios[1:], store_path=store, jobs=1)
         summary = run_batch(scenarios, store_path=store, jobs=1)
         assert [row["cached"] for row in summary.rows] == [False, True]
@@ -147,7 +218,7 @@ class TestRunnerSolveCache:
     def test_cache_path_serves_second_batch(self, tmp_path):
         scenarios = self._smoke_pair()
         assert len(scenarios) == 2
-        cache_path = str(tmp_path / "solve_cache.jsonl")
+        cache_path = str(tmp_path / "solve_cache")
         first = run_batch(scenarios, store_path="", resume=False,
                           solve_cache_path=cache_path)
         assert first.ok
@@ -166,7 +237,7 @@ class TestRunnerSolveCache:
         scenarios = self._smoke_pair()
         direct = run_batch(scenarios, store_path="", resume=False)
         cached = run_batch(scenarios, store_path="", resume=False,
-                           solve_cache_path=str(tmp_path / "c.jsonl"))
+                           solve_cache_path=str(tmp_path / "c"))
         for direct_row, cached_row in zip(direct.rows, cached.rows):
             assert cached_row["cell_key"] == direct_row["cell_key"]
             assert cached_row["rounds"] == direct_row["rounds"]
@@ -182,6 +253,6 @@ class TestRunnerSolveCache:
 
     def test_rows_stay_json_serialisable(self, tmp_path):
         summary = run_batch(self._smoke_pair(), store_path="", resume=False,
-                            solve_cache_path=str(tmp_path / "c.jsonl"))
+                            solve_cache_path=str(tmp_path / "c"))
         for row in summary.rows:
             json.dumps(row)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import glob
 import json
+import os
 
 import networkx as nx
 import pytest
@@ -12,13 +14,13 @@ from repro.scenarios import (
     DEFAULT_REGISTRY,
     AlgorithmSpec,
     GraphFamily,
-    ResultStore,
     ScenarioOutcome,
     ScenarioRegistry,
     run_batch,
     run_task,
 )
 from repro.scenarios.cli import main
+from repro.service.shardstore import ShardStore
 
 SMOKE = DEFAULT_REGISTRY.select(tags={"smoke"})
 
@@ -50,7 +52,7 @@ class TestRunTask:
 
 class TestBatchAndStore:
     def test_store_roundtrip_and_caching(self, tmp_path):
-        store_path = str(tmp_path / "results.jsonl")
+        store_path = str(tmp_path / "results")
         scenarios = SMOKE[:6]
         first = run_batch(scenarios, jobs=1, store_path=store_path)
         assert first.ok
@@ -63,27 +65,28 @@ class TestBatchAndStore:
             == [_comparable(r) for r in sorted(second.rows, key=lambda r: r["cell_key"])]
 
     def test_new_cells_only_are_executed(self, tmp_path):
-        store_path = str(tmp_path / "results.jsonl")
+        store_path = str(tmp_path / "results")
         run_batch(SMOKE[:3], jobs=1, store_path=store_path)
         grown = run_batch(SMOKE[:5], jobs=1, store_path=store_path)
         assert (grown.executed, grown.cached) == (2, 3)
 
     def test_no_resume_re_executes(self, tmp_path):
-        store_path = str(tmp_path / "results.jsonl")
+        store_path = str(tmp_path / "results")
         run_batch(SMOKE[:2], jobs=1, store_path=store_path)
         fresh = run_batch(SMOKE[:2], jobs=1, store_path=store_path, resume=False)
         assert (fresh.executed, fresh.cached) == (2, 0)
 
     def test_corrupt_store_lines_are_skipped(self, tmp_path):
-        store_path = str(tmp_path / "results.jsonl")
+        store_path = str(tmp_path / "results")
         run_batch(SMOKE[:2], jobs=1, store_path=store_path)
-        with open(store_path, "a", encoding="utf-8") as handle:
-            handle.write("{not json\n")
+        for segment in glob.glob(os.path.join(store_path, "*", "seg-*")):
+            with open(segment, "a", encoding="utf-8") as handle:
+                handle.write("{not json\n")
         summary = run_batch(SMOKE[:2], jobs=1, store_path=store_path)
         assert (summary.executed, summary.cached) == (0, 2)
 
     def test_repeats_derive_distinct_seeds(self, tmp_path):
-        store_path = str(tmp_path / "results.jsonl")
+        store_path = str(tmp_path / "results")
         summary = run_batch(SMOKE[:1], jobs=1, repeats=3, store_path=store_path)
         assert summary.executed == 3
         assert len({row["seed"] for row in summary.rows}) == 3
@@ -104,7 +107,7 @@ class TestBatchAndStore:
         assert not (tmp_path / "benchmarks").exists()
 
     def test_unverified_rows_do_not_satisfy_a_verifying_batch(self, tmp_path):
-        store_path = str(tmp_path / "results.jsonl")
+        store_path = str(tmp_path / "results")
         loose = run_batch(SMOKE[:2], jobs=1, store_path=store_path, verify=False)
         assert all(row["checks"] == 0 for row in loose.rows)
         strict = run_batch(SMOKE[:2], jobs=1, store_path=store_path)
@@ -154,7 +157,7 @@ class TestOracleFailureSurfacing:
     def test_failures_reported_with_cell_key(self, tmp_path):
         registry = self._broken_registry()
         summary = run_batch(registry.scenarios(), registry=registry,
-                            store_path=str(tmp_path / "r.jsonl"))
+                            store_path=str(tmp_path / "r"))
         assert not summary.ok
         (row,) = summary.failed
         assert row["failures"]
@@ -164,7 +167,7 @@ class TestOracleFailureSurfacing:
     def test_failed_rows_are_not_served_from_cache(self, tmp_path):
         # A red cell must re-execute on resume, so fixing the algorithm
         # clears it without deleting the store.
-        store_path = str(tmp_path / "r.jsonl")
+        store_path = str(tmp_path / "r")
         broken = self._broken_registry()
         first = run_batch(broken.scenarios(), registry=broken,
                           store_path=store_path)
@@ -199,23 +202,29 @@ class TestOracleFailureSurfacing:
         registry.register_algorithm(AlgorithmSpec(name="power-mis", run=exploding))
         registry.add_scenario("p10", "power-mis", k=1)
         summary = run_batch(registry.scenarios(), registry=registry,
-                            store_path=str(tmp_path / "r.jsonl"))
+                            store_path=str(tmp_path / "r"))
         assert not summary.ok
         (row,) = summary.failed
         assert any("RuntimeError" in failure for failure in row["failures"])
 
 
 class TestResultStore:
+    """The runner's store: a :class:`ShardStore` keyed by ``cell_key``."""
+
     def test_last_write_wins(self, tmp_path):
-        store = ResultStore(str(tmp_path / "s.jsonl"))
-        store.append({"cell_key": "a", "v": 1})
-        store.append({"cell_key": "a", "v": 2})
-        assert store.load()["a"]["v"] == 2
+        store = ShardStore(str(tmp_path / "s"), key_field="cell_key")
+        store.put("a", {"cell_key": "a", "v": 1})
+        store.put("a", {"cell_key": "a", "v": 2})
+        assert store.get("a")["v"] == 2
         assert len(store) == 1
+        reopened = ShardStore(store.root, key_field="cell_key")
+        assert reopened.get("a")["v"] == 2 and len(reopened) == 1
 
     def test_missing_file_loads_empty(self, tmp_path):
-        store = ResultStore(str(tmp_path / "missing" / "s.jsonl"))
-        assert store.load() == {}
+        store = ShardStore(str(tmp_path / "missing" / "s"),
+                           key_field="cell_key")
+        assert len(store) == 0
+        assert store.get("a") is None
 
 
 class TestCLI:
@@ -229,7 +238,7 @@ class TestCLI:
         assert "dense-core-pendant" in capsys.readouterr().out
 
     def test_run_then_cached(self, tmp_path, capsys):
-        store = str(tmp_path / "cli.jsonl")
+        store = str(tmp_path / "cli")
         assert main(["run", "--smoke", "--limit", "5", "--jobs", "1",
                      "--store", store]) == 0
         first = capsys.readouterr().out

@@ -83,8 +83,10 @@ class TestMemoryTier:
 
 
 class TestPersistentTier:
+    """A non-empty path is the sharded store directory of the disk tier."""
+
     def test_survives_process_restart(self, graph, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
+        path = str(tmp_path / "cache")
         first = SolveCache(path).solve(graph, "power-mis", k=2, seed=5)
 
         fresh = SolveCache(path)  # a new instance = a new process
@@ -92,10 +94,11 @@ class TestPersistentTier:
         assert hit.hit and hit.tier == "persistent"
         assert hit.report.output == first.report.output
         assert hit.report.provenance == first.report.provenance
+        assert hit.report.certificate is not None
         assert hit.report.payload == {}  # live objects are never persisted
 
     def test_certificate_replayed_on_hit(self, graph, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
+        path = str(tmp_path / "cache")
         original = SolveCache(path).solve(graph, "det-power-ruling", k=2,
                                           seed=3)
         hit = SolveCache(path).solve(graph, "det-power-ruling", k=2, seed=3)
@@ -107,7 +110,7 @@ class TestPersistentTier:
     def test_cached_provenance_replays_bit_for_bit(self, graph, tmp_path):
         """The acceptance contract: a cached response's provenance is
         indistinguishable from (and replays to) a fresh repro.solve."""
-        path = str(tmp_path / "cache.jsonl")
+        path = str(tmp_path / "cache")
         SolveCache(path).solve(graph, "power-mis", k=2)
         hit = SolveCache(path).solve(graph, "power-mis", k=2)
         assert hit.hit
@@ -118,14 +121,14 @@ class TestPersistentTier:
         assert replayed.rounds == hit.report.rounds
 
     def test_persistent_hit_promotes_to_memory(self, graph, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
+        path = str(tmp_path / "cache")
         SolveCache(path).solve(graph, "power-mis", k=2, seed=5)
         fresh = SolveCache(path)
         assert fresh.solve(graph, "power-mis", k=2, seed=5).tier == "persistent"
         assert fresh.solve(graph, "power-mis", k=2, seed=5).tier == "memory"
 
     def test_compact_deduplicates(self, graph, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
+        path = str(tmp_path / "cache")
         cache = SolveCache(path)
         cache.solve(graph, "power-mis", k=2, seed=5)
         # Re-put the same entry: append-only -> two lines, one live row.
@@ -138,8 +141,8 @@ class TestPersistentTier:
         assert SolveCache(path).solve(graph, "power-mis", k=2, seed=5).hit
 
     def test_same_instance_serves_after_compact(self, graph, tmp_path):
-        """Compaction moves byte offsets; the live span index must follow."""
-        path = str(tmp_path / "cache.jsonl")
+        """Compaction moves rows between segments; the span index follows."""
+        path = str(tmp_path / "cache")
         cache = SolveCache(path, max_memory_entries=1)
         cache.solve(graph, "power-mis", k=2, seed=1)
         cache.solve(graph, "power-mis", k=2, seed=2)  # evicts seed=1 from memory
@@ -149,173 +152,6 @@ class TestPersistentTier:
         cache.compact()
         # seed=1 must now be re-read from its post-compaction offset.
         assert cache.solve(graph, "power-mis", k=2, seed=1).tier == "persistent"
-
-
-class TestPeek:
-    """``peek`` is the read-only lookup: no accounting, no promotion."""
-
-    def test_peek_counts_nothing(self, graph):
-        cache = SolveCache("")
-        solved = cache.solve(graph, "power-mis", k=2, seed=5)
-        hits, misses = cache.stats.hits, cache.stats.misses
-        for _ in range(7):
-            report, tier = cache.peek(solved.key)
-            assert report is not None and tier == "memory"
-        report, tier = cache.peek("0" * 32)
-        assert report is None and tier == "miss"
-        assert cache.stats.hits == hits
-        assert cache.stats.misses == misses
-
-    def test_peek_does_not_reorder_lru(self, graph):
-        cache = SolveCache("")
-        first = cache.solve(graph, "power-mis", k=2, seed=1)
-        second = cache.solve(graph, "power-mis", k=2, seed=2)
-        cache.peek(first.key)
-        assert list(cache._memory) == [first.key, second.key]
-        # ... while a real lookup does promote.
-        cache.get(first.key)
-        assert list(cache._memory) == [second.key, first.key]
-
-    def test_persistent_peek_does_not_promote(self, graph, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        solved = SolveCache(path).solve(graph, "power-mis", k=2, seed=5)
-        fresh = SolveCache(path)  # memory tier empty
-        report, tier = fresh.peek(solved.key)
-        assert report is not None and tier == "persistent"
-        assert solved.key not in fresh._memory  # still only on disk
-        assert fresh.stats.requests == 0
-
-    def test_peek_respects_certificate_requirement(self, graph):
-        cache = SolveCache("")
-        solved = cache.solve(graph, "power-mis", k=2, seed=5, verify=False)
-        report, tier = cache.peek(solved.key)
-        assert report is not None
-        report, tier = cache.peek(solved.key, require_certificate=True)
-        assert report is None and tier == "miss"
-
-
-class TestFingerprintMemo:
-    def test_memoized_per_object(self, graph):
-        invalidate_fingerprint(graph)
-        first = graph_fingerprint(graph)
-        assert graph in _FINGERPRINT_MEMO
-        assert graph_fingerprint(graph) == first
-
-    def test_equal_graphs_share_value_not_entry(self, graph):
-        clone = nx.Graph(graph.edges())
-        assert graph_fingerprint(clone) == graph_fingerprint(graph)
-        assert clone is not graph
-
-    def test_invalidate_after_mutation(self, graph):
-        before = graph_fingerprint(graph)
-        graph.add_node("extra")
-        # Documented contract: stale until invalidated.
-        assert graph_fingerprint(graph) == before
-        invalidate_fingerprint(graph)
-        assert graph_fingerprint(graph) != before
-        graph.remove_node("extra")
-        invalidate_fingerprint(graph)
-        assert graph_fingerprint(graph) == before
-
-    def test_memo_entry_dies_with_graph(self):
-        graph = nx.path_graph(6)
-        graph_fingerprint(graph)
-        import weakref
-
-        ref = weakref.ref(graph)
-        del graph
-        import gc
-
-        gc.collect()
-        assert ref() is None
-
-    def test_invalidate_drops_the_cached_topology(self):
-        # An edge swap keeps (n, m), so the topology cache's size guard
-        # cannot see it; the invalidation call must drop that cache too.
-        graph = nx.cycle_graph(12)
-        solve(graph, "luby-sim", seed=1, engine="vector")
-        graph.remove_edges_from([(0, 1), (6, 7)])
-        graph.add_edges_from([(0, 6), (1, 7)])
-        invalidate_fingerprint(graph)
-        uncertified = [seed for seed in range(1, 40) if not solve(
-            graph, "luby-sim", seed=seed, engine="vector").verified]
-        assert uncertified == []
-
-
-class TestWrongReportRegression:
-    """A stale persistent span must never serve another key's report.
-
-    The historical bug: ``_read_persistent`` deserialised whatever bytes
-    the indexed span pointed at without checking the row's ``cache_key``.
-    When another process compacts or rewrites the store, a span can come
-    to hold a perfectly *valid* row -- for a different solve -- and the
-    cache would answer the wrong report with a straight face.
-    """
-
-    def test_stale_span_never_serves_wrong_report(self, graph, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        cache = SolveCache(path, max_memory_entries=2)
-        first = cache.solve(graph, "power-mis", k=2, seed=5)
-        second = cache.solve(graph, "power-mis", k=2, seed=6)
-        assert first.key != second.key
-
-        # Simulate an external rewrite: the bytes of one key's span now
-        # hold the *other* key's valid row, padded (JSON tolerates
-        # trailing whitespace) to the identical byte length so the stale
-        # read parses cleanly.
-        with open(path, "rb") as handle:
-            line_first, line_second = handle.readlines()
-        if len(line_second) <= len(line_first):
-            target, survivor_line = first, line_second
-            overlay = (line_second[:-1]
-                       + b" " * (len(line_first) - len(line_second)) + b"\n")
-            content = overlay + line_second
-        else:
-            target, survivor_line = second, line_first
-            overlay = (line_first[:-1]
-                       + b" " * (len(line_second) - len(line_first)) + b"\n")
-            content = line_first + overlay
-        with open(path, "wb") as handle:
-            handle.write(content)
-
-        cache._memory.clear()  # force the persistent tier
-        report, tier = cache.lookup(target.key)
-        # The fix: verify the key on every span read, rescan on mismatch,
-        # and report a miss -- never the other solve's report.
-        assert report is None
-        assert tier == "miss"
-        # The survivor is still served correctly from its own row.
-        import json as _json
-
-        survivor_key = _json.loads(survivor_line)["cache_key"]
-        survivor_report, _ = cache.lookup(survivor_key)
-        assert survivor_report is not None
-
-    def test_sharded_tier_verifies_keys_too(self, graph, tmp_path):
-        root = str(tmp_path / "store")
-        cache = SolveCache(root, max_memory_entries=1)
-        first = cache.solve(graph, "power-mis", k=2, seed=5)
-        second = cache.solve(graph, "power-mis", k=2, seed=6)
-        cache._memory.clear()
-        got_first, tier_first = cache.lookup(first.key)
-        got_second, tier_second = cache.lookup(second.key)
-        assert tier_first == tier_second == "persistent"
-        assert got_first.provenance == first.report.provenance
-        assert got_second.provenance == second.report.provenance
-        assert cache._shardstore.counters()["wrong_key_reads"] == 0
-
-
-class TestShardedPersistentTier:
-    """A directory path selects the sharded store as the persistent tier."""
-
-    def test_survives_process_restart(self, graph, tmp_path):
-        root = str(tmp_path / "store")
-        first = SolveCache(root).solve(graph, "power-mis", k=2, seed=5)
-        fresh = SolveCache(root)
-        hit = fresh.solve(graph, "power-mis", k=2, seed=5)
-        assert hit.hit and hit.tier == "persistent"
-        assert hit.report.output == first.report.output
-        assert hit.report.certificate is not None
 
     def test_two_instances_share_one_directory(self, graph, tmp_path):
         root = str(tmp_path / "store")
@@ -393,6 +229,161 @@ class TestShardedPersistentTier:
         summary = cache.warmth_summary()
         assert summary["tier"] == "sharded"
         assert "shards" in summary
+
+
+class TestPeek:
+    """``peek`` is the read-only lookup: no accounting, no promotion."""
+
+    def test_peek_counts_nothing(self, graph):
+        cache = SolveCache("")
+        solved = cache.solve(graph, "power-mis", k=2, seed=5)
+        hits, misses = cache.stats.hits, cache.stats.misses
+        for _ in range(7):
+            report, tier = cache.peek(solved.key)
+            assert report is not None and tier == "memory"
+        report, tier = cache.peek("0" * 32)
+        assert report is None and tier == "miss"
+        assert cache.stats.hits == hits
+        assert cache.stats.misses == misses
+
+    def test_peek_does_not_reorder_lru(self, graph):
+        cache = SolveCache("")
+        first = cache.solve(graph, "power-mis", k=2, seed=1)
+        second = cache.solve(graph, "power-mis", k=2, seed=2)
+        cache.peek(first.key)
+        assert list(cache._memory) == [first.key, second.key]
+        # ... while a real lookup does promote.
+        cache.get(first.key)
+        assert list(cache._memory) == [second.key, first.key]
+
+    def test_persistent_peek_does_not_promote(self, graph, tmp_path):
+        path = str(tmp_path / "cache")
+        solved = SolveCache(path).solve(graph, "power-mis", k=2, seed=5)
+        fresh = SolveCache(path)  # memory tier empty
+        report, tier = fresh.peek(solved.key)
+        assert report is not None and tier == "persistent"
+        assert solved.key not in fresh._memory  # still only on disk
+        assert fresh.stats.requests == 0
+
+    def test_peek_respects_certificate_requirement(self, graph):
+        cache = SolveCache("")
+        solved = cache.solve(graph, "power-mis", k=2, seed=5, verify=False)
+        report, tier = cache.peek(solved.key)
+        assert report is not None
+        report, tier = cache.peek(solved.key, require_certificate=True)
+        assert report is None and tier == "miss"
+
+
+class TestFingerprintMemo:
+    def test_memoized_per_object(self, graph):
+        invalidate_fingerprint(graph)
+        first = graph_fingerprint(graph)
+        assert graph in _FINGERPRINT_MEMO
+        assert graph_fingerprint(graph) == first
+
+    def test_equal_graphs_share_value_not_entry(self, graph):
+        clone = nx.Graph(graph.edges())
+        assert graph_fingerprint(clone) == graph_fingerprint(graph)
+        assert clone is not graph
+
+    def test_invalidate_after_mutation(self, graph):
+        before = graph_fingerprint(graph)
+        graph.add_node("extra")
+        # Documented contract: stale until invalidated.
+        assert graph_fingerprint(graph) == before
+        invalidate_fingerprint(graph)
+        assert graph_fingerprint(graph) != before
+        graph.remove_node("extra")
+        invalidate_fingerprint(graph)
+        assert graph_fingerprint(graph) == before
+
+    def test_memo_entry_dies_with_graph(self):
+        graph = nx.path_graph(6)
+        graph_fingerprint(graph)
+        import weakref
+
+        ref = weakref.ref(graph)
+        del graph
+        import gc
+
+        gc.collect()
+        assert ref() is None
+
+    def test_invalidate_drops_the_cached_topology(self):
+        # An edge swap keeps (n, m), so the topology cache's size guard
+        # cannot see it; the invalidation call must drop that cache too.
+        graph = nx.cycle_graph(12)
+        solve(graph, "luby-sim", seed=1, engine="vector")
+        graph.remove_edges_from([(0, 1), (6, 7)])
+        graph.add_edges_from([(0, 6), (1, 7)])
+        invalidate_fingerprint(graph)
+        uncertified = [seed for seed in range(1, 40) if not solve(
+            graph, "luby-sim", seed=seed, engine="vector").verified]
+        assert uncertified == []
+
+
+class TestWrongReportRegression:
+    """A stale persistent span must never serve another key's report.
+
+    The historical bug: the persistent read deserialised whatever bytes
+    the indexed span pointed at without checking the row's ``cache_key``.
+    When another process compacts or rewrites the store, a span can come
+    to hold a perfectly *valid* row -- for a different solve -- and the
+    cache would answer the wrong report with a straight face.  The store's
+    own stale-span cases live in ``tests/test_shardstore.py``.
+    """
+
+    def test_stale_span_never_serves_wrong_report(self, graph, tmp_path):
+        root = tmp_path / "store"
+        cache = SolveCache(str(root), shards=1, max_memory_entries=2)
+        first = cache.solve(graph, "power-mis", k=2, seed=5)
+        second = cache.solve(graph, "power-mis", k=2, seed=6)
+        assert first.key != second.key
+
+        # Simulate an external rewrite: the bytes of one key's span now
+        # hold the *other* key's valid row, padded (JSON tolerates
+        # trailing whitespace) to the identical byte length so the stale
+        # read parses cleanly.
+        (segment,) = (root / "shard-00").iterdir()
+        line_first, line_second = segment.read_bytes().splitlines(True)
+        if len(line_second) <= len(line_first):
+            target, survivor_line = first, line_second
+            overlay = (line_second[:-1]
+                       + b" " * (len(line_first) - len(line_second)) + b"\n")
+            content = overlay + line_second
+        else:
+            target, survivor_line = second, line_first
+            overlay = (line_first[:-1]
+                       + b" " * (len(line_second) - len(line_first)) + b"\n")
+            content = line_first + overlay
+        segment.write_bytes(content)
+
+        cache._memory.clear()  # force the persistent tier
+        report, tier = cache.lookup(target.key)
+        # Every span read verifies its key: a miss, never the other
+        # solve's report.
+        assert report is None
+        assert tier == "miss"
+        assert cache._shardstore.counters()["wrong_key_reads"] >= 1
+        # The survivor is still served correctly from its own row.
+        import json as _json
+
+        survivor_key = _json.loads(survivor_line)["cache_key"]
+        survivor_report, _ = cache.lookup(survivor_key)
+        assert survivor_report is not None
+
+    def test_sharded_tier_verifies_keys_too(self, graph, tmp_path):
+        root = str(tmp_path / "store")
+        cache = SolveCache(root, max_memory_entries=1)
+        first = cache.solve(graph, "power-mis", k=2, seed=5)
+        second = cache.solve(graph, "power-mis", k=2, seed=6)
+        cache._memory.clear()
+        got_first, tier_first = cache.lookup(first.key)
+        got_second, tier_second = cache.lookup(second.key)
+        assert tier_first == tier_second == "persistent"
+        assert got_first.provenance == first.report.provenance
+        assert got_second.provenance == second.report.provenance
+        assert cache._shardstore.counters()["wrong_key_reads"] == 0
 
 
 class TestPeerTier:

@@ -20,6 +20,7 @@ Covers the telemetry accounting contracts end to end:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import logging
 import re
@@ -39,6 +40,7 @@ from repro.service import (
     SolveRequest,
     SolveScheduler,
 )
+from repro.service import cache_cli
 from repro.service import scheduler as scheduler_module
 from repro.service.events import EventChannel, SolveEventBus, StreamingObserver
 from repro.service.jsonlog import (
@@ -457,6 +459,42 @@ class TestAllOutcomesRecordLatency:
         assert responses[0].report is responses[2].report
         assert samples == counters["requests"] == 3
         assert counters["computed"] == 2 and counters["coalesced"] == 1
+
+    def test_batch_rows_log_their_own_seed_and_warm_replays(self, tmp_path):
+        """Each batch row logs its own seed, so ``repro cache warm`` on the
+        log warms the keys that were served, not the request's seed."""
+        trace = tmp_path / "serve.jsonl"
+        handler = configure_json_logging(str(trace))
+
+        async def batch():
+            scheduler = make_scheduler()
+            try:
+                await scheduler.submit_batch(REQUEST, [1, 2])
+            finally:
+                await scheduler.stop()
+
+        try:
+            run_async(batch())
+            handler.flush()
+        finally:
+            service_logger().removeHandler(handler)
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [doc["seed"] for doc in lines
+                if doc["event"] == "request"] == [1, 2]
+
+        store = str(tmp_path / "cache")
+        assert cache_cli.main(["warm", "--trace", str(trace),
+                               "--cache-path", store]) == 0
+
+        async def solo():
+            scheduler = make_scheduler(cache=SolveCache(store))
+            try:
+                return await scheduler.submit(
+                    dataclasses.replace(REQUEST, seed=2))
+            finally:
+                await scheduler.stop()
+
+        assert run_async(solo()).status == "hit"
 
     def test_hit_and_computed_statuses_labeled(self):
         async def scenario():

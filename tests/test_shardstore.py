@@ -23,8 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios.store import ResultStore, append_jsonl_line
-from repro.service.shardstore import ShardStore, shard_of
+from repro.service.shardstore import ShardStore, append_jsonl_line, shard_of
 
 
 def _key(index: int) -> str:
@@ -69,14 +68,19 @@ def _row_bytes(key: str, **extra) -> bytes:
 
 def _append_hammer(path: str, worker: int, count: int) -> list:
     """Process-pool worker: append ``count`` rows, return claimed spans."""
-    store = ResultStore(path, key_field="cache_key")
     spans = []
     for index in range(count):
         key = f"w{worker:02d}-{index:04d}"
-        offset, length = store.append(
-            {"cache_key": key, "payload": "x" * (index % 23)})
+        offset, length = append_jsonl_line(
+            path, _row_bytes(key, payload="x" * (index % 23)))
         spans.append((key, offset, length))
     return spans
+
+
+def _segment(store: ShardStore, key: str) -> str:
+    """The first segment file of ``key``'s shard."""
+    return os.path.join(store.root, f"shard-{shard_of(key, store.shards):02d}",
+                        "seg-000001.jsonl")
 
 
 class TestAppendJsonlLine:
@@ -95,21 +99,21 @@ class TestAppendJsonlLine:
             assert row["cache_key"] == _key(index)
 
     def test_torn_tail_is_repaired_not_fused(self, tmp_path):
-        path = str(tmp_path / "s.jsonl")
-        store = ResultStore(path, key_field="cache_key")
-        store.append({"cache_key": "aaaa", "value": 1})
-        # A writer died mid-row: the file ends in a partial line.
+        store = ShardStore(str(tmp_path / "s"), shards=1)
+        store.put("aaaa", {"value": 1})
+        path = _segment(store, "aaaa")
+        # A writer died mid-row: the segment ends in a partial line.
         with open(path, "ab") as handle:
             handle.write(b'{"cache_key": "bbbb", "val')
-        offset, length = store.append({"cache_key": "cccc", "value": 3})
+        offset, length = store.put("cccc", {"value": 3})
         # The new row is intact at its claimed span...
         with open(path, "rb") as handle:
             handle.seek(offset)
             assert json.loads(handle.read(length))["cache_key"] == "cccc"
         # ...and the torn row is isolated (skipped), not fused with it.
-        rows = store.load()
-        assert set(rows) == {"aaaa", "cccc"}
-        assert rows["cccc"]["value"] == 3
+        reopened = ShardStore(store.root, shards=1)
+        assert reopened.keys() == store.keys() == {"aaaa", "cccc"}
+        assert reopened.get("cccc")["value"] == 3
 
     def test_torn_tail_repair_on_bare_appender(self, tmp_path):
         path = str(tmp_path / "s.jsonl")
@@ -128,12 +132,12 @@ class TestAppendJsonlLine:
             claimed = [span for spans in pool.map(
                 _append_hammer, [path] * workers, range(workers),
                 [per_worker] * workers) for span in spans]
-        # No lost rows: every append is loadable.
-        rows = ResultStore(path, key_field="cache_key").load()
-        assert len(rows) == workers * per_worker
-        # Every claimed span reads back its own row -- zero drift.
         with open(path, "rb") as handle:
             blob = handle.read()
+        # No lost rows: every append is one parseable line.
+        keys = {json.loads(line)["cache_key"] for line in blob.splitlines()}
+        assert len(keys) == workers * per_worker
+        # Every claimed span reads back its own row -- zero drift.
         for key, offset, length in claimed:
             assert json.loads(blob[offset:offset + length])["cache_key"] == key
 
