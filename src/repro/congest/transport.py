@@ -26,6 +26,7 @@ The transport owns everything that happens to a message between ``send`` and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Hashable, Mapping
@@ -342,15 +343,13 @@ class Transport:
         everything downstream of them (:class:`~repro.congest.simulator.
         SimulationResult`, ``edge_counts_by_label``) -- stay the single
         source of truth regardless of the engine.  ``edge_message_counts``
-        is an iterable of per-edge message counts aligned with the
-        topology's canonical edge indices.
+        is a sequence of per-edge message counts as Python ints (e.g. an
+        array's ``tolist()``), one per canonical edge index.
         """
         self.total_messages += int(messages)
         self.total_bits += int(bits)
         counts = self.edge_message_counts
-        for edge, count in enumerate(edge_message_counts):
-            if count:
-                counts[edge] += int(count)
+        counts[:] = map(operator.add, counts, edge_message_counts)
 
     def _bandwidth_error(self, sender_label: Node, receiver_index: int,
                          bits: int, load: int) -> BandwidthExceededError:

@@ -79,12 +79,12 @@ import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping, Sequence
 from urllib.parse import unquote
 
 from repro.hashing.seeds import derive_seed
 from repro.service.client import ServiceError
+from repro.service.frontdoor import JsonHandler, LoopServer
 from repro.service.metrics import ServiceMetrics
 from repro.service.request import SolveRequest
 from repro.service.tracectx import TRACE_HEADER, Span, SpanRecorder, TraceContext
@@ -235,8 +235,23 @@ class _Group:
     closed: bool = False
 
 
-class FleetCoordinator:
+class FleetCoordinator(LoopServer):
     """Registry + ring + transport links behind one HTTP front door."""
+
+    routes = {
+        "GET /healthz": "_get_healthz",
+        "GET /stats": "_get_stats",
+        "GET /fleet/workers": "_get_workers",
+        "GET /metrics": "_get_metrics",
+        "GET /fleet/metrics": "_get_fleet_metrics",
+        "GET /trace/": "_get_trace",
+        "GET /report/": "_get_report",
+        "GET /cache/": "_get_cache",
+        "POST /solve": "_post_solve",
+        "POST /fleet/enroll": "_post_enroll",
+        "POST /fleet/heartbeat": "_post_heartbeat",
+        "POST /fleet/leave": "_post_leave",
+    }
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  ttl_s: float = DEFAULT_TTL_S,
@@ -291,53 +306,19 @@ class FleetCoordinator:
         self.metrics: ServiceMetrics | None = metrics  # type: ignore[assignment]
         if self.metrics is not None:
             self.metrics.bind_fleet(self)
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self._run_loop, name="repro-fleet-loop", daemon=True)
         self._sweep_task: asyncio.Task | None = None
-        handler = _make_handler(self, quiet=quiet)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._serve_thread: threading.Thread | None = None
+        super().__init__(host, port, _make_handler(self, quiet=quiet),
+                         name="repro-fleet")
 
     # ------------------------------------------------------------ lifecycle
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    async def _start_tasks(self) -> None:
+    async def _on_start(self) -> None:
         self._sweep_task = asyncio.create_task(self._sweep(),
                                                name="fleet-sweep")
 
-    def start(self) -> None:
-        self._loop_thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self._start_tasks(), self._loop).result(timeout=30)
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-fleet-http",
-            daemon=True)
-        self._serve_thread.start()
-
-    def serve_forever(self) -> None:
-        self._loop_thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self._start_tasks(), self._loop).result(timeout=30)
-        self._httpd.serve_forever()
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+    async def _on_stop(self) -> None:
         if self._sweep_task is not None:
-            self._loop.call_soon_threadsafe(self._sweep_task.cancel)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._loop_thread.join(timeout=10)
-
-    def __enter__(self) -> "FleetCoordinator":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+            self._sweep_task.cancel()
+            await asyncio.gather(self._sweep_task, return_exceptions=True)
 
     async def _sweep(self) -> None:
         """Expire stale leases and retire their transport links."""
@@ -346,17 +327,6 @@ class FleetCoordinator:
             await asyncio.sleep(interval)
             for info in self.registry.expire():
                 self._drop_link(info.worker_id)
-
-    # -------------------------------------------------------------- address
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
 
     # ------------------------------------------------------------- registry
     def enroll(self, worker_id: str, url: str,
@@ -502,7 +472,9 @@ class FleetCoordinator:
             return future.result(timeout=self.request_timeout_s)
         except TimeoutError:
             future.cancel()
-            raise
+            raise TimeoutError(
+                f"fleet request did not complete within "
+                f"{self.request_timeout_s:.1f}s") from None
 
     def _bump(self, name: str, amount: int = 1) -> None:
         with self._state_lock:
@@ -925,6 +897,75 @@ class FleetCoordinator:
         self._bump("warm_hits")
         return row
 
+    # --------------------------------------------------------------- routes
+    def _get_healthz(self, http, _) -> dict[str, Any]:
+        return {"ok": True, "role": "coordinator",
+                "workers": len(self.registry.live()),
+                "uptime_s": round(time.monotonic() - self.started_at, 3)}
+
+    def _get_stats(self, http, _) -> dict[str, Any]:
+        return self.stats_row()
+
+    def _get_workers(self, http, _) -> dict[str, Any]:
+        return {"workers": self.registry.to_rows(),
+                "ttl_s": self.registry.ttl_s}
+
+    def _get_metrics(self, http, _) -> None:
+        if self.metrics is None:
+            raise ServiceError(404, "metrics are disabled on this coordinator")
+        http.send_body(200, self.metrics.render().encode("utf-8"),
+                       self.metrics.registry.content_type)
+
+    def _get_fleet_metrics(self, http, _) -> None:
+        page = self.fleet_metrics()
+        if page is None:
+            raise ServiceError(404, "metrics are disabled on this coordinator")
+        http.send_body(200, page.encode("utf-8"),
+                       self.metrics.registry.content_type)
+
+    def _get_trace(self, http, trace_id: str) -> dict[str, Any]:
+        result = self.trace(trace_id)
+        if result is None:
+            raise ServiceError(404, "tracing is disabled on this coordinator")
+        if not result:
+            raise ServiceError(
+                404, f"unknown trace id {trace_id!r} (evicted, never "
+                     f"recorded, or held only by a dead worker)")
+        return result
+
+    def _get_report(self, http, key: str) -> dict[str, Any]:
+        return self.report(key)
+
+    def _get_cache(self, http, key: str) -> dict[str, Any]:
+        query = (http.path.split("?", 1) + [""])[1]
+        exclude = None
+        for pair in query.split("&"):
+            name, _, value = pair.partition("=")
+            if name == "exclude" and value:
+                exclude = unquote(value)
+        return self.cache_fetch(key, exclude=exclude)
+
+    def _post_solve(self, http, obj: dict[str, Any]):
+        return self.solve(obj, trace_parent=http.headers.get(TRACE_HEADER))
+
+    def _post_enroll(self, http, obj: dict[str, Any]) -> dict[str, Any]:
+        return self.enroll(str(obj.get("worker_id") or ""),
+                           str(obj.get("url") or ""),
+                           obj.get("capabilities") or {})
+
+    def _post_heartbeat(self, http, obj: dict[str, Any]) -> dict[str, Any]:
+        worker_id = str(obj.get("worker_id") or "")
+        if not self.registry.renew(worker_id, obj.get("status") or {}):
+            raise ServiceError(
+                410, f"worker {worker_id!r} is not enrolled (lease "
+                     f"expired?): re-enroll")
+        return {"ok": True}
+
+    def _post_leave(self, http, obj: dict[str, Any]) -> dict[str, Any]:
+        worker_id = str(obj.get("worker_id") or "")
+        self._drop_link(worker_id)
+        return {"ok": self.registry.deregister(worker_id)}
+
     # ---------------------------------------------------------------- stats
     def stats_row(self) -> dict[str, Any]:
         with self._state_lock:
@@ -950,218 +991,8 @@ class FleetCoordinator:
         }
 
 
-# ---------------------------------------------------------------------------
-# HTTP front end
-# ---------------------------------------------------------------------------
-
 def _make_handler(coordinator: FleetCoordinator, *, quiet: bool):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        disable_nagle_algorithm = True
-
-        def log_message(self, fmt: str, *args: Any) -> None:  # noqa: A003
-            if not quiet:
-                super().log_message(fmt, *args)
-
-        # ----------------------------------------------------------- util
-        def _route(self) -> str:
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            if path.startswith("/report/"):
-                return "/report"
-            if path.startswith("/cache/"):
-                return "/cache"
-            if path.startswith("/trace/"):
-                return "/trace"
-            return path
-
-        def _send_json(self, status: int, obj: dict[str, Any]) -> None:
-            self._send_json_bytes(
-                status, json.dumps(obj, sort_keys=True).encode("utf-8"))
-
-        def _send_json_bytes(self, status: int, body: bytes) -> None:
-            try:
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-            except (BrokenPipeError, ConnectionResetError):
-                self.close_connection = True
-                return
-            metrics = coordinator.metrics
-            if metrics is not None:
-                metrics.http_requests.inc(self.command, self._route(),
-                                          str(status))
-
-        def _send_error_json(self, status: int, message: str) -> None:
-            self._send_json(status, {"error": message})
-
-        def _respond_dispatch(self, thunk) -> None:
-            """Run a dispatch callable, mapping the failure taxonomy."""
-            try:
-                row = thunk()
-            except ServiceError as error:
-                # A worker answered with an HTTP error: forward it.
-                self._send_error_json(error.status, error.message)
-            except NoLiveWorkersError as error:
-                self._send_error_json(503, str(error))
-            except TransportError as error:
-                self._send_error_json(502, str(error))
-            except TimeoutError:
-                self._send_error_json(
-                    504, f"fleet request did not complete within "
-                         f"{coordinator.request_timeout_s:.1f}s")
-            except (KeyError, TypeError, ValueError) as error:
-                message = error.args[0] if error.args else error
-                self._send_error_json(400, str(message))
-            except Exception as error:  # noqa: BLE001 - surfaced per-request
-                self._send_error_json(500,
-                                      f"{type(error).__name__}: {error}")
-            else:
-                if isinstance(row, (bytes, bytearray)):
-                    self._send_json_bytes(200, bytes(row))
-                else:
-                    self._send_json(200, row)
-
-        # ------------------------------------------------------- endpoints
-        def do_GET(self) -> None:  # noqa: N802 - http.server contract
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            if path == "/healthz":
-                self._send_json(200, {
-                    "ok": True,
-                    "role": "coordinator",
-                    "workers": len(coordinator.registry.live()),
-                    "uptime_s": round(
-                        time.monotonic() - coordinator.started_at, 3),
-                })
-            elif path == "/stats":
-                self._send_json(200, coordinator.stats_row())
-            elif path == "/fleet/workers":
-                self._send_json(200, {
-                    "workers": coordinator.registry.to_rows(),
-                    "ttl_s": coordinator.registry.ttl_s,
-                })
-            elif path == "/metrics":
-                metrics = coordinator.metrics
-                if metrics is None:
-                    self._send_error_json(
-                        404, "metrics are disabled on this coordinator")
-                    return
-                body = metrics.render().encode("utf-8")
-                try:
-                    self.send_response(200)
-                    self.send_header("Content-Type",
-                                     metrics.registry.content_type)
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                except (BrokenPipeError, ConnectionResetError):
-                    self.close_connection = True
-            elif path == "/fleet/metrics":
-                try:
-                    page = coordinator.fleet_metrics()
-                except Exception as error:  # noqa: BLE001 - per-request
-                    self._send_error_json(
-                        500, f"{type(error).__name__}: {error}")
-                    return
-                if page is None:
-                    self._send_error_json(
-                        404, "metrics are disabled on this coordinator")
-                    return
-                body = page.encode("utf-8")
-                try:
-                    self.send_response(200)
-                    self.send_header(
-                        "Content-Type",
-                        coordinator.metrics.registry.content_type)
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                except (BrokenPipeError, ConnectionResetError):
-                    self.close_connection = True
-            elif path.startswith("/trace/"):
-                trace_id = path[len("/trace/"):]
-                try:
-                    result = coordinator.trace(trace_id)
-                except Exception as error:  # noqa: BLE001 - per-request
-                    self._send_error_json(
-                        500, f"{type(error).__name__}: {error}")
-                    return
-                if result is None:
-                    self._send_error_json(
-                        404, "tracing is disabled on this coordinator")
-                elif not result:
-                    self._send_error_json(
-                        404, f"unknown trace id {trace_id!r} (evicted, "
-                             f"never recorded, or held only by a dead "
-                             f"worker)")
-                else:
-                    self._send_json(200, result)
-            elif path.startswith("/report/"):
-                key = path[len("/report/"):]
-                self._respond_dispatch(lambda: coordinator.report(key))
-            elif path.startswith("/cache/"):
-                key = path[len("/cache/"):]
-                query = (self.path.split("?", 1) + [""])[1]
-                exclude = None
-                for pair in query.split("&"):
-                    name, _, value = pair.partition("=")
-                    if name == "exclude" and value:
-                        exclude = unquote(value)
-                self._respond_dispatch(
-                    lambda: coordinator.cache_fetch(key, exclude=exclude))
-            else:
-                self._send_error_json(404, f"unknown path {self.path!r}")
-
-        def do_POST(self) -> None:  # noqa: N802 - http.server contract
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length)
-            except (ValueError, OSError) as error:
-                self.close_connection = True
-                self._send_error_json(400, str(error))
-                return
-            path = self.path.split("?", 1)[0].rstrip("/")
-            try:
-                obj = json.loads(body or b"{}")
-                if not isinstance(obj, dict):
-                    raise ValueError("request body must be a JSON object")
-            except (ValueError, json.JSONDecodeError) as error:
-                self._send_error_json(400, str(error))
-                return
-            if path == "/solve":
-                trace_parent = self.headers.get(TRACE_HEADER)
-                self._respond_dispatch(
-                    lambda: coordinator.solve(obj,
-                                              trace_parent=trace_parent))
-            elif path == "/fleet/enroll":
-                try:
-                    lease = coordinator.enroll(
-                        str(obj.get("worker_id") or ""),
-                        str(obj.get("url") or ""),
-                        obj.get("capabilities") or {})
-                except ValueError as error:
-                    self._send_error_json(400, str(error))
-                    return
-                self._send_json(200, lease)
-            elif path == "/fleet/heartbeat":
-                worker_id = str(obj.get("worker_id") or "")
-                if coordinator.registry.renew(worker_id,
-                                              obj.get("status") or {}):
-                    self._send_json(200, {"ok": True})
-                else:
-                    self._send_error_json(
-                        410, f"worker {worker_id!r} is not enrolled (lease "
-                             f"expired?): re-enroll")
-            elif path == "/fleet/leave":
-                worker_id = str(obj.get("worker_id") or "")
-                coordinator._drop_link(worker_id)
-                self._send_json(200, {
-                    "ok": coordinator.registry.deregister(worker_id)})
-            else:
-                self._send_error_json(404, f"unknown path {self.path!r}")
-
-    return Handler
+    return JsonHandler.bound(coordinator, quiet=quiet)
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,13 @@ class FleetError(RuntimeError):
 class NoLiveWorkersError(FleetError):
     """The registry has no live worker to route to (or all were excluded)."""
 
+    http_status = 503
+
 
 class TransportError(FleetError):
     """A worker could not be reached (connection-level, not HTTP-level)."""
+
+    http_status = 502
 
     def __init__(self, worker_id: str, message: str,
                  cause: Exception | None = None) -> None:

@@ -23,7 +23,7 @@ coalescing, admission control and metrics -- and then:
   rides its own short-timeout client and circuit breaker -- a struggling
   coordinator degrades to cold solves, never to blocked lookups.
 
-Two fleet-only routes ride on the service server's extensibility hooks:
+Two fleet-only routes extend the service server's route table:
 
 ``POST /solve_batch``
     ``{"workload", "algorithm", "config", "graph_seed", "verify",
@@ -72,21 +72,21 @@ def _engine_names() -> list[str]:
 
 
 class _WorkerServer(ServiceServer):
-    """A service server with the two fleet routes layered on."""
+    """A service server whose route table adds the two fleet routes."""
+
+    routes = {**ServiceServer.routes,
+              "GET /fleet/status": "_get_fleet_status",
+              "POST /solve_batch": "_post_solve_batch"}
 
     def __init__(self, fleet: "FleetWorker", **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self.fleet = fleet
 
-    def handle_extra_get(self, path: str) -> tuple[int, dict[str, Any]] | None:
-        if path == "/fleet/status":
-            return 200, self.fleet.status_row()
-        return None
+    def _get_fleet_status(self, http, _) -> dict[str, Any]:
+        return self.fleet.status_row()
 
-    def handle_extra_post(self, path: str, obj: dict[str, Any],
-                          ) -> tuple[int, dict[str, Any]] | None:
-        if path != "/solve_batch":
-            return None
+    def _post_solve_batch(self, http, obj: dict[str, Any]) -> dict[str, Any]:
+        self._adopt_trace(http, obj)
         seeds_field = obj.pop("seeds", None)
         if (not isinstance(seeds_field, list) or not seeds_field
                 or not all(isinstance(seed, int) for seed in seeds_field)):
@@ -94,8 +94,8 @@ class _WorkerServer(ServiceServer):
                 "solve_batch requires 'seeds': a non-empty list of ints")
         responses = self.submit(SolveRequest.from_obj(obj),
                                 seeds=list(seeds_field))
-        return 200, {"rows": [response.to_row() for response in responses],
-                     "count": len(responses)}
+        return {"rows": [response.to_row() for response in responses],
+                "count": len(responses)}
 
 
 class FleetWorker:

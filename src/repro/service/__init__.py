@@ -22,6 +22,10 @@ machinery that exploits it:
   stdlib-only JSON-over-HTTP endpoint (``repro serve``: ``POST /solve``,
   ``GET /report/<key>``, ``/healthz``, ``/stats``, ``/metrics``,
   ``/events/<key>``) and its thin client;
+* :mod:`repro.service.frontdoor` -- the HTTP layer that ``repro serve``,
+  the fleet worker and the fleet coordinator share: ``LoopServer`` (one
+  asyncio loop thread + HTTP acceptor lifecycle) and ``JsonHandler`` (a
+  route table, one counted ``send_body`` and one error-to-status funnel);
 * :mod:`repro.service.metrics` / :mod:`repro.service.jsonlog` /
   :mod:`repro.service.events` -- the observability layer: a stdlib
   Prometheus-text metrics registry, JSON-lines structured request

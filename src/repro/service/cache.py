@@ -55,8 +55,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro._paths import results_path
 from repro.hashing.seeds import derive_seed
-from repro.service.shardstore import DEFAULT_SEGMENT_BYTES, DEFAULT_SHARDS, \
-    ShardStore
+from repro.service.shardstore import DEFAULT_SEGMENT_BYTES, ShardStore
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -140,7 +139,7 @@ class SolveCache:
     def __init__(self, path: str | None = None, *,
                  max_memory_entries: int = 1024,
                  registry=None,
-                 shards: int = DEFAULT_SHARDS,
+                 shards: int | None = None,
                  size_budget_bytes: int | None = None,
                  ttl_s: float | None = None,
                  max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
@@ -150,10 +149,12 @@ class SolveCache:
 
         Any other ``path`` is the :class:`ShardStore` directory that
         ``shards``, ``size_budget_bytes``, ``ttl_s`` and
-        ``max_segment_bytes`` configure; a regular file there is refused
-        with ``ValueError``.  ``peer_fetch``, when given, is called with a
-        cache key on a local miss and may return a stored row (or
-        report-JSON) fetched from a fleet peer.
+        ``max_segment_bytes`` configure; a regular file there, or a
+        ``shards`` count that disagrees with the store's shard directories
+        (``None`` reads it from them), is refused with ``ValueError``.
+        ``peer_fetch``, when given, is called with a cache key on a local
+        miss and may return a stored row (or report-JSON) fetched from a
+        fleet peer.
         ``registry=None`` means the default :data:`repro.api.REGISTRY`.
         """
         if path is None:

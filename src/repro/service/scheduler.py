@@ -108,6 +108,8 @@ class AdmissionError(RuntimeError):
     """Raised when the scheduler refuses a request: the pending queues are
     full (backpressure) or the scheduler is shutting down / closed."""
 
+    http_status = 429
+
 
 #: ``SolveScheduler(metrics=...)`` default: build a private registry.
 _AUTO_METRICS = object()

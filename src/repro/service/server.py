@@ -1,13 +1,13 @@
 """Stdlib JSON-over-HTTP serving: ``repro serve``.
 
-The server is two threads of machinery around the scheduler:
-
-* a dedicated **asyncio loop thread** runs the
-  :class:`~repro.service.scheduler.SolveScheduler` (coalescing, shard
-  queues, worker dispatch);
-* a ``ThreadingHTTPServer`` accepts connections and bridges each request
-  into the loop with ``asyncio.run_coroutine_threadsafe`` -- no third-party
-  framework, stdlib only.
+The server is a :class:`~repro.service.frontdoor.LoopServer`: a dedicated
+**asyncio loop thread** runs the
+:class:`~repro.service.scheduler.SolveScheduler` (coalescing, shard
+queues, worker dispatch), and the shared HTTP front door accepts
+connections and bridges each request into the loop with
+``asyncio.run_coroutine_threadsafe`` -- no third-party framework, stdlib
+only.  Routes, response counting and the error-to-status mapping are the
+front door's (:class:`~repro.service.frontdoor.JsonHandler`).
 
 Endpoints
 ---------
@@ -58,20 +58,19 @@ import asyncio
 import json
 import queue as queue_module
 import sys
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Sequence
 
 from repro.api.serialize import report_to_json
 from repro.service.cache import SolveCache, default_cache_path
+from repro.service.client import ServiceError
+from repro.service.frontdoor import JsonHandler, LoopServer
 from repro.service.jsonlog import (
     DEFAULT_LOG_BACKUPS,
     DEFAULT_LOG_MAX_BYTES,
     configure_json_logging,
-    log_event,
 )
-from repro.service.scheduler import AdmissionError, SolveRequest, SolveScheduler
+from repro.service.scheduler import SolveRequest, SolveScheduler
 from repro.service.tracectx import TRACE_HEADER
 
 __all__ = ["ServiceServer", "SolveTimeout", "add_serve_arguments", "main",
@@ -94,9 +93,22 @@ class SolveTimeout(RuntimeError):
     ``/report/<key>`` pollers.
     """
 
+    http_status = 504
 
-class ServiceServer:
-    """The scheduler + its loop thread + the HTTP front end."""
+
+class ServiceServer(LoopServer):
+    """The scheduler on its loop thread, behind the HTTP front door."""
+
+    routes = {
+        "GET /healthz": "_get_healthz",
+        "GET /stats": "_get_stats",
+        "GET /metrics": "_get_metrics",
+        "GET /report/": "_get_report",
+        "GET /cache/": "_get_cache",
+        "GET /trace/": "_get_trace",
+        "GET /events/": "_get_events",
+        "POST /solve": "_post_solve",
+    }
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  scheduler: SolveScheduler | None = None,
@@ -107,59 +119,20 @@ class ServiceServer:
         self.request_timeout_s = float(request_timeout_s)
         self.events_heartbeat_s = float(events_heartbeat_s)
         self.started_at = time.monotonic()
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self._run_loop, name="repro-service-loop", daemon=True)
-        handler = _make_handler(self, quiet=quiet)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._serve_thread: threading.Thread | None = None
+        super().__init__(host, port, _make_handler(self, quiet=quiet),
+                         name="repro-service")
 
-    # ----------------------------------------------------------- lifecycle
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
+    async def _on_start(self) -> None:
+        await self.scheduler.start()
 
-    def start(self) -> None:
-        """Start the loop thread, the scheduler and the HTTP acceptor."""
-        self._loop_thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self.scheduler.start(), self._loop).result(timeout=30)
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-service-http",
-            daemon=True)
-        self._serve_thread.start()
+    async def _on_stop(self) -> None:
+        await self.scheduler.stop()
 
-    def serve_forever(self) -> None:
-        """Foreground serving (the ``repro serve`` path)."""
-        self._loop_thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self.scheduler.start(), self._loop).result(timeout=30)
-        self._httpd.serve_forever()
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        future = asyncio.run_coroutine_threadsafe(
-            self.scheduler.stop(), self._loop)
-        try:
-            future.result(timeout=30)
-        except Exception:  # noqa: BLE001 - best-effort teardown
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._loop_thread.join(timeout=10)
+    @property
+    def metrics(self):
+        return self.scheduler.metrics
 
     # ------------------------------------------------------------- bridges
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
     def submit(self, request: SolveRequest, timeout: float | None = None,
                *, wait: bool = True, seeds: "list[int] | None" = None):
         """Run one request on the scheduler loop (thread-safe).
@@ -194,315 +167,124 @@ class ServiceServer:
         row["uptime_s"] = round(time.monotonic() - self.started_at, 3)
         return row
 
-    # ------------------------------------------------------- extensibility
-    def handle_extra_get(self, path: str) -> tuple[int, dict[str, Any]] | None:
-        """Hook for subclasses serving extra GET routes.
+    # -------------------------------------------------------------- routes
+    def _get_healthz(self, http, _) -> dict[str, Any]:
+        return {"ok": True,
+                "uptime_s": round(time.monotonic() - self.started_at, 3)}
 
-        Return ``(status, json_payload)`` to answer ``path``, or ``None``
-        to fall through to the 404.  The fleet worker overrides this for
-        ``GET /fleet/status``.
+    def _get_stats(self, http, _) -> dict[str, Any]:
+        return self.stats_row()
+
+    def _get_metrics(self, http, _) -> None:
+        metrics = self.metrics
+        if metrics is None:
+            raise ServiceError(404, "metrics are disabled on this server")
+        http.send_body(200, metrics.render().encode("utf-8"),
+                       metrics.registry.content_type)
+
+    def _cached_row(self, key: str, missing: str) -> dict[str, Any]:
+        # peek, not get: report polling must never count as cache traffic
+        # (hit_rate) nor promote the key in the LRU.
+        report, tier = self.scheduler.cache.peek(key)
+        if report is None:
+            raise ServiceError(404, missing)
+        return {"key": key, "tier": tier,
+                "report": json.loads(report_to_json(report))}
+
+    def _get_report(self, http, key: str) -> dict[str, Any]:
+        return self._cached_row(key, f"unknown report key {key!r}")
+
+    def _get_cache(self, http, key: str) -> dict[str, Any]:
+        # The fleet-shared warm-read endpoint: peers (via the coordinator)
+        # fetch stored rows by content address so a worker inheriting
+        # remapped keys starts warm.  Never consult our own peers: the
+        # asking peer decides what a miss means, and recursing through the
+        # fleet from here could loop.
+        return self._cached_row(key, f"no cached row for {key!r}")
+
+    def _get_trace(self, http, trace_id: str) -> dict[str, Any]:
+        recorder = self.scheduler.trace_recorder
+        if recorder is None:
+            raise ServiceError(404, "tracing is disabled on this server")
+        rows = recorder.spans(trace_id)
+        if not rows:
+            raise ServiceError(404, f"unknown trace id {trace_id!r}")
+        return {"trace_id": trace_id, "span_count": len(rows),
+                "spans": rows}
+
+    def _get_events(self, http, key: str) -> None:
+        """``GET /events/<key>``: SSE frames until the terminal event.
+
+        The response is unframed (no Content-Length) so the connection is
+        marked ``close``; clients read until EOF.
         """
-        return None
+        channel = self.scheduler.events.get(key)
+        if channel is None:
+            # Never streamed (or archived out): an already-resolved key
+            # still gets a useful single-frame stream.
+            report, tier = self.scheduler.cache.peek(key)
+            if report is None:
+                raise ServiceError(
+                    404, f"no event stream or report for key {key!r}")
+        if not http.send_body(200, b"", "text/event-stream", stream=True):
+            return
 
-    def handle_extra_post(self, path: str, obj: dict[str, Any],
-                          ) -> tuple[int, dict[str, Any]] | None:
-        """Hook for subclasses serving extra POST routes (parsed JSON body).
+        def write_frame(payload: str) -> bool:
+            try:
+                http.wfile.write(payload.encode("utf-8"))
+                http.wfile.flush()
+                return True
+            except (BrokenPipeError, ConnectionResetError) as error:
+                http.client_gone(error)
+                return False
 
-        Same contract as :meth:`handle_extra_get`; the fleet worker
-        overrides this for ``POST /solve_batch``.  Raise
-        :class:`~repro.service.scheduler.AdmissionError` /
-        :class:`SolveTimeout` / ``ValueError`` to reuse the standard error
-        mapping (429 / 504 / 400).
-        """
-        return None
+        if channel is None:
+            write_frame("data: " + json.dumps(
+                {"event": "end", "key": key, "status": "cached",
+                 "tier": tier}, sort_keys=True) + "\n\n")
+            return
+        metrics = self.metrics
+        subscription = channel.subscribe()
+        if metrics is not None:
+            metrics.stream_subscribers.inc()
+        try:
+            while True:
+                try:
+                    event = subscription.get(timeout=self.events_heartbeat_s)
+                except queue_module.Empty:
+                    if not write_frame(": keep-alive\n\n"):
+                        return
+                    continue
+                if event is None:  # END_OF_STREAM
+                    return
+                frame = ("data: "
+                         + json.dumps(event, sort_keys=True, default=str)
+                         + "\n\n")
+                if not write_frame(frame):
+                    return
+        finally:
+            channel.unsubscribe(subscription)
+            if metrics is not None:
+                metrics.stream_subscribers.dec()
 
-    def __enter__(self) -> "ServiceServer":
-        self.start()
-        return self
+    @staticmethod
+    def _adopt_trace(http, obj: dict[str, Any]) -> None:
+        """Propagated trace context rides the header on every POST; an
+        explicit body field wins."""
+        trace_header = http.headers.get(TRACE_HEADER)
+        if trace_header and not obj.get("trace"):
+            obj["trace"] = trace_header
 
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    def _post_solve(self, http, obj: dict[str, Any]):
+        self._adopt_trace(http, obj)
+        wait = bool(obj.pop("wait", True))
+        response = self.submit(SolveRequest.from_obj(obj), wait=wait)
+        return (202 if response.status == "accepted" else 200,
+                response.to_row())
 
 
 def _make_handler(service: ServiceServer, *, quiet: bool):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        #: Small request/response pairs ping-pong on one connection; Nagle
-        #: only adds latency there.
-        disable_nagle_algorithm = True
-
-        def log_message(self, fmt: str, *args: Any) -> None:  # noqa: A003
-            if not quiet:
-                super().log_message(fmt, *args)
-
-        # ----------------------------------------------------------- util
-        def _route(self) -> str:
-            """The path with identifiers stripped -- a bounded label set."""
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            for prefix in ("/report/", "/events/", "/trace/", "/cache/"):
-                if path.startswith(prefix):
-                    return prefix.rstrip("/")
-            return path
-
-        def _count_response(self, status: int) -> None:
-            metrics = service.scheduler.metrics
-            if metrics is not None:
-                metrics.http_requests.inc(self.command, self._route(),
-                                          str(status))
-
-        def _client_disconnected(self, error: OSError) -> None:
-            """The peer hung up mid-write: log it, never crash the thread.
-
-            ``BrokenPipeError`` here used to propagate into
-            ``BaseHTTPRequestHandler.handle``, spraying tracebacks on
-            stderr for something as mundane as a monitoring client with a
-            short timeout.
-            """
-            self.close_connection = True
-            metrics = service.scheduler.metrics
-            if metrics is not None:
-                metrics.client_disconnects.inc(self._route())
-            log_event("client_disconnected", route=self._route(),
-                      method=self.command,
-                      error=type(error).__name__)
-
-        def _send_body(self, status: int, body: bytes,
-                       content_type: str) -> bool:
-            """Send a complete response; ``False`` if the client vanished."""
-            try:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-            except (BrokenPipeError, ConnectionResetError) as error:
-                self._client_disconnected(error)
-                return False
-            self._count_response(status)
-            return True
-
-        def _send_json(self, status: int, obj: dict[str, Any]) -> None:
-            body = json.dumps(obj, sort_keys=True).encode("utf-8")
-            self._send_body(status, body, "application/json")
-
-        def _send_error_json(self, status: int, message: str) -> None:
-            self._send_json(status, {"error": message})
-
-        # ------------------------------------------------------- endpoints
-        def do_GET(self) -> None:  # noqa: N802 - http.server contract
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            if path == "/healthz":
-                self._send_json(200, {
-                    "ok": True,
-                    "uptime_s": round(
-                        time.monotonic() - service.started_at, 3),
-                })
-            elif path == "/stats":
-                self._send_json(200, service.stats_row())
-            elif path == "/metrics":
-                metrics = service.scheduler.metrics
-                if metrics is None:
-                    self._send_error_json(
-                        404, "metrics are disabled on this server")
-                    return
-                self._send_body(200, metrics.render().encode("utf-8"),
-                                metrics.registry.content_type)
-            elif path.startswith("/report/"):
-                key = path[len("/report/"):]
-                # peek, not get: report polling must never count as cache
-                # traffic (hit_rate) nor promote the key in the LRU.
-                report, tier = service.scheduler.cache.peek(key)
-                if report is None:
-                    self._send_error_json(404, f"unknown report key {key!r}")
-                else:
-                    self._send_json(200, {
-                        "key": key,
-                        "tier": tier,
-                        "report": json.loads(report_to_json(report)),
-                    })
-            elif path.startswith("/cache/"):
-                # The fleet-shared warm-read endpoint: peers (via the
-                # coordinator) fetch stored rows by content address so a
-                # worker inheriting remapped keys starts warm.  peek, and
-                # never consult our own peers: the asking peer decides
-                # what a miss means, and recursing through the fleet from
-                # here could loop.
-                key = path[len("/cache/"):]
-                report, tier = service.scheduler.cache.peek(key)
-                if report is None:
-                    self._send_error_json(404, f"no cached row for {key!r}")
-                else:
-                    self._send_json(200, {
-                        "key": key,
-                        "tier": tier,
-                        "report": json.loads(report_to_json(report)),
-                    })
-            elif path.startswith("/trace/"):
-                trace_id = path[len("/trace/"):]
-                recorder = service.scheduler.trace_recorder
-                if recorder is None:
-                    self._send_error_json(
-                        404, "tracing is disabled on this server")
-                    return
-                rows = recorder.spans(trace_id)
-                if not rows:
-                    self._send_error_json(
-                        404, f"unknown trace id {trace_id!r}")
-                else:
-                    self._send_json(200, {
-                        "trace_id": trace_id,
-                        "span_count": len(rows),
-                        "spans": rows,
-                    })
-            elif path.startswith("/events/"):
-                self._stream_events(path[len("/events/"):])
-            else:
-                extra = service.handle_extra_get(path)
-                if extra is not None:
-                    self._send_json(*extra)
-                else:
-                    self._send_error_json(404, f"unknown path {self.path!r}")
-
-        def _stream_events(self, key: str) -> None:
-            """``GET /events/<key>``: SSE frames until the terminal event.
-
-            The response is unframed (no Content-Length) so the
-            connection is marked ``close``; clients read until EOF.
-            """
-            channel = service.scheduler.events.get(key)
-            if channel is None:
-                # Never streamed (or archived out): an already-resolved
-                # key still gets a useful single-frame stream.
-                report, tier = service.scheduler.cache.peek(key)
-                if report is None:
-                    self._send_error_json(
-                        404,
-                        f"no event stream or report for key {key!r}")
-                    return
-                channel = None
-            metrics = service.scheduler.metrics
-            try:
-                self.send_response(200)
-                self.send_header("Content-Type", "text/event-stream")
-                self.send_header("Cache-Control", "no-cache")
-                self.send_header("Connection", "close")
-                self.close_connection = True
-                self.end_headers()
-            except (BrokenPipeError, ConnectionResetError) as error:
-                self._client_disconnected(error)
-                return
-            self._count_response(200)
-
-            def write_frame(payload: str) -> bool:
-                try:
-                    self.wfile.write(payload.encode("utf-8"))
-                    self.wfile.flush()
-                    return True
-                except (BrokenPipeError, ConnectionResetError) as error:
-                    self._client_disconnected(error)
-                    return False
-
-            if channel is None:
-                write_frame("data: " + json.dumps(
-                    {"event": "end", "key": key, "status": "cached",
-                     "tier": tier}, sort_keys=True) + "\n\n")
-                return
-            subscription = channel.subscribe()
-            if metrics is not None:
-                metrics.stream_subscribers.inc()
-            try:
-                while True:
-                    try:
-                        event = subscription.get(
-                            timeout=service.events_heartbeat_s)
-                    except queue_module.Empty:
-                        if not write_frame(": keep-alive\n\n"):
-                            return
-                        continue
-                    if event is None:  # END_OF_STREAM
-                        return
-                    frame = ("data: "
-                             + json.dumps(event, sort_keys=True, default=str)
-                             + "\n\n")
-                    if not write_frame(frame):
-                        return
-            finally:
-                channel.unsubscribe(subscription)
-                if metrics is not None:
-                    metrics.stream_subscribers.dec()
-
-        def do_POST(self) -> None:  # noqa: N802 - http.server contract
-            # Drain the body first, whatever the path: leaving unread bytes
-            # on a keep-alive connection desynchronises the next request.
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length)
-            except (ValueError, OSError) as error:
-                self.close_connection = True
-                self._send_error_json(400, str(error))
-                return
-            path = self.path.split("?", 1)[0].rstrip("/")
-            try:
-                obj = json.loads(body or b"{}")
-                if not isinstance(obj, dict):
-                    raise ValueError("request body must be a JSON object")
-            except (ValueError, json.JSONDecodeError) as error:
-                self._send_error_json(400, str(error))
-                return
-            # Propagated trace context rides the header on every POST
-            # (solve, solve_batch, ...); an explicit body field wins.
-            trace_header = self.headers.get(TRACE_HEADER)
-            if trace_header and not obj.get("trace"):
-                obj["trace"] = trace_header
-            if path != "/solve":
-                try:
-                    extra = service.handle_extra_post(path, obj)
-                except AdmissionError as error:
-                    self._send_error_json(429, str(error))
-                    return
-                except SolveTimeout as error:
-                    self._send_error_json(504, str(error))
-                    return
-                except (KeyError, TypeError, ValueError) as error:
-                    message = error.args[0] if error.args else error
-                    self._send_error_json(400, str(message))
-                    return
-                except Exception as error:  # noqa: BLE001 - solver fault
-                    self._send_error_json(
-                        500, f"{type(error).__name__}: {error}")
-                    return
-                if extra is not None:
-                    self._send_json(*extra)
-                else:
-                    self._send_error_json(404, f"unknown path {self.path!r}")
-                return
-            try:
-                wait = bool(obj.pop("wait", True))
-                request = SolveRequest.from_obj(obj)
-            except (ValueError, TypeError) as error:
-                self._send_error_json(400, str(error))
-                return
-            try:
-                response = service.submit(request, wait=wait)
-            except AdmissionError as error:
-                self._send_error_json(429, str(error))
-                return
-            except SolveTimeout as error:
-                self._send_error_json(504, str(error))
-                return
-            except (KeyError, TypeError, ValueError) as error:
-                # Unknown workload/algorithm or a bad typed config.
-                message = error.args[0] if error.args else error
-                self._send_error_json(400, str(message))
-                return
-            except Exception as error:  # noqa: BLE001 - solver fault
-                self._send_error_json(
-                    500, f"{type(error).__name__}: {error}")
-                return
-            self._send_json(202 if response.status == "accepted" else 200,
-                            response.to_row())
-
-    return Handler
+    return JsonHandler.bound(service, quiet=quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +322,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-shards", type=int, default=None,
                         metavar="N",
                         help="key shards of the persistent tier "
-                             "(default: 8)")
+                             "(default: the store's own count, 8 for a "
+                             "new store)")
     parser.add_argument("--cache-budget-mb", type=float, default=None,
                         metavar="MB",
                         help="on-disk size budget of the sharded tier; "

@@ -33,6 +33,9 @@ The store holds serialised rows (``dict`` per line) keyed by
 ``key_field``; it knows nothing about reports -- the solve cache layers
 deserialisation and the memory LRU on top.  Its root is a directory: a
 regular file there (a leftover single-file store) is refused up front.
+The first put lays out every ``shard-NN`` directory, so the directories
+record the shard count: ``shards=None`` reads it back, and an explicit
+count that disagrees is refused up front too.
 """
 
 from __future__ import annotations
@@ -124,6 +127,23 @@ def shard_of(key: str, shards: int) -> int:
         return zlib.crc32(str(key).encode("utf-8", "replace")) % shards
 
 
+def _disk_shards(root: str) -> int:
+    """One more than the highest ``shard-NN`` directory under ``root``.
+
+    The highest index, not the number of directories: a store written
+    before every shard directory was made at the first put has
+    directories only for shards that received a row, and a missing one
+    in the middle must not shrink the count.
+    """
+    try:
+        names = os.listdir(root)
+    except OSError:
+        return 0
+    return max((int(name[6:]) + 1 for name in names
+                if name.startswith("shard-") and name[6:].isdigit()
+                and os.path.isdir(os.path.join(root, name))), default=0)
+
+
 def _segment_name(segment: int) -> str:
     return f"{_SEGMENT_PREFIX}{segment:06d}{_SEGMENT_SUFFIX}"
 
@@ -164,7 +184,7 @@ class _Shard:
 class ShardStore:
     """N key-sharded, segmented JSON-lines logs with TTL + LRU eviction."""
 
-    def __init__(self, root: str, *, shards: int = DEFAULT_SHARDS,
+    def __init__(self, root: str, *, shards: int | None = None,
                  key_field: str = "cache_key",
                  max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  size_budget_bytes: int | None = None,
@@ -176,7 +196,15 @@ class ShardStore:
             # and then fail on the first put, after the work was done.
             raise ValueError(f"store root {self.root!r} exists and is not "
                              f"a directory")
-        self.shards = max(1, int(shards))
+        # The shard directories record the count: keys route by
+        # ``shard_of(key, shards)``, so reopening with another count would
+        # look up most rows in the wrong shard.
+        on_disk = _disk_shards(self.root)
+        self.shards = max(1, int(shards)) if shards is not None else (
+            on_disk or DEFAULT_SHARDS)
+        if on_disk and on_disk != self.shards:
+            raise ValueError(f"store root {self.root!r} holds {on_disk} "
+                             f"shards, not {self.shards}")
         self.key_field = key_field
         self.max_segment_bytes = max(4096, int(max_segment_bytes))
         self.size_budget_bytes = (None if size_budget_bytes is None
@@ -191,6 +219,9 @@ class ShardStore:
         self._shards = [
             _Shard(os.path.join(self.root, f"shard-{index:02d}"))
             for index in range(self.shards)]
+        #: Every shard directory exists once the first row is put.
+        self._laid_out = all(os.path.isdir(shard.directory)
+                             for shard in self._shards)
         for shard in self._shards:
             with shard.lock:
                 self._discover(shard)
@@ -395,6 +426,10 @@ class ShardStore:
             document["stored_at"] = stored_at
         data = (json.dumps(document, sort_keys=True, default=str)
                 + "\n").encode("utf-8")
+        if not self._laid_out:
+            for each in self._shards:
+                os.makedirs(each.directory, exist_ok=True)
+            self._laid_out = True
         shard = self._shards[shard_of(key, self.shards)]
         with shard.lock:
             segment = shard.active

@@ -448,3 +448,70 @@ class TestInterleavingProperties:
         for key, versions in written.items():
             row = audit.get(key)
             assert row is not None and row["version"] == max(versions)
+
+
+# ---------------------------------------------------------------------------
+# The shard count lives on disk
+# ---------------------------------------------------------------------------
+
+class TestRecordedShardCount:
+    def _filled(self, root: str, shards: int = 4) -> list[str]:
+        store = ShardStore(root, shards=shards)
+        keys = [_key(index) for index in range(16)]
+        for key in keys:
+            store.put(key, {"value": key})
+        return keys
+
+    def test_reopen_with_the_default_reads_the_disk(self, tmp_path):
+        keys = self._filled(str(tmp_path))
+        reopened = ShardStore(str(tmp_path))
+        assert reopened.shards == 4
+        assert len(reopened) == 16
+        assert all(reopened.get(key)["value"] == key for key in keys)
+
+    def test_first_put_lays_out_every_shard(self, tmp_path):
+        store = ShardStore(str(tmp_path), shards=5)
+        store.put(_key(0), {"value": 0})
+        assert ShardStore(str(tmp_path)).shards == 5
+
+    def test_missing_middle_shard_keeps_the_count(self, tmp_path):
+        # A store laid out before every shard directory was made up front
+        # has no directory for a shard that never received a row.
+        keys = self._filled(str(tmp_path))
+        middle = tmp_path / "shard-01"
+        for segment in middle.iterdir():
+            segment.unlink()
+        middle.rmdir()
+        survivors = [key for key in keys if shard_of(key, 4) != 1]
+        reopened = ShardStore(str(tmp_path))
+        assert reopened.shards == 4
+        assert len(reopened) == len(survivors)
+        assert all(reopened.get(key)["value"] == key for key in survivors)
+        assert ShardStore(str(tmp_path), shards=4).shards == 4
+        reopened.put(_key(99), {"value": _key(99)})
+        assert middle.is_dir()
+
+    def test_empty_root_takes_the_default(self, tmp_path):
+        assert ShardStore(str(tmp_path / "fresh")).shards == 8
+
+    def test_disagreeing_count_is_refused(self, tmp_path):
+        self._filled(str(tmp_path))
+        with pytest.raises(ValueError) as excinfo:
+            ShardStore(str(tmp_path), shards=8)
+        message = str(excinfo.value)
+        assert str(tmp_path) in message
+        assert "4" in message and "8" in message
+
+    @pytest.mark.parametrize("command", ["stats", "compact"])
+    def test_cache_cli_exits_2_on_a_disagreeing_count(self, tmp_path,
+                                                      capsys, command):
+        from repro.cli import main as repro_cli
+
+        self._filled(str(tmp_path))
+        try:
+            exit_code = repro_cli(["cache", command, "--cache-path",
+                                   str(tmp_path), "--cache-shards", "8"])
+        except SystemExit as stop:
+            exit_code = stop.code
+        assert exit_code == 2
+        assert str(tmp_path) in capsys.readouterr().err
