@@ -6,9 +6,9 @@ function turns one of the paper's predicates (MIS of ``G^k``, the
 decomposition properties) into a list of named pass/fail :class:`Check`
 objects with human-readable failure details.  The solver facade bundles the
 checks of a problem's certifier into a :class:`Certificate` on every
-``solve(..., verify=True)`` call, and :mod:`repro.scenarios.oracles` routes
-the scenario runner's per-cell verification through the same functions, so
-there is exactly one implementation of every guarantee.
+``solve(..., verify=True)`` call, and that certificate is the scenario
+runner's per-cell verdict, so there is exactly one implementation of every
+guarantee.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Batched-replica execution: B seeds of one algorithm as one array program.
 
 A seed sweep runs the same algorithm on the same graph under ``B`` different
-seeds.  Run one replica at a time (or one process per replica, as
-``scenarios.runner``'s pool does), every replica pays the full per-round
+seeds.  Run one replica at a time (or one process per replica, as the
+solve scheduler's process shards do), every replica pays the full per-round
 numpy dispatch overhead and its own copy of the graph.  The replica runner
 instead executes all ``B`` replicas in *lockstep* on the vector engine's
 array kernels (:class:`~repro.congest.vector_engine.ArrayKernel`, the same

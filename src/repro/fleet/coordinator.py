@@ -319,6 +319,11 @@ class FleetCoordinator(LoopServer):
         if self._sweep_task is not None:
             self._sweep_task.cancel()
             await asyncio.gather(self._sweep_task, return_exceptions=True)
+        with self._links_lock:
+            links = list(self._links.values())
+            self._links.clear()
+        for link in links:
+            link.close()
 
     async def _sweep(self) -> None:
         """Expire stale leases and retire their transport links."""

@@ -205,9 +205,9 @@ class WorkerLink:
         return result
 
     def close(self) -> None:
-        # Per-thread connections close with their threads; nothing to do
-        # beyond dropping the reference, but keep the hook for symmetry.
-        pass
+        """Close the link's keep-alive connections, whichever threads
+        opened them."""
+        self.client.close()
 
 
 #: Failure ranking for :func:`get_best_discovered_result`, most

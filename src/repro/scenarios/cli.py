@@ -7,15 +7,15 @@ Commands
 ``families``
     Print the registered graph families and cells.
 ``run``
-    Execute a scenario sweep in parallel with oracle verification and
+    Execute a certified scenario sweep on a solve scheduler with
     resume-from-store caching.  ``--smoke`` selects the tiny CI sweep;
-    ``--cache [PATH]`` additionally routes executed solves through the
-    service layer's content-addressed cache tier.
+    ``--jobs`` sets the scheduler's shard count; ``--cache [PATH]`` gives
+    the scheduler a persistent solve cache.
 ``compact``
     Drop superseded and corrupt rows from the on-disk stores (scenario
     results and, with ``--cache``, the solve cache).
 
-Exit status of ``run`` is non-zero when any cell fails its oracles, so the
+Exit status of ``run`` is non-zero when any cell fails its certificate, so the
 command doubles as a randomized end-to-end test in CI.
 """
 
@@ -48,7 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = commands.add_parser("run", help="run a scenario sweep")
     _add_selection_arguments(run_parser)
     run_parser.add_argument("--jobs", type=int, default=None,
-                            help="worker processes (default: auto; 1 = serial)")
+                            help="solve-scheduler shards (default: min(4, "
+                                 "CPUs) worker processes; 1 = inline, "
+                                 "in-process)")
     run_parser.add_argument("--repeats", type=int, default=1,
                             help="independent seeded repeats per scenario")
     run_parser.add_argument("--seed", type=int, default=0, dest="base_seed",
@@ -59,12 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--no-resume", action="store_true",
                             help="re-execute cells even if present in the store")
     run_parser.add_argument("--no-verify", action="store_true",
-                            help="skip the oracle verification layer")
+                            help="skip certification of executed solves")
     run_parser.add_argument("--cache", nargs="?", const="__default__",
                             default=None, metavar="PATH", dest="solve_cache",
-                            help="route executed solves through the service "
-                                 "layer's content-addressed cache (optional "
-                                 "PATH; default: the shared solve-cache store)")
+                            help="give the solve scheduler a persistent "
+                                 "content-addressed cache (optional PATH; "
+                                 "default: the shared solve-cache store)")
 
     compact_parser = commands.add_parser(
         "compact", help="drop superseded rows from the on-disk stores")

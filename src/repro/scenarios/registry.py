@@ -7,9 +7,10 @@ The registry holds three kinds of objects:
 * :class:`GraphCell` -- a family instantiated with concrete parameters
   (``regular-n128-d6`` is ``random_regular_graph(128, 6)``), the unit the
   benchmark sweeps iterate over;
-* :class:`Scenario` -- a cell paired with an algorithm, a power ``k``, an
-  optional engine and algorithm parameters, the unit the batch runner
-  executes and the oracle layer verifies.
+* :class:`Scenario` -- a cell paired with an algorithm of
+  :data:`repro.api.REGISTRY`, a power ``k``, an optional engine and
+  algorithm parameters, the unit the batch runner executes;
+  :func:`scenario_config` maps it onto the algorithm's typed config.
 
 Cells and scenarios carry free-form *tags* (``smoke``, ``suite``,
 ``adversarial``, ``table1``, ...) used for selection: the CLI's ``--smoke``
@@ -30,9 +31,9 @@ from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 import networkx as nx
 
+from repro.api import REGISTRY as SOLVER_REGISTRY
 from repro.graphs import generators
 from repro.hashing.seeds import derive_seed
-from repro.scenarios.algorithms import BUILTIN_ALGORITHMS, AlgorithmSpec, ScenarioOutcome
 
 Node = Hashable
 
@@ -43,6 +44,7 @@ __all__ = [
     "Scenario",
     "ScenarioRegistry",
     "default_registry",
+    "scenario_config",
 ]
 
 
@@ -103,13 +105,28 @@ class Scenario:
         return f"{self.name}|seed={seed}"
 
 
+def scenario_config(scenario: Scenario) -> dict[str, Any]:
+    """The solver config a scenario maps onto, filtered to the keys its
+    algorithm accepts: ``k`` and ``engine`` when accepted, then the
+    accepted scenario params (``beta``, ...)."""
+    allowed = SOLVER_REGISTRY.algorithm(scenario.algorithm).config_keys
+    config: dict[str, Any] = {}
+    if "k" in allowed:
+        config["k"] = scenario.k
+    if "engine" in allowed:
+        config["engine"] = scenario.engine or "sync"
+    for key, value in scenario.params:
+        if key in allowed:
+            config[key] = value
+    return config
+
+
 class ScenarioRegistry:
-    """A mutable collection of families, cells, algorithms and scenarios."""
+    """A mutable collection of families, cells and scenarios."""
 
     def __init__(self) -> None:
         self._families: dict[str, GraphFamily] = {}
         self._cells: dict[str, GraphCell] = {}
-        self._algorithms: dict[str, AlgorithmSpec] = {}
         self._scenarios: dict[str, Scenario] = {}
 
     # ------------------------------------------------------------ families
@@ -157,19 +174,6 @@ class ScenarioRegistry:
             cell = self._cells[cell]
         return self._families[cell.family].build(seed=seed, **cell.params_dict)
 
-    # ---------------------------------------------------------- algorithms
-    def register_algorithm(self, spec: AlgorithmSpec) -> AlgorithmSpec:
-        if spec.name in self._algorithms:
-            raise ValueError(f"algorithm {spec.name!r} already registered")
-        self._algorithms[spec.name] = spec
-        return spec
-
-    def algorithm(self, name: str) -> AlgorithmSpec:
-        return self._algorithms[name]
-
-    def algorithm_names(self) -> list[str]:
-        return sorted(self._algorithms)
-
     # ----------------------------------------------------------- scenarios
     def add_scenario(self, cell: str, algorithm: str, *, k: int = 1,
                      engine: str | None = None,
@@ -178,8 +182,7 @@ class ScenarioRegistry:
                      name: str | None = None) -> Scenario:
         if cell not in self._cells:
             raise KeyError(f"unknown graph cell {cell!r}")
-        if algorithm not in self._algorithms:
-            raise KeyError(f"unknown algorithm {algorithm!r}")
+        SOLVER_REGISTRY.algorithm(algorithm)  # KeyError names the known ones
         if name is None:
             suffix = "".join(f"-{key}{value}" for key, value in _params_tuple(params))
             engine_part = f"@{engine}" if engine else ""
@@ -221,7 +224,7 @@ class ScenarioRegistry:
             matched = matched[:max(0, limit)]
         return matched
 
-    # ----------------------------------------------------------- execution
+    # --------------------------------------------------------------- tasks
     def build_graph(self, scenario: Scenario | str, *, seed: int = 0) -> nx.Graph:
         if isinstance(scenario, str):
             scenario = self._scenarios[scenario]
@@ -232,13 +235,6 @@ class ScenarioRegistry:
         """The deterministic per-task seed (stable across processes/runs)."""
         name = scenario if isinstance(scenario, str) else scenario.name
         return derive_seed("repro.scenarios", name, repeat, base_seed, bits=32)
-
-    def run_scenario(self, scenario: Scenario | str, *, seed: int) -> ScenarioOutcome:
-        """Build the graph and run the scenario's algorithm (no verification)."""
-        if isinstance(scenario, str):
-            scenario = self._scenarios[scenario]
-        graph = self.build_graph(scenario, seed=seed)
-        return self._algorithms[scenario.algorithm].run(graph, scenario, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +405,6 @@ def default_registry() -> ScenarioRegistry:
     """Build a fresh copy of the default registry."""
     registry = ScenarioRegistry()
     _register_families(registry)
-    for spec in BUILTIN_ALGORITHMS:
-        registry.register_algorithm(spec)
     _register_cells(registry)
     _register_scenarios(registry)
     return registry

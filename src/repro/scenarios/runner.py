@@ -1,48 +1,62 @@
-"""The parallel batch runner: registry scenarios -> verified result rows.
+"""The batch runner: registry scenarios -> certified result rows.
 
 Execution model
 ---------------
 A *task* is one ``(scenario, repeat)`` pair.  Its seed is derived
 deterministically from the scenario name, the repeat index and the batch's
 base seed via :func:`repro.hashing.seeds.derive_seed`, so results are
-identical whatever the worker count or scheduling order.  Tasks already
+identical whatever the shard count or completion order.  Tasks already
 present in the result store (a :class:`~repro.service.shardstore.ShardStore`
-keyed by ``cell_key``) are served from cache; the remainder
-is executed either serially or on a ``multiprocessing`` pool (workers
-rebuild the default registry on import, which is why parallel execution is
-only offered for the default registry -- custom registries run serially,
-they may hold unpicklable builders).
+keyed by ``cell_key``) are served from it.
 
-Every executed task is verified by the oracle layer
-(:mod:`repro.scenarios.oracles`) before its row is stored; a row records the
-scenario identity, the derived seed, the graph size, rounds/metrics and the
-oracle verdict with per-check failure details.
+The runner is a client of the solve path: a batch owns one
+:class:`~repro.service.scheduler.SolveScheduler` and submits each remaining
+task as one :class:`~repro.service.request.SolveRequest` -- the scenario's
+cell as the workload, the task seed as both graph seed and solve seed, and
+:func:`~repro.scenarios.registry.scenario_config` as the config.  A request
+is pure data, so any scenario over a default-registry cell runs on any
+shard.  ``jobs <= 1`` runs the scheduler inline (one in-process shard),
+otherwise on ``jobs`` process shards; ``solve_cache_path`` gives it a
+persistent solve cache instead of a memory-only one.  Each repeat is its
+own request, never a ``submit_batch`` seed sweep: every repeat builds its
+own graph from its task seed.
+
+The scheduler plans each request in this process: it builds the task's
+graph and fingerprints it for the content address.  An inline shard then
+solves that same graph from the process's graph memo; a process shard's
+worker builds it again.  On the registry's small cells that second build,
+the JSON hop of each report and each worker's own first-use imports cost
+more than the solves: on 2 vCPUs ``--jobs 1`` ran them faster than two
+process shards (ROADMAP.md has the measurement).
+
+A row records the scenario identity, the derived seed, the graph size,
+rounds and metrics, and the verdict of the certificate the solve path
+attached, with per-check failure details.
 """
 
 from __future__ import annotations
 
-import os
+import asyncio
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro._paths import results_path
-from repro.scenarios.oracles import verify_outcome
-from repro.scenarios.registry import DEFAULT_REGISTRY, Scenario, ScenarioRegistry
+from repro.scenarios.registry import DEFAULT_REGISTRY, Scenario, scenario_config
+from repro.service.request import SolveRequest
 from repro.service.shardstore import ShardStore
 
-__all__ = ["BatchSummary", "plan_tasks", "run_batch", "run_replica_batch",
-           "run_task"]
+__all__ = ["BatchSummary", "plan_tasks", "run_batch", "run_task"]
 
+#: ``(position, scenario, repeat, seed)``: a task and its place in the batch.
+_Task = tuple[int, Scenario, int, int]
 
-@dataclass(frozen=True)
-class _TaskSpec:
-    """A picklable task handle resolved against the default registry."""
-
-    scenario: str
-    repeat: int
-    base_seed: int
-    verify: bool
+#: Submits in flight per scheduler shard.  Measured on a 420-task sweep
+#: (every registry scenario, 5 repeats, 2 vCPUs): one per shard leaves
+#: process shards idle while the next task plans, and admitting all the
+#: scheduler takes (256) slows inline runs, whose planning threads contend
+#: for the GIL; 2 to 8 per shard were indistinguishable.
+_IN_FLIGHT_PER_SHARD = 4
 
 
 @dataclass
@@ -76,10 +90,12 @@ class BatchSummary:
             verified_ok = sum(1 for row in checked if row.get("ok", False))
             unverified = len(self.rows) - len(checked)
             lines.append(
-                f"[scenarios] oracles: {verified_ok}/{len(checked)} cells verified ok"
+                f"[scenarios] certificates: {verified_ok}/{len(checked)} "
+                f"cells verified ok"
                 + (f" ({unverified} unverified)" if unverified else ""))
         else:
-            lines.append("[scenarios] oracles: skipped (verification disabled)")
+            lines.append(
+                "[scenarios] certificates: skipped (verification disabled)")
         for row in self.failed:
             lines.append(f"[scenarios]   FAILED {row['cell_key']}: "
                          f"{'; '.join(row.get('failures', [])) or 'unknown failure'}")
@@ -87,35 +103,33 @@ class BatchSummary:
 
 
 def plan_tasks(scenarios: Sequence[Scenario], *, repeats: int = 1,
-               base_seed: int = 0,
-               registry: ScenarioRegistry | None = None,
-               ) -> list[tuple[Scenario, int, int]]:
+               base_seed: int = 0) -> list[tuple[Scenario, int, int]]:
     """Expand scenarios into ``(scenario, repeat, derived_seed)`` triples."""
-    registry = registry or DEFAULT_REGISTRY
-    tasks = []
-    for scenario in scenarios:
-        for repeat in range(max(1, repeats)):
-            seed = registry.task_seed(scenario, repeat=repeat, base_seed=base_seed)
-            tasks.append((scenario, repeat, seed))
-    return tasks
+    return [(scenario, repeat,
+             DEFAULT_REGISTRY.task_seed(scenario, repeat=repeat,
+                                        base_seed=base_seed))
+            for scenario in scenarios for repeat in range(max(1, repeats))]
 
 
-def run_task(scenario: Scenario, *, seed: int, repeat: int = 0, base_seed: int = 0,
-             registry: ScenarioRegistry | None = None,
-             verify: bool = True, solve_cache=None) -> dict[str, Any]:
-    """Execute one scenario cell and return its (JSON-serialisable) row.
+def _request(scenario: Scenario, seed: int, *, verify: bool) -> SolveRequest:
+    """The solve request of one task: the scenario's cell built from the
+    task seed, solved with that seed."""
+    return SolveRequest(
+        workload=scenario.cell, algorithm=scenario.algorithm,
+        graph_seed=seed, seed=seed,
+        config=tuple(sorted(scenario_config(scenario).items())),
+        verify=verify)
 
-    A crashing algorithm or oracle produces a failed row (with the exception
-    recorded under ``failures``) rather than aborting the whole batch.
 
-    ``solve_cache`` (a :class:`repro.service.cache.SolveCache`) routes the
-    solve through the service layer's content-addressed tier: a repeated
-    ``(graph, algorithm, config, seed)`` cell is served from the cache and
-    its stored certificate is replayed as the row's verdict -- the
-    certificate runs the same problem certifiers the oracle layer
-    dispatches to, so the guarantee checked is identical.
+async def _solve_row(scheduler, scenario: Scenario, *, seed: int,
+                     repeat: int, base_seed: int,
+                     verify: bool) -> dict[str, Any]:
+    """Submit one task and build its (JSON-serialisable) row.
+
+    A crashing algorithm, or a scenario the solve path refuses, produces a
+    failed row (the exception recorded under ``failures``) rather than
+    aborting the batch.
     """
-    registry = registry or DEFAULT_REGISTRY
     row: dict[str, Any] = {
         "cell_key": scenario.cell_key(seed),
         "scenario": scenario.name,
@@ -130,133 +144,75 @@ def run_task(scenario: Scenario, *, seed: int, repeat: int = 0, base_seed: int =
     }
     start = time.perf_counter()
     try:
-        row["family"] = registry.cell(scenario.cell).family
-        graph = registry.build_graph(scenario, seed=seed)
-        if solve_cache is not None:
-            from repro.scenarios.algorithms import scenario_config
-
-            cached = solve_cache.solve(
-                graph, scenario.algorithm, seed=seed, verify=verify,
-                **scenario_config(scenario))
-            certificate = cached.report.certificate
-            row.update({
-                "n": graph.number_of_nodes(),
-                "m": graph.number_of_edges(),
-                "rounds": cached.report.rounds,
-                "output_size": len(cached.report.output),
-                "metrics": dict(cached.report.metrics),
-                "solve_cache_hit": cached.hit,
-                "solve_cache_tier": cached.tier,
-            })
-            if verify and certificate is not None:
-                row["ok"] = certificate.ok
-                row["checks"] = len(certificate.checks)
-                row["failures"] = [
-                    f"{check.name}: {check.detail or 'failed'}"
-                    for check in certificate.failures()]
-            else:
-                row["ok"] = True
-                row["checks"] = 0
-                row["failures"] = []
-            row["elapsed_s"] = round(time.perf_counter() - start, 6)
-            return row
-        outcome = registry.algorithm(scenario.algorithm).run(graph, scenario, seed)
+        row["family"] = DEFAULT_REGISTRY.cell(scenario.cell).family
+        response = await scheduler.submit(_request(scenario, seed,
+                                                   verify=verify))
+        report = response.report
+        certificate = report.certificate if verify else None
         row.update({
-            "n": graph.number_of_nodes(),
-            "m": graph.number_of_edges(),
-            "rounds": outcome.rounds,
-            "output_size": len(outcome.output),
-            "metrics": outcome.metrics,
+            "n": report.provenance.n,
+            "m": report.provenance.m,
+            "rounds": report.rounds,
+            "output_size": len(report.output),
+            "metrics": dict(report.metrics),
+            "solve_cache_hit": response.status == "hit",
+            "solve_cache_tier": response.tier or "computed",
+            "ok": certificate is None or certificate.ok,
+            "checks": 0 if certificate is None else len(certificate.checks),
+            "failures": [] if certificate is None else [
+                f"{check.name}: {check.detail or 'failed'}"
+                for check in certificate.failures()],
         })
-        if verify:
-            report = verify_outcome(graph, scenario, outcome, seed=seed)
-            row["ok"] = report.ok
-            row["checks"] = len(report.checks)
-            row["failures"] = [f"{check.name}: {check.detail or 'failed'}"
-                               for check in report.failures()]
-        else:
-            row["ok"] = True
-            row["checks"] = 0
-            row["failures"] = []
     except Exception as error:  # noqa: BLE001 - recorded per-row, batch survives
         row["ok"] = False
-        row.setdefault("checks", 0)
+        row["checks"] = 0
         row["failures"] = [f"exception: {type(error).__name__}: {error}"]
     row["elapsed_s"] = round(time.perf_counter() - start, 6)
     return row
 
 
-def run_replica_batch(scenario: Scenario | str, *, replicas: int = 8,
-                      base_seed: int = 0,
-                      registry: ScenarioRegistry | None = None,
-                      verify: bool = True) -> dict[str, Any]:
-    """Run one scenario as a batched replica sweep: one graph, many seeds.
+async def _execute(tasks: Sequence[_Task], *, base_seed: int,
+                   jobs: int | None, solve_cache_path: str | None,
+                   verify: bool,
+                   absorb: Callable[[int, dict[str, Any]], None]) -> None:
+    """Run ``tasks`` on one scheduler, handing each row to ``absorb`` as it
+    completes.
 
-    Builds the scenario's graph once (from the repeat-0 task seed) and
-    solves it for ``replicas`` derived seeds through
-    :meth:`repro.api.SolverRegistry.solve_batch`, so algorithms with a
-    batched runner execute the whole sweep as a single replica batch over
-    the shared topology.  Every report is bit-identical to the
-    corresponding solo ``solve`` -- this is a faster schedule for repeated
-    cells, not a different experiment.
-
-    Returns a JSON-serialisable summary with one row per replica.
+    In-flight submits are bounded below the scheduler's ``max_pending``, so
+    no task is ever refused, and to :data:`_IN_FLIGHT_PER_SHARD` per shard.
     """
-    from repro.api import REGISTRY as SOLVER_REGISTRY
-    from repro.scenarios.algorithms import scenario_config
+    from repro.service.cache import SolveCache
+    from repro.service.scheduler import SolveScheduler
 
-    registry = registry or DEFAULT_REGISTRY
-    if isinstance(scenario, str):
-        scenario = registry.scenario(scenario)
-    graph_seed = registry.task_seed(scenario, repeat=0, base_seed=base_seed)
-    graph = registry.build_graph(scenario, seed=graph_seed)
-    seeds = [registry.task_seed(scenario, repeat=repeat, base_seed=base_seed)
-             for repeat in range(max(1, replicas))]
-    config = scenario_config(scenario)
-    start = time.perf_counter()
-    reports = SOLVER_REGISTRY.solve_batch(graph, scenario.algorithm,
-                                          seeds=seeds, verify=verify, **config)
-    elapsed = time.perf_counter() - start
-    rows = []
-    for seed, report in zip(seeds, reports):
-        row = report.to_row()
-        row["cell_key"] = scenario.cell_key(seed)
-        row["ok"] = report.ok
-        rows.append(row)
-    return {
-        "scenario": scenario.name,
-        "cell": scenario.cell,
-        "algorithm": scenario.algorithm,
-        "engine": scenario.engine,
-        "graph_seed": graph_seed,
-        "n": graph.number_of_nodes(),
-        "m": graph.number_of_edges(),
-        "replicas": len(seeds),
-        "seeds": seeds,
-        "ok": all(row["ok"] for row in rows),
-        "elapsed_s": round(elapsed, 6),
-        "rows": rows,
-    }
+    inline = jobs is not None and jobs <= 1
+    scheduler = SolveScheduler(cache=SolveCache(solve_cache_path or ""),
+                               shards=1 if inline else jobs, inline=inline,
+                               metrics=None, tracing=False)
+    in_flight = asyncio.Semaphore(
+        min(scheduler.max_pending, _IN_FLIGHT_PER_SHARD * scheduler.shards))
+
+    async def run(position: int, scenario: Scenario, repeat: int,
+                  seed: int) -> None:
+        async with in_flight:
+            row = await _solve_row(scheduler, scenario, seed=seed,
+                                   repeat=repeat, base_seed=base_seed,
+                                   verify=verify)
+        absorb(position, row)
+
+    try:  # the first submit starts the scheduler
+        await asyncio.gather(*(run(*task) for task in tasks))
+    finally:
+        await scheduler.stop()
 
 
-def _run_spec(spec: _TaskSpec) -> dict[str, Any]:
-    """Worker entry point: resolve against the default registry and execute."""
-    scenario = DEFAULT_REGISTRY.scenario(spec.scenario)
-    seed = DEFAULT_REGISTRY.task_seed(scenario, repeat=spec.repeat,
-                                      base_seed=spec.base_seed)
-    return run_task(scenario, seed=seed, repeat=spec.repeat,
-                    base_seed=spec.base_seed, verify=spec.verify)
-
-
-def _run_positioned(task: tuple[int, _TaskSpec]) -> tuple[int, dict[str, Any]]:
-    """Pool entry point: execute one spec, keeping its task position."""
-    position, spec = task
-    return position, _run_spec(spec)
-
-
-def _default_jobs(task_count: int) -> int:
-    cores = os.cpu_count() or 1
-    return max(1, min(8, cores, task_count))
+def run_task(scenario: Scenario, *, seed: int, repeat: int = 0,
+             base_seed: int = 0, verify: bool = True) -> dict[str, Any]:
+    """Execute one scenario cell in-process and return its row."""
+    rows: list[dict[str, Any]] = []
+    asyncio.run(_execute([(0, scenario, repeat, seed)], base_seed=base_seed,
+                         jobs=1, solve_cache_path=None, verify=verify,
+                         absorb=lambda _, row: rows.append(row)))
+    return rows[0]
 
 
 def _cache_hit(row: dict[str, Any], *, verify: bool) -> bool:
@@ -265,7 +221,7 @@ def _cache_hit(row: dict[str, Any], *, verify: bool) -> bool:
     Failed rows are always re-executed (so a fixed algorithm clears a red
     cell without deleting the store), and rows produced with ``--no-verify``
     (``checks == 0``) never satisfy a verifying batch -- otherwise an
-    unverified run would permanently exempt its cells from the oracle gate.
+    unverified run would permanently exempt its cells from certification.
     """
     if not row.get("ok", False):
         return False
@@ -274,17 +230,7 @@ def _cache_hit(row: dict[str, Any], *, verify: bool) -> bool:
     return True
 
 
-def _is_registered_verbatim(scenario: Scenario) -> bool:
-    """True iff the default registry resolves the scenario's name to an
-    identical definition (what the worker processes will actually run)."""
-    try:
-        return DEFAULT_REGISTRY.scenario(scenario.name) == scenario
-    except KeyError:
-        return False
-
-
 def run_batch(scenarios: Iterable[Scenario] | None = None, *,
-              registry: ScenarioRegistry | None = None,
               jobs: int | None = None,
               repeats: int = 1,
               base_seed: int = 0,
@@ -293,45 +239,32 @@ def run_batch(scenarios: Iterable[Scenario] | None = None, *,
               verify: bool = True,
               solve_cache_path: str | None = None,
               progress: Callable[[str], None] | None = None) -> BatchSummary:
-    """Run a set of scenarios in parallel with resume-from-store caching.
+    """Run a set of scenarios on one solve scheduler, resuming from the store.
 
     Parameters
     ----------
     scenarios:
-        The scenarios to run (default: every scenario in the registry).
-    registry:
-        Registry to resolve against.  Parallel execution requires the
-        default registry (workers rebuild it by import); custom registries
-        run serially regardless of ``jobs``.
+        The scenarios to run (default: every scenario of the default
+        registry).  Their cells must be default-registry cells.
     jobs:
-        Worker process count; ``None`` auto-sizes to the CPU count (capped),
-        ``<= 1`` forces serial in-process execution.
+        Scheduler shards: ``<= 1`` runs inline in this process, more runs
+        that many worker processes; ``None`` takes the scheduler's default.
     store_path:
         Result-store directory (default ``benchmarks/results/scenarios/``);
         ``""`` disables persistence.  A regular file there is refused with
         ``ValueError`` before any task runs.
     resume:
-        Serve cells already present in the store from cache.
+        Serve cells already present in the store from it.
     verify:
-        Apply the oracle layer to every executed result.
+        Certify every executed solve; the certificate is the row's verdict.
     solve_cache_path:
-        Route executed solves through the service layer's content-addressed
-        cache tier (:mod:`repro.service.cache`): ``None`` disables, ``""``
-        uses a memory-only cache, a path uses/extends that persistent
-        store.  The cache is an in-process object, so this forces serial
-        execution (cache hits make the serial pass cheap).
+        The scheduler's solve-cache store: ``None`` or ``""`` keeps it in
+        memory for this batch, a path uses/extends that persistent store.
     """
     start = time.perf_counter()
-    is_default_registry = registry is None or registry is DEFAULT_REGISTRY
-    registry = registry or DEFAULT_REGISTRY
-    solve_cache = None
-    if solve_cache_path is not None:
-        from repro.service.cache import SolveCache
-
-        solve_cache = SolveCache(solve_cache_path)
-    chosen = list(scenarios) if scenarios is not None else registry.scenarios()
-    tasks = plan_tasks(chosen, repeats=repeats, base_seed=base_seed,
-                       registry=registry)
+    chosen = (list(scenarios) if scenarios is not None
+              else DEFAULT_REGISTRY.scenarios())
+    tasks = plan_tasks(chosen, repeats=repeats, base_seed=base_seed)
 
     if store_path is None:
         store_path = results_path("scenarios")
@@ -341,7 +274,7 @@ def run_batch(scenarios: Iterable[Scenario] | None = None, *,
     # Rows are returned in task order, whatever order cache hits and
     # executed tasks complete in.
     rows: list[dict[str, Any] | None] = [None] * len(tasks)
-    pending: list[tuple[int, Scenario, int, int]] = []
+    pending: list[_Task] = []
     cached = 0
     for position, (scenario, repeat, seed) in enumerate(tasks):
         row = (store.get(scenario.cell_key(seed))
@@ -369,28 +302,9 @@ def run_batch(scenarios: Iterable[Scenario] | None = None, *,
             progress(f"[scenarios] FAILED {row['cell_key']}")
 
     if pending:
-        if jobs is None:
-            jobs = _default_jobs(len(pending))
-        use_pool = (jobs > 1 and is_default_registry and solve_cache is None
-                    and all(_is_registered_verbatim(scenario)
-                            for _, scenario, _, _ in pending))
-        if use_pool:
-            import multiprocessing
-
-            specs = [(position,
-                      _TaskSpec(scenario.name, repeat, base_seed, verify))
-                     for position, scenario, repeat, _ in pending]
-            context = multiprocessing.get_context()
-            with context.Pool(processes=min(jobs, len(specs))) as pool:
-                for position, row in pool.imap_unordered(_run_positioned,
-                                                         specs):
-                    absorb(position, row)
-        else:
-            for position, scenario, repeat, seed in pending:
-                absorb(position,
-                       run_task(scenario, seed=seed, repeat=repeat,
-                                base_seed=base_seed, registry=registry,
-                                verify=verify, solve_cache=solve_cache))
+        asyncio.run(_execute(pending, base_seed=base_seed, jobs=jobs,
+                             solve_cache_path=solve_cache_path,
+                             verify=verify, absorb=absorb))
 
     return BatchSummary(
         requested=len(tasks),

@@ -23,6 +23,7 @@ import random
 import threading
 import time
 import urllib.parse
+import weakref
 from typing import Any, Mapping
 
 __all__ = ["ServiceClient", "ServiceError"]
@@ -37,13 +38,41 @@ class ServiceError(RuntimeError):
         self.message = message
 
 
+class _ThreadConnection:
+    """One thread's keep-alive connection, held in the client's
+    thread-local storage.  When the thread ends, its local storage and so
+    this holder die, and the :attr:`release` finalizer closes the
+    connection and forgets it: a client shared by many short-lived threads
+    keeps no socket past its thread."""
+
+    __slots__ = ("connection", "release", "__weakref__")
+
+    def __init__(self, connection: http.client.HTTPConnection) -> None:
+        self.connection = connection
+        self.release: weakref.finalize | None = None
+
+
+def _release(connections: "dict[http.client.HTTPConnection, bool]",
+             closing: "set[http.client.HTTPConnection]",
+             lock: threading.RLock,
+             connection: http.client.HTTPConnection) -> None:
+    connection.close()
+    with lock:
+        connections.pop(connection, None)
+        closing.discard(connection)
+
+
 class ServiceClient:
     """JSON-over-HTTP client for one ``repro serve`` endpoint.
 
     Connections are persistent (HTTP/1.1 keep-alive) and per-thread, so a
     closed-loop load-generator thread pays the TCP handshake once, not per
     request; a dropped connection is re-opened and the request retried once.
-    The client is safe to share across threads.
+    The client is safe to share across threads, and it owns every
+    connection it opens: a thread's connection closes when the thread
+    ends, and :meth:`close`, called from any thread, closes all of them
+    without cutting off a request in flight (a later request simply
+    reconnects).
 
     Connection-error retries
     ------------------------
@@ -79,21 +108,61 @@ class ServiceClient:
         self._port = parsed.port or 80
         self._prefix = parsed.path.rstrip("/")
         self._local = threading.local()
+        #: Every keep-alive connection a live thread holds, mapped to
+        #: whether a request is using it right now.
+        self._connections: dict[http.client.HTTPConnection, bool] = {}
+        #: In-use connections :meth:`close` asked for: each one closes as
+        #: its request ends, so no response is cut off mid-read.
+        self._closing: set[http.client.HTTPConnection] = set()
+        #: Reentrant: a dead thread's holder may be finalized by a garbage
+        #: collection that runs while this thread holds the lock.
+        self._connections_lock = threading.RLock()
 
     # ------------------------------------------------------------ plumbing
     def _connection(self) -> http.client.HTTPConnection:
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
+        held = getattr(self._local, "held", None)
+        if held is None:
             connection = http.client.HTTPConnection(
                 self._host, self._port, timeout=self.timeout)
-            self._local.connection = connection
-        return connection
+            with self._connections_lock:
+                self._connections[connection] = False
+            held = _ThreadConnection(connection)
+            # The finalizer holds its arguments until it runs, so it must
+            # hold neither the holder (which would never die) nor the
+            # client (which would stay alive while this thread lives).
+            held.release = weakref.finalize(
+                held, _release, self._connections, self._closing,
+                self._connections_lock, connection)
+            self._local.held = held
+        return held.connection
 
     def _drop_connection(self) -> None:
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
+        held = getattr(self._local, "held", None)
+        if held is not None:
+            held.release()
+        self._local.held = None
+
+    def _set_busy(self, connection: http.client.HTTPConnection,
+                  busy: bool) -> None:
+        with self._connections_lock:
+            if connection not in self._connections:
+                return  # dropped by its request's error path
+            self._connections[connection] = busy
+            close_now = not busy and connection in self._closing
+            if close_now:
+                self._closing.discard(connection)
+        if close_now:
             connection.close()
-        self._local.connection = None
+
+    def close(self) -> None:
+        """Close every keep-alive connection this client opened, on any
+        thread: idle ones now, one in use as soon as its request ends."""
+        with self._connections_lock:  # held: no request starts meanwhile
+            for connection, busy in list(self._connections.items()):
+                if busy:
+                    self._closing.add(connection)
+                else:
+                    connection.close()
 
     def _backoff_delay(self, retry_index: int) -> float:
         """Exponential backoff with multiplicative jitter for retry ``i``."""
@@ -124,6 +193,7 @@ class ServiceClient:
         attempts = 2 + self.retries
         for attempt in range(attempts):
             connection = self._connection()
+            self._set_busy(connection, True)
             try:
                 connection.request(method, self._prefix + path, body=data,
                                    headers=headers)
@@ -139,6 +209,8 @@ class ServiceClient:
                     # retry storms against a dead endpoint stay polite.
                     time.sleep(self._backoff_delay(attempt - 1))
                 continue
+            finally:
+                self._set_busy(connection, False)
             if response.status >= 400:
                 try:
                     message = json.loads(payload.decode("utf-8")).get("error", "")

@@ -386,10 +386,9 @@ class SolveScheduler:
         fleet bench's tracing-overhead gate compares against this.
 
         The scheduler always resolves against the default
-        :data:`repro.api.REGISTRY`: worker processes rebuild it on import
-        (the same constraint the scenario runner's pool has), so a custom
-        registry would let the planned content address and the executed
-        solve disagree.
+        :data:`repro.api.REGISTRY`: worker processes rebuild it on import,
+        so a custom registry would let the planned content address and the
+        executed solve disagree.
         """
         self.cache = cache if cache is not None else SolveCache()
         self.registry = REGISTRY
@@ -443,6 +442,11 @@ class SolveScheduler:
                     max_workers=1, thread_name_prefix=f"repro-shard{shard}")
             else:
                 executor = ProcessPoolExecutor(max_workers=1)
+                # Fork the worker now, before any planning thread runs: a
+                # fork taken while another thread is importing a module
+                # leaves that module's import lock held in the child, whose
+                # first solve that imports it then blocks forever.
+                executor.submit(int)
             self._executors.append(executor)
             self._consumers.append(
                 asyncio.create_task(self._consume(shard), name=f"shard-{shard}"))
@@ -645,6 +649,11 @@ class SolveScheduler:
             if self._closed:
                 self.counters["rejected"] += len(seeds)
                 raise AdmissionError("scheduler is closed")
+            if not self._started:
+                # The first request starts the scheduler, before it plans:
+                # process shards fork in ``start()``, which must not
+                # overlap a planning thread's imports.
+                await self.start()
             try:
                 cell, keys[:] = await loop.run_in_executor(
                     None, self._plan, request, seeds)
@@ -691,8 +700,6 @@ class SolveScheduler:
                        for index in misses}
             fresh = [index for index in misses if futures[keys[index]] is None]
             if fresh:
-                if not self._started:
-                    await self.start()
                 shard = int(keys[fresh[0]], 16) % self.shards
                 where["shard"] = shard
                 refusal = self._check_admission(shard)

@@ -426,6 +426,7 @@ def serve(args: argparse.Namespace) -> int:
             from repro.service.jsonlog import service_logger
 
             service_logger().removeHandler(log_handler)
+            log_handler.close()
     return 0
 
 

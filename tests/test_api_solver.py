@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import networkx as nx
@@ -10,9 +11,15 @@ import pytest
 import repro
 from repro.api import REGISTRY, RunReport, graph_fingerprint, replay, solve
 from repro.cli import main as cli_main
-from repro.scenarios.algorithms import BUILTIN_ALGORITHMS
-from repro.scenarios.oracles import verify_outcome
-from repro.scenarios.registry import DEFAULT_REGISTRY
+from repro.scenarios.registry import (
+    DEFAULT_REGISTRY,
+    Scenario,
+    ScenarioRegistry,
+    scenario_config,
+)
+from repro.scenarios.runner import _request, run_task
+from repro.service.cache import SolveCache
+from repro.service.scheduler import SolveScheduler
 
 K = 2
 
@@ -128,35 +135,62 @@ class TestReportShape:
         assert report.verified
 
 
+def _runner_report(scenario: Scenario, *, seed: int) -> RunReport:
+    """The report the scenario runner's request for one task yields."""
+
+    async def submit() -> RunReport:
+        scheduler = SolveScheduler(cache=SolveCache(""), shards=1,
+                                   inline=True, metrics=None, tracing=False)
+        try:
+            response = await scheduler.submit(
+                _request(scenario, seed, verify=True))
+        finally:
+            await scheduler.stop()
+        return response.report
+
+    return asyncio.run(submit())
+
+
 class TestScenarioIntegration:
-    def test_views_cover_the_solver_registry(self):
-        view_names = {spec.name for spec in BUILTIN_ALGORITHMS}
-        assert view_names == set(REGISTRY.algorithm_names())
-        assert view_names <= set(DEFAULT_REGISTRY.algorithm_names())
+    def test_scenarios_accept_exactly_the_solver_registry(self):
+        registry = ScenarioRegistry()
+        registry.register_family(DEFAULT_REGISTRY.family("path"))
+        registry.register_cell("p8", "path", params={"n": 8})
+        for name in REGISTRY.algorithm_names():
+            assert registry.add_scenario("p8", name).algorithm == name
+        with pytest.raises(KeyError, match="power-mis"):
+            registry.add_scenario("p8", "no-such-algorithm")
 
     def test_scenario_view_matches_direct_solve(self):
         scenario = DEFAULT_REGISTRY.scenario("regular-n24-d3/power-mis-k2")
         graph = DEFAULT_REGISTRY.build_graph(scenario, seed=11)
-        outcome = DEFAULT_REGISTRY.run_scenario(scenario, seed=11)
-        report = solve(graph, "power-mis", k=2, seed=11)
-        assert outcome.output == report.output
-        assert outcome.rounds == report.rounds
+        direct = solve(graph, "power-mis", k=2, seed=11)
+        report = _runner_report(scenario, seed=11)
+        assert report.output == direct.output
+        assert report.rounds == direct.rounds
+        row = run_task(scenario, seed=11)
+        assert row["output_size"] == len(direct.output)
+        assert row["rounds"] == direct.rounds
 
-    def test_oracle_layer_routes_through_problem_certifier(self):
+    def test_runner_verdict_is_the_solve_certificate(self):
         scenario = DEFAULT_REGISTRY.scenario("regular-n24-d3/sparsify-k2")
         graph = DEFAULT_REGISTRY.build_graph(scenario, seed=11)
-        outcome = DEFAULT_REGISTRY.run_scenario(scenario, seed=11)
-        oracle = verify_outcome(graph, scenario, outcome, seed=11)
-        report = solve(graph, "sparsify", k=2, seed=11)
-        assert oracle.ok == report.certificate.ok
-        assert [c.name for c in oracle.checks] == \
-            [c.name for c in report.certificate.checks]
+        direct = solve(graph, "sparsify", k=2, seed=11)
+        report = _runner_report(scenario, seed=11)
+        assert report.certificate.ok == direct.certificate.ok
+        assert [c.name for c in report.certificate.checks] == \
+            [c.name for c in direct.certificate.checks]
+        row = run_task(scenario, seed=11)
+        assert row["ok"] == direct.certificate.ok
+        assert row["checks"] == len(direct.certificate.checks)
 
     def test_scenario_payload_feeds_the_certifier(self):
         scenario = DEFAULT_REGISTRY.scenario("er-n20/det-power-ruling-k2")
-        outcome = DEFAULT_REGISTRY.run_scenario(scenario, seed=4)
-        assert "beta_bound" in outcome.payload
-        assert "alpha" in outcome.payload
+        graph = DEFAULT_REGISTRY.build_graph(scenario, seed=4)
+        report = solve(graph, scenario.algorithm, seed=4,
+                       **scenario_config(scenario))
+        assert "beta_bound" in report.payload
+        assert "alpha" in report.payload
 
     def test_run_and_verify_agree_on_filtered_config(self):
         """A k the algorithm does not accept must be dropped on BOTH paths.
@@ -164,15 +198,11 @@ class TestScenarioIntegration:
         luby-sim never sees `k` (it computes an MIS of G); a scenario that
         nonetheless carries k=2 must not be verified against G^2.
         """
-        from repro.scenarios.registry import Scenario
-
         scenario = Scenario(name="adhoc/luby-sim-k2", cell="regular-n24-d3",
                             algorithm="luby-sim", k=2, engine="sync")
-        graph = DEFAULT_REGISTRY.build_cell(scenario.cell, seed=5)
-        spec = next(s for s in BUILTIN_ALGORITHMS if s.name == "luby-sim")
-        outcome = spec.run(graph, scenario, 3)
-        report = verify_outcome(graph, scenario, outcome, seed=3)
-        assert report.ok, report.summary()
+        assert "k" not in scenario_config(scenario)
+        row = run_task(scenario, seed=3)
+        assert row["ok"] and row["checks"] > 0, row["failures"]
 
 
 class TestCli:

@@ -11,7 +11,6 @@ import importlib
 
 import repro
 from repro.api import REGISTRY
-from repro.scenarios.algorithms import BUILTIN_ALGORITHMS
 
 EXPECTED_ALL = [
     "ActiveSetEngine",
@@ -145,10 +144,6 @@ def test_every_free_function_has_a_registered_counterpart():
         assert algorithm in EXPECTED_ALGORITHMS, path
         spec = REGISTRY.algorithm(algorithm)
         assert spec.problem in EXPECTED_PROBLEMS
-
-
-def test_scenario_views_track_the_registry():
-    assert [spec.name for spec in BUILTIN_ALGORITHMS] == EXPECTED_ALGORITHMS
 
 
 def test_algorithm_defaults_are_hashable_and_frozen():

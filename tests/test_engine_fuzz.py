@@ -8,8 +8,8 @@ vectorized algorithm family:
   bit-for-bit the run under :class:`SyncEngine` for the same seed: outputs,
   rounds, message totals, bit totals and per-edge congestion (the vector
   engine must consume the per-node RNG streams identically);
-* **oracle validity** -- the produced set satisfies the same problem
-  certifier the scenario runner applies (:mod:`repro.scenarios.oracles`):
+* **certified validity** -- the produced set passes the same checks
+  ``repro.solve(..., verify=True)`` applies (:mod:`repro.api.certify`):
   MIS independence + maximality for Luby and the deterministic ruling set,
   independence for BeepingMIS (which may legally time out undecided).
 
@@ -21,11 +21,11 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api.certify import mis_power_checks
 from repro.congest import CongestNetwork, Simulator
 from repro.mis.beeping import BeepingMISNode
 from repro.mis.luby import LubyMISNode
 from repro.ruling.distributed import DetRulingSetNode
-from repro.scenarios.oracles import mis_power_oracle
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -88,7 +88,7 @@ def _assert_bit_identical(sync, other, hint: str) -> None:
 
 
 def _mis_ok(graph: nx.Graph, subset: set, hint: str) -> None:
-    checks = mis_power_oracle(graph, subset, 1)
+    checks = mis_power_checks(graph, subset, 1)
     failures = [check for check in checks if not check.ok]
     assert not failures, f"oracle failures {failures}: {hint}"
 

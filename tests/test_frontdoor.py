@@ -44,10 +44,13 @@ FRONT_ENDS = {
 
 
 def _get(url: str, path: str) -> int:
+    client = ServiceClient(url, timeout=10)
     try:
-        ServiceClient(url, timeout=10).request_bytes("GET", path)
+        client.request_bytes("GET", path)
     except ServiceError as error:
         return error.status
+    finally:
+        client.close()
     return 200
 
 
@@ -81,6 +84,7 @@ def test_prefix_and_wrong_verb_requests_take_their_route_label(front_end):
             with pytest.raises(ServiceError):
                 client.request_bytes(method, path, {} if method == "POST"
                                      else None)
+        client.close()
         metrics = running.metrics
         assert _eventually(lambda: metrics.http_requests.value(
             "POST", "/healthz", "404"), 1) == 1
@@ -96,6 +100,7 @@ def test_json_log_to_stdout():
         assert handler in service_logger().handlers
     finally:
         service_logger().removeHandler(handler)
+        handler.close()
 
 
 @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
@@ -210,6 +215,7 @@ def test_coordinator_counts_and_logs_a_client_disconnect(tmp_path):
         handler.flush()
     finally:
         service_logger().removeHandler(handler)
+        handler.close()
         worker.close()
     events = [json.loads(line)
               for line in log_path.read_text().strip().splitlines()]

@@ -13,9 +13,9 @@ from repro import _paths
 from repro.cli import main as repro_cli
 from repro.scenarios.cli import main as scenarios_cli
 from repro.scenarios.registry import DEFAULT_REGISTRY
-from repro.scenarios import runner
-from repro.scenarios.runner import plan_tasks, run_batch
-from repro.service import server
+from repro.scenarios.runner import _request, plan_tasks, run_batch
+from repro.service import scheduler, server
+from repro.service.cache import SolveCache
 from repro.service.shardstore import ShardStore, shard_of
 
 
@@ -109,6 +109,11 @@ class TestCompact:
         assert len(ShardStore(cache.root, key_field="cache_key")) == 1
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 class TestFileRootRefused:
     """A leftover single-file store is refused before any work runs."""
 
@@ -138,14 +143,14 @@ class TestFileRootRefused:
     def test_scenarios_run_exits_nonzero_before_running(self, tmp_path,
                                                         capsys):
         path = self._leftover(tmp_path, "scenarios.jsonl")
-        before = open(path, encoding="utf-8").read()
+        before = _read(path)
         exit_code = scenarios_cli(["run", "--smoke", "--limit", "1",
                                    "--jobs", "1", "--store", path])
         assert exit_code != 0
         captured = capsys.readouterr()
         assert path in captured.err
         assert "executed" not in captured.out
-        assert open(path, encoding="utf-8").read() == before
+        assert _read(path) == before
 
     @pytest.mark.parametrize("argv", [
         ["cache", "stats", "--cache-path"],
@@ -155,19 +160,19 @@ class TestFileRootRefused:
     def test_store_clis_exit_nonzero_naming_the_path(self, tmp_path, capsys,
                                                      argv):
         path = self._leftover(tmp_path, "rows.jsonl")
-        before = open(path, encoding="utf-8").read()
+        before = _read(path)
         try:
             exit_code = repro_cli([*argv, path])
         except SystemExit as stop:
             exit_code = stop.code
         assert exit_code == 2
         assert path in capsys.readouterr().err
-        assert open(path, encoding="utf-8").read() == before
+        assert _read(path) == before
 
 
 class TestRunnerRowOrder:
-    """``run_batch`` returns rows in task order, whatever order the pool
-    completes them in and whichever rows the store already holds."""
+    """``run_batch`` returns rows in task order, whatever order the shards
+    complete them in and whichever rows the store already holds."""
 
     def _pair(self):
         return DEFAULT_REGISTRY.select(names=[
@@ -179,20 +184,33 @@ class TestRunnerRowOrder:
         return [scenario.cell_key(seed)
                 for scenario, _, seed in plan_tasks(scenarios)]
 
+    def _task_shards(self, scenarios, shards):
+        """The scheduler shard each task's solve lands on."""
+        planner = scheduler.SolveScheduler(cache=SolveCache(""), inline=True,
+                                           metrics=None, tracing=False)
+        placement = []
+        for scenario, _, seed in plan_tasks(scenarios):
+            _, (key,) = planner._plan(_request(scenario, seed, verify=True),
+                                      [seed])
+            placement.append(int(key, 16) % shards)
+        return placement
+
     def test_pool_finishing_the_second_task_first(self, monkeypatch):
         scenarios = self._pair()
-        slow = scenarios[0].name
-        original = runner._run_spec
+        # On one shard the slow task would simply run first.
+        assert self._task_shards(scenarios, 2) == [0, 1]
+        slow = scenarios[0].algorithm
+        original = scheduler._worker_solve
 
-        def slow_first(spec):
-            if spec.scenario == slow:
+        def slow_first(workload, graph_seed, algorithm, *args):
+            if algorithm == slow:
                 time.sleep(1.0)
-            return original(spec)
+            return original(workload, graph_seed, algorithm, *args)
 
         # Pickled by reference: the forked workers resolve the patched name.
-        slow_first.__module__ = runner.__name__
-        slow_first.__qualname__ = "_run_spec"
-        monkeypatch.setattr(runner, "_run_spec", slow_first)
+        slow_first.__module__ = scheduler.__name__
+        slow_first.__qualname__ = "_worker_solve"
+        monkeypatch.setattr(scheduler, "_worker_solve", slow_first)
         summary = run_batch(scenarios, store_path="", resume=False, jobs=2)
         assert summary.ok
         assert [row["cell_key"] for row in summary.rows] \

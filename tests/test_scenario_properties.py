@@ -12,7 +12,7 @@ Random ``(scenario, seed)`` cells are drawn from the registry's
   on the *materialised* power graph (:func:`repro.graphs.power.power_graph`),
   cross-checked against :func:`repro.ruling.greedy.greedy_mis`;
 * the sparsification chain must satisfy invariants I1.1 / I1.2 / I2 and
-  Lemma 3.1 via the oracle layer.
+  Lemma 3.1, the checks ``repro.solve(..., verify=True)`` certifies.
 
 Every assertion message embeds the scenario name and the failing seed so a
 red example reproduces with one registry call.
@@ -22,15 +22,13 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
+from repro.api.certify import mis_power_checks
 from repro.congest.network import CongestNetwork
 from repro.graphs.power import power_graph
 from repro.ruling.distributed import simulate_det_ruling_set
 from repro.ruling.greedy import greedy_mis, lexicographic_mis
-from repro.scenarios import (
-    DEFAULT_REGISTRY,
-    mis_power_oracle,
-    verify_outcome,
-)
+from repro.scenarios import DEFAULT_REGISTRY, scenario_config
 
 PROPERTY_POOL = DEFAULT_REGISTRY.select(tags={"property", "smoke"})
 SIM_POOL = [s for s in PROPERTY_POOL if s.algorithm == "det-ruling-sim"]
@@ -43,7 +41,15 @@ SETTINGS = settings(max_examples=20, deadline=None,
 
 def _repro_hint(scenario, seed: int) -> str:
     return (f"failing scenario={scenario.name!r} seed={seed}; reproduce with "
-            f"DEFAULT_REGISTRY.run_scenario({scenario.name!r}, seed={seed})")
+            f"_solve(DEFAULT_REGISTRY.scenario({scenario.name!r}), {seed})")
+
+
+def _solve(scenario, seed: int):
+    """The scenario's certified solve on its task graph, as the runner
+    submits it (graph seed = solve seed)."""
+    graph = DEFAULT_REGISTRY.build_graph(scenario, seed=seed)
+    return graph, repro.solve(graph, scenario.algorithm, seed=seed,
+                              verify=True, **scenario_config(scenario))
 
 
 @SETTINGS
@@ -63,11 +69,10 @@ def test_det_ruling_sim_equals_centralized_greedy(data, seed):
 @SETTINGS
 @given(data=st.data(), seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_power_mis_valid_on_materialized_power_graph(data, seed):
-    """Differential: oracle verdict == explicit check on a materialised G^k."""
+    """Differential: certificate verdict == explicit check on a materialised G^k."""
     scenario = data.draw(st.sampled_from(POWER_POOL))
-    graph = DEFAULT_REGISTRY.build_graph(scenario, seed=seed)
-    outcome = DEFAULT_REGISTRY.run_scenario(scenario, seed=seed)
-    mis = outcome.output
+    graph, report = _solve(scenario, seed)
+    mis = report.output
     power = power_graph(graph, scenario.k)
     for node in mis:
         overlap = set(power.neighbors(node)) & mis
@@ -75,20 +80,19 @@ def test_power_mis_valid_on_materialized_power_graph(data, seed):
     for node in power.nodes():
         assert node in mis or set(power.neighbors(node)) & mis, \
             f"{_repro_hint(scenario, seed)}: {node!r} undominated, not maximal"
-    report = verify_outcome(graph, scenario, outcome, seed=seed)
-    assert report.ok, report.summary()
+    assert report.ok, f"{_repro_hint(scenario, seed)}: {report.summary()}"
 
 
 @SETTINGS
 @given(data=st.data(), seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_centralized_greedy_reference_passes_oracles(data, seed):
-    """Oracle self-check: the greedy reference must satisfy the MIS oracle."""
+    """Certifier self-check: the greedy reference must pass the MIS checks."""
     scenario = data.draw(st.sampled_from(POWER_POOL))
     graph = DEFAULT_REGISTRY.build_graph(scenario, seed=seed)
     reference = greedy_mis(graph, k=scenario.k)
-    checks = mis_power_oracle(graph, reference, scenario.k)
+    checks = mis_power_checks(graph, reference, scenario.k)
     assert all(check.ok for check in checks), \
-        f"{_repro_hint(scenario, seed)}: oracle rejected the greedy reference " \
+        f"{_repro_hint(scenario, seed)}: certifier rejected the greedy reference " \
         f"[{'; '.join(c.name for c in checks if not c.ok)}]"
 
 
@@ -97,10 +101,8 @@ def test_centralized_greedy_reference_passes_oracles(data, seed):
 def test_sparsification_invariants_hold(data, seed):
     """I1.1 / I1.2 / I2 and Lemma 3.1 hold for random seeded runs."""
     scenario = data.draw(st.sampled_from(SPARSIFY_POOL))
-    graph = DEFAULT_REGISTRY.build_graph(scenario, seed=seed)
-    outcome = DEFAULT_REGISTRY.run_scenario(scenario, seed=seed)
-    report = verify_outcome(graph, scenario, outcome, seed=seed)
-    assert report.ok, report.summary()
+    _, report = _solve(scenario, seed)
+    assert report.verified, f"{_repro_hint(scenario, seed)}: {report.summary()}"
 
 
 @SETTINGS
@@ -108,7 +110,5 @@ def test_sparsification_invariants_hold(data, seed):
 def test_full_runner_cells_verify(seed):
     """End to end: an arbitrary-seed batch over the smoke pool is all-green."""
     scenario = PROPERTY_POOL[seed % len(PROPERTY_POOL)]
-    outcome = DEFAULT_REGISTRY.run_scenario(scenario, seed=seed)
-    report = verify_outcome(DEFAULT_REGISTRY.build_graph(scenario, seed=seed),
-                            scenario, outcome, seed=seed)
-    assert report.ok, report.summary()
+    _, report = _solve(scenario, seed)
+    assert report.verified, f"{_repro_hint(scenario, seed)}: {report.summary()}"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.api import REGISTRY
 from repro.scenarios import (
     DEFAULT_REGISTRY,
     GraphFamily,
@@ -36,7 +37,7 @@ class TestRegistryContents:
         for scenario in DEFAULT_REGISTRY.scenarios():
             cell = DEFAULT_REGISTRY.cell(scenario.cell)
             DEFAULT_REGISTRY.family(cell.family)
-            DEFAULT_REGISTRY.algorithm(scenario.algorithm)
+            REGISTRY.algorithm(scenario.algorithm)
 
     def test_smoke_sweep_is_multi_family_and_adversarial(self):
         smoke = DEFAULT_REGISTRY.select(tags={"smoke"})

@@ -1,4 +1,4 @@
-"""The parallel batch runner: rows, store caching, parallel determinism, CLI."""
+"""The batch runner: rows, store caching, shard determinism, CLI."""
 
 from __future__ import annotations
 
@@ -6,20 +6,20 @@ import dataclasses
 import glob
 import json
 import os
+import signal
+import subprocess
+import sys
 
-import networkx as nx
-import pytest
-
+from repro.api import REGISTRY
+from repro.api.registry import AdapterOutcome, Algorithm
 from repro.scenarios import (
     DEFAULT_REGISTRY,
-    AlgorithmSpec,
-    GraphFamily,
-    ScenarioOutcome,
-    ScenarioRegistry,
+    Scenario,
     run_batch,
     run_task,
 )
 from repro.scenarios.cli import main
+from repro.service import scheduler as scheduler_module
 from repro.service.shardstore import ShardStore
 
 SMOKE = DEFAULT_REGISTRY.select(tags={"smoke"})
@@ -131,79 +131,139 @@ class TestBatchAndStore:
         assert "skipped (verification disabled)" in summary.format()
         assert "verified ok" not in summary.format()
 
-    def test_unregistered_scenario_falls_back_to_serial(self):
-        # A scenario object that is not registered verbatim in the default
-        # registry must run in-process even when a pool is requested --
-        # workers resolve tasks by name and would otherwise mis-execute.
+    def test_adhoc_scenario_runs_on_process_shards(self):
+        # A request is pure data: a scenario object the default registry
+        # does not hold by that name runs on worker processes too.
         adhoc = dataclasses.replace(SMOKE[0], name="adhoc-copy")
-        summary = run_batch([adhoc], jobs=4, store_path="")
+        summary = run_batch([adhoc], jobs=2, store_path="")
         assert summary.ok and summary.executed == 1
         assert summary.rows[0]["scenario"] == "adhoc-copy"
 
+    def test_more_tasks_than_max_pending_are_all_served(self):
+        # 300 tasks against the scheduler's 256-job admission bound: the
+        # runner bounds its in-flight submits, so no task is refused.
+        summary = run_batch(SMOKE[:1], jobs=1, repeats=300, store_path="")
+        assert summary.executed == 300
+        assert summary.ok, summary.format()
+        assert {row["solve_cache_tier"] for row in summary.rows} == {"computed"}
+
+    def test_solve_cache_path_on_process_shards(self, tmp_path, monkeypatch):
+        built = []
+
+        class Recording(scheduler_module.SolveScheduler):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                built.append((self.inline, self.shards))
+
+        monkeypatch.setattr(scheduler_module, "SolveScheduler", Recording)
+        cache_path = str(tmp_path / "solve_cache")
+        first = run_batch(SMOKE[:4], jobs=2, store_path="",
+                          solve_cache_path=cache_path)
+        assert first.ok
+        assert not any(row["solve_cache_hit"] for row in first.rows)
+        second = run_batch(SMOKE[:4], jobs=2, store_path="",
+                           solve_cache_path=cache_path)
+        assert second.ok and second.executed == 4
+        assert all(row["solve_cache_tier"] == "persistent"
+                   for row in second.rows)
+        assert all(row["checks"] > 0 for row in second.rows)
+        assert built == [(False, 2), (False, 2)]
+
+    def test_process_shards_survive_imports_while_planning(self):
+        # In a fresh interpreter the unit-disk cell's builder imports
+        # scipy while the scheduler plans the other tasks on threads.  A
+        # worker forked during that import (at the first job, or by a
+        # first submit that starts the scheduler after planning) inherits
+        # the import lock held and blocks forever on its first unit-disk
+        # solve.
+        code = (
+            "from repro.scenarios import DEFAULT_REGISTRY\n"
+            "from repro.scenarios.runner import run_batch\n"
+            f"names = {_IMPORTING_SWEEP!r}\n"
+            "summary = run_batch(DEFAULT_REGISTRY.select(names=names),\n"
+            "                    jobs=2, store_path='')\n"
+            "assert summary.ok and summary.executed == len(names)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        child = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                 start_new_session=True)
+        try:
+            assert child.wait(timeout=60) == 0
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # the workers too
+            child.wait()
+            raise
+
+
+#: Registry scenarios ending on a unit-disk cell, whose builder imports
+#: scipy on first use.
+_IMPORTING_SWEEP = [
+    "regular-n64-d4/det-ruling-sim-k1@active-set",
+    "regular-n64-d4/power-mis-k2",
+    "er-n48/det-ruling-sim-k1@active-set",
+    "er-n48/power-mis-k2",
+    "udg-n40/det-ruling-sim-k1@active-set",
+]
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
+#: An ad-hoc scenario over a default-registry cell, running an algorithm
+#: the tests register in ``repro.api.REGISTRY`` under this name.
+BROKEN = Scenario(name="path-n16/broken-mis-k1", cell="path-n16",
+                  algorithm="broken-mis", k=1, tags=frozenset({"broken"}))
+
+
+def _register(monkeypatch, run) -> None:
+    monkeypatch.setitem(REGISTRY._algorithms, BROKEN.algorithm, Algorithm(
+        name=BROKEN.algorithm, problem="mis-power", run=run,
+        defaults=(("k", 1),)))
+
+
+def _empty(graph, ctx):
+    return AdapterOutcome(output=set(), rounds=0)
+
 
 class TestOracleFailureSurfacing:
-    def _broken_registry(self) -> ScenarioRegistry:
-        registry = ScenarioRegistry()
-        registry.register_family(GraphFamily("path", nx.path_graph, seeded=False))
-        registry.register_cell("p10", "path", params={"n": 10})
-
-        def broken(graph, scenario, seed):
-            return ScenarioOutcome(output=set(), rounds=0)
-
-        registry.register_algorithm(AlgorithmSpec(name="power-mis", run=broken))
-        registry.add_scenario("p10", "power-mis", k=1, tags={"broken"})
-        return registry
-
-    def test_failures_reported_with_cell_key(self, tmp_path):
-        registry = self._broken_registry()
-        summary = run_batch(registry.scenarios(), registry=registry,
-                            store_path=str(tmp_path / "r"))
+    def test_failures_reported_with_cell_key(self, tmp_path, monkeypatch):
+        _register(monkeypatch, _empty)
+        summary = run_batch([BROKEN], jobs=1, store_path=str(tmp_path / "r"))
         assert not summary.ok
         (row,) = summary.failed
         assert row["failures"]
         assert "domination" in " ".join(row["failures"])
         assert row["cell_key"] in summary.format()
 
-    def test_failed_rows_are_not_served_from_cache(self, tmp_path):
+    def test_failed_rows_are_not_served_from_cache(self, tmp_path,
+                                                   monkeypatch):
         # A red cell must re-execute on resume, so fixing the algorithm
         # clears it without deleting the store.
         store_path = str(tmp_path / "r")
-        broken = self._broken_registry()
-        first = run_batch(broken.scenarios(), registry=broken,
-                          store_path=store_path)
+        _register(monkeypatch, _empty)
+        first = run_batch([BROKEN], jobs=1, store_path=store_path)
         assert not first.ok and first.executed == 1
 
-        fixed = ScenarioRegistry()
-        fixed.register_family(GraphFamily("path", nx.path_graph, seeded=False))
-        fixed.register_cell("p10", "path", params={"n": 10})
-
-        def working(graph, scenario, seed):
+        def working(graph, ctx):
             mis = {node for node in graph.nodes() if node % 2 == 0}
-            return ScenarioOutcome(output=mis, rounds=1)
+            return AdapterOutcome(output=mis, rounds=1)
 
-        fixed.register_algorithm(AlgorithmSpec(name="power-mis", run=working))
-        fixed.add_scenario("p10", "power-mis", k=1, tags={"broken"})
-        second = run_batch(fixed.scenarios(), registry=fixed,
-                           store_path=store_path)
+        _register(monkeypatch, working)
+        second = run_batch([BROKEN], jobs=1, store_path=store_path)
         assert second.ok and (second.executed, second.cached) == (1, 0)
         # The green row now supersedes the red one in the store.
-        third = run_batch(fixed.scenarios(), registry=fixed,
-                          store_path=store_path)
+        third = run_batch([BROKEN], jobs=1, store_path=store_path)
         assert third.ok and third.cached == 1
 
-    def test_crashing_algorithm_yields_failed_row_not_batch_abort(self, tmp_path):
-        registry = ScenarioRegistry()
-        registry.register_family(GraphFamily("path", nx.path_graph, seeded=False))
-        registry.register_cell("p10", "path", params={"n": 10})
-
-        def exploding(graph, scenario, seed):
+    def test_crashing_algorithm_yields_failed_row_not_batch_abort(
+            self, tmp_path, monkeypatch):
+        def exploding(graph, ctx):
             raise RuntimeError("boom")
 
-        registry.register_algorithm(AlgorithmSpec(name="power-mis", run=exploding))
-        registry.add_scenario("p10", "power-mis", k=1)
-        summary = run_batch(registry.scenarios(), registry=registry,
+        _register(monkeypatch, exploding)
+        summary = run_batch([BROKEN, SMOKE[0]], jobs=1,
                             store_path=str(tmp_path / "r"))
-        assert not summary.ok
+        assert not summary.ok and summary.executed == 2
         (row,) = summary.failed
         assert any("RuntimeError" in failure for failure in row["failures"])
 

@@ -9,6 +9,9 @@ in-process ``repro.solve``.
 
 from __future__ import annotations
 
+import gc
+import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,7 +40,8 @@ def server():
 def client(server):
     client = ServiceClient(server.url)
     client.wait_healthy(deadline_s=10)
-    return client
+    yield client
+    client.close()
 
 
 class TestEndpoints:
@@ -161,6 +165,58 @@ class TestBadRequests:
             assert json.loads(payload)["ok"] is True
         finally:
             connection.close()
+
+
+class TestClientOwnsItsConnections:
+    def test_close_releases_every_thread_connection(self, server):
+        client = ServiceClient(server.url)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            list(pool.map(lambda _: client.healthz(), range(9)))
+            opened = list(client._connections)
+            assert opened and all(conn.sock is not None for conn in opened)
+            client.close()
+            assert all(conn.sock is None for conn in opened)
+        # A closed client is still usable: the next request reconnects.
+        assert client.healthz()["ok"] is True
+        client.close()
+
+    def test_a_thread_connection_closes_with_its_thread(self, server):
+        client = ServiceClient(server.url)
+        opened = []
+
+        def one_request():
+            client.healthz()
+            opened.append(client._local.held.connection)
+
+        threads = [threading.Thread(target=one_request) for _ in range(20)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        gc.collect()
+        assert len(opened) == 20
+        assert not client._connections
+        assert all(conn.sock is None for conn in opened)
+
+    def test_close_never_cuts_off_a_response(self, server, monkeypatch):
+        client = ServiceClient(server.url)
+        client.healthz()
+        (connection,) = client._connections
+        real_getresponse = connection.getresponse
+
+        def close_between_headers_and_body():
+            # Another thread closes the client while this request's
+            # response has arrived but its body is not read yet.
+            response = real_getresponse()
+            client.close()
+            return response
+
+        monkeypatch.setattr(connection, "getresponse",
+                            close_between_headers_and_body)
+        payload = client.request_bytes("GET", "/healthz")
+        assert json.loads(payload)["ok"] is True
+        assert connection.sock is None
 
 
 class TestConcurrentClients:
