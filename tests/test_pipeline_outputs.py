@@ -10,6 +10,10 @@ in 1..3, ``k`` in 2..3), of ``shattering-mis`` on the same cells, and of
 ``power-mis`` at ``k = 3`` on ``regular-n384-d8``, so a change to how the
 pipelines read ``G^s`` -- CSR rows instead of per-node BFS, an incremental
 derandomizer, an array BeepingMIS step -- must reproduce them bit for bit.
+The same grid pins ``ball-graph`` and ``sparsify-low-diameter``, the
+single-stage ``det-sparsify`` and ``randomized-sparsify`` (their ``power``
+takes the place of ``k``) and ``network-decomposition`` (no ``k``), whose
+distance reads go through the set-source BFS and the ``G^s`` CSR.
 
 The snapshot lives in ``tests/pipeline_outputs.json``; regenerate it with::
 
@@ -32,9 +36,12 @@ FIXTURE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 CELLS = ("regular-n128-d6", "er-n48", "grid-8x8")
 ALGORITHMS = ("sparsify", "det-power-ruling", "power-mis", "power-ruling",
-              "beeping-power")
+              "beeping-power", "ball-graph", "sparsify-low-diameter",
+              "det-sparsify", "randomized-sparsify")
+#: Algorithms whose power is called ``power`` rather than ``k``.
+POWER_KEYED = ("det-sparsify", "randomized-sparsify")
 #: Algorithms that take no power ``k`` (keyed ``k=None``).
-PLAIN_ALGORITHMS = ("shattering-mis",)
+PLAIN_ALGORITHMS = ("shattering-mis", "network-decomposition")
 SEEDS = (1, 2, 3)
 POWERS = (2, 3)
 #: Extra ``(cell, algorithm, k)`` inputs beyond the grid above.
@@ -61,10 +68,31 @@ def _solve_row(cell: str, algorithm: str, seed: int, k: int | None) -> dict:
     from repro.scenarios.registry import DEFAULT_REGISTRY
 
     graph = DEFAULT_REGISTRY.build_cell(cell, seed=seed)
-    config = {} if k is None else {"k": k}
+    config = {} if k is None else {
+        "power" if algorithm in POWER_KEYED else "k": k}
     report = solve(graph, algorithm, seed=seed, verify=False, **config)
-    return {"output": sorted(report.output), "rounds": report.rounds,
-            "by_label": report.result.ledger.rounds_by_label()}
+    row = {"output": sorted(report.output), "rounds": report.rounds,
+           "by_label": ({} if report.result is None
+                        else report.result.ledger.rounds_by_label())}
+    structure = _structure(report.payload)
+    if structure is not None:
+        row["structure"] = structure
+    return row
+
+
+def _structure(payload: dict) -> list | None:
+    """The partition a clustering output hides: each ball with its members
+    (``ball-graph``), each cluster with its members, color and radius
+    (``network-decomposition``); labels as strings so grid tuples fit JSON."""
+    if "ball_graph" in payload:
+        balls = payload["ball_graph"].balls
+        return sorted([str(center), sorted(map(str, members))]
+                      for center, members in balls.items())
+    if "decomposition" in payload:
+        return sorted([str(cluster.center), sorted(map(str, cluster.nodes)),
+                       cluster.color, cluster.radius]
+                      for cluster in payload["decomposition"].clusters)
+    return None
 
 
 def regenerate() -> dict:
@@ -99,10 +127,20 @@ def test_round_ledger_by_label_matches_fixture(cell, algorithm, seed, k):
     assert actual["by_label"] == expected["by_label"], "ledger labels drifted"
 
 
+@pytest.mark.parametrize("cell,algorithm,seed,k", [
+    case for case in _cases()
+    if case[1] in ("ball-graph", "network-decomposition")])
+def test_cluster_structure_matches_fixture(cell, algorithm, seed, k):
+    expected = _load()["rows"][_key(cell, algorithm, seed, k)]
+    actual = _solve_row(cell, algorithm, seed, k)
+    assert actual["structure"] == expected["structure"], "partition drifted"
+
+
 if __name__ == "__main__":
     if "--update" not in sys.argv[1:]:
         sys.exit("usage: python tests/test_pipeline_outputs.py --update")
+    fixture = regenerate()
     with open(FIXTURE_PATH, "w", encoding="utf-8") as handle:
-        json.dump(regenerate(), handle, indent=1, sort_keys=True)
+        json.dump(fixture, handle, indent=1, sort_keys=True)
         handle.write("\n")
     print(f"wrote {FIXTURE_PATH}")
