@@ -23,7 +23,7 @@ import pytest
 from harness import delta_of, print_and_store
 from repro.decomposition import form_distance_k_ball_graph
 from repro.graphs import random_regular_graph
-from repro.graphs.power import bounded_bfs, distance_neighborhood, k_connected_components
+from repro.graphs.power import k_connected_components, nearest_ruler_balls, power_adjacency
 from repro.mis.beeping import BeepingMISProcess
 from repro.ruling.greedy import greedy_ruling_set
 
@@ -34,8 +34,7 @@ def shattered_instance(n: int, degree: int, k: int, seed: int):
     """Run a truncated pre-shattering pass to obtain undecided nodes B."""
     graph = random_regular_graph(n, degree, seed=seed)
     nodes = set(graph.nodes())
-    adjacency = {node: distance_neighborhood(graph, node, k, restrict_to=nodes)
-                 for node in nodes}
+    adjacency = power_adjacency(graph, k, nodes)
     process = BeepingMISProcess(adjacency, rng=random.Random(seed))
     process.run(max(2, int(math.log2(degree ** k))))
     return graph, process.undecided
@@ -43,13 +42,7 @@ def shattered_instance(n: int, degree: int, k: int, seed: int):
 
 def build_ball_graph(graph, undecided, k: int):
     ruling = greedy_ruling_set(graph, alpha=5 * k + 1, targets=undecided)
-    balls = {ruler: {ruler} for ruler in ruling}
-    for node in undecided:
-        if node in ruling:
-            continue
-        distances = bounded_bfs(graph, node, graph.number_of_nodes())
-        closest = min(ruling, key=lambda r: (distances.get(r, 10 ** 9), str(r)))
-        balls[closest].add(node)
+    balls = nearest_ruler_balls(graph, undecided, ruling)
     return ruling, balls, form_distance_k_ball_graph(graph, balls, k=k, undecided=undecided)
 
 

@@ -27,7 +27,7 @@ import random
 import repro
 from repro.analysis.tables import format_table
 from repro.graphs import unit_disk_graph
-from repro.graphs.power import distance_neighborhood
+from repro.graphs.power import power_adjacency
 from repro.graphs.properties import max_degree
 from repro.mis.power_mis import power_graph_mis
 
@@ -56,8 +56,8 @@ def distance2_coloring(graph, rng: random.Random) -> dict:
 def verify_frequency_plan(graph, colors) -> tuple[bool, int]:
     """No two transmitters within two hops may share a frequency."""
     conflicts = 0
-    for node in graph.nodes():
-        for other in distance_neighborhood(graph, node, 2):
+    for node, nearby in power_adjacency(graph, 2).items():
+        for other in nearby:
             if colors[node] == colors[other]:
                 conflicts += 1
     return conflicts == 0, conflicts // 2

@@ -25,22 +25,15 @@ from collections import defaultdict
 import repro
 from repro.analysis.tables import format_table
 from repro.graphs import unit_disk_graph
-from repro.graphs.power import bounded_bfs
+from repro.graphs.power import nearest_ruler_balls
 from repro.ruling import verify_ruling_set
 
 
-def assign_to_heads(graph, members, heads, radius):
-    """Assign every member to its closest head (ties by node order)."""
-    assignment = {}
-    for node in members:
-        distances = bounded_bfs(graph, node, radius)
-        reachable = [(distances[head], str(head), head) for head in heads if head in distances]
-        if reachable:
-            assignment[node] = min(reachable)[2]
-        else:
-            full = bounded_bfs(graph, node, graph.number_of_nodes())
-            assignment[node] = min(heads, key=lambda head: (full.get(head, 1 << 30), str(head)))
-    return assignment
+def assign_to_heads(graph, members, heads):
+    """Assign every member to its closest head (ties by label)."""
+    balls = nearest_ruler_balls(graph, members, heads)
+    return {node: head for head, ball in balls.items() for node in ball
+            if node in members}
 
 
 def main() -> None:
@@ -77,7 +70,7 @@ def main() -> None:
         heads = {head for head in heads if head in current_members} or set(heads)
 
         report = verify_ruling_set(field, heads, alpha=k + 1, beta=beta)
-        assignment = assign_to_heads(field, current_members, heads, radius=beta)
+        assignment = assign_to_heads(field, current_members, heads)
         cluster_sizes = defaultdict(int)
         for node, head in assignment.items():
             cluster_sizes[head] += 1

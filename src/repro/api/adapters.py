@@ -31,7 +31,7 @@ from repro.core.power_sparsify import (
 from repro.core.sampling import randomized_sparsification
 from repro.decomposition.ball_graph import form_distance_k_ball_graph
 from repro.decomposition.network_decomposition import network_decomposition
-from repro.graphs.power import bounded_bfs
+from repro.graphs.power import nearest_ruler_balls
 from repro.mis.beeping import beeping_mis, beeping_mis_power, simulate_beeping_mis
 from repro.mis.kp12 import kp12_sparsify_power
 from repro.mis.luby import LubyMISNode, luby_mis, luby_mis_power, simulate_luby_mis
@@ -239,15 +239,9 @@ def _run_ball_graph(graph: nx.Graph, ctx: SolveContext) -> AdapterOutcome:
     k = ctx["k"]
     node_ids = _default_node_ids(graph)
     rulers = greedy_ruling_set(graph, alpha=2 * k + 1, key=str)
-    balls: dict[Node, set[Node]] = {ruler: {ruler} for ruler in rulers}
     # The greedy (2k+1, 2k)-ruling set dominates every node within 2k hops;
     # assign each node to its closest ruler (ties by string label).
-    for node in graph.nodes():
-        if node in rulers:
-            continue
-        distances = bounded_bfs(graph, node, 2 * k)
-        closest = min((distances[r], str(r), r) for r in rulers if r in distances)
-        balls[closest[2]].add(node)
+    balls = nearest_ruler_balls(graph, graph.nodes(), rulers)
     ball_graph = form_distance_k_ball_graph(graph, balls, k=k, node_ids=node_ids)
     return AdapterOutcome(
         output=set(ball_graph.centers), rounds=0,

@@ -9,8 +9,8 @@ of boolean frontier state) however dense ``G^k`` is.
 :class:`PowerView` wraps the kernel for one graph and ``k``; views are cached
 per ``(graph, k)`` on the graph's shared topology structure.  Its tile
 queries keep O(n + m) state.  :meth:`PowerView.csr` stores ``G^k`` once as
-a CSR on the view, and :meth:`PowerView.adjacency_sets` (the batch form of
-``distance_neighborhood`` behind :func:`repro.graphs.power.power_adjacency`,
+a CSR on the view, and :meth:`PowerView.adjacency_sets` (the rows
+``N^k(v) ∩ X`` behind :func:`repro.graphs.power.power_adjacency`,
 optionally column-restricted to a set ``X``) slices it.
 :meth:`PowerView.restricted_degrees` (``|N^k(v) ∩ X|`` for every node,
 behind :func:`repro.graphs.power.max_power_degree`) counts on that CSR when

@@ -155,7 +155,7 @@ def learn_distance_ids(graph: nx.Graph, q: set[Node], s: int, *,
 
     # Centralized construction of what the iterations of Lemma 4.1 deliver,
     # read off the cached G^level CSRs (set order is free here).
-    q_neighborhoods = power_adjacency(graph, s, restrict_to=q, backend="numpy")
+    q_neighborhoods = power_adjacency(graph, s, restrict_to=q)
     # hat_delta_j = max_v d_j(v, Q) for j = 0..s (d_0 = 0: N^0 is empty).
     hat_deltas = [max_power_degree(graph, level, q) for level in range(s + 1)]
 

@@ -38,7 +38,7 @@ from repro.core.derandomize import (
 )
 from repro.core.events import SparsificationStageEvents, log_n, stage_count
 from repro.core.sampling import sample_stage
-from repro.graphs.power import distance_neighborhood
+from repro.graphs.power import bounded_bfs, max_power_degree, power_adjacency
 from repro.graphs.properties import ecc_lower_bound
 
 Node = Hashable
@@ -134,16 +134,16 @@ def det_sparsification(graph: nx.Graph, active: set[Node] | None = None, *,
     if diameter_hint is None:
         diameter_hint = max(1, ecc_lower_bound(graph))
 
-    if neighborhoods is None:
-        neighborhoods = {node: distance_neighborhood(graph, node, power, restrict_to=active)
-                         for node in graph.nodes()}
     if delta_a is None:
-        delta_a = max((len(neighbors) for neighbors in neighborhoods.values()), default=0)
+        delta_a = (max_power_degree(graph, power, active) if neighborhoods is None
+                   else max(map(len, neighborhoods.values()), default=0))
     delta_a = max(1.0, float(delta_a))
 
     result = DetSparsificationResult(q=set(), ledger=ledger, method=method)
     current_active = set(active)
     r = stage_count(delta_a, n)
+    if r and neighborhoods is None:
+        neighborhoods = power_adjacency(graph, power, restrict_to=active)
     gamma = _seed_bit_budget(n)
     id_bits = max(1, math.ceil(math.log2(max(2, max(node_ids.values(), default=1) + 1))))
 
@@ -176,11 +176,7 @@ def det_sparsification(graph: nx.Graph, active: set[Node] | None = None, *,
                                     label=f"stage-{stage}-deactivation-broadcast")
 
         # Deactivate sampled nodes and their distance-2 neighborhood in G^power.
-        deactivated = set(sampled)
-        for node in sampled:
-            deactivated |= distance_neighborhood(graph, node, 2 * power,
-                                                 restrict_to=current_active)
-        deactivated &= current_active
+        deactivated = current_active.intersection(bounded_bfs(graph, sampled, 2 * power))
         next_active = current_active - deactivated
 
         result.stages.append(DetStageRecord(

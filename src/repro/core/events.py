@@ -28,7 +28,7 @@ from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
 
-from repro.graphs.power import distance_neighborhood
+from repro.graphs.power import power_adjacency
 
 Node = Hashable
 
@@ -93,9 +93,9 @@ class SparsificationStageEvents:
         The power ``s``: neighborhoods and degrees are measured in ``G^s``.
     neighborhoods:
         Optional precomputed mapping ``v -> N^s(v) ∩ A`` where ``A ⊇ H_i`` is
-        the initial active set of the enclosing call.  Passing it avoids
-        recomputing BFS for every stage; the constructor intersects it with
-        ``active``.
+        the initial active set of the enclosing call; the constructor
+        intersects it with ``active``.  Without it the rows are sliced from
+        the graph's cached ``G^s`` CSR.
     """
 
     graph: nx.Graph
@@ -126,16 +126,10 @@ class SparsificationStageEvents:
 
     # ------------------------------------------------------------ plumbing
     def _compute_active_neighborhoods(self) -> dict[Node, set[Node]]:
-        result: dict[Node, set[Node]] = {}
-        if self.neighborhoods is not None:
-            for node in self.graph.nodes():
-                base = self.neighborhoods.get(node, set())
-                result[node] = set(base) & self.active
-            return result
-        for node in self.graph.nodes():
-            result[node] = distance_neighborhood(self.graph, node, self.power,
-                                                 restrict_to=self.active)
-        return result
+        if self.neighborhoods is None:
+            return power_adjacency(self.graph, self.power, restrict_to=self.active)
+        return {node: set(self.neighborhoods.get(node, ())) & self.active
+                for node in self.graph.nodes()}
 
     @cached_property
     def dependents(self) -> dict[Node, list[Node]]:

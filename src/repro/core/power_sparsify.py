@@ -31,7 +31,7 @@ import networkx as nx
 from repro.congest.cost import RoundLedger
 from repro.core.detsparsify import det_sparsification
 from repro.core.events import degree_bound, log_n
-from repro.graphs.power import distance_neighborhood, power_adjacency
+from repro.graphs.power import bounded_bfs, max_power_degree
 from repro.graphs.properties import ecc_lower_bound, max_degree
 
 Node = Hashable
@@ -119,19 +119,15 @@ def power_graph_sparsification(graph: nx.Graph, k: int, *,
         # (Section 5.3, "Algorithm description").
         delta_a = float(delta) if s == 1 else 72.0 * delta * log_n(n)
 
-        # N^s(v) ∩ Q_{s-1} for every v, sliced from the cached G^s CSR
-        # (only memberships and sizes are read, so set order is free).
-        neighborhoods = power_adjacency(graph, s, restrict_to=q_prev,
-                                        backend="numpy")
-        max_active_degree = max((len(nb) for nb in neighborhoods.values()), default=0)
-
         iteration_ledger = RoundLedger(bandwidth_bits=ledger.bandwidth_bits)
         det = det_sparsification(graph, active=q_prev, delta_a=delta_a, power=s,
                                  method=method, node_ids=node_ids, rng=rng,
                                  ledger=iteration_ledger,
-                                 neighborhoods=neighborhoods,
                                  diameter_hint=diameter_hint)
         q_next = det.q
+        # max_v |N^s(v) ∩ Q_{s-1}|: counted on the G^s CSR the stages built,
+        # streamed when no stage ran.
+        max_active_degree = max_power_degree(graph, s, q_prev)
 
         # Maintain invariant I3: every node forwards its distance-s Q_s-ID set
         # to its neighbors (Lemma 4.1), extending the BFS trees to depth s+1.
@@ -147,6 +143,23 @@ def power_graph_sparsification(graph: nx.Graph, k: int, *,
 
     result.q = set(q_prev)
     return result
+
+
+def _induced_copy(graph: nx.Graph, nodes) -> nx.Graph:
+    """``graph.subgraph(nodes).copy()``, with the same node and adjacency
+    order (the local run's node order feeds its diameter estimate and its
+    derandomizer's sums), read from ``graph``'s own dicts rather than
+    through the subgraph view's per-edge filters."""
+    order = list(graph.subgraph(nodes))
+    position = {node: i for i, node in enumerate(order)}
+    local = graph.__class__()
+    local.graph.update(graph.graph)
+    local.add_nodes_from((node, graph.nodes[node].copy()) for node in order)
+    # Each edge from its earlier end: the first time ``copy`` meets it.
+    local.add_edges_from((node, other, data.copy()) for i, node in enumerate(order)
+                         for other, data in graph._adj[node].items()
+                         if position.get(other, -1) >= i)
+    return local
 
 
 def power_graph_sparsification_low_diameter(graph: nx.Graph, k: int, *,
@@ -187,20 +200,17 @@ def power_graph_sparsification_low_diameter(graph: nx.Graph, k: int, *,
 
     result = PowerSparsificationResult(q=set(), k=k, ledger=ledger)
     result.sequence.append(set(q0_snapshot))
+    delta = float(max_degree(graph))
 
     for color in range(decomposition.num_colors):
         clusters = decomposition.clusters_of_color(color)
         color_round_cost = 0
         for cluster in clusters:
             cluster_nodes = set(cluster.nodes)
-            border = set()
-            for node in cluster_nodes:
-                border |= distance_neighborhood(graph, node, k)
-            participants = cluster_nodes | border
-            local_graph = graph.subgraph(participants).copy()
             local_active = globally_active & cluster_nodes
             if not local_active:
                 continue
+            local_graph = _induced_copy(graph, bounded_bfs(graph, cluster_nodes, k))
             cluster_ledger = RoundLedger(bandwidth_bits=ledger.bandwidth_bits)
             local = power_graph_sparsification(local_graph, k, q0=local_active,
                                                method=method, rng=rng,
@@ -208,15 +218,12 @@ def power_graph_sparsification_low_diameter(graph: nx.Graph, k: int, *,
             result.q |= local.q
             color_round_cost = max(color_round_cost, cluster_ledger.total_rounds)
             # Selected nodes deactivate globally active nodes within 2k hops.
-            for node in local.q:
-                globally_active -= distance_neighborhood(graph, node, 2 * k,
-                                                         restrict_to=globally_active)
-                globally_active.discard(node)
+            globally_active.difference_update(bounded_bfs(graph, local.q, 2 * k))
         if color_round_cost:
             ledger.charge(color_round_cost, label=f"color-{color}-sparsification")
         ledger.charge_flooding(2 * k, label=f"color-{color}-border-and-deactivation")
         result.iterations.append(PowerIterationRecord(
-            s=color, delta_a=float(max_degree(graph)),
+            s=color, delta_a=delta,
             active_before=len(globally_active), active_after=len(globally_active),
             max_distance_s_degree=0, rounds=color_round_cost))
 

@@ -22,7 +22,7 @@ import networkx as nx
 
 from repro.congest.cost import RoundLedger
 from repro.core.events import SparsificationStageEvents, stage_count
-from repro.graphs.power import distance_neighborhood
+from repro.graphs.power import bounded_bfs, max_power_degree, power_adjacency
 from repro.hashing.kwise import KWiseHashFamily
 
 Node = Hashable
@@ -130,17 +130,16 @@ def randomized_sparsification(graph: nx.Graph, active: set[Node] | None = None, 
     if node_ids is None:
         node_ids = {node: index + 1 for index, node in enumerate(sorted(graph.nodes(), key=str))}
 
-    if neighborhoods is None:
-        neighborhoods = {node: distance_neighborhood(graph, node, power, restrict_to=active)
-                         for node in graph.nodes()}
-
     if delta_a is None:
-        delta_a = max((len(neighbors) for neighbors in neighborhoods.values()), default=0)
+        delta_a = (max_power_degree(graph, power, active) if neighborhoods is None
+                   else max(map(len, neighborhoods.values()), default=0))
     delta_a = max(1.0, float(delta_a))
 
     result = RandomizedSparsificationResult(q=set(), ledger=ledger)
     current_active = set(active)
     r = stage_count(delta_a, graph.number_of_nodes())
+    if r and neighborhoods is None:
+        neighborhoods = power_adjacency(graph, power, restrict_to=active)
 
     for stage in range(1, r + 1):
         events = SparsificationStageEvents(graph=graph, active=current_active,
@@ -150,11 +149,7 @@ def randomized_sparsification(graph: nx.Graph, active: set[Node] | None = None, 
         phi, psi = events.bad_events(sampled)
 
         # Deactivate sampled nodes and their distance-2 neighborhood in G^s.
-        deactivated = set(sampled)
-        for node in sampled:
-            deactivated |= distance_neighborhood(graph, node, 2 * power,
-                                                 restrict_to=current_active)
-        deactivated &= current_active
+        deactivated = current_active.intersection(bounded_bfs(graph, sampled, 2 * power))
 
         result.stages.append(RandomizedStageRecord(
             stage=stage, probability=events.probability,

@@ -61,7 +61,7 @@ class BallGraph:
         """Max over balls of the eccentricity of the center within ``Ball+`` (in G)."""
         worst = 0
         for center, members in self.extended_balls.items():
-            distances = bounded_bfs(base_graph, center, base_graph.number_of_nodes())
+            distances = bounded_bfs(base_graph, [center], base_graph.number_of_nodes())
             worst = max(worst, max((distances.get(node, 0) for node in members), default=0))
         return worst
 
@@ -75,17 +75,24 @@ class BallGraph:
             overlap = seen & extended
             assert not overlap, f"extended balls overlap on {overlap}"
             seen |= extended
-        # Distance-k property: close original balls are close in the ball graph.
+        # Distance-k property: close original balls are close in the ball
+        # graph.  Each pair v < w (str order) is checked once, from v: one
+        # BFS of depth k around Ball(v) finds the balls within distance k.
         centers = sorted(self.centers, key=str)
-        for i, v in enumerate(centers):
-            reach = set()
-            for node in self.balls[v]:
-                reach |= set(bounded_bfs(base_graph, node, self.k))
-            for w in centers[i + 1:]:
-                if reach & self.balls[w]:
+        position = {center: i for i, center in enumerate(centers)}
+        owner = {node: center for center in centers for node in self.balls[center]}
+        for v in centers:
+            close = {owner[node] for node in bounded_bfs(base_graph, self.balls[v], self.k)
+                     if node in owner}
+            close = sorted((w for w in close if position[w] > position[v]), key=str)
+            if not close:
+                continue
+            near = nx.single_source_shortest_path_length(self.graph, v, cutoff=self.k)
+            for w in close:
+                if w not in near:
                     length = nx.shortest_path_length(self.graph, v, w) \
                         if nx.has_path(self.graph, v, w) else None
-                    assert length is not None and length <= self.k, (
+                    raise AssertionError(
                         f"balls of {v} and {w} are within distance {self.k} in G but "
                         f"{length} apart in the ball graph")
 

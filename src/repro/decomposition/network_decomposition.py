@@ -61,6 +61,28 @@ class Cluster:
                 current = parent
         return nodes
 
+    def path_lengths(self, graph: nx.Graph) -> dict[Node, int]:
+        """Length of each node's Steiner path to the center, for the nodes
+        whose path is a chain of at most ``radius + 1`` edges of ``graph``
+        ending at the center."""
+        lengths: dict[Node, int] = {self.center: 0}
+        for node in self.nodes:
+            chain = []
+            current = node
+            while current not in lengths:
+                parent = self.steiner_parent.get(current)
+                if (parent is None or len(chain) > self.radius
+                        or parent not in graph._adj.get(current, ())):
+                    break
+                chain.append(current)
+                current = parent
+            else:
+                length = lengths[current]
+                for member in reversed(chain):
+                    length += 1
+                    lengths[member] = length
+        return lengths
+
     def steiner_edges(self) -> set[tuple[Node, Node]]:
         edges: set[tuple[Node, Node]] = set()
         for node in self.nodes:
@@ -118,10 +140,17 @@ class NetworkDecomposition:
         missing = covered_nodes - seen
         assert not missing, f"{len(missing)} nodes not clustered"
 
-        # Weak diameter: every node is within 2 * radius of every other via the center.
+        # Weak diameter: every node is within 2 * radius of every other via
+        # the center.  A Steiner path of G-edges no longer than the radius
+        # proves a node close; only nodes without one pay a BFS.
         for cluster in self.clusters:
-            distances = bounded_bfs(graph, cluster.center, cluster.radius)
-            for node in cluster.nodes:
+            hops = cluster.path_lengths(graph)
+            far = [node for node in cluster.nodes
+                   if hops.get(node, cluster.radius + 1) > cluster.radius]
+            if not far:
+                continue
+            distances = bounded_bfs(graph, [cluster.center], cluster.radius)
+            for node in far:
                 assert node in distances, (
                     f"cluster {cluster.index}: node {node} farther than radius "
                     f"{cluster.radius} from center {cluster.center}")
@@ -134,16 +163,13 @@ class NetworkDecomposition:
                 for node in cluster.nodes:
                     membership[node] = cluster.index
             for cluster in same_color:
-                for node in cluster.nodes:
-                    reach = bounded_bfs(graph, node, self.separation - 1)
-                    for other, dist in reach.items():
-                        if other == node or dist == 0:
-                            continue
-                        other_cluster = membership.get(other)
-                        if other_cluster is not None and other_cluster != cluster.index:
-                            raise AssertionError(
-                                f"clusters {cluster.index} and {other_cluster} of color {color} "
-                                f"are only {dist} < {self.separation} apart")
+                reach = bounded_bfs(graph, cluster.nodes, self.separation - 1)
+                for other, dist in reach.items():
+                    other_cluster = membership.get(other)
+                    if other_cluster is not None and other_cluster != cluster.index:
+                        raise AssertionError(
+                            f"clusters {cluster.index} and {other_cluster} of color {color} "
+                            f"are only {dist} < {self.separation} apart")
 
 
 def _exponential_delay_clustering(graph: nx.Graph, nodes: set[Node], beta: float,
@@ -162,6 +188,7 @@ def _exponential_delay_clustering(graph: nx.Graph, nodes: set[Node], beta: float
     best_time: dict[Node, float] = {}
     owner: dict[Node, Node] = {}
     parent: dict[Node, Node | None] = {}
+    hops: dict[Node, int] = {}  # length of the parent path to the owner
     heap: list[tuple[float, int, Node, Node, Node | None]] = []
     for index, node in enumerate(sorted(nodes, key=str)):
         heapq.heappush(heap, (-delays[node], index, node, node, None))
@@ -174,6 +201,7 @@ def _exponential_delay_clustering(graph: nx.Graph, nodes: set[Node], beta: float
         best_time[node] = time
         owner[node] = center
         parent[node] = via
+        hops[node] = 0 if via is None else hops[via] + 1
         for neighbor in graph.neighbors(node):
             if neighbor not in best_time:
                 counter += 1
@@ -188,9 +216,12 @@ def _exponential_delay_clustering(graph: nx.Graph, nodes: set[Node], beta: float
     for center in centers:
         cluster_nodes = members[center]
         cluster_parent = {node: parent[node] for node in cluster_nodes}
-        # Radius in G: distance from center to the farthest member.
-        distances = bounded_bfs(graph, center, graph.number_of_nodes())
-        radius = max((distances.get(node, 0) for node in cluster_nodes), default=0)
+        # Radius in G: distance from center to the farthest member.  A
+        # member's parent path is a shortest path from its center: its pop
+        # time T_c(hops) = fl(...fl(-delta_c + 1)... + 1) is at most
+        # T_c(dist_G(c, v)) (the push along a shortest path), and T_c is
+        # strictly increasing, so hops == dist_G(c, v) in floats too.
+        radius = max((hops[node] for node in cluster_nodes), default=0)
         clusters.append(Cluster(index=center_index[center], center=center,
                                 nodes=cluster_nodes, radius=radius,
                                 steiner_parent=cluster_parent))
@@ -213,13 +244,11 @@ def _color_clusters(graph: nx.Graph, clusters: list[Cluster], separation: int) -
 
     conflicts: dict[int, set[int]] = {cluster.index: set() for cluster in clusters}
     for cluster in clusters:
-        for node in cluster.nodes:
-            reach = bounded_bfs(graph, node, separation - 1)
-            for other, dist in reach.items():
-                other_cluster = membership.get(other)
-                if other_cluster is not None and other_cluster != cluster.index:
-                    conflicts[cluster.index].add(other_cluster)
-                    conflicts[other_cluster].add(cluster.index)
+        for other in bounded_bfs(graph, cluster.nodes, separation - 1):
+            other_cluster = membership.get(other)
+            if other_cluster is not None and other_cluster != cluster.index:
+                conflicts[cluster.index].add(other_cluster)
+                conflicts[other_cluster].add(cluster.index)
 
     order = sorted(conflicts, key=lambda index: -len(conflicts[index]))
     for index in order:

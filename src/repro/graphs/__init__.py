@@ -7,8 +7,8 @@ IDs on top of them).  This subpackage bundles:
 * :mod:`repro.graphs.generators` -- workload graph families used by the
   benchmark harness (random regular, Erdos-Renyi, unit disk, grids, trees,
   caterpillars, power-law).
-* :mod:`repro.graphs.power` -- power graph ``G^k`` construction and distance-s
-  neighborhood queries (Section 2 of the paper).
+* :mod:`repro.graphs.power` -- power graph ``G^k`` construction, its cached
+  CSR rows and the set-source BFS (Section 2 of the paper).
 * :mod:`repro.graphs.gadgets` -- the lower-bound / illustration gadgets from
   the paper (Figure 1).
 * :mod:`repro.graphs.properties` -- degree / diameter / connectivity helpers.
@@ -31,13 +31,9 @@ from repro.graphs.generators import (
 )
 from repro.graphs.gadgets import figure1_gadget, two_cluster_gadget
 from repro.graphs.power import (
-    ball,
-    distance_neighborhood,
-    distance_s_degree,
     induced_power_subgraph,
     k_connected_components,
     power_graph,
-    sphere,
 )
 from repro.graphs.properties import (
     ecc_lower_bound,
@@ -48,13 +44,10 @@ from repro.graphs.properties import (
 )
 
 __all__ = [
-    "ball",
     "bipartite_crown",
     "caterpillar_graph",
     "dense_core_with_pendant_paths",
     "disconnected_union",
-    "distance_neighborhood",
-    "distance_s_degree",
     "ecc_lower_bound",
     "erdos_renyi_graph",
     "figure1_gadget",
@@ -71,7 +64,6 @@ __all__ = [
     "random_tree",
     "relabel_consecutive",
     "ring_of_cliques",
-    "sphere",
     "star_graph",
     "two_cluster_gadget",
     "unit_disk_graph",

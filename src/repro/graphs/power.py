@@ -1,28 +1,27 @@
-"""Power graphs and distance-``s`` neighborhoods (Section 2 of the paper).
+"""Power graphs and the two distance primitives (Section 2 of the paper).
 
 The problem instance throughout the paper is the power graph ``G^k``: the
 graph on the same vertex set as ``G`` where two nodes are adjacent iff their
 distance in ``G`` is at most ``k``.  The communication network remains ``G``.
-This module provides the centralized view of those objects which the
-simulator and the verification code rely on:
+The algorithms ask ``G`` two questions, and each has one answer here:
 
-* :func:`power_graph` materialises ``G^k`` as a networkx graph (only used
-  for small inputs and for verification).
-* :func:`distance_neighborhood` computes ``N^s(v)``, the non-inclusive
-  distance-``s`` neighborhood used throughout the paper.
-* :func:`power_adjacency` is its batch form ``{v: N^k(v) ∩ X for v in X}``,
-  backed on all but tiny graphs by the per-graph ``G^k`` CSR of
-  :mod:`repro.congest.power_view` -- the power pipelines (power-MIS, power
-  ruling sets) build their ``G^k`` adjacency through it, and every call
-  after the first on a graph slices that cached CSR.
-* :func:`induced_power_subgraph` computes ``G^s[X]`` -- note that this is
-  *not* ``(G[X])^s``; paths may leave ``X`` (Section 2).
-* :func:`k_connected_components` computes maximal ``k``-connected subsets
-  (sets ``S`` such that ``G^k[S]`` is connected), used by the shattering
-  analysis (Lemma 7.3 / Lemma 8.1).
-* :func:`multi_source_bfs` gives every node its distance to, and nearest
-  member of, a set -- one array BFS over ``G``'s own CSR, which every
-  distance certificate (ruling sets, domination, sparsification) reads.
+* **What is ``N^s(v) ∩ X``?**  :func:`power_adjacency` returns the rows
+  ``{v: N^s(v) ∩ X}`` sliced from the ``G^s`` CSR cached on the graph's
+  shared :class:`~repro.congest.power_view.PowerView`; the array-native
+  pipelines read the same CSR through
+  :func:`repro.congest.topology.graph_csr`, and :func:`max_power_degree`
+  counts ``|N^s(v) ∩ X|`` on it.
+* **How far is every node from a set?**  :func:`multi_source_bfs` answers
+  for the whole graph in one array BFS over ``G``'s own CSR (distance and
+  nearest member, ties to the member the caller lists first); every
+  distance certificate and :func:`nearest_ruler_balls` read it.
+  :func:`bounded_bfs` answers inside a radius -- the local ball around a
+  set of sources -- without touching the rest of the graph.
+
+Built on those: :func:`power_graph` and :func:`induced_power_subgraph`
+materialise ``G^k`` and ``G^k[X]`` (note: *not* ``(G[X])^k``; paths may
+leave ``X``), and :func:`k_connected_components` splits a set into maximal
+``k``-connected pieces (Lemma 7.3 / Lemma 8.1).
 """
 
 from __future__ import annotations
@@ -35,86 +34,54 @@ import networkx as nx
 Node = Hashable
 
 __all__ = [
-    "ball",
     "bounded_bfs",
-    "distance_neighborhood",
-    "distance_s_degree",
+    "domination_distance",
     "farthest_target",
     "induced_power_subgraph",
     "k_connected_components",
     "max_power_degree",
     "multi_source_bfs",
+    "nearest_ruler_balls",
     "power_adjacency",
     "power_graph",
-    "sphere",
 ]
 
-#: Below this node count the scalar per-source BFS beats the numpy kernel's
-#: setup cost; ``backend="auto"`` switches on the fast path above it.
-_NUMPY_ADJACENCY_THRESHOLD = 64
 
+def bounded_bfs(graph: nx.Graph, sources: Iterable[Node],
+                depth: int) -> dict[Node, int]:
+    """Distances from the set ``sources``, truncated at ``depth``.
 
-def bounded_bfs(graph: nx.Graph, source: Node, depth: int) -> dict[Node, int]:
-    """Breadth-first distances from ``source`` truncated at ``depth``.
-
-    Returns a mapping ``node -> dist`` including the source itself (distance
-    0) and every node at distance at most ``depth``.
+    Returns ``node -> dist_G(node, sources)`` for every node within
+    ``depth`` hops, the sources themselves at distance 0; keys are in BFS
+    order, the sources first in the order given.  ``sources`` is an
+    iterable of nodes -- a single source is passed as ``[node]``; a bare
+    node label is refused, since a tuple label (grid graphs) would
+    otherwise be read as a set of sources.
     """
+    if sources in graph:
+        raise TypeError(f"sources must be an iterable of nodes, got the node "
+                        f"{sources!r}; pass [{sources!r}]")
     if depth < 0:
         return {}
-    distances: dict[Node, int] = {source: 0}
-    if depth == 0:
-        return distances
-    frontier = deque([source])
+    distances: dict[Node, int] = dict.fromkeys(sources, 0)
+    adjacency = graph._adj
+    frontier = deque(distances)
     while frontier:
         node = frontier.popleft()
         dist = distances[node]
         if dist == depth:
             continue
-        for neighbor in graph.neighbors(node):
+        for neighbor in adjacency[node]:
             if neighbor not in distances:
                 distances[neighbor] = dist + 1
                 frontier.append(neighbor)
     return distances
 
 
-def ball(graph: nx.Graph, source: Node, radius: int) -> set[Node]:
-    """The inclusive ball ``N^radius(v) ∪ {v}``."""
-    return set(bounded_bfs(graph, source, radius))
-
-
-def sphere(graph: nx.Graph, source: Node, radius: int) -> set[Node]:
-    """Nodes at distance exactly ``radius`` from ``source``."""
-    distances = bounded_bfs(graph, source, radius)
-    return {node for node, dist in distances.items() if dist == radius}
-
-
-def distance_neighborhood(graph: nx.Graph, source: Node, s: int,
-                          restrict_to: Iterable[Node] | None = None) -> set[Node]:
-    """``N^s(v)`` -- the non-inclusive distance-``s`` neighborhood of ``v``.
-
-    When ``restrict_to`` is given, returns ``N^s(v, X) = N^s(v) ∩ X`` (the
-    distance-``s`` ``X``-neighborhood of the paper).  The source is never
-    included, matching the paper's convention that ``N(v)`` is non-inclusive.
-    """
-    reachable = set(bounded_bfs(graph, source, s))
-    reachable.discard(source)
-    if restrict_to is not None:
-        restrict = set(restrict_to)
-        reachable &= restrict
-    return reachable
-
-
-def distance_s_degree(graph: nx.Graph, source: Node, s: int,
-                      restrict_to: Iterable[Node] | None = None) -> int:
-    """``d_s(v, X) = |N^s(v) ∩ X|`` (``d_s(v)`` when ``restrict_to`` is None)."""
-    return len(distance_neighborhood(graph, source, s, restrict_to))
-
-
 def power_adjacency(graph: nx.Graph, k: int,
                     nodes: Iterable[Node] | None = None, *,
                     restrict_to: Iterable[Node] | None = None,
-                    backend: str = "auto") -> dict[Node, set[Node]]:
+                    ) -> dict[Node, set[Node]]:
     """``{v: N^k(v) ∩ X for v in nodes}`` -- the virtual ``G^k`` adjacency.
 
     ``X`` is ``restrict_to`` when given, else ``nodes``; with both omitted
@@ -122,32 +89,16 @@ def power_adjacency(graph: nx.Graph, k: int,
     in the full base graph even when ``X`` restricts the vertex set (the
     paper's ``G^k[X]``, Section 2).  Key iteration order follows ``nodes``
     (graph order when omitted), and each value is a plain non-inclusive
-    neighbor set -- exactly what the per-source ``distance_neighborhood``
-    comprehension this replaces produced, so downstream consumers (and
-    their RNG draws) are unaffected by the backend.
-
-    ``backend`` selects the implementation: ``"scalar"`` runs one bounded
-    BFS per source; ``"numpy"`` slices the ``G^k`` CSR cached on the
-    graph's shared :class:`~repro.congest.power_view.PowerView`, which is
-    built on the first call; ``"auto"`` picks the numpy path on graphs with
-    at least ``_NUMPY_ADJACENCY_THRESHOLD`` nodes.  Callers whose result
-    does not depend on set iteration order pass ``"numpy"``.  The cache is
-    keyed by graph identity: after an edit that keeps the node and edge
-    counts, call :func:`repro.api.invalidate_fingerprint`.
+    neighbor set filled in ascending node-index order.  The rows are
+    sliced from the ``G^k`` CSR cached on the graph's shared
+    :class:`~repro.congest.power_view.PowerView`, built on the first call.
+    The cache is keyed by graph identity: after an edit that keeps the
+    node and edge counts, call :func:`repro.api.invalidate_fingerprint`.
     """
-    if backend not in ("auto", "numpy", "scalar"):
-        raise ValueError(f"unknown backend: {backend!r}")
-    ordered = None if nodes is None else list(nodes)
-    columns = restrict_to if restrict_to is not None else ordered
-    if backend == "numpy" or (backend == "auto" and graph.number_of_nodes()
-                              >= _NUMPY_ADJACENCY_THRESHOLD):
-        from repro.congest.topology import graph_power_view
+    from repro.congest.topology import graph_power_view
 
-        return graph_power_view(graph, k).adjacency_sets(
-            ordered, restrict_to=restrict_to)
-    restrict = None if columns is None else set(columns)
-    return {node: distance_neighborhood(graph, node, k, restrict_to=restrict)
-            for node in (graph.nodes() if ordered is None else ordered)}
+    return graph_power_view(graph, k).adjacency_sets(
+        None if nodes is None else list(nodes), restrict_to=restrict_to)
 
 
 def max_power_degree(graph: nx.Graph, k: int,
@@ -184,7 +135,7 @@ def power_graph(graph: nx.Graph, k: int) -> nx.Graph:
         power.add_edges_from(graph.edges())
         return power
     for node in graph.nodes():
-        for other, dist in bounded_bfs(graph, node, k).items():
+        for other, dist in bounded_bfs(graph, [node], k).items():
             if other != node and dist >= 1:
                 power.add_edge(node, other)
     return power
@@ -207,30 +158,19 @@ def induced_power_subgraph(graph: nx.Graph, k: int, subset: Iterable[Node]) -> n
     return induced
 
 
-def pairwise_distance_at_least(graph: nx.Graph, nodes: Iterable[Node],
-                               alpha: int) -> bool:
-    """True iff all distinct nodes of ``nodes`` are at distance >= ``alpha``."""
-    nodes = list(nodes)
-    node_set = set(nodes)
-    for node in nodes:
-        distances = bounded_bfs(graph, node, alpha - 1)
-        for other, dist in distances.items():
-            if other != node and other in node_set and dist <= alpha - 1:
-                return False
-    return True
-
-
 def k_connected_components(graph: nx.Graph, subset: Iterable[Node],
                            k: int) -> list[set[Node]]:
     """Partition ``subset`` into maximal ``k``-connected pieces.
 
     ``S`` is ``k``-connected in ``G`` iff ``G^k[S]`` is connected
     (Section 2).  The components are exactly the connected components of
-    ``G^k[subset]``.
+    ``G^k[subset]``, searched over its :func:`power_adjacency` rows; each
+    search starts at the first unvisited node in ``subset``'s order.
     """
     subset = set(subset)
     if not subset:
         return []
+    rows = power_adjacency(graph, k, subset)
     components: list[set[Node]] = []
     unvisited = set(subset)
     while unvisited:
@@ -239,9 +179,7 @@ def k_connected_components(graph: nx.Graph, subset: Iterable[Node],
         frontier = deque([start])
         unvisited.discard(start)
         while frontier:
-            node = frontier.popleft()
-            nearby = distance_neighborhood(graph, node, k, restrict_to=unvisited)
-            for other in nearby:
+            for other in rows[frontier.popleft()] & unvisited:
                 component.add(other)
                 unvisited.discard(other)
                 frontier.append(other)
@@ -256,10 +194,12 @@ def multi_source_bfs(graph: nx.Graph, sources: Iterable[Node]):
     the graph's cached base CSR (``_structure_of(graph)``, graph iteration
     order): ``distance[i]`` is ``dist_G(i, sources)`` and ``nearest[i]``
     the index of a member at that distance, both ``-1`` where no member is
-    reachable.  Members outside the graph are ignored.  One level-synchronous
-    BFS over ``G``'s own edges -- never a ``G^k`` CSR -- in ``O(n + m)``
-    array work.  The CSR is cached by graph identity, so an edit that keeps
-    ``n`` and ``m`` must be followed by :func:`repro.api.invalidate_fingerprint`.
+    reachable.  Of several members at that distance, ``nearest`` names the
+    one that comes first in ``sources``.  Members outside the graph are
+    ignored.  One level-synchronous BFS over ``G``'s own edges -- never a
+    ``G^k`` CSR -- in ``O((n + m) log n)`` array work.  The CSR is cached by
+    graph identity, so an edit that keeps ``n`` and ``m`` must be followed
+    by :func:`repro.api.invalidate_fingerprint`.
     """
     import numpy as np
 
@@ -269,13 +209,15 @@ def multi_source_bfs(graph: nx.Graph, sources: Iterable[Node]):
     arrays = structure.numpy_arrays()
     indptr, neighbors = arrays.indptr, arrays.neighbor_indices
     index_of = structure.index_of
+    # Members in caller order, first occurrence kept; ``rank`` is a
+    # member's position there, and the BFS carries ranks, not indices.
+    members = np.fromiter(dict.fromkeys(index_of[node] for node in sources
+                                        if node in index_of), dtype=np.int64)
     distance = np.full(structure.n, -1, dtype=np.int64)
-    nearest = np.full(structure.n, -1, dtype=np.int64)
-    frontier = np.fromiter({index_of[node] for node in sources if node in index_of},
-                           dtype=np.int64)
-    distance[frontier] = 0
-    nearest[frontier] = frontier
-    last = np.empty(structure.n, dtype=np.int64)  # scratch: dedupes a frontier
+    rank = np.full(structure.n, -1, dtype=np.int64)
+    distance[members] = 0
+    rank[members] = np.arange(len(members))
+    frontier = members
     level = 0
     while len(frontier):
         level += 1
@@ -284,17 +226,51 @@ def multi_source_bfs(graph: nx.Graph, sources: Iterable[Node]):
         total = int(counts.sum())
         # Gather every frontier node's neighbor run in one pass.
         reached = neighbors[np.repeat(starts - (np.cumsum(counts) - counts), counts)
-                            + np.arange(total)]
-        owners = np.repeat(nearest[frontier], counts)
+                            + np.arange(total)].astype(np.int64)
+        owners = np.repeat(rank[frontier], counts)
         fresh = distance[reached] < 0
         reached, owners = reached[fresh], owners[fresh]
-        distance[reached] = level
-        nearest[reached] = owners  # any owner of a fresh node is a nearest one
-        # Keep one position per reached node (np.unique would load numpy.ma).
-        positions = np.arange(len(reached))
-        last[reached] = positions
-        frontier = reached[last[reached] == positions].astype(np.int64)
+        # The smallest owner rank of each fresh node: the first of its run
+        # once sorted by (node, rank).  Its nearest members are the union
+        # of its reaching neighbors' nearest members.
+        order = np.lexsort((owners, reached))
+        reached, owners = reached[order], owners[order]
+        first = np.ones(len(reached), dtype=bool)
+        first[1:] = reached[1:] != reached[:-1]
+        frontier = reached[first]
+        distance[frontier] = level
+        rank[frontier] = owners[first]
+    nearest = np.full(structure.n, -1, dtype=np.int64)
+    reached = rank >= 0
+    nearest[reached] = members[rank[reached]]
     return distance, nearest
+
+
+def nearest_ruler_balls(graph: nx.Graph, nodes: Iterable[Node],
+                        rulers: Iterable[Node]) -> dict[Node, set[Node]]:
+    """Partition ``nodes`` into balls around their nearest ruler.
+
+    Returns ``{ruler: Ball(ruler)}`` in ``rulers`` order, each ball starting
+    as ``{ruler}``; every other node of ``nodes`` joins the ruler with the
+    smallest ``(dist_G(node, ruler), str(ruler))``, or the ruler with the
+    smallest ``str`` when none is reachable, and is added in ``nodes``'
+    iteration order.  The ball partition of Claim 7.6 and Lemma 8.3, read
+    from one :func:`multi_source_bfs` over the rulers in ``str`` order.
+    """
+    from repro.congest.topology import _structure_of
+
+    balls: dict[Node, set[Node]] = {ruler: {ruler} for ruler in rulers}
+    by_label = sorted(balls, key=str)
+    _, nearest = multi_source_bfs(graph, by_label)
+    structure = _structure_of(graph)
+    labels, index_of = structure.labels, structure.index_of
+    nearest = nearest.tolist()
+    for node in nodes:
+        if node in balls:
+            continue
+        owner = nearest[index_of[node]]
+        balls[labels[owner] if owner >= 0 else by_label[0]].add(node)
+    return balls
 
 
 def domination_distance(graph: nx.Graph, dominators: Iterable[Node],

@@ -6,7 +6,7 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.graphs.power import bounded_bfs
+from repro.graphs.power import multi_source_bfs
 
 Node = Hashable
 
@@ -57,8 +57,8 @@ def ecc_lower_bound(graph: nx.Graph, source: Node | None = None) -> int:
         return 0
     if source is None:
         source = next(iter(graph.nodes()))
-    distances = bounded_bfs(graph, source, graph.number_of_nodes())
-    return max(distances.values(), default=0)
+    distance, _ = multi_source_bfs(graph, [source])
+    return int(distance.max())
 
 
 def relabel_consecutive(graph: nx.Graph) -> tuple[nx.Graph, dict[Node, int]]:

@@ -36,7 +36,7 @@ from repro.congest.power_view import row_hits
 from repro.congest.topology import graph_csr
 from repro.decomposition.ball_graph import form_distance_k_ball_graph
 from repro.decomposition.network_decomposition import network_decomposition
-from repro.graphs.power import bounded_bfs
+from repro.graphs.power import nearest_ruler_balls
 from repro.mis.beeping import BeepingMISProcess, default_step_budget
 from repro.ruling.greedy import greedy_mis, greedy_ruling_set
 
@@ -141,20 +141,7 @@ def power_graph_mis(graph: nx.Graph, k: int, *,
     loglog = max(1, math.ceil(math.log2(1 + math.log2(n))))
     ledger.charge(max(1, k * k * loglog), label="ruling-set")
 
-    balls: dict[Node, set[Node]] = {ruler: {ruler} for ruler in ruling}
-    assignment_radius = 5 * k  # the greedy ruling set dominates within 5k hops
-    for node in undecided:
-        if node in ruling:
-            continue
-        distances = bounded_bfs(graph, node, assignment_radius)
-        reachable = [(distances[ruler], str(ruler), ruler) for ruler in ruling
-                     if ruler in distances]
-        if reachable:
-            balls[min(reachable)[2]].add(node)
-        else:
-            full = bounded_bfs(graph, node, graph.number_of_nodes())
-            closest = min(ruling, key=lambda ruler: (full.get(ruler, math.inf), str(ruler)))
-            balls[closest].add(node)
+    balls = nearest_ruler_balls(graph, undecided, ruling)
     phase_rounds["ruling-set"] = ledger.total_rounds - before
 
     # ---------------------------------------------------- distance-k ball graph

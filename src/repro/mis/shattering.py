@@ -41,7 +41,7 @@ import networkx as nx
 from repro.congest.cost import RoundLedger
 from repro.decomposition.ball_graph import form_distance_k_ball_graph
 from repro.decomposition.network_decomposition import network_decomposition
-from repro.graphs.power import bounded_bfs, k_connected_components
+from repro.graphs.power import k_connected_components, nearest_ruler_balls
 from repro.graphs.properties import max_degree
 from repro.mis.beeping import BeepingMISProcess, default_step_budget
 from repro.ruling.greedy import greedy_mis, greedy_ruling_set
@@ -126,11 +126,10 @@ def _finish_component_via_ball_graph(graph: nx.Graph,
                                      already_in_mis: set[Node],
                                      rng: random.Random,
                                      ledger: RoundLedger,
-                                     domination: int,
                                      ) -> tuple[set[Node], int]:
     """Shared post-shattering machinery for one residual component.
 
-    Computes a ``(5, domination)``-ruling set of the undecided nodes of the
+    Computes a ``(5, 4)``-ruling set of the undecided nodes of the
     component (with respect to distances inside the component), forms the
     ball graph, decomposes it, and completes the MIS cluster by cluster in
     color order.  Returns the newly added MIS nodes and the ruling-set size.
@@ -145,27 +144,9 @@ def _finish_component_via_ball_graph(graph: nx.Graph,
     loglog = max(1, math.ceil(math.log2(1 + math.log2(max(2, graph.number_of_nodes())))))
     ledger.charge(max(1, 5 * loglog), label="post-ruling-set")
 
-    # Partition the undecided nodes into balls around the closest ruler.
-    balls: dict[Node, set[Node]] = {ruler: {ruler} for ruler in ruling}
-    for node in undecided:
-        if node in ruling:
-            continue
-        distances = bounded_bfs(subgraph, node, max(1, domination))
-        best = None
-        best_key = None
-        for ruler in ruling:
-            if ruler in distances:
-                key = (distances[ruler], str(ruler))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = ruler
-        if best is None:
-            # The greedy ruling set dominates within alpha - 1 = 4 hops, so
-            # this only happens if domination was set too small; fall back to
-            # the nearest ruler without a radius cap.
-            full = bounded_bfs(subgraph, node, subgraph.number_of_nodes())
-            best = min(ruling, key=lambda ruler: (full.get(ruler, math.inf), str(ruler)))
-        balls[best].add(node)
+    # Partition the undecided nodes into balls around the closest ruler
+    # (distances inside the component).
+    balls = nearest_ruler_balls(subgraph, undecided, ruling)
 
     ball_graph = form_distance_k_ball_graph(subgraph, balls, k=1, ledger=ledger,
                                             undecided=set(undecided))
@@ -253,7 +234,7 @@ def shattering_mis(graph: nx.Graph, *, approach: str = "two-phase",
             remaining = process.undecided
             component_ledger = RoundLedger(bandwidth_bits=ledger.bandwidth_bits)
             added, ruling_size = _finish_component_via_ball_graph(
-                graph, component, remaining, mis, rng, component_ledger, domination=8)
+                graph, component, remaining, mis, rng, component_ledger)
             mis |= added
             ruling_sizes.append(ruling_size)
             max_component_rounds = max(max_component_rounds, component_ledger.total_rounds)
@@ -264,7 +245,7 @@ def shattering_mis(graph: nx.Graph, *, approach: str = "two-phase",
         for component in components:
             component_ledger = RoundLedger(bandwidth_bits=ledger.bandwidth_bits)
             added, ruling_size = _finish_component_via_ball_graph(
-                graph, component, set(component), mis, rng, component_ledger, domination=8)
+                graph, component, set(component), mis, rng, component_ledger)
             mis |= added
             ruling_sizes.append(ruling_size)
             max_component_rounds = max(max_component_rounds, component_ledger.total_rounds)

@@ -26,7 +26,7 @@ from typing import Hashable, Mapping
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
-from repro.graphs.power import distance_neighborhood
+from repro.graphs.power import bounded_bfs
 
 Node = Hashable
 
@@ -100,9 +100,7 @@ def aglp_ruling_set(graph: nx.Graph, k: int, coloring: Mapping[Node, int], *,
                 continue
             # Beeps propagate k hops; undecided nodes with a larger current
             # digit that hear a beep drop out.
-            reached: set[Node] = set()
-            for node in beepers:
-                reached |= distance_neighborhood(graph, node, k)
+            reached = bounded_bfs(graph, beepers, k)
             removed = {node for node in undecided
                        if node in reached and digits[node][digit_index] > value}
             undecided -= removed

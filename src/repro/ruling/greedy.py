@@ -14,7 +14,7 @@ from typing import Callable, Hashable, Iterable, Mapping
 
 import networkx as nx
 
-from repro.graphs.power import bounded_bfs, distance_neighborhood
+from repro.graphs.power import bounded_bfs
 
 Node = Hashable
 
@@ -64,7 +64,7 @@ def greedy_mis(graph: nx.Graph, k: int = 1, *,
             continue
         chosen.add(node)
         blocked.add(node)
-        blocked.update(distance_neighborhood(graph, node, k))
+        blocked.update(bounded_bfs(graph, [node], k))
     return chosen
 
 
@@ -88,5 +88,5 @@ def greedy_ruling_set(graph: nx.Graph, alpha: int, *,
             continue
         chosen.add(node)
         blocked.add(node)
-        blocked.update(distance_neighborhood(graph, node, alpha - 1))
+        blocked.update(bounded_bfs(graph, [node], alpha - 1))
     return chosen

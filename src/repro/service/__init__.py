@@ -40,7 +40,9 @@ Quick use (in-process, no HTTP)::
     hit.report.certificate.ok             # replayed verbatim on a hit
     hit.hit, hit.tier                     # (True, "memory") the second time
 
-Full stack (HTTP)::
+Full stack (HTTP; a server or scheduler built without a ``cache`` keeps
+reports in memory only -- ``repro serve`` uses the default store unless
+``--cache-path`` names another)::
 
     from repro.service import ServiceClient, ServiceServer
     with ServiceServer(port=0) as server:

@@ -360,7 +360,11 @@ class SolveScheduler:
                  metrics: ServiceMetrics | None | object = _AUTO_METRICS,
                  tracing: bool = True,
                  ) -> None:
-        """``inline=True`` executes jobs on threads in-process (no worker
+        """``cache=None`` keeps reports in a memory-only
+        :class:`SolveCache`; pass ``SolveCache(path)`` (as ``repro serve``
+        does) for the persistent tier.
+
+        ``inline=True`` executes jobs on threads in-process (no worker
         pool) -- used by tests and constrained CI environments; the shard
         queues, coalescing and admission behave identically.
 
@@ -390,7 +394,7 @@ class SolveScheduler:
         so a custom registry would let the planned content address and the
         executed solve disagree.
         """
-        self.cache = cache if cache is not None else SolveCache()
+        self.cache = cache if cache is not None else SolveCache("")
         self.registry = REGISTRY
         self.shards = max(1, shards if shards is not None
                           else min(4, os.cpu_count() or 1))

@@ -75,3 +75,15 @@ def graph_zoo(seed: int = 0) -> list[tuple[str, nx.Graph]]:
         ("grid", grid_graph(5, 6)),
         ("caterpillar", caterpillar_graph(8, 3)),
     ]
+
+
+def distance_neighborhood(graph: nx.Graph, source, s: int,
+                          restrict_to=None) -> set:
+    """Reference ``N^s(v)`` (``∩ X`` when ``restrict_to`` is given): one BFS
+    from ``source``, which is never included.  The per-source oracle that
+    the library's ``G^s`` CSR rows and set-source BFS are checked against."""
+    reachable = set(nx.single_source_shortest_path_length(graph, source, cutoff=s))
+    reachable.discard(source)
+    if restrict_to is not None:
+        reachable &= set(restrict_to)
+    return reachable

@@ -154,7 +154,7 @@ def test_ball_graph_parity():
     for node in graph.nodes():
         if node in rulers:
             continue
-        distances = bounded_bfs(graph, node, 2 * K)
+        distances = bounded_bfs(graph, [node], 2 * K)
         closest = min((distances[r], str(r), r) for r in rulers if r in distances)
         balls[closest[2]].add(node)
     legacy = form_distance_k_ball_graph(graph, balls, k=K, node_ids=_ids(graph))

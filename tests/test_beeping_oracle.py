@@ -16,7 +16,7 @@ import networkx as nx
 import pytest
 
 from repro.graphs import random_regular_graph
-from repro.graphs.power import distance_neighborhood
+from tests.conftest import distance_neighborhood
 from repro.mis.beeping import BeepingMISProcess
 
 

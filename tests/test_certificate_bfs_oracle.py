@@ -29,7 +29,7 @@ def _old_independence_radius(graph, subset):
         return UNREACHABLE
     best = UNREACHABLE
     for node in subset:
-        distances = bounded_bfs(graph, node, min(best, graph.number_of_nodes()))
+        distances = bounded_bfs(graph, [node], min(best, graph.number_of_nodes()))
         for other, dist in distances.items():
             if other != node and other in subset and 0 < dist < best:
                 best = dist

@@ -13,7 +13,8 @@ from repro.core.comm_tools import (
     simulate_on_power_subgraph,
 )
 from repro.graphs import figure1_gadget, random_regular_graph
-from repro.graphs.power import distance_neighborhood, induced_power_subgraph
+from repro.graphs.power import induced_power_subgraph
+from tests.conftest import distance_neighborhood
 
 
 def build_tools(n=40, degree=4, s=2, q_stride=3, seed=1):

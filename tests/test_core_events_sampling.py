@@ -12,7 +12,7 @@ import pytest
 from repro.core import check_sparsification, degree_bound, randomized_sparsification, sampling_probability
 from repro.core.events import SparsificationStageEvents, log_n, stage_count
 from repro.graphs import erdos_renyi_graph, random_regular_graph
-from repro.graphs.power import distance_neighborhood
+from tests.conftest import distance_neighborhood
 
 
 class TestStageArithmetic:

@@ -9,7 +9,8 @@ import pytest
 
 from repro.decomposition import form_distance_k_ball_graph, network_decomposition
 from repro.graphs import erdos_renyi_graph, random_regular_graph, random_tree
-from repro.graphs.power import bounded_bfs, distance_neighborhood
+from repro.graphs.power import bounded_bfs
+from tests.conftest import distance_neighborhood
 from repro.ruling.greedy import greedy_ruling_set
 
 
@@ -86,7 +87,7 @@ class TestBallGraph:
         for node in undecided:
             if node in rulers:
                 continue
-            distances = bounded_bfs(graph, node, graph.number_of_nodes())
+            distances = bounded_bfs(graph, [node], graph.number_of_nodes())
             closest = min(rulers, key=lambda r: (distances.get(r, 10 ** 9), str(r)))
             balls[closest].add(node)
         return graph, undecided, balls

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.core.power_sparsify import power_graph_sparsification
-from repro.graphs.power import distance_neighborhood
+from tests.conftest import distance_neighborhood
 from repro.mis.beeping import beeping_mis
 from repro.mis.luby import luby_mis, luby_mis_power
 from repro.mis.power_mis import power_graph_mis

@@ -627,7 +627,6 @@ class TestFleetFailureContainment:
                 worker.start()
             client = ServiceClient(coordinator.url, timeout=120)
             client.wait_healthy(deadline_s=10)
-            victim = None
             try:
                 row = client.solve(WORKLOAD, ALGORITHM, config=CONFIG,
                                    seed=1)
@@ -639,9 +638,7 @@ class TestFleetFailureContainment:
                 # in-process we emulate that by dropping the coordinator's
                 # cached link so its next dispatch dials a dead port.  The
                 # chaos benchmark exercises the real-signal path.)
-                victim._stop_event.set()
-                victim.server._httpd.shutdown()
-                victim.server._httpd.server_close()
+                victim.crash()
                 coordinator._drop_link(victim_id)
                 # Same graph routes at the dead primary, fails over, and
                 # still answers -- idempotent replay on another worker.
@@ -668,8 +665,7 @@ class TestFleetFailureContainment:
                 assert coordinator.registry.expired_total >= 1
             finally:
                 for worker in workers:
-                    if worker is not victim:
-                        worker.stop()
+                    worker.stop()
 
     def test_killed_worker_failover_is_visible_in_the_trace(self):
         """Chaos + tracing: one trace shows the death and the recovery.
@@ -688,7 +684,6 @@ class TestFleetFailureContainment:
                 worker.start()
             client = ServiceClient(coordinator.url, timeout=120)
             client.wait_healthy(deadline_s=10)
-            victim = None
             try:
                 row = client.solve(WORKLOAD, ALGORITHM, config=CONFIG,
                                    seed=41)
@@ -701,9 +696,7 @@ class TestFleetFailureContainment:
                 # test): stop serving without /fleet/leave and drop the
                 # coordinator's cached link so its next dispatch dials a
                 # dead port.
-                victim._stop_event.set()
-                victim.server._httpd.shutdown()
-                victim.server._httpd.server_close()
+                victim.crash()
                 coordinator._drop_link(victim_id)
                 replay = client.solve(WORKLOAD, ALGORITHM, config=CONFIG,
                                       seed=41)
@@ -735,8 +728,7 @@ class TestFleetFailureContainment:
                     "transport_error", 0) > 0
             finally:
                 for worker in workers:
-                    if worker is not victim:
-                        worker.stop()
+                    worker.stop()
 
     def test_empty_fleet_answers_503(self):
         with FleetCoordinator(port=0, ttl_s=2.0) as coordinator:

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.graphs import figure1_gadget, two_cluster_gadget
-from repro.graphs.power import distance_s_degree
+from tests.conftest import distance_neighborhood
 from repro.graphs.properties import (
     ecc_lower_bound,
     graph_diameter,
@@ -30,8 +30,8 @@ class TestFigure1Gadget:
         hat_delta = 10
         graph, (v, w), q_nodes = figure1_gadget(hat_delta=hat_delta, s=3)
         # The central nodes see all Q nodes within distance s = 3.
-        assert distance_s_degree(graph, v, 3, restrict_to=q_nodes) == hat_delta
-        assert distance_s_degree(graph, w, 3, restrict_to=q_nodes) == hat_delta
+        assert len(distance_neighborhood(graph, v, 3, restrict_to=q_nodes)) == hat_delta
+        assert len(distance_neighborhood(graph, w, 3, restrict_to=q_nodes)) == hat_delta
 
     def test_larger_s(self):
         graph, (v, w), q_nodes = figure1_gadget(hat_delta=6, s=5)

@@ -7,19 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import (
-    distance_neighborhood,
-    distance_s_degree,
     induced_power_subgraph,
     k_connected_components,
     power_graph,
 )
 from repro.graphs.power import (
-    ball,
     bounded_bfs,
     domination_distance,
-    pairwise_distance_at_least,
-    sphere,
+    multi_source_bfs,
+    nearest_ruler_balls,
+    power_adjacency,
 )
+from tests.conftest import distance_neighborhood
 
 
 def small_graphs() -> st.SearchStrategy[nx.Graph]:
@@ -39,37 +38,100 @@ def small_graphs() -> st.SearchStrategy[nx.Graph]:
 class TestBoundedBFS:
     def test_depth_zero(self):
         graph = nx.path_graph(5)
-        assert bounded_bfs(graph, 2, 0) == {2: 0}
+        assert bounded_bfs(graph, [2], 0) == {2: 0}
 
     def test_negative_depth(self):
         graph = nx.path_graph(3)
-        assert bounded_bfs(graph, 0, -1) == {}
+        assert bounded_bfs(graph, [0], -1) == {}
 
     def test_distances_match_networkx(self):
         graph = nx.erdos_renyi_graph(20, 0.2, seed=1)
         expected = nx.single_source_shortest_path_length(graph, 0, cutoff=3)
-        assert bounded_bfs(graph, 0, 3) == dict(expected)
+        assert bounded_bfs(graph, [0], 3) == dict(expected)
 
-    def test_ball_and_sphere(self):
-        graph = nx.path_graph(7)
-        assert ball(graph, 3, 2) == {1, 2, 3, 4, 5}
-        assert sphere(graph, 3, 2) == {1, 5}
+    def test_set_of_sources(self):
+        graph = nx.path_graph(9)
+        distances = bounded_bfs(graph, [6, 1], 2)
+        assert distances == {6: 0, 1: 0, 5: 1, 7: 1, 0: 1, 2: 1, 4: 2, 8: 2, 3: 2}
+        assert list(distances)[:2] == [6, 1]  # the sources first, in order
+
+    def test_bare_label_is_refused(self):
+        # A grid label is a tuple: read as sources it would name two nodes.
+        graph = nx.grid_2d_graph(3, 3)
+        with pytest.raises(TypeError):
+            bounded_bfs(graph, (1, 1), 1)
+        assert set(bounded_bfs(graph, [(1, 1)], 1)) == {
+            (1, 1), (0, 1), (2, 1), (1, 0), (1, 2)}
 
 
-class TestDistanceNeighborhood:
+class TestPowerAdjacencyRows:
     def test_excludes_source(self):
         graph = nx.cycle_graph(6)
-        assert 0 not in distance_neighborhood(graph, 0, 2)
+        assert power_adjacency(graph, 2)[0] == {1, 2, 4, 5}
 
     def test_restriction(self):
         graph = nx.path_graph(6)
-        assert distance_neighborhood(graph, 0, 3, restrict_to={2, 5}) == {2}
+        assert power_adjacency(graph, 3, [0], restrict_to={2, 5}) == {0: {2}}
 
-    def test_degree_counts(self):
+    def test_row_sizes(self):
         graph = nx.cycle_graph(8)
-        assert distance_s_degree(graph, 0, 1) == 2
-        assert distance_s_degree(graph, 0, 2) == 4
-        assert distance_s_degree(graph, 0, 2, restrict_to={1, 2}) == 2
+        assert len(power_adjacency(graph, 1)[0]) == 2
+        assert len(power_adjacency(graph, 2)[0]) == 4
+        assert power_adjacency(graph, 2, [0], restrict_to={1, 2}) == {0: {1, 2}}
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_graphs(), st.integers(min_value=1, max_value=4))
+    def test_rows_match_per_source_bfs(self, graph: nx.Graph, k: int):
+        subset = set(list(graph.nodes())[::2])
+        rows = power_adjacency(graph, k, restrict_to=subset)
+        assert list(rows) == list(graph.nodes())
+        for node, row in rows.items():
+            assert row == distance_neighborhood(graph, node, k, restrict_to=subset)
+
+
+def _nearest_ruler_reference(graph, nodes, rulers):
+    """The per-node assignment the shared helper replaced: one BFS per node,
+    the ruler with the smallest ``(distance, str)``, unreachable last."""
+    balls = {ruler: {ruler} for ruler in rulers}
+    for node in nodes:
+        if node in balls:
+            continue
+        distances = nx.single_source_shortest_path_length(graph, node)
+        balls[min(rulers, key=lambda r: (distances.get(r, float("inf")),
+                                         str(r)))].add(node)
+    return balls
+
+
+class TestNearestMember:
+    def test_ties_go_to_the_first_source(self):
+        graph = nx.path_graph(7)
+        distance, nearest = multi_source_bfs(graph, [6, 0])
+        assert distance.tolist() == [0, 1, 2, 3, 2, 1, 0]
+        assert nearest.tolist() == [0, 0, 0, 6, 6, 6, 6]
+        _, nearest = multi_source_bfs(graph, [0, 6])
+        assert nearest[3] == 0
+
+    def test_nearest_ruler_tie_and_fallback(self):
+        graph = nx.path_graph(7)
+        graph.add_edge("x", "y")  # a piece without rulers
+        balls = nearest_ruler_balls(graph, graph.nodes(), [6, 2])
+        assert list(balls) == [6, 2]
+        assert balls == {6: {5, 6}, 2: {0, 1, 2, 3, 4, "x", "y"}}
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_graphs(), st.integers(min_value=0, max_value=10_000))
+    def test_matches_per_node_reference(self, graph: nx.Graph, seed: int):
+        import random
+
+        rng = random.Random(seed)
+        nodes = list(graph.nodes())
+        rulers = rng.sample(nodes, rng.randint(1, len(nodes)))
+        members = {node for node in nodes if rng.random() < 0.7}
+        balls = nearest_ruler_balls(graph, members, rulers)
+        expected = _nearest_ruler_reference(graph, members, rulers)
+        assert list(balls) == list(expected)
+        for ruler in rulers:
+            assert list(balls[ruler]) == list(expected[ruler])
 
 
 class TestPowerGraph:
@@ -126,11 +188,6 @@ class TestInducedPowerSubgraph:
 
 
 class TestConnectivityHelpers:
-    def test_pairwise_distance_at_least(self):
-        graph = nx.path_graph(10)
-        assert pairwise_distance_at_least(graph, {0, 4, 8}, 4)
-        assert not pairwise_distance_at_least(graph, {0, 2}, 4)
-
     def test_k_connected_components_of_spread_set(self):
         graph = nx.path_graph(12)
         subset = {0, 2, 4, 9, 11}

@@ -4,9 +4,9 @@ The tentpole contract: every ``G^k`` neighbor query answered by the lazy
 tiled-BFS view must agree exactly with the materialized power graph, over
 the scenario registry's sample cells -- adversarial families included --
 for several ``k``, every tiling granularity, and restricted node subsets.
-The same kernel backs :func:`repro.graphs.power.power_adjacency`, so the
-numpy and scalar backends are differentially tested here too, including
-the dict key-order guarantee the RNG-coupled pipelines rely on.
+The same kernel backs :func:`repro.graphs.power.power_adjacency`, whose rows
+are checked against a per-source BFS here too, including the dict key-order
+guarantee the RNG-coupled pipelines rely on.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from repro.congest.network import CongestNetwork
 from repro.congest.power_view import DEFAULT_TILE_BYTES, PowerView, ReachKernel
 from repro.congest.topology import TopologySnapshot
 from repro.graphs import power_graph
-from repro.graphs import power as power_module
-from repro.graphs.power import distance_neighborhood, power_adjacency
+from repro.graphs.power import power_adjacency
 from repro.scenarios.registry import DEFAULT_REGISTRY
+from tests.conftest import distance_neighborhood
 
 #: Every engine-equivalence sample cell (spans all adversarial families).
 SAMPLE_CELLS = sorted(
@@ -30,6 +30,14 @@ SAMPLE_CELLS = sorted(
 
 def _snapshot(graph) -> TopologySnapshot:
     return TopologySnapshot(CongestNetwork(graph, id_seed=0))
+
+
+def _reference_rows(graph, k, nodes=None, restrict_to=None):
+    """``power_adjacency``'s contract, one BFS per source."""
+    nodes = list(graph.nodes()) if nodes is None else list(nodes)
+    columns = nodes if restrict_to is None else restrict_to
+    return {node: distance_neighborhood(graph, node, k, restrict_to=columns)
+            for node in nodes}
 
 
 def _expected_adjacency(graph, k):
@@ -129,27 +137,27 @@ class TestReachKernel:
         assert sum(chunks) == graph.number_of_nodes()
 
 
-class TestPowerAdjacencyBackends:
-    """The numpy and scalar paths of ``power_adjacency`` are interchangeable
-    bit-for-bit -- values *and* dict key order (the RNG coupling surface)."""
+class TestPowerAdjacencyRows:
+    """``power_adjacency`` rows, sliced from the cached ``G^k`` CSR, equal
+    the per-source BFS reference -- values *and* dict key order (the RNG
+    coupling surface)."""
 
     @pytest.mark.parametrize("cell_name", SAMPLE_CELLS)
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_backends_agree(self, cell_name, k):
+    def test_rows_match_per_source_bfs(self, cell_name, k):
         graph = DEFAULT_REGISTRY.build_cell(cell_name, seed=7)
-        scalar = power_adjacency(graph, k, backend="scalar")
-        vectorized = power_adjacency(graph, k, backend="numpy")
-        assert scalar == vectorized
-        assert list(scalar) == list(vectorized)
+        reference = _reference_rows(graph, k)
+        rows = power_adjacency(graph, k)
+        assert rows == reference
+        assert list(rows) == list(reference)
 
-    def test_backends_agree_on_restricted_nodes(self):
+    def test_restricted_nodes_match_per_source_bfs(self):
         graph = DEFAULT_REGISTRY.build_cell("dense-core-6x3x5", seed=0)
         nodes = [node for index, node in enumerate(graph.nodes())
                  if index % 2 == 0]
-        scalar = power_adjacency(graph, 2, nodes, backend="scalar")
-        vectorized = power_adjacency(graph, 2, nodes, backend="numpy")
-        assert scalar == vectorized
-        assert list(scalar) == list(nodes) == list(vectorized)
+        rows = power_adjacency(graph, 2, nodes)
+        assert rows == _reference_rows(graph, 2, nodes)
+        assert list(rows) == list(nodes)
 
     def test_matches_power_graph(self):
         graph = DEFAULT_REGISTRY.build_cell("crown-m5", seed=0)
@@ -158,19 +166,19 @@ class TestPowerAdjacencyBackends:
     @pytest.mark.parametrize("cell_name", SAMPLE_CELLS)
     @pytest.mark.parametrize("restricted", [False, True])
     def test_cached_csr_answers_like_a_cold_call(self, cell_name, restricted):
-        # The first numpy call builds the graph's G^k CSR; the second only
-        # slices it.  Both must agree with the scalar BFS, and each row must
+        # The first call builds the graph's G^k CSR; the second only slices
+        # it.  Both must agree with the per-source BFS, and each row must
         # iterate in ascending node-index order (the RNG coupling surface).
         graph = DEFAULT_REGISTRY.build_cell(cell_name, seed=5)
         nodes = None
         if restricted:
             nodes = [node for index, node in enumerate(graph.nodes())
                      if index % 3 != 1]
-        cold = power_adjacency(graph, 2, nodes, backend="numpy")
-        warm = power_adjacency(graph, 2, nodes, backend="numpy")
-        scalar = power_adjacency(graph, 2, nodes, backend="scalar")
-        assert cold == warm == scalar
-        assert list(cold) == list(warm) == list(scalar)
+        cold = power_adjacency(graph, 2, nodes)
+        warm = power_adjacency(graph, 2, nodes)
+        reference = _reference_rows(graph, 2, nodes)
+        assert cold == warm == reference
+        assert list(cold) == list(warm) == list(reference)
         order = list(graph.nodes())
         for node, row in cold.items():
             assert list(warm[node]) == list(row)
@@ -179,13 +187,13 @@ class TestPowerAdjacencyBackends:
 
     def test_cached_csr_sees_an_added_edge(self):
         graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)
-        before = power_adjacency(graph, 2, backend="numpy")
+        before = power_adjacency(graph, 2)
         far = next(node for node in graph.nodes()
                    if node != 0 and node not in before[0])
         graph.add_edge(0, far)
-        after = power_adjacency(graph, 2, backend="numpy")
+        after = power_adjacency(graph, 2)
         assert far in after[0]
-        assert after == power_adjacency(graph, 2, backend="scalar")
+        assert after == _reference_rows(graph, 2)
 
     def test_concurrent_cold_calls_agree(self):
         # Inline serving runs solves on one shared graph from several
@@ -195,11 +203,11 @@ class TestPowerAdjacencyBackends:
         import threading
 
         graph = DEFAULT_REGISTRY.build_cell("dense-core-6x3x5", seed=1)
-        expected = power_adjacency(graph, 2, backend="scalar")
+        expected = _reference_rows(graph, 2)
         results = []
 
         def call():
-            results.append(power_adjacency(graph, 2, backend="numpy"))
+            results.append(power_adjacency(graph, 2))
 
         threads = [threading.Thread(target=call) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -221,7 +229,7 @@ class TestPowerAdjacencyBackends:
         from repro.api import invalidate_fingerprint
 
         graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)
-        power_adjacency(graph, 2, backend="numpy")
+        power_adjacency(graph, 2)
         (a, b), (c, d) = next(
             ((a, b), (c, d)) for a, b in graph.edges() for c, d in graph.edges()
             if len({a, b, c, d}) == 4 and not graph.has_edge(a, c)
@@ -229,21 +237,7 @@ class TestPowerAdjacencyBackends:
         graph.remove_edges_from([(a, b), (c, d)])
         graph.add_edges_from([(a, c), (b, d)])
         invalidate_fingerprint(graph)
-        assert power_adjacency(graph, 2, backend="numpy") == \
-            power_adjacency(graph, 2, backend="scalar")
-
-    def test_auto_backend_threshold(self, monkeypatch):
-        graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)
-        monkeypatch.setattr(power_module, "_NUMPY_ADJACENCY_THRESHOLD", 1)
-        forced_numpy = power_adjacency(graph, 2)
-        monkeypatch.setattr(power_module, "_NUMPY_ADJACENCY_THRESHOLD", 10**9)
-        forced_scalar = power_adjacency(graph, 2)
-        assert forced_numpy == forced_scalar
-
-    def test_unknown_backend_rejected(self):
-        graph = DEFAULT_REGISTRY.build_cell("er-n20", seed=1)
-        with pytest.raises(ValueError, match="backend"):
-            power_adjacency(graph, 2, backend="cuda")
+        assert power_adjacency(graph, 2) == _reference_rows(graph, 2)
 
 
 class TestInt32CsrDowncast:
@@ -380,16 +374,13 @@ class TestRestrictedQueries:
         view = _snapshot(graph).power_view(2)
         assert view.adjacency_sets(iter(nodes)) == view.adjacency_sets(nodes)
 
-    def test_power_adjacency_backends_agree_with_restrict_to(self):
+    def test_power_adjacency_restrict_to_matches_per_source_bfs(self):
         graph = DEFAULT_REGISTRY.build_cell("crown-m5", seed=0)
         rows = list(graph.nodes())[:6]
         columns = list(graph.nodes())[3:]
-        scalar = power_adjacency(graph, 2, rows, restrict_to=columns,
-                                 backend="scalar")
-        vectorized = power_adjacency(graph, 2, rows, restrict_to=columns,
-                                     backend="numpy")
-        assert scalar == vectorized
-        assert list(scalar) == rows == list(vectorized)
+        actual = power_adjacency(graph, 2, rows, restrict_to=columns)
+        assert actual == _reference_rows(graph, 2, rows, restrict_to=columns)
+        assert list(actual) == rows
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_max_power_degree(self, k):

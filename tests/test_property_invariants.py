@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import check_power_sparsification, power_graph_sparsification
 from repro.core.detsparsify import det_sparsification
 from repro.core.invariants import check_sparsification
-from repro.graphs.power import distance_neighborhood, k_connected_components
+from repro.graphs.power import k_connected_components
+from tests.conftest import distance_neighborhood
 from repro.mis.shattering import is_s_connected
 from repro.ruling.greedy import greedy_mis, greedy_ruling_set
 from repro.ruling.verify import (

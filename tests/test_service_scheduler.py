@@ -100,6 +100,26 @@ class TestSubmit:
         assert second.report.output == first.report.output
         assert second.report.provenance == first.report.provenance
 
+    def test_default_cache_is_memory_only(self, tmp_path, monkeypatch):
+        """A scheduler built without ``cache=`` (as ``ServiceServer()``
+        builds one) keeps reports in memory: nothing lands under the
+        results directory, where the default persistent store lives."""
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+
+        async def scenario():
+            scheduler = SolveScheduler(inline=True, shards=1)
+            try:
+                first = await scheduler.submit(REQUEST)
+                second = await scheduler.submit(REQUEST)
+                return first, second
+            finally:
+                await scheduler.stop()
+
+        first, second = run_async(scenario())
+        assert (first.status, second.status) == ("computed", "hit")
+        assert second.tier == "memory"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_workload_is_key_error(self):
         async def scenario():
             scheduler = make_scheduler()
