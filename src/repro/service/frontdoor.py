@@ -111,18 +111,6 @@ class LoopServer:
         self._serving = True
         self._httpd.serve_forever()
 
-    async def _shutdown(self) -> None:
-        """:meth:`_on_stop`, then cancel and await every task it left, on
-        this loop: a task collected pending elsewhere would touch the loop
-        from the wrong thread."""
-        try:
-            await self._on_stop()
-        finally:
-            tasks = asyncio.all_tasks() - {asyncio.current_task()}
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-
     def stop(self) -> None:
         if self._serving:
             self._httpd.shutdown()
@@ -130,7 +118,7 @@ class LoopServer:
         if self._loop_thread.is_alive():
             try:
                 asyncio.run_coroutine_threadsafe(
-                    self._shutdown(), self._loop).result(timeout=30)
+                    self._on_stop(), self._loop).result(timeout=30)
             except Exception:  # noqa: BLE001 - best-effort teardown
                 pass
             self._loop.call_soon_threadsafe(self._loop.stop)
