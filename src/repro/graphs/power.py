@@ -35,7 +35,6 @@ Node = Hashable
 
 __all__ = [
     "bounded_bfs",
-    "domination_distance",
     "farthest_target",
     "induced_power_subgraph",
     "k_connected_components",

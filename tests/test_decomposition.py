@@ -10,7 +10,6 @@ import pytest
 from repro.decomposition import form_distance_k_ball_graph, network_decomposition
 from repro.graphs import erdos_renyi_graph, random_regular_graph, random_tree
 from repro.graphs.power import bounded_bfs
-from tests.conftest import distance_neighborhood
 from repro.ruling.greedy import greedy_ruling_set
 
 

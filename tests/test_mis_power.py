@@ -8,7 +8,6 @@ import networkx as nx
 import pytest
 
 from repro.graphs import caterpillar_graph, erdos_renyi_graph, random_regular_graph
-from tests.conftest import distance_neighborhood
 from repro.mis.kp12 import kp12_sparsify, kp12_sparsify_power
 from repro.mis.power_mis import component_size_bound_power, power_graph_mis
 from repro.mis.power_ruling import kp12_schedule, power_graph_ruling_set
