@@ -101,7 +101,6 @@ def det_sparsification(graph: nx.Graph, active: set[Node] | None = None, *,
                        node_ids: Mapping[Node, int] | None = None,
                        rng: random.Random | None = None,
                        ledger: RoundLedger | None = None,
-                       neighborhoods: Mapping[Node, set[Node]] | None = None,
                        diameter_hint: int | None = None,
                        seed_bit_samples: int = 6,
                        ) -> DetSparsificationResult:
@@ -135,15 +134,13 @@ def det_sparsification(graph: nx.Graph, active: set[Node] | None = None, *,
         diameter_hint = max(1, ecc_lower_bound(graph))
 
     if delta_a is None:
-        delta_a = (max_power_degree(graph, power, active) if neighborhoods is None
-                   else max(map(len, neighborhoods.values()), default=0))
+        delta_a = max_power_degree(graph, power, active)
     delta_a = max(1.0, float(delta_a))
 
     result = DetSparsificationResult(q=set(), ledger=ledger, method=method)
     current_active = set(active)
     r = stage_count(delta_a, n)
-    if r and neighborhoods is None:
-        neighborhoods = power_adjacency(graph, power, restrict_to=active)
+    neighborhoods = power_adjacency(graph, power, restrict_to=active) if r else {}
     gamma = _seed_bit_budget(n)
     id_bits = max(1, math.ceil(math.log2(max(2, max(node_ids.values(), default=1) + 1))))
 

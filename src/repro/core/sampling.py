@@ -92,7 +92,6 @@ def randomized_sparsification(graph: nx.Graph, active: set[Node] | None = None, 
                               use_kwise: bool = True,
                               node_ids: Mapping[Node, int] | None = None,
                               ledger: RoundLedger | None = None,
-                              neighborhoods: Mapping[Node, set[Node]] | None = None,
                               ) -> RandomizedSparsificationResult:
     """Algorithm 1 run on ``G^power`` with communication network ``G``.
 
@@ -121,8 +120,6 @@ def randomized_sparsification(graph: nx.Graph, active: set[Node] | None = None, 
         stage costs 2 rounds on ``G^power`` = ``2 * power`` rounds on ``G``
         (Lemma 5.4: sampling is local, deactivation flags travel 2 hops in
         ``G^s``).
-    neighborhoods:
-        Optional precomputed ``v -> N^power(v) ∩ A`` map.
     """
     rng = rng or random.Random(0)
     ledger = ledger if ledger is not None else RoundLedger()
@@ -131,15 +128,13 @@ def randomized_sparsification(graph: nx.Graph, active: set[Node] | None = None, 
         node_ids = {node: index + 1 for index, node in enumerate(sorted(graph.nodes(), key=str))}
 
     if delta_a is None:
-        delta_a = (max_power_degree(graph, power, active) if neighborhoods is None
-                   else max(map(len, neighborhoods.values()), default=0))
+        delta_a = max_power_degree(graph, power, active)
     delta_a = max(1.0, float(delta_a))
 
     result = RandomizedSparsificationResult(q=set(), ledger=ledger)
     current_active = set(active)
     r = stage_count(delta_a, graph.number_of_nodes())
-    if r and neighborhoods is None:
-        neighborhoods = power_adjacency(graph, power, restrict_to=active)
+    neighborhoods = power_adjacency(graph, power, restrict_to=active) if r else {}
 
     for stage in range(1, r + 1):
         events = SparsificationStageEvents(graph=graph, active=current_active,
