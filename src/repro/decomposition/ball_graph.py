@@ -78,18 +78,27 @@ class BallGraph:
         # Distance-k property: close original balls are close in the ball
         # graph.  Each pair v < w (str order) is checked once, from v: one
         # BFS of depth k around Ball(v) finds the balls within distance k.
+        # In the ball graph, w is within k of v iff a BFS of depth k - 1
+        # from v finds w or one of w's neighbors; the BFS stops as soon as
+        # every close ball is found, so a dense ball graph (an expander's)
+        # is not searched to depth k from every center.
         centers = sorted(self.centers, key=str)
         position = {center: i for i, center in enumerate(centers)}
         owner = {node: center for center in centers for node in self.balls[center]}
+        adjacency = self.graph.adj
         for v in centers:
             close = {owner[node] for node in bounded_bfs(base_graph, self.balls[v], self.k)
                      if node in owner}
             close = sorted((w for w in close if position[w] > position[v]), key=str)
-            if not close:
-                continue
-            near = nx.single_source_shortest_path_length(self.graph, v, cutoff=self.k)
+            reached, level = {v}, {v}
+            for _ in range(self.k - 1):
+                close = [w for w in close if w not in reached]
+                if not close:
+                    break
+                level = {u for x in level for u in adjacency[x] if u not in reached}
+                reached |= level
             for w in close:
-                if w not in near:
+                if w not in reached and level.isdisjoint(adjacency[w]):
                     length = nx.shortest_path_length(self.graph, v, w) \
                         if nx.has_path(self.graph, v, w) else None
                     raise AssertionError(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import networkx as nx
@@ -139,3 +140,48 @@ class TestBallGraph:
         assert nx.has_path(ball_graph.graph, 1, 9)
         assert nx.shortest_path_length(ball_graph.graph, 1, 9) <= 6
         ball_graph.validate(graph)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_validate_flags_the_pair_a_full_bfs_flags(self, k):
+        """``validate`` searches the ball graph only as deep as the close
+        balls need; with edges dropped from the ball graph it must still
+        report the first failing pair that a depth-k BFS from every
+        center reports, and pass exactly when that one passes."""
+
+        def first_failing_pair(ball_graph, graph):
+            centers = sorted(ball_graph.centers, key=str)
+            position = {center: i for i, center in enumerate(centers)}
+            owner = {node: center for center in centers
+                     for node in ball_graph.balls[center]}
+            for v in centers:
+                near = nx.single_source_shortest_path_length(ball_graph.graph, v,
+                                                             cutoff=k)
+                close = {owner[node] for node in bounded_bfs(graph, ball_graph.balls[v], k)
+                         if node in owner}
+                for w in sorted((w for w in close if position[w] > position[v]), key=str):
+                    if w not in near:
+                        return v, w
+            return None
+
+        outcomes = set()
+        for seed in range(1, 4):
+            graph, undecided, balls = self.build(k=k, n=150, degree=3, seed=seed)
+            ball_graph = form_distance_k_ball_graph(graph, balls, k=k,
+                                                    undecided=undecided)
+            edges = sorted(ball_graph.graph.edges(), key=str)
+            rng = random.Random(seed)
+            for dropped in sorted({min(count, len(edges))
+                                   for count in (0, 1, 3, len(edges) // 2)}):
+                pruned = ball_graph.graph.copy()
+                pruned.remove_edges_from(rng.sample(edges, dropped))
+                candidate = dataclasses.replace(ball_graph, graph=pruned)
+                expected = first_failing_pair(candidate, graph)
+                outcomes.add(expected is None)
+                if expected is None:
+                    candidate.validate(graph)
+                    continue
+                with pytest.raises(AssertionError) as error:
+                    candidate.validate(graph)
+                assert str(error.value).startswith(
+                    f"balls of {expected[0]} and {expected[1]} are within distance {k}")
+        assert outcomes == {True, False}
