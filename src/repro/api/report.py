@@ -119,15 +119,20 @@ def _streaming_fingerprint(graph: nx.Graph) -> str:
     prefix): the two forms are distinct hash functions and are never
     expected to collide across the size threshold.
     """
-    node_acc = 0
-    for node in graph.nodes():
-        item = hashlib.sha256(f"v:{node!r};".encode()).digest()
-        node_acc = (node_acc + int.from_bytes(item, "big")) % _HASH_MODULUS
-    edge_acc = 0
-    for u, v in graph.edges():
-        a, b = sorted((u, v), key=str)
-        item = hashlib.sha256(f"e:{a!r}|{b!r};".encode()).digest()
-        edge_acc = (edge_acc + int.from_bytes(item, "big")) % _HASH_MODULUS
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+
+    def edge_items():
+        for u, v in graph.edges():
+            if str(v) < str(u):  # endpoints in str order, as ``sorted`` would
+                u, v = v, u
+            yield f"e:{u!r}|{v!r};"
+
+    # The sums reduced once at the end: the same residues as reducing
+    # after every addition.
+    node_acc = sum(from_bytes(sha256(f"v:{node!r};".encode()).digest(), "big")
+                   for node in graph.nodes()) % _HASH_MODULUS
+    edge_acc = sum(from_bytes(sha256(item.encode()).digest(), "big")
+                   for item in edge_items()) % _HASH_MODULUS
     digest = hashlib.sha256()
     digest.update(
         f"merkle;n={graph.number_of_nodes()};m={graph.number_of_edges()};".encode())

@@ -79,8 +79,9 @@ class _GraphStructure:
         index_of: dict[Node, int] = {label: i for i, label in enumerate(labels)}
         indptr: list[int] = [0]
         neighbor_indices: list[int] = []
+        adjacency = graph._adj  # ``graph.neighbors`` without the call per node
         for label in labels:
-            neighbor_indices.extend(map(index_of.__getitem__, graph.neighbors(label)))
+            neighbor_indices.extend(map(index_of.__getitem__, adjacency[label]))
             indptr.append(len(neighbor_indices))
 
         self.n = len(labels)

@@ -146,19 +146,30 @@ def power_graph_sparsification(graph: nx.Graph, k: int, *,
 
 
 def _induced_copy(graph: nx.Graph, nodes) -> nx.Graph:
-    """``graph.subgraph(nodes).copy()``, with the same node and adjacency
-    order (the local run's node order feeds its diameter estimate and its
-    derandomizer's sums), read from ``graph``'s own dicts rather than
-    through the subgraph view's per-edge filters."""
+    """``G[nodes]`` as a graph of its own, in the node and adjacency order
+    of ``graph.subgraph(nodes).copy()`` for the same ``nodes``: the local
+    run's node order feeds its diameter estimate, so its round count.
+    Below half of ``graph``'s nodes that order is the layout of a set
+    built from ``nodes``, which among labels colliding in its hash table
+    depends on the order ``nodes`` lists them.  Unlike ``copy()``, and like
+    the subgraph view, the node and edge attribute dicts are ``graph``'s
+    own: the local run reads none of them.  Filled straight into
+    networkx's dicts, without the view's per-edge filters."""
     order = list(graph.subgraph(nodes))
     position = {node: i for i, node in enumerate(order)}
+    adjacency, attributes = graph._adj, graph._node
     local = graph.__class__()
     local.graph.update(graph.graph)
-    local.add_nodes_from((node, graph.nodes[node].copy()) for node in order)
+    local_adjacency, local_attributes = local._adj, local._node
+    for node in order:
+        local_adjacency[node] = {}
+        local_attributes[node] = attributes[node]
     # Each edge from its earlier end: the first time ``copy`` meets it.
-    local.add_edges_from((node, other, data.copy()) for i, node in enumerate(order)
-                         for other, data in graph._adj[node].items()
-                         if position.get(other, -1) >= i)
+    for i, node in enumerate(order):
+        row = local_adjacency[node]
+        for other, data in adjacency[node].items():
+            if position.get(other, -1) >= i:
+                row[other] = local_adjacency[other][node] = data
     return local
 
 

@@ -113,6 +113,38 @@ class TestSeedPolicy:
         assert graph_fingerprint(one) == graph_fingerprint(two)
         assert graph_fingerprint(one) != graph_fingerprint(nx.Graph([(1, 2)]))
 
+    def test_streaming_fingerprint_matches_its_definition(self):
+        """The large-graph digest is a cache key: its value is pinned
+        against the per-item definition, on labels whose ``str`` order
+        differs from their natural order."""
+        import hashlib
+
+        from repro.api.report import _streaming_fingerprint
+
+        def reference(graph):
+            node_acc = edge_acc = 0
+            for node in graph.nodes():
+                item = hashlib.sha256(f"v:{node!r};".encode()).digest()
+                node_acc = (node_acc + int.from_bytes(item, "big")) % 2 ** 256
+            for u, v in graph.edges():
+                a, b = sorted((u, v), key=str)
+                item = hashlib.sha256(f"e:{a!r}|{b!r};".encode()).digest()
+                edge_acc = (edge_acc + int.from_bytes(item, "big")) % 2 ** 256
+            digest = hashlib.sha256(f"merkle;n={graph.number_of_nodes()};"
+                                    f"m={graph.number_of_edges()};".encode())
+            digest.update(node_acc.to_bytes(32, "big"))
+            digest.update(edge_acc.to_bytes(32, "big"))
+            return digest.hexdigest()[:16]
+
+        mixed = nx.Graph([(9, 10), (10, "a"), ((1, 2), 9), ("b", "a"), (3, 3)])
+        for graph in (mixed, nx.random_regular_graph(4, 200, seed=1)):
+            reordered = nx.Graph()
+            reordered.add_nodes_from(reversed(list(graph.nodes())))
+            reordered.add_edges_from((v, u) for u, v in reversed(list(graph.edges())))
+            assert _streaming_fingerprint(graph) == reference(graph)
+            assert _streaming_fingerprint(reordered) == reference(graph)
+        assert _streaming_fingerprint(mixed) == "64fd67c6023960ba"
+
 
 class TestReportShape:
     def test_to_row_is_json_serialisable(self, workload):

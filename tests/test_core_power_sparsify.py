@@ -100,6 +100,31 @@ class TestLowDiameterVariant:
         labels = result.ledger.rounds_by_label()
         assert "network-decomposition" in labels
 
+    @pytest.mark.parametrize("share", [0.2, 0.8])
+    def test_local_graph_is_the_induced_copy(self, share):
+        """The cluster-local graph has ``subgraph(nodes).copy()``'s node
+        order, adjacency order and edges (self-loops included) whether the
+        subgraph view orders its nodes by the set (few nodes) or by the
+        graph (many), and shares the attribute dicts with ``graph``."""
+        from repro.core.power_sparsify import _induced_copy
+        from repro.graphs.power import bounded_bfs
+
+        rng = random.Random(7)
+        for seed in range(3):
+            graph = erdos_renyi_graph(90, 0.06, seed=seed)
+            graph.add_edge(5, 5, weight=2)
+            graph.nodes[5]["role"] = "hub"
+            sources = rng.sample(sorted(graph.nodes()), int(share * 30))
+            nodes = bounded_bfs(graph, sources, 1)
+            local, reference = _induced_copy(graph, nodes), graph.subgraph(nodes).copy()
+            assert list(local) == list(reference)
+            assert all(list(local.adj[node]) == list(reference.adj[node])
+                       for node in reference)
+            assert list(local.edges(data=True)) == list(reference.edges(data=True))
+            if 5 in local:
+                assert local.nodes[5] is graph.nodes[5]
+                assert local.edges[5, 5] is graph.edges[5, 5]
+
 
 class TestSparsificationCheckHelpers:
     def test_check_reports_violations(self):
