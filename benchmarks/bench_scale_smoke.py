@@ -41,8 +41,9 @@ GUARD = (("det-sparsify", {}), ("randomized-sparsify", {}),
          ("ball-graph", {"k": K}), ("sparsify-low-diameter", {}),
          ("network-decomposition", {}))
 GUARD_N = 100_000
-#: Wall-clock budget for the five guard solves together: 3x the ~20 s
-#: they take on a 2-vCPU host.
+#: Wall-clock budget for the five guard solves together: 4x the
+#: 12.8-15.0 s they took in three runs on a 2-vCPU host (a per-node BFS
+#: makes ``det-sparsify`` alone take 100 s there).
 GUARD_BUDGET_S = 60.0
 
 
