@@ -151,10 +151,11 @@ def _induced_copy(graph: nx.Graph, nodes) -> nx.Graph:
     run's node order feeds its diameter estimate, so its round count.
     Below half of ``graph``'s nodes that order is the layout of a set
     built from ``nodes``, which among labels colliding in its hash table
-    depends on the order ``nodes`` lists them.  Unlike ``copy()``, and like
-    the subgraph view, the node and edge attribute dicts are ``graph``'s
-    own: the local run reads none of them.  Filled straight into
-    networkx's dicts, without the view's per-edge filters."""
+    depends on the order ``nodes`` lists them: the same ball listed in
+    another order can give another round count.  Unlike ``copy()``, and
+    like the subgraph view, the node and edge attribute dicts are
+    ``graph``'s own: the local run reads none of them.  Filled straight
+    into networkx's dicts, without the view's per-edge filters."""
     order = list(graph.subgraph(nodes))
     position = {node: i for i, node in enumerate(order)}
     adjacency, attributes = graph._adj, graph._node
@@ -221,6 +222,8 @@ def power_graph_sparsification_low_diameter(graph: nx.Graph, k: int, *,
             local_active = globally_active & cluster_nodes
             if not local_active:
                 continue
+            # The cluster and its k-border in BFS order, cluster first: that
+            # order fixes the local graph's node order (see _induced_copy).
             local_graph = _induced_copy(graph, bounded_bfs(graph, cluster_nodes, k))
             cluster_ledger = RoundLedger(bandwidth_bits=ledger.bandwidth_bits)
             local = power_graph_sparsification(local_graph, k, q0=local_active,
