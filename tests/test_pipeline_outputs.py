@@ -13,7 +13,9 @@ derandomizer, an array BeepingMIS step -- must reproduce them bit for bit.
 The same grid pins ``ball-graph`` and ``sparsify-low-diameter``, the
 single-stage ``det-sparsify`` and ``randomized-sparsify`` (their ``power``
 takes the place of ``k``) and ``network-decomposition`` (no ``k``), whose
-distance reads go through the set-source BFS and the ``G^s`` CSR.
+distance reads go through the set-source BFS and the ``G^s`` CSR, and the
+row-reading MIS family: ``kp12-sparsify`` and ``luby-power`` on the grid,
+``luby`` (no ``k``) on the same cells.
 
 The snapshot lives in ``tests/pipeline_outputs.json``; regenerate it with::
 
@@ -37,11 +39,12 @@ FIXTURE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 CELLS = ("regular-n128-d6", "er-n48", "grid-8x8")
 ALGORITHMS = ("sparsify", "det-power-ruling", "power-mis", "power-ruling",
               "beeping-power", "ball-graph", "sparsify-low-diameter",
-              "det-sparsify", "randomized-sparsify")
+              "det-sparsify", "randomized-sparsify", "kp12-sparsify",
+              "luby-power")
 #: Algorithms whose power is called ``power`` rather than ``k``.
 POWER_KEYED = ("det-sparsify", "randomized-sparsify")
 #: Algorithms that take no power ``k`` (keyed ``k=None``).
-PLAIN_ALGORITHMS = ("shattering-mis", "network-decomposition")
+PLAIN_ALGORITHMS = ("shattering-mis", "network-decomposition", "luby")
 SEEDS = (1, 2, 3)
 POWERS = (2, 3)
 #: Extra ``(cell, algorithm, k)`` inputs beyond the grid above.
