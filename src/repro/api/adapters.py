@@ -33,7 +33,7 @@ from repro.decomposition.ball_graph import form_distance_k_ball_graph
 from repro.decomposition.network_decomposition import network_decomposition
 from repro.graphs.power import nearest_ruler_balls
 from repro.mis.beeping import beeping_mis, beeping_mis_power, simulate_beeping_mis
-from repro.mis.kp12 import kp12_sparsify_power
+from repro.mis.kp12 import kp12_sparsify
 from repro.mis.luby import LubyMISNode, luby_mis, luby_mis_power, simulate_luby_mis
 from repro.mis.power_mis import power_graph_mis
 from repro.mis.power_ruling import power_graph_ruling_set
@@ -215,7 +215,7 @@ def _run_randomized_sparsify(graph: nx.Graph, ctx: SolveContext) -> AdapterOutco
 
 
 def _run_kp12_sparsify(graph: nx.Graph, ctx: SolveContext) -> AdapterOutcome:
-    result = kp12_sparsify_power(graph, ctx["k"], ctx["f"], rng=ctx.rng)
+    result = kp12_sparsify(graph, ctx["k"], ctx["f"], rng=ctx.rng)
     return AdapterOutcome(
         output=result.q, rounds=result.rounds,
         metrics={"stages": result.stages, "f": result.f},

@@ -11,7 +11,8 @@ are exactly the closed forms proven in the paper.
 The :class:`RoundLedger` therefore lets an algorithm perform its computation
 at the graph level while *charging* rounds for every communication step it
 performs, with one labelled entry per primitive invocation (a run of
-seed bits fixed back to back is one entry).  Benchmarks sum
+seed bits fixed back to back, or of rounds simulated on ``G^s[Q]``, is one
+entry).  Benchmarks sum
 the ledger to obtain the algorithm's round complexity and can break it down
 by phase (pre-shattering, sparsification stages, network decomposition, ...).
 
@@ -87,11 +88,15 @@ class RoundLedger:
         """Lemma 4.2 (Broadcast): ``O(s + m * hat_delta / bandwidth)`` rounds."""
         return self.charge(s + math.ceil(message_bits * hat_delta / self.bandwidth_bits), label)
 
+    def _q_message_rounds(self, s: int, message_bits: int, id_bits: int,
+                          hat_delta: int) -> int:
+        payload = (message_bits + id_bits) * hat_delta * hat_delta
+        return s + math.ceil(payload / self.bandwidth_bits)
+
     def charge_q_message(self, s: int, message_bits: int, id_bits: int, hat_delta: int,
                          label: str = "q-message") -> int:
         """Lemma 4.2 (Q-message): ``O(s + (m + a) * hat_delta^2 / bandwidth)`` rounds."""
-        payload = (message_bits + id_bits) * hat_delta * hat_delta
-        return self.charge(s + math.ceil(payload / self.bandwidth_bits), label)
+        return self.charge(self._q_message_rounds(s, message_bits, id_bits, hat_delta), label)
 
     def charge_convergecast(self, diameter: int, message_bits: int,
                             label: str = "convergecast") -> int:
@@ -101,9 +106,12 @@ class RoundLedger:
         return self.charge(diameter + extra, label)
 
     def charge_simulated_round(self, s: int, message_bits: int, id_bits: int,
-                               hat_delta: int, label: str = "simulate-Gs[Q]") -> int:
-        """Lemma 4.6: one round of a CONGEST algorithm on ``G^s[Q]``."""
-        return self.charge_q_message(s, message_bits, id_bits, hat_delta, label=label)
+                               hat_delta: int, label: str = "simulate-Gs[Q]",
+                               rounds: int = 1) -> int:
+        """Lemma 4.6: ``rounds`` rounds of a CONGEST algorithm on ``G^s[Q]``,
+        one Q-message call each, charged as one entry."""
+        return self.charge(max(0, rounds) * self._q_message_rounds(
+            s, message_bits, id_bits, hat_delta), label)
 
     def charge_seed_bit(self, diameter: int, label: str = "fix-seed-bit",
                         bits: int = 1) -> int:

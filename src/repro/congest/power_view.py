@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Node = Hashable
 
-__all__ = ["PowerView", "ReachKernel", "row_hits"]
+__all__ = ["PowerView", "ReachKernel", "row_entries", "row_hits"]
 
 #: Default peak-memory budget for one BFS tile (boolean frontier state).
 DEFAULT_TILE_BYTES = 8 << 20
@@ -61,6 +61,17 @@ def row_hits(indptr: "np.ndarray", indices: "np.ndarray",
     hits = np.zeros(len(indices) + 1, dtype=np.int64)
     np.cumsum(mask[indices], out=hits[1:])
     return hits[indptr[1:]] - hits[indptr[:-1]]
+
+
+def row_entries(indptr: "np.ndarray", indices: "np.ndarray",
+                rows: "np.ndarray") -> "np.ndarray":
+    """The rows ``rows`` of a CSR, concatenated in the order given."""
+    import numpy as np
+
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    return indices[np.repeat(starts - (np.cumsum(counts) - counts), counts)
+                   + np.arange(int(counts.sum()))]
 
 
 class ReachKernel:

@@ -37,7 +37,8 @@ import networkx as nx
 from repro.congest.bfs import BFSTree, build_bfs_tree
 from repro.congest.cost import RoundLedger
 from repro.congest.message import DEFAULT_BANDWIDTH_BITS, id_bits as id_bit_length
-from repro.graphs.power import induced_power_subgraph, max_power_degree, power_adjacency
+from repro.congest.topology import graph_csr
+from repro.graphs.power import induced_power_subgraph, max_power_degree
 
 Node = Hashable
 
@@ -80,6 +81,32 @@ class BFSTrees(Mapping[Node, BFSTree]):
         return len(self._roots)
 
 
+class QNeighborhoods(Mapping[Node, set[Node]]):
+    """``v -> N^s(v, Q)`` for every node ``v`` of ``G``, each row read off
+    the graph's cached ``G^s`` CSR (``indptr``, ``indices`` over the node
+    indices of ``labels``) and masked to ``Q`` (``in_q``) on access."""
+
+    def __init__(self, graph: nx.Graph, q: set[Node], s: int) -> None:
+        import numpy as np
+
+        structure, self.indptr, self.indices = graph_csr(graph, s)
+        self.labels, self.index_of = structure.labels, structure.index_of
+        self.in_q = np.zeros(structure.n, dtype=bool)
+        self.in_q[np.fromiter(map(self.index_of.__getitem__, q), dtype=np.int64,
+                              count=len(q))] = True
+
+    def __getitem__(self, node: Node) -> set[Node]:
+        i = self.index_of[node]
+        row = self.indices[self.indptr[i]:self.indptr[i + 1]]
+        return set(map(self.labels.__getitem__, row[self.in_q[row]].tolist()))
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
 @dataclass
 class CommunicationTools:
     """The distributed knowledge built by Lemma 4.1 for a sparse set ``Q``.
@@ -95,7 +122,8 @@ class CommunicationTools:
         the tree knows its ancestor / descendants -- the :class:`BFSTree`
         structure carries exactly that), built on first access.
     q_neighborhoods:
-        ``v -> N^s(v, Q)`` for every node ``v`` of ``G``.
+        ``v -> N^s(v, Q)`` for every node ``v`` of ``G``, read off the
+        ``G^s`` CSR row by row (:class:`QNeighborhoods`).
     hat_delta:
         ``max_v d_{s-1}(v, Q)`` (the sparsity parameter governing the cost of
         Lemma 4.2) and ``hat_delta_s = max_v d_s(v, Q)``.
@@ -109,7 +137,7 @@ class CommunicationTools:
     s: int
     node_ids: dict[Node, int]
     trees: Mapping[Node, BFSTree]
-    q_neighborhoods: dict[Node, set[Node]]
+    q_neighborhoods: QNeighborhoods
     hat_delta: int
     hat_delta_s: int
     bandwidth_bits: int
@@ -127,11 +155,6 @@ class CommunicationTools:
     def virtual_graph(self) -> nx.Graph:
         """The virtual graph ``G^s[Q]`` (Definition 4.4)."""
         return induced_power_subgraph(self.graph, self.s, self.q)
-
-    def virtual_adjacency(self) -> dict[Node, set[Node]]:
-        """``G^s[Q]`` as ``{v: N^s(v) ∩ Q for v in Q}``, read off
-        :attr:`q_neighborhoods` without building a graph."""
-        return {node: self.q_neighborhoods[node] for node in self.q}
 
 
 def learn_distance_ids(graph: nx.Graph, q: set[Node], s: int, *,
@@ -154,8 +177,9 @@ def learn_distance_ids(graph: nx.Graph, q: set[Node], s: int, *,
     a_bits = max(1, math.ceil(math.log2(max(2, max(node_ids.values(), default=2) + 1))))
 
     # Centralized construction of what the iterations of Lemma 4.1 deliver,
-    # read off the cached G^level CSRs (set order is free here).
-    q_neighborhoods = power_adjacency(graph, s, restrict_to=q)
+    # read off the cached G^level CSRs; the G^s one is built first, so the
+    # last degree count below reads it.
+    q_neighborhoods = QNeighborhoods(graph, q, s)
     # hat_delta_j = max_v d_j(v, Q) for j = 0..s (d_0 = 0: N^0 is empty).
     hat_deltas = [max_power_degree(graph, level, q) for level in range(s + 1)]
 
@@ -246,20 +270,19 @@ class PowerSubgraphSimulation:
 
     def charge_rounds(self, algorithm_rounds: int, *, message_bits: int | None = None,
                       label: str = "simulate-Gs[Q]") -> int:
-        """Charge the cost of ``algorithm_rounds`` rounds of a CONGEST algorithm on ``G^s[Q]``."""
+        """Charge the cost of ``algorithm_rounds`` rounds of a CONGEST algorithm
+        on ``G^s[Q]`` (every round costs the same, so as one entry)."""
         bits = message_bits if message_bits is not None else self.tools.bandwidth_bits
-        total = 0
-        for _ in range(max(0, algorithm_rounds)):
-            total += self.tools.ledger.charge_simulated_round(
-                self.tools.s, bits, self.tools.id_bits, self.tools.hat_delta, label=label)
-        return total
+        return self.tools.ledger.charge_simulated_round(
+            self.tools.s, bits, self.tools.id_bits, self.tools.hat_delta, label=label,
+            rounds=algorithm_rounds)
 
 
 def simulate_on_power_subgraph(tools: CommunicationTools) -> PowerSubgraphSimulation:
     """Lemma 4.6: prepare the simulation of an arbitrary algorithm on ``G^s[Q]``.
 
     The returned handle exposes the virtual graph (a networkx graph built
-    on first access; ``tools.virtual_adjacency()`` gives it without the
+    on first access; ``tools.q_neighborhoods`` gives its rows without the
     graph) so the algorithm can be run on it directly, and a
     ``charge_rounds`` method implementing the
     ``O((s + hat_delta^2) * T_A)`` slowdown of the lemma.

@@ -202,6 +202,7 @@ def multi_source_bfs(graph: nx.Graph, sources: Iterable[Node]):
     """
     import numpy as np
 
+    from repro.congest.power_view import row_entries
     from repro.congest.topology import _structure_of
 
     structure = _structure_of(graph)
@@ -220,13 +221,9 @@ def multi_source_bfs(graph: nx.Graph, sources: Iterable[Node]):
     level = 0
     while len(frontier):
         level += 1
-        starts = indptr[frontier].astype(np.int64)
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
         # Gather every frontier node's neighbor run in one pass.
-        reached = neighbors[np.repeat(starts - (np.cumsum(counts) - counts), counts)
-                            + np.arange(total)].astype(np.int64)
-        owners = np.repeat(rank[frontier], counts)
+        reached = row_entries(indptr, neighbors, frontier).astype(np.int64)
+        owners = np.repeat(rank[frontier], indptr[frontier + 1] - indptr[frontier])
         fresh = distance[reached] < 0
         reached, owners = reached[fresh], owners[fresh]
         # The smallest owner rank of each fresh node: the first of its run

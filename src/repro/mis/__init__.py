@@ -28,7 +28,7 @@ from repro.mis.beeping import (
     beeping_mis_power,
     simulate_beeping_mis,
 )
-from repro.mis.kp12 import kp12_sparsify, kp12_sparsify_power
+from repro.mis.kp12 import kp12_sparsify
 from repro.mis.luby import LubyMISNode, luby_mis, luby_mis_power, simulate_luby_mis
 from repro.mis.power_mis import PowerMISResult, power_graph_mis
 from repro.mis.power_ruling import PowerRulingSetResult, power_graph_ruling_set
@@ -52,7 +52,6 @@ __all__ = [
     "component_size_bound",
     "is_s_connected",
     "kp12_sparsify",
-    "kp12_sparsify_power",
     "luby_mis",
     "luby_mis_power",
     "power_graph_mis",

@@ -65,6 +65,7 @@ import networkx as nx
 from repro.congest.cost import RoundLedger
 from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeAlgorithm
+from repro.congest.power_view import row_entries
 from repro.congest.simulator import SimulationResult, Simulator
 
 Node = Hashable
@@ -190,14 +191,6 @@ class BeepingMISProcess:
         index_of, probability = self._index_of, self._probability
         return {node: float(probability[index_of[node]]) for node in self.candidates}
 
-    def _row_entries(self, rows):
-        """The concatenated CSR rows of the node indices ``rows``."""
-        np = self._np
-        starts = self._indptr[rows]
-        counts = self._indptr[rows + 1] - starts
-        return self._indices[np.repeat(starts - (np.cumsum(counts) - counts), counts)
-                             + np.arange(int(counts.sum()))]
-
     def step(self) -> set[Node]:
         """Run one step; returns the nodes that joined the MIS in this step."""
         np = self._np
@@ -219,7 +212,7 @@ class BeepingMISProcess:
         # Marked nodes beep: scatter their rows (the adjacency is symmetric).
         # A marked node that heard no marked neighbor joins.
         heard = np.zeros(len(self._labels), dtype=bool)
-        heard[self._row_entries(marked_index)] = True
+        heard[row_entries(self._indptr, self._indices, marked_index)] = True
         joins = ~heard[marked_index]
         joiners = set(compress(marked_order, joins.tolist()))
         joined = {node for node in marked if node in joiners}
@@ -235,7 +228,7 @@ class BeepingMISProcess:
             joined_index = marked_index[joins]
             decided = np.zeros(len(self._labels), dtype=bool)
             decided[joined_index] = True
-            decided[self._row_entries(joined_index)] = True
+            decided[row_entries(self._indptr, self._indices, joined_index)] = True
             self.undecided -= set(map(self._labels.__getitem__,
                                       index[decided[index]].tolist()))
         return joined

@@ -13,6 +13,17 @@ factor ``f`` instead of 2: in stage ``j`` active nodes join ``Q`` with
 probability ``~ f^j log n / Delta_H``; nodes that are sampled or have a
 sampled neighbor become inactive; after the last stage the remaining active
 nodes join ``Q``.
+
+``H = G^k[X]`` is read as rows of the graph's cached ``G^k`` CSR (``G``'s
+own at ``k = 1``); a stage's beeps are one scatter of the sampled rows.
+The coin flips stay per node under the *draw-order contract* of
+:mod:`repro.mis.beeping`, which keeps every run bit-identical to the
+set-based pass it replaced (``tests/test_kp12_luby_oracle.py`` keeps that
+pass as the oracle): each stage draws one ``rng.random()`` per active node
+in the iteration order of the ``active`` set, which is built from the
+candidates as before (a set of a dict of them, then copied) and only shrinks
+by ``-=``; ``q`` grows by ``|=`` in the same order, because the ruling
+chain of Corollary 1.3 draws its next stage in ``q``'s order.
 """
 
 from __future__ import annotations
@@ -20,17 +31,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping
+from itertools import compress
+from typing import Hashable, Iterable
 
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
+from repro.congest.power_view import row_entries, row_hits
+from repro.congest.topology import graph_csr
 from repro.core.events import log_n
-from repro.graphs.power import power_adjacency
 
 Node = Hashable
 
-__all__ = ["KP12Result", "kp12_sparsify", "kp12_sparsify_power"]
+__all__ = ["KP12Result", "kp12_sparsify"]
 
 
 @dataclass
@@ -47,36 +60,34 @@ class KP12Result:
         return self.ledger.total_rounds
 
 
-def kp12_sparsify(adjacency: Mapping[Node, set[Node]], f: float, n: int, *,
+def kp12_sparsify(graph: nx.Graph, k: int, f: float, *,
+                  candidates: Iterable[Node] | None = None,
                   rng: random.Random | None = None,
-                  ledger: RoundLedger | None = None,
-                  rounds_per_stage: int = 1,
-                  delta_h: int | None = None) -> KP12Result:
-    """One KP12 pass over an explicit adjacency structure.
+                  ledger: RoundLedger | None = None) -> KP12Result:
+    """One KP12 pass on ``G^k[candidates]`` with communication network ``G``.
 
-    Parameters
-    ----------
-    adjacency:
-        ``node -> neighbors`` in ``H`` (symmetric).
-    f:
-        The degree-reduction target: the output degree is ``O(f log n)``.
-    n:
-        The global number of nodes (used in the ``log n`` factors and the
-        w.h.p. guarantees).
-    rounds_per_stage:
-        Communication rounds charged per stage (1 for ``H = G``, ``k`` when
-        the beeps must be forwarded ``k`` hops).
-    delta_h:
-        Upper bound on the maximum degree of ``H`` (computed when omitted).
+    ``f`` is the degree-reduction target (the output degree is
+    ``O(f log n)``, ``n`` the node count of ``G``); ``candidates`` default
+    to every node, and the draws follow their iteration order.  The beeps
+    of sampled nodes are forwarded for ``k`` hops, so each stage costs
+    ``k`` rounds (Lemma 8.2 without IDs: beeping nodes do not need to
+    listen, so a plain 1-bit flood suffices).
     """
+    import numpy as np
+
+    if k < 1:
+        raise ValueError("k must be >= 1")
     rng = rng or random.Random(0)
     ledger = ledger if ledger is not None else RoundLedger()
     f = max(2.0, float(f))
-    nodes = set(adjacency)
-    if delta_h is None:
-        delta_h = max((len(neighbors) for neighbors in adjacency.values()), default=0)
-    delta_h = max(1, delta_h)
-    logn = log_n(n)
+    nodes = set(dict.fromkeys(set(graph.nodes()) if candidates is None else candidates))
+    structure, indptr, indices = graph_csr(graph, k)
+    index_of = structure.index_of
+    in_nodes = np.zeros(structure.n, dtype=bool)
+    in_nodes[np.fromiter(map(index_of.__getitem__, nodes), dtype=np.int64,
+                         count=len(nodes))] = True
+    delta_h = max(1, int(row_hits(indptr, indices, in_nodes)[in_nodes].max(initial=0)))
+    logn = log_n(graph.number_of_nodes())
 
     stages = max(1, math.ceil(math.log(max(2.0, delta_h / logn), f)))
     active = set(nodes)
@@ -86,33 +97,18 @@ def kp12_sparsify(adjacency: Mapping[Node, set[Node]], f: float, n: int, *,
         if not active:
             break
         probability = min(1.0, (f ** stage) * logn / delta_h)
-        sampled = {node for node in active if rng.random() < probability}
+        order = list(active)
+        sampled = {node for node in order if rng.random() < probability}
         q |= sampled
-        decided = set(sampled)
-        for node in sampled:
-            decided |= adjacency[node] & active
-        active -= decided
-        ledger.charge(rounds_per_stage, label=f"kp12-stage-{stage}")
+        # Sampled nodes beep: they and every node in their rows go inactive.
+        beeped = np.fromiter(map(index_of.__getitem__, sampled), dtype=np.int64,
+                             count=len(sampled))
+        silenced = np.zeros(structure.n, dtype=bool)
+        silenced[beeped] = True
+        silenced[row_entries(indptr, indices, beeped)] = True
+        active -= set(compress(order, silenced[np.fromiter(
+            map(index_of.__getitem__, order), dtype=np.int64, count=len(order))].tolist()))
+        ledger.charge(k, label=f"kp12-stage-{stage}")
 
     q |= active  # leftover low-degree nodes join Q
     return KP12Result(q=q, stages=stages, f=f, ledger=ledger)
-
-
-def kp12_sparsify_power(graph: nx.Graph, k: int, f: float, *,
-                        candidates: Iterable[Node] | None = None,
-                        rng: random.Random | None = None,
-                        ledger: RoundLedger | None = None) -> KP12Result:
-    """KP12 on ``G^k[candidates]`` with communication network ``G``.
-
-    The beeps of sampled nodes are forwarded for ``k`` hops, so each stage
-    costs ``k`` rounds (Lemma 8.2 without IDs: beeping nodes do not need to
-    listen, so a plain 1-bit flood suffices).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rng = rng or random.Random(0)
-    ledger = ledger if ledger is not None else RoundLedger()
-    nodes = set(graph.nodes()) if candidates is None else set(candidates)
-    adjacency = power_adjacency(graph, k, nodes)
-    return kp12_sparsify(adjacency, f, graph.number_of_nodes(), rng=rng, ledger=ledger,
-                         rounds_per_stage=k)

@@ -19,21 +19,35 @@ Two implementations are provided:
   message-passing simulator (``k = 1`` only).
 * :func:`luby_mis` / :func:`luby_mis_power` -- graph-level executions with
   round accounting, usable for any ``k``.
+
+The graph-level step reads ``G^k`` as rows of the graph's cached CSR
+(``G``'s own at ``k = 1``): the local-minimum test compares priorities
+along every row entry between undecided nodes, and the winners' rows are
+one scatter into the decided mask.  The priorities stay per node under the
+*draw-order contract* of :mod:`repro.mis.beeping`, which keeps every run
+bit-identical to the set-based loop it replaced
+(``tests/test_kp12_luby_oracle.py`` keeps that loop as the oracle): each
+step draws one ``rng.randrange`` per undecided node in the iteration order
+of the ``undecided`` set, which is built as before (a set of a dict of the
+nodes) and only shrinks by ``-=``; ``mis`` grows by ``|=`` of the winners
+in that order.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from itertools import compress
+from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
 from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeAlgorithm
+from repro.congest.power_view import row_entries
 from repro.congest.simulator import SimulationResult, Simulator
-from repro.graphs.power import power_adjacency
+from repro.congest.topology import graph_csr
 
 Node = Hashable
 
@@ -74,30 +88,53 @@ class LubyResult:
         return self.ledger.total_rounds
 
 
-def _luby_on_adjacency(adjacency: Mapping[Node, set[Node]], rng: random.Random,
-                       priority_space: int) -> tuple[set[Node], int]:
-    """Run Luby's algorithm on an explicit adjacency structure.
+def _luby_rows(graph: nx.Graph, k: int, keys: Iterable[Node],
+               rng: random.Random) -> tuple[set[Node], int]:
+    """Luby's algorithm on ``G^k[keys]`` over the graph's cached CSR rows.
 
-    Returns the MIS and the number of steps used.  The adjacency must be
-    symmetric; nodes absent from it are treated as isolated (they join the
-    MIS immediately).
+    Returns the MIS and the number of steps used.  The draws follow the
+    module's draw-order contract: ``undecided`` is a set of a dict of
+    ``keys``, one priority per undecided node in its iteration order.
     """
-    undecided = set(adjacency)
+    import numpy as np
+
+    structure, indptr, indices = graph_csr(graph, k)
+    labels, index_of = structure.labels, structure.index_of
+    space = shared_priority_space(max(2, graph.number_of_nodes()))
+    dtype = np.int64 if space <= 1 << 63 else object
+    undecided = set(dict.fromkeys(keys))
+    in_undecided = np.zeros(structure.n, dtype=bool)
+    priority = np.zeros(structure.n, dtype=dtype)
     mis: set[Node] = set()
     steps = 0
     while undecided:
         steps += 1
-        priorities = {node: (rng.randrange(priority_space), str(node)) for node in undecided}
-        winners = set()
-        for node in undecided:
-            neighbors = adjacency[node] & undecided
-            if all(priorities[node] < priorities[other] for other in neighbors):
-                winners.add(node)
+        order = list(undecided)
+        index = np.fromiter(map(index_of.__getitem__, order), dtype=np.int64,
+                            count=len(order))
+        priority[index] = [rng.randrange(space) for _ in order]
+        in_undecided[index] = True
+        # A node wins iff its (priority, str(node)) is below that of every
+        # undecided node in its row: compare along each row entry.
+        owners = np.repeat(index, indptr[index + 1] - indptr[index])
+        others = row_entries(indptr, indices, index)
+        live = in_undecided[others]
+        owners, others = owners[live], others[live]
+        mine, theirs = priority[owners], priority[others]
+        below = mine < theirs
+        for entry in np.flatnonzero(mine == theirs).tolist():
+            below[entry] = str(labels[owners[entry]]) < str(labels[others[entry]])
+        beaten = np.zeros(structure.n, dtype=bool)
+        beaten[owners[~below]] = True
+        winners = set(compress(order, (~beaten[index]).tolist()))
         mis |= winners
-        decided = set(winners)
-        for node in winners:
-            decided |= adjacency[node]
-        undecided -= decided
+        # The winners and their rows become decided.
+        winning = index[~beaten[index]]
+        decided = np.zeros(structure.n, dtype=bool)
+        decided[winning] = True
+        decided[row_entries(indptr, indices, winning)] = True
+        in_undecided[index] = False
+        undecided -= set(compress(order, decided[index].tolist()))
     return mis, steps
 
 
@@ -106,9 +143,7 @@ def luby_mis(graph: nx.Graph, *, rng: random.Random | None = None,
     """Luby's algorithm on ``G`` (graph-level; 2 rounds per step)."""
     rng = rng or random.Random(0)
     ledger = ledger if ledger is not None else RoundLedger()
-    adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
-    n = max(2, graph.number_of_nodes())
-    mis, steps = _luby_on_adjacency(adjacency, rng, n ** PRIORITY_EXPONENT)
+    mis, steps = _luby_rows(graph, 1, graph.nodes(), rng)
     for step in range(steps):
         ledger.charge(2, label="luby-step")
     return LubyResult(mis=mis, steps=steps, ledger=ledger)
@@ -129,9 +164,7 @@ def luby_mis_power(graph: nx.Graph, k: int, *, rng: random.Random | None = None,
     rng = rng or random.Random(0)
     ledger = ledger if ledger is not None else RoundLedger()
     nodes = set(graph.nodes()) if candidates is None else set(candidates)
-    adjacency = power_adjacency(graph, k, nodes)
-    n = max(2, graph.number_of_nodes())
-    mis, steps = _luby_on_adjacency(adjacency, rng, n ** PRIORITY_EXPONENT)
+    mis, steps = _luby_rows(graph, k, nodes, rng)
     for step in range(steps):
         ledger.charge(2 * k, label="luby-power-step")
     return LubyResult(mis=mis, steps=steps, ledger=ledger)

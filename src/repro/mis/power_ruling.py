@@ -21,8 +21,8 @@ from typing import Hashable
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
-from repro.graphs.power import power_adjacency
-from repro.graphs.properties import max_degree
+from repro.congest.topology import graph_csr
+from repro.graphs.power import max_power_degree
 from repro.mis.kp12 import kp12_sparsify
 from repro.mis.power_mis import power_graph_mis
 
@@ -84,24 +84,22 @@ def power_graph_ruling_set(graph: nx.Graph, k: int, beta: int, *,
         raise ValueError("beta must be >= 1")
     rng = rng or random.Random(0)
     ledger = ledger if ledger is not None else RoundLedger()
-    n = max(2, graph.number_of_nodes())
     phase_rounds: dict[str, int] = {}
 
     candidates = set(graph.nodes())
     chain_sizes = [len(candidates)]
 
-    # Iterated KP12 sparsification on G^k.
-    adjacency = power_adjacency(graph, k, candidates)
-    delta_k = max((len(neighbors) for neighbors in adjacency.values()), default=1)
-    schedule = kp12_schedule(delta_k, beta)
+    # Iterated KP12 sparsification on G^k: each pass draws in the order of
+    # the set the previous one returned.  Every pass reads the cached G^k
+    # CSR; built first, it also serves the Delta_k count.
+    graph_csr(graph, k)
+    schedule = kp12_schedule(max_power_degree(graph, k), beta)
 
     before = ledger.total_rounds
     for f in schedule:
-        result = kp12_sparsify(adjacency, f, n, rng=rng, ledger=ledger,
-                               rounds_per_stage=k)
-        candidates = result.q
+        candidates = kp12_sparsify(graph, k, f, candidates=candidates, rng=rng,
+                                   ledger=ledger).q
         chain_sizes.append(len(candidates))
-        adjacency = {node: adjacency[node] & candidates for node in candidates}
     phase_rounds["kp12-sparsification"] = ledger.total_rounds - before
 
     # MIS of G^k[Q_{beta-1}] via Theorem 1.2 restricted to the candidates.

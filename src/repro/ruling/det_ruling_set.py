@@ -32,12 +32,16 @@ from typing import Callable, Hashable, Mapping
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
-from repro.core.comm_tools import learn_distance_ids, simulate_on_power_subgraph
+from repro.congest.power_view import row_hits
+from repro.core.comm_tools import (
+    CommunicationTools,
+    learn_distance_ids,
+    simulate_on_power_subgraph,
+)
 from repro.core.power_sparsify import (
     power_graph_sparsification,
     power_graph_sparsification_low_diameter,
 )
-from repro.ruling.greedy import lexicographic_mis
 
 Node = Hashable
 
@@ -74,26 +78,30 @@ def fgg_mis_round_bound(n: int, delta: int) -> int:
     return max(1, math.ceil(log_d * log_d * max(1.0, math.log2(log_d + 1)) * log_n))
 
 
-def deterministic_mis_of_virtual_graph(
-        virtual_graph: nx.Graph | Mapping[Node, set[Node]], *,
-        node_ids: Mapping[Node, int] | None = None,
-        ) -> tuple[set[Node], int]:
-    """A deterministic MIS of a (virtual) graph plus its charged round count.
+def deterministic_mis_of_virtual_graph(tools: CommunicationTools) -> tuple[set[Node], int]:
+    """A deterministic MIS of the virtual graph ``G^s[Q]`` plus its charged
+    round count.
 
-    ``virtual_graph`` is a networkx graph or an adjacency mapping
-    ``{v: neighbors}`` (what :meth:`CommunicationTools.virtual_adjacency`
-    returns).  The MIS itself is computed with a Linial-flavoured
-    deterministic rule (scan nodes by ID); the returned round count is the
-    [FGG+22] bound for a graph with the virtual graph's size and maximum
-    degree, which is what the simulation charges per Lemma 6.3.
+    The MIS itself is computed with a Linial-flavoured deterministic rule:
+    scan ``Q`` by ID, and each chosen node blocks its ``G^s`` row, read off
+    the CSR behind ``tools.q_neighborhoods``.  The returned round count is
+    the [FGG+22] bound for a graph with ``|Q|`` nodes and maximum degree
+    ``max_{v in Q} |N^s(v) ∩ Q|`` (the rows masked to ``Q``), which is
+    what the simulation charges per Lemma 6.3.
     """
-    if node_ids is None:
-        node_ids = {node: index + 1 for index, node in
-                    enumerate(sorted(virtual_graph, key=str))}
-    mis = lexicographic_mis(virtual_graph, key=lambda node: node_ids[node])
-    delta = max((len(virtual_graph[node]) for node in virtual_graph), default=0)
-    rounds = fgg_mis_round_bound(len(virtual_graph), delta)
-    return mis, rounds
+    import numpy as np
+
+    rows = tools.q_neighborhoods
+    indptr, indices, index_of = rows.indptr, rows.indices, rows.index_of
+    blocked = np.zeros(len(rows), dtype=bool)
+    mis: set[Node] = set()
+    for node in sorted(tools.q, key=tools.node_ids.__getitem__):
+        i = index_of[node]
+        if not blocked[i]:
+            mis.add(node)
+            blocked[indices[indptr[i]:indptr[i + 1]]] = True
+    delta = int(row_hits(indptr, indices, rows.in_q)[rows.in_q].max(initial=0))
+    return mis, fgg_mis_round_bound(len(tools.q), delta)
 
 
 def ruling_set_via_sparsification(graph: nx.Graph, k: int, *,
@@ -134,8 +142,7 @@ def ruling_set_via_sparsification(graph: nx.Graph, k: int, *,
     phase_rounds["communication-tools"] = ledger.total_rounds - before
 
     before = ledger.total_rounds
-    mis, algorithm_rounds = deterministic_mis_of_virtual_graph(
-        tools.virtual_adjacency(), node_ids=node_ids)
+    mis, algorithm_rounds = deterministic_mis_of_virtual_graph(tools)
     simulation.charge_rounds(algorithm_rounds, label="mis-of-GkQ")
     phase_rounds["mis"] = ledger.total_rounds - before
 

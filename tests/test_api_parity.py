@@ -28,7 +28,7 @@ from repro.decomposition.ball_graph import form_distance_k_ball_graph
 from repro.decomposition.network_decomposition import network_decomposition
 from repro.graphs.power import bounded_bfs
 from repro.mis.beeping import beeping_mis, beeping_mis_power, simulate_beeping_mis
-from repro.mis.kp12 import kp12_sparsify_power
+from repro.mis.kp12 import kp12_sparsify
 from repro.mis.luby import luby_mis, luby_mis_power, simulate_luby_mis
 from repro.mis.power_mis import power_graph_mis
 from repro.mis.power_ruling import power_graph_ruling_set
@@ -90,7 +90,7 @@ PARITY_CASES = [
     ("randomized-sparsify", {}, lambda g, s: (lambda r: (r.q, r.rounds))(
         randomized_sparsification(g, rng=random.Random(s)))),
     ("kp12-sparsify", {"k": K, "f": 4.0}, lambda g, s: (lambda r: (r.q, r.rounds))(
-        kp12_sparsify_power(g, K, 4.0, rng=random.Random(s)))),
+        kp12_sparsify(g, K, 4.0, rng=random.Random(s)))),
     ("det-ruling-sim", {"engine": "sync"}, lambda g, s: (lambda out: (out[0], out[1].rounds))(
         simulate_det_ruling_set(CongestNetwork(g, id_seed=s), engine="sync"))),
     ("luby-sim", {"engine": "sync"}, lambda g, s: (lambda out: (out[0], out[1].rounds))(

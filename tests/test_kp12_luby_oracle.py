@@ -22,7 +22,7 @@ import pytest
 from repro.congest.cost import RoundLedger
 from repro.core.events import log_n
 from repro.graphs import random_regular_graph
-from repro.mis.kp12 import kp12_sparsify_power
+from repro.mis.kp12 import kp12_sparsify
 from repro.mis.luby import PRIORITY_EXPONENT, luby_mis, luby_mis_power
 from repro.mis.power_mis import power_graph_mis
 from repro.mis.power_ruling import kp12_schedule, power_graph_ruling_set
@@ -127,7 +127,10 @@ def test_kp12(name, k, seed, f, restricted):
     q, stages = _set_kp12(_power_mapping(graph, k, nodes), f, graph.number_of_nodes(),
                           rng=old_rng, ledger=old_ledger, rounds_per_stage=k)
     new_rng = random.Random(seed)
-    result = kp12_sparsify_power(graph, k, f, candidates=candidates, rng=new_rng)
+    # The pass draws in its candidates' order; the mapping was keyed by a
+    # set of them (``nodes``), the set the removed power wrapper built.
+    result = kp12_sparsify(graph, k, f, candidates=None if candidates is None else nodes,
+                           rng=new_rng)
     assert list(result.q) == list(q)
     assert result.stages == stages
     assert result.ledger.rounds_by_label() == old_ledger.rounds_by_label()

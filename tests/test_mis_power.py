@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 
 from repro.graphs import caterpillar_graph, erdos_renyi_graph, random_regular_graph
-from repro.mis.kp12 import kp12_sparsify, kp12_sparsify_power
+from repro.mis.kp12 import kp12_sparsify
 from repro.mis.power_mis import component_size_bound_power, power_graph_mis
 from repro.mis.power_ruling import kp12_schedule, power_graph_ruling_set
 from repro.ruling import is_alpha_independent, is_mis_of_power_graph, is_ruling_set
@@ -19,7 +19,7 @@ class TestKP12:
     def test_dominating_and_degree_reduced(self):
         graph = random_regular_graph(200, 12, seed=1)
         adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
-        result = kp12_sparsify(adjacency, f=4, n=200, rng=random.Random(1))
+        result = kp12_sparsify(graph, 1, f=4, rng=random.Random(1))
         # Domination: every node is in Q or has a neighbor in Q.
         for node, neighbors in adjacency.items():
             assert node in result.q or (neighbors & result.q)
@@ -31,22 +31,21 @@ class TestKP12:
 
     def test_rounds_charged_per_stage(self):
         graph = random_regular_graph(150, 10, seed=2)
-        adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
-        result = kp12_sparsify(adjacency, f=2, n=150, rng=random.Random(2), rounds_per_stage=3)
+        result = kp12_sparsify(graph, 3, f=2, rng=random.Random(2))
         assert result.rounds == 3 * len(result.ledger.entries)
 
     def test_power_variant(self):
         graph = random_regular_graph(80, 4, seed=3)
-        result = kp12_sparsify_power(graph, 2, f=3, rng=random.Random(3))
+        result = kp12_sparsify(graph, 2, f=3, rng=random.Random(3))
         # Q k-dominates V.
         assert domination_radius(graph, result.q) <= 2
 
     def test_power_invalid_k(self):
         with pytest.raises(ValueError):
-            kp12_sparsify_power(nx.path_graph(4), 0, f=2)
+            kp12_sparsify(nx.path_graph(4), 0, f=2)
 
     def test_empty_adjacency(self):
-        result = kp12_sparsify({}, f=2, n=10)
+        result = kp12_sparsify(nx.Graph(), 1, f=2)
         assert result.q == set()
 
 
