@@ -27,9 +27,6 @@ silent fallback**: every row run under ``engine="vector"`` must report
 ``engine_used == "vector"``, and the replica batch must not raise
 :class:`BatchFallbackWarning` (warnings are promoted to errors).  A nonzero
 exit here is the CI gate of the batched-replica PR.
-
-Networks use ``bandwidth_bits=256``: phase-A floods carry (priority, id)
-pairs that legitimately exceed the default 64-bit budget at these sizes.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ K = 2
 REPLICAS = 8
 POWER_SPEEDUP_TARGET = 10.0        # geomean, vector vs sync, full sweep only
 REPLICA_SPEEDUP_FLOOR = REPLICAS / 2  # geomean, batch vs sequential, any mode
-BANDWIDTH_BITS = 256
 SEED = 1
 
 
@@ -136,8 +132,7 @@ def experiment_power_vector(*, smoke: bool,
     repeats = 1 if smoke else 3
     rows: list[dict[str, object]] = []
     for workload, graph in _power_workloads(smoke=smoke):
-        network = CongestNetwork(graph, id_seed=SEED,
-                                 bandwidth_bits=BANDWIDTH_BITS)
+        network = CongestNetwork(graph, id_seed=SEED)
         snapshot = network.topology()  # shared, built outside the timing
         power_csr_bytes = snapshot.power_view(K).estimated_power_csr_bytes()
         for algo_name, factory in _power_algorithms():
@@ -192,26 +187,20 @@ def experiment_power_vector(*, smoke: bool,
 
 
 # --------------------------------------------------------- replica family
-def _replica_network(graph, seed: int) -> CongestNetwork:
-    # Same bandwidth as the power family: (priority, id) floods legitimately
-    # exceed the 64-bit default once n^3 priorities reach ~45 bits.
-    return CongestNetwork(graph, id_seed=seed, bandwidth_bits=BANDWIDTH_BITS)
-
-
 def _time_batch(graph, factory, seeds) -> tuple[float, list[SimulationResult]]:
     with warnings.catch_warnings():
         warnings.simplefilter("error", BatchFallbackWarning)
         start = time.perf_counter()
         results = simulate_replicas(
             None, factory, seeds, engine="vector", uniform_factory=True,
-            network_factory=lambda seed: _replica_network(graph, seed))
+            network_factory=lambda seed: CongestNetwork(graph, id_seed=seed))
         elapsed = time.perf_counter() - start
     return elapsed, results
 
 
 def _time_sequential(graph, factory, seeds) -> tuple[float, list[SimulationResult]]:
     """The pre-batch sweep schedule: one solo solve per seed, default engine."""
-    networks = [_replica_network(graph, seed) for seed in seeds]
+    networks = [CongestNetwork(graph, id_seed=seed) for seed in seeds]
     for network in networks:
         network.topology()  # snapshot construction is not the claim
     start = time.perf_counter()
@@ -268,7 +257,6 @@ def _write_json(path: str, power_rows, replica_rows, *, smoke: bool,
         "smoke": smoke,
         "k": K,
         "replicas": REPLICAS,
-        "bandwidth_bits": BANDWIDTH_BITS,
         "power_rows": power_rows,
         "replica_rows": replica_rows,
         "fallbacks": fallbacks,

@@ -35,9 +35,11 @@ class CongestNetwork:
         The undirected communication graph ``G``.
     bandwidth_bits:
         Per-edge per-round bandwidth in bits.  ``None`` means
-        ``max(DEFAULT_BANDWIDTH_BITS, 4 * ceil(log2 n))`` -- i.e. Theta(log n)
-        with a constant large enough to fit a small constant number of IDs,
-        matching the paper's "O(log n) bits" convention.
+        ``max(DEFAULT_BANDWIDTH_BITS, 6 * ceil(log2 n))`` -- i.e. Theta(log n)
+        with a constant large enough for the widest message of this
+        repository's protocols, Luby's ``(priority < n^3, ID <= n^2)`` pair
+        (at most ``5 * ceil(log2 n) + 4`` bits), matching the paper's
+        "O(log n) bits" convention.
     id_seed:
         Seed of the pseudo-random ID assignment.  ``None`` assigns
         consecutive IDs ``1..n`` (useful for deterministic unit tests).
@@ -48,7 +50,7 @@ class CongestNetwork:
         self.graph = graph
         self.n = graph.number_of_nodes()
         if bandwidth_bits is None:
-            bandwidth_bits = max(DEFAULT_BANDWIDTH_BITS, 4 * id_bits(max(2, self.n)))
+            bandwidth_bits = max(DEFAULT_BANDWIDTH_BITS, 6 * id_bits(max(2, self.n)))
         self.bandwidth_bits = bandwidth_bits
         self._ids = self._assign_ids(id_seed)
         self._ids_view = MappingProxyType(self._ids)

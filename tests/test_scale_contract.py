@@ -2,9 +2,7 @@
 
 Each algorithm in :data:`repro.api.REGISTRY`, run with its default config
 and solve seed 1 on ``nx.random_regular_graph(4, n, seed=1)``, must return
-a report whose certificate passes, for ``n`` in ``SIZES``.  ``n = 10^4``
-is not in the list yet: ``luby-sim`` and ``power-luby-sim`` raise
-``BandwidthExceededError`` there (see ROADMAP.md).
+a report whose certificate passes, for ``n`` in ``SIZES``.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import pytest
 
 from repro.api import REGISTRY, solve
 
-SIZES = (100, 1000)
+SIZES = (100, 1000, 10_000)
 
 
 @functools.lru_cache(maxsize=None)
