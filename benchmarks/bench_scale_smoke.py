@@ -6,9 +6,10 @@ cache carries over; each solve time is printed:
 * the paper pipelines ``sparsify``, ``det-power-ruling`` and ``power-mis``
   (``k = 2``) at ``n = 10^4``, together within ``BUDGET_S`` seconds;
 * the solvers that read ``G^s`` rows and distances from a set --
-  ``det-sparsify``, ``randomized-sparsify``, ``ball-graph`` (``k = 2``),
-  ``sparsify-low-diameter`` and ``network-decomposition``, default config
-  otherwise -- at ``n = 10^5``, together within ``GUARD_BUDGET_S`` seconds.
+  ``det-sparsify``, ``randomized-sparsify``, ``ball-graph`` and
+  ``sparsify-low-diameter`` (both ``k = 2``) and ``network-decomposition``,
+  default config otherwise -- at ``n = 10^5``, together within
+  ``GUARD_BUDGET_S`` seconds.
   A per-node BFS or an O(n) rebuild per node makes them quadratic, which
   at this size is minutes, not seconds.
 
@@ -34,16 +35,14 @@ GRAPH_SEED = 1
 #: Wall-clock budget for the three certified solves together.
 BUDGET_S = 30.0
 
-#: ``(algorithm, config)`` of the near-linear-time guard.  The
-#: sparsification certificate of ``sparsify-low-diameter`` fails at
-#: ``k >= 2`` (see CHANGES.md), so it runs at its default ``k = 1``.
+#: ``(algorithm, config)`` of the near-linear-time guard.
 GUARD = (("det-sparsify", {}), ("randomized-sparsify", {}),
-         ("ball-graph", {"k": K}), ("sparsify-low-diameter", {}),
+         ("ball-graph", {"k": K}), ("sparsify-low-diameter", {"k": K}),
          ("network-decomposition", {}))
 GUARD_N = 100_000
-#: Wall-clock budget for the five guard solves together: 4x the
-#: 12.8-15.0 s they took in three runs on a 2-vCPU host (a per-node BFS
-#: makes ``det-sparsify`` alone take 100 s there).
+#: Wall-clock budget for the five guard solves together: 3.8x the 15.8 s
+#: they took on a 2-vCPU host, 9.6 s of it ``sparsify-low-diameter`` at
+#: ``k = 2`` (a per-node BFS makes ``det-sparsify`` alone take 100 s there).
 GUARD_BUDGET_S = 60.0
 
 

@@ -119,11 +119,14 @@ def mis_power_checks(graph: nx.Graph, subset: Iterable[Node], k: int, *,
     return ruling_set_checks(graph, subset, alpha=k + 1, beta=k, targets=targets)
 
 
-def sparsification_checks(graph: nx.Graph,
-                          sequence: Sequence[set[Node]]) -> list[Check]:
-    """Invariants I1.1 / I1.2 / I2 plus Lemma 3.1 for a chain Q_0 ⊇ ... ⊇ Q_k."""
+def sparsification_checks(graph: nx.Graph, sequence: Sequence[set[Node]],
+                          k: int) -> list[Check]:
+    """Lemma 3.1 at ``k`` for ``Q = sequence[-1]`` against ``Q_0 =
+    sequence[0]``, plus invariants I1.1 / I1.2 / I2 of every iteration when
+    ``sequence`` is the whole chain ``Q_0 ⊇ ... ⊇ Q_k`` (Lemma 5.8 keeps
+    only ``[Q_0, Q]``)."""
     checks: list[Check] = []
-    reports = verify_invariants(graph, sequence)
+    reports = verify_invariants(graph, sequence) if len(sequence) == k + 1 else []
     for report in reports:
         checks.append(Check(
             f"I1.1[s={report.s}]", report.i11_max_degree <= report.i11_bound,
@@ -141,7 +144,6 @@ def sparsification_checks(graph: nx.Graph,
             f"nested[s={report.s}]", report.nested,
             "Q_s is not a subset of Q_(s-1)" if not report.nested else ""))
     if len(sequence) >= 2:
-        k = len(sequence) - 1
         lemma = check_power_sparsification(graph, set(sequence[0]),
                                            set(sequence[-1]), k)
         checks.append(Check(

@@ -79,7 +79,7 @@ def _certify_sparsify_power(graph: nx.Graph, output: set[Node],
     if not sequence:
         return [Check("has-sequence", False,
                       "payload carries no sparsification 'sequence'")]
-    return certify.sparsification_checks(graph, sequence)
+    return certify.sparsification_checks(graph, sequence, int(config.get("k", 1)))
 
 
 def _certify_sparsify_stage(graph: nx.Graph, output: set[Node],

@@ -65,15 +65,19 @@ def _cases() -> list[tuple[str, str, int, int]]:
     return cases
 
 
-@functools.lru_cache(maxsize=None)
-def _solve_row(cell: str, algorithm: str, seed: int, k: int | None) -> dict:
+def _solve(cell: str, algorithm: str, seed: int, k: int | None, *, verify: bool):
     from repro.api import solve
     from repro.scenarios.registry import DEFAULT_REGISTRY
 
     graph = DEFAULT_REGISTRY.build_cell(cell, seed=seed)
     config = {} if k is None else {
         "power" if algorithm in POWER_KEYED else "k": k}
-    report = solve(graph, algorithm, seed=seed, verify=False, **config)
+    return solve(graph, algorithm, seed=seed, verify=verify, **config)
+
+
+@functools.lru_cache(maxsize=None)
+def _solve_row(cell: str, algorithm: str, seed: int, k: int | None) -> dict:
+    report = _solve(cell, algorithm, seed, k, verify=False)
     row = {"output": sorted(report.output), "rounds": report.rounds,
            "by_label": ({} if report.result is None
                         else report.result.ledger.rounds_by_label())}
@@ -128,6 +132,14 @@ def test_round_ledger_by_label_matches_fixture(cell, algorithm, seed, k):
     expected = _load()["rows"][_key(cell, algorithm, seed, k)]
     actual = _solve_row(cell, algorithm, seed, k)
     assert actual["by_label"] == expected["by_label"], "ledger labels drifted"
+
+
+@pytest.mark.parametrize("cell,algorithm,seed,k", _cases())
+def test_output_certifies(cell, algorithm, seed, k):
+    """Every pinned input also passes its certificate -- at its own ``k``
+    (``sparsify-low-diameter`` is certified against Lemma 3.1 at ``k``)."""
+    report = _solve(cell, algorithm, seed, k, verify=True)
+    assert report.verified, report.certificate.summary()
 
 
 @pytest.mark.parametrize("cell,algorithm,seed,k", [
