@@ -48,7 +48,11 @@ from urllib.parse import quote
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import SolveRequest, SolveScheduler
-from repro.service.server import ServiceServer
+from repro.service.server import (
+    ServiceServer,
+    add_scheduler_arguments,
+    scheduler_from_args,
+)
 from repro.fleet.transport import CircuitBreaker
 
 __all__ = ["FleetWorker", "add_worker_arguments", "default_worker_id",
@@ -330,83 +334,31 @@ def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--worker-id", default=None,
                         help="stable worker identity "
                              "(default: <host>-<pid>)")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="bind address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=0,
-                        help="TCP port; 0 picks an ephemeral port "
-                             "(the default: the coordinator learns the "
-                             "URL from enrollment)")
-    parser.add_argument("--port-file", default=None,
-                        help="write the bound port to this file")
+    add_scheduler_arguments(parser, port=0,
+                            port_help="TCP port; 0 picks an ephemeral port "
+                                      "(the default: the coordinator learns "
+                                      "the URL from enrollment)")
     parser.add_argument("--advertise-url", default=None,
                         help="URL to enroll with when the bind address "
                              "is not reachable from the coordinator")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="worker shards (default: min(4, cpu count))")
-    parser.add_argument("--inline-workers", action="store_true",
-                        help="run solves on in-process threads instead of "
-                             "a process pool (tests / constrained CI)")
-    parser.add_argument("--max-pending", type=int, default=256,
-                        help="admission limit on queued jobs (429 beyond)")
-    parser.add_argument("--admission-target", type=float, default=None,
-                        dest="admission_target", metavar="SECONDS",
-                        help="refuse (429) when a shard's measured service "
-                             "time predicts a longer queue wait than this")
-    parser.add_argument("--cache-path", default=None,
-                        help="persistent cache store (default: per-user "
-                             "sharded directory; co-located workers may "
-                             "share one to pool warmth, or use "
-                             "--no-persist)")
-    parser.add_argument("--no-persist", action="store_true",
-                        help="disable the persistent cache tier")
-    parser.add_argument("--memory-entries", type=int, default=1024,
-                        help="in-process LRU capacity (reports)")
-    parser.add_argument("--cache-shards", type=int, default=None,
-                        help="key shards in the persistent cache directory")
-    parser.add_argument("--cache-budget-mb", type=float, default=None,
-                        dest="cache_budget_mb", metavar="MB",
-                        help="on-disk cache size budget; eviction (TTL, "
-                             "then LRU) keeps the store under it")
-    parser.add_argument("--cache-ttl", type=float, default=None,
-                        dest="cache_ttl", metavar="SECONDS",
-                        help="expire persistent cache entries older than "
-                             "this")
     parser.add_argument("--no-peer-warm", action="store_true",
                         help="disable coordinator-mediated warm reads "
                              "from fleet peers on local cache misses")
     parser.add_argument("--enroll-timeout", type=float, default=30.0,
                         help="seconds to keep retrying the initial enroll")
-    parser.add_argument("--no-metrics", action="store_true",
-                        help="disable /metrics and metric recording")
-    parser.add_argument("--no-tracing", action="store_true",
-                        help="disable span recording and /trace lookups")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log every HTTP request")
 
 
 def serve_worker(args: argparse.Namespace) -> int:
-    from repro.service.server import build_cache_from_args
-
-    cache = build_cache_from_args(args)
-    scheduler_kwargs: dict[str, Any] = {}
-    if getattr(args, "no_metrics", False):
-        scheduler_kwargs["metrics"] = None
-    if getattr(args, "no_tracing", False):
-        scheduler_kwargs["tracing"] = False
-    scheduler = SolveScheduler(cache=cache, shards=args.shards,
-                               max_pending=args.max_pending,
-                               admission_target_s=getattr(
-                                   args, "admission_target", None),
-                               inline=args.inline_workers,
-                               **scheduler_kwargs)
+    scheduler = scheduler_from_args(args, log_prefix="repro.fleet")
+    if scheduler is None:
+        return 2
     worker = FleetWorker(args.coordinator, worker_id=args.worker_id,
                          host=args.host, port=args.port,
                          advertise_url=args.advertise_url,
                          scheduler=scheduler,
                          enroll_timeout_s=args.enroll_timeout,
                          quiet=not args.verbose,
-                         peer_warm_reads=not getattr(
-                             args, "no_peer_warm", False))
+                         peer_warm_reads=not args.no_peer_warm)
     host, port = worker.server.address
     if args.port_file:
         with open(args.port_file, "w", encoding="utf-8") as handle:
@@ -415,7 +367,7 @@ def serve_worker(args: argparse.Namespace) -> int:
           f"http://{host}:{port} -> coordinator {worker.coordinator_url} "
           f"(shards={scheduler.shards}, "
           f"workers={'inline' if scheduler.inline else 'process-pool'}, "
-          f"cache={cache.path or 'memory-only'}, "
+          f"cache={scheduler.cache.path or 'memory-only'}, "
           f"tracing={'off' if scheduler.trace_recorder is None else 'on'})",
           flush=True)
     worker.run_forever()

@@ -73,8 +73,8 @@ from repro.service.jsonlog import (
 from repro.service.scheduler import SolveRequest, SolveScheduler
 from repro.service.tracectx import TRACE_HEADER
 
-__all__ = ["ServiceServer", "SolveTimeout", "add_serve_arguments", "main",
-           "serve"]
+__all__ = ["ServiceServer", "SolveTimeout", "add_scheduler_arguments",
+           "add_serve_arguments", "main", "scheduler_from_args", "serve"]
 
 #: How long one HTTP request waits for its solve before giving up (seconds).
 _REQUEST_TIMEOUT_S = 600.0
@@ -291,11 +291,14 @@ def _make_handler(service: ServiceServer, *, quiet: bool):
 # ``repro serve``
 # ---------------------------------------------------------------------------
 
-def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+def add_scheduler_arguments(parser: argparse.ArgumentParser, *, port: int,
+                            port_help: str) -> None:
+    """The flags ``repro serve`` and ``repro fleet worker`` share: the bind
+    address, the solve scheduler, its cache tiers and the observability
+    switches (read back by :func:`scheduler_from_args`)."""
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=8753,
-                        help="TCP port; 0 picks an ephemeral port")
+    parser.add_argument("--port", type=int, default=port, help=port_help)
     parser.add_argument("--port-file", default=None,
                         help="write the bound port to this file (for CI "
                              "scripts using --port 0)")
@@ -314,7 +317,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                              "static max_pending only)")
     parser.add_argument("--cache-path", default=None,
                         help=f"persistent cache store directory "
-                             f"(default: {default_cache_path()})")
+                             f"(default: {default_cache_path()}; "
+                             f"co-located fleet workers may share one)")
     parser.add_argument("--no-persist", action="store_true",
                         help="disable the persistent cache tier")
     parser.add_argument("--memory-entries", type=int, default=1024,
@@ -333,6 +337,19 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="SECONDS",
                         help="expire sharded-tier entries older than "
                              "SECONDS (default: never)")
+    parser.add_argument("--no-metrics", action="store_true",
+                        help="disable /metrics and all metric recording "
+                             "(the observability-overhead baseline)")
+    parser.add_argument("--no-tracing", action="store_true",
+                        help="disable span recording and GET /trace/<id> "
+                             "(the tracing-overhead baseline)")
+    parser.add_argument("--verbose", action="store_true",
+                        help="log every HTTP request")
+
+
+def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    add_scheduler_arguments(parser, port=8753,
+                            port_help="TCP port; 0 picks an ephemeral port")
     parser.add_argument("--request-timeout", type=float,
                         default=_REQUEST_TIMEOUT_S,
                         help="seconds one HTTP request waits for its solve "
@@ -349,22 +366,11 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         default=DEFAULT_LOG_BACKUPS, metavar="N",
                         help="rotated --log-json generations to keep "
                              "(PATH.1..PATH.N, default: 3)")
-    parser.add_argument("--no-metrics", action="store_true",
-                        help="disable /metrics and all metric recording "
-                             "(the observability-overhead baseline)")
-    parser.add_argument("--no-tracing", action="store_true",
-                        help="disable span recording and GET /trace/<id> "
-                             "(the tracing-overhead baseline)")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log every HTTP request")
 
 
 def build_cache_from_args(args: argparse.Namespace) -> SolveCache:
-    """The :class:`SolveCache` described by ``add_serve_arguments`` flags.
-
-    Shared by ``repro serve`` and ``repro fleet worker`` so both surfaces
-    accept the same sharded-tier knobs.
-    """
+    """The :class:`SolveCache` described by :func:`add_scheduler_arguments`
+    flags (``repro cache`` passes a subset of them)."""
     budget_mb = getattr(args, "cache_budget_mb", None)
     cache_kwargs: dict[str, Any] = {}
     if getattr(args, "cache_shards", None) is not None:
@@ -378,33 +384,37 @@ def build_cache_from_args(args: argparse.Namespace) -> SolveCache:
         max_memory_entries=args.memory_entries, **cache_kwargs)
 
 
-def serve(args: argparse.Namespace) -> int:
+def scheduler_from_args(args: argparse.Namespace, *,
+                        log_prefix: str) -> SolveScheduler | None:
+    """The :class:`SolveScheduler` described by
+    :func:`add_scheduler_arguments` flags, or None -- the error printed
+    under ``[log_prefix]`` -- when ``--cache-path`` is not a directory."""
     try:
         cache = build_cache_from_args(args)
-    except ValueError as error:  # a --cache-path that is not a directory
-        print(f"[repro.service] {error}", file=sys.stderr)
-        return 2
+    except ValueError as error:
+        print(f"[{log_prefix}] {error}", file=sys.stderr)
+        return None
     scheduler_kwargs: dict[str, Any] = {}
-    if getattr(args, "no_metrics", False):
+    if args.no_metrics:
         scheduler_kwargs["metrics"] = None
-    if getattr(args, "no_tracing", False):
+    if args.no_tracing:
         scheduler_kwargs["tracing"] = False
-    scheduler = SolveScheduler(cache=cache, shards=args.shards,
-                               max_pending=args.max_pending,
-                               admission_target_s=getattr(
-                                   args, "admission_target", None),
-                               inline=args.inline_workers,
-                               **scheduler_kwargs)
+    return SolveScheduler(cache=cache, shards=args.shards,
+                          max_pending=args.max_pending,
+                          admission_target_s=args.admission_target,
+                          inline=args.inline_workers, **scheduler_kwargs)
+
+
+def serve(args: argparse.Namespace) -> int:
+    scheduler = scheduler_from_args(args, log_prefix="repro.service")
+    if scheduler is None:
+        return 2
     log_handler = configure_json_logging(
-        getattr(args, "log_json", None),
-        max_bytes=getattr(args, "log_json_max_bytes",
-                          DEFAULT_LOG_MAX_BYTES),
-        backup_count=getattr(args, "log_json_backups",
-                             DEFAULT_LOG_BACKUPS))
+        args.log_json, max_bytes=args.log_json_max_bytes,
+        backup_count=args.log_json_backups)
     server = ServiceServer(host=args.host, port=args.port,
                            scheduler=scheduler, quiet=not args.verbose,
-                           request_timeout_s=getattr(
-                               args, "request_timeout", _REQUEST_TIMEOUT_S))
+                           request_timeout_s=args.request_timeout)
     host, port = server.address
     if args.port_file:
         with open(args.port_file, "w", encoding="utf-8") as handle:
@@ -412,7 +422,7 @@ def serve(args: argparse.Namespace) -> int:
     print(f"[repro.service] serving on http://{host}:{port} "
           f"(shards={scheduler.shards}, "
           f"workers={'inline' if scheduler.inline else 'process-pool'}, "
-          f"cache={cache.path or 'memory-only'}, "
+          f"cache={scheduler.cache.path or 'memory-only'}, "
           f"metrics={'off' if scheduler.metrics is None else 'on'}, "
           f"tracing={'off' if scheduler.trace_recorder is None else 'on'})",
           flush=True)

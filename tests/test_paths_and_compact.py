@@ -11,6 +11,7 @@ import pytest
 
 from repro import _paths
 from repro.cli import main as repro_cli
+from repro.fleet import worker
 from repro.scenarios.cli import main as scenarios_cli
 from repro.scenarios.registry import DEFAULT_REGISTRY
 from repro.scenarios.runner import _request, plan_tasks, run_batch
@@ -138,6 +139,20 @@ class TestFileRootRefused:
         exit_code = server.main(["--port", "0", "--inline-workers",
                                  "--cache-path", path])
         assert exit_code != 0
+        assert path in capsys.readouterr().err
+
+    def test_fleet_worker_exits_2_before_enrolling(self, tmp_path, monkeypatch,
+                                                   capsys):
+        path = self._leftover(tmp_path, "solve_cache.jsonl")
+
+        def refuse_to_enroll(*args, **kwargs):
+            raise AssertionError("enrolled over a file cache path")
+
+        monkeypatch.setattr(worker, "FleetWorker", refuse_to_enroll)
+        exit_code = repro_cli(["fleet", "worker", "--coordinator",
+                               "http://127.0.0.1:9", "--inline-workers",
+                               "--cache-path", path])
+        assert exit_code == 2
         assert path in capsys.readouterr().err
 
     def test_scenarios_run_exits_nonzero_before_running(self, tmp_path,
