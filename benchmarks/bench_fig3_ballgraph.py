@@ -23,7 +23,7 @@ import pytest
 from harness import delta_of, print_and_store
 from repro.decomposition import form_distance_k_ball_graph
 from repro.graphs import random_regular_graph
-from repro.graphs.power import k_connected_components, nearest_ruler_balls, power_adjacency
+from repro.graphs.power import k_connected_components, nearest_ruler_balls
 from repro.mis.beeping import BeepingMISProcess
 from repro.ruling.greedy import greedy_ruling_set
 
@@ -33,9 +33,7 @@ EXPERIMENT_ID = "F3-figure3-ball-graph"
 def shattered_instance(n: int, degree: int, k: int, seed: int):
     """Run a truncated pre-shattering pass to obtain undecided nodes B."""
     graph = random_regular_graph(n, degree, seed=seed)
-    nodes = set(graph.nodes())
-    adjacency = power_adjacency(graph, k, nodes)
-    process = BeepingMISProcess(adjacency, rng=random.Random(seed))
+    process = BeepingMISProcess(graph, set(graph.nodes()), k=k, rng=random.Random(seed))
     process.run(max(2, int(math.log2(degree ** k))))
     return graph, process.undecided
 

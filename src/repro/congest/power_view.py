@@ -381,18 +381,15 @@ class PowerView:
         if nodes is None:
             ordered: Sequence[Node] = labels
             columns = restrict_to
-            starts, counts, flat = indptr[:-1], np.diff(indptr), indices
+            counts, flat = np.diff(indptr), indices
         else:
             ordered = list(nodes)
             columns = restrict_to if restrict_to is not None else ordered
             index_of = self.snapshot.index_of
             sources = np.fromiter((index_of[label] for label in ordered),
                                   dtype=np.int64, count=len(ordered))
-            starts = indptr[sources]
-            counts = indptr[sources + 1] - starts
-            # Gather the source rows into one flat array (row order kept).
-            flat = indices[np.repeat(starts - (np.cumsum(counts) - counts),
-                                     counts) + np.arange(int(counts.sum()))]
+            counts = indptr[sources + 1] - indptr[sources]
+            flat = row_entries(indptr, indices, sources)
         if columns is None:
             bounds = [0]
             bounds.extend(np.cumsum(counts).tolist())

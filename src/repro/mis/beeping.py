@@ -23,11 +23,9 @@ rounds.
 
 Three entry points are provided:
 
-* :class:`BeepingMISProcess` -- the reusable process over CSR rows: a
-  graph's own cached CSR or its cached ``G^k`` CSR
-  (:meth:`BeepingMISProcess.on_graph`, used by the shattering pipelines on
-  ``G``, its residual components and ``G^k``), or an adjacency mapping
-  converted once;
+* :class:`BeepingMISProcess` -- the reusable process over a graph's own
+  cached CSR or its cached ``G^k`` CSR (used by the shattering pipelines
+  on ``G``, its residual components and ``G^k``);
 * :func:`beeping_mis` / :func:`beeping_mis_power` -- convenience wrappers
   with round accounting;
 * :class:`BeepingMISNode` -- the per-node state machine for the real
@@ -100,89 +98,47 @@ class BeepingResult:
 
 
 class BeepingMISProcess:
-    """BeepingMIS over an explicit (symmetric) adjacency structure.
+    """BeepingMIS on ``G^k[nodes]`` over cached CSR rows: ``G``'s own CSR
+    for ``k = 1``, the graph's ``G^k`` CSR
+    (:meth:`~repro.congest.power_view.PowerView.csr`) otherwise.
+
+    The same run as over the mapping ``{v: N^k(v) ∩ nodes for v in nodes}``
+    keyed in ``nodes`` order (every node, in graph order, by default),
+    without building it: the rows reach past ``nodes``, but only candidates
+    are ever marked, so such a neighbor changes nothing.
 
     Parameters
     ----------
-    adjacency:
-        ``node -> set of neighbors`` in the problem graph (``G`` itself, an
-        induced component, or the distance-``k`` adjacency of ``G^k``);
-        converted once to CSR rows (:meth:`on_graph` reads a graph's cached
-        CSR rows instead).
     candidates:
-        Nodes allowed to join the MIS (default: all).  Non-candidates start
-        decided but their adjacency still blocks candidates -- this realises
-        Corollary 8.5 (MIS of ``G^k[Q]``).
+        Nodes allowed to join the MIS (default: all of ``nodes``).
+        Non-candidates start decided but their rows still block candidates
+        -- this realises Corollary 8.5 (MIS of ``G^k[Q]``).
     rng:
         Source of randomness.
-    initial_probability:
-        The starting value of ``p_v`` (1/2 in the paper).
     """
 
-    def __init__(self, adjacency: Mapping[Node, Iterable[Node]], *,
-                 candidates: Iterable[Node] | None = None,
-                 rng: random.Random | None = None,
-                 initial_probability: float = 0.5) -> None:
+    #: The starting value of ``p_v`` (1/2 in the paper), also its cap.
+    initial_probability = 0.5
+
+    def __init__(self, graph: nx.Graph, nodes: Iterable[Node] | None = None, *,
+                 k: int = 1, candidates: Iterable[Node] | None = None,
+                 rng: random.Random | None = None) -> None:
         import numpy as np
 
-        keys = list(adjacency)
-        labels = list(keys)
-        index_of = {node: i for i, node in enumerate(labels)}
-        rows = [list(adjacency[node]) for node in keys]
-        for row in rows:
-            for neighbor in row:
-                if neighbor not in index_of:
-                    index_of[neighbor] = len(labels)
-                    labels.append(neighbor)
-        indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-        indptr[1:len(rows) + 1] = [len(row) for row in rows]
-        np.cumsum(indptr, out=indptr)
-        indices = np.fromiter((index_of[neighbor] for row in rows for neighbor in row),
-                              dtype=np.int64, count=int(indptr[-1]))
-        self._setup(indptr, indices, labels, index_of, keys, candidates, rng,
-                    initial_probability)
-
-    @classmethod
-    def on_graph(cls, graph: nx.Graph, nodes: Iterable[Node] | None = None, *,
-                 k: int = 1, candidates: Iterable[Node] | None = None,
-                 rng: random.Random | None = None) -> "BeepingMISProcess":
-        """The process on ``G^k[nodes]`` over cached CSR rows: ``G``'s own
-        CSR for ``k = 1``, the graph's ``G^k`` CSR
-        (:meth:`~repro.congest.power_view.PowerView.csr`) otherwise.
-
-        The same run as over the mapping ``{v: N^k(v) ∩ nodes for v in
-        nodes}`` keyed in ``nodes`` order (every node, in graph order, by
-        default), without building it: the rows reach past ``nodes``, but
-        only candidates are ever marked, so such a neighbor changes
-        nothing."""
         from repro.congest.topology import graph_csr
 
-        structure, indptr, indices = graph_csr(graph, k)
-        process = cls.__new__(cls)
-        process._setup(indptr, indices, structure.labels, structure.index_of,
-                       structure.labels if nodes is None else nodes, candidates,
-                       rng, 0.5)
-        return process
-
-    def _setup(self, indptr, indices, labels, index_of, keys, candidates,
-               rng, initial_probability) -> None:
-        import numpy as np
-
+        structure, self._indptr, self._indices = graph_csr(graph, k)
         self._np = np
-        self._indptr = indptr
-        self._indices = indices
-        self._labels = labels
-        self._index_of = index_of
+        self._labels, self._index_of = structure.labels, structure.index_of
         self.rng = rng or random.Random(0)
         # Built exactly as the set-of-sets process built them (a set from a
         # dict of the keys, intersected, then copied): post-shattering draws
         # follow the iteration order of these sets.
-        all_nodes = set(dict.fromkeys(keys))
+        all_nodes = set(dict.fromkeys(self._labels if nodes is None else nodes))
         self.candidates = all_nodes if candidates is None else set(candidates) & all_nodes
         self.undecided: set[Node] = set(self.candidates)
         self.mis: set[Node] = set()
-        self._probability = np.full(len(labels), float(initial_probability))
-        self.initial_probability = initial_probability
+        self._probability = np.full(len(self._labels), self.initial_probability)
         self.steps_run = 0
 
     @property
@@ -258,7 +214,7 @@ def beeping_mis(graph: nx.Graph, *, steps: int | None = None,
     n = max(2, graph.number_of_nodes())
     if steps is None:
         steps = default_step_budget(n, scale=16)
-    process = BeepingMISProcess.on_graph(graph, candidates=candidates, rng=rng)
+    process = BeepingMISProcess(graph, candidates=candidates, rng=rng)
     process.run(steps)
     for _ in range(process.steps_run):
         ledger.charge(2, label="beeping-step")
@@ -293,7 +249,7 @@ def beeping_mis_power(graph: nx.Graph, k: int, *, steps: int | None = None,
         # Delta_k < n, so the Theta(log max(Delta_k, n)) budget reads n alone.
         steps = default_step_budget(n, scale=16)
 
-    process = BeepingMISProcess.on_graph(graph, nodes, k=k, candidates=nodes, rng=rng)
+    process = BeepingMISProcess(graph, nodes, k=k, candidates=nodes, rng=rng)
     process.run(steps)
     per_step = 2 * k * max(1, math.ceil(id_bits / max(1, bandwidth_bits)))
     for _ in range(process.steps_run):

@@ -103,7 +103,6 @@ def _luby_rows(graph: nx.Graph, k: int, keys: Iterable[Node],
     space = shared_priority_space(max(2, graph.number_of_nodes()))
     dtype = np.int64 if space <= 1 << 63 else object
     undecided = set(dict.fromkeys(keys))
-    in_undecided = np.zeros(structure.n, dtype=bool)
     priority = np.zeros(structure.n, dtype=dtype)
     mis: set[Node] = set()
     steps = 0
@@ -113,27 +112,24 @@ def _luby_rows(graph: nx.Graph, k: int, keys: Iterable[Node],
         index = np.fromiter(map(index_of.__getitem__, order), dtype=np.int64,
                             count=len(order))
         priority[index] = [rng.randrange(space) for _ in order]
-        in_undecided[index] = True
         # A node wins iff its (priority, str(node)) is below that of every
         # undecided node in its row: compare along each row entry.
+        live = np.zeros(structure.n, dtype=bool)
+        live[index] = True
         owners = np.repeat(index, indptr[index + 1] - indptr[index])
         others = row_entries(indptr, indices, index)
-        live = in_undecided[others]
-        owners, others = owners[live], others[live]
-        mine, theirs = priority[owners], priority[others]
-        below = mine < theirs
-        for entry in np.flatnonzero(mine == theirs).tolist():
+        owners, others = owners[live[others]], others[live[others]]
+        below = priority[owners] < priority[others]
+        for entry in np.flatnonzero(priority[owners] == priority[others]).tolist():
             below[entry] = str(labels[owners[entry]]) < str(labels[others[entry]])
         beaten = np.zeros(structure.n, dtype=bool)
         beaten[owners[~below]] = True
-        winners = set(compress(order, (~beaten[index]).tolist()))
-        mis |= winners
+        wins = ~beaten[index]
+        mis |= set(compress(order, wins.tolist()))
         # The winners and their rows become decided.
-        winning = index[~beaten[index]]
         decided = np.zeros(structure.n, dtype=bool)
-        decided[winning] = True
-        decided[row_entries(indptr, indices, winning)] = True
-        in_undecided[index] = False
+        decided[index[wins]] = True
+        decided[row_entries(indptr, indices, index[wins])] = True
         undecided -= set(compress(order, decided[index].tolist()))
     return mis, steps
 

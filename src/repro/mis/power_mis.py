@@ -120,8 +120,7 @@ def power_graph_mis(graph: nx.Graph, k: int, *,
 
     before = ledger.total_rounds
     # Keyed by a copy of ``nodes``, as the G^k mapping this replaces was.
-    process = BeepingMISProcess.on_graph(graph, set(nodes), k=k, candidates=nodes,
-                                         rng=rng)
+    process = BeepingMISProcess(graph, set(nodes), k=k, candidates=nodes, rng=rng)
     process.run(pre_steps)
     per_step = 2 * k * max(1, math.ceil(id_bits / max(1, ledger.bandwidth_bits)))
     ledger.charge(per_step * process.steps_run, label="pre-shattering")
@@ -250,8 +249,7 @@ def _finish_cluster(graph: nx.Graph, k: int, ball: Callable[[Node], Iterable[Nod
 
     chosen: set[Node] | None = None
     for instance in range(max(1, instances)):
-        process = BeepingMISProcess.on_graph(graph, set(cluster_undecided), k=k,
-                                             rng=rng)
+        process = BeepingMISProcess(graph, set(cluster_undecided), k=k, rng=rng)
         if process.run_until_complete(steps):
             chosen = process.mis
             break

@@ -113,7 +113,7 @@ def pre_shattering(graph: nx.Graph, *, steps: int | None = None,
     delta = max_degree(graph)
     if steps is None:
         steps = default_step_budget(delta, scale=scale)
-    process = BeepingMISProcess.on_graph(graph, rng=rng)
+    process = BeepingMISProcess(graph, rng=rng)
     process.run(steps)
     for _ in range(process.steps_run):
         ledger.charge(2, label="pre-shattering-step")
@@ -223,8 +223,8 @@ def shattering_mis(graph: nx.Graph, *, approach: str = "two-phase",
         second_steps = default_step_budget(delta, scale=8)
         for component in components:
             # G's rows reach past the component, but only its nodes are
-            # ever marked (see BeepingMISProcess.on_graph).
-            process = BeepingMISProcess.on_graph(graph, component, rng=rng)
+            # ever marked (see BeepingMISProcess).
+            process = BeepingMISProcess(graph, component, rng=rng)
             process.run(second_steps)
             # The second phase's independent set is only valid w.r.t. the
             # component; it is also independent in G because residual

@@ -100,8 +100,7 @@ def test_pre_shattering_on_all_nodes(name, k, seed, steps):
     keys = set(nodes)
     old = _SetBeepingMISProcess(_power_mapping(graph, k, keys), candidates=nodes,
                                 rng=random.Random(seed))
-    new = BeepingMISProcess.on_graph(graph, keys, k=k, candidates=nodes,
-                                     rng=random.Random(seed))
+    new = BeepingMISProcess(graph, keys, k=k, candidates=nodes, rng=random.Random(seed))
     old.run(steps)
     new.run(steps)
     _assert_same(new, old)
@@ -118,8 +117,7 @@ def test_restricted_candidates(name, k, seed):
     keys = set(nodes)
     old = _SetBeepingMISProcess(_power_mapping(graph, k, keys), candidates=nodes,
                                 rng=random.Random(seed))
-    new = BeepingMISProcess.on_graph(graph, keys, k=k, candidates=nodes,
-                                     rng=random.Random(seed))
+    new = BeepingMISProcess(graph, keys, k=k, candidates=nodes, rng=random.Random(seed))
     for _ in range(60):
         old.run(1)
         new.run(1)
@@ -137,7 +135,7 @@ def test_finish_cluster_shape(name, k, seed):
     cluster = set(nx.single_source_shortest_path_length(graph, start, cutoff=3))
     keys = set(cluster)
     old = _SetBeepingMISProcess(_power_mapping(graph, k, keys), rng=random.Random(seed))
-    new = BeepingMISProcess.on_graph(graph, keys, k=k, rng=random.Random(seed))
+    new = BeepingMISProcess(graph, keys, k=k, rng=random.Random(seed))
     old.run(12)
     new.run(12)
     _assert_same(new, old)
@@ -150,7 +148,7 @@ def test_shattering_on_g_and_its_components(name, seed):
     graph = GRAPHS[name]
     adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
     old = _SetBeepingMISProcess(adjacency, rng=random.Random(seed))
-    new = BeepingMISProcess.on_graph(graph, rng=random.Random(seed))
+    new = BeepingMISProcess(graph, rng=random.Random(seed))
     old.run(2)
     new.run(2)
     _assert_same(new, old)
@@ -159,22 +157,7 @@ def test_shattering_on_g_and_its_components(name, seed):
         subgraph = graph.subgraph(component)
         mapping = {node: set(subgraph.neighbors(node)) for node in component}
         old = _SetBeepingMISProcess(mapping, rng=random.Random(seed))
-        new = BeepingMISProcess.on_graph(graph, component, rng=random.Random(seed))
+        new = BeepingMISProcess(graph, component, rng=random.Random(seed))
         old.run(3)
         new.run(3)
         _assert_same(new, old)
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_mapping_input(name, seed):
-    """A mapping argument runs the same array step after one conversion."""
-    graph = GRAPHS[name]
-    chooser = random.Random(seed)
-    candidates = {node for node in graph.nodes() if chooser.random() < 0.5}
-    mapping = _power_mapping(graph, 2, list(graph.nodes()))
-    old = _SetBeepingMISProcess(mapping, candidates=candidates, rng=random.Random(seed))
-    new = BeepingMISProcess(mapping, candidates=candidates, rng=random.Random(seed))
-    old.run(40)
-    new.run(40)
-    _assert_same(new, old)

@@ -86,8 +86,7 @@ class TestLubySimulator:
 class TestBeepingProcess:
     def test_completes_to_mis_with_enough_steps(self):
         graph = random_regular_graph(70, 5, seed=8)
-        adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
-        process = BeepingMISProcess(adjacency, rng=random.Random(8))
+        process = BeepingMISProcess(graph, rng=random.Random(8))
         finished = process.run_until_complete(40 * int(math.log2(70) + 1))
         assert finished
         assert is_mis_of_power_graph(graph, process.mis, 1)
@@ -95,7 +94,7 @@ class TestBeepingProcess:
     def test_partial_run_leaves_consistent_state(self):
         graph = random_regular_graph(70, 5, seed=9)
         adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
-        process = BeepingMISProcess(adjacency, rng=random.Random(9))
+        process = BeepingMISProcess(graph, rng=random.Random(9))
         process.run(3)
         # The independent set found so far is independent, and no undecided
         # node is adjacent to it.
@@ -106,15 +105,13 @@ class TestBeepingProcess:
     def test_candidate_restriction(self):
         graph = random_regular_graph(60, 4, seed=10)
         candidates = set(list(graph.nodes())[:30])
-        adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
-        process = BeepingMISProcess(adjacency, candidates=candidates, rng=random.Random(10))
+        process = BeepingMISProcess(graph, candidates=candidates, rng=random.Random(10))
         process.run(200)
         assert process.mis <= candidates
 
     def test_probabilities_stay_in_range(self):
         graph = random_regular_graph(50, 6, seed=11)
-        adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
-        process = BeepingMISProcess(adjacency, rng=random.Random(11))
+        process = BeepingMISProcess(graph, rng=random.Random(11))
         for _ in range(20):
             process.step()
             for probability in process.probability.values():
