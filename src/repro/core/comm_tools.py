@@ -148,10 +148,6 @@ class CommunicationTools:
         self.id_bits = max(1, math.ceil(math.log2(max(2, max(self.node_ids.values(), default=2) + 1))))
 
     # ----------------------------------------------------------- helpers
-    def q_degree(self, node: Node) -> int:
-        """``d_s(node, Q)``."""
-        return len(self.q_neighborhoods.get(node, set()))
-
     def virtual_graph(self) -> nx.Graph:
         """The virtual graph ``G^s[Q]`` (Definition 4.4)."""
         return induced_power_subgraph(self.graph, self.s, self.q)

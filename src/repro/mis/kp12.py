@@ -98,16 +98,15 @@ def kp12_sparsify(graph: nx.Graph, k: int, f: float, *,
             break
         probability = min(1.0, (f ** stage) * logn / delta_h)
         order = list(active)
-        sampled = {node for node in order if rng.random() < probability}
-        q |= sampled
+        index = np.fromiter(map(index_of.__getitem__, order), dtype=np.int64,
+                            count=len(order))
+        sampled = np.array([rng.random() < probability for _ in order], dtype=bool)
+        q |= set(compress(order, sampled.tolist()))
         # Sampled nodes beep: they and every node in their rows go inactive.
-        beeped = np.fromiter(map(index_of.__getitem__, sampled), dtype=np.int64,
-                             count=len(sampled))
         silenced = np.zeros(structure.n, dtype=bool)
-        silenced[beeped] = True
-        silenced[row_entries(indptr, indices, beeped)] = True
-        active -= set(compress(order, silenced[np.fromiter(
-            map(index_of.__getitem__, order), dtype=np.int64, count=len(order))].tolist()))
+        silenced[index[sampled]] = True
+        silenced[row_entries(indptr, indices, index[sampled])] = True
+        active -= set(compress(order, silenced[index].tolist()))
         ledger.charge(k, label=f"kp12-stage-{stage}")
 
     q |= active  # leftover low-degree nodes join Q

@@ -10,7 +10,7 @@ post-shattering phase).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable
 
 import networkx as nx
 
@@ -21,13 +21,11 @@ Node = Hashable
 __all__ = ["greedy_mis", "greedy_ruling_set", "lexicographic_mis"]
 
 
-def lexicographic_mis(graph: nx.Graph | Mapping[Node, Iterable[Node]], *,
+def lexicographic_mis(graph: nx.Graph, *,
                       key: Callable[[Node], object] | None = None,
                       candidates: Iterable[Node] | None = None) -> set[Node]:
     """The greedy MIS obtained by scanning nodes in ``key`` order.
 
-    ``graph`` is a networkx graph or an adjacency mapping ``{v: neighbors}``
-    (both iterate their nodes and index their neighbor rows alike).
     ``candidates`` restricts the nodes allowed to join (all nodes are still
     used for adjacency); this matches "MIS of ``G[Q]``" semantics when
     ``graph`` is already the virtual graph on ``Q``.

@@ -7,8 +7,8 @@ flips, ``undecided`` for the Luby priorities), and later stages draw in the
 order of the sets they return.  The row-based code must therefore
 reproduce ``q`` and ``mis`` *as lists* (same insertion history), the stage
 and step counts, the ledger and the generator state, on every shape the
-solvers run: all nodes, restricted candidates, tuple labels (grid) and
-isolated nodes.
+solvers run: all nodes, restricted candidates, tuple labels (grid),
+colliding hashes and isolated nodes.
 """
 
 from __future__ import annotations
@@ -103,6 +103,10 @@ def _graphs():
         "regular-n128-d6": random_regular_graph(128, 6, seed=1),
         "er-n90": er,
         "grid-8x8": nx.grid_2d_graph(8, 8),  # tuple labels
+        # Labels sharing their low hash bits: set layouts, hence draw
+        # orders, depend on how each set was built.
+        "regular-n128-d6-x1024": nx.relabel_nodes(random_regular_graph(128, 6, seed=2),
+                                                  lambda node: 1024 * node),
     }
 
 
