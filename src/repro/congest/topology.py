@@ -168,8 +168,9 @@ class _GraphStructure:
                 "edge_v": neighbor_indices[canonical],
             }
             # No-overflow guard for the downcast: the last CSR pointer
-            # is the largest stored position and must round-trip exactly.
-            assert int(indptr[-1]) == 2 * self.edge_count
+            # is the largest stored position and must round-trip exactly
+            # (it is 2m less one per self-loop, which a row lists once).
+            assert int(indptr[-1]) == len(self.neighbor_indices)
             for array in shared.values():
                 array.setflags(write=False)
             self.numpy_cache = SimpleNamespace(index_dtype=index_dtype,
@@ -225,9 +226,11 @@ def graph_power_view(graph, k: int):
 def graph_csr(graph, k: int = 1):
     """``(structure, indptr, indices)``: the cached CSR rows of ``G`` for
     ``k = 1`` and of ``G^k`` (:meth:`PowerView.csr`) otherwise, over the
-    node indices of ``structure.labels``."""
+    node indices of ``structure.labels``.  Like every ``G^k`` row, a row
+    never lists its own node: on a graph with self-loops the ``k = 1``
+    rows are the ``G^1`` view's, not ``G``'s own."""
     structure = _structure_of(graph)
-    if k == 1:
+    if k == 1 and len(structure.neighbor_indices) == 2 * structure.edge_count:
         arrays = structure.numpy_arrays()
         return structure, arrays.indptr, arrays.neighbor_indices
     return (structure, *structure.power_view(k).csr())
@@ -287,6 +290,8 @@ class TopologySnapshot:
 
     def __init__(self, network: "CongestNetwork") -> None:
         structure = _structure_of(network.graph)
+        if len(structure.neighbor_indices) != 2 * structure.edge_count:
+            raise ValueError("a CONGEST network has no self-loops")
         self._structure = structure
         for name in ("n", "edge_count", "labels", "index_of", "indptr",
                      "neighbor_indices", "neighbor_labels", "routes",

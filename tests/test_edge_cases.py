@@ -14,6 +14,7 @@ import networkx as nx
 import pytest
 
 import repro
+from repro.api import REGISTRY
 from repro.core.power_sparsify import power_graph_sparsification
 from tests.conftest import distance_neighborhood
 from repro.mis.beeping import beeping_mis
@@ -148,3 +149,34 @@ class TestDegenerateParameters:
         ids = {node: node + 1 for node in graph.nodes()}
         result = aglp_ruling_set(graph, 2, ids, base=3)
         assert len(result.ruling_set) == 1
+
+
+def looped_graph() -> nx.Graph:
+    """A star whose hub has a self-loop, a path, and an isolated looped node."""
+    graph = nx.star_graph(6)
+    graph.add_edges_from([(0, 0), (6, 7), (7, 8), (9, 9)])
+    return graph
+
+
+class TestSelfLoops:
+    """A self-loop adds no ``G^k`` neighbour; the message-passing
+    simulators refuse such a network instead of messaging a node itself."""
+
+    @pytest.mark.parametrize("name", REGISTRY.algorithm_names())
+    def test_every_algorithm_certifies_or_refuses(self, name):
+        graph = looped_graph()
+        if name.endswith("-sim"):
+            with pytest.raises(ValueError, match="self-loops"):
+                repro.solve(graph, name, seed=1)
+            return
+        report = repro.solve(graph, name, seed=1)
+        assert report.verified, report.certificate.summary()
+
+    def test_rows_ignore_the_loops(self):
+        graph = looped_graph()
+        plain = nx.Graph(graph)
+        plain.remove_edges_from(list(nx.selfloop_edges(plain)))
+        for k in (1, 2):
+            looped_mis = luby_mis_power(graph, k, rng=random.Random(k)).mis
+            assert list(looped_mis) == list(luby_mis_power(plain, k, rng=random.Random(k)).mis)
+        assert list(luby_mis(graph).mis) == list(luby_mis(plain).mis)

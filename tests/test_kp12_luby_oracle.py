@@ -8,7 +8,8 @@ order of the sets they return.  The row-based code must therefore
 reproduce ``q`` and ``mis`` *as lists* (same insertion history), the stage
 and step counts, the ledger and the generator state, on every shape the
 solvers run: all nodes, restricted candidates, tuple labels (grid),
-colliding hashes and isolated nodes.
+colliding hashes, isolated nodes and self-loops (which add no neighbour: a
+row never lists its own node, at ``k = 1`` as at every ``k``).
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ class _TieRandom(random.Random):
         return super().randrange(3)
 
 
+def _looped_graph():
+    """An ER graph with self-loops: on a hub joined to every third node,
+    on two ordinary nodes and on an otherwise isolated node."""
+    graph = nx.gnp_random_graph(60, 0.08, seed=5)
+    graph.add_edges_from((99, node) for node in range(0, 60, 3))
+    graph.add_edges_from([(99, 99), (4, 4), (17, 17), (300, 300)])
+    return graph
+
+
 def _graphs():
     er = nx.gnp_random_graph(90, 0.06, seed=4)
     er.add_nodes_from([200, 201])  # isolated nodes
@@ -107,6 +117,7 @@ def _graphs():
         # orders, depend on how each set was built.
         "regular-n128-d6-x1024": nx.relabel_nodes(random_regular_graph(128, 6, seed=2),
                                                   lambda node: 1024 * node),
+        "looped": _looped_graph(),
     }
 
 
@@ -147,8 +158,8 @@ def test_kp12(name, k, seed, f, restricted):
 def test_luby_on_g(name, seed, rng_class):
     graph = GRAPHS[name]
     old_rng = rng_class(seed)
-    mis, steps = _set_luby({node: set(graph.neighbors(node)) for node in graph.nodes()},
-                           old_rng, _space(graph))
+    mis, steps = _set_luby({node: set(graph.neighbors(node)) - {node}
+                            for node in graph.nodes()}, old_rng, _space(graph))
     new_rng = rng_class(seed)
     result = luby_mis(graph, rng=new_rng)
     assert list(result.mis) == list(mis)
