@@ -35,14 +35,14 @@ graph the rule reads ``2 sum_{i=1..k} Delta (Delta - 1)^(i-1) < n``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Collection, Hashable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
 Node = Hashable
 
-__all__ = ["PowerView", "ReachKernel", "row_entries", "row_hits"]
+__all__ = ["PowerView", "ReachKernel", "label_mask", "row_entries", "row_hits"]
 
 #: Default peak-memory budget for one BFS tile (boolean frontier state).
 DEFAULT_TILE_BYTES = 8 << 20
@@ -50,6 +50,17 @@ DEFAULT_TILE_BYTES = 8 << 20
 #: :class:`PowerView` expands sparse frontiers when this many times the mean
 #: ``G^k`` degree bound is still below ``n``, and runs dense tiles otherwise.
 SPARSE_CSR_FACTOR = 2
+
+
+def label_mask(structure, labels: Collection[Node]) -> "np.ndarray":
+    """Boolean mask over the node indices of ``structure`` (as
+    :func:`~repro.congest.topology.graph_csr` returns it), set at ``labels``."""
+    import numpy as np
+
+    mask = np.zeros(structure.n, dtype=bool)
+    mask[np.fromiter(map(structure.index_of.__getitem__, labels), dtype=np.int64,
+                     count=len(labels))] = True
+    return mask
 
 
 def row_hits(indptr: "np.ndarray", indices: "np.ndarray",

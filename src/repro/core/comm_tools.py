@@ -37,6 +37,7 @@ import networkx as nx
 from repro.congest.bfs import BFSTree, build_bfs_tree
 from repro.congest.cost import RoundLedger
 from repro.congest.message import DEFAULT_BANDWIDTH_BITS, id_bits as id_bit_length
+from repro.congest.power_view import label_mask, row_hits
 from repro.congest.topology import graph_csr
 from repro.graphs.power import induced_power_subgraph, max_power_degree
 
@@ -83,28 +84,28 @@ class BFSTrees(Mapping[Node, BFSTree]):
 
 class QNeighborhoods(Mapping[Node, set[Node]]):
     """``v -> N^s(v, Q)`` for every node ``v`` of ``G``, each row read off
-    the graph's cached ``G^s`` CSR (``indptr``, ``indices`` over the node
-    indices of ``labels``) and masked to ``Q`` (``in_q``) on access."""
+    the graph's cached ``G^s`` CSR and masked to ``Q`` on first access."""
 
     def __init__(self, graph: nx.Graph, q: set[Node], s: int) -> None:
-        import numpy as np
-
-        structure, self.indptr, self.indices = graph_csr(graph, s)
-        self.labels, self.index_of = structure.labels, structure.index_of
-        self.in_q = np.zeros(structure.n, dtype=bool)
-        self.in_q[np.fromiter(map(self.index_of.__getitem__, q), dtype=np.int64,
-                              count=len(q))] = True
+        structure, self._indptr, self._indices = graph_csr(graph, s)
+        self._labels, self._index_of = structure.labels, structure.index_of
+        self._in_q = label_mask(structure, q)
+        self._rows: dict[Node, set[Node]] = {}
 
     def __getitem__(self, node: Node) -> set[Node]:
-        i = self.index_of[node]
-        row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-        return set(map(self.labels.__getitem__, row[self.in_q[row]].tolist()))
+        neighbors = self._rows.get(node)
+        if neighbors is None:
+            i = self._index_of[node]
+            row = self._indices[self._indptr[i]:self._indptr[i + 1]]
+            neighbors = self._rows[node] = set(
+                map(self._labels.__getitem__, row[self._in_q[row]].tolist()))
+        return neighbors
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self.labels)
+        return iter(self._labels)
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self._labels)
 
 
 @dataclass
@@ -123,7 +124,8 @@ class CommunicationTools:
         structure carries exactly that), built on first access.
     q_neighborhoods:
         ``v -> N^s(v, Q)`` for every node ``v`` of ``G``, read off the
-        ``G^s`` CSR row by row (:class:`QNeighborhoods`).
+        ``G^s`` CSR row by row (:class:`QNeighborhoods`), built on first
+        access.
     hat_delta:
         ``max_v d_{s-1}(v, Q)`` (the sparsity parameter governing the cost of
         Lemma 4.2) and ``hat_delta_s = max_v d_s(v, Q)``.
@@ -137,7 +139,6 @@ class CommunicationTools:
     s: int
     node_ids: dict[Node, int]
     trees: Mapping[Node, BFSTree]
-    q_neighborhoods: QNeighborhoods
     hat_delta: int
     hat_delta_s: int
     bandwidth_bits: int
@@ -146,6 +147,10 @@ class CommunicationTools:
 
     def __post_init__(self) -> None:
         self.id_bits = max(1, math.ceil(math.log2(max(2, max(self.node_ids.values(), default=2) + 1))))
+
+    @cached_property
+    def q_neighborhoods(self) -> QNeighborhoods:
+        return QNeighborhoods(self.graph, self.q, self.s)
 
     # ----------------------------------------------------------- helpers
     def virtual_graph(self) -> nx.Graph:
@@ -172,12 +177,13 @@ def learn_distance_ids(graph: nx.Graph, q: set[Node], s: int, *,
         node_ids = {node: index + 1 for index, node in enumerate(sorted(graph.nodes(), key=str))}
     a_bits = max(1, math.ceil(math.log2(max(2, max(node_ids.values(), default=2) + 1))))
 
-    # Centralized construction of what the iterations of Lemma 4.1 deliver,
-    # read off the cached G^level CSRs; the G^s one is built first, so the
-    # last degree count below reads it.
-    q_neighborhoods = QNeighborhoods(graph, q, s)
-    # hat_delta_j = max_v d_j(v, Q) for j = 0..s (d_0 = 0: N^0 is empty).
-    hat_deltas = [max_power_degree(graph, level, q) for level in range(s + 1)]
+    # Centralized construction of what the iterations of Lemma 4.1 deliver:
+    # hat_delta_j = max_v d_j(v, Q) for j = 0..s (d_0 = 0: N^0 is empty),
+    # d_s counted on the cached G^s CSR, whose rows the Lemma 4.6 MIS reads.
+    structure, indptr, indices = graph_csr(graph, s)
+    in_q = label_mask(structure, q)
+    hat_deltas = [max_power_degree(graph, level, q) for level in range(s)]
+    hat_deltas.append(int(row_hits(indptr, indices, in_q).max(initial=0)))
 
     # Charge the s pipelining iterations.
     for level in range(1, s + 1):
@@ -186,7 +192,6 @@ def learn_distance_ids(graph: nx.Graph, q: set[Node], s: int, *,
 
     return CommunicationTools(graph=graph, q=q, s=s, node_ids=dict(node_ids),
                               trees=BFSTrees(graph, q, s),
-                              q_neighborhoods=q_neighborhoods,
                               hat_delta=max(1, hat_deltas[max(0, s - 1)]),
                               hat_delta_s=max(1, hat_deltas[s]),
                               bandwidth_bits=bandwidth_bits, ledger=ledger)
@@ -237,8 +242,9 @@ def q_message(tools: CommunicationTools, messages: Mapping[Node, Mapping[Node, A
         if sender not in tools.q:
             raise ValueError(f"Q-message sender {sender!r} is not in Q")
         tree = tools.trees[sender]
+        allowed = tools.q_neighborhoods[sender]
         for receiver, payload in per_receiver.items():
-            if receiver not in tools.q_neighborhoods.get(sender, set()) and receiver != sender:
+            if receiver not in allowed and receiver != sender:
                 raise ValueError(
                     f"Q-message receiver {receiver!r} is not a distance-{tools.s} Q-neighbor "
                     f"of {sender!r}")

@@ -37,7 +37,7 @@ from typing import Hashable, Iterable
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
-from repro.congest.power_view import row_entries, row_hits
+from repro.congest.power_view import label_mask, row_entries, row_hits
 from repro.congest.topology import graph_csr
 from repro.core.events import log_n
 
@@ -83,9 +83,7 @@ def kp12_sparsify(graph: nx.Graph, k: int, f: float, *,
     nodes = set(dict.fromkeys(set(graph.nodes()) if candidates is None else candidates))
     structure, indptr, indices = graph_csr(graph, k)
     index_of = structure.index_of
-    in_nodes = np.zeros(structure.n, dtype=bool)
-    in_nodes[np.fromiter(map(index_of.__getitem__, nodes), dtype=np.int64,
-                         count=len(nodes))] = True
+    in_nodes = label_mask(structure, nodes)
     delta_h = max(1, int(row_hits(indptr, indices, in_nodes)[in_nodes].max(initial=0)))
     logn = log_n(graph.number_of_nodes())
 

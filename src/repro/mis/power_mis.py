@@ -32,7 +32,7 @@ from typing import Callable, Hashable, Iterable
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
-from repro.congest.power_view import row_hits
+from repro.congest.power_view import label_mask, row_hits
 from repro.congest.topology import graph_csr
 from repro.decomposition.ball_graph import form_distance_k_ball_graph
 from repro.decomposition.network_decomposition import network_decomposition
@@ -110,9 +110,7 @@ def power_graph_mis(graph: nx.Graph, k: int, *,
     if candidates is None:
         degrees = np.diff(indptr)
     else:
-        in_nodes = np.zeros(structure.n, dtype=bool)
-        in_nodes[np.fromiter(map(index_of.__getitem__, nodes), dtype=np.int64,
-                             count=len(nodes))] = True
+        in_nodes = label_mask(structure, nodes)
         degrees = row_hits(indptr, indices, in_nodes)[in_nodes]
     delta_k = int(degrees.max()) if len(degrees) else 1
     if pre_steps is None:

@@ -22,7 +22,6 @@ import networkx as nx
 
 from repro.congest.cost import RoundLedger
 from repro.congest.topology import graph_csr
-from repro.graphs.power import max_power_degree
 from repro.mis.kp12 import kp12_sparsify
 from repro.mis.power_mis import power_graph_mis
 
@@ -78,6 +77,8 @@ def power_graph_ruling_set(graph: nx.Graph, k: int, beta: int, *,
 
     ``beta = 1`` degenerates to an MIS of ``G^k`` (Theorem 1.2).
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
     if beta < 1:
@@ -90,10 +91,10 @@ def power_graph_ruling_set(graph: nx.Graph, k: int, beta: int, *,
     chain_sizes = [len(candidates)]
 
     # Iterated KP12 sparsification on G^k: each pass draws in the order of
-    # the set the previous one returned.  Every pass reads the cached G^k
-    # CSR; built first, it also serves the Delta_k count.
-    graph_csr(graph, k)
-    schedule = kp12_schedule(max_power_degree(graph, k), beta)
+    # the set the previous one returned, and reads the cached G^k CSR that
+    # Delta_k is counted on.
+    _, indptr, _ = graph_csr(graph, k)
+    schedule = kp12_schedule(int(np.diff(indptr).max(initial=0)), beta)
 
     before = ledger.total_rounds
     for f in schedule:

@@ -32,7 +32,8 @@ from typing import Callable, Hashable, Mapping
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
-from repro.congest.power_view import row_hits
+from repro.congest.power_view import label_mask, row_hits
+from repro.congest.topology import graph_csr
 from repro.core.comm_tools import (
     CommunicationTools,
     learn_distance_ids,
@@ -83,24 +84,24 @@ def deterministic_mis_of_virtual_graph(tools: CommunicationTools) -> tuple[set[N
     round count.
 
     The MIS itself is computed with a Linial-flavoured deterministic rule:
-    scan ``Q`` by ID, and each chosen node blocks its ``G^s`` row, read off
-    the CSR behind ``tools.q_neighborhoods``.  The returned round count is
+    scan ``Q`` by ID, and each chosen node blocks its row of the graph's
+    cached ``G^s`` CSR.  The returned round count is
     the [FGG+22] bound for a graph with ``|Q|`` nodes and maximum degree
     ``max_{v in Q} |N^s(v) ∩ Q|`` (the rows masked to ``Q``), which is
     what the simulation charges per Lemma 6.3.
     """
     import numpy as np
 
-    rows = tools.q_neighborhoods
-    indptr, indices, index_of = rows.indptr, rows.indices, rows.index_of
-    blocked = np.zeros(len(rows), dtype=bool)
+    structure, indptr, indices = graph_csr(tools.graph, tools.s)
+    blocked = np.zeros(structure.n, dtype=bool)
     mis: set[Node] = set()
     for node in sorted(tools.q, key=tools.node_ids.__getitem__):
-        i = index_of[node]
+        i = structure.index_of[node]
         if not blocked[i]:
             mis.add(node)
             blocked[indices[indptr[i]:indptr[i + 1]]] = True
-    delta = int(row_hits(indptr, indices, rows.in_q)[rows.in_q].max(initial=0))
+    in_q = label_mask(structure, tools.q)
+    delta = int(row_hits(indptr, indices, in_q)[in_q].max(initial=0))
     return mis, fgg_mis_round_bound(len(tools.q), delta)
 
 
