@@ -124,8 +124,12 @@ def sparsification_checks(graph: nx.Graph, sequence: Sequence[set[Node]],
     """Lemma 3.1 at ``k`` for ``Q = sequence[-1]`` against ``Q_0 =
     sequence[0]``, plus invariants I1.1 / I1.2 / I2 of every iteration when
     ``sequence`` is the whole chain ``Q_0 ⊇ ... ⊇ Q_k`` (Lemma 5.8 keeps
-    only ``[Q_0, Q]``)."""
+    only ``[Q_0, Q]``); a sequence of any other length fails."""
     checks: list[Check] = []
+    if len(sequence) not in (2, k + 1):
+        checks.append(Check("sequence-length", False,
+                            f"{len(sequence)} sets: neither [Q_0, Q] nor "
+                            f"the chain Q_0..Q_{k}"))
     reports = verify_invariants(graph, sequence) if len(sequence) == k + 1 else []
     for report in reports:
         checks.append(Check(

@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.api import REGISTRY, RunReport, graph_fingerprint, replay, solve
+from repro.api.certify import sparsification_checks
 from repro.cli import main as cli_main
 from repro.scenarios.registry import (
     DEFAULT_REGISTRY,
@@ -159,6 +160,15 @@ class TestReportShape:
         report = solve(workload, "power-mis", k=K, seed=3)
         assert report.result is not None
         assert report.result.mis == report.output
+
+    def test_sparsification_sequence_length_is_checked(self, workload):
+        sequence = solve(workload, "sparsify", k=K, seed=3).result.sequence
+        assert len(sequence) == K + 1
+        for whole in (sequence, [sequence[0], sequence[-1]]):  # chain, Lemma 5.8 form
+            assert all(check.ok for check in sparsification_checks(workload, whole, K))
+        failed = [check.name for check in sparsification_checks(workload, sequence[:1], K)
+                  if not check.ok]
+        assert failed == ["sequence-length"]
 
     def test_greedy_reference_check_attached_for_det_ruling_sim(self, workload):
         report = solve(workload, "det-ruling-sim", seed=3)
