@@ -1,11 +1,10 @@
 """Pinned outputs of the paper pipelines at sizes the ``G^k`` CSR serves.
 
-The golden seeds run on a 24-node graph, below the node count at which
-:func:`repro.graphs.power.power_adjacency` switches to the cached ``G^k``
-CSR, and there every sparsification expectation is 0.0.  This suite pins
-the exact output set, round count and per-label round ledger of
-``sparsify``, ``det-power-ruling``, ``power-mis``, ``power-ruling`` and
-``beeping-power`` on three larger registry cells (graph seed = solve seed
+The golden seeds run on a 24-node graph, where every sparsification
+expectation is 0.0.  This suite pins the exact output set, round count
+and per-label round ledger of ``sparsify``, ``det-power-ruling``,
+``power-mis``, ``power-ruling`` and ``beeping-power`` on three larger
+registry cells (graph seed = solve seed
 in 1..3, ``k`` in 2..3), of ``shattering-mis`` on the same cells, and of
 ``power-mis`` at ``k = 3`` on ``regular-n384-d8``, so a change to how the
 pipelines read ``G^s`` -- CSR rows instead of per-node BFS, an incremental
@@ -15,7 +14,11 @@ single-stage ``det-sparsify`` and ``randomized-sparsify`` (their ``power``
 takes the place of ``k``) and ``network-decomposition`` (no ``k``), whose
 distance reads go through the set-source BFS and the ``G^s`` CSR, and the
 row-reading MIS family: ``kp12-sparsify`` and ``luby-power`` on the grid,
-``luby`` (no ``k``) on the same cells.
+``luby`` (no ``k``) on the same cells.  ``sparsify`` also runs with the
+``seed-bits`` and ``randomized`` stage methods: unlike the single-stage
+solvers at their default ``Delta_A``, which run no stage on these cells,
+its iterations at ``s >= 2`` run three to four stages each, so those rows
+pin the stages' sampled sets under both derandomizers and the sampling.
 
 The snapshot lives in ``tests/pipeline_outputs.json``; regenerate it with::
 
@@ -40,7 +43,8 @@ CELLS = ("regular-n128-d6", "er-n48", "grid-8x8")
 ALGORITHMS = ("sparsify", "det-power-ruling", "power-mis", "power-ruling",
               "beeping-power", "ball-graph", "sparsify-low-diameter",
               "det-sparsify", "randomized-sparsify", "kp12-sparsify",
-              "luby-power")
+              "luby-power", "sparsify/method=seed-bits",
+              "sparsify/method=randomized")
 #: Algorithms whose power is called ``power`` rather than ``k``.
 POWER_KEYED = ("det-sparsify", "randomized-sparsify")
 #: Algorithms that take no power ``k`` (keyed ``k=None``).
@@ -66,12 +70,17 @@ def _cases() -> list[tuple[str, str, int, int]]:
 
 
 def _solve(cell: str, algorithm: str, seed: int, k: int | None, *, verify: bool):
+    """Solve one case; an ``algorithm`` of the form ``name/method=m`` runs
+    ``name`` with ``method=m``."""
     from repro.api import solve
     from repro.scenarios.registry import DEFAULT_REGISTRY
 
     graph = DEFAULT_REGISTRY.build_cell(cell, seed=seed)
+    algorithm, _, method = algorithm.partition("/method=")
     config = {} if k is None else {
         "power" if algorithm in POWER_KEYED else "k": k}
+    if method:
+        config["method"] = method
     return solve(graph, algorithm, seed=seed, verify=verify, **config)
 
 
