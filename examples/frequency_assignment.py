@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 import repro
 from repro.analysis.tables import format_table
+from repro.congest.topology import graph_csr
 from repro.graphs import unit_disk_graph
-from repro.graphs.power import power_adjacency
 from repro.graphs.properties import max_degree
 from repro.mis.power_mis import power_graph_mis
 
@@ -54,12 +56,12 @@ def distance2_coloring(graph, rng: random.Random) -> dict:
 
 
 def verify_frequency_plan(graph, colors) -> tuple[bool, int]:
-    """No two transmitters within two hops may share a frequency."""
-    conflicts = 0
-    for node, nearby in power_adjacency(graph, 2).items():
-        for other in nearby:
-            if colors[node] == colors[other]:
-                conflicts += 1
+    """No two transmitters within two hops may share a frequency: each
+    entry of the ``G^2`` CSR is an ordered pair within two hops."""
+    structure, indptr, indices = graph_csr(graph, 2)
+    color = np.array([colors[node] for node in structure.labels])
+    owners = np.repeat(np.arange(structure.n), np.diff(indptr))
+    conflicts = int((color[owners] == color[indices]).sum())
     return conflicts == 0, conflicts // 2
 
 

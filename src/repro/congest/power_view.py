@@ -9,12 +9,15 @@ of boolean frontier state) however dense ``G^k`` is.
 :class:`PowerView` wraps the kernel for one graph and ``k``; views are cached
 per ``(graph, k)`` on the graph's shared topology structure.  Its tile
 queries keep O(n + m) state.  :meth:`PowerView.csr` stores ``G^k`` once as
-a CSR on the view, and :meth:`PowerView.adjacency_sets` (the rows
-``N^k(v) ∩ X`` behind :func:`repro.graphs.power.power_adjacency`,
-optionally column-restricted to a set ``X``) slices it.
-:meth:`PowerView.restricted_degrees` (``|N^k(v) ∩ X|`` for every node,
-behind :func:`repro.graphs.power.max_power_degree`) counts on that CSR when
-it exists and otherwise streams the rows without storing them.
+a CSR on the view, each row ascending in node index and never listing its
+own node.  It is the one stored form of the ``G^k`` rows: callers read it
+through :func:`~repro.congest.topology.graph_csr` (which at ``k = 1`` hands
+out ``G``'s own rows instead, in networkx adjacency order, unless ``G`` has
+self-loops) and mask it to a set ``X`` themselves with :func:`label_mask`,
+:func:`row_hits` and :func:`row_entries`; no label-set copy of ``G^k`` is
+kept.  :meth:`PowerView.restricted_degrees` (``|N^k(v) ∩ X|`` for every
+node, behind :func:`repro.graphs.power.max_power_degree`) counts on that
+CSR when it exists and otherwise streams the rows without storing them.
 
 The rows have two builds with identical output:
 
@@ -35,7 +38,8 @@ graph the rule reads ``2 sum_{i=1..k} Delta (Delta - 1)^(i-1) < n``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Collection, Hashable, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -52,14 +56,16 @@ DEFAULT_TILE_BYTES = 8 << 20
 SPARSE_CSR_FACTOR = 2
 
 
-def label_mask(structure, labels: Collection[Node]) -> "np.ndarray":
+def label_mask(structure, labels: Iterable[Node]) -> "np.ndarray":
     """Boolean mask over the node indices of ``structure`` (as
-    :func:`~repro.congest.topology.graph_csr` returns it), set at ``labels``."""
+    :func:`~repro.congest.topology.graph_csr` returns it), set at ``labels``;
+    labels outside the graph are ignored, as set intersection would."""
     import numpy as np
 
+    indices = np.fromiter(map(structure.index_of.get, labels, repeat(-1)),
+                          dtype=np.int64)
     mask = np.zeros(structure.n, dtype=bool)
-    mask[np.fromiter(map(structure.index_of.__getitem__, labels), dtype=np.int64,
-                     count=len(labels))] = True
+    mask[indices[indices >= 0]] = True
     return mask
 
 
@@ -173,9 +179,8 @@ class PowerView:
     :func:`repro.congest.topology.graph_power_view`.  ``snapshot`` is what
     the view was built over: a snapshot or the per-graph structure, both
     exposing ``n``, ``labels``, ``index_of`` and ``numpy_arrays()``.
-    :meth:`neighbors`, :meth:`tiles`, :meth:`degrees` and (before
-    :meth:`csr` has run) :meth:`restricted_degrees` never store ``G^k``;
-    :meth:`adjacency_sets` stores it once (:meth:`csr`).
+    :meth:`tiles` and (before :meth:`csr` has run) :meth:`restricted_degrees`
+    never store ``G^k``; :meth:`csr` stores it once.
     """
 
     def __init__(self, snapshot, k: int, *,
@@ -188,43 +193,13 @@ class PowerView:
                                   tile_bytes=tile_bytes)
         self.base_degrees = arrays.degrees
         self.base_rows = arrays.rows
-        self._degrees = None
         self._csr = None
         self._row_bounds = None
 
     # ------------------------------------------------------------- queries
-    def neighbors(self, index: int) -> "np.ndarray":
-        """``G^k`` neighbor indices of node ``index`` (sorted, CSR-style)."""
-        import numpy as np
-
-        return np.flatnonzero(self.kernel.reach_tile([index])[0])
-
-    def neighbor_labels(self, label: Node) -> set[Node]:
-        """``N^k(label)`` as a set of graph labels (non-inclusive)."""
-        labels = self.snapshot.labels
-        index = self.snapshot.index_of[label]
-        return {labels[j] for j in self.neighbors(index)}
-
     def tiles(self, sources=None):
         """Tile iterator over ``(source_indices, boolean adjacency rows)``."""
         return self.kernel.tiles(sources)
-
-    def degrees(self) -> "np.ndarray":
-        """``G^k`` degrees of every node (cached after the first full pass)."""
-        import numpy as np
-
-        if self._degrees is None:
-            degrees = np.zeros(self.n, dtype=np.int64)
-            for chunk, reach in self.tiles():
-                degrees[chunk] = reach.sum(axis=1)
-            degrees.setflags(write=False)
-            self._degrees = degrees
-        return self._degrees
-
-    def max_degree(self) -> int:
-        import numpy as np
-
-        return int(np.max(self.degrees(), initial=0))
 
     def csr(self) -> tuple["np.ndarray", "np.ndarray"]:
         """``G^k`` as read-only ``(indptr, indices)`` arrays (int64 row
@@ -362,60 +337,6 @@ class PowerView:
         keep = nodes != lanes
         return lanes[keep], nodes[keep]
 
-    def _index_mask(self, labels: Iterable[Node]) -> "np.ndarray":
-        """Boolean mask over node indices of the graph labels in ``labels``
-        (labels outside the graph are ignored, as set intersection would)."""
-        import numpy as np
-
-        index_of = self.snapshot.index_of
-        mask = np.zeros(self.n, dtype=bool)
-        mask[np.fromiter((index_of[label] for label in labels
-                          if label in index_of), dtype=np.int64)] = True
-        return mask
-
-    def adjacency_sets(self, nodes: Iterable[Node] | None = None, *,
-                       restrict_to: Iterable[Node] | None = None,
-                       ) -> dict[Node, set[Node]]:
-        """``{v: N^k(v) ∩ X for v in nodes}`` as label sets.
-
-        ``X`` is ``restrict_to`` when given, else ``nodes``; omitting both
-        returns every full row.  Key iteration order follows ``nodes`` (all
-        nodes in snapshot order when omitted); distances are measured in
-        the full base graph even when ``X`` restricts the vertex set (the
-        paper's ``G^k[X]``).  Each set is filled in ascending node-index
-        order: downstream RNG draws follow set iteration order.
-        """
-        import numpy as np
-
-        indptr, indices = self.csr()
-        labels = self.snapshot.labels
-        if nodes is None:
-            ordered: Sequence[Node] = labels
-            columns = restrict_to
-            counts, flat = np.diff(indptr), indices
-        else:
-            ordered = list(nodes)
-            columns = restrict_to if restrict_to is not None else ordered
-            index_of = self.snapshot.index_of
-            sources = np.fromiter((index_of[label] for label in ordered),
-                                  dtype=np.int64, count=len(ordered))
-            counts = indptr[sources + 1] - indptr[sources]
-            flat = row_entries(indptr, indices, sources)
-        if columns is None:
-            bounds = [0]
-            bounds.extend(np.cumsum(counts).tolist())
-        else:
-            keep = self._index_mask(columns)[flat]
-            owner = np.repeat(np.arange(len(ordered)), counts)
-            bounds = [0]
-            bounds.extend(np.cumsum(np.bincount(
-                owner[keep], minlength=len(ordered))).tolist())
-            flat = flat[keep]
-        flat = flat.tolist()
-        label_of = labels.__getitem__
-        return {label: set(map(label_of, flat[bounds[row]:bounds[row + 1]]))
-                for row, label in enumerate(ordered)}
-
     def restricted_degrees(self, restrict_to: Iterable[Node] | None = None,
                            ) -> "np.ndarray":
         """``|N^k(v) ∩ X|`` for every node index ``v`` (``X`` =
@@ -426,7 +347,7 @@ class PowerView:
         ``G^k`` row beyond the current block."""
         import numpy as np
 
-        mask = None if restrict_to is None else self._index_mask(restrict_to)
+        mask = None if restrict_to is None else label_mask(self.snapshot, restrict_to)
         if self._csr is not None:
             indptr, indices = self._csr
             if mask is None:
@@ -448,8 +369,6 @@ class PowerView:
         """Persistent memory held by the view (excludes shared base CSR;
         includes the ``G^k`` CSR once :meth:`csr` has built it)."""
         total = self.kernel._starts.nbytes + self.kernel._empty.nbytes
-        if self._degrees is not None:
-            total += self._degrees.nbytes
         if self._row_bounds is not None:
             total += self._row_bounds.nbytes
         if self._csr is not None:

@@ -219,7 +219,7 @@ def forget_graph(graph) -> None:
 
 def graph_power_view(graph, k: int):
     """The view :meth:`TopologySnapshot.power_view` returns, without
-    needing a network (the entry point of ``power_adjacency``)."""
+    needing a network."""
     return _structure_of(graph).power_view(k)
 
 
@@ -335,7 +335,7 @@ class TopologySnapshot:
         Built on first request (like :meth:`numpy_arrays`) and cached per
         ``k`` on the shared per-graph structure, so every network over the
         same graph -- in particular the B replicas of a batched sweep --
-        and :func:`repro.graphs.power.power_adjacency` reuse one view; see
+        and :func:`graph_csr` reuse one view; see
         :class:`repro.congest.power_view.PowerView`.
         """
         return self._structure.power_view(k)

@@ -37,9 +37,7 @@ import networkx as nx
 from repro.congest.bfs import BFSTree, build_bfs_tree
 from repro.congest.cost import RoundLedger
 from repro.congest.message import DEFAULT_BANDWIDTH_BITS, id_bits as id_bit_length
-from repro.congest.power_view import label_mask, row_hits
-from repro.congest.topology import graph_csr
-from repro.graphs.power import induced_power_subgraph, max_power_degree
+from repro.graphs.power import PowerRows, induced_power_subgraph, max_power_degree
 
 Node = Hashable
 
@@ -82,32 +80,6 @@ class BFSTrees(Mapping[Node, BFSTree]):
         return len(self._roots)
 
 
-class QNeighborhoods(Mapping[Node, set[Node]]):
-    """``v -> N^s(v, Q)`` for every node ``v`` of ``G``, each row read off
-    the graph's cached ``G^s`` CSR and masked to ``Q`` on first access."""
-
-    def __init__(self, graph: nx.Graph, q: set[Node], s: int) -> None:
-        structure, self._indptr, self._indices = graph_csr(graph, s)
-        self._labels, self._index_of = structure.labels, structure.index_of
-        self._in_q = label_mask(structure, q)
-        self._rows: dict[Node, set[Node]] = {}
-
-    def __getitem__(self, node: Node) -> set[Node]:
-        neighbors = self._rows.get(node)
-        if neighbors is None:
-            i = self._index_of[node]
-            row = self._indices[self._indptr[i]:self._indptr[i + 1]]
-            neighbors = self._rows[node] = set(
-                map(self._labels.__getitem__, row[self._in_q[row]].tolist()))
-        return neighbors
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self._labels)
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-
 @dataclass
 class CommunicationTools:
     """The distributed knowledge built by Lemma 4.1 for a sparse set ``Q``.
@@ -124,8 +96,8 @@ class CommunicationTools:
         structure carries exactly that), built on first access.
     q_neighborhoods:
         ``v -> N^s(v, Q)`` for every node ``v`` of ``G``, read off the
-        ``G^s`` CSR row by row (:class:`QNeighborhoods`), built on first
-        access.
+        ``G^s`` CSR row by row (:class:`~repro.graphs.power.PowerRows`),
+        built on first access.
     hat_delta:
         ``max_v d_{s-1}(v, Q)`` (the sparsity parameter governing the cost of
         Lemma 4.2) and ``hat_delta_s = max_v d_s(v, Q)``.
@@ -149,8 +121,8 @@ class CommunicationTools:
         self.id_bits = max(1, math.ceil(math.log2(max(2, max(self.node_ids.values(), default=2) + 1))))
 
     @cached_property
-    def q_neighborhoods(self) -> QNeighborhoods:
-        return QNeighborhoods(self.graph, self.q, self.s)
+    def q_neighborhoods(self) -> PowerRows:
+        return PowerRows(self.graph, self.s, self.q)
 
     # ----------------------------------------------------------- helpers
     def virtual_graph(self) -> nx.Graph:
@@ -180,10 +152,8 @@ def learn_distance_ids(graph: nx.Graph, q: set[Node], s: int, *,
     # Centralized construction of what the iterations of Lemma 4.1 deliver:
     # hat_delta_j = max_v d_j(v, Q) for j = 0..s (d_0 = 0: N^0 is empty),
     # d_s counted on the cached G^s CSR, whose rows the Lemma 4.6 MIS reads.
-    structure, indptr, indices = graph_csr(graph, s)
-    in_q = label_mask(structure, q)
     hat_deltas = [max_power_degree(graph, level, q) for level in range(s)]
-    hat_deltas.append(int(row_hits(indptr, indices, in_q).max(initial=0)))
+    hat_deltas.append(int(PowerRows(graph, s, q).counts().max(initial=0)))
 
     # Charge the s pipelining iterations.
     for level in range(1, s + 1):

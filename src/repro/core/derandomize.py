@@ -38,10 +38,13 @@ This module implements two derandomizers for one stage:
 
 Set-order contract: each decision compares two float sums over the
 affected events, and a float sum depends on the order of its terms.  The
-sums run in the iteration order of ``events.dependent_nodes(w)`` -- a set
-built with the same insertions as a scan of every node -- and skip only
-terms that are exactly 0.0, so decisions and ties are bit-identical to the
-direct ``total_expectation`` evaluation.
+sums run in the iteration order of ``events.dependent_nodes(w)`` -- ``w``,
+then ``w``'s ``G^s`` row in ascending node index, the same insertions as a
+scan of every node's active row (:mod:`repro.core.events`) -- and skip
+only terms that are exactly 0.0, so decisions and ties are bit-identical
+to the direct ``total_expectation`` evaluation.  The counters that carry
+a decision forward are updated over the same row: no reverse index is
+built.
 """
 
 from __future__ import annotations
@@ -118,8 +121,10 @@ def conditional_expectations(events: SparsificationStageEvents,
     neighbors), whether some variable of ``Phi_v`` is sampled, and the
     undecided variables of ``Phi_v``.  Only *live* nodes carry counters:
     ``Phi_v`` is 0.0 unless ``v`` is high-degree, and ``Psi_v`` is 0.0
-    unless ``v`` has more than ``72 log n`` active neighbors.  One stage
-    thus costs ``O(sum_v d_s(v, H_i))``.
+    unless ``v`` has more than ``72 log n`` active neighbors.  The nodes
+    whose counters ``X_w`` moves are the live ones of
+    ``dependent_nodes(w)``.  One stage thus costs ``O(sum_v d_s(v, H_i))``,
+    and ``O(|H_i|)`` when no node is live.
 
     The set-order contract: the terms are summed in the iteration order of
     ``events.dependent_nodes(w)``, the set the direct evaluation
@@ -127,41 +132,35 @@ def conditional_expectations(events: SparsificationStageEvents,
     are exactly 0.0, and adding 0.0 leaves a float sum unchanged, so every
     comparison and tie is bit-identical to it.
     """
-    neighbors = events.active_neighbors
     phi_live = events.high_degree_nodes
-    psi_live = {node for node, row in neighbors.items()
-                if len(row) > events.threshold}
+    psi_live = events.psi_nodes
     live = phi_live | psi_live
     active = events.active
     psi_tail = events.psi_tail
     unsampled = 1.0 - events.probability
+    # A row never lists its own node: X_v is a variable of Phi_v only as
+    # v's own decision, and never one of Psi_v.
     psi_sampled = dict.fromkeys(psi_live, 0)
-    psi_unfixed = {node: len(neighbors[node]) for node in psi_live}
-    phi_unfixed = {node: len(neighbors[node])
-                   + (node in active and node not in neighbors[node])
+    psi_unfixed = {node: events.active_degree(node) for node in psi_live}
+    phi_unfixed = {node: events.active_degree(node) + (node in active)
                    for node in phi_live}
     phi_sampled: set[Node] = set()
-    watchers: dict[Node, list[Node]] = {}
-    for node in live:
-        for neighbor in neighbors[node]:
-            watchers.setdefault(neighbor, []).append(node)
 
     decided: set[Node] = set()
     for variable in order:
         if variable in decided:
             continue
         decided.add(variable)
-        watching = watchers.get(variable, ())
-        if not watching and variable not in live:  # every term is 0.0
+        if not live:  # every term is 0.0
             yield variable, 0.0, 0.0, False
             continue
-        in_own_row = variable in neighbors.get(variable, ())
+        affected = events.dependent_nodes(variable)
         if_zero = if_one = 0.0
-        for node in events.dependent_nodes(variable):
+        for node in affected:
             if node not in live:
                 continue
             # Is X_variable one of Psi_node's (and hence Phi_node's) variables?
-            member = node != variable or in_own_row
+            member = node != variable
             if node in phi_live and node not in phi_sampled:
                 phi_member = member or variable in active
                 term = unsampled ** (phi_unfixed[node] - phi_member)
@@ -186,18 +185,18 @@ def conditional_expectations(events: SparsificationStageEvents,
         decision = if_one < if_zero
         yield variable, if_zero, if_one, decision
 
-        for node in watching:
-            if node in psi_live:
+        if variable not in active:  # no event has X_variable as a variable
+            continue
+        for node in affected:
+            if node not in live:
+                continue
+            if node in psi_live and node != variable:
                 psi_unfixed[node] -= 1
                 psi_sampled[node] += decision
             if node in phi_live:
                 phi_unfixed[node] -= 1
                 if decision:
                     phi_sampled.add(node)
-        if variable in phi_live and variable in active and not in_own_row:
-            phi_unfixed[variable] -= 1
-            if decision:
-                phi_sampled.add(variable)
 
 
 # --------------------------------------------------------------------------

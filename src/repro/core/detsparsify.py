@@ -36,9 +36,9 @@ from repro.core.derandomize import (
     derandomize_stage_per_variable,
     derandomize_stage_seed_bits,
 )
-from repro.core.events import SparsificationStageEvents, log_n, stage_count
+from repro.core.events import SparsificationStageEvents, log_n, max_active_degree, stage_count
 from repro.core.sampling import sample_stage
-from repro.graphs.power import bounded_bfs, max_power_degree, power_adjacency
+from repro.graphs.power import bounded_bfs
 from repro.graphs.properties import ecc_lower_bound
 
 Node = Hashable
@@ -134,20 +134,18 @@ def det_sparsification(graph: nx.Graph, active: set[Node] | None = None, *,
         diameter_hint = max(1, ecc_lower_bound(graph))
 
     if delta_a is None:
-        delta_a = max_power_degree(graph, power, active)
+        delta_a = max_active_degree(graph, power, active)
     delta_a = max(1.0, float(delta_a))
 
     result = DetSparsificationResult(q=set(), ledger=ledger, method=method)
     current_active = set(active)
     r = stage_count(delta_a, n)
-    neighborhoods = power_adjacency(graph, power, restrict_to=active) if r else {}
     gamma = _seed_bit_budget(n)
     id_bits = max(1, math.ceil(math.log2(max(2, max(node_ids.values(), default=1) + 1))))
 
     for stage in range(1, r + 1):
         events = SparsificationStageEvents(graph=graph, active=current_active,
-                                           stage=stage, delta_a=delta_a, power=power,
-                                           neighborhoods=neighborhoods)
+                                           stage=stage, delta_a=delta_a, power=power)
         outcome: DerandomizationOutcome | None
         if method == "per-variable":
             outcome = derandomize_stage_per_variable(events)

@@ -17,18 +17,42 @@ neighborhoods and evaluates the events for a concrete sampled set, as well as
 their exact conditional expectations under partially fixed sampling decisions
 (used by the per-variable derandomizer and by the bit-by-bit seed fixing as a
 ground-truth cross-check in the tests).
+
+Row source and order contract.  A stage reads its rows from the graph's
+cached ``G^s`` CSR (:func:`~repro.congest.topology.graph_csr`) and masks
+them to ``H_i``; no label-set copy of ``G^s`` and no reverse index is
+built.  Floats summed by the derandomizer and coins drawn by the sampling
+depend on the iteration order of Python sets, so:
+
+* ``active`` is a copy of the set the caller passes, and
+  :func:`repro.core.sampling.sample_stage` draws one coin per node in its
+  iteration order;
+* :meth:`SparsificationStageEvents.dependent_nodes` inserts ``w``, then,
+  when ``w`` is active, each node of ``w``'s ``G^s`` row in ascending node
+  index, from a list (``set.update`` presizes when handed a set or a dict,
+  which changes the layout).  By the symmetry of ``G^s`` those are exactly
+  the nodes ``v`` with ``w in N^s(v) ∩ H_i``, in graph order, so the set
+  equals the one a scan of every row builds, layout included.  At
+  ``s = 1`` ``graph_csr`` hands out ``G``'s own rows in networkx adjacency
+  order, so those are sorted first;
+* ``high_degree_nodes`` and ``psi_nodes`` are filled in node-index order.
+
+:func:`repro.core.derandomize.conditional_expectations` sums in the order
+of ``dependent_nodes(w)``, so it makes the same decisions as the direct
+evaluation.  ``tests/test_sparsify_stage_oracle.py`` pins all of this
+against the dict-built stage it replaced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
 
-from repro.graphs.power import power_adjacency
+from repro.congest.topology import graph_csr
+from repro.graphs.power import PowerRows
 
 Node = Hashable
 
@@ -37,6 +61,7 @@ __all__ = [
     "SparsificationStageEvents",
     "degree_bound",
     "log_n",
+    "max_active_degree",
     "sampling_probability",
     "stage_count",
 ]
@@ -65,6 +90,13 @@ def sampling_probability(stage: int, delta_a: float, n: int) -> float:
     return min(1.0, SAMPLING_FACTOR * (2 ** stage) * log_n(n) / delta_a)
 
 
+def max_active_degree(graph: nx.Graph, power: int, active: Iterable[Node]) -> int:
+    """``Delta_A = max_v d_s(v, A)``, counted on the graph's cached ``G^s``
+    CSR: the rows the stages read, built here when missing, so that a
+    certificate counting ``d_s(v, Q)`` afterwards finds them too."""
+    return int(PowerRows(graph, power, active).counts().max(initial=0))
+
+
 def stage_count(delta_a: float, n: int) -> int:
     """``r = floor(log2 Delta_A - log2 log n) - 5`` (Algorithm 1 / 2), at least 0."""
     if delta_a <= 0:
@@ -91,11 +123,12 @@ class SparsificationStageEvents:
         that active degrees are at most ``Delta_A / 2^{i-1}``).
     power:
         The power ``s``: neighborhoods and degrees are measured in ``G^s``.
-    neighborhoods:
-        Optional precomputed mapping ``v -> N^s(v) ∩ A`` where ``A ⊇ H_i`` is
-        the initial active set of the enclosing call; the constructor
-        intersects it with ``active``.  Without it the rows are sliced from
-        the graph's cached ``G^s`` CSR.
+
+    ``active_neighbors`` maps every node ``v`` of ``G`` (in graph order) to
+    ``N^s(v) ∩ H_i``, each row built on first access;
+    ``high_degree_nodes`` holds the nodes whose ``Phi_v`` can occur and
+    ``psi_nodes`` those whose ``Psi_v`` can (more than ``72 log n`` active
+    neighbors).
     """
 
     graph: nx.Graph
@@ -103,14 +136,14 @@ class SparsificationStageEvents:
     stage: int
     delta_a: float
     power: int = 1
-    neighborhoods: Mapping[Node, set[Node]] | None = None
     # Derived fields -----------------------------------------------------
     n: int = field(init=False)
     probability: float = field(init=False)
     threshold: float = field(init=False)
     high_degree_cutoff: float = field(init=False)
-    active_neighbors: dict[Node, set[Node]] = field(init=False)
+    active_neighbors: PowerRows = field(init=False)
     high_degree_nodes: set[Node] = field(init=False)
+    psi_nodes: set[Node] = field(init=False)
 
     def __post_init__(self) -> None:
         self.active = set(self.active)
@@ -118,32 +151,24 @@ class SparsificationStageEvents:
         self.probability = sampling_probability(self.stage, self.delta_a, self.n)
         self.threshold = degree_bound(self.n)
         self.high_degree_cutoff = self.delta_a / (2 ** self.stage)
-        self.active_neighbors = self._compute_active_neighborhoods()
-        self.high_degree_nodes = {
-            v for v, neighbors in self.active_neighbors.items()
-            if len(neighbors) >= self.high_degree_cutoff
-        }
+        structure, self._indptr, self._indices = graph_csr(self.graph, self.power)
+        self._labels, self._index_of = structure.labels, structure.index_of
+        self.active_neighbors = PowerRows(self.graph, self.power, self.active)
+        self._degrees = self.active_neighbors.counts()
+        self.high_degree_nodes = self._labelled(self._degrees >= self.high_degree_cutoff)
+        self.psi_nodes = self._labelled(self._degrees > self.threshold)
 
     # ------------------------------------------------------------ plumbing
-    def _compute_active_neighborhoods(self) -> dict[Node, set[Node]]:
-        if self.neighborhoods is None:
-            return power_adjacency(self.graph, self.power, restrict_to=self.active)
-        return {node: set(self.neighborhoods.get(node, ())) & self.active
-                for node in self.graph.nodes()}
+    def _labelled(self, mask) -> set[Node]:
+        """The labels at the set positions of a boolean mask over the node
+        indices, inserted in node-index order."""
+        import numpy as np
 
-    @cached_property
-    def dependents(self) -> dict[Node, list[Node]]:
-        """Reverse index ``w -> [v : w in N^s(v) ∩ H_i]``, built once.
+        return set(map(self._labels.__getitem__, np.flatnonzero(mask).tolist()))
 
-        Each list follows ``active_neighbors`` key order, so a set built
-        from it receives the same insertions, in the same order, as the
-        full scan it replaces.
-        """
-        index: dict[Node, list[Node]] = {}
-        for node, neighbors in self.active_neighbors.items():
-            for neighbor in neighbors:
-                index.setdefault(neighbor, []).append(node)
-        return index
+    def active_degree(self, node: Node) -> int:
+        """``d_s(v, H_i) = |N^s(v) ∩ H_i|``."""
+        return int(self._degrees[self._index_of[node]])
 
     def dependent_nodes(self, variable: Node) -> set[Node]:
         """Nodes whose events depend on the sampling decision of ``variable``.
@@ -151,11 +176,17 @@ class SparsificationStageEvents:
         ``Psi_v`` depends on ``X_w`` for ``w in N^s(v) ∩ H_i``; ``Phi_v``
         additionally depends on ``X_v`` itself.  Hence the events affected by
         ``X_w`` are those of ``w`` itself and of every node that counts ``w``
-        among its active distance-``s`` neighbors (read from
-        :attr:`dependents`).
+        among its active distance-``s`` neighbors: by the symmetry of
+        ``G^s``, none when ``w`` is inactive and all of ``N^s(w)`` when it
+        is active, inserted in ascending node index (module docstring).
         """
         affected = {variable}
-        affected.update(self.dependents.get(variable, ()))
+        if variable in self.active:
+            i = self._index_of[variable]
+            row = self._indices[self._indptr[i]:self._indptr[i + 1]].tolist()
+            if self.power == 1:  # G's own row, in networkx adjacency order
+                row.sort()
+            affected.update(list(map(self._labels.__getitem__, row)))
         return affected
 
     def phi_variables(self, node: Node) -> set[Node]:
@@ -185,10 +216,7 @@ class SparsificationStageEvents:
     def bad_events(self, sampled: set[Node]) -> tuple[set[Node], set[Node]]:
         """Return ``(phi_violations, psi_violations)`` for a sampled set."""
         phi = {node for node in self.high_degree_nodes if self.phi_occurs(node, sampled)}
-        # Psi_v needs more than 72 log n active neighbors to occur at all.
-        psi = {node for node, neighbors in self.active_neighbors.items()
-               if len(neighbors) > self.threshold
-               and self.psi_occurs(node, sampled)}
+        psi = {node for node in self.psi_nodes if self.psi_occurs(node, sampled)}
         return phi, psi
 
     # --------------------------------------- exact conditional expectations

@@ -21,8 +21,8 @@ from typing import Hashable, Mapping
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
-from repro.core.events import SparsificationStageEvents, stage_count
-from repro.graphs.power import bounded_bfs, max_power_degree, power_adjacency
+from repro.core.events import SparsificationStageEvents, max_active_degree, stage_count
+from repro.graphs.power import bounded_bfs
 from repro.hashing.kwise import KWiseHashFamily
 
 Node = Hashable
@@ -128,18 +128,16 @@ def randomized_sparsification(graph: nx.Graph, active: set[Node] | None = None, 
         node_ids = {node: index + 1 for index, node in enumerate(sorted(graph.nodes(), key=str))}
 
     if delta_a is None:
-        delta_a = max_power_degree(graph, power, active)
+        delta_a = max_active_degree(graph, power, active)
     delta_a = max(1.0, float(delta_a))
 
     result = RandomizedSparsificationResult(q=set(), ledger=ledger)
     current_active = set(active)
     r = stage_count(delta_a, graph.number_of_nodes())
-    neighborhoods = power_adjacency(graph, power, restrict_to=active) if r else {}
 
     for stage in range(1, r + 1):
         events = SparsificationStageEvents(graph=graph, active=current_active,
-                                           stage=stage, delta_a=delta_a, power=power,
-                                           neighborhoods=neighborhoods)
+                                           stage=stage, delta_a=delta_a, power=power)
         sampled = sample_stage(events, rng, node_ids=node_ids, use_kwise=use_kwise)
         phi, psi = events.bad_events(sampled)
 

@@ -5,12 +5,18 @@ graph on the same vertex set as ``G`` where two nodes are adjacent iff their
 distance in ``G`` is at most ``k``.  The communication network remains ``G``.
 The algorithms ask ``G`` two questions, and each has one answer here:
 
-* **What is ``N^s(v) ∩ X``?**  :func:`power_adjacency` returns the rows
-  ``{v: N^s(v) ∩ X}`` sliced from the ``G^s`` CSR cached on the graph's
-  shared :class:`~repro.congest.power_view.PowerView`; the array-native
-  pipelines read the same CSR through
-  :func:`repro.congest.topology.graph_csr`, and :func:`max_power_degree`
-  counts ``|N^s(v) ∩ X|`` on it.
+* **What is ``N^s(v) ∩ X``?**  The ``G^s`` CSR cached on the graph's
+  shared :class:`~repro.congest.power_view.PowerView` is the one source:
+  the array-native pipelines read it through
+  :func:`repro.congest.topology.graph_csr` and mask it to ``X``
+  themselves, :class:`PowerRows` hands out its rows ``∩ X`` as label
+  sets (built per row, on first access) for callers that need sets, and
+  :func:`max_power_degree` counts ``|N^s(v) ∩ X|`` on it.  A row never
+  lists its own node.  At ``s = 1``, ``graph_csr`` hands out ``G``'s own
+  rows, in networkx adjacency order (unless ``G`` has self-loops); the
+  ``G^s`` rows are ascending in node index.  A caller whose output
+  depends on the order in which it walks a row (the derandomizer's
+  sums, :mod:`repro.core.events`) sorts the ``s = 1`` rows itself.
 * **How far is every node from a set?**  :func:`multi_source_bfs` answers
   for the whole graph in one array BFS over ``G``'s own CSR (distance and
   nearest member, ties to the member the caller lists first); every
@@ -27,13 +33,14 @@ leave ``X``), and :func:`k_connected_components` splits a set into maximal
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator, Mapping
 
 import networkx as nx
 
 Node = Hashable
 
 __all__ = [
+    "PowerRows",
     "bounded_bfs",
     "farthest_target",
     "induced_power_subgraph",
@@ -41,7 +48,6 @@ __all__ = [
     "max_power_degree",
     "multi_source_bfs",
     "nearest_ruler_balls",
-    "power_adjacency",
     "power_graph",
 ]
 
@@ -77,41 +83,70 @@ def bounded_bfs(graph: nx.Graph, sources: Iterable[Node],
     return distances
 
 
-def power_adjacency(graph: nx.Graph, k: int,
-                    nodes: Iterable[Node] | None = None, *,
-                    restrict_to: Iterable[Node] | None = None,
-                    ) -> dict[Node, set[Node]]:
-    """``{v: N^k(v) ∩ X for v in nodes}`` -- the virtual ``G^k`` adjacency.
+class PowerRows(Mapping[Node, set[Node]]):
+    """``v -> N^k(v) ∩ X`` for every node ``v`` of ``G``, in graph order.
 
-    ``X`` is ``restrict_to`` when given, else ``nodes``; with both omitted
-    every row is the full ``N^k(v)`` of every node.  Distances are measured
-    in the full base graph even when ``X`` restricts the vertex set (the
-    paper's ``G^k[X]``, Section 2).  Key iteration order follows ``nodes``
-    (graph order when omitted), and each value is a plain non-inclusive
-    neighbor set filled in ascending node-index order.  The rows are
-    sliced from the ``G^k`` CSR cached on the graph's shared
-    :class:`~repro.congest.power_view.PowerView`, built on the first call.
-    The cache is keyed by graph identity: after an edit that keeps the
-    node and edge counts, call :func:`repro.api.invalidate_fingerprint`.
+    The label-set form of the graph's cached ``G^k`` CSR
+    (:func:`~repro.congest.topology.graph_csr`, built on the first call):
+    each row is masked to ``X`` = ``restrict_to`` and turned into a set on
+    first access, then kept.  Distances are measured in the full graph
+    even though ``X`` restricts the columns (the paper's ``G^k[X]``,
+    Section 2); labels of ``X`` outside the graph are ignored.  The CSR is
+    cached by graph identity: after an edit that keeps the node and edge
+    counts, call :func:`repro.api.invalidate_fingerprint`.
     """
-    from repro.congest.topology import graph_power_view
 
-    return graph_power_view(graph, k).adjacency_sets(
-        None if nodes is None else list(nodes), restrict_to=restrict_to)
+    def __init__(self, graph: nx.Graph, k: int, restrict_to: Iterable[Node]) -> None:
+        from repro.congest.power_view import label_mask
+        from repro.congest.topology import graph_csr
+
+        structure, self._indptr, self._indices = graph_csr(graph, k)
+        self._labels, self._index_of = structure.labels, structure.index_of
+        self._mask = label_mask(structure, restrict_to)
+        self._rows: dict[Node, set[Node]] = {}
+
+    def counts(self):
+        """``|N^k(v) ∩ X|`` for every node, an int64 array in graph order."""
+        from repro.congest.power_view import row_hits
+
+        return row_hits(self._indptr, self._indices, self._mask)
+
+    def __getitem__(self, node: Node) -> set[Node]:
+        row = self._rows.get(node)
+        if row is None:
+            i = self._index_of[node]
+            columns = self._indices[self._indptr[i]:self._indptr[i + 1]]
+            row = self._rows[node] = set(
+                map(self._labels.__getitem__, columns[self._mask[columns]].tolist()))
+        return row
+
+    def __contains__(self, node: object) -> bool:
+        return node in self._index_of
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self._labels)
+
+    def __len__(self) -> int:
+        return len(self._labels)
 
 
 def max_power_degree(graph: nx.Graph, k: int,
                      restrict_to: Iterable[Node] | None = None) -> int:
     """``max_v d_k(v, X) = max_v |N^k(v) ∩ X|`` over every node ``v`` of
-    ``G`` (``X`` = all nodes when ``restrict_to`` is None).  Counted on the
+    ``G`` (``X`` = all nodes when ``restrict_to`` is None; labels outside
+    the graph are ignored).  At ``k = 1`` counted on ``G``'s own rows
+    (:func:`~repro.congest.topology.graph_csr`); at ``k >= 2`` on the
     graph's cached ``G^k`` CSR when one was built (a solve reading ``G^k``
     builds it), else streamed without storing ``G^k``
     (:meth:`~repro.congest.power_view.PowerView.restricted_degrees`)."""
     if k < 1 or graph.number_of_nodes() == 0:
         return 0
-    from repro.congest.topology import graph_power_view
+    if k == 1:
+        degrees = PowerRows(graph, 1, graph if restrict_to is None else restrict_to).counts()
+    else:
+        from repro.congest.topology import graph_power_view
 
-    degrees = graph_power_view(graph, k).restricted_degrees(restrict_to)
+        degrees = graph_power_view(graph, k).restricted_degrees(restrict_to)
     return int(degrees.max(initial=0))
 
 
@@ -122,7 +157,7 @@ def power_graph(graph: nx.Graph, k: int) -> nx.Graph:
     intended for verification and for small workloads only -- the distributed
     algorithms never construct ``G^k`` (a node of ``G`` does not even know
     its degree in ``G^k``), and the centralized pipelines read ``G^k`` rows
-    through :func:`power_adjacency`.
+    from the graph's cached CSR (:class:`PowerRows`).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -145,15 +180,14 @@ def induced_power_subgraph(graph: nx.Graph, k: int, subset: Iterable[Node]) -> n
 
     Edges correspond to pairs of nodes of ``X`` within distance ``k`` *in G*
     (paths may use nodes outside ``X``), which is the object the paper's MIS
-    simulation (Lemma 4.6) operates on.  Built from :func:`power_adjacency`
-    rows.
+    simulation (Lemma 4.6) operates on.  Built from the masked CSR rows
+    (:class:`PowerRows`).
     """
     subset = set(subset)
+    rows = PowerRows(graph, k, subset)
     induced = nx.Graph()
     induced.add_nodes_from(subset)
-    induced.add_edges_from((node, other) for node, row
-                           in power_adjacency(graph, k, subset).items()
-                           for other in row)
+    induced.add_edges_from((node, other) for node in subset for other in rows[node])
     return induced
 
 
@@ -163,13 +197,14 @@ def k_connected_components(graph: nx.Graph, subset: Iterable[Node],
 
     ``S`` is ``k``-connected in ``G`` iff ``G^k[S]`` is connected
     (Section 2).  The components are exactly the connected components of
-    ``G^k[subset]``, searched over its :func:`power_adjacency` rows; each
-    search starts at the first unvisited node in ``subset``'s order.
+    ``G^k[subset]``, searched over the CSR rows masked to ``subset``
+    (:class:`PowerRows`); each search starts at the first unvisited node
+    in ``subset``'s order.
     """
     subset = set(subset)
     if not subset:
         return []
-    rows = power_adjacency(graph, k, subset)
+    rows = PowerRows(graph, k, subset)
     components: list[set[Node]] = []
     unvisited = set(subset)
     while unvisited:

@@ -12,7 +12,6 @@ import pytest
 from repro.core import check_sparsification, degree_bound, randomized_sparsification, sampling_probability
 from repro.core.events import SparsificationStageEvents, log_n, stage_count
 from repro.graphs import erdos_renyi_graph, random_regular_graph
-from tests.conftest import distance_neighborhood
 
 
 class TestStageArithmetic:
@@ -107,12 +106,14 @@ class TestStageEvents:
         assert events.active_neighbors[0] == {3}
         assert events.active_neighbors[4] == {3, 6}
 
-    def test_precomputed_neighborhoods_are_intersected(self):
+    def test_rows_are_masked_to_the_active_set(self):
         graph = nx.path_graph(6)
-        neighborhoods = {node: distance_neighborhood(graph, node, 1) for node in graph.nodes()}
         events = SparsificationStageEvents(graph=graph, active={0, 1}, stage=1,
-                                           delta_a=2, neighborhoods=neighborhoods)
+                                           delta_a=2)
         assert events.active_neighbors[2] == {1}
+        assert [events.active_degree(node) for node in graph] == [1, 1, 1, 0, 0, 0]
+        assert events.dependent_nodes(1) == {0, 1, 2}
+        assert events.dependent_nodes(3) == {3}
 
     def test_evaluate_with_hash_threshold(self):
         graph = random_regular_graph(30, 4, seed=1)

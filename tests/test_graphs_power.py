@@ -12,11 +12,11 @@ from repro.graphs import (
     power_graph,
 )
 from repro.graphs.power import (
+    PowerRows,
     bounded_bfs,
     domination_distance,
     multi_source_bfs,
     nearest_ruler_balls,
-    power_adjacency,
 )
 from tests.conftest import distance_neighborhood
 
@@ -64,29 +64,37 @@ class TestBoundedBFS:
             (1, 1), (0, 1), (2, 1), (1, 0), (1, 2)}
 
 
-class TestPowerAdjacencyRows:
+class TestPowerRows:
     def test_excludes_source(self):
         graph = nx.cycle_graph(6)
-        assert power_adjacency(graph, 2)[0] == {1, 2, 4, 5}
+        assert PowerRows(graph, 2, graph)[0] == {1, 2, 4, 5}
 
     def test_restriction(self):
         graph = nx.path_graph(6)
-        assert power_adjacency(graph, 3, [0], restrict_to={2, 5}) == {0: {2}}
+        assert PowerRows(graph, 3, {2, 5})[0] == {2}
 
     def test_row_sizes(self):
         graph = nx.cycle_graph(8)
-        assert len(power_adjacency(graph, 1)[0]) == 2
-        assert len(power_adjacency(graph, 2)[0]) == 4
-        assert power_adjacency(graph, 2, [0], restrict_to={1, 2}) == {0: {1, 2}}
+        assert len(PowerRows(graph, 1, graph)[0]) == 2
+        assert len(PowerRows(graph, 2, graph)[0]) == 4
+        assert PowerRows(graph, 2, {1, 2})[0] == {1, 2}
+
+    def test_self_loops_stay_out_of_rows(self):
+        graph = nx.cycle_graph(5)
+        graph.add_edge(0, 0)
+        rows = PowerRows(graph, 1, graph)
+        assert rows[0] == {1, 4}
+        assert rows.counts().tolist() == [2] * 5
 
     @settings(max_examples=25, deadline=None)
     @given(small_graphs(), st.integers(min_value=1, max_value=4))
     def test_rows_match_per_source_bfs(self, graph: nx.Graph, k: int):
         subset = set(list(graph.nodes())[::2])
-        rows = power_adjacency(graph, k, restrict_to=subset)
+        rows = PowerRows(graph, k, subset)
         assert list(rows) == list(graph.nodes())
         for node, row in rows.items():
             assert row == distance_neighborhood(graph, node, k, restrict_to=subset)
+        assert rows.counts().tolist() == [len(row) for row in rows.values()]
 
 
 def _nearest_ruler_reference(graph, nodes, rulers):

@@ -1,12 +1,13 @@
 """Virtual ``G^k`` views: PowerView/ReachKernel vs ``power_graph(G, k)``.
 
-The tentpole contract: every ``G^k`` neighbor query answered by the lazy
-tiled-BFS view must agree exactly with the materialized power graph, over
-the scenario registry's sample cells -- adversarial families included --
-for several ``k``, every tiling granularity, and restricted node subsets.
-The same kernel backs :func:`repro.graphs.power.power_adjacency`, whose rows
-are checked against a per-source BFS here too, including the dict key-order
-guarantee the RNG-coupled pipelines rely on.
+The tentpole contract: every ``G^k`` row the view stores (:meth:`csr`)
+must agree exactly with the materialized power graph and with a per-source
+BFS, over the scenario registry's sample cells -- adversarial families
+included -- for several ``k``, every tiling granularity, and restricted
+node subsets.  The same rows reach callers through
+:func:`repro.congest.topology.graph_csr` and, as label sets, through
+:class:`repro.graphs.power.PowerRows`, whose key order the RNG-coupled
+pipelines rely on; both are checked against the per-source BFS here too.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.congest.network import CongestNetwork
-from repro.congest.power_view import DEFAULT_TILE_BYTES, PowerView, ReachKernel
-from repro.congest.topology import TopologySnapshot
+from repro.congest.power_view import DEFAULT_TILE_BYTES, PowerView, ReachKernel, label_mask
+from repro.congest.topology import TopologySnapshot, graph_csr
 from repro.graphs import power_graph
-from repro.graphs.power import power_adjacency
+from repro.graphs.power import PowerRows, max_power_degree
 from repro.scenarios.registry import DEFAULT_REGISTRY
 from tests.conftest import distance_neighborhood
 
@@ -33,7 +34,8 @@ def _snapshot(graph) -> TopologySnapshot:
 
 
 def _reference_rows(graph, k, nodes=None, restrict_to=None):
-    """``power_adjacency``'s contract, one BFS per source."""
+    """``{v: N^k(v) ∩ X for v in nodes}`` (``X`` = ``restrict_to``, else
+    ``nodes``), one BFS per source."""
     nodes = list(graph.nodes()) if nodes is None else list(nodes)
     columns = nodes if restrict_to is None else restrict_to
     return {node: distance_neighborhood(graph, node, k, restrict_to=columns)
@@ -45,6 +47,28 @@ def _expected_adjacency(graph, k):
     return {node: set(power.neighbors(node)) for node in graph.nodes()}
 
 
+def _label_rows(structure, indptr, indices, restrict_to=None):
+    """CSR rows as ``{label: N^k(v) ∩ X}`` in node-index order (``X`` =
+    every node when ``restrict_to`` is None)."""
+    labels = structure.labels
+    columns = set(labels if restrict_to is None else restrict_to)
+    return {label: {labels[j] for j in indices[indptr[i]:indptr[i + 1]].tolist()}
+            & columns for i, label in enumerate(labels)}
+
+
+def _view_rows(view, restrict_to=None):
+    """The rows :meth:`PowerView.csr` stores, as label sets."""
+    return _label_rows(view.snapshot, *view.csr(), restrict_to)
+
+
+def _graph_rows(graph, k, nodes=None, restrict_to=None):
+    """``{v: N^k(v) ∩ X for v in nodes}`` read off :func:`graph_csr` through
+    :class:`PowerRows` (``X`` = ``restrict_to``, else ``nodes``)."""
+    nodes = list(graph.nodes()) if nodes is None else list(nodes)
+    rows = PowerRows(graph, k, nodes if restrict_to is None else restrict_to)
+    return {node: rows[node] for node in nodes}
+
+
 class TestPowerViewAdjacency:
     @pytest.mark.parametrize("cell_name", SAMPLE_CELLS)
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -52,24 +76,26 @@ class TestPowerViewAdjacency:
         graph = DEFAULT_REGISTRY.build_cell(cell_name, seed=3)
         view = _snapshot(graph).power_view(k)
         expected = _expected_adjacency(graph, k)
-        actual = view.adjacency_sets()
+        actual = _view_rows(view)
         assert actual == expected, f"cell={cell_name} k={k}"
+        indptr, indices = view.csr()
+        for i in range(view.n):  # each row ascending in node index
+            row = indices[indptr[i]:indptr[i + 1]]
+            assert np.all(row[1:] > row[:-1])
 
     @pytest.mark.parametrize("k", [0, 1, 2, 4])
-    def test_neighbor_labels_match_distance_neighborhood(self, k):
+    def test_rows_match_distance_neighborhood(self, k):
         graph = DEFAULT_REGISTRY.build_cell("dense-core-6x3x5", seed=0)
-        view = _snapshot(graph).power_view(k)
+        rows = _view_rows(_snapshot(graph).power_view(k))
         for node in graph.nodes():
-            assert view.neighbor_labels(node) == \
-                distance_neighborhood(graph, node, k), f"node={node} k={k}"
+            assert rows[node] == distance_neighborhood(graph, node, k), \
+                f"node={node} k={k}"
 
     def test_restricted_adjacency_measures_distance_in_full_graph(self):
         # G^k[X]: candidates restricted, but paths may leave X (Cor. 8.5).
         graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)
         nodes = sorted(graph.nodes(), key=str)[:10]
-        view = _snapshot(graph).power_view(2)
-        actual = view.adjacency_sets(nodes)
-        assert list(actual) == list(nodes)  # key order follows the input
+        actual = _graph_rows(graph, 2, nodes)
         expected = {node: distance_neighborhood(graph, node, 2) & set(nodes)
                     for node in nodes}
         assert actual == expected
@@ -79,7 +105,7 @@ class TestPowerViewAdjacency:
         graph = DEFAULT_REGISTRY.build_cell("crown-m5", seed=0)
         snapshot = _snapshot(graph)
         view = PowerView(snapshot, 2, tile_bytes=tile_bytes)
-        assert view.adjacency_sets() == _expected_adjacency(graph, 2)
+        assert _view_rows(view) == _expected_adjacency(graph, 2)
 
     def test_view_is_cached_per_k(self):
         snapshot = _snapshot(DEFAULT_REGISTRY.build_cell("er-n20", seed=1))
@@ -90,16 +116,17 @@ class TestPowerViewAdjacency:
         graph = DEFAULT_REGISTRY.build_cell("disconnected-n18", seed=2)
         view = _snapshot(graph).power_view(2)
         power = power_graph(graph, 2)
+        degrees = np.diff(view.csr()[0])
         for index, label in enumerate(view.snapshot.labels):
-            assert view.degrees()[index] == power.degree(label)
-        assert view.max_degree() == max(
+            assert degrees[index] == power.degree(label)
+        assert max_power_degree(graph, 2) == max(
             (power.degree(node) for node in power.nodes()), default=0)
 
     def test_view_memory_stays_linear(self):
         graph = DEFAULT_REGISTRY.build_cell("dense-core-6x3x5", seed=0)
         view = _snapshot(graph).power_view(3)
-        view.degrees()
-        # O(n) persistent state: starts + empty mask + degree cache.
+        view.restricted_degrees()
+        # O(n) persistent state: starts + empty mask + degree bounds.
         assert view.nbytes <= 64 * graph.number_of_nodes() + 64
         assert view.estimated_power_csr_bytes() > 0
 
@@ -124,7 +151,7 @@ class TestReachKernel:
         graph.add_edge(0, 1)
         snapshot = _snapshot(graph)
         view = snapshot.power_view(2)
-        assert view.adjacency_sets() == _expected_adjacency(graph, 2)
+        assert _view_rows(view) == _expected_adjacency(graph, 2)
 
     def test_tile_size_respects_budget(self):
         graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)
@@ -137,61 +164,60 @@ class TestReachKernel:
         assert sum(chunks) == graph.number_of_nodes()
 
 
-class TestPowerAdjacencyRows:
-    """``power_adjacency`` rows, sliced from the cached ``G^k`` CSR, equal
-    the per-source BFS reference -- values *and* dict key order (the RNG
-    coupling surface)."""
+class TestGraphCsrRows:
+    """The rows :func:`graph_csr` hands out for a graph, read as label sets
+    through :class:`PowerRows`, equal the per-source BFS reference --
+    values *and* key order (the RNG coupling surface)."""
 
     @pytest.mark.parametrize("cell_name", SAMPLE_CELLS)
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_rows_match_per_source_bfs(self, cell_name, k):
         graph = DEFAULT_REGISTRY.build_cell(cell_name, seed=7)
         reference = _reference_rows(graph, k)
-        rows = power_adjacency(graph, k)
-        assert rows == reference
+        rows = PowerRows(graph, k, graph)
+        assert dict(rows) == reference
         assert list(rows) == list(reference)
+        assert rows.counts().tolist() == [len(row) for row in reference.values()]
 
     def test_restricted_nodes_match_per_source_bfs(self):
         graph = DEFAULT_REGISTRY.build_cell("dense-core-6x3x5", seed=0)
         nodes = [node for index, node in enumerate(graph.nodes())
                  if index % 2 == 0]
-        rows = power_adjacency(graph, 2, nodes)
-        assert rows == _reference_rows(graph, 2, nodes)
-        assert list(rows) == list(nodes)
+        assert _graph_rows(graph, 2, nodes) == _reference_rows(graph, 2, nodes)
 
     def test_matches_power_graph(self):
         graph = DEFAULT_REGISTRY.build_cell("crown-m5", seed=0)
-        assert power_adjacency(graph, 2) == _expected_adjacency(graph, 2)
+        assert _label_rows(*graph_csr(graph, 2)) == _expected_adjacency(graph, 2)
 
     @pytest.mark.parametrize("cell_name", SAMPLE_CELLS)
     @pytest.mark.parametrize("restricted", [False, True])
     def test_cached_csr_answers_like_a_cold_call(self, cell_name, restricted):
-        # The first call builds the graph's G^k CSR; the second only slices
+        # The first call builds the graph's G^k CSR; the second only reads
         # it.  Both must agree with the per-source BFS, and each row must
-        # iterate in ascending node-index order (the RNG coupling surface).
+        # be ascending in node index (the RNG coupling surface).
         graph = DEFAULT_REGISTRY.build_cell(cell_name, seed=5)
         nodes = None
         if restricted:
             nodes = [node for index, node in enumerate(graph.nodes())
                      if index % 3 != 1]
-        cold = power_adjacency(graph, 2, nodes)
-        warm = power_adjacency(graph, 2, nodes)
+        _, cold_indptr, cold_indices = graph_csr(graph, 2)
+        cold = _graph_rows(graph, 2, nodes)
+        _, warm_indptr, warm_indices = graph_csr(graph, 2)
+        warm = _graph_rows(graph, 2, nodes)
+        assert warm_indices is cold_indices
         reference = _reference_rows(graph, 2, nodes)
         assert cold == warm == reference
-        assert list(cold) == list(warm) == list(reference)
-        order = list(graph.nodes())
-        for node, row in cold.items():
-            assert list(warm[node]) == list(row)
-            assert list(row) == list({other for other in order
-                                      if other in row})
+        for i in range(graph.number_of_nodes()):
+            row = cold_indices[cold_indptr[i]:cold_indptr[i + 1]]
+            assert np.all(row[1:] > row[:-1])
 
     def test_cached_csr_sees_an_added_edge(self):
         graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)
-        before = power_adjacency(graph, 2)
+        before = _graph_rows(graph, 2)
         far = next(node for node in graph.nodes()
                    if node != 0 and node not in before[0])
         graph.add_edge(0, far)
-        after = power_adjacency(graph, 2)
+        after = _graph_rows(graph, 2)
         assert far in after[0]
         assert after == _reference_rows(graph, 2)
 
@@ -207,7 +233,7 @@ class TestPowerAdjacencyRows:
         results = []
 
         def call():
-            results.append(power_adjacency(graph, 2))
+            results.append(_graph_rows(graph, 2))
 
         threads = [threading.Thread(target=call) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -229,7 +255,7 @@ class TestPowerAdjacencyRows:
         from repro.api import invalidate_fingerprint
 
         graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=3)
-        power_adjacency(graph, 2)
+        graph_csr(graph, 2)
         (a, b), (c, d) = next(
             ((a, b), (c, d)) for a, b in graph.edges() for c, d in graph.edges()
             if len({a, b, c, d}) == 4 and not graph.has_edge(a, c)
@@ -237,7 +263,7 @@ class TestPowerAdjacencyRows:
         graph.remove_edges_from([(a, b), (c, d)])
         graph.add_edges_from([(a, c), (b, d)])
         invalidate_fingerprint(graph)
-        assert power_adjacency(graph, 2) == _reference_rows(graph, 2)
+        assert _graph_rows(graph, 2) == _reference_rows(graph, 2)
 
 
 class TestInt32CsrDowncast:
@@ -259,7 +285,7 @@ class TestInt32CsrDowncast:
     def test_downcast_preserves_power_view_results(self):
         graph = DEFAULT_REGISTRY.build_cell("dense-core-6x3x5", seed=0)
         view = _snapshot(graph).power_view(2)
-        assert view.adjacency_sets() == _expected_adjacency(graph, 2)
+        assert _view_rows(view) == _expected_adjacency(graph, 2)
 
     def test_totals_and_ids_stay_int64(self):
         arrays = _snapshot(
@@ -317,7 +343,7 @@ class TestCsrBuilds:
         monkeypatch.setattr(PowerView, "_sparse_csr_preferred",
                             lambda self: sparse)
         view = PowerView(_snapshot(graph), 3)
-        assert view.adjacency_sets() == _expected_adjacency(graph, 3)
+        assert _view_rows(view) == _expected_adjacency(graph, 3)
 
     def test_row_bounds_on_regular_graphs(self):
         from repro.graphs import random_regular_graph
@@ -359,7 +385,7 @@ class TestRestrictedQueries:
         columns = [node for index, node in enumerate(graph.nodes())
                    if index % 3 == 0]
         view = _snapshot(graph).power_view(2)
-        actual = view.adjacency_sets(restrict_to=columns)
+        actual = _view_rows(view, columns)
         assert list(actual) == list(graph.nodes())
         assert actual == {node: distance_neighborhood(graph, node, 2,
                                                       restrict_to=columns)
@@ -372,20 +398,22 @@ class TestRestrictedQueries:
         graph = DEFAULT_REGISTRY.build_cell("crown-m5", seed=0)
         nodes = list(graph.nodes())[:7]
         view = _snapshot(graph).power_view(2)
-        assert view.adjacency_sets(iter(nodes)) == view.adjacency_sets(nodes)
+        assert np.array_equal(label_mask(view.snapshot, iter(nodes)),
+                              label_mask(view.snapshot, nodes))
+        assert dict(PowerRows(graph, 2, iter(nodes))) == dict(PowerRows(graph, 2, nodes))
+        assert view.restricted_degrees(iter(nodes)).tolist() == \
+            view.restricted_degrees(nodes).tolist()
 
-    def test_power_adjacency_restrict_to_matches_per_source_bfs(self):
+    def test_power_rows_restrict_to_matches_per_source_bfs(self):
         graph = DEFAULT_REGISTRY.build_cell("crown-m5", seed=0)
         rows = list(graph.nodes())[:6]
         columns = list(graph.nodes())[3:]
-        actual = power_adjacency(graph, 2, rows, restrict_to=columns)
+        actual = _graph_rows(graph, 2, rows, restrict_to=columns)
         assert actual == _reference_rows(graph, 2, rows, restrict_to=columns)
         assert list(actual) == rows
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_max_power_degree(self, k):
-        from repro.graphs.power import max_power_degree
-
         graph = DEFAULT_REGISTRY.build_cell("disconnected-n18", seed=2)
         subset = set(list(graph.nodes())[::2])
         assert max_power_degree(graph, k) == max(
@@ -393,6 +421,17 @@ class TestRestrictedQueries:
         assert max_power_degree(graph, k, subset) == max(
             len(distance_neighborhood(graph, node, k, restrict_to=subset))
             for node in graph)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_max_power_degree_ignores_labels_outside_the_graph(self, k, cached):
+        graph = DEFAULT_REGISTRY.build_cell("disconnected-n18", seed=2)
+        if cached:
+            graph_csr(graph, k)
+        subset = set(list(graph.nodes())[::2])
+        absent = subset | {"absent", -1, (0, 0), 10 ** 9}
+        assert max_power_degree(graph, k, absent) == max_power_degree(graph, k, subset)
+        assert max_power_degree(graph, k, {"absent"}) == 0
 
 
 class TestStreamedDegrees:
@@ -428,6 +467,34 @@ class TestStreamedDegrees:
         assert graph_power_view(graph, 3)._csr is None
 
 
+class TestRowPassesPerCertifiedSolve:
+    """A certified sparsification solve computes each ``G^k`` it reads
+    once: the solver's ``Delta_A`` and the stages read one cached CSR,
+    the certificate counts on it, ``G^1`` is ``G``'s own CSR, and only the
+    ``G^{k+1}`` of invariant I1.2 is streamed."""
+
+    @pytest.mark.parametrize("algorithm,config,passes", [
+        ("det-sparsify", {"power": 3}, [3]),
+        ("randomized-sparsify", {"power": 3}, [3]),
+        ("sparsify", {"k": 3}, [2, 3, 4]),
+    ])
+    def test_one_pass_per_power(self, algorithm, config, passes, monkeypatch):
+        from repro.api import solve
+
+        powers = []
+        row_blocks = PowerView._row_blocks
+
+        def counted(self):
+            powers.append(self.k)
+            return row_blocks(self)
+
+        monkeypatch.setattr(PowerView, "_row_blocks", counted)
+        graph = DEFAULT_REGISTRY.build_cell("regular-n384-d8", seed=1)
+        report = solve(graph, algorithm, seed=1, **config)
+        assert report.verified, report.certificate.summary()
+        assert powers == passes
+
+
 class TestCsrByteEstimate:
     @pytest.mark.parametrize("cell_name", ["regular-n24-d3", "regular-n64-d4",
                                            "regular-n128-d6", "regular-n384-d8"])
@@ -450,4 +517,4 @@ class TestTrailingIsolatedNodes:
         graph.add_nodes_from([200, 201])
         view = _snapshot(graph).power_view(k)
         assert not view._sparse_csr_preferred()
-        assert view.adjacency_sets() == _expected_adjacency(graph, k)
+        assert _view_rows(view) == _expected_adjacency(graph, k)
