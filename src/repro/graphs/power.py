@@ -120,9 +120,6 @@ class PowerRows(Mapping[Node, set[Node]]):
                 map(self._labels.__getitem__, columns[self._mask[columns]].tolist()))
         return row
 
-    def __contains__(self, node: object) -> bool:
-        return node in self._index_of
-
     def __iter__(self) -> Iterator[Node]:
         return iter(self._labels)
 
