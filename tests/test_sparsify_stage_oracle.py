@@ -241,11 +241,12 @@ def _node_ids(graph):
     return {node: index + 1 for index, node in enumerate(sorted(graph.nodes(), key=str))}
 
 
-def _frozen_run(graph, delta_a, power, rng, stage_sampler):
+def _frozen_run(graph, delta_a, power, stage_sampler):
     """The stage loop both sparsifications share, on frozen stages.
 
-    Returns ``(q, stages)`` with one ``(stage, active, sampled, residual,
-    method)`` tuple per stage; ``stage_sampler(events)`` picks ``M_i``."""
+    Returns ``(q, stages, rows)``: one ``(stage, active, sampled, residual,
+    method)`` tuple per stage, and the rows of the call's active set;
+    ``stage_sampler(events)`` picks ``M_i``."""
     active = set(graph.nodes())
     r = stage_count(max(1.0, float(delta_a)), graph.number_of_nodes())
     neighborhoods = _frozen_power_adjacency(graph, power, active) if r else {}
@@ -272,7 +273,7 @@ def _frozen_det(graph, delta_a, power, method, rng):
         sampled = _frozen_sample_stage(events, rng, node_ids, use_kwise=True)
         return sampled, events.bad_events(sampled), "randomized"
 
-    return _frozen_run(graph, delta_a, power, rng, sampler)
+    return _frozen_run(graph, delta_a, power, sampler)
 
 
 def _frozen_randomized(graph, delta_a, power, rng, use_kwise):
@@ -282,7 +283,7 @@ def _frozen_randomized(graph, delta_a, power, rng, use_kwise):
         sampled = _frozen_sample_stage(events, rng, node_ids, use_kwise)
         return sampled, events.bad_events(sampled), None
 
-    return _frozen_run(graph, delta_a, power, rng, sampler)
+    return _frozen_run(graph, delta_a, power, sampler)
 
 
 # --------------------------------------------------------------------------
@@ -401,8 +402,8 @@ def _assert_stages_match(live_stages, frozen_stages):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_det_sparsification_matches_frozen_run(name, method):
     graph, power, delta_a = RUNS[name]
-    q, stages, neighborhoods = _frozen_det(graph, delta_a, power, method,
-                                           random.Random(11))
+    frozen_rng = random.Random(11)
+    q, stages, neighborhoods = _frozen_det(graph, delta_a, power, method, frozen_rng)
     rng = random.Random(11)
     result = det_sparsification(graph, delta_a=delta_a, power=power, method=method,
                                 rng=rng)
@@ -413,8 +414,6 @@ def test_det_sparsification_matches_frozen_run(name, method):
         assert record.outcome.residual_phi == phi
         assert record.outcome.residual_psi == psi
     # Same draws, in the same number: the generators end in the same state.
-    frozen_rng = random.Random(11)
-    _frozen_det(graph, delta_a, power, method, frozen_rng)
     assert rng.random() == frozen_rng.random()
     if method == "per-variable":
         for stage, active, _, _, _ in stages:
