@@ -19,6 +19,10 @@ row-reading MIS family: ``kp12-sparsify`` and ``luby-power`` on the grid,
 solvers at their default ``Delta_A``, which run no stage on these cells,
 its iterations at ``s >= 2`` run three to four stages each, so those rows
 pin the stages' sampled sets under both derandomizers and the sampling.
+The five simulator-native algorithms run on the same cells and seeds
+(``power-luby-sim`` and ``power-det-ruling-sim`` also over the powers)
+under the ``sync`` and ``vector`` engines; their rows pin the message
+and bit totals and the engine that executed in place of a round ledger.
 
 The snapshot lives in ``tests/pipeline_outputs.json``; regenerate it with::
 
@@ -53,6 +57,12 @@ SEEDS = (1, 2, 3)
 POWERS = (2, 3)
 #: Extra ``(cell, algorithm, k)`` inputs beyond the grid above.
 EXTRA = (("regular-n384-d8", "power-mis", 3),)
+#: Simulator-native algorithms, each run as ``name/engine=e``.
+ENGINES = ("sync", "vector")
+SIM_PLAIN = ("luby-sim", "beeping-sim", "det-ruling-sim")
+SIM_POWERED = ("power-luby-sim", "power-det-ruling-sim")
+#: What a simulator row pins besides the output and the round count.
+SIM_METRICS = ("messages", "bits", "engine_used")
 
 
 def _key(cell: str, algorithm: str, seed: int, k: int) -> str:
@@ -66,30 +76,47 @@ def _cases() -> list[tuple[str, str, int, int]]:
               for algorithm in PLAIN_ALGORITHMS for seed in SEEDS]
     cases += [(cell, algorithm, seed, k) for cell, algorithm, k in EXTRA
               for seed in SEEDS]
+    cases += [(cell, f"{algorithm}/engine={engine}", seed, None)
+              for cell in CELLS for algorithm in SIM_PLAIN
+              for engine in ENGINES for seed in SEEDS]
+    cases += [(cell, f"{algorithm}/engine={engine}", seed, k)
+              for cell in CELLS for algorithm in SIM_POWERED
+              for engine in ENGINES for seed in SEEDS for k in POWERS]
     return cases
+
+
+def _is_sim(algorithm: str) -> bool:
+    return "/engine=" in algorithm
 
 
 def _solve(cell: str, algorithm: str, seed: int, k: int | None, *, verify: bool):
     """Solve one case; an ``algorithm`` of the form ``name/method=m`` runs
-    ``name`` with ``method=m``."""
+    ``name`` with ``method=m``, and ``name/engine=e`` runs it with
+    ``engine=e``."""
     from repro.api import solve
     from repro.scenarios.registry import DEFAULT_REGISTRY
 
     graph = DEFAULT_REGISTRY.build_cell(cell, seed=seed)
+    algorithm, _, engine = algorithm.partition("/engine=")
     algorithm, _, method = algorithm.partition("/method=")
     config = {} if k is None else {
         "power" if algorithm in POWER_KEYED else "k": k}
     if method:
         config["method"] = method
+    if engine:
+        config["engine"] = engine
     return solve(graph, algorithm, seed=seed, verify=verify, **config)
 
 
 @functools.lru_cache(maxsize=None)
 def _solve_row(cell: str, algorithm: str, seed: int, k: int | None) -> dict:
     report = _solve(cell, algorithm, seed, k, verify=False)
-    row = {"output": sorted(report.output), "rounds": report.rounds,
-           "by_label": ({} if report.result is None
-                        else report.result.ledger.rounds_by_label())}
+    row = {"output": sorted(report.output), "rounds": report.rounds}
+    if _is_sim(algorithm):
+        row.update((key, report.metrics[key]) for key in SIM_METRICS)
+    else:
+        row["by_label"] = ({} if report.result is None
+                           else report.result.ledger.rounds_by_label())
     structure = _structure(report.payload)
     if structure is not None:
         row["structure"] = structure
@@ -136,11 +163,21 @@ def test_output_and_rounds_match_fixture(cell, algorithm, seed, k):
     assert actual["rounds"] == expected["rounds"], "round count drifted"
 
 
-@pytest.mark.parametrize("cell,algorithm,seed,k", _cases())
+@pytest.mark.parametrize("cell,algorithm,seed,k", [
+    case for case in _cases() if not _is_sim(case[1])])
 def test_round_ledger_by_label_matches_fixture(cell, algorithm, seed, k):
     expected = _load()["rows"][_key(cell, algorithm, seed, k)]
     actual = _solve_row(cell, algorithm, seed, k)
     assert actual["by_label"] == expected["by_label"], "ledger labels drifted"
+
+
+@pytest.mark.parametrize("cell,algorithm,seed,k", [
+    case for case in _cases() if _is_sim(case[1])])
+def test_simulator_traffic_matches_fixture(cell, algorithm, seed, k):
+    expected = _load()["rows"][_key(cell, algorithm, seed, k)]
+    actual = _solve_row(cell, algorithm, seed, k)
+    for key in SIM_METRICS:
+        assert actual[key] == expected[key], f"{key} drifted"
 
 
 @pytest.mark.parametrize("cell,algorithm,seed,k", _cases())

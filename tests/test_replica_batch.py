@@ -30,6 +30,7 @@ from repro.congest.observers import (
     StatsObserver,
     ambient_observation,
 )
+from repro.congest.vector_engine import VectorFallbackWarning
 from repro.mis.beeping import BeepingMISNode
 from repro.mis.luby import LubyMISNode
 from repro.mis.power_sim import PowerDetRulingNode, PowerLubyMISNode
@@ -308,13 +309,26 @@ class TestObservedSweeps:
             assert select_batch_kernel(sims) is not None
 
 
+#: The five simulator-native algorithms with their sweep configs.
+SIM_ALGORITHMS = [
+    ("luby-sim", {}),
+    ("det-ruling-sim", {}),
+    ("power-luby-sim", {"k": 2}),
+    ("power-det-ruling-sim", {"k": 2}),
+    ("beeping-sim", {}),
+]
+
+
+def _isolated_er_graph(first_isolated: bool) -> nx.Graph:
+    """An ER graph whose first or last 9 labels are isolated."""
+    graph = nx.gnp_random_graph(30, 0.2, seed=4)
+    isolated = range(9) if first_isolated else range(21, 30)
+    graph.remove_edges_from(list(graph.edges(isolated)))
+    return graph
+
+
 class TestSolveBatchAPI:
-    @pytest.mark.parametrize("algorithm,config", [
-        ("luby-sim", {}),
-        ("det-ruling-sim", {}),
-        ("power-luby-sim", {"k": 2}),
-        ("power-det-ruling-sim", {"k": 2}),
-    ])
+    @pytest.mark.parametrize("algorithm,config", SIM_ALGORITHMS)
     @pytest.mark.parametrize("engine", ["sync", "vector"])
     def test_batch_reports_equal_solo_reports(self, algorithm, config, engine):
         graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=5)
@@ -330,6 +344,43 @@ class TestSolveBatchAPI:
             assert report.metrics == solo.metrics, hint
             assert report.provenance == solo.provenance, hint
             assert report.verified and solo.verified, hint
+
+    @pytest.mark.parametrize("algorithm,config", SIM_ALGORITHMS)
+    def test_empty_graph_warns_about_the_engine_not_the_batch(
+            self, algorithm, config):
+        """A solo vector solve on the empty graph falls back to the scalar
+        engine once, and never reports a batch fallback."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            repro.solve(nx.Graph(), algorithm, engine="vector", **config)
+        categories = [warning.category for warning in caught]
+        assert categories.count(VectorFallbackWarning) == 1, categories
+        assert BatchFallbackWarning not in categories, categories
+
+    @pytest.mark.parametrize("algorithm,config", SIM_ALGORITHMS)
+    @pytest.mark.parametrize("engine", ["sync", "vector"])
+    @pytest.mark.parametrize("make_graph", [
+        pytest.param(lambda: _isolated_er_graph(True), id="er-first-isolated"),
+        pytest.param(lambda: _isolated_er_graph(False), id="er-last-isolated"),
+        pytest.param(lambda: nx.empty_graph(9), id="edgeless"),
+    ])
+    def test_batch_equals_solo_with_isolated_nodes(self, algorithm, config,
+                                                   engine, make_graph):
+        graph = make_graph()
+        seeds = [1, 2, 3]
+        reports = repro.solve_batch(graph, algorithm, seeds=seeds,
+                                    engine=engine, **config)
+        for seed, report in zip(seeds, reports):
+            solo = repro.solve(graph, algorithm, seed=seed, engine=engine,
+                               **config)
+            hint = f"{algorithm} engine={engine} seed={seed}"
+            assert report.output == solo.output, hint
+            assert report.rounds == solo.rounds, hint
+            assert report.metrics == solo.metrics, hint
+            assert report.payload["node_ids"] == solo.payload["node_ids"], hint
+            assert (dict(report.result.edge_message_counts)
+                    == dict(solo.result.edge_message_counts)), hint
+            assert report.certificate == solo.certificate, hint
 
 
 @SETTINGS
