@@ -3,7 +3,7 @@
 Each adapter wraps one of the library's solver entry points in the uniform
 ``run(graph, ctx) -> AdapterOutcome`` shape.  Adapters never construct
 randomness: graph-level algorithms receive ``ctx.rng`` (the single
-``random.Random`` built by the solve path) and the simulator-native drivers
+``random.Random`` built by the solve path) and the simulator-native runners
 receive ``ctx.seed`` for the CONGEST ID assignment and per-node RNGs --
 the no-fan-out rule that keeps a RunReport reproducible from its provenance
 block alone.
@@ -32,21 +32,16 @@ from repro.core.sampling import randomized_sparsification
 from repro.decomposition.ball_graph import form_distance_k_ball_graph
 from repro.decomposition.network_decomposition import network_decomposition
 from repro.graphs.power import nearest_ruler_balls
-from repro.mis.beeping import beeping_mis, beeping_mis_power, simulate_beeping_mis
+from repro.mis.beeping import BeepingMISNode, beeping_mis, beeping_mis_power
 from repro.mis.kp12 import kp12_sparsify
-from repro.mis.luby import LubyMISNode, luby_mis, luby_mis_power, simulate_luby_mis
+from repro.mis.luby import LubyMISNode, luby_mis, luby_mis_power
 from repro.mis.power_mis import power_graph_mis
 from repro.mis.power_ruling import power_graph_ruling_set
-from repro.mis.power_sim import (
-    PowerDetRulingNode,
-    PowerLubyMISNode,
-    simulate_power_det_ruling,
-    simulate_power_luby_mis,
-)
+from repro.mis.power_sim import PowerDetRulingNode, PowerLubyMISNode
 from repro.mis.shattering import shattering_mis
 from repro.ruling.aglp import aglp_ruling_set, id_based_ruling_set
 from repro.ruling.det_ruling_set import deterministic_power_ruling_set
-from repro.ruling.distributed import DetRulingSetNode, simulate_det_ruling_set
+from repro.ruling.distributed import DetRulingSetNode
 from repro.ruling.greedy import greedy_mis, greedy_ruling_set
 
 Node = Hashable
@@ -250,7 +245,7 @@ def _run_ball_graph(graph: nx.Graph, ctx: SolveContext) -> AdapterOutcome:
         payload={"ball_graph": ball_graph})
 
 
-# -------------------------------------------------- simulator-native drivers
+# ------------------------------------------------ simulator-native runners
 def _sim_metrics(result) -> dict[str, object]:
     """Uniform metrics of a ``SimulationResult``, incl. engine observability.
 
@@ -266,74 +261,17 @@ def _sim_metrics(result) -> dict[str, object]:
             "halted": result.halted}
 
 
-def _run_det_ruling_sim(graph: nx.Graph, ctx: SolveContext) -> AdapterOutcome:
-    network = CongestNetwork(graph, id_seed=ctx.seed)
-    ruling_set, result = simulate_det_ruling_set(network, engine=ctx["engine"],
-                                                 max_rounds=ctx["max_rounds"])
-    node_ids = dict(network.ids)
-    return AdapterOutcome(
-        output=ruling_set, rounds=result.rounds,
-        metrics=_sim_metrics(result),
-        payload={"node_ids": node_ids, "greedy_reference_ids": node_ids,
-                 "result": result})
-
-
-def _run_luby_sim(graph: nx.Graph, ctx: SolveContext) -> AdapterOutcome:
-    network = CongestNetwork(graph, id_seed=ctx.seed)
-    mis, result = simulate_luby_mis(network, seed=ctx.seed, engine=ctx["engine"],
-                                    max_rounds=ctx["max_rounds"])
-    return AdapterOutcome(
-        output=mis, rounds=result.rounds,
-        metrics=_sim_metrics(result),
-        payload={"node_ids": dict(network.ids), "result": result})
-
-
-def _run_beeping_sim(graph: nx.Graph, ctx: SolveContext) -> AdapterOutcome:
-    network = CongestNetwork(graph, id_seed=ctx.seed)
-    mis, result = simulate_beeping_mis(network, seed=ctx.seed,
-                                       max_steps=ctx["max_steps"],
-                                       engine=ctx["engine"],
-                                       max_rounds=ctx["max_rounds"])
-    return AdapterOutcome(
-        output=mis, rounds=result.rounds,
-        metrics=_sim_metrics(result),
-        payload={"node_ids": dict(network.ids), "result": result})
-
-
-def _run_power_luby_sim(graph: nx.Graph, ctx: SolveContext) -> AdapterOutcome:
-    network = CongestNetwork(graph, id_seed=ctx.seed)
-    mis, result = simulate_power_luby_mis(network, ctx["k"], seed=ctx.seed,
-                                          engine=ctx["engine"],
-                                          max_rounds=ctx["max_rounds"])
-    return AdapterOutcome(
-        output=mis, rounds=result.rounds,
-        metrics=_sim_metrics(result),
-        payload={"node_ids": dict(network.ids), "result": result})
-
-
-def _run_power_det_ruling_sim(graph: nx.Graph,
-                              ctx: SolveContext) -> AdapterOutcome:
-    network = CongestNetwork(graph, id_seed=ctx.seed)
-    chosen, result = simulate_power_det_ruling(network, ctx["k"],
-                                               seed=ctx.seed,
-                                               engine=ctx["engine"],
-                                               max_rounds=ctx["max_rounds"])
-    return AdapterOutcome(
-        output=chosen, rounds=result.rounds,
-        metrics=_sim_metrics(result),
-        payload={"node_ids": dict(network.ids), "result": result})
-
-
-# --------------------------------------------------- batched-replica drivers
-def _batch_sim(graph: nx.Graph, ctxs: list[SolveContext],
-               node_factory) -> list[AdapterOutcome]:
+def _batch_sim(graph: nx.Graph, ctxs: list[SolveContext], node_factory, *,
+               greedy_reference: bool = False) -> list[AdapterOutcome]:
     """Run the contexts of one seed sweep as a single replica batch.
 
     The solve path guarantees all contexts share one config and differ only
     in seed, so the sweep maps onto
-    :func:`repro.congest.batch.simulate_replicas` with the adapter's own
-    network construction (``CongestNetwork(graph, id_seed=seed)``) --
-    producing outcomes bit-identical to calling the solo adapter per seed.
+    :func:`repro.congest.batch.simulate_replicas` with the network
+    construction ``CongestNetwork(graph, id_seed=seed)``; each outcome is
+    bit-identical to the solo ``Simulator`` run of its seed.
+    ``greedy_reference`` adds the run's IDs as the certifier's greedy-by-ID
+    reference.
     """
     seeds = [ctx.seed for ctx in ctxs]
     networks = [CongestNetwork(graph, id_seed=seed) for seed in seeds]
@@ -346,40 +284,43 @@ def _batch_sim(graph: nx.Graph, ctxs: list[SolveContext],
         engine=ctxs[0]["engine"], max_rounds=ctxs[0]["max_rounds"],
         network_factory=lambda seed: next(network_iter),
         uniform_factory=True)
-    return [AdapterOutcome(
-                output={node for node, joined in result.outputs.items()
-                        if joined},
-                rounds=result.rounds,
-                metrics=_sim_metrics(result),
-                payload={"node_ids": dict(network.ids), "result": result})
-            for network, result in zip(networks, results)]
-
-
-def _batch_det_ruling_sim(graph: nx.Graph,
-                          ctxs: list[SolveContext]) -> list[AdapterOutcome]:
-    outcomes = _batch_sim(graph, ctxs, DetRulingSetNode)
-    for outcome in outcomes:
-        node_ids = outcome.payload["node_ids"]
-        outcome.payload["greedy_reference_ids"] = node_ids
+    outcomes = []
+    for network, result in zip(networks, results):
+        node_ids = dict(network.ids)
+        payload = {"node_ids": node_ids, "result": result}
+        if greedy_reference:
+            payload["greedy_reference_ids"] = node_ids
+        outcomes.append(AdapterOutcome(
+            output={node for node, joined in result.outputs.items() if joined},
+            rounds=result.rounds, metrics=_sim_metrics(result),
+            payload=payload))
     return outcomes
 
 
-def _batch_luby_sim(graph: nx.Graph,
-                    ctxs: list[SolveContext]) -> list[AdapterOutcome]:
-    return _batch_sim(graph, ctxs, LubyMISNode)
+def _sim_algorithm(name: str, nodes, *, extra_defaults=(), randomized=True,
+                   greedy_reference=False, description: str) -> Algorithm:
+    """A simulator-native algorithm; ``nodes(config)`` is its node factory.
 
+    ``run_batch`` sweeps its contexts as one replica batch and ``run`` is
+    that batch with one context, so a solo solve and a seed sweep share one
+    path.  The ``engine`` key selects the round engine ("sync" /
+    "active-set" / "vector") and is seed-neutral: all engines derive the
+    same seed and produce bit-identical reports, so a provenance recorded
+    under one engine replays on any other.
+    """
+    def run_batch(graph: nx.Graph,
+                  ctxs: list[SolveContext]) -> list[AdapterOutcome]:
+        return _batch_sim(graph, ctxs, nodes(ctxs[0].config),
+                          greedy_reference=greedy_reference)
 
-def _batch_power_luby_sim(graph: nx.Graph,
-                          ctxs: list[SolveContext]) -> list[AdapterOutcome]:
-    k = ctxs[0]["k"]
-    return _batch_sim(graph, ctxs, lambda node: PowerLubyMISNode(k))
+    def run(graph: nx.Graph, ctx: SolveContext) -> AdapterOutcome:
+        return run_batch(graph, [ctx])[0]
 
-
-def _batch_power_det_ruling_sim(graph: nx.Graph,
-                                ctxs: list[SolveContext],
-                                ) -> list[AdapterOutcome]:
-    k = ctxs[0]["k"]
-    return _batch_sim(graph, ctxs, lambda node: PowerDetRulingNode(k))
+    return Algorithm(
+        name, "mis-power", run,
+        defaults=(("engine", "sync"), *extra_defaults, ("max_rounds", 10_000)),
+        seed_neutral=("engine",), simulator_native=True,
+        randomized=randomized, run_batch=run_batch, description=description)
 
 
 def register_builtin_algorithms(registry: SolverRegistry) -> SolverRegistry:
@@ -475,45 +416,29 @@ def register_builtin_algorithms(registry: SolverRegistry) -> SolverRegistry:
         randomized=False,
         description="Lemma 8.3: distance-k ball graph over a greedy ruling set"),
         default=True)
-    # Simulator-native drivers.  Their `engine` key selects the round
-    # engine ("sync" / "active-set" / "vector") and is seed-neutral: all
-    # engines derive the same seed and produce bit-identical reports, so a
-    # provenance recorded under one engine replays on any other.
-    register(Algorithm(
-        "det-ruling-sim", "mis-power", _run_det_ruling_sim,
-        defaults=(("engine", "sync"), ("max_rounds", 10_000)),
-        seed_neutral=("engine",),
-        simulator_native=True, randomized=False,
-        run_batch=_batch_det_ruling_sim,
+    # Simulator-native algorithms: the message-passing runtime.
+    register(_sim_algorithm(
+        "det-ruling-sim", lambda config: DetRulingSetNode,
+        randomized=False, greedy_reference=True,
         description="Deterministic greedy MIS by ID minima on the "
                     "message-passing runtime"))
-    register(Algorithm(
-        "luby-sim", "mis-power", _run_luby_sim,
-        defaults=(("engine", "sync"), ("max_rounds", 10_000)),
-        seed_neutral=("engine",),
-        simulator_native=True,
-        run_batch=_batch_luby_sim,
+    register(_sim_algorithm(
+        "luby-sim", lambda config: LubyMISNode,
         description="Luby's MIS of G on the message-passing runtime"))
-    register(Algorithm(
-        "beeping-sim", "mis-power", _run_beeping_sim,
-        defaults=(("engine", "sync"), ("max_steps", 200), ("max_rounds", 10_000)),
-        seed_neutral=("engine",),
-        simulator_native=True,
+    register(_sim_algorithm(
+        "beeping-sim",
+        lambda config: lambda node: BeepingMISNode(config["max_steps"]),
+        extra_defaults=(("max_steps", 200),),
         description="BeepingMIS of G on the message-passing runtime"))
-    register(Algorithm(
-        "power-luby-sim", "mis-power", _run_power_luby_sim,
-        defaults=(("engine", "sync"), ("k", 1), ("max_rounds", 10_000)),
-        seed_neutral=("engine",),
-        simulator_native=True,
-        run_batch=_batch_power_luby_sim,
+    register(_sim_algorithm(
+        "power-luby-sim", lambda config: lambda node: PowerLubyMISNode(config["k"]),
+        extra_defaults=(("k", 1),),
         description="Luby's MIS of G^k by k-hop flooding (2k rounds per "
                     "G^k step) on the message-passing runtime"))
-    register(Algorithm(
-        "power-det-ruling-sim", "mis-power", _run_power_det_ruling_sim,
-        defaults=(("engine", "sync"), ("k", 1), ("max_rounds", 10_000)),
-        seed_neutral=("engine",),
-        simulator_native=True, randomized=False,
-        run_batch=_batch_power_det_ruling_sim,
+    register(_sim_algorithm(
+        "power-det-ruling-sim",
+        lambda config: lambda node: PowerDetRulingNode(config["k"]),
+        extra_defaults=(("k", 1),), randomized=False,
         description="Deterministic greedy MIS of G^k by ID minima "
                     "((k+1,k)-ruling set of G) on the message-passing runtime"))
     return registry

@@ -36,7 +36,9 @@ replica's ``on_run_start`` and ``on_run_end``: all B starts before the
 kernel runs, then the B ends in replica order.  Any other observer, a
 workload without a kernel, or structurally incompatible replicas make the
 runner fall back to sequential solo runs -- still correct, observable via
-:class:`BatchFallbackWarning`.
+:class:`BatchFallbackWarning` (a batch of one is a solo run: only the
+vector engine's own fallback warning reports it).  The solver registry
+runs every simulator-native solve, solo or sweep, through this runner.
 """
 
 from __future__ import annotations
@@ -249,7 +251,8 @@ def simulate_replicas(graph, algorithm_factory, seeds: Sequence[int], *,
     solve adapters do.  When ``engine="vector"`` and an array kernel covers
     the algorithm, all replicas execute in lockstep as one ``(B, n)`` array
     program over the shared CSR; otherwise the runner warns
-    (:class:`BatchFallbackWarning`) and runs the replicas sequentially.
+    (:class:`BatchFallbackWarning`, for more than one seed) and runs the
+    replicas sequentially.
 
     ``uniform_factory=True`` asserts that ``algorithm_factory`` ignores the
     node label (and that ``initialize`` depends only on the class,
@@ -289,10 +292,11 @@ def simulate_replicas(graph, algorithm_factory, seeds: Sequence[int], *,
             if results is not None:
                 return results
             sims = build()  # the failed attempt initialized the instances
-        node_class = (type(sims[0]._instances[0]).__name__
-                      if sims[0]._instances else "(no instances)")
-        warnings.warn(
-            f"replica batch fell back to sequential runs for {node_class} "
-            f"(no array kernel applies; results are bit-identical, "
-            f"performance is not)", BatchFallbackWarning, stacklevel=2)
+        if len(sims) > 1:  # a batch of one is a solo run: its engine warns
+            node_class = (type(sims[0]._instances[0]).__name__
+                          if sims[0]._instances else "(no instances)")
+            warnings.warn(
+                f"replica batch fell back to sequential runs for {node_class} "
+                f"(no array kernel applies; results are bit-identical, "
+                f"performance is not)", BatchFallbackWarning, stacklevel=2)
     return [sim.run(max_rounds) for sim in sims]

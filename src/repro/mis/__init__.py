@@ -26,10 +26,9 @@ from repro.mis.beeping import (
     BeepingMISProcess,
     beeping_mis,
     beeping_mis_power,
-    simulate_beeping_mis,
 )
 from repro.mis.kp12 import kp12_sparsify
-from repro.mis.luby import LubyMISNode, luby_mis, luby_mis_power, simulate_luby_mis
+from repro.mis.luby import LubyMISNode, luby_mis, luby_mis_power
 from repro.mis.power_mis import PowerMISResult, power_graph_mis
 from repro.mis.power_ruling import PowerRulingSetResult, power_graph_ruling_set
 from repro.mis.shattering import (
@@ -58,6 +57,4 @@ __all__ = [
     "power_graph_ruling_set",
     "pre_shattering",
     "shattering_mis",
-    "simulate_beeping_mis",
-    "simulate_luby_mis",
 ]

@@ -61,16 +61,13 @@ from typing import Hashable, Iterable, Mapping
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
-from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeAlgorithm
 from repro.congest.power_view import row_entries
-from repro.congest.simulator import SimulationResult, Simulator
 
 Node = Hashable
 
 __all__ = ["BeepingMISNode", "BeepingMISProcess", "BeepingResult",
-           "beeping_mis", "beeping_mis_power", "default_step_budget",
-           "simulate_beeping_mis"]
+           "beeping_mis", "beeping_mis_power", "default_step_budget"]
 
 
 def default_step_budget(delta: int, scale: int = 8) -> int:
@@ -308,28 +305,10 @@ class BeepingMISNode(NodeAlgorithm):
             self.halt(False)
             return
         if round_number >= 2 * self.max_steps:
-            # Out of budget: undecided nodes report False; the driver treats
+            # Out of budget: undecided nodes report False; the caller treats
             # an incomplete run as "not shattered yet".
             self.halt(False)
 
     def finalize(self) -> None:
         if not self.halted:
             self.halt(self.in_mis)
-
-
-def simulate_beeping_mis(network: CongestNetwork, *, seed: int = 0,
-                         max_steps: int = 200, engine=None, observers=(),
-                         max_rounds: int = 10_000,
-                         ) -> tuple[set[Node], SimulationResult]:
-    """Run :class:`BeepingMISNode` on the layered runtime; returns ``(mis, result)``.
-
-    Like :func:`repro.mis.luby.simulate_luby_mis`, this is the driver that
-    wires the per-node state machine into the simulator facade with a
-    selectable round engine and observers; ``engine="vector"`` runs
-    :class:`BeepingMISNode` as batched numpy rounds, bit-identical to the
-    scalar engines for the same seed.
-    """
-    result = Simulator(network, lambda node: BeepingMISNode(max_steps=max_steps),
-                       seed=seed, engine=engine, observers=observers).run(max_rounds)
-    mis = {node for node, joined in result.outputs.items() if joined}
-    return mis, result

@@ -43,16 +43,13 @@ from typing import Hashable, Iterable, Mapping
 import networkx as nx
 
 from repro.congest.cost import RoundLedger
-from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeAlgorithm
 from repro.congest.power_view import row_entries
-from repro.congest.simulator import SimulationResult, Simulator
 from repro.congest.topology import graph_csr
 
 Node = Hashable
 
-__all__ = ["LubyMISNode", "LubyResult", "luby_mis", "luby_mis_power",
-           "simulate_luby_mis"]
+__all__ = ["LubyMISNode", "LubyResult", "luby_mis", "luby_mis_power"]
 
 #: Random priorities are drawn from [n^PRIORITY_EXPONENT] so ties are unlikely
 #: (``c`` in [MRSZ11]); ties are broken by ID to keep runs deterministic
@@ -233,22 +230,3 @@ class LubyMISNode(NodeAlgorithm):
     def finalize(self) -> None:
         if not self.halted:
             self.halt(self.state == self.IN_MIS)
-
-
-def simulate_luby_mis(network: CongestNetwork, *, seed: int = 0, engine=None,
-                      observers=(), max_rounds: int = 10_000,
-                      ) -> tuple[set[Node], SimulationResult]:
-    """Run :class:`LubyMISNode` on the layered runtime; returns ``(mis, result)``.
-
-    The driver for the message-passing Luby execution: it accepts the
-    simulator facade's ``engine=`` / ``observers=`` arguments, so the same
-    run works under :class:`~repro.congest.engine.SyncEngine`,
-    :class:`~repro.congest.engine.ActiveSetEngine` and the vectorized
-    :class:`~repro.congest.vector_engine.VectorEngine`, which executes
-    :class:`LubyMISNode` as batched numpy rounds drawing from the same
-    per-node RNG streams (identical outputs for the same seed).
-    """
-    result = Simulator(network, LubyMISNode, seed=seed, engine=engine,
-                       observers=observers).run(max_rounds)
-    mis = {node for node, joined in result.outputs.items() if joined}
-    return mis, result

@@ -44,15 +44,12 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeAlgorithm
-from repro.congest.simulator import SimulationResult, Simulator
 from repro.mis.luby import shared_priority_space
 
 Node = Hashable
 
-__all__ = ["PowerDetRulingNode", "PowerLubyMISNode",
-           "simulate_power_det_ruling", "simulate_power_luby_mis"]
+__all__ = ["PowerDetRulingNode", "PowerLubyMISNode"]
 
 
 class _PowerFloodNode(NodeAlgorithm):
@@ -166,30 +163,3 @@ class PowerDetRulingNode(_PowerFloodNode):
 
     def _draw_payload(self):
         return self.node_id
-
-
-def simulate_power_luby_mis(network: CongestNetwork, k: int, *, seed: int = 0,
-                            engine=None, observers=(),
-                            max_rounds: int = 10_000,
-                            ) -> tuple[set[Node], SimulationResult]:
-    """Run :class:`PowerLubyMISNode`; returns ``(mis, result)``.
-
-    Under ``engine="vector"`` the run executes as batched numpy rounds over
-    the base CSR arrays (same per-node RNG streams, bit-identical results);
-    ``G^k`` is never materialised either way.
-    """
-    result = Simulator(network, lambda node: PowerLubyMISNode(k), seed=seed,
-                       engine=engine, observers=observers).run(max_rounds)
-    mis = {node for node, joined in result.outputs.items() if joined}
-    return mis, result
-
-
-def simulate_power_det_ruling(network: CongestNetwork, k: int, *, seed: int = 0,
-                              engine=None, observers=(),
-                              max_rounds: int = 10_000,
-                              ) -> tuple[set[Node], SimulationResult]:
-    """Run :class:`PowerDetRulingNode`; returns ``(ruling_set, result)``."""
-    result = Simulator(network, lambda node: PowerDetRulingNode(k), seed=seed,
-                       engine=engine, observers=observers).run(max_rounds)
-    chosen = {node for node, joined in result.outputs.items() if joined}
-    return chosen, result

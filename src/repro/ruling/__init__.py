@@ -9,7 +9,7 @@ set -- i.e. a ``k``-ruling set of ``G^k`` -- in polylogarithmic CONGEST time.
 """
 
 from repro.ruling.aglp import aglp_ruling_set, id_based_ruling_set
-from repro.ruling.distributed import DetRulingSetNode, simulate_det_ruling_set
+from repro.ruling.distributed import DetRulingSetNode
 from repro.ruling.det_ruling_set import (
     DetRulingSetResult,
     deterministic_mis_of_virtual_graph,
@@ -33,7 +33,6 @@ __all__ = [
     "DetRulingSetResult",
     "RulingSetReport",
     "aglp_ruling_set",
-    "simulate_det_ruling_set",
     "deterministic_mis_of_virtual_graph",
     "deterministic_power_ruling_set",
     "domination_radius",

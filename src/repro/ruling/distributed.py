@@ -28,13 +28,11 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeAlgorithm
-from repro.congest.simulator import SimulationResult, Simulator
 
 Node = Hashable
 
-__all__ = ["DetRulingSetNode", "simulate_det_ruling_set"]
+__all__ = ["DetRulingSetNode"]
 
 
 class DetRulingSetNode(NodeAlgorithm):
@@ -72,21 +70,3 @@ class DetRulingSetNode(NodeAlgorithm):
     def finalize(self) -> None:
         if not self.halted:
             self.halt(False)
-
-
-def simulate_det_ruling_set(network: CongestNetwork, *, engine=None, observers=(),
-                            max_rounds: int = 10_000,
-                            ) -> tuple[set[Node], SimulationResult]:
-    """Run :class:`DetRulingSetNode` on the layered runtime.
-
-    Returns ``(ruling_set, result)``; the ruling set is an MIS of ``G``
-    (verify with :func:`repro.ruling.verify.is_mis_of_power_graph`), fully
-    determined by the network's ID assignment.  Being seed-independent,
-    this is the canonical differential workload for the engine backends --
-    ``engine="vector"`` executes it as batched numpy ID-minima rounds,
-    bit-identical to the scalar engines.
-    """
-    result = Simulator(network, DetRulingSetNode, engine=engine,
-                       observers=observers).run(max_rounds)
-    ruling_set = {node for node, joined in result.outputs.items() if joined}
-    return ruling_set, result

@@ -2,9 +2,10 @@
 
 For the same explicit seed, dispatching through the solver registry must be
 bit-identical to calling the implementation module's free function with
-``rng=random.Random(seed)`` (graph-level algorithms) or
-``CongestNetwork(graph, id_seed=seed)`` (simulator-native drivers) -- same
-output set, same charged/simulated rounds.
+``rng=random.Random(seed)`` (graph-level algorithms) or to a solo
+``Simulator(CongestNetwork(graph, id_seed=seed), node, seed=seed).run()``
+(simulator-native algorithms, whose registered ``run`` is a replica batch
+of one) -- same output set, same charged/simulated rounds.
 
 The whole module runs with ``DeprecationWarning`` promoted to an error, so
 no code path a registered algorithm takes may lean on a deprecated API.
@@ -18,6 +19,7 @@ import pytest
 
 from repro.api import REGISTRY, solve
 from repro.congest.network import CongestNetwork
+from repro.congest.simulator import Simulator
 from repro.core.detsparsify import det_sparsification
 from repro.core.power_sparsify import (
     power_graph_sparsification,
@@ -27,16 +29,16 @@ from repro.core.sampling import randomized_sparsification
 from repro.decomposition.ball_graph import form_distance_k_ball_graph
 from repro.decomposition.network_decomposition import network_decomposition
 from repro.graphs.power import bounded_bfs
-from repro.mis.beeping import beeping_mis, beeping_mis_power, simulate_beeping_mis
+from repro.mis.beeping import BeepingMISNode, beeping_mis, beeping_mis_power
 from repro.mis.kp12 import kp12_sparsify
-from repro.mis.luby import luby_mis, luby_mis_power, simulate_luby_mis
+from repro.mis.luby import LubyMISNode, luby_mis, luby_mis_power
 from repro.mis.power_mis import power_graph_mis
 from repro.mis.power_ruling import power_graph_ruling_set
-from repro.mis.power_sim import simulate_power_det_ruling, simulate_power_luby_mis
+from repro.mis.power_sim import PowerDetRulingNode, PowerLubyMISNode
 from repro.mis.shattering import shattering_mis
 from repro.ruling.aglp import aglp_ruling_set, id_based_ruling_set
 from repro.ruling.det_ruling_set import deterministic_power_ruling_set
-from repro.ruling.distributed import simulate_det_ruling_set
+from repro.ruling.distributed import DetRulingSetNode
 from repro.ruling.greedy import greedy_mis, greedy_ruling_set
 from repro.scenarios.registry import DEFAULT_REGISTRY
 
@@ -51,6 +53,17 @@ SEEDS = (0, 7)
 def _ids(graph):
     return {node: index + 1
             for index, node in enumerate(sorted(graph.nodes(), key=str))}
+
+
+def _simulated(factory):
+    """``(output, rounds)`` of a solo sync ``Simulator`` run of ``factory``
+    on the solve path's network for seed ``s``."""
+    def legacy(graph, seed):
+        result = Simulator(CongestNetwork(graph, id_seed=seed), factory,
+                           seed=seed, engine="sync").run()
+        joined = {node for node, member in result.outputs.items() if member}
+        return joined, result.rounds
+    return legacy
 
 
 # Each case: (api algorithm, solve config, legacy(graph, seed) -> (output, rounds)).
@@ -91,20 +104,14 @@ PARITY_CASES = [
         randomized_sparsification(g, rng=random.Random(s)))),
     ("kp12-sparsify", {"k": K, "f": 4.0}, lambda g, s: (lambda r: (r.q, r.rounds))(
         kp12_sparsify(g, K, 4.0, rng=random.Random(s)))),
-    ("det-ruling-sim", {"engine": "sync"}, lambda g, s: (lambda out: (out[0], out[1].rounds))(
-        simulate_det_ruling_set(CongestNetwork(g, id_seed=s), engine="sync"))),
-    ("luby-sim", {"engine": "sync"}, lambda g, s: (lambda out: (out[0], out[1].rounds))(
-        simulate_luby_mis(CongestNetwork(g, id_seed=s), seed=s, engine="sync"))),
-    ("beeping-sim", {"engine": "sync"}, lambda g, s: (lambda out: (out[0], out[1].rounds))(
-        simulate_beeping_mis(CongestNetwork(g, id_seed=s), seed=s, engine="sync"))),
+    ("det-ruling-sim", {"engine": "sync"}, _simulated(DetRulingSetNode)),
+    ("luby-sim", {"engine": "sync"}, _simulated(LubyMISNode)),
+    ("beeping-sim", {"engine": "sync"},
+     _simulated(lambda node: BeepingMISNode(max_steps=200))),
     ("power-luby-sim", {"engine": "sync", "k": K},
-     lambda g, s: (lambda out: (out[0], out[1].rounds))(
-        simulate_power_luby_mis(CongestNetwork(g, id_seed=s), K, seed=s,
-                                engine="sync"))),
+     _simulated(lambda node: PowerLubyMISNode(K))),
     ("power-det-ruling-sim", {"engine": "sync", "k": K},
-     lambda g, s: (lambda out: (out[0], out[1].rounds))(
-        simulate_power_det_ruling(CongestNetwork(g, id_seed=s), K, seed=s,
-                                  engine="sync"))),
+     _simulated(lambda node: PowerDetRulingNode(K))),
 ]
 
 

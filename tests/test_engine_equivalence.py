@@ -34,15 +34,12 @@ from repro.congest.engine import Runtime, resolve_engine
 from repro.congest.primitives import BFSLayering, LeaderElection
 from repro.congest.vector_engine import ArrayKernel
 from repro.graphs import erdos_renyi_graph, random_regular_graph, random_tree, unit_disk_graph
-from repro.mis.beeping import BeepingMISNode, simulate_beeping_mis
-from repro.mis.luby import LubyMISNode, simulate_luby_mis
-from repro.mis.power_sim import (
-    PowerDetRulingNode,
-    PowerLubyMISNode,
-    simulate_power_luby_mis,
-)
+from repro.api import REGISTRY
+from repro.mis.beeping import BeepingMISNode
+from repro.mis.luby import LubyMISNode
+from repro.mis.power_sim import PowerDetRulingNode, PowerLubyMISNode
 from repro.ruling import is_mis_of_power_graph
-from repro.ruling.distributed import DetRulingSetNode, simulate_det_ruling_set
+from repro.ruling.distributed import DetRulingSetNode
 from repro.scenarios import DEFAULT_REGISTRY
 
 WORKLOADS = [
@@ -142,19 +139,15 @@ class TestEngineMatrix:
                       if joined}
         assert is_mis_of_power_graph(graph, ruling_set, 1)
 
-    def test_drivers_accept_engine_argument(self):
+    @pytest.mark.parametrize("algorithm",
+                             ["luby-sim", "det-ruling-sim", "beeping-sim"])
+    def test_registry_solves_accept_engine_argument(self, algorithm):
         graph = random_regular_graph(40, 4, seed=3)
-        network = CongestNetwork(graph, id_seed=3)
-        runs = {engine: simulate_luby_mis(network, seed=3, engine=engine)
-                for engine in ENGINES}
-        assert len({frozenset(mis) for mis, _ in runs.values()}) == 1
-        assert len({result.rounds for _, result in runs.values()}) == 1
-        rulings = {engine: simulate_det_ruling_set(network, engine=engine)[0]
-                   for engine in ENGINES}
-        assert len({frozenset(rs) for rs in rulings.values()}) == 1
-        beeps = {engine: simulate_beeping_mis(network, seed=3, engine=engine)[0]
-                 for engine in ENGINES}
-        assert len({frozenset(mis) for mis in beeps.values()}) == 1
+        reports = [REGISTRY.solve(graph, algorithm, seed=3, engine=engine)
+                   for engine in ENGINES]
+        assert len({frozenset(report.output) for report in reports}) == 1
+        assert len({report.rounds for report in reports}) == 1
+        assert [report.metrics["engine_used"] for report in reports] == list(ENGINES)
 
     def test_round_budget_algorithm_equivalent(self):
         # LeaderElection keeps every node active until the budget expires --

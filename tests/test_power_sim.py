@@ -16,12 +16,7 @@ import pytest
 
 from repro.congest import CongestNetwork, Simulator
 from repro.congest.vector_engine import VectorFallbackWarning
-from repro.mis.power_sim import (
-    PowerDetRulingNode,
-    PowerLubyMISNode,
-    simulate_power_det_ruling,
-    simulate_power_luby_mis,
-)
+from repro.mis.power_sim import PowerDetRulingNode, PowerLubyMISNode
 from repro.ruling import is_mis_of_power_graph
 from repro.ruling.verify import verify_ruling_set
 from repro.scenarios.registry import DEFAULT_REGISTRY
@@ -31,21 +26,29 @@ ADVERSARIAL_CELLS = sorted(
      if "adversarial" in DEFAULT_REGISTRY.cell(scenario.cell).tags})
 
 
+def _joined(result) -> set:
+    """The nodes whose output is ``True`` (the MIS of ``G^k``)."""
+    return {node for node, joined in result.outputs.items() if joined}
+
+
 class TestPowerProtocolSemantics:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 5, 11])
     def test_luby_output_is_mis_of_power_graph(self, k, seed):
         graph = nx.random_regular_graph(4, 30, seed=seed)
         network = CongestNetwork(graph, id_seed=seed)
-        mis, result = simulate_power_luby_mis(network, k, seed=seed)
+        result = Simulator(network, lambda node: PowerLubyMISNode(k),
+                           seed=seed).run()
         assert result.halted
-        assert is_mis_of_power_graph(graph, mis, k), f"k={k} seed={seed}"
+        assert is_mis_of_power_graph(graph, _joined(result), k), \
+            f"k={k} seed={seed}"
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_det_ruling_output_is_kplus1_k_ruling_set(self, k):
         graph = nx.random_regular_graph(4, 30, seed=3)
         network = CongestNetwork(graph, id_seed=3)
-        chosen, result = simulate_power_det_ruling(network, k)
+        result = Simulator(network, lambda node: PowerDetRulingNode(k)).run()
+        chosen = _joined(result)
         assert result.halted
         # MIS of G^k == (k+1, k)-ruling set of G.
         assert is_mis_of_power_graph(graph, chosen, k)
@@ -57,10 +60,12 @@ class TestPowerProtocolSemantics:
     def test_adversarial_families(self, cell_name, k):
         graph = DEFAULT_REGISTRY.build_cell(cell_name, seed=1)
         network = CongestNetwork(graph, id_seed=1)
-        mis, _ = simulate_power_luby_mis(network, k, seed=1)
-        assert is_mis_of_power_graph(graph, mis, k), f"cell={cell_name} k={k}"
-        chosen, _ = simulate_power_det_ruling(network, k)
-        assert is_mis_of_power_graph(graph, chosen, k)
+        luby = Simulator(network, lambda node: PowerLubyMISNode(k),
+                         seed=1).run()
+        assert is_mis_of_power_graph(graph, _joined(luby), k), \
+            f"cell={cell_name} k={k}"
+        ruling = Simulator(network, lambda node: PowerDetRulingNode(k)).run()
+        assert is_mis_of_power_graph(graph, _joined(ruling), k)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_rounds_are_multiples_of_2k_per_step(self, k):
@@ -68,7 +73,7 @@ class TestPowerProtocolSemantics:
         # a step boundary (all nodes halt at sub-round 2k or at sub-round k).
         graph = nx.random_regular_graph(3, 20, seed=2)
         network = CongestNetwork(graph, id_seed=2)
-        _, result = simulate_power_det_ruling(network, k)
+        result = Simulator(network, lambda node: PowerDetRulingNode(k)).run()
         assert result.rounds % k == 0
         assert result.rounds >= 2 * k
 
@@ -78,7 +83,8 @@ class TestPowerProtocolSemantics:
         graph = nx.random_regular_graph(4, 24, seed=9)
         k = 2
         network = CongestNetwork(graph, id_seed=9)
-        chosen, _ = simulate_power_det_ruling(network, k)
+        chosen = _joined(
+            Simulator(network, lambda node: PowerDetRulingNode(k)).run())
         from repro.graphs import power_graph
 
         power = power_graph(graph, k)
@@ -98,8 +104,8 @@ class TestPowerProtocolSemantics:
         empty = nx.Graph()
         empty.add_nodes_from(range(4))
         network = CongestNetwork(empty, id_seed=0)
-        mis, result = simulate_power_luby_mis(network, 2, seed=0)
-        assert mis == set(empty.nodes())  # no edges: everyone joins
+        result = Simulator(network, lambda node: PowerLubyMISNode(2)).run()
+        assert _joined(result) == set(empty.nodes())  # no edges: everyone joins
         assert result.halted
 
     def test_truncated_run_decides_no_one(self):
@@ -108,9 +114,10 @@ class TestPowerProtocolSemantics:
         # halted non-member state -- same contract as the base Luby sim).
         graph = nx.random_regular_graph(4, 30, seed=4)
         network = CongestNetwork(graph, id_seed=4)
-        mis, result = simulate_power_luby_mis(network, 3, seed=4, max_rounds=2)
+        result = Simulator(network, lambda node: PowerLubyMISNode(3),
+                           seed=4).run(max_rounds=2)
         assert result.rounds == 2
-        assert mis == set()
+        assert _joined(result) == set()
         assert all(not joined for joined in result.outputs.values())
 
 
@@ -120,15 +127,16 @@ class TestFallbackObservability:
         network = CongestNetwork(graph, id_seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no fallback warning expected
-            _, result = simulate_power_luby_mis(network, 2, seed=1,
-                                                engine="vector")
+            result = Simulator(network, lambda node: PowerLubyMISNode(2),
+                               seed=1, engine="vector").run()
         assert result.engine == "vector"
         assert result.engine_used == "vector"
 
     def test_sync_engine_reports_itself(self):
         graph = nx.random_regular_graph(4, 24, seed=1)
         network = CongestNetwork(graph, id_seed=1)
-        _, result = simulate_power_luby_mis(network, 2, seed=1, engine="sync")
+        result = Simulator(network, lambda node: PowerLubyMISNode(2),
+                           seed=1, engine="sync").run()
         assert result.engine == "sync"
         assert result.engine_used == "sync"
 

@@ -24,9 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.api.certify import mis_power_checks
-from repro.congest.network import CongestNetwork
 from repro.graphs.power import power_graph
-from repro.ruling.distributed import simulate_det_ruling_set
 from repro.ruling.greedy import greedy_mis, lexicographic_mis
 from repro.scenarios import DEFAULT_REGISTRY, scenario_config
 
@@ -57,13 +55,10 @@ def _solve(scenario, seed: int):
 def test_det_ruling_sim_equals_centralized_greedy(data, seed):
     """Differential: distributed ID-minima MIS == sequential greedy by ID."""
     scenario = data.draw(st.sampled_from(SIM_POOL))
-    graph = DEFAULT_REGISTRY.build_graph(scenario, seed=seed)
-    network = CongestNetwork(graph, id_seed=seed)
-    ruling_set, result = simulate_det_ruling_set(
-        network, engine=scenario.engine or "sync")
-    reference = lexicographic_mis(graph, key=network.node_id)
-    assert ruling_set == reference, _repro_hint(scenario, seed)
-    assert result.halted, _repro_hint(scenario, seed)
+    graph, report = _solve(scenario, seed)
+    reference = lexicographic_mis(graph, key=report.payload["node_ids"].get)
+    assert report.output == reference, _repro_hint(scenario, seed)
+    assert report.metrics["halted"], _repro_hint(scenario, seed)
 
 
 @SETTINGS
