@@ -73,6 +73,9 @@ class DetSparsificationResult:
     stages: list[DetStageRecord] = field(default_factory=list)
     ledger: RoundLedger = field(default_factory=RoundLedger)
     method: str = "per-variable"
+    #: The ``diam(G)`` bound the stages charged: the caller's hint, or the
+    #: BFS sweep the first stage ran (``None`` if neither).
+    diameter_hint: int | None = None
 
     @property
     def rounds(self) -> int:
@@ -117,7 +120,8 @@ def det_sparsification(graph: nx.Graph, active: set[Node] | None = None, *,
         of each stage -- used by the derandomization ablation).
     diameter_hint:
         An upper bound on ``diam(G)`` used only for round charging; computed
-        with a BFS sweep when omitted.
+        with a BFS sweep by the first stage when omitted (and never when no
+        stage runs), then returned in the result for the caller to reuse.
     seed_bit_samples:
         Completions per conditional-expectation estimate for
         ``method="seed-bits"``.
@@ -130,14 +134,12 @@ def det_sparsification(graph: nx.Graph, active: set[Node] | None = None, *,
     n = graph.number_of_nodes()
     if node_ids is None:
         node_ids = {node: index + 1 for index, node in enumerate(sorted(graph.nodes(), key=str))}
-    if diameter_hint is None:
-        diameter_hint = max(1, ecc_lower_bound(graph))
-
     if delta_a is None:
         delta_a = max_active_degree(graph, power, active)
     delta_a = max(1.0, float(delta_a))
 
-    result = DetSparsificationResult(q=set(), ledger=ledger, method=method)
+    result = DetSparsificationResult(q=set(), ledger=ledger, method=method,
+                                     diameter_hint=diameter_hint)
     current_active = set(active)
     r = stage_count(delta_a, n)
     gamma = _seed_bit_budget(n)
@@ -161,8 +163,10 @@ def det_sparsification(graph: nx.Graph, active: set[Node] | None = None, *,
                                              residual_phi=phi, residual_psi=psi)
 
         # Round cost of the stage (Lemma 5.5 / Lemma 5.7 / Claim 5.6).
-        ledger.charge_seed_bit(diameter_hint, label=f"stage-{stage}-seed-bit",
-                               bits=gamma)
+        if result.diameter_hint is None:
+            result.diameter_hint = max(1, ecc_lower_bound(graph))
+        ledger.charge_seed_bit(result.diameter_hint,
+                               label=f"stage-{stage}-seed-bit", bits=gamma)
         ledger.charge_flooding(2 * power, label=f"stage-{stage}-deactivation")
         if power >= 2:
             # Deactivated nodes broadcast (deactivated, ID) to N^power (Lemma 5.7).

@@ -32,7 +32,7 @@ from repro.congest.cost import RoundLedger
 from repro.core.detsparsify import det_sparsification
 from repro.core.events import degree_bound, log_n
 from repro.graphs.power import bounded_bfs, max_power_degree
-from repro.graphs.properties import ecc_lower_bound, max_degree
+from repro.graphs.properties import max_degree
 
 Node = Hashable
 
@@ -105,8 +105,6 @@ def power_graph_sparsification(graph: nx.Graph, k: int, *,
     q_prev = set(graph.nodes()) if q0 is None else set(q0)
     n = graph.number_of_nodes()
     delta = max(1, max_degree(graph))
-    if diameter_hint is None:
-        diameter_hint = max(1, ecc_lower_bound(graph))
     if node_ids is None:
         node_ids = {node: index + 1 for index, node in enumerate(sorted(graph.nodes(), key=str))}
     a_bits = max(1, math.ceil(math.log2(max(2, max(node_ids.values(), default=2) + 1))))
@@ -124,6 +122,8 @@ def power_graph_sparsification(graph: nx.Graph, k: int, *,
                                  method=method, node_ids=node_ids, rng=rng,
                                  ledger=iteration_ledger,
                                  diameter_hint=diameter_hint)
+        # The first iteration that runs a stage computes the hint once.
+        diameter_hint = det.diameter_hint
         q_next = det.q
         # max_v |N^s(v) ∩ Q_{s-1}|: counted on the G^s CSR the stages built,
         # streamed when no stage ran.
