@@ -26,6 +26,7 @@ graph queries either.
 from __future__ import annotations
 
 import weakref
+from operator import contains
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Hashable
 
@@ -85,7 +86,9 @@ class _GraphStructure:
             indptr.append(len(neighbor_indices))
 
         self.n = len(labels)
-        self.edge_count = graph.number_of_edges()
+        # A row lists a self-loop once and every other edge at both ends.
+        self.edge_count = (len(neighbor_indices) + sum(
+            map(contains, adjacency.values(), adjacency))) // 2
         self.labels = labels
         self.index_of = index_of
         self.indptr = indptr
@@ -192,7 +195,7 @@ def _structure_of(graph) -> _GraphStructure:
 
     The size guard catches the common mutation (nodes or edges added or
     removed between networks): it compares ``n`` and the summed length of
-    the adjacency rows (``2m`` plus one per self-loop, which the CSR stores
+    the adjacency rows (``2m`` less one per self-loop, which the CSR stores
     as ``len(neighbor_indices)``), counted at C speed over networkx's
     adjacency dict where ``number_of_edges()`` walks a Python generator.
     Graphs are otherwise treated as immutable inputs, like the fingerprint

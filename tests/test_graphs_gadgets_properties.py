@@ -65,6 +65,18 @@ class TestProperties:
         assert max_degree(nx.star_graph(5)) == 5
         assert max_degree(nx.Graph()) == 0
 
+    @pytest.mark.parametrize("loops", [[0], [0, 3], [5], [0, 1, 2, 3, 4, 5]])
+    def test_self_loops_count_as_networkx_counts_them(self, loops):
+        """Twice in a degree, once in ``m``: ``max_degree`` and the
+        topology's ``edge_count`` agree with networkx on looped graphs."""
+        from repro.congest.topology import _structure_of
+
+        graph = nx.star_graph(5)
+        graph.add_node("isolated")
+        graph.add_edges_from((node, node) for node in loops)
+        assert max_degree(graph) == max(degree for _, degree in graph.degree())
+        assert _structure_of(graph).edge_count == graph.number_of_edges()
+
     def test_is_connected(self):
         assert is_connected(nx.path_graph(4))
         assert is_connected(nx.Graph())
