@@ -311,21 +311,14 @@ class ServiceMetrics:
     HTTP and SSE traffic); :meth:`bind_scheduler` registers the sampled
     families that mirror the scheduler's and cache's existing counters at
     scrape time.  Each scheduler owns its own instance, so test servers
-    never share state.
-
-    ``bucket_overrides`` maps histogram family names to replacement
-    bucket tuples, so deployments can re-bucket without subclassing --
-    e.g. ``{"repro_fleet_relay_latency_seconds": (0.1, 1.0, 10.0)}``.
-    Families keep their documented defaults when absent (local solve
-    latency uses :data:`SOLVE_LATENCY_BUCKETS`; the fleet relay histogram
-    uses the coarser :data:`FLEET_RELAY_LATENCY_BUCKETS`).
+    never share state.  Local solve latency uses
+    :data:`SOLVE_LATENCY_BUCKETS`; the fleet relay histogram uses the
+    coarser :data:`FLEET_RELAY_LATENCY_BUCKETS`.
     """
 
-    def __init__(self, *, bucket_overrides: dict[str, Sequence[float]]
-                 | None = None) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.started_at = time.time()
-        self._bucket_overrides = dict(bucket_overrides or {})
         #: Set by :meth:`bind_fleet`; ``None`` on plain schedulers.
         self.relay_latency: Histogram | None = None
         self.solve_latency = self.registry.histogram(
@@ -334,8 +327,7 @@ class ServiceMetrics:
             "(every outcome: hits, computed, coalesced, rejected, invalid, "
             "errors, cancelled).",
             ("algorithm", "status"),
-            buckets=self._buckets_for("repro_solve_latency_seconds",
-                                      SOLVE_LATENCY_BUCKETS))
+            buckets=SOLVE_LATENCY_BUCKETS)
         self.engine_solves = self.registry.counter(
             "repro_engine_solves_total",
             "Computed solves by algorithm and requested/used round engine "
@@ -362,10 +354,6 @@ class ServiceMetrics:
         self.stream_subscribers = self.registry.gauge(
             "repro_stream_subscribers",
             "Currently connected /events/<key> subscribers.")
-
-    def _buckets_for(self, family: str,
-                     default: Sequence[float]) -> Sequence[float]:
-        return self._bucket_overrides.get(family, default)
 
     def _bind_trace_recorder(self, owner: Any) -> None:
         """Sampled span-recorder families (``owner.trace_recorder``).
@@ -553,8 +541,7 @@ class ServiceMetrics:
             "observation per attempt, so a retried request contributes "
             "several.",
             ("outcome",),
-            buckets=self._buckets_for("repro_fleet_relay_latency_seconds",
-                                      FLEET_RELAY_LATENCY_BUCKETS))
+            buckets=FLEET_RELAY_LATENCY_BUCKETS)
 
         registry.counter_family(
             "repro_fleet_failures_total",

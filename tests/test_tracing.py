@@ -282,19 +282,14 @@ class TestFederatePrometheus:
 
 
 # ---------------------------------------------------------------------------
-# Histogram bucket overrides (satellite: per-family buckets)
+# Histogram buckets per family
 # ---------------------------------------------------------------------------
 
-class TestBucketOverrides:
+class TestHistogramBuckets:
     def test_default_solve_buckets_unchanged(self):
         metrics = ServiceMetrics()
         assert metrics.solve_latency.buckets == \
             tuple(SOLVE_LATENCY_BUCKETS)
-
-    def test_override_replaces_one_family_only(self):
-        metrics = ServiceMetrics(bucket_overrides={
-            "repro_solve_latency_seconds": (0.5, 5.0)})
-        assert metrics.solve_latency.buckets == (0.5, 5.0)
 
     def test_fleet_relay_buckets_are_coarser_than_solve(self):
         assert FLEET_RELAY_LATENCY_BUCKETS[-1] > SOLVE_LATENCY_BUCKETS[-1]
