@@ -27,8 +27,9 @@ def max_degree(graph: nx.Graph) -> int:
     ``graph.degree()`` walks a Python generator; a self-loop counts twice,
     as networkx counts it.
     """
-    rows = graph._adj
-    return max(map(add, map(len, rows.values()), map(contains, rows.values(), rows)),
+    adjacency = graph._adj
+    rows = adjacency.values()
+    return max(map(add, map(len, rows), map(contains, rows, adjacency)),
                default=0)
 
 
