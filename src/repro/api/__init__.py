@@ -2,7 +2,7 @@
 
 Every algorithm in the library -- MIS variants, ruling sets (including the
 AGLP / ID-based baselines), sparsification, network decomposition, ball
-graphs and the simulator-native drivers -- is registered in one
+graphs and the simulator-native algorithms -- is registered in one
 :class:`SolverRegistry` as an :class:`Algorithm` with a declared
 :class:`Problem`, a frozen typed config and a uniform entry point::
 

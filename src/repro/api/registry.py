@@ -279,7 +279,7 @@ class SolverRegistry:
         for s in seeds]`` -- every report is certified and replayable on
         its own (policy ``"explicit"``) -- but algorithms that declare a
         batched runner (:attr:`Algorithm.run_batch`) execute the whole
-        sweep as a single batch: the simulator-native drivers run all
+        sweep as a single batch: the simulator-native algorithms run all
         replicas as one array program over the shared topology
         (:func:`repro.congest.batch.simulate_replicas`), sharing CSR
         neighbor structure and round loops across seeds while keeping each

@@ -248,7 +248,7 @@ def simulate_replicas(graph, algorithm_factory, seeds: Sequence[int], *,
     ``network_factory(s)`` (default ``CongestNetwork(graph, id_seed=s)``)
     with ``Simulator(..., seed=s, engine=engine)``: the seed re-randomises
     both the identifier assignment and the per-node RNG streams, as the
-    solve adapters do.  When ``engine="vector"`` and an array kernel covers
+    solver registry does.  When ``engine="vector"`` and an array kernel covers
     the algorithm, all replicas execute in lockstep as one ``(B, n)`` array
     program over the shared CSR; otherwise the runner warns
     (:class:`BatchFallbackWarning`, for more than one seed) and runs the
