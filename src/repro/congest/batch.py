@@ -23,10 +23,13 @@ is **bit-for-bit equal** to the result of the corresponding solo run::
               seed=s, engine="vector").run(max_rounds)
 
 including outputs, round counts, total messages/bits and per-edge congestion.
-Each replica keeps its own per-node ``random.Random(f"{seed}:{id}")``
-streams, its own :class:`~repro.congest.transport.Transport` (so bandwidth
-enforcement and congestion accounting stay per-replica), and its own round
-counter (replicas that converge early simply stop contributing).  The
+Each replica takes the same successive values of its per-node
+``random.Random(f"{seed}:{id}")`` streams as its solo run (a node-uniform
+batch without holding a generator per node: see
+:class:`~repro.congest.vector_engine._DrawTable`), and keeps its own
+:class:`~repro.congest.transport.Transport` (so bandwidth enforcement and
+congestion accounting stay per-replica) and its own round counter
+(replicas that converge early simply stop contributing).  The
 hypothesis suite in ``tests/test_replica_batch.py`` locks this down.
 
 A batch takes the array path under the vector engine's one eligibility
@@ -43,7 +46,6 @@ runs every simulator-native solve, solo or sweep, through this runner.
 
 from __future__ import annotations
 
-import random
 import warnings
 from typing import Callable, Sequence
 
@@ -175,9 +177,10 @@ def _run_batched_uniform(networks: Sequence[CongestNetwork],
     ``initialize`` depends only on ``(class, parameters, n)`` and never
     halts.  Under that contract one template instance per replica pins down
     everything the kernel needs -- class, parameters, priority space -- and
-    the per-node RNG streams are rebuilt directly from the seed/ID strings,
-    so results are still bit-identical to the solo runs while skipping the
-    ``O(B * n)`` instance construction entirely.
+    each replica draws from a table of its ``seed:id`` streams
+    (:meth:`ArrayKernel.over_templates`), so results are still
+    bit-identical to the solo runs while skipping the ``O(B * n)`` instance
+    construction, the per-node generators and the scalar route tables.
     """
     if np is None or not networks:
         return None
@@ -187,19 +190,21 @@ def _run_batched_uniform(networks: Sequence[CongestNetwork],
             topologies, [network.graph for network in networks]):
         return None
 
+    labels = t0.labels
+    # Node 0's neighbours from the CSR: the route tables stay unbuilt.
+    neighbors = tuple(map(labels.__getitem__, t0.neighbors(0)))
     templates = []
     for topology, seed in zip(topologies, seeds):
-        template = Simulator._instantiate(algorithm_factory,
-                                          topology.labels[0])
-        Simulator._bind(template, topology, 0, seed)
+        template = Simulator._instantiate(algorithm_factory, labels[0])
+        Simulator._bind(template, topology, 0, seed, neighbors)
         template.initialize()
         if template.halted:
             return None  # initialize() halts: outside the uniform contract
         templates.append(template)
     observers = ambient_observers()
     kernel_class = eligible_kernel(templates, observers)
-    rows = [[template] for template in templates]
-    if kernel_class is None or not kernel_class.supports(rows):
+    if kernel_class is None or not kernel_class.supports(
+            [[template] for template in templates]):
         return None
 
     transports = [Transport(topology,
@@ -208,12 +213,8 @@ def _run_batched_uniform(networks: Sequence[CongestNetwork],
                   for topology, network in zip(topologies, networks)]
     observer_rows = [observers] * len(networks)
     _start_runs(observer_rows, networks, topologies, transports)
-    rngs = ([[random.Random(f"{seed}:{congest_id}")
-              for congest_id in topology.congest_ids]
-             for seed, topology in zip(seeds, topologies)]
-            if kernel_class.randomized else None)
-    kernel = kernel_class(topologies, rows, transports,
-                          np.ones((len(networks), t0.n), dtype=bool), rngs)
+    kernel = kernel_class.over_templates(topologies, templates, transports,
+                                         seeds)
     rounds = kernel.run(max_rounds)
 
     # Every kernel's node class settles each node in finalize() with output
@@ -221,7 +222,6 @@ def _run_batched_uniform(networks: Sequence[CongestNetwork],
     # membership mask (the contract the exact path's writeback + finalize
     # envelope arrives at instance by instance).
     in_set = kernel.outcome["in_set"]
-    labels = t0.labels
     results = [SimulationResult(
                    rounds=int(rounds[replica]),
                    total_messages=transport.total_messages,

@@ -169,9 +169,10 @@ class Simulator:
         self.engine = resolve_engine(engine)
         self.observers: list[RoundObserver] = list(observers)
         self._instances: list[NodeAlgorithm] = []
-        for index, label in enumerate(self.topology.labels):
+        for index, (label, neighbors) in enumerate(zip(
+                self.topology.labels, self.topology.neighbor_labels)):
             instance = self._instantiate(algorithm_factory, label)
-            self._bind(instance, self.topology, index, seed)
+            self._bind(instance, self.topology, index, seed, neighbors)
             self._instances.append(instance)
         #: Backward-compatible ``label -> instance`` view (iteration order is
         #: the network's node order, as in the legacy simulator).
@@ -190,11 +191,12 @@ class Simulator:
         return instance
 
     @staticmethod
-    def _bind(instance: NodeAlgorithm, topology, index: int, seed: int) -> None:
+    def _bind(instance: NodeAlgorithm, topology, index: int, seed: int,
+              neighbors: tuple[Node, ...]) -> None:
         congest_id = topology.congest_ids[index]
         instance.node = topology.labels[index]
         instance.node_id = congest_id
-        instance.neighbors = topology.neighbor_labels[index]
+        instance.neighbors = neighbors
         # rng / neighbor_ids materialise on first access (NodeAlgorithm's
         # lazy-binding properties); the streams and tables are identical to
         # eager construction, but paths that never read them (the array

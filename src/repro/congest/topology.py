@@ -18,6 +18,11 @@ touching networkx inside the round loop:
   ``(neighbor_index, edge_index)`` pair, which is what the send phase needs
   to validate and route an outbox entry with a single dict lookup.
 
+The route tables and the other ``_SIMULATOR_TABLES`` are read only by the
+scalar engines: a snapshot reads each through the shared structure, which
+builds them all on first use, so the vector engine and every CSR-only
+caller never pay for them.
+
 The snapshot also carries the CONGEST identifier table and node degrees, so
 binding a :class:`~repro.congest.node.NodeAlgorithm` instance requires no
 graph queries either.
@@ -44,11 +49,12 @@ __all__ = ["TopologySnapshot", "forget_graph", "graph_csr", "graph_power_view"]
 _STRUCTURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-#: The per-node tables only the simulator reads, built on first access: a
-#: CSR-only caller (``PowerView``, the certificates) never pays for them.
+#: The per-node tables only the scalar engines read, built on first access:
+#: a CSR-only caller (``PowerView``, the certificates, the vector engine)
+#: never pays for them.
 _SIMULATOR_TABLES = frozenset((
     "neighbor_labels", "routes", "broadcast_routes", "broadcast_rows",
-    "degrees", "edge_endpoints", "edge_labels", "max_degree"))
+    "degrees", "edge_endpoints", "max_degree"))
 
 
 class _GraphStructure:
@@ -136,7 +142,6 @@ class _GraphStructure:
             for triples in self.broadcast_routes)
         self.degrees = tuple(indptr[i + 1] - indptr[i] for i in range(self.n))
         self.edge_endpoints = edge_endpoints
-        self.edge_labels = tuple((labels[u], labels[v]) for u, v in edge_endpoints)
         self.max_degree = max(self.degrees, default=0)
 
     def numpy_arrays(self) -> SimpleNamespace:
@@ -269,6 +274,10 @@ class TopologySnapshot:
     edge_endpoints:
         ``edge_endpoints[e]`` is the canonical ``(u_index, v_index)`` pair
         (``u_index < v_index``) of edge ``e``.
+
+    ``neighbor_labels``, ``routes``, ``degrees``, ``edge_endpoints`` and the
+    rest of ``_SIMULATOR_TABLES`` are not copied at construction: each is
+    read through the shared structure (built there once) on first access.
     """
 
     __slots__ = (
@@ -285,7 +294,6 @@ class TopologySnapshot:
         "broadcast_rows",
         "degrees",
         "edge_endpoints",
-        "edge_labels",
         "max_degree",
         "_structure",
         "_numpy_cache",
@@ -297,15 +305,23 @@ class TopologySnapshot:
             raise ValueError("a CONGEST network has no self-loops")
         self._structure = structure
         for name in ("n", "edge_count", "labels", "index_of", "indptr",
-                     "neighbor_indices", "neighbor_labels", "routes",
-                     "broadcast_routes", "broadcast_rows", "degrees",
-                     "edge_endpoints", "edge_labels", "max_degree"):
+                     "neighbor_indices"):
             setattr(self, name, getattr(structure, name))
         # The only network-dependent state: the CONGEST identifier table
         # (and, lazily, its numpy mirror inside the arrays namespace).
         node_id = network.node_id
         self.congest_ids = tuple(node_id(label) for label in self.labels)
         self._numpy_cache = None
+
+    def __getattr__(self, name: str):
+        # Reached only for unset slots: a simulator table is read through
+        # the structure (which builds them all once) on first use, so the
+        # array path, which never asks, never builds them.
+        if name not in _SIMULATOR_TABLES:
+            raise AttributeError(name)
+        value = getattr(self._structure, name)
+        setattr(self, name, value)
+        return value
 
     # -------------------------------------------------------------- arrays
     def numpy_arrays(self):
@@ -356,8 +372,12 @@ class TopologySnapshot:
 
         Canonical means ordered by node *index* (graph iteration order) --
         stable within a run and independent of the labels' ``str()``.
+        Read from the CSR's canonical edge arrays, which list the edges in
+        edge-index order, so no route table is built.
         """
-        return self.edge_labels[edge]
+        arrays = self.numpy_arrays()
+        return (self.labels[arrays.edge_u[edge]],
+                self.labels[arrays.edge_v[edge]])
 
     def edge_index(self, u: Node, v: Node) -> int:
         """The edge index of the edge between labels ``u`` and ``v``.

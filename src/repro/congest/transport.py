@@ -405,10 +405,18 @@ class Transport:
 
     # -------------------------------------------------------------- results
     def edge_counts_by_label(self) -> dict[tuple[Node, Node], int]:
-        """Per-edge message counts keyed by canonical label pairs."""
-        edge_labels = self.topology.edge_labels
-        return {pair: count
-                for pair, count in zip(edge_labels, self.edge_message_counts)
+        """Per-edge message counts keyed by canonical label pairs.
+
+        Reads the endpoints from the CSR's canonical edge arrays (same
+        edge-index order as the route tables), so an array-engine run
+        never builds the scalar tables to report its congestion.
+        """
+        labels = self.topology.labels
+        arrays = self.topology.numpy_arrays()
+        return {(labels[u], labels[v]): count
+                for u, v, count in zip(arrays.edge_u.tolist(),
+                                       arrays.edge_v.tolist(),
+                                       self.edge_message_counts)
                 if count}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -31,14 +31,17 @@ Equivalence contract
 The vector engine is an *optimisation*, never a semantic fork: for every
 supported algorithm it produces bit-for-bit the outputs, round counts,
 total message/bit counts and per-edge congestion of :class:`SyncEngine` for
-the same seed.  Randomness is drawn from the very same per-node
-``random.Random`` streams the scalar engines use (one draw per undecided
-node per step, in the same rounds, in node-index order per replica), so
-even the RNG consumption is identical -- a report produced under
-``engine="vector"`` replays exactly on ``engine="sync"``.  The differential
-matrix in ``tests/test_engine_equivalence.py``, the hypothesis suite in
-``tests/test_engine_fuzz.py`` and the replica suite in
-``tests/test_replica_batch.py`` lock this down.
+the same seed.  Every node takes the same successive values of its
+``random.Random(f"{seed}:{id}")`` stream as under the scalar engines (one
+draw per undecided node per step, in the same rounds): from the bound
+instances' own generators, or, for a node-uniform batch, from a
+per-replica :class:`_DrawTable` that pre-draws each node's first values
+and holds a generator only for a node that uses them up.  So a report
+produced under ``engine="vector"`` replays exactly on ``engine="sync"``.
+The differential matrix in ``tests/test_engine_equivalence.py``, the
+hypothesis suite in ``tests/test_engine_fuzz.py``, the replica suite in
+``tests/test_replica_batch.py`` and the draw-table fuzz in
+``tests/test_vector_setup.py`` lock this down.
 
 When vectorization applies
 --------------------------
@@ -67,7 +70,10 @@ analyses) keeps working unchanged.
 
 from __future__ import annotations
 
+import random
 import warnings
+from functools import partial
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 try:  # numpy is an optional accelerator, not a hard dependency
@@ -279,6 +285,93 @@ class _Accountant:
                                         self.edge_counts[replica].tolist())
 
 
+# ------------------------------------------------------------ RNG streams
+#: Values pre-drawn per node by :class:`_DrawTable`.  Luby nodes mostly
+#: decide within two draws, BeepingMIS nodes within eight: at 4, a
+#: beeping run on a random 4-regular graph with n = 10^5 kept a generator
+#: for 23% of its nodes (57 MB); at 8, for 3%.
+_HEAD_DRAWS = 8
+
+
+def _stream_draw(rng: random.Random, space: int | None):
+    """The kernel's draw from ``rng``: a priority ``randrange(space)``, or
+    a ``random()`` coin for a class without a priority space."""
+    return rng.random if space is None else partial(rng.randrange, space)
+
+
+def _draw_dtype(space: int | None):
+    return np.float64 if space is None else np.int64
+
+
+class _InstanceDraws:
+    """One replica's draws from its bound instances' own ``rng`` streams."""
+
+    def __init__(self, row: Sequence[object]) -> None:
+        self.rngs = [inst.rng for inst in row]
+        self.space = getattr(row[0], "_priority_space", None)
+
+    def draw(self, indices: "np.ndarray") -> "np.ndarray":
+        rngs, space = self.rngs, self.space
+        if space is None:
+            draws = (rngs[i].random() for i in indices)
+        else:
+            draws = (rngs[i].randrange(space) for i in indices)
+        return np.fromiter(draws, dtype=_draw_dtype(space),
+                           count=len(indices))
+
+
+class _DrawTable:
+    """One replica's per-node streams ``random.Random(f"{seed}:{id}")``
+    without holding a generator per node.
+
+    The first :data:`_HEAD_DRAWS` values of every node's stream are drawn
+    up front into an ``(n, D)`` table (one reseeded generator serves all
+    nodes) and read by a per-node draw count.  A node that uses them up
+    gets its own generator, reseeded from the same string with those D
+    draws skipped, and keeps it; only such long-lived nodes hold one.  The
+    values are exactly the successive draws of each node's stream.
+    """
+
+    def __init__(self, seed, congest_ids: Sequence[int],
+                 space: int | None) -> None:
+        self.seed = seed
+        self.congest_ids = congest_ids
+        self.space = space
+        rng = random.Random()
+        draw = _stream_draw(rng, space)
+
+        def heads():
+            for congest_id in congest_ids:
+                rng.seed(f"{seed}:{congest_id}")
+                for _ in repeat(None, _HEAD_DRAWS):
+                    yield draw()
+
+        n = len(congest_ids)
+        self.head = np.fromiter(heads(), dtype=_draw_dtype(space),
+                                count=n * _HEAD_DRAWS).reshape(n, _HEAD_DRAWS)
+        self.counts = np.zeros(n, dtype=np.int32)
+        self.tails: dict[int, object] = {}
+
+    def _tail(self, index: int):
+        """The draw of node ``index``'s own generator, past the head."""
+        draw = self.tails.get(index)
+        if draw is None:
+            draw = self.tails[index] = _stream_draw(
+                random.Random(f"{self.seed}:{self.congest_ids[index]}"),
+                self.space)
+            for _ in repeat(None, _HEAD_DRAWS):
+                draw()
+        return draw
+
+    def draw(self, indices: "np.ndarray") -> "np.ndarray":
+        counts = self.counts[indices]
+        values = self.head[indices, np.minimum(counts, _HEAD_DRAWS - 1)]
+        for position in np.flatnonzero(counts >= _HEAD_DRAWS).tolist():
+            values[position] = self._tail(int(indices[position]))()
+        self.counts[indices] += 1
+        return values
+
+
 # ------------------------------------------------------------------ kernels
 class ArrayKernel:
     """Lockstep execution of one node class over ``B`` replicas of one CSR.
@@ -291,7 +384,9 @@ class ArrayKernel:
     masks in :attr:`outcome` and returns the per-replica round counts;
     :meth:`writeback` applies the outcome to the instances.  A converged
     replica's masks are all False, so it contributes neither traffic nor
-    RNG draws.
+    RNG draws.  ``streams[b]`` draws replica ``b``'s values: from the
+    instances' own generators, or from a :class:`_DrawTable` for a
+    template row.
     """
 
     #: Does the protocol draw from the per-node RNG streams?
@@ -300,16 +395,14 @@ class ArrayKernel:
     def __init__(self, topologies: Sequence["TopologySnapshot"],
                  rows: Sequence[Sequence[object]],
                  transports: Sequence["Transport"], live: "np.ndarray",
-                 rngs=None) -> None:
+                 streams=None) -> None:
         arrays = topologies[0].numpy_arrays()
         self.rows = rows
         self.live0 = live
         self.replicas, self.n = live.shape
         self.ids = np.stack([t.numpy_arrays().congest_ids
                              for t in topologies])
-        self.rngs = rngs
-        self.spaces = [getattr(row[0], "_priority_space", None)
-                       for row in rows]
+        self.streams = streams
         self.segments = _SegmentOps(arrays, self.replicas)
         self.accountant = _Accountant(transports, arrays)
         self.outcome: dict[str, "np.ndarray"] = {}
@@ -322,9 +415,26 @@ class ArrayKernel:
         replica), drawing from their own RNG streams."""
         live = np.array([[not inst.halted for inst in row] for row in rows],
                         dtype=bool)
-        rngs = ([[inst.rng for inst in row] for row in rows]
-                if cls.randomized else None)
-        return cls(topologies, rows, transports, live, rngs)
+        streams = ([_InstanceDraws(row) for row in rows]
+                   if cls.randomized else None)
+        return cls(topologies, rows, transports, live, streams)
+
+    @classmethod
+    def over_templates(cls, topologies: Sequence["TopologySnapshot"],
+                       templates: Sequence[object],
+                       transports: Sequence["Transport"],
+                       seeds: Sequence[int]) -> "ArrayKernel":
+        """The kernel over one initialized template instance per replica
+        (a node-uniform factory), every node live, drawing from each
+        replica's :class:`_DrawTable` of the ``seed:id`` streams."""
+        streams = ([_DrawTable(seed, topology.congest_ids,
+                               getattr(template, "_priority_space", None))
+                    for topology, template, seed
+                    in zip(topologies, templates, seeds)]
+                   if cls.randomized else None)
+        live = np.ones((len(templates), topologies[0].n), dtype=bool)
+        return cls(topologies, [[template] for template in templates],
+                   transports, live, streams)
 
     @classmethod
     def supports(cls, rows: Sequence[Sequence[object]]) -> bool:
@@ -346,21 +456,13 @@ class ArrayKernel:
         return True
 
     def _draw(self, target: "np.ndarray", mask: "np.ndarray") -> None:
-        """Draw into ``target[b, i]`` for ``mask[b, i]``, in index order per
-        replica -- the exact RNG consumption of each scalar run: a priority
-        ``randrange(space)``, or a ``random()`` coin for a class without a
-        priority space."""
-        for replica, rngs in enumerate(self.rngs):
+        """Draw into ``target[b, i]`` for ``mask[b, i]`` -- the exact RNG
+        consumption of each scalar run: one next value of each masked
+        node's stream (see :func:`_stream_draw`)."""
+        for replica, source in enumerate(self.streams):
             indices = np.flatnonzero(mask[replica])
-            if not len(indices):
-                continue
-            space = self.spaces[replica]
-            if space is None:
-                draws = (rngs[i].random() for i in indices)
-            else:
-                draws = (rngs[i].randrange(space) for i in indices)
-            target[replica, indices] = np.fromiter(
-                draws, dtype=target.dtype, count=len(indices))
+            if len(indices):
+                target[replica, indices] = source.draw(indices)
 
     def run(self, max_rounds: int) -> "np.ndarray":
         raise NotImplementedError

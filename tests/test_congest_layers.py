@@ -74,8 +74,9 @@ class TestTopologySnapshot:
         network = CongestNetwork(graph, id_seed=None)
         topology = network.topology()
         for edge in range(topology.edge_count):
-            u, v = topology.edge_labels[edge]
+            u, v = topology.edge_label(edge)
             assert topology.index_of[u] < topology.index_of[v]
+            assert topology.edge_index(u, v) == edge
         assert topology.edge_index(10, 9) == topology.edge_index(9, 10)
 
     def test_degrees_and_ids(self):
