@@ -23,7 +23,9 @@ sustained fleet traffic instead:
   even under an ever-growing key population.
 * **Sharing.**  Appends go through :func:`append_jsonl_line`, which
   measures each row's span under an ``fcntl`` lock, so several processes
-  (fleet workers pointed at one directory) can write one store.  Readers
+  (fleet workers pointed at one directory) can write one store.  A put
+  appends to the newest segment on disk, so another writer's rotation or
+  compaction never leaves it ranked below older rows.  Readers
   detect external growth (segment grew / new segment appeared) and
   rescan incrementally; every span read verifies the row's key and falls
   back to a full rescan on mismatch, so a stale index can cost a re-read
@@ -432,6 +434,10 @@ class ShardStore:
             self._laid_out = True
         shard = self._shards[shard_of(key, self.shards)]
         with shard.lock:
+            # Recency is segment order, so a row must land in the newest
+            # segment on disk: another instance may have rotated or
+            # compacted into a higher one since our last look.
+            self._discover(shard)
             segment = shard.active
             path = self._segment_path(shard, segment)
             start = shard.scanned.get(segment, 0)

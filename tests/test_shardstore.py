@@ -336,6 +336,32 @@ class TestSharedDirectory:
             assert left.get(_key(index))["value"] == index
             assert right.get(_key(index))["value"] == index
 
+    def test_put_after_another_instance_compacted_is_newest(self, tmp_path):
+        # The other instance compacts the segment this one still calls
+        # active into a higher segment; the next put must not recreate
+        # the old segment, where a fresh reader would rank it older.
+        root = str(tmp_path / "store")
+        left = ShardStore(root, shards=2)
+        right = ShardStore(root, shards=2)
+        left.put(_key(0), {"version": 1})
+        left.put(_key(0), {"version": 2})
+        left.compact()
+        right.put(_key(0), {"version": 3})
+        assert ShardStore(root, shards=2).get(_key(0))["version"] == 3
+
+    def test_put_after_another_instance_rotated_is_newest(self, tmp_path):
+        root = str(tmp_path / "store")
+        left = ShardStore(root, shards=1, max_segment_bytes=4096)
+        right = ShardStore(root, shards=1, max_segment_bytes=4096)
+        filler = 0
+        left.put(_key(100), {"pad": "x" * 512})
+        while len(os.listdir(os.path.join(root, "shard-00"))) < 2:
+            filler += 1
+            left.put(_key(100 + filler), {"pad": "x" * 512})
+        left.put(_key(0), {"version": 1})
+        right.put(_key(0), {"version": 2})
+        assert ShardStore(root, shards=1).get(_key(0))["version"] == 2
+
     def test_concurrent_two_instance_hammer_zero_wrong_rows(self, tmp_path):
         """Threads across two instances: every read is right-keyed."""
         root = str(tmp_path / "store")
