@@ -286,13 +286,6 @@ class _Accountant:
 
 
 # ------------------------------------------------------------ RNG streams
-#: Values pre-drawn per node by :class:`_DrawTable`.  Luby nodes mostly
-#: decide within two draws, BeepingMIS nodes within eight: at 4, a
-#: beeping run on a random 4-regular graph with n = 10^5 kept a generator
-#: for 23% of its nodes (57 MB); at 8, for 3%.
-_HEAD_DRAWS = 8
-
-
 def _stream_draw(rng: random.Random, space: int | None):
     """The kernel's draw from ``rng``: a priority ``randrange(space)``, or
     a ``random()`` coin for a class without a priority space."""
@@ -307,16 +300,13 @@ class _InstanceDraws:
     """One replica's draws from its bound instances' own ``rng`` streams."""
 
     def __init__(self, row: Sequence[object]) -> None:
-        self.rngs = [inst.rng for inst in row]
-        self.space = getattr(row[0], "_priority_space", None)
+        space = getattr(row[0], "_priority_space", None)
+        self.draws = [_stream_draw(inst.rng, space) for inst in row]
+        self.dtype = _draw_dtype(space)
 
     def draw(self, indices: "np.ndarray") -> "np.ndarray":
-        rngs, space = self.rngs, self.space
-        if space is None:
-            draws = (rngs[i].random() for i in indices)
-        else:
-            draws = (rngs[i].randrange(space) for i in indices)
-        return np.fromiter(draws, dtype=_draw_dtype(space),
+        draws = self.draws
+        return np.fromiter((draws[i]() for i in indices), dtype=self.dtype,
                            count=len(indices))
 
 
@@ -324,31 +314,33 @@ class _DrawTable:
     """One replica's per-node streams ``random.Random(f"{seed}:{id}")``
     without holding a generator per node.
 
-    The first :data:`_HEAD_DRAWS` values of every node's stream are drawn
-    up front into an ``(n, D)`` table (one reseeded generator serves all
-    nodes) and read by a per-node draw count.  A node that uses them up
-    gets its own generator, reseeded from the same string with those D
-    draws skipped, and keeps it; only such long-lived nodes hold one.  The
-    values are exactly the successive draws of each node's stream.
+    The first ``D = head_draws`` values of every node's stream (the
+    kernel's :attr:`ArrayKernel.head_draws`) are drawn up front into an
+    ``(n, D)`` table (one reseeded generator serves all nodes) and read by
+    a per-node draw count.  A node that uses them up gets its own
+    generator, reseeded from the same string with those D draws skipped,
+    and keeps it; only such long-lived nodes hold one.  The values are
+    exactly the successive draws of each node's stream.
     """
 
-    def __init__(self, seed, congest_ids: Sequence[int],
-                 space: int | None) -> None:
+    def __init__(self, seed, congest_ids: Sequence[int], space: int | None,
+                 head_draws: int) -> None:
         self.seed = seed
         self.congest_ids = congest_ids
         self.space = space
+        self.head_draws = head_draws
         rng = random.Random()
         draw = _stream_draw(rng, space)
 
         def heads():
             for congest_id in congest_ids:
                 rng.seed(f"{seed}:{congest_id}")
-                for _ in repeat(None, _HEAD_DRAWS):
+                for _ in repeat(None, head_draws):
                     yield draw()
 
         n = len(congest_ids)
         self.head = np.fromiter(heads(), dtype=_draw_dtype(space),
-                                count=n * _HEAD_DRAWS).reshape(n, _HEAD_DRAWS)
+                                count=n * head_draws).reshape(n, head_draws)
         self.counts = np.zeros(n, dtype=np.int32)
         self.tails: dict[int, object] = {}
 
@@ -359,14 +351,15 @@ class _DrawTable:
             draw = self.tails[index] = _stream_draw(
                 random.Random(f"{self.seed}:{self.congest_ids[index]}"),
                 self.space)
-            for _ in repeat(None, _HEAD_DRAWS):
+            for _ in repeat(None, self.head_draws):
                 draw()
         return draw
 
     def draw(self, indices: "np.ndarray") -> "np.ndarray":
+        head_draws = self.head_draws
         counts = self.counts[indices]
-        values = self.head[indices, np.minimum(counts, _HEAD_DRAWS - 1)]
-        for position in np.flatnonzero(counts >= _HEAD_DRAWS).tolist():
+        values = self.head[indices, np.minimum(counts, head_draws - 1)]
+        for position in np.flatnonzero(counts >= head_draws).tolist():
             values[position] = self._tail(int(indices[position]))()
         self.counts[indices] += 1
         return values
@@ -391,6 +384,11 @@ class ArrayKernel:
 
     #: Does the protocol draw from the per-node RNG streams?
     randomized = True
+    #: Values a :class:`_DrawTable` pre-draws per node.  Luby-type nodes
+    #: mostly decide within three draws: on a random 4-regular graph with
+    #: n = 2*10^4, 99.9% of ``luby-sim`` nodes and 99.3% of
+    #: ``power-luby-sim`` (k = 2) nodes did.
+    head_draws = 3
 
     def __init__(self, topologies: Sequence["TopologySnapshot"],
                  rows: Sequence[Sequence[object]],
@@ -428,7 +426,8 @@ class ArrayKernel:
         (a node-uniform factory), every node live, drawing from each
         replica's :class:`_DrawTable` of the ``seed:id`` streams."""
         streams = ([_DrawTable(seed, topology.congest_ids,
-                               getattr(template, "_priority_space", None))
+                               getattr(template, "_priority_space", None),
+                               cls.head_draws)
                     for topology, template, seed
                     in zip(topologies, templates, seeds)]
                    if cls.randomized else None)
@@ -558,6 +557,11 @@ class _DetRulingKernel(_ProposeDecideKernel):
 
 class _BeepingKernel(ArrayKernel):
     """BeepingMIS: 1-bit beeps, exponential probability updates."""
+
+    #: BeepingMIS nodes draw a coin every other round until they decide:
+    #: at n = 10^5 (random 4-regular), a head of 4 left a generator with
+    #: 23% of the nodes (57 MB), a head of 8 with 3%.
+    head_draws = 8
 
     @classmethod
     def supports(cls, rows: Sequence[Sequence[object]]) -> bool:

@@ -24,12 +24,15 @@ sustained fleet traffic instead:
 * **Sharing.**  Appends go through :func:`append_jsonl_line`, which
   measures each row's span under an ``fcntl`` lock, so several processes
   (fleet workers pointed at one directory) can write one store.  A put
-  appends to the newest segment on disk, so another writer's rotation or
-  compaction never leaves it ranked below older rows.  Readers
-  detect external growth (segment grew / new segment appeared) and
-  rescan incrementally; every span read verifies the row's key and falls
-  back to a full rescan on mismatch, so a stale index can cost a re-read
-  but never returns the wrong row.
+  appends to the newest segment on disk (it relists the shard whenever
+  the directory's mtime moved), so another writer's earlier rotation or
+  compaction never leaves it ranked below older rows.  No lock spans
+  that listing and the append, though: a rotation or compaction by
+  another process in between can still rank an older row above it.
+  Readers detect external growth (segment grew / new segment appeared)
+  and rescan incrementally; every span read verifies the row's key and
+  falls back to a full rescan on mismatch, so a stale index can cost a
+  re-read but never returns the wrong row.
 
 The store holds serialised rows (``dict`` per line) keyed by
 ``key_field``; it knows nothing about reports -- the solve cache layers
@@ -63,6 +66,12 @@ DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
 #: Non-active segments at least this dead (by bytes) are compaction victims.
 _COMPACT_DEAD_RATIO = 0.5
+
+#: A shard directory's mtime is trusted to show new or deleted segments
+#: only once it is this much older than the listing that read it: file
+#: times tick coarsely, so a change in the same tick keeps the old stamp
+#: (this assumes file times from the local clock, as on a local disk).
+_STAMP_SETTLE_NS = 100_000_000
 
 _SEGMENT_PREFIX = "seg-"
 _SEGMENT_SUFFIX = ".jsonl"
@@ -162,7 +171,7 @@ class _Shard:
     """One shard: directory, lock, span index and byte accounting."""
 
     __slots__ = ("directory", "lock", "index", "scanned", "dead_bytes",
-                 "dead_rows", "active")
+                 "dead_rows", "active", "listed_stamp")
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
@@ -175,6 +184,8 @@ class _Shard:
         self.dead_bytes: dict[int, int] = {}  # superseded/evicted bytes
         self.dead_rows: dict[int, int] = {}   # superseded/evicted rows
         self.active = 1
+        # The directory mtime our last listing saw, if it has settled.
+        self.listed_stamp: int | None = None
 
     def disk_bytes(self) -> int:
         return sum(self.scanned.values())
@@ -252,9 +263,12 @@ class ShardStore:
     def _discover(self, shard: _Shard) -> None:
         """Pick up segment files this index has never seen (other writers)."""
         try:
+            stamp = os.stat(shard.directory).st_mtime_ns
             names = os.listdir(shard.directory)
         except OSError:
             return
+        settled = time.time_ns() - stamp > _STAMP_SETTLE_NS
+        shard.listed_stamp = stamp if settled else None
         known = max(shard.scanned, default=0)
         for name in names:
             segment = _parse_segment_name(name)
@@ -262,6 +276,17 @@ class ShardStore:
                 shard.scanned.setdefault(segment, 0)
                 known = max(known, segment)
         shard.active = max(shard.active, known or 1)
+
+    def _discover_changed(self, shard: _Shard) -> None:
+        """:meth:`_discover`, unless the directory's settled mtime shows
+        that no segment was created or deleted since the last listing."""
+        try:
+            unchanged = (os.stat(shard.directory).st_mtime_ns
+                         == shard.listed_stamp)
+        except OSError:
+            unchanged = False
+        if not unchanged:
+            self._discover(shard)
 
     def _rescan_grown(self, shard: _Shard) -> bool:
         """Index any bytes appended (by us or another process) since the
@@ -437,7 +462,7 @@ class ShardStore:
             # Recency is segment order, so a row must land in the newest
             # segment on disk: another instance may have rotated or
             # compacted into a higher one since our last look.
-            self._discover(shard)
+            self._discover_changed(shard)
             segment = shard.active
             path = self._segment_path(shard, segment)
             start = shard.scanned.get(segment, 0)

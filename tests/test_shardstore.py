@@ -362,6 +362,30 @@ class TestSharedDirectory:
         right.put(_key(0), {"version": 2})
         assert ShardStore(root, shards=1).get(_key(0))["version"] == 2
 
+    def test_put_relists_only_a_changed_directory(self, tmp_path,
+                                                  monkeypatch):
+        # A settled directory mtime spares each put a listing; another
+        # instance's compaction moves it, and the next put lists again.
+        root = str(tmp_path / "store")
+        left = ShardStore(root, shards=1)
+        right = ShardStore(root, shards=1)
+        left.put(_key(0), {"version": 1})
+        left.put(_key(0), {"version": 2})
+        long_ago = 10 ** 18
+        os.utime(os.path.join(root, "shard-00"), ns=(long_ago, long_ago))
+        right.put(_key(1), {"version": 1})
+        listings = []
+        real_listdir = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path: (
+            listings.append(path), real_listdir(path))[1])
+        right.put(_key(2), {"version": 1})
+        assert listings == []
+        left.compact()
+        listings.clear()
+        right.put(_key(0), {"version": 3})
+        assert listings
+        assert ShardStore(root, shards=1).get(_key(0))["version"] == 3
+
     def test_concurrent_two_instance_hammer_zero_wrong_rows(self, tmp_path):
         """Threads across two instances: every read is right-keyed."""
         root = str(tmp_path / "store")

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import REGISTRY
 from repro.congest.topology import _SIMULATOR_TABLES, _structure_of
-from repro.congest.vector_engine import _HEAD_DRAWS, _DrawTable
+from repro.congest.vector_engine import _DrawTable
 
 SIM_ALGORITHMS = ["det-ruling-sim", "luby-sim", "beeping-sim",
                   "power-luby-sim", "power-det-ruling-sim"]
@@ -89,13 +89,15 @@ SETTINGS = settings(max_examples=60, deadline=None,
        congest_ids=st.lists(st.integers(0, 2 ** 40), min_size=1,
                             max_size=5),
        n=st.one_of(st.none(), st.integers(1, 10 ** 5)),
+       head_draws=st.integers(1, 8),
        data=st.data())
-def test_draw_table_matches_seeded_streams(seed, congest_ids, n, data):
+def test_draw_table_matches_seeded_streams(seed, congest_ids, n, head_draws,
+                                           data):
     space = None if n is None else n ** 3
     draw_counts = data.draw(st.lists(
-        st.integers(0, 4 * _HEAD_DRAWS), min_size=len(congest_ids),
+        st.integers(0, 4 * head_draws), min_size=len(congest_ids),
         max_size=len(congest_ids)), label="draw_counts")
-    table = _DrawTable(seed, congest_ids, space)
+    table = _DrawTable(seed, congest_ids, space, head_draws)
     references = [random.Random(f"{seed}:{congest_id}")
                   for congest_id in congest_ids]
     for draw_round in range(max(draw_counts)):
@@ -106,8 +108,8 @@ def test_draw_table_matches_seeded_streams(seed, congest_ids, n, data):
                     for node in indices]
         assert table.draw(indices).tolist() == expected, (
             f"seed={seed} ids={congest_ids} space={space} "
-            f"round={draw_round}")
+            f"head_draws={head_draws} round={draw_round}")
     # Only the nodes that ran past the head hold a generator.
     assert sorted(table.tails) == [node for node, count
                                    in enumerate(draw_counts)
-                                   if count > _HEAD_DRAWS]
+                                   if count > head_draws]
