@@ -10,11 +10,14 @@ satellites (``max_degree``, ``ids`` proxy, cached snapshot).
 
 from __future__ import annotations
 
+import hashlib
 import types
 
 import networkx as nx
 import pytest
 
+import repro
+from repro.api import REGISTRY, Provenance
 from repro.congest import (
     ActiveSetEngine,
     BandwidthExceededError,
@@ -34,6 +37,10 @@ from repro.congest.message import Broadcast
 from repro.congest.simulator import LazyEdgeCounts
 from repro.graphs import random_regular_graph
 from repro.mis.luby import LubyMISNode
+from repro.scenarios import DEFAULT_REGISTRY
+from repro.scenarios.registry import scenario_config
+from repro.service.cache import key_for_plan
+from repro.service.scheduler import workload_graph
 
 
 # ----------------------------------------------------------------- topology
@@ -442,3 +449,85 @@ class TestLazyEdgeCounts:
         assert a.max_edge_congestion() == max(a.edge_message_counts.values())
         total = sum(a.edge_message_counts.values())
         assert total == a.total_messages
+
+
+# ------------------------------------------------- engine names from outside
+#: The content address of every ``@active-set`` registry scenario, as the
+#: scheduler plans it (cell built and solved with the task seed).  The
+#: engine name comes from requests, stored provenance and these scenario
+#: cells, so resolving it differently must never move a cache key.
+ACTIVE_SET_PLAN_KEYS = {
+    "regular-n24-d3/det-ruling-sim-k1@active-set": "23fca18704883f20e92a255e21f57be6",
+    "er-n20/det-ruling-sim-k1@active-set": "5c0e4dbb39759c4bc087e4571bfbb6f1",
+    "path-n16/det-ruling-sim-k1@active-set": "55cab660cfcd4984171d9f99edd28f9b",
+    "tree-n18/det-ruling-sim-k1@active-set": "2b108c2901f36bf9eef7a7b26dcec1fe",
+    "disconnected-n18/det-ruling-sim-k1@active-set": "9796c81a1d789b3f5ae0e06a39598314",
+    "dense-core-6x3x5/det-ruling-sim-k1@active-set": "73f52ddc25f32a59209978b96d648477",
+    "crown-m5/det-ruling-sim-k1@active-set": "360f36accec02f6104c7a3ea75db80fb",
+    "regular-n64-d4/det-ruling-sim-k1@active-set": "d7c7129583920413d72e04bb07e4eaa2",
+    "er-n48/det-ruling-sim-k1@active-set": "fb9f90bac9cb1d0c62027481b8c0b4df",
+    "udg-n40/det-ruling-sim-k1@active-set": "2bb600d23a506bd9abc34e3f244ba6dd",
+    "grid-8x8/det-ruling-sim-k1@active-set": "8372d3e248ae2a43ec218c3f6fb400aa",
+    "tree-n40/det-ruling-sim-k1@active-set": "e4336de8c51b7d9db1fec7b258b42a8b",
+    "caterpillar-10x3/det-ruling-sim-k1@active-set": "7b1fd7ef312dea4a782f2c7e115619a6",
+    "cliques-6x4/det-ruling-sim-k1@active-set": "2d67bef47579c224ed77f961c2fbb8fd",
+    "power-law-n48/det-ruling-sim-k1@active-set": "8bf7ff87301aa312de4197c517deedf6",
+    "star-n33/det-ruling-sim-k1@active-set": "026c614ed085f41b05bf94eb0cc31170",
+    "disconnected-n36/det-ruling-sim-k1@active-set": "9d042a0eef29003d88826412052069d7",
+    "dense-core-10x5x6/det-ruling-sim-k1@active-set": "8c347f8d5557ab3ec953762aba34d8d6",
+    "crown-m8/det-ruling-sim-k1@active-set": "497d22e86115dda85073942b4a7ebbc4",
+}
+
+#: Solves of ``regular-n24-d3`` (graph seed 5, solve seed 11) recorded with
+#: ``engine="active-set"``: stored provenance, then output, rounds,
+#: message and bit totals, peak and digest of the per-edge congestion, and
+#: the certificate row.
+RECORDED_ACTIVE_SET_SOLVES = {
+    "det-ruling-sim": (
+        {"algorithm": "det-ruling-sim", "problem": "mis-power",
+         "config": {"engine": "active-set", "max_rounds": 10000}, "seed": 11,
+         "seed_policy": "explicit", "graph_fingerprint": "4eea3b681d4035b0",
+         "n": 24, "m": 36, "library_version": "1.2.0"},
+        [0, 3, 4, 5, 8, 9, 18, 21, 23], 4, 108, 777, 5, "39e0a087e4fcc98c",
+        {"problem": "mis-power", "ok": True, "checks": 4, "failures": []}),
+    "luby-sim": (
+        {"algorithm": "luby-sim", "problem": "mis-power",
+         "config": {"engine": "active-set", "max_rounds": 10000}, "seed": 11,
+         "seed_policy": "explicit", "graph_fingerprint": "4eea3b681d4035b0",
+         "n": 24, "m": 36, "library_version": "1.2.0"},
+        [1, 5, 7, 8, 9, 11, 15, 16, 20], 4, 111, 2064, 5, "59c877e328edc679",
+        {"problem": "mis-power", "ok": True, "checks": 3, "failures": []}),
+}
+
+
+class TestActiveSetName:
+    def test_registry_lists_exactly_the_pinned_scenarios(self):
+        names = {scenario.name for scenario in DEFAULT_REGISTRY.scenarios()
+                 if scenario.engine == "active-set"}
+        assert names == set(ACTIVE_SET_PLAN_KEYS)
+
+    @pytest.mark.parametrize("name", sorted(ACTIVE_SET_PLAN_KEYS))
+    def test_plan_key_is_stable(self, name):
+        scenario = DEFAULT_REGISTRY.scenario(name)
+        seed = DEFAULT_REGISTRY.task_seed(scenario)
+        graph = workload_graph(scenario.cell, seed)
+        plan = REGISTRY.plan(graph, scenario.algorithm, seed=seed,
+                             **scenario_config(scenario))
+        assert key_for_plan(plan) == ACTIVE_SET_PLAN_KEYS[name]
+
+    @pytest.mark.parametrize("algorithm", sorted(RECORDED_ACTIVE_SET_SOLVES))
+    def test_recorded_solve_replays(self, algorithm):
+        (row, output, rounds, messages, bits, peak, digest,
+         certificate) = RECORDED_ACTIVE_SET_SOLVES[algorithm]
+        graph = DEFAULT_REGISTRY.build_cell("regular-n24-d3", seed=5)
+        report = repro.replay(graph, Provenance.from_row(row))
+        counts = report.result.edge_message_counts
+        assert sorted(report.output) == output
+        assert report.rounds == rounds
+        assert report.metrics["messages"] == messages
+        assert report.metrics["bits"] == bits
+        assert max(counts.values()) == peak
+        assert hashlib.sha256(repr(sorted(counts.items())).encode()
+                              ).hexdigest()[:16] == digest
+        assert report.certificate.to_row() == certificate
+        assert report.provenance.config_dict["engine"] == "active-set"
