@@ -1,22 +1,21 @@
 """Experiment ENGINE-BACKENDS -- round throughput of the vectorized engine.
 
-Measures simulator round throughput (rounds per second) for the three
+Measures simulator round throughput (rounds per second) for the two
 engine backends of the layered CONGEST runtime:
 
 * ``sync`` -- the scalar reference :class:`SyncEngine`;
-* ``active-set`` -- :class:`ActiveSetEngine` (skips halted nodes);
 * ``vector`` -- :class:`VectorEngine`, which executes whole rounds as
   batched numpy array operations over the CSR topology snapshot.
 
 Workloads are the large-graph mix the vector engine was built for:
 ``regular(n=20000, d=8)`` (the Table-1 landscape workload scaled 10x past
-what the scalar engines serve comfortably) and a dense-core-with-pendant-
+what the scalar engine serves comfortably) and a dense-core-with-pendant-
 paths family (wildly heterogeneous degrees -- the adversarial regime for
 anything assuming near-regularity).  Algorithms are the three vectorized
 programs: Luby MIS, BeepingMIS and the deterministic ruling set.
 
 Every row is agreement-checked first: outputs, rounds, message totals, bit
-totals and per-edge congestion must be bit-identical across all three
+totals and per-edge congestion must be bit-identical across both
 engines before any timing counts (the differential matrix of
 ``tests/test_engine_equivalence.py``, re-run at benchmark scale).
 
@@ -52,7 +51,7 @@ Node = Hashable
 EXPERIMENT_ID = "engine_backends"
 SPEEDUP_TARGET = 3.0     # geometric mean of vector vs sync across all rows
 ROW_SPEEDUP_FLOOR = 1.5  # every individual row must clear this
-ENGINES = ("sync", "active-set", "vector")
+ENGINES = ("sync", "vector")
 
 
 def _workloads(*, smoke: bool):
@@ -112,7 +111,7 @@ def experiment_engine_backends(*, smoke: bool = False) -> list[dict[str, object]
             for make in makers.values():  # untimed warmup (caches, allocator)
                 make().run(max_rounds)
             # Interleave the engines across repeats so CPU frequency drift
-            # hits all three equally; medians are robust to a single
+            # hits both equally; medians are robust to a single
             # throttled run.
             for _ in range(repeats):
                 for name, make in makers.items():
@@ -131,7 +130,6 @@ def experiment_engine_backends(*, smoke: bool = False) -> list[dict[str, object]
                 "rounds": results["sync"].rounds,
                 "messages": results["sync"].total_messages,
                 "sync_rps": round(rates["sync"], 1),
-                "active_rps": round(rates["active-set"], 1),
                 "vector_rps": round(rates["vector"], 1),
                 "speedup": round(speedup, 2),
             })
@@ -174,7 +172,7 @@ def main(argv: list[str]) -> int:
     rows = experiment_engine_backends(smoke=smoke)
     notes = ("rounds/sec, median of interleaved repeats; speedup = vector vs "
              "sync. Outputs/rounds/messages/bits/per-edge congestion "
-             "verified identical across all three engines before timing "
+             "verified identical across both engines before timing "
              "counts.")
     if smoke:
         # Print only: a reduced smoke sweep must not overwrite the stored

@@ -1,20 +1,20 @@
 """Experiment SIM-THROUGHPUT -- round throughput of the layered CONGEST runtime.
 
 Measures simulator throughput (rounds per second) on the Table-1 landscape
-workload (``regular(n=2000, d=4)``) for three schedulers:
+workload (``regular(n=2000, d=4)``) for two schedulers:
 
 * ``legacy`` -- a frozen copy of the pre-refactor monolithic round loop
   (networkx adjacency queries, per-message ``str()`` edge keys, a fresh
   inbox dict for every node every round), kept here as the baseline the
   perf trajectory is tracked against;
-* ``sync`` -- the layered runtime's reference :class:`SyncEngine`;
-* ``active-set`` -- the :class:`ActiveSetEngine`, which skips halted nodes.
+* ``sync`` -- the layered runtime's scalar :class:`SyncEngine`.
 
-Workloads: Luby MIS (long halting tail -- the active-set case) and BFS
-layering (flooding -- the dense case).  All three schedulers must produce
-identical outputs, rounds and message totals before their timings count.
+Workloads: Luby MIS (long halting tail), the deterministic ruling set,
+BeepingMIS and BFS layering (flooding -- the dense case).  Both schedulers
+must produce identical outputs, rounds and message totals before their
+timings count.
 
-The acceptance bar of the layered-runtime refactor is ``active-set``
+The acceptance bar of the layered-runtime refactor is ``sync``
 achieving >= 2x the legacy rounds/sec on the regular(n=2000,d=4) landscape
 workload, measured as the geometric mean across its algorithm rows (with a
 1.5x floor on every individual row); the run fails loudly if that
@@ -190,20 +190,16 @@ def experiment_throughput(*, smoke: bool = False) -> list[dict[str, object]]:
                 return LegacySimulator(CongestNetwork(graph, id_seed=seed),
                                        factory, seed=seed)
 
-            def make_layered(engine):
-                return Simulator(network, factory, seed=seed, engine=engine)
-
             makers = {
                 "legacy": make_legacy,
-                "sync": lambda: make_layered("sync"),
-                "active-set": lambda: make_layered("active-set"),
+                "sync": lambda: Simulator(network, factory, seed=seed),
             }
             results: dict[str, SimulationResult] = {}
             samples: dict[str, list[float]] = {name: [] for name in makers}
             for make in makers.values():  # untimed warmup (caches, allocator)
                 make().run(max_rounds)
             # Interleave the schedulers across repeats so CPU frequency
-            # drift hits all three equally; the median per scheduler is
+            # drift hits both equally; the median per scheduler is
             # robust against a single lucky or throttled run.
             for _ in range(repeats):
                 for name, make in makers.items():
@@ -214,7 +210,7 @@ def experiment_throughput(*, smoke: bool = False) -> list[dict[str, object]]:
                      for name, values in samples.items()}
 
             _check_agreement(f"{workload}/{algo_name}", results)
-            speedup = (rates["active-set"] / rates["legacy"]
+            speedup = (rates["sync"] / rates["legacy"]
                        if rates["legacy"] else float("inf"))
             rows.append({
                 "workload": workload,
@@ -223,7 +219,6 @@ def experiment_throughput(*, smoke: bool = False) -> list[dict[str, object]]:
                 "messages": results["legacy"].total_messages,
                 "legacy_rps": round(rates["legacy"], 1),
                 "sync_rps": round(rates["sync"], 1),
-                "active_rps": round(rates["active-set"], 1),
                 "speedup": round(speedup, 2),
             })
     return rows
@@ -232,9 +227,9 @@ def experiment_throughput(*, smoke: bool = False) -> list[dict[str, object]]:
 def main(argv: list[str]) -> int:
     smoke = "--smoke" in argv or os.environ.get("SMOKE") == "1"
     rows = experiment_throughput(smoke=smoke)
-    notes = ("rounds/sec, median of interleaved repeats; speedup = active-set "
+    notes = ("rounds/sec, median of interleaved repeats; speedup = sync "
              "vs the frozen pre-refactor loop. Outputs/rounds/messages "
-             "verified identical across all three schedulers before timing "
+             "verified identical across both schedulers before timing "
              "counts.")
     if smoke:
         # Print only: a reduced smoke sweep must not overwrite the stored

@@ -55,7 +55,6 @@ __version__ = "1.2.0"
 #: Public name -> the module that defines it, imported on first access
 #: (``repro.api`` is the subpackage itself).
 _EXPORTS = {
-    "ActiveSetEngine": "repro.congest",
     "Algorithm": "repro.api.registry",
     "Certificate": "repro.api",
     "CongestNetwork": "repro.congest",

@@ -303,10 +303,10 @@ def _sim_algorithm(name: str, nodes, *, extra_defaults=(), randomized=True,
 
     ``run_batch`` sweeps its contexts as one replica batch and ``run`` is
     that batch with one context, so a solo solve and a seed sweep share one
-    path.  The ``engine`` key selects the round engine ("sync" /
-    "active-set" / "vector") and is seed-neutral: all engines derive the
-    same seed and produce bit-identical reports, so a provenance recorded
-    under one engine replays on any other.
+    path.  The ``engine`` key selects the round engine ("sync" or an alias
+    such as "active-set", or "vector") and is seed-neutral: all engines
+    derive the same seed and produce bit-identical reports, so a
+    provenance recorded under one engine replays on any other.
     """
     def run_batch(graph: nx.Graph,
                   ctxs: list[SolveContext]) -> list[AdapterOutcome]:

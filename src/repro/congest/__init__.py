@@ -19,8 +19,7 @@ layers (see ``ARCHITECTURE.md`` for the full picture):
   per-edge per-round budget and tracks congestion by edge index;
 * *scheduling* (:mod:`repro.congest.engine`) -- pluggable
   :class:`RoundEngine` implementations: :class:`SyncEngine` (reference
-  semantics), :class:`ActiveSetEngine` (skips halted nodes; late rounds
-  cost O(active) instead of O(n)) and :class:`VectorEngine`
+  semantics) and :class:`VectorEngine`
   (:mod:`repro.congest.vector_engine`: whole rounds as batched numpy array
   operations over the CSR snapshot, bit-identical to ``SyncEngine``, with
   automatic scalar fallback when a run is not vectorizable);
@@ -44,7 +43,7 @@ break total round counts down by phase.
 """
 
 from repro.congest.cost import RoundLedger
-from repro.congest.engine import ActiveSetEngine, RoundEngine, SyncEngine
+from repro.congest.engine import RoundEngine, SyncEngine
 from repro.congest.message import DEFAULT_BANDWIDTH_BITS, Message, id_bits, message_bits
 from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeAlgorithm
@@ -67,7 +66,6 @@ from repro.congest.primitives import (
 )
 
 __all__ = [
-    "ActiveSetEngine",
     "BFSTree",
     "BandwidthExceededError",
     "CongestNetwork",

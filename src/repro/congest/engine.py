@@ -1,19 +1,14 @@
 """Scheduling layer: pluggable round engines for the CONGEST runtime.
 
 A :class:`RoundEngine` drives the per-node state machines through synchronous
-rounds on top of the topology and transport layers.  Two engines ship with
-the runtime:
-
-* :class:`SyncEngine` -- the reference scheduler.  Every round it scans all
-  nodes, exactly like the legacy monolithic loop (minus its per-message
-  networkx and ``str()`` work), so its semantics are bit-for-bit those of the
-  pre-refactor simulator.
-* :class:`ActiveSetEngine` -- maintains the set of non-halted nodes across
-  rounds and iterates only over it, making late-phase rounds ``O(active)``
-  instead of ``O(n)``.  Because a halted :class:`NodeAlgorithm` can never
-  un-halt (there is no API for it), the two engines produce identical
-  outputs, round counts and message statistics for the same seed; the
-  equivalence is locked down by ``tests/test_engine_equivalence.py``.
+rounds on top of the topology and transport layers.  The scalar engine is
+:class:`SyncEngine`, the reference scheduler: every round it scans all
+nodes, exactly like the legacy monolithic loop (minus its per-message
+networkx and ``str()`` work), so its semantics are bit-for-bit those of the
+pre-refactor simulator.  ``"legacy"``, ``"active-set"`` and ``"active"``
+are other names for it: requests, stored provenance and registry scenarios
+carry them, and they must keep resolving.  The vectorized array engine
+registers itself as ``"vector"`` (:mod:`repro.congest.vector_engine`).
 
 Writing a new engine means subclassing :class:`RoundEngine` and implementing
 :meth:`RoundEngine.run` over a :class:`Runtime` bundle.  The contract an
@@ -40,8 +35,8 @@ from repro.congest.observers import RoundObserver, RoundSnapshot
 from repro.congest.topology import TopologySnapshot
 from repro.congest.transport import EMPTY_INBOX, Transport
 
-__all__ = ["ActiveSetEngine", "RoundEngine", "Runtime", "SyncEngine",
-           "register_engine", "resolve_engine"]
+__all__ = ["RoundEngine", "Runtime", "SyncEngine", "register_engine",
+           "resolve_engine"]
 
 
 @dataclass
@@ -63,54 +58,6 @@ class RoundEngine:
         """Drive the instances until all halt or ``max_rounds``; return rounds."""
         raise NotImplementedError
 
-    # ------------------------------------------------------ shared plumbing
-    @staticmethod
-    def _send_phase(runtime: Runtime, round_number: int, live: Sequence[int],
-                    msg_observers: tuple[RoundObserver, ...]) -> None:
-        """Collect and route the outboxes of the ``live`` node indices.
-
-        Precondition: every index in ``live`` is non-halted when the phase
-        starts (both engines rebuild/maintain the list from fresh halted
-        flags, and a node can only halt itself, so no entry can become
-        halted before its own ``send`` runs).
-        """
-        instances = runtime.instances
-        transport = runtime.transport
-        neighbor_rows = runtime.topology.neighbor_labels
-        deposit_outbox = transport.deposit_outbox
-        deposit_broadcast = transport.deposit_broadcast
-        for index in live:
-            outbox = instances[index].send(round_number)
-            if not outbox:
-                continue
-            # Fast path only for a pristine lazy Broadcast over *the* bound
-            # neighbor row (identity check): any mutation clears _neighbors,
-            # and a Broadcast over a subset or foreign tuple falls back to
-            # the per-entry path, so it can never be misdelivered.
-            if (type(outbox) is Broadcast
-                    and outbox._neighbors is neighbor_rows[index]):
-                payload = outbox.payload
-                if payload is not Ellipsis:
-                    deposit_broadcast(index, payload, round_number, msg_observers)
-            else:
-                deposit_outbox(index, outbox, round_number, msg_observers)
-
-    @staticmethod
-    def _emit_round_end(runtime: Runtime, round_number: int, active_at_start: int,
-                        newly_halted: tuple, observers) -> None:
-        profile = runtime.transport.round_profile()
-        snapshot = RoundSnapshot(
-            round_number=round_number,
-            active_at_start=active_at_start,
-            messages=profile.messages,
-            bits=profile.bits,
-            max_edge_bits=profile.max_edge_bits,
-            busiest_edge=profile.busiest_edge,
-            newly_halted=newly_halted,
-        )
-        for observer in observers:
-            observer.on_round_end(round_number, snapshot)
-
 
 class SyncEngine(RoundEngine):
     """Reference engine: scans every node every round (legacy semantics)."""
@@ -121,8 +68,11 @@ class SyncEngine(RoundEngine):
         instances = runtime.instances
         transport = runtime.transport
         labels = runtime.topology.labels
+        neighbor_rows = runtime.topology.neighbor_labels
         observers = tuple(runtime.observers)
         msg_observers = tuple(o for o in observers if o.wants_messages)
+        deposit_outbox = transport.deposit_outbox
+        deposit_broadcast = transport.deposit_broadcast
         inbox_table = transport.inbox_table
         empty = EMPTY_INBOX
         n = len(instances)
@@ -135,7 +85,24 @@ class SyncEngine(RoundEngine):
             for observer in observers:
                 observer.on_round_start(round_number, len(live))
 
-            self._send_phase(runtime, round_number, live, msg_observers)
+            # Send phase.  A node can only halt itself, so no entry of
+            # ``live`` is halted before its own ``send`` runs.
+            for index in live:
+                outbox = instances[index].send(round_number)
+                if not outbox:
+                    continue
+                # Fast path only for a pristine lazy Broadcast over *the*
+                # bound neighbor row (identity check): any mutation clears
+                # _neighbors, and a Broadcast over a subset or foreign tuple
+                # takes the per-entry path, so it can never be misdelivered.
+                if (type(outbox) is Broadcast
+                        and outbox._neighbors is neighbor_rows[index]):
+                    payload = outbox.payload
+                    if payload is not Ellipsis:
+                        deposit_broadcast(index, payload, round_number,
+                                          msg_observers)
+                else:
+                    deposit_outbox(index, outbox, round_number, msg_observers)
 
             for index in live:
                 instance = instances[index]
@@ -145,66 +112,28 @@ class SyncEngine(RoundEngine):
                 instance.receive(round_number, empty if box is None else box)
 
             if observers:
-                newly_halted = tuple(labels[index] for index in live
-                                     if instances[index].halted)
-                self._emit_round_end(runtime, round_number, len(live),
-                                     newly_halted, observers)
+                profile = transport.round_profile()
+                snapshot = RoundSnapshot(
+                    round_number=round_number,
+                    active_at_start=len(live),
+                    messages=profile.messages,
+                    bits=profile.bits,
+                    max_edge_bits=profile.max_edge_bits,
+                    busiest_edge=profile.busiest_edge,
+                    newly_halted=tuple(labels[index] for index in live
+                                       if instances[index].halted),
+                )
+                for observer in observers:
+                    observer.on_round_end(round_number, snapshot)
             transport.end_round()
         return rounds
 
 
-class ActiveSetEngine(RoundEngine):
-    """Maintains the non-halted set across rounds; late rounds are O(active)."""
-
-    name = "active-set"
-
-    def run(self, runtime: Runtime, max_rounds: int) -> int:
-        instances = runtime.instances
-        transport = runtime.transport
-        labels = runtime.topology.labels
-        observers = tuple(runtime.observers)
-        msg_observers = tuple(o for o in observers if o.wants_messages)
-        inbox_table = transport.inbox_table
-        empty = EMPTY_INBOX
-
-        active = [index for index in range(len(instances))
-                  if not instances[index].halted]
-        rounds = 0
-        for round_number in range(1, max_rounds + 1):
-            if not active:
-                break
-            rounds = round_number
-            for observer in observers:
-                observer.on_round_start(round_number, len(active))
-
-            self._send_phase(runtime, round_number, active, msg_observers)
-
-            next_active: list[int] = []
-            newly_halted: list = []
-            for index in active:
-                instance = instances[index]
-                if not instance.halted:  # skip nodes halted in the send phase
-                    box = inbox_table[index]
-                    instance.receive(round_number, empty if box is None else box)
-                    if not instance.halted:
-                        next_active.append(index)
-                        continue
-                if observers:
-                    newly_halted.append(labels[index])
-            if observers:
-                self._emit_round_end(runtime, round_number, len(active),
-                                     tuple(newly_halted), observers)
-            active = next_active
-            transport.end_round()
-        return rounds
-
-
-_ENGINES = {
-    SyncEngine.name: SyncEngine,
-    "legacy": SyncEngine,  # alias: the semantics-compatible reference engine
-    ActiveSetEngine.name: ActiveSetEngine,
-    "active": ActiveSetEngine,
-}
+#: Other names of SyncEngine: ``"legacy"`` for the pre-refactor loop it
+#: reproduces; ``"active-set"`` / ``"active"`` still arrive in requests,
+#: stored provenance and registry scenarios.
+_ENGINES = {name: SyncEngine
+            for name in (SyncEngine.name, "legacy", "active-set", "active")}
 
 
 def register_engine(name: str, engine_class: type,
@@ -228,9 +157,9 @@ def resolve_engine(engine: "RoundEngine | type[RoundEngine] | str | None",
                    ) -> RoundEngine:
     """Normalise the ``engine=`` argument of the simulator facade.
 
-    Accepts an engine instance, an engine class, a name (``"sync"``,
-    ``"active-set"``/``"active"``, ``"vector"``) or ``None`` (the default
-    :class:`SyncEngine`).
+    Accepts an engine instance, an engine class, a name (``"sync"`` and its
+    aliases ``"legacy"``, ``"active-set"``, ``"active"``; ``"vector"``) or
+    ``None`` (the default :class:`SyncEngine`).
     """
     if engine is None:
         return SyncEngine()

@@ -26,8 +26,8 @@ observers *derive* views from them.  Three built-ins cover the needs of the
 existing experiments: :class:`StatsObserver` (the ``SimulationResult``
 statistics plus a per-round history), :class:`CongestionProfileObserver`
 (per-round congestion profiles for the Figure-1 style analyses) and
-:class:`HaltingTimelineObserver` (when nodes halt -- the quantity that makes
-the :class:`~repro.congest.engine.ActiveSetEngine` pay off).
+:class:`HaltingTimelineObserver` (when nodes halt, i.e. how long the
+halting tail of a run is).
 """
 
 from __future__ import annotations

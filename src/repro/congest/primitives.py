@@ -14,9 +14,8 @@ granted.  They serve two purposes in the reproduction:
 Each primitive comes in two pieces: the per-node state machine
 (:class:`NodeAlgorithm` subclass) and a ``run_*`` driver that wires it into
 the :class:`~repro.congest.simulator.Simulator` facade.  The drivers accept
-the facade's ``engine=`` / ``observers=`` arguments, so benchmarks can run
-the same primitive under :class:`~repro.congest.engine.SyncEngine` and
-:class:`~repro.congest.engine.ActiveSetEngine` interchangeably.
+the facade's ``engine=`` / ``observers=`` arguments, so the same primitive
+runs under any registered engine and with any observers attached.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ together (see ``ARCHITECTURE.md``):
    the aggregate per-edge per-round bandwidth accountant;
 3. **scheduling** (:mod:`repro.congest.engine`) -- a pluggable
    :class:`RoundEngine`; the default :class:`SyncEngine` reproduces the
-   legacy semantics bit for bit, :class:`ActiveSetEngine` skips halted
-   nodes entirely, and :class:`~repro.congest.vector_engine.VectorEngine`
-   (``engine="vector"``) executes supported algorithms as batched numpy
-   rounds -- all three bit-identical for the same seed;
+   legacy semantics bit for bit, and
+   :class:`~repro.congest.vector_engine.VectorEngine` (``engine="vector"``)
+   executes supported algorithms as batched numpy rounds -- bit-identical
+   to it for the same seed;
 4. **instrumentation** (:mod:`repro.congest.observers`) -- a
    :class:`RoundObserver` trace API replacing the legacy inlined counters.
 
@@ -143,8 +143,8 @@ class Simulator:
         raises :class:`BandwidthExceededError`.  Experiments that only want
         to *measure* congestion (Figure 1) set this to ``False``.
     engine:
-        The round engine: an instance, class, name (``"sync"`` /
-        ``"active-set"`` / ``"vector"``) or ``None`` for the default
+        The round engine: an instance, class, name (``"sync"`` or one of
+        its aliases, ``"vector"``) or ``None`` for the default
         :class:`SyncEngine`.
     observers:
         Iterable of :class:`RoundObserver` instances to attach for this

@@ -19,13 +19,13 @@ touching networkx inside the round loop:
   to validate and route an outbox entry with a single dict lookup.
 
 The route tables and the other ``_SIMULATOR_TABLES`` are read only by the
-scalar engines: a snapshot reads each through the shared structure, which
+scalar engine: a snapshot reads each through the shared structure, which
 builds them all on first use, so the vector engine and every CSR-only
 caller never pay for them.
 
-The snapshot also carries the CONGEST identifier table and node degrees, so
-binding a :class:`~repro.congest.node.NodeAlgorithm` instance requires no
-graph queries either.
+The snapshot also carries the CONGEST identifier table, so binding a
+:class:`~repro.congest.node.NodeAlgorithm` instance requires no graph
+queries either.
 """
 
 from __future__ import annotations
@@ -49,12 +49,10 @@ __all__ = ["TopologySnapshot", "forget_graph", "graph_csr", "graph_power_view"]
 _STRUCTURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-#: The per-node tables only the scalar engines read, built on first access:
+#: The per-node tables only the scalar engine reads, built on first access:
 #: a CSR-only caller (``PowerView``, the certificates, the vector engine)
 #: never pays for them.
-_SIMULATOR_TABLES = frozenset((
-    "neighbor_labels", "routes", "broadcast_routes", "broadcast_rows",
-    "degrees", "edge_endpoints", "max_degree"))
+_SIMULATOR_TABLES = frozenset(("neighbor_labels", "routes", "broadcast_rows"))
 
 
 class _GraphStructure:
@@ -113,36 +111,30 @@ class _GraphStructure:
         labels, indptr = self.labels, self.indptr
         neighbor_labels: list[tuple[Node, ...]] = []
         routes: list[dict[Node, tuple[int, int, int]]] = []
+        broadcast_rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        # Edge indices in order of first encounter: the order of the CSR's
+        # canonical ``edge_u`` / ``edge_v`` arrays.
         edge_of_pair: dict[tuple[int, int], int] = {}
-        edge_endpoints: list[tuple[int, int]] = []
 
         for u in range(self.n):
             row = self.neighbor_indices[indptr[u]:indptr[u + 1]]
             nbr_labels = tuple(map(labels.__getitem__, row))
             route: dict[Node, tuple[int, int, int]] = {}
+            edges: list[int] = []
             for v, nbr_label in zip(row, nbr_labels):
                 pair = (u, v) if u < v else (v, u)
-                edge = edge_of_pair.get(pair)
-                if edge is None:
-                    edge = len(edge_endpoints)
-                    edge_of_pair[pair] = edge
-                    edge_endpoints.append(pair)
+                edge = edge_of_pair.setdefault(pair, len(edge_of_pair))
                 route[nbr_label] = (v, edge, 2 * edge + (0 if u < v else 1))
+                edges.append(edge)
             neighbor_labels.append(nbr_labels)
             routes.append(route)
+            # Receiver and edge indices in neighbor order, for the
+            # transport's full-duplex broadcast loop.
+            broadcast_rows.append((tuple(row), tuple(edges)))
 
         self.neighbor_labels = tuple(neighbor_labels)
         self.routes = tuple(routes)
-        # Route triples in neighbor order (dicts preserve insertion order),
-        # for broadcast-style outboxes that cover every neighbor; the paired
-        # flat rows serve the transport's tight full-duplex loop.
-        self.broadcast_routes = tuple(tuple(route.values()) for route in routes)
-        self.broadcast_rows = tuple(
-            (tuple(t[0] for t in triples), tuple(t[1] for t in triples))
-            for triples in self.broadcast_routes)
-        self.degrees = tuple(indptr[i + 1] - indptr[i] for i in range(self.n))
-        self.edge_endpoints = edge_endpoints
-        self.max_degree = max(self.degrees, default=0)
+        self.broadcast_rows = tuple(broadcast_rows)
 
     def numpy_arrays(self) -> SimpleNamespace:
         """The graph's CSR as cached read-only numpy arrays (everything of
@@ -268,16 +260,15 @@ class TopologySnapshot:
         ``(neighbor_index, edge_index, directed_slot)`` triple, where
         ``directed_slot`` is the precomputed full-duplex bandwidth slot
         (``2 * edge_index`` for the low-to-high index direction,
-        ``2 * edge_index + 1`` for the reverse).
-    degrees:
-        ``degrees[i]`` is the degree of node ``i``.
-    edge_endpoints:
-        ``edge_endpoints[e]`` is the canonical ``(u_index, v_index)`` pair
-        (``u_index < v_index``) of edge ``e``.
+        ``2 * edge_index + 1`` for the reverse).  Edge ``e`` joins
+        ``edge_u[e]`` and ``edge_v[e]`` of :meth:`numpy_arrays`.
+    broadcast_rows:
+        ``broadcast_rows[i]`` is the pair of tuples of the neighbor indices
+        and edge indices of node ``i``, in neighbor order.
 
-    ``neighbor_labels``, ``routes``, ``degrees``, ``edge_endpoints`` and the
-    rest of ``_SIMULATOR_TABLES`` are not copied at construction: each is
-    read through the shared structure (built there once) on first access.
+    ``neighbor_labels``, ``routes`` and ``broadcast_rows`` (the
+    ``_SIMULATOR_TABLES``) are not copied at construction: each is read
+    through the shared structure (built there once) on first access.
     """
 
     __slots__ = (
@@ -290,11 +281,7 @@ class TopologySnapshot:
         "neighbor_indices",
         "neighbor_labels",
         "routes",
-        "broadcast_routes",
         "broadcast_rows",
-        "degrees",
-        "edge_endpoints",
-        "max_degree",
         "_structure",
         "_numpy_cache",
     )
@@ -363,9 +350,6 @@ class TopologySnapshot:
     def neighbors(self, index: int) -> list[int]:
         """Neighbor indices of node ``index`` (CSR slice)."""
         return self.neighbor_indices[self.indptr[index]:self.indptr[index + 1]]
-
-    def degree(self, index: int) -> int:
-        return self.degrees[index]
 
     def edge_label(self, edge: int) -> tuple[Node, Node]:
         """The canonical ``(u, v)`` label pair of edge ``edge``.

@@ -90,7 +90,7 @@ class Transport:
         self.bandwidth_bits = bandwidth_bits
         self.enforce = enforce
         self.half_duplex = half_duplex
-        #: When true (instrumented runs), bulk deposits always take the
+        #: When true (instrumented runs), broadcasts always take the
         #: fully-accounted path so :meth:`round_profile` sees per-slot loads.
         self.profile_slots = profile_slots
         # Per-slot load tracking backs the deposit paths only; engines that
@@ -111,8 +111,8 @@ class Transport:
         self.total_bits = 0
         self.round_messages = 0
         self.round_bits = 0
-        # Round stamp per sender, detecting repeated bulk deposits within one
-        # round (which force the slow, fully-accounted path).  Lazy with
+        # Round stamp per sender: a broadcast by a sender that already
+        # deposited this round takes the fully-accounted path.  Lazy with
         # _slot_bits: only deposit paths read it.
         self._bulk_stamps: list[int] | None = None
         self._round_token = 1
@@ -126,61 +126,27 @@ class Transport:
         self._bulk_stamps = [0] * topology.n
 
     # ------------------------------------------------------------- sending
-    def deposit(self, sender_label: Node, sender_index: int, receiver_index: int,
-                edge_index: int, payload: Any) -> int:
-        """Account for and enqueue one message; returns its size in bits.
-
-        Raises :class:`BandwidthExceededError` when the aggregate load of the
-        message's edge slot exceeds ``bandwidth_bits`` (and enforcement is
-        on).  The message is still counted and delivered when enforcement is
-        off, so congestion-measurement runs see the true load.
-        """
-        bits = message_bits(payload)
-        if self._slot_bits is None:
-            self._ensure_slot_state()
-        # Stamp the sender so a bulk deposit later in this round takes the
-        # fully-accounted path and sees this message's slot load.
-        self._bulk_stamps[sender_index] = self._round_token
-        if self.half_duplex:
-            slot = edge_index
-        else:
-            slot = 2 * edge_index + (1 if sender_index > receiver_index else 0)
-        load = self._slot_bits[slot] + bits
-        if load == bits:
-            self._touched_slots.append(slot)
-        self._slot_bits[slot] = load
-        if self.enforce and load > self.bandwidth_bits:
-            raise self._bandwidth_error(sender_label, receiver_index, bits, load)
-        box = self.inbox_table[receiver_index]
-        if box is None:
-            box = self._pool.pop() if self._pool else {}
-            self.inbox_table[receiver_index] = box
-            self._touched_inboxes.append(receiver_index)
-        box[sender_label] = payload
-        self.edge_message_counts[edge_index] += 1
-        self.total_messages += 1
-        self.total_bits += bits
-        self.round_messages += 1
-        self.round_bits += bits
-        return bits
-
     def deposit_outbox(self, sender_index: int, outbox: Mapping[Node, Any],
                        round_number: int = 0, observers: tuple = ()) -> None:
-        """Route and account a whole outbox (the engines' send-phase hot path).
+        """Route and account a whole outbox (the engine's send-phase path).
 
-        Semantically equivalent to calling :meth:`deposit` per entry, but
-        with everything bound locally and one optimisation the per-message
-        API cannot offer: when consecutive entries carry the *same payload
-        object* (the ``broadcast`` idiom), its bit size is computed once
-        instead of once per neighbor.  Raises ``ValueError`` for a
-        non-neighbor target and :class:`BandwidthExceededError` on aggregate
-        overload.
+        Entries whose payload is ``Ellipsis`` are skipped.  When consecutive
+        entries carry the *same payload object* (the ``broadcast`` idiom),
+        its bit size is computed once instead of once per neighbor.  Raises
+        ``ValueError`` for a non-neighbor target and
+        :class:`BandwidthExceededError` when the aggregate load of an edge
+        slot exceeds ``bandwidth_bits`` (and enforcement is on); the
+        message is still counted and delivered when enforcement is off, so
+        congestion-measurement runs see the true load.
         """
         topology = self.topology
         route_get = topology.routes[sender_index].get
         sender_label = topology.labels[sender_index]
         if self._slot_bits is None:
             self._ensure_slot_state()
+        # Stamp the sender so a broadcast later in this round takes this
+        # accounted path and sees the load of this outbox.
+        self._bulk_stamps[sender_index] = self._round_token
         slot_bits = self._slot_bits
         touched_slots = self._touched_slots
         inbox_table = self.inbox_table
@@ -237,80 +203,46 @@ class Transport:
                           round_number: int = 0, observers: tuple = ()) -> None:
         """Route one payload to *every* neighbor of ``sender_index``.
 
-        The fast path for pristine :class:`~repro.congest.message.Broadcast`
-        outboxes: the bit size is computed once and the messages are routed
-        over the topology's precomputed neighbor row, with no per-message
-        route lookup.  Semantics are identical to a :meth:`deposit_outbox`
-        whose entries all carry ``payload``.
-
-        In full-duplex mode a single broadcast puts exactly one message on
-        each directed edge slot, so the aggregate bandwidth check reduces to
-        the (hoisted) single-message check and per-slot accounting is
-        skipped entirely.  The slow path -- with full slot accounting -- is
-        taken in half-duplex mode (the reverse direction shares the budget),
-        on instrumented runs (``profile_slots`` / message observers, which
-        need per-slot loads in the round profile), and whenever this sender
-        already deposited anything this round -- bulk or message-level, both
-        stamp the sender -- so earlier load on its slots is always seen.
-        Only the reverse interleaving (:meth:`deposit` *after* a fast-path
-        bulk deposit by the same sender in the same round) is unsupported;
-        the engines never do this -- use :meth:`deposit` throughout for such
-        traffic patterns.
+        Semantically a :meth:`deposit_outbox` whose entries all carry
+        ``payload``.  In full-duplex mode a single broadcast puts exactly
+        one message on each directed edge slot, so the aggregate bandwidth
+        check reduces to the (hoisted) single-message check: the bit size
+        is computed once and the messages are routed over the topology's
+        precomputed neighbor row with no per-message route lookup and no
+        per-slot accounting.  Every other case goes through
+        :meth:`deposit_outbox`: half-duplex mode (the reverse direction
+        shares the budget), instrumented runs (``profile_slots`` / message
+        observers, which need per-slot loads in the round profile), and a
+        sender that already deposited this round (every deposit stamps its
+        sender), so the load of an earlier :meth:`deposit_outbox` is seen.
+        A fast-path broadcast records no slot loads, so a later deposit by
+        the same sender in the same round does not see its load; the
+        engine deposits at most once per sender per round.
         """
         topology = self.topology
-        triples = topology.broadcast_routes[sender_index]
-        if not triples:
+        receiver_row, edge_row = topology.broadcast_rows[sender_index]
+        if not receiver_row:
             return
-        sender_label = topology.labels[sender_index]
-        bits = message_bits(payload)
         if self._slot_bits is None:
             self._ensure_slot_state()
-        if not (self.half_duplex or observers or self.profile_slots
+        if (self.half_duplex or observers or self.profile_slots
                 or self._bulk_stamps[sender_index] == self._round_token):
-            self._bulk_stamps[sender_index] = self._round_token
-            if self.enforce and bits > self.bandwidth_bits:
-                raise self._bandwidth_error(sender_label, triples[0][0],
-                                            bits, bits)
-            inbox_table = self.inbox_table
-            touched_inboxes = self._touched_inboxes
-            pool = self._pool
-            edge_counts = self.edge_message_counts
-            receiver_row, edge_row = topology.broadcast_rows[sender_index]
-            for receiver_index, edge_index in zip(receiver_row, edge_row):
-                box = inbox_table[receiver_index]
-                if box is None:
-                    box = pool.pop() if pool else {}
-                    inbox_table[receiver_index] = box
-                    touched_inboxes.append(receiver_index)
-                box[sender_label] = payload
-                edge_counts[edge_index] += 1
-            count = len(receiver_row)
-            self._flush_counts(count, count * bits)
+            self.deposit_outbox(
+                sender_index,
+                dict.fromkeys(topology.neighbor_labels[sender_index], payload),
+                round_number, observers)
             return
-        slot_bits = self._slot_bits
-        touched_slots = self._touched_slots
+        self._bulk_stamps[sender_index] = self._round_token
+        sender_label = topology.labels[sender_index]
+        bits = message_bits(payload)
+        if self.enforce and bits > self.bandwidth_bits:
+            raise self._bandwidth_error(sender_label, receiver_row[0],
+                                        bits, bits)
         inbox_table = self.inbox_table
         touched_inboxes = self._touched_inboxes
         pool = self._pool
         edge_counts = self.edge_message_counts
-        enforce = self.enforce
-        bandwidth = self.bandwidth_bits
-        slot_position = 1 if self.half_duplex else 2
-        messages = 0
-        neighbor_labels = (topology.neighbor_labels[sender_index]
-                           if observers else ())
-        for target in triples:
-            receiver_index = target[0]
-            edge_index = target[1]
-            slot = target[slot_position]
-            load = slot_bits[slot] + bits
-            if load == bits:
-                touched_slots.append(slot)
-            slot_bits[slot] = load
-            if enforce and load > bandwidth:
-                self._flush_counts(messages, messages * bits)
-                raise self._bandwidth_error(sender_label, receiver_index,
-                                            bits, load)
+        for receiver_index, edge_index in zip(receiver_row, edge_row):
             box = inbox_table[receiver_index]
             if box is None:
                 box = pool.pop() if pool else {}
@@ -318,13 +250,8 @@ class Transport:
                 touched_inboxes.append(receiver_index)
             box[sender_label] = payload
             edge_counts[edge_index] += 1
-            messages += 1
-            if observers:
-                neighbor = neighbor_labels[messages - 1]
-                for observer in observers:
-                    observer.on_message(round_number, sender_label, neighbor,
-                                        payload, bits, edge_index)
-        self._flush_counts(messages, messages * bits)
+        count = len(receiver_row)
+        self._flush_counts(count, count * bits)
 
     def _flush_counts(self, messages: int, bits: int) -> None:
         self.total_messages += messages
@@ -337,7 +264,7 @@ class Transport:
         """Fold externally-computed traffic into the run-level accountants.
 
         The array-engine escape hatch: an engine that routes whole rounds as
-        batched array operations (no per-message :meth:`deposit` calls)
+        batched array operations (no :meth:`deposit_outbox` calls)
         still reports its traffic through the transport, so
         ``total_messages`` / ``total_bits`` / per-edge congestion -- and
         everything downstream of them (:class:`~repro.congest.simulator.

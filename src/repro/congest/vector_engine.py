@@ -1,8 +1,7 @@
 """The vectorized array engine: lockstep numpy rounds over the CSR topology.
 
-:class:`VectorEngine` is the third round engine of the runtime (after
-:class:`~repro.congest.engine.SyncEngine` and
-:class:`~repro.congest.engine.ActiveSetEngine`).  Instead of driving one
+:class:`VectorEngine` is the array round engine of the runtime, beside
+the scalar :class:`~repro.congest.engine.SyncEngine`.  Instead of driving one
 Python ``send``/``receive`` state machine per node, it executes an entire
 round as a handful of numpy array operations over the topology snapshot's
 CSR adjacency (:meth:`~repro.congest.topology.TopologySnapshot.numpy_arrays`):
@@ -32,7 +31,7 @@ The vector engine is an *optimisation*, never a semantic fork: for every
 supported algorithm it produces bit-for-bit the outputs, round counts,
 total message/bit counts and per-edge congestion of :class:`SyncEngine` for
 the same seed.  Every node takes the same successive values of its
-``random.Random(f"{seed}:{id}")`` stream as under the scalar engines (one
+``random.Random(f"{seed}:{id}")`` stream as under the scalar engine (one
 draw per undecided node per step, in the same rounds): from the bound
 instances' own generators, or, for a node-uniform batch, from a
 per-replica :class:`_DrawTable` that pre-draws each node's first values

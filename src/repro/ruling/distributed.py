@@ -18,9 +18,8 @@ Protocol per step (2 rounds):
 
 Each step decides at least the globally smallest undecided ID, so the
 algorithm terminates in at most ``n`` steps; on bounded-degree random
-workloads almost all nodes decide within the first few steps, which makes
-this the canonical stress test for the
-:class:`~repro.congest.engine.ActiveSetEngine`'s O(active) rounds (and for
+workloads almost all nodes decide within the first few steps, which gives
+it a long halting tail of nearly idle rounds (and makes it a staple of
 engine-equivalence testing, since its output is seed-independent).
 """
 

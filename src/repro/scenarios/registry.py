@@ -336,9 +336,9 @@ def _register_cells(registry: ScenarioRegistry) -> None:
 def _register_scenarios(registry: ScenarioRegistry) -> None:
     smoke_cells = [cell.name for cell in registry.cells(tags={"smoke"})]
 
-    # Simulator-native deterministic ruling set under every engine backend
-    # (scalar reference, active-set and the vectorized array engine),
-    # everywhere.
+    # Simulator-native deterministic ruling set under both engine backends
+    # (the scalar reference, also by its "active-set" alias, and the
+    # vectorized array engine), everywhere.
     for cell in smoke_cells:
         for engine in ("sync", "active-set", "vector"):
             registry.add_scenario(cell, "det-ruling-sim", engine=engine,

@@ -13,7 +13,6 @@ import repro
 from repro.api import REGISTRY
 
 EXPECTED_ALL = [
-    "ActiveSetEngine",
     "Algorithm",
     "Certificate",
     "CongestNetwork",

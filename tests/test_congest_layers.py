@@ -19,7 +19,6 @@ import pytest
 import repro
 from repro.api import REGISTRY, Provenance
 from repro.congest import (
-    ActiveSetEngine,
     BandwidthExceededError,
     CongestionProfileObserver,
     CongestNetwork,
@@ -59,17 +58,19 @@ class TestTopologySnapshot:
         graph = nx.cycle_graph(6)
         network = CongestNetwork(graph, id_seed=2)
         topology = network.topology()
+        arrays = topology.numpy_arrays()
         for u_label in graph.nodes():
             u = topology.index_of[u_label]
             for v_label in graph.neighbors(u_label):
                 v, edge, slot = topology.routes[u][v_label]
                 assert v == topology.index_of[v_label]
-                endpoints = topology.edge_endpoints[edge]
+                endpoints = (arrays.edge_u[edge], arrays.edge_v[edge])
                 assert endpoints == (min(u, v), max(u, v))
                 assert slot == 2 * edge + (0 if u < v else 1)
         # Each undirected edge appears exactly once.
         assert topology.edge_count == graph.number_of_edges()
-        assert len(set(topology.edge_endpoints)) == topology.edge_count
+        assert len(set(zip(arrays.edge_u.tolist(), arrays.edge_v.tolist()))
+                   ) == topology.edge_count
 
     def test_edge_labels_are_index_canonical(self):
         # Labels whose str() ordering disagrees with insertion order: the
@@ -91,8 +92,9 @@ class TestTopologySnapshot:
         network = CongestNetwork(graph, id_seed=3)
         topology = network.topology()
         hub = topology.index_of[0]
-        assert topology.degrees[hub] == 4
-        assert topology.max_degree == 4
+        degrees = topology.numpy_arrays().degrees
+        assert degrees[hub] == 4
+        assert degrees.max() == 4
         assert topology.congest_ids[hub] == network.node_id(0)
 
     def test_snapshot_is_cached_on_network(self):
@@ -133,47 +135,40 @@ class TestTransportBandwidth:
         # messages; two messages on the same directed edge in one round
         # could silently exceed the budget.
         transport, network = self._transport(bandwidth=64)
-        topology = transport.topology
-        edge = topology.routes[0][1][1]
-        transport.deposit(0, 0, 1, edge, "1234")  # 32 bits: fits
+        transport.deposit_outbox(0, {1: "1234"})  # 32 bits: fits
         with pytest.raises(BandwidthExceededError):
-            transport.deposit(0, 0, 1, edge, "12345")  # aggregate 72 > 64
+            transport.deposit_outbox(0, {1: "12345"})  # aggregate 72 > 64
 
     def test_full_duplex_directions_have_separate_budgets(self):
         transport, _ = self._transport(bandwidth=64)
-        edge = transport.topology.routes[0][1][1]
-        transport.deposit(0, 0, 1, edge, "12345")  # 40 bits forward
-        transport.deposit(1, 1, 0, edge, "12345")  # 40 bits reverse: fine
+        transport.deposit_outbox(0, {1: "12345"})  # 40 bits forward
+        transport.deposit_outbox(1, {0: "12345"})  # 40 bits reverse: fine
         assert transport.total_messages == 2
 
     def test_half_duplex_shares_one_budget(self):
         transport, _ = self._transport(bandwidth=64, half_duplex=True)
-        edge = transport.topology.routes[0][1][1]
-        transport.deposit(0, 0, 1, edge, "12345")  # 40 bits forward
+        transport.deposit_outbox(0, {1: "12345"})  # 40 bits forward
         with pytest.raises(BandwidthExceededError):
-            transport.deposit(1, 1, 0, edge, "12345")  # 40 more on same slot
+            transport.deposit_outbox(1, {0: "12345"})  # 40 more on same slot
 
     def test_budget_resets_between_rounds(self):
         transport, _ = self._transport(bandwidth=64)
-        edge = transport.topology.routes[0][1][1]
-        transport.deposit(0, 0, 1, edge, "12345")
+        transport.deposit_outbox(0, {1: "12345"})
         transport.end_round()
-        transport.deposit(0, 0, 1, edge, "12345")  # fresh budget: fine
+        transport.deposit_outbox(0, {1: "12345"})  # fresh budget: fine
         assert transport.total_messages == 2
 
-    def test_deposit_then_broadcast_aggregate_enforced(self):
-        # A message-level deposit stamps the sender, so a bulk broadcast in
+    def test_outbox_then_broadcast_aggregate_enforced(self):
+        # An outbox stamps its sender, so a broadcast by the same sender in
         # the same round sees the existing load on the directed slot.
         transport, network = self._transport(bandwidth=64)
-        edge = transport.topology.routes[0][1][1]
-        transport.deposit(0, 0, 1, edge, "12345")  # 40 bits forward
+        transport.deposit_outbox(0, {1: "12345"})  # 40 bits forward
         with pytest.raises(BandwidthExceededError):
             transport.deposit_broadcast(0, "12345")  # 40 more on same slot
 
     def test_enforcement_off_still_counts(self):
         transport, _ = self._transport(bandwidth=8, enforce=False)
-        edge = transport.topology.routes[0][1][1]
-        transport.deposit(0, 0, 1, edge, "a massive payload" * 10)
+        transport.deposit_outbox(0, {1: "a massive payload" * 10})
         assert transport.total_messages == 1
         assert transport.total_bits > 8
 
@@ -204,15 +199,14 @@ class TestTransportInboxPool:
         transport = Transport(network.topology(),
                               bandwidth_bits=network.bandwidth_bits)
         assert transport.inbox_table == [None] * 4
-        edge = transport.topology.routes[0][1][1]
-        transport.deposit(0, 0, 1, edge, "hi")
+        transport.deposit_outbox(0, {1: "hi"})
         assert transport.inbox_table[1] == {0: "hi"}
         assert transport.inbox_table[0] is None  # only receivers allocate
         box = transport.inbox_table[1]
         transport.end_round()
         assert transport.inbox_table[1] is None
         # The same dict object is recycled for the next receiver.
-        transport.deposit(0, 0, 1, edge, "again")
+        transport.deposit_outbox(0, {1: "again"})
         assert transport.inbox_table[1] is box
 
     def test_empty_inbox_is_shared_and_immutable(self):
@@ -229,11 +223,10 @@ class TestTransportInboxPool:
 class TestEngines:
     def test_resolve_engine_accepts_all_spellings(self):
         assert isinstance(resolve_engine(None), SyncEngine)
-        assert isinstance(resolve_engine("sync"), SyncEngine)
-        assert isinstance(resolve_engine("legacy"), SyncEngine)
-        assert isinstance(resolve_engine("active-set"), ActiveSetEngine)
-        assert isinstance(resolve_engine("active"), ActiveSetEngine)
-        assert isinstance(resolve_engine(ActiveSetEngine), ActiveSetEngine)
+        for name in ("sync", "legacy", "active-set", "active"):
+            engine = resolve_engine(name)
+            assert isinstance(engine, SyncEngine) and engine.name == "sync"
+        assert isinstance(resolve_engine(SyncEngine), SyncEngine)
         engine = SyncEngine()
         assert resolve_engine(engine) is engine
         with pytest.raises(ValueError):
@@ -241,7 +234,7 @@ class TestEngines:
         with pytest.raises(TypeError):
             resolve_engine(42)  # type: ignore[arg-type]
 
-    def test_non_neighbor_send_rejected_by_both_engines(self):
+    def test_non_neighbor_send_rejected(self):
         graph = nx.path_graph(4)
 
         class Rogue(NodeAlgorithm):
@@ -253,12 +246,11 @@ class TestEngines:
             def receive(self, round_number, inbox):
                 self.halt()
 
-        for engine in ("sync", "active-set"):
-            network = CongestNetwork(graph, id_seed=None)
-            with pytest.raises(ValueError):
-                Simulator(network, Rogue, engine=engine).run(max_rounds=2)
+        network = CongestNetwork(graph, id_seed=None)
+        with pytest.raises(ValueError):
+            Simulator(network, Rogue).run(max_rounds=2)
 
-    def test_active_set_skips_halted_nodes(self):
+    def test_halted_nodes_are_skipped(self):
         calls: dict[str, int] = {"send": 0}
 
         class HaltsAtOnce(NodeAlgorithm):
@@ -278,8 +270,8 @@ class TestEngines:
         network = CongestNetwork(graph, id_seed=None)
         stayer = list(graph.nodes())[0]
         result = Simulator(network,
-                           lambda node: HaltsAtOnce(stays=(node == stayer)),
-                           engine="active-set").run(max_rounds=20)
+                           lambda node: HaltsAtOnce(stays=(node == stayer))
+                           ).run(max_rounds=20)
         assert result.halted and result.rounds == 5
         # Round 1: all 10 send; rounds 2..5: only the stayer.
         assert calls["send"] == 10 + 4
@@ -369,7 +361,7 @@ class TestEngines:
 
 # ---------------------------------------------------------------- observers
 class TestObservers:
-    def _run_with(self, observers, *, engine="active-set", n=40, seed=6):
+    def _run_with(self, observers, *, engine="sync", n=40, seed=6):
         graph = random_regular_graph(n, 4, seed=seed)
         network = CongestNetwork(graph, id_seed=seed)
         simulator = Simulator(network, LubyMISNode, seed=seed, engine=engine,
@@ -531,3 +523,5 @@ class TestActiveSetName:
                               ).hexdigest()[:16] == digest
         assert report.certificate.to_row() == certificate
         assert report.provenance.config_dict["engine"] == "active-set"
+        assert all(report.metrics[key] == "sync" for key in
+                   ("engine", "engine_requested", "engine_used"))

@@ -1,14 +1,11 @@
-"""Cross-engine differential matrix: Sync x ActiveSet x Vector.
+"""Cross-engine differential matrix: Sync x Vector.
 
 The scheduling layer's contract is that every engine produces *identical*
 results for the same seed -- outputs, round counts, message totals, bit
-totals and per-edge congestion:
-
-* :class:`ActiveSetEngine` because a halted node can never un-halt, so
-  skipping halted nodes is purely an optimisation;
-* :class:`VectorEngine` because its batched numpy programs draw from the
-  very same per-node RNG streams in the same rounds and route the same
-  traffic through the transport's aggregate counters.
+totals and per-edge congestion: :class:`VectorEngine` because its batched
+numpy programs take the same values of the per-node RNG streams in the same
+rounds and route the same traffic through the transport's aggregate
+counters.
 
 This suite locks the full matrix down for the simulator-native algorithm
 families (randomized Luby MIS, BeepingMIS, BFS layering, the deterministic
@@ -24,7 +21,6 @@ from __future__ import annotations
 import pytest
 
 from repro.congest import (
-    ActiveSetEngine,
     CongestNetwork,
     Simulator,
     SyncEngine,
@@ -54,7 +50,6 @@ SEEDS = [0, 7, 23]
 #: The full engine matrix (name -> constructor); "sync" is the reference.
 ENGINES = {
     "sync": SyncEngine,
-    "active-set": ActiveSetEngine,
     "vector": VectorEngine,
 }
 
@@ -243,8 +238,7 @@ REGISTRY_SAMPLE_CELLS = sorted(
 
 
 class TestRegistryEngineMatrix:
-    """Sync x ActiveSet x Vector over the registry sample (incl. adversarial
-    families).
+    """Sync x Vector over the registry sample (incl. adversarial families).
 
     Identical outputs, rounds, message totals, bit totals and per-edge
     congestion are asserted cell by cell -- disconnected unions, dense cores
@@ -259,10 +253,10 @@ class TestRegistryEngineMatrix:
                 "bipartite-crown"} <= families
         assert len(families) >= 5
 
-    def test_sample_spans_all_three_engines(self):
+    def test_sample_spans_both_engines(self):
         engines = {scenario.engine for scenario in
                    DEFAULT_REGISTRY.select(tags={"engine-equivalence"})}
-        assert {"sync", "active-set", "vector"} <= engines
+        assert {"sync", "vector"} <= engines
 
     @pytest.mark.parametrize("cell_name", REGISTRY_SAMPLE_CELLS)
     @pytest.mark.parametrize("seed", [0, 13])

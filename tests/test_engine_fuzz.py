@@ -30,7 +30,7 @@ from repro.ruling.distributed import DetRulingSetNode
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
-ENGINE_NAMES = ("sync", "active-set", "vector")
+ENGINE_NAMES = ("sync", "vector")
 
 
 # ---------------------------------------------------------------- strategies

@@ -75,8 +75,13 @@ def test_sync_solve_builds_simulator_tables(algorithm):
     # edge-index order, so both engines label their congestion alike.
     structure = _structure_of(graph)
     arrays = structure.numpy_arrays()
-    assert structure.edge_endpoints == list(zip(arrays.edge_u.tolist(),
-                                                arrays.edge_v.tolist()))
+    edges = set()
+    for u, route in enumerate(structure.routes):
+        for v, edge, _ in route.values():
+            assert (arrays.edge_u[edge], arrays.edge_v[edge]) == (min(u, v),
+                                                                  max(u, v))
+            edges.add(edge)
+    assert edges == set(range(len(arrays.edge_u)))
     assert vector.result.edge_message_counts == sync.result.edge_message_counts
 
 
