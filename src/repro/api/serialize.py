@@ -16,7 +16,14 @@ cache and anything else that persists reports:
   :func:`decode_node`) that survives JSON's type system -- in particular
   tuples do not come back as lists;
 * the certificate is serialised check-by-check (name / ok / detail), so a
-  cache hit replays the exact verdict the original solve produced.
+  cache hit replays the exact verdict the original solve produced;
+* the text is canonical: compact separators and sorted keys.  It is the
+  one form a served report travels in -- the solving process encodes it
+  once, and the service's cache tiers, HTTP bodies and fleet relay pass
+  the same text along without parsing it (see
+  :class:`repro.service.cache.CachedReport`).  :func:`report_from_json`
+  reads any JSON spelling, so rows written with the old ``", "`` /
+  ``": "`` separators still load.
 """
 
 from __future__ import annotations
@@ -85,7 +92,13 @@ def _certificate_from_obj(obj: Mapping[str, Any]) -> Certificate:
 
 
 def report_to_json(report: RunReport) -> str:
-    """Serialise a report to one JSON line (payload intentionally dropped)."""
+    """Serialise a report to one compact JSON line (payload dropped).
+
+    Keys are sorted, so the top-level keys come in the order
+    ``certificate``, ``metrics``, ``output``, ``provenance``, ``rounds``,
+    and ``certificate`` is present exactly when the report carries one:
+    the text of such a report begins with ``{"certificate":``.
+    """
     obj: dict[str, Any] = {
         "output": [encode_node(node)
                    for node in sorted(report.output, key=str)],
@@ -95,7 +108,7 @@ def report_to_json(report: RunReport) -> str:
     }
     if report.certificate is not None:
         obj["certificate"] = _certificate_to_obj(report.certificate)
-    return json.dumps(obj, sort_keys=True)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def report_from_json(text: str | Mapping[str, Any]) -> RunReport:

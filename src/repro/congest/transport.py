@@ -79,8 +79,7 @@ class Transport:
         "total_bits",
         "round_messages",
         "round_bits",
-        "_bulk_stamps",
-        "_round_token",
+        "_round_senders",
     )
 
     def __init__(self, topology: TopologySnapshot, *, bandwidth_bits: int,
@@ -111,11 +110,11 @@ class Transport:
         self.total_bits = 0
         self.round_messages = 0
         self.round_bits = 0
-        # Round stamp per sender: a broadcast by a sender that already
-        # deposited this round takes the fully-accounted path.  Lazy with
-        # _slot_bits: only deposit paths read it.
-        self._bulk_stamps: list[int] | None = None
-        self._round_token = 1
+        #: Senders that deposited this round -> the bits of their
+        #: fast-path broadcast whose slot loads are not yet recorded (0
+        #: once they are).  A later deposit by the same sender records
+        #: them first, so it sees the earlier load.
+        self._round_senders: dict[int, int] = {}
 
     def _ensure_slot_state(self) -> None:
         """Materialise the per-slot deposit bookkeeping on first use."""
@@ -123,7 +122,17 @@ class Transport:
         slots = (topology.edge_count if self.half_duplex
                  else 2 * topology.edge_count)
         self._slot_bits = [0] * slots
-        self._bulk_stamps = [0] * topology.n
+
+    def _record_broadcast_load(self, sender_index: int, bits: int) -> None:
+        """Put a fast-path broadcast's ``bits`` on each of the sender's
+        outgoing directed slots (full duplex only takes that path)."""
+        slot_bits = self._slot_bits
+        touched_slots = self._touched_slots
+        for target in self.topology.routes[sender_index].values():
+            slot = target[2]
+            if not slot_bits[slot]:
+                touched_slots.append(slot)
+            slot_bits[slot] += bits
 
     # ------------------------------------------------------------- sending
     def deposit_outbox(self, sender_index: int, outbox: Mapping[Node, Any],
@@ -144,9 +153,13 @@ class Transport:
         sender_label = topology.labels[sender_index]
         if self._slot_bits is None:
             self._ensure_slot_state()
-        # Stamp the sender so a broadcast later in this round takes this
-        # accounted path and sees the load of this outbox.
-        self._bulk_stamps[sender_index] = self._round_token
+        # Record the sender so a broadcast later in this round takes this
+        # accounted path and sees the load of this outbox; an earlier
+        # fast-path broadcast's load is recorded before this one adds.
+        pending_bits = self._round_senders.get(sender_index)
+        if pending_bits:
+            self._record_broadcast_load(sender_index, pending_bits)
+        self._round_senders[sender_index] = 0
         slot_bits = self._slot_bits
         touched_slots = self._touched_slots
         inbox_table = self.inbox_table
@@ -209,15 +222,14 @@ class Transport:
         check reduces to the (hoisted) single-message check: the bit size
         is computed once and the messages are routed over the topology's
         precomputed neighbor row with no per-message route lookup and no
-        per-slot accounting.  Every other case goes through
-        :meth:`deposit_outbox`: half-duplex mode (the reverse direction
-        shares the budget), instrumented runs (``profile_slots`` / message
-        observers, which need per-slot loads in the round profile), and a
-        sender that already deposited this round (every deposit stamps its
-        sender), so the load of an earlier :meth:`deposit_outbox` is seen.
-        A fast-path broadcast records no slot loads, so a later deposit by
-        the same sender in the same round does not see its load; the
-        engine deposits at most once per sender per round.
+        per-slot writes: only the sender and the broadcast's bit size are
+        noted.  Every other case goes through :meth:`deposit_outbox`:
+        half-duplex mode (the reverse direction shares the budget),
+        instrumented runs (``profile_slots`` / message observers, which
+        need per-slot loads in the round profile), and a sender that
+        already deposited this round, so the load of its earlier deposit is
+        seen -- a noted fast-path broadcast's load is written onto its
+        slots at that point, before the new messages are added.
         """
         topology = self.topology
         receiver_row, edge_row = topology.broadcast_rows[sender_index]
@@ -226,18 +238,18 @@ class Transport:
         if self._slot_bits is None:
             self._ensure_slot_state()
         if (self.half_duplex or observers or self.profile_slots
-                or self._bulk_stamps[sender_index] == self._round_token):
+                or sender_index in self._round_senders):
             self.deposit_outbox(
                 sender_index,
                 dict.fromkeys(topology.neighbor_labels[sender_index], payload),
                 round_number, observers)
             return
-        self._bulk_stamps[sender_index] = self._round_token
         sender_label = topology.labels[sender_index]
         bits = message_bits(payload)
         if self.enforce and bits > self.bandwidth_bits:
             raise self._bandwidth_error(sender_label, receiver_row[0],
                                         bits, bits)
+        self._round_senders[sender_index] = bits
         inbox_table = self.inbox_table
         touched_inboxes = self._touched_inboxes
         pool = self._pool
@@ -328,7 +340,7 @@ class Transport:
         self._touched_inboxes.clear()
         self.round_messages = 0
         self.round_bits = 0
-        self._round_token += 1
+        self._round_senders.clear()
 
     # -------------------------------------------------------------- results
     def edge_counts_by_label(self) -> dict[tuple[Node, Node], int]:

@@ -85,6 +85,7 @@ from urllib.parse import unquote
 from repro.hashing.seeds import derive_seed
 from repro.service.client import ServiceError
 from repro.service.frontdoor import JsonHandler, LoopServer
+from repro.service.jsontext import COMPACT
 from repro.service.metrics import ServiceMetrics
 from repro.service.request import SolveRequest
 from repro.service.tracectx import TRACE_HEADER, Span, SpanRecorder, TraceContext
@@ -109,17 +110,17 @@ _AUTO_METRICS = object()
 
 
 def _annotate_payload(payload: bytes, worker_id: str,
-                      attempts: int, trace_id: str | None = None) -> bytes:
-    """Splice ``worker``/``attempts``/``trace_id`` into JSON object bytes.
+                      attempts: int) -> bytes:
+    """Splice ``worker``/``attempts`` into JSON object bytes.
 
     The solo dispatch path relays the worker's response verbatim; paying
     a full parse + re-serialize of every report just to add a few small
     fields would make the coordinator the fleet's throughput ceiling.
+    The worker's row already echoes the ``trace_id`` of the context this
+    coordinator sent it, so that field is not spliced a second time.
     """
-    fields: dict[str, Any] = {"worker": worker_id, "attempts": attempts}
-    if trace_id:
-        fields["trace_id"] = trace_id
-    extra = json.dumps(fields)[1:-1]
+    extra = json.dumps({"worker": worker_id, "attempts": attempts},
+                       separators=COMPACT)[1:-1]
     stripped = payload.lstrip()
     if not stripped.startswith(b"{"):
         return payload  # not an object; relay untouched
@@ -583,8 +584,9 @@ class FleetCoordinator(LoopServer):
         """The one affinity-routed failover loop, for B requests (blocking).
 
         B = 1 (``seeds=None``) relays ``POST /solve`` with ``body`` and
-        returns the worker's bytes with ``worker``/``attempts``/
-        ``trace_id`` spliced in: no parse, no re-serialisation.  B > 1
+        returns the worker's bytes with ``worker``/``attempts`` spliced
+        in: no parse, no re-serialisation (the worker's row echoes the
+        ``trace_id`` of the header this loop sends it).  B > 1
         posts the group's deduplicated ``seeds`` to ``/solve_batch`` on
         batch-capable workers and returns one row per member (``seeds``
         and ``ctxs`` in member order), or ``None`` when no worker took
@@ -672,9 +674,8 @@ class FleetCoordinator(LoopServer):
             if is_primary:
                 self._bump("affinity_hits", members)
             if seeds is None:
-                return _annotate_payload(
-                    payload, info.worker_id, len(failures) + 1,
-                    trace_id=traced[0].trace_id if traced else None)
+                return _annotate_payload(payload, info.worker_id,
+                                         len(failures) + 1)
             by_seed = dict(zip(payload_body["seeds"], rows))
             answered = []
             for seed, ctx in zip(seeds, ctxs):

@@ -46,6 +46,7 @@ import time
 from typing import Any, Mapping, Sequence
 from urllib.parse import quote
 
+from repro.service import jsontext
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import SolveRequest, SolveScheduler
 from repro.service.server import (
@@ -89,7 +90,7 @@ class _WorkerServer(ServiceServer):
     def _get_fleet_status(self, http, _) -> dict[str, Any]:
         return self.fleet.status_row()
 
-    def _post_solve_batch(self, http, obj: dict[str, Any]) -> dict[str, Any]:
+    def _post_solve_batch(self, http, obj: dict[str, Any]) -> bytes:
         self._adopt_trace(http, obj)
         seeds_field = obj.pop("seeds", None)
         if (not isinstance(seeds_field, list) or not seeds_field
@@ -98,8 +99,10 @@ class _WorkerServer(ServiceServer):
                 "solve_batch requires 'seeds': a non-empty list of ints")
         responses = self.submit(SolveRequest.from_obj(obj),
                                 seeds=list(seeds_field))
-        return {"rows": [response.to_row() for response in responses],
-                "count": len(responses)}
+        rows = ",".join(response.to_json() for response in responses)
+        return jsontext.dumps({"count": len(responses),
+                               "rows": jsontext.RawJSON(f"[{rows}]")}
+                              ).encode("utf-8")
 
 
 class FleetWorker:

@@ -56,6 +56,7 @@ from repro._lazy import lazy_exports as _lazy_exports
 _EXPORTS = {
     "AdmissionError": "repro.service.scheduler",
     "CacheStats": "repro.service.cache",
+    "CachedReport": "repro.service.cache",
     "CachedSolve": "repro.service.cache",
     "EventChannel": "repro.service.events",
     "MetricsRegistry": "repro.service.metrics",

@@ -14,12 +14,23 @@ identical to what a fresh solve would produce.
 
 Tiers
 -----
-* **memory** -- a bounded LRU of live :class:`RunReport` objects (payload
-  included while the entry lives in memory);
-* **persistent** -- rows hold :func:`repro.api.report_to_json` objects:
-  everything but ``payload`` round-trips, and the stored certificate is
-  replayed verbatim on a hit (re-verification is a ``replay`` away, and
-  the test suite does exactly that).  The rows live in a
+Every tier holds a report as a :class:`CachedReport`: the canonical
+compact text :func:`repro.api.report_to_json` writes, encoded once by the
+process that solved it, plus a flag saying whether it carries a
+certificate, so ``require_certificate`` is answered without a parse.
+
+* **memory** -- a bounded LRU of :class:`CachedReport` entries.  An entry
+  put from a live :class:`RunReport` keeps that object (payload included)
+  for in-process callers; any other entry parses its text on first
+  access to :attr:`CachedReport.report`;
+* **persistent** -- rows ``{"cache_key", "stored_at", "report"}`` whose
+  ``report`` is that text, written as it is (compact JSON, see
+  :mod:`repro.service.jsontext`): everything but ``payload`` round-trips,
+  and the stored certificate is replayed verbatim on a hit
+  (re-verification is a ``replay`` away, and the test suite does exactly
+  that).  A hit re-encodes the row's parsed report object once,
+  compactly, and builds no :class:`RunReport`; rows written with spaced
+  separators read the same way.  The rows live in a
   :class:`~repro.service.shardstore.ShardStore` keyed by ``cache_key``: a
   directory of N key-shards, each a sequence of rotated segment files
   with TTL + LRU eviction under a size budget.
@@ -55,6 +66,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro._paths import results_path
 from repro.hashing.seeds import derive_seed
+from repro.service.jsontext import COMPACT, RawJSON
 from repro.service.shardstore import DEFAULT_SEGMENT_BYTES, ShardStore
 
 if TYPE_CHECKING:
@@ -62,8 +74,8 @@ if TYPE_CHECKING:
 
     from repro.api import RunReport, SolvePlan
 
-__all__ = ["CacheStats", "CachedSolve", "SolveCache", "default_cache_path",
-           "key_for_plan", "solve_key"]
+__all__ = ["CacheStats", "CachedReport", "CachedSolve", "SolveCache",
+           "default_cache_path", "key_for_plan", "solve_key"]
 
 
 def default_cache_path() -> str:
@@ -123,6 +135,53 @@ class CacheStats:
         }
 
 
+class CachedReport:
+    """One report as its canonical compact JSON text.
+
+    ``text`` is what every layer after the solver passes along: the memory
+    tier holds it, persistent rows and HTTP bodies splice it in verbatim.
+    ``certified`` says whether the report carries a certificate.
+    :attr:`report` is the :class:`RunReport`, parsed on first access
+    unless the entry was made from a live report.
+    """
+
+    __slots__ = ("text", "certified", "_report")
+
+    def __init__(self, text: str, certified: bool,
+                 report: RunReport | None = None) -> None:
+        self.text = text
+        self.certified = certified
+        self._report = report
+
+    @classmethod
+    def from_report(cls, report: RunReport) -> CachedReport:
+        """Encode a live report (its one ``report_to_json``)."""
+        from repro.api.serialize import report_to_json
+
+        return cls(report_to_json(report), report.certificate is not None,
+                   report)
+
+    @classmethod
+    def from_text(cls, text: str) -> CachedReport:
+        """Wrap :func:`repro.api.report_to_json` output without parsing it:
+        sorted keys put ``certificate`` first whenever it is present."""
+        return cls(text, text.startswith('{"certificate":'))
+
+    @classmethod
+    def from_obj(cls, obj: Mapping[str, Any]) -> CachedReport:
+        """Re-encode a parsed report object (a stored row's), compactly."""
+        return cls(json.dumps(obj, sort_keys=True, separators=COMPACT),
+                   obj.get("certificate") is not None)
+
+    @property
+    def report(self) -> RunReport:
+        if self._report is None:
+            from repro.api.serialize import report_from_json
+
+            self._report = report_from_json(self.text)
+        return self._report
+
+
 @dataclass(frozen=True)
 class CachedSolve:
     """One :meth:`SolveCache.solve` outcome: the report plus where it came from."""
@@ -134,7 +193,7 @@ class CachedSolve:
 
 
 class SolveCache:
-    """Two-tier (LRU memory + sharded disk) cache of RunReports."""
+    """Two-tier (LRU memory + sharded disk) cache of encoded reports."""
 
     def __init__(self, path: str | None = None, *,
                  max_memory_entries: int = 1024,
@@ -164,7 +223,7 @@ class SolveCache:
         self.registry = registry
         self.max_memory_entries = max(1, int(max_memory_entries))
         self.peer_fetch = peer_fetch
-        self._memory: "OrderedDict[str, RunReport]" = OrderedDict()
+        self._memory: "OrderedDict[str, CachedReport]" = OrderedDict()
         self._shardstore: ShardStore | None = None
         if path:
             self._shardstore = ShardStore(
@@ -174,8 +233,8 @@ class SolveCache:
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
-    def _read_persistent(self, key: str) -> RunReport | None:
-        """The persistent-tier report for ``key`` (``None`` when absent).
+    def _read_persistent(self, key: str) -> CachedReport | None:
+        """The persistent-tier entry for ``key`` (``None`` when absent).
 
         The store verifies that the bytes it reads belong to ``key`` (see
         :meth:`ShardStore.get`), so a stale span is a miss, never another
@@ -184,53 +243,48 @@ class SolveCache:
         if self._shardstore is None:
             return None
         row = self._shardstore.get(key)
-        if row is None:
+        if row is None or not isinstance(row.get("report"), dict):
             return None
-        from repro.api.serialize import report_from_json
-
-        try:
-            return report_from_json(row["report"])
-        except (KeyError, TypeError, ValueError):
-            return None
+        return CachedReport.from_obj(row["report"])
 
     @property
     def path(self) -> str | None:
         return self._shardstore.root if self._shardstore is not None else None
 
     # ------------------------------------------------------------- tiers
-    def _memory_put(self, key: str, report: RunReport) -> None:
-        self._memory[key] = report
+    def _memory_put(self, key: str, entry: CachedReport) -> None:
+        self._memory[key] = entry
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_memory_entries:
             self._memory.popitem(last=False)
             self.stats.evictions += 1
 
     def _lookup_locked(self, key: str, require_certificate: bool, *,
-                       promote: bool) -> tuple[RunReport | None, str]:
+                       promote: bool) -> tuple[CachedReport | None, str]:
         """Local-tier lookup; caller holds the lock and does the counting."""
-        report = self._memory.get(key)
-        if report is not None and (report.certificate is not None
-                                   or not require_certificate):
+        entry = self._memory.get(key)
+        if entry is not None and (entry.certified or not require_certificate):
             if promote:
                 self._memory.move_to_end(key)
-            return report, "memory"
-        report = self._read_persistent(key)
-        if report is not None and (report.certificate is not None
-                                   or not require_certificate):
+            return entry, "memory"
+        entry = self._read_persistent(key)
+        if entry is not None and (entry.certified or not require_certificate):
             if promote:
-                self._memory_put(key, report)
-            return report, "persistent"
+                self._memory_put(key, entry)
+            return entry, "persistent"
         return None, "miss"
 
     def lookup(self, key: str, *, require_certificate: bool = False,
                consult_peers: bool = True,
-               ) -> tuple[RunReport | None, str]:
-        """``(report, tier)`` for ``key``; ``(None, "miss")`` when absent.
+               ) -> tuple[CachedReport | None, str]:
+        """``(entry, tier)`` for ``key``; ``(None, "miss")`` when absent.
 
-        A persistent-tier hit is deserialised (payload empty, certificate
-        replayed verbatim) and promoted into the memory tier.
-        ``require_certificate=True`` refuses entries stored by unverified
-        solves, so a verifying caller never inherits an unchecked result.
+        A hit parses nothing: ``entry.text`` is the stored report text and
+        ``entry.report`` parses it on demand (payload empty, certificate
+        replayed verbatim).  A persistent-tier hit is promoted into the
+        memory tier.  ``require_certificate=True`` refuses entries stored
+        by unverified solves, so a verifying caller never inherits an
+        unchecked result.
         When a ``peer_fetch`` hook is installed (fleet workers) a local
         miss additionally asks the fleet -- outside the lock, since the
         peer answering may itself need a cache lock to respond -- and a
@@ -238,31 +292,35 @@ class SolveCache:
         ``consult_peers=False`` suppresses that network hop.
         """
         with self._lock:
-            report, tier = self._lookup_locked(key, require_certificate,
-                                               promote=True)
-            if report is not None:
+            entry, tier = self._lookup_locked(key, require_certificate,
+                                              promote=True)
+            if entry is not None:
                 self.stats.hits += 1
                 if tier == "memory":
                     self.stats.memory_hits += 1
                 else:
                     self.stats.persistent_hits += 1
-                return report, tier
+                return entry, tier
         if consult_peers and self.peer_fetch is not None:
-            report = self._fetch_from_peer(key, require_certificate)
-            if report is not None:
+            entry = self._fetch_from_peer(key, require_certificate)
+            if entry is not None:
                 with self._lock:
-                    self._memory_put(key, report)
-                    self._persist_locked(key, report)
+                    self._memory_put(key, entry)
+                    self._persist_locked(key, entry)
                     self.stats.hits += 1
                     self.stats.peer_hits += 1
-                return report, "peer"
+                return entry, "peer"
         with self._lock:
             self.stats.misses += 1
         return None, "miss"
 
     def _fetch_from_peer(self, key: str,
-                         require_certificate: bool) -> RunReport | None:
-        """One guarded ``peer_fetch`` call; any failure is just a miss."""
+                         require_certificate: bool) -> CachedReport | None:
+        """One guarded ``peer_fetch`` call; any failure is just a miss.
+
+        A fetched row is parsed once, so a malformed one is a peer error
+        rather than a stored entry that fails later.
+        """
         try:
             row = self.peer_fetch(key)
         except Exception:
@@ -273,52 +331,58 @@ class SolveCache:
         from repro.api.serialize import report_from_json
 
         try:
-            report = report_from_json(row["report"] if "report" in row
-                                      else row)
+            obj = row["report"] if "report" in row else row
+            report = report_from_json(obj)
+            text = json.dumps(obj, sort_keys=True, separators=COMPACT)
         except (KeyError, TypeError, ValueError):
             self.stats.peer_errors += 1
             return None
         if require_certificate and report.certificate is None:
             return None
-        return report
+        return CachedReport(text, report.certificate is not None, report)
 
     def get(self, key: str, *, require_certificate: bool = False,
             ) -> RunReport | None:
-        return self.lookup(key, require_certificate=require_certificate)[0]
+        """The report for ``key`` (parsed), or ``None``: :meth:`lookup`
+        for in-process callers."""
+        entry = self.lookup(key, require_certificate=require_certificate)[0]
+        return None if entry is None else entry.report
 
     def peek(self, key: str, *, require_certificate: bool = False,
-             ) -> tuple[RunReport | None, str]:
+             ) -> tuple[CachedReport | None, str]:
         """Read-only ``lookup``: no stats accounting, no LRU churn.
 
         ``GET /report/<key>`` polling goes through here -- a monitoring
         loop hammering the report endpoint must not inflate ``hit_rate``
         (operators size the cache off that number) nor promote the polled
         key ahead of genuinely re-requested entries in the LRU.  A
-        persistent-tier peek deserialises the row but does *not* promote
-        it into the memory tier.  Peeks never consult fleet peers.
+        persistent-tier peek reads the row but does *not* promote it into
+        the memory tier.  Peeks never consult fleet peers.
         """
         with self._lock:
             return self._lookup_locked(key, require_certificate,
                                        promote=False)
 
-    def _persist_locked(self, key: str, report: RunReport) -> None:
+    def _persist_locked(self, key: str, entry: CachedReport) -> None:
         """Write one report row to the persistent tier (lock held)."""
         if self._shardstore is None:
             return
-        from repro.api.serialize import report_to_json
-
         # The store stamps ``stored_at`` (the TTL clock) on the row.
-        self._shardstore.put(key, {
-            "cache_key": key,
-            "report": json.loads(report_to_json(report)),
-        })
+        self._shardstore.put(key, {"cache_key": key,
+                                   "report": RawJSON(entry.text)})
 
-    def put(self, key: str, report: RunReport) -> None:
-        """Store a report in both tiers (last write wins on disk)."""
+    def put(self, key: str, report: RunReport | CachedReport) -> None:
+        """Store a report in both tiers (last write wins on disk).
+
+        A live :class:`RunReport` is encoded here, once; a
+        :class:`CachedReport` (a worker's text) is stored as it is.
+        """
+        entry = (report if isinstance(report, CachedReport)
+                 else CachedReport.from_report(report))
         with self._lock:
-            self._memory_put(key, report)
+            self._memory_put(key, entry)
             self.stats.puts += 1
-            self._persist_locked(key, report)
+            self._persist_locked(key, entry)
 
     # ------------------------------------------------------- convenience
     def solve(self, graph: nx.Graph, problem_or_algorithm, *,
@@ -334,9 +398,10 @@ class SolveCache:
         plan = self.registry.plan(graph, problem_or_algorithm, seed=seed,
                                   **config)
         key = key_for_plan(plan)
-        report, tier = self.lookup(key, require_certificate=verify)
-        if report is not None:
-            return CachedSolve(report=report, key=key, hit=True, tier=tier)
+        entry, tier = self.lookup(key, require_certificate=verify)
+        if entry is not None:
+            return CachedSolve(report=entry.report, key=key, hit=True,
+                               tier=tier)
         report = self.registry.solve(graph, plan.algorithm, seed=seed,
                                      verify=verify, **plan.config_dict)
         self.put(key, report)

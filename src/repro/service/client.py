@@ -26,6 +26,8 @@ import urllib.parse
 import weakref
 from typing import Any, Mapping
 
+from repro.service.jsontext import COMPACT
+
 __all__ = ["ServiceClient", "ServiceError"]
 
 
@@ -184,7 +186,7 @@ class ServiceClient:
         data = None
         headers = {"Accept": "application/json"}
         if body is not None:
-            data = json.dumps(dict(body)).encode("utf-8")
+            data = json.dumps(dict(body), separators=COMPACT).encode("utf-8")
             headers["Content-Type"] = "application/json"
         if extra_headers:
             headers.update(extra_headers)

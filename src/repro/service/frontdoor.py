@@ -17,8 +17,9 @@ Routes
 as ``method(handler, arg)``.  A path ending in ``/`` is a prefix route and
 ``arg`` is the rest of the path; a ``POST`` route gets the parsed JSON
 object body; an exact ``GET`` route gets ``None``.  The method returns a
-dict (200), a ``(status, dict)`` pair, raw JSON bytes (200), or ``None``
-when it answered on the handler itself.
+body -- a dict, or raw JSON bytes sent as they are -- answered 200, a
+``(status, body)`` pair, or ``None`` when it answered on the handler
+itself.  Dicts are sent as compact JSON with sorted keys.
 
 Errors
 ------
@@ -41,6 +42,7 @@ from typing import Any, Callable
 
 from repro.service.client import ServiceError
 from repro.service.jsonlog import log_event
+from repro.service.jsontext import COMPACT
 
 __all__ = ["JsonHandler", "LoopServer", "error_answer"]
 
@@ -238,16 +240,15 @@ class JsonHandler(BaseHTTPRequestHandler):
             return
         if reply is None:
             return
-        if isinstance(reply, (bytes, bytearray)):
-            self.send_body(200, bytes(reply))
-        elif isinstance(reply, tuple):
-            self.send_json(*reply)
+        status, body = reply if isinstance(reply, tuple) else (200, reply)
+        if isinstance(body, (bytes, bytearray)):
+            self.send_body(status, bytes(body))
         else:
-            self.send_json(200, reply)
+            self.send_json(status, body)
 
     def send_json(self, status: int, obj: dict[str, Any]) -> bool:
-        return self.send_body(
-            status, json.dumps(obj, sort_keys=True).encode("utf-8"))
+        return self.send_body(status, json.dumps(
+            obj, sort_keys=True, separators=COMPACT).encode("utf-8"))
 
     def send_body(self, status: int, body: bytes, content_type: str = JSON,
                   *, stream: bool = False) -> bool:

@@ -62,12 +62,17 @@ about; the funnel is the fix.  A request with ``stream=True`` additionally
 opens an :class:`~repro.service.events.EventChannel` that round-by-round
 progress is published to (see :mod:`repro.service.events`).
 
-Workers return the *serialised* report (``repro.api.report_to_json``), not
-the live object -- payloads never cross the process boundary, mirroring the
-persistent cache tier.  The request's ``seed`` is forwarded verbatim
-(``None`` stays ``None``), so a worker re-derives the same seed/policy the
-plan predicted and cached provenance is identical to a fresh
-``repro.solve``.
+Workers return the *serialised* report (``repro.api.report_to_json``,
+canonical compact text), not the live object -- payloads never cross the
+process boundary, mirroring the persistent cache tier.  That text is the
+report's only encoding: the consumer wraps it in a
+:class:`~repro.service.cache.CachedReport` without parsing it, the cache
+stores it, and :meth:`SolveResponse.to_json` splices it into the HTTP body,
+so a hit neither parses nor re-encodes its report.  The consumer parses a
+computed report at most once, when engine metrics or a live stream need
+its fields.  The request's ``seed`` is forwarded verbatim (``None`` stays
+``None``), so a worker re-derives the same seed/policy the plan predicted
+and cached provenance is identical to a fresh ``repro.solve``.
 """
 
 from __future__ import annotations
@@ -85,10 +90,11 @@ from typing import Any
 import networkx as nx
 
 from repro.api import REGISTRY, RunReport
-from repro.api.serialize import report_from_json, report_to_json
+from repro.api.serialize import report_to_json
 from repro.congest.observers import RoundObserver, ambient_observation
 from repro.scenarios.registry import DEFAULT_REGISTRY
-from repro.service.cache import SolveCache, key_for_plan
+from repro.service import jsontext
+from repro.service.cache import CachedReport, SolveCache, key_for_plan
 from repro.service.events import (
     EventChannel,
     SolveEventBus,
@@ -150,12 +156,14 @@ def workload_graph(cell: str, graph_seed: int) -> nx.Graph:
 class SolveResponse:
     """What ``submit`` resolves to: the report plus serving metadata.
 
-    ``report`` is ``None`` exactly for ``status="accepted"`` (a
-    ``wait=False`` submit); ``tier`` names the cache tier that served a
-    hit (``"memory"`` / ``"persistent"``) and is ``None`` otherwise.
+    ``entry`` (the report's encoded text) is ``None`` exactly for
+    ``status="accepted"`` (a ``wait=False`` submit); ``tier`` names the
+    cache tier that served a hit (``"memory"`` / ``"persistent"``) and is
+    ``None`` otherwise.  ``trace_id`` echoes the trace id of the request's
+    propagated context whenever it parses, with tracing on or off.
     """
 
-    report: RunReport | None
+    entry: CachedReport | None
     key: str
     status: str  # "hit", "computed", "coalesced" or "accepted"
     cell: str
@@ -164,9 +172,14 @@ class SolveResponse:
     #: Trace id of the request's propagated context, when it had one.
     trace_id: str | None = None
 
-    def to_row(self) -> dict[str, Any]:
-        import json
+    @property
+    def report(self) -> RunReport | None:
+        """The :class:`RunReport`, parsed on first access."""
+        return None if self.entry is None else self.entry.report
 
+    def to_json(self) -> str:
+        """The response as compact JSON -- the HTTP body -- with the
+        report's stored text spliced in as it is."""
         row: dict[str, Any] = {
             "key": self.key,
             "status": self.status,
@@ -178,9 +191,9 @@ class SolveResponse:
             row["tier"] = self.tier
         if self.trace_id is not None:
             row["trace_id"] = self.trace_id
-        if self.report is not None:
-            row["report"] = json.loads(report_to_json(self.report))
-        return row
+        if self.entry is not None:
+            row["report"] = jsontext.RawJSON(self.entry.text)
+        return jsontext.dumps(row)
 
 
 class TraceRunObserver(RoundObserver):
@@ -344,7 +357,7 @@ class _Job:
     cell: str
     keys: list[str]
     seeds: list[int | None]
-    futures: "list[asyncio.Future[RunReport]]" = field(repr=False)
+    futures: "list[asyncio.Future[CachedReport]]" = field(repr=False)
     shard: int = 0
     #: Live event channel when a B = 1 job's request asked to stream.
     channel: EventChannel | None = field(repr=False, default=None)
@@ -534,7 +547,7 @@ class SolveScheduler:
                         key: str | None = None,
                         cell: str | None = None, tier: str | None = None,
                         shard: int | None = None,
-                        report: RunReport | None = None,
+                        entry: CachedReport | None = None,
                         ) -> SolveResponse:
         """The one funnel every request outcome flows through.
 
@@ -552,11 +565,12 @@ class SolveScheduler:
             self.metrics.solve_latency.observe(latency, request.algorithm,
                                                status)
         trace_id = None
-        recorder = self.trace_recorder
-        if recorder is not None and request.trace:
-            parsed = TraceContext.from_header(request.trace)
-            if parsed is not None:
-                trace_id = parsed.trace_id
+        parsed = (TraceContext.from_header(request.trace)
+                  if request.trace else None)
+        if parsed is not None:
+            trace_id = parsed.trace_id
+            recorder = self.trace_recorder
+            if recorder is not None:
                 ctx = parsed.child()
                 span_status = ("error" if status in ("error", "rejected",
                                                      "invalid", "cancelled")
@@ -581,7 +595,7 @@ class SolveScheduler:
                   workload=request.workload, graph_seed=request.graph_seed,
                   seed=seed, config=request.config_dict,
                   **({"trace_id": trace_id} if trace_id else {}))
-        return SolveResponse(report=report, key=key or "", status=status,
+        return SolveResponse(entry=entry, key=key or "", status=status,
                              cell=cell or "", latency_s=latency, tier=tier,
                              trace_id=trace_id)
 
@@ -688,15 +702,15 @@ class SolveScheduler:
                     keys[index], require_certificate=request.verify)
                     for index in unique]
             misses: list[int] = []
-            for index, (report, tier) in zip(unique, lookups):
-                if report is None:
+            for index, (entry, tier) in zip(unique, lookups):
+                if entry is None:
                     misses.append(index)
                     continue
                 self.counters["hits"] += 1
                 if request.stream:
                     self._replay_cached_stream(keys[index], cell, request,
                                                tier)
-                finish(index, "hit", tier=tier, report=report)
+                finish(index, "hit", tier=tier, entry=entry)
 
             # A key already in flight -- queued or running, solo or inside
             # a batch -- attaches to that computation; the rest form one job.
@@ -719,9 +733,9 @@ class SolveScheduler:
                     finish(index, "accepted")
             for index in misses:
                 if outcomes[index] is None:
-                    report = await asyncio.shield(futures[keys[index]])
+                    entry = await asyncio.shield(futures[keys[index]])
                     finish(index, "computed" if index in fresh
-                           else "coalesced", report=report)
+                           else "coalesced", entry=entry)
         except asyncio.CancelledError:
             # The *submitter* was cancelled (client timeout / teardown);
             # the shielded job keeps running and will land in the cache.
@@ -739,7 +753,7 @@ class SolveScheduler:
                 served = outcomes[first[key]]
                 status = "hit" if served.status == "hit" else "coalesced"
                 self.counters["hits" if status == "hit" else "coalesced"] += 1
-                finish(index, status, tier=served.tier, report=served.report)
+                finish(index, status, tier=served.tier, entry=served.entry)
         return outcomes  # type: ignore[return-value]
 
     def _enqueue(self, request: SolveRequest, cell: str, shard: int,
@@ -879,17 +893,17 @@ class SolveScheduler:
                 if len(job.keys) > 1:
                     self.counters["batch_jobs"] += 1
                 for key, future, row in zip(job.keys, job.futures, rows):
-                    report = report_from_json(row)
-                    self.cache.put(key, report)
+                    entry = CachedReport.from_text(row)
+                    self.cache.put(key, entry)
                     self.counters["computed"] += 1
-                    self._record_engine_metrics(job.request.algorithm, report)
+                    self._record_engine_metrics(job.request.algorithm, entry)
                     if not future.done():
-                        future.set_result(report)
+                        future.set_result(entry)
                 if job.channel is not None:
                     await self._settle_stream(job, pump, events_sink, {
                         "event": "end", "key": job.keys[0],
-                        "status": "computed", "rounds": report.rounds,
-                        "certified": report.certificate is not None,
+                        "status": "computed", "rounds": entry.report.rounds,
+                        "certified": entry.certified,
                     })
                     pump = None
             except asyncio.CancelledError:
@@ -1014,12 +1028,14 @@ class SolveScheduler:
         self.events.close(job.keys[0])
 
     def _record_engine_metrics(self, algorithm: str,
-                               report: RunReport) -> None:
-        """Engine requested/used counts from ``RunReport.metrics``."""
+                               entry: CachedReport) -> None:
+        """Engine requested/used counts from ``RunReport.metrics`` (the
+        computed report's one parse, shared with its later readers)."""
         if self.metrics is None:
             return
-        requested = report.metrics.get("engine_requested")
-        used = report.metrics.get("engine_used")
+        metrics = entry.report.metrics
+        requested = metrics.get("engine_requested")
+        used = metrics.get("engine_used")
         if requested is None or used is None:
             return
         self.metrics.engine_solves.inc(algorithm, requested, used)

@@ -55,13 +55,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import queue as queue_module
 import sys
 import time
 from typing import Any, Sequence
 
-from repro.api.serialize import report_to_json
+from repro.service import jsontext
 from repro.service.cache import SolveCache, default_cache_path
 from repro.service.client import ServiceError
 from repro.service.frontdoor import JsonHandler, LoopServer
@@ -182,19 +181,20 @@ class ServiceServer(LoopServer):
         http.send_body(200, metrics.render().encode("utf-8"),
                        metrics.registry.content_type)
 
-    def _cached_row(self, key: str, missing: str) -> dict[str, Any]:
+    def _cached_row(self, key: str, missing: str) -> bytes:
         # peek, not get: report polling must never count as cache traffic
         # (hit_rate) nor promote the key in the LRU.
-        report, tier = self.scheduler.cache.peek(key)
-        if report is None:
+        entry, tier = self.scheduler.cache.peek(key)
+        if entry is None:
             raise ServiceError(404, missing)
-        return {"key": key, "tier": tier,
-                "report": json.loads(report_to_json(report))}
+        return jsontext.dumps({"key": key, "tier": tier,
+                               "report": jsontext.RawJSON(entry.text)}
+                              ).encode("utf-8")
 
-    def _get_report(self, http, key: str) -> dict[str, Any]:
+    def _get_report(self, http, key: str) -> bytes:
         return self._cached_row(key, f"unknown report key {key!r}")
 
-    def _get_cache(self, http, key: str) -> dict[str, Any]:
+    def _get_cache(self, http, key: str) -> bytes:
         # The fleet-shared warm-read endpoint: peers (via the coordinator)
         # fetch stored rows by content address so a worker inheriting
         # remapped keys starts warm.  Never consult our own peers: the
@@ -222,8 +222,8 @@ class ServiceServer(LoopServer):
         if channel is None:
             # Never streamed (or archived out): an already-resolved key
             # still gets a useful single-frame stream.
-            report, tier = self.scheduler.cache.peek(key)
-            if report is None:
+            entry, tier = self.scheduler.cache.peek(key)
+            if entry is None:
                 raise ServiceError(
                     404, f"no event stream or report for key {key!r}")
         if not http.send_body(200, b"", "text/event-stream", stream=True):
@@ -239,9 +239,9 @@ class ServiceServer(LoopServer):
                 return False
 
         if channel is None:
-            write_frame("data: " + json.dumps(
+            write_frame("data: " + jsontext.dumps(
                 {"event": "end", "key": key, "status": "cached",
-                 "tier": tier}, sort_keys=True) + "\n\n")
+                 "tier": tier}) + "\n\n")
             return
         metrics = self.metrics
         subscription = channel.subscribe()
@@ -257,8 +257,7 @@ class ServiceServer(LoopServer):
                     continue
                 if event is None:  # END_OF_STREAM
                     return
-                frame = ("data: "
-                         + json.dumps(event, sort_keys=True, default=str)
+                frame = ("data: " + jsontext.dumps(event, default=str)
                          + "\n\n")
                 if not write_frame(frame):
                     return
@@ -280,7 +279,7 @@ class ServiceServer(LoopServer):
         wait = bool(obj.pop("wait", True))
         response = self.submit(SolveRequest.from_obj(obj), wait=wait)
         return (202 if response.status == "accepted" else 200,
-                response.to_row())
+                response.to_json().encode("utf-8"))
 
 
 def _make_handler(service: ServiceServer, *, quiet: bool):

@@ -34,10 +34,14 @@ sustained fleet traffic instead:
   falls back to a full rescan on mismatch, so a stale index can cost a
   re-read but never returns the wrong row.
 
-The store holds serialised rows (``dict`` per line) keyed by
-``key_field``; it knows nothing about reports -- the solve cache layers
-deserialisation and the memory LRU on top.  Its root is a directory: a
-regular file there (a leftover single-file store) is refused up front.
+The store holds serialised rows (``dict`` per line, compact JSON, see
+:mod:`repro.service.jsontext`) keyed by ``key_field``; it knows nothing
+about reports -- the solve cache layers the memory LRU on top and hands
+the store its report text as a :class:`~repro.service.jsontext.RawJSON`
+value, which lands in the row as it is.  Rows written with spaced
+separators read back alike, and compaction rewrites them compactly.  Its
+root is a directory: a regular file there (a leftover single-file store)
+is refused up front.
 The first put lays out every ``shard-NN`` directory, so the directories
 record the shard count: ``shards=None`` reads it back, and an explicit
 count that disagrees is refused up front too.
@@ -53,6 +57,8 @@ import time
 import zlib
 from collections import OrderedDict
 from typing import Any, Callable, Mapping
+
+from repro.service import jsontext
 
 try:  # POSIX-only; the store degrades to thread-safety-only without it.
     import fcntl
@@ -451,7 +457,7 @@ class ShardStore:
         if not isinstance(stored_at, (int, float)):
             stored_at = round(self._clock(), 3)
             document["stored_at"] = stored_at
-        data = (json.dumps(document, sort_keys=True, default=str)
+        data = (jsontext.dumps(document, default=str)
                 + "\n").encode("utf-8")
         if not self._laid_out:
             for each in self._shards:
@@ -575,7 +581,7 @@ class ShardStore:
                     and row.get(self.key_field) == key):
                 shard.index.pop(key, None)
                 continue
-            data = (json.dumps(row, sort_keys=True, default=str)
+            data = (jsontext.dumps(row, default=str)
                     + "\n").encode("utf-8")
             target = self._segment_path(shard, shard.active)
             new_offset, new_length = append_jsonl_line(target, data)

@@ -166,6 +166,31 @@ class TestTransportBandwidth:
         with pytest.raises(BandwidthExceededError):
             transport.deposit_broadcast(0, "12345")  # 40 more on same slot
 
+    def test_broadcast_then_broadcast_aggregate_enforced(self):
+        # A fast-path broadcast writes no slot loads, but a second deposit
+        # by the same sender in the same round must still see its bits.
+        transport, _ = self._transport(bandwidth=64)
+        transport.deposit_broadcast(1, "12345")  # 40 bits on each slot
+        with pytest.raises(BandwidthExceededError):
+            transport.deposit_broadcast(1, "12345")  # 80 > 64
+
+    def test_broadcast_then_outbox_aggregate_enforced(self):
+        transport, _ = self._transport(bandwidth=64)
+        transport.deposit_broadcast(1, "12345")
+        with pytest.raises(BandwidthExceededError):
+            transport.deposit_outbox(1, {2: "12345"})
+        # Other senders and the next round start from their own loads.
+        transport.end_round()
+        transport.deposit_broadcast(1, "12345")
+        transport.deposit_outbox(0, {1: "12345"})
+
+    def test_single_broadcast_writes_no_slot_loads(self):
+        transport, _ = self._transport(bandwidth=64)
+        transport.deposit_broadcast(1, "12345")
+        assert transport.total_messages == 2
+        assert transport._touched_slots == []
+        assert not any(transport._slot_bits)
+
     def test_enforcement_off_still_counts(self):
         transport, _ = self._transport(bandwidth=8, enforce=False)
         transport.deposit_outbox(0, {1: "a massive payload" * 10})

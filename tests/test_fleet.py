@@ -759,6 +759,60 @@ class TestFleetFailureContainment:
 
 
 # ---------------------------------------------------------------------------
+# The relayed body
+# ---------------------------------------------------------------------------
+
+def _reject_duplicate_keys(pairs):
+    keys = [key for key, _ in pairs]
+    duplicates = sorted({key for key in keys if keys.count(key) > 1})
+    assert not duplicates, f"duplicate keys {duplicates}"
+    return dict(pairs)
+
+
+class TestRelayedBody:
+    """The solo relay splices fields into the worker's bytes: each key
+    must appear once, whether or not the worker records traces."""
+
+    @pytest.mark.parametrize("worker_tracing", [True, False])
+    @pytest.mark.parametrize("coordinator_tracing", [True, False])
+    def test_one_trace_id_per_relayed_body(self, worker_tracing,
+                                           coordinator_tracing):
+        from repro.service import TRACE_HEADER, TraceContext
+
+        with FleetCoordinator(port=0, ttl_s=5.0,
+                              tracing=coordinator_tracing) as coordinator:
+            scheduler = SolveScheduler(cache=SolveCache(""), inline=True,
+                                       shards=1, tracing=worker_tracing)
+            worker = FleetWorker(coordinator.url, worker_id="solo", port=0,
+                                 scheduler=scheduler,
+                                 heartbeat_interval_s=0.2)
+            worker.start()
+            client = ServiceClient(coordinator.url, timeout=120)
+            try:
+                client.wait_healthy(deadline_s=10)
+                body = {"workload": WORKLOAD, "algorithm": ALGORITHM,
+                        "config": CONFIG, "graph_seed": 3, "seed": 4}
+                parent = TraceContext.new()
+                for status in ("computed", "hit"):
+                    payload = client.request_bytes(
+                        "POST", "/solve", body,
+                        headers={TRACE_HEADER: parent.to_header()})
+                    row = json.loads(
+                        payload, object_pairs_hook=_reject_duplicate_keys)
+                    assert row["status"] == status
+                    assert row["worker"] == "solo"
+                    if coordinator_tracing:
+                        assert row["trace_id"] == parent.trace_id
+                    else:
+                        assert "trace_id" not in row
+                    assert len(payload) == len(json.dumps(
+                        row, separators=(",", ":")))
+            finally:
+                client.close()
+                worker.stop()
+
+
+# ---------------------------------------------------------------------------
 # Fleet-shared warm reads (membership churn)
 # ---------------------------------------------------------------------------
 

@@ -188,8 +188,8 @@ class TestPersistentTier:
         def verify(cache: SolveCache) -> None:
             while not stop.is_set():
                 for seed in seeds:
-                    report, _ = cache.lookup(plans[seed])
-                    if (report is not None and report.provenance
+                    entry, _ = cache.lookup(plans[seed])
+                    if (entry is not None and entry.report.provenance
                             != reports[seed].provenance):
                         errors.append(f"seed {seed} served foreign report")
 
@@ -213,9 +213,9 @@ class TestPersistentTier:
         # No lost rows: a fresh instance still serves every key.
         fresh = SolveCache(root)
         for seed in seeds:
-            report, tier = fresh.lookup(plans[seed])
-            assert report is not None and tier == "persistent"
-            assert report.provenance == reports[seed].provenance
+            entry, tier = fresh.lookup(plans[seed])
+            assert entry is not None and tier == "persistent"
+            assert entry.report.provenance == reports[seed].provenance
 
     def test_eviction_respects_budget(self, graph, tmp_path):
         root = str(tmp_path / "store")
@@ -381,8 +381,8 @@ class TestWrongReportRegression:
         got_first, tier_first = cache.lookup(first.key)
         got_second, tier_second = cache.lookup(second.key)
         assert tier_first == tier_second == "persistent"
-        assert got_first.provenance == first.report.provenance
-        assert got_second.provenance == second.report.provenance
+        assert got_first.report.provenance == first.report.provenance
+        assert got_second.report.provenance == second.report.provenance
         assert cache._shardstore.counters()["wrong_key_reads"] == 0
 
 
@@ -396,19 +396,16 @@ class TestPeerTier:
 
         def peer_fetch(key: str):
             calls.append(key)
-            report, _ = donor.peek(key)
-            if report is None:
+            entry, _ = donor.peek(key)
+            if entry is None:
                 return None
-            from repro.api import report_to_json
-
             return {"key": key, "tier": "persistent",
-                    "report": __import__("json").loads(
-                        report_to_json(report))}
+                    "report": __import__("json").loads(entry.text)}
 
         taker = SolveCache(str(tmp_path / "taker"), peer_fetch=peer_fetch)
-        report, tier = taker.lookup(computed.key)
+        entry, tier = taker.lookup(computed.key)
         assert tier == "peer"
-        assert report.provenance == computed.report.provenance
+        assert entry.report.provenance == computed.report.provenance
         assert taker.stats.peer_hits == 1
         assert calls == [computed.key]
         # Stored locally: the next lookup is a memory hit, no peer call.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import threading
 import time
 
@@ -509,9 +510,9 @@ class TestNoWaitSubmit:
                 assert accepted.key
                 # The job completes on its own; poll the cache.
                 for _ in range(200):
-                    report = scheduler.cache.peek(accepted.key)[0]
-                    if report is not None:
-                        return accepted, report
+                    entry = scheduler.cache.peek(accepted.key)[0]
+                    if entry is not None:
+                        return accepted, entry.report
                     await asyncio.sleep(0.05)
                 raise AssertionError("accepted job never landed in cache")
             finally:
@@ -525,7 +526,7 @@ class TestNoWaitSubmit:
             scheduler = make_scheduler()
             try:
                 accepted = await scheduler.submit(REQUEST, wait=False)
-                return accepted.to_row()
+                return json.loads(accepted.to_json())
             finally:
                 await scheduler.stop()
 
